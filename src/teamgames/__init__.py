@@ -47,7 +47,6 @@ from .simulator import (
     LearnedOutcome,
     TrainConfig,
     dispersion,
-    play_round,
     spawned_seed,
     train,
 )

@@ -1,9 +1,10 @@
 """Command-line entry point: solve, learn, sweep, heaviside, tune.
 
 Exit codes: 0 success, 1 configuration error, 2 empty result (no
-equilibrium found).  All outputs are reproducible byte for byte given the
-input spec, seed, and format; floats are serialised with their shortest
-round-trip representation.
+equilibrium found).  A usage error, such as a flag the subcommand does not
+take, also exits 2 (argparse's convention).  All outputs are reproducible
+byte for byte given the input spec, seed, and format; floats are serialised
+with their shortest round-trip representation.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .equilibrium import NoEquilibriumError
-from .errors import TeamworkGameError
+from .errors import ConfigurationError, TeamworkGameError
 from .experiments import (
     SweepConfig,
     heatmap_table,
@@ -84,6 +85,15 @@ def _load_input(args) -> dict:
         with open(args.input) as fh:
             data = json.load(fh)
     return _apply_overrides(data, args.set)
+
+
+def _check_keys(data, allowed, what: str) -> None:
+    """Reject a spec that is not an object or has keys outside ``allowed``."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{what} spec must be an object, got {type(data).__name__}")
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise ConfigurationError(f"unknown {what} spec key(s): {sorted(unknown)}")
 
 
 def _out_dir(args) -> Path:
@@ -184,13 +194,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+_HEAVISIDE_KEYS = ("b", "d", "repetitions", "episodes", "tau", "k",
+                   "delta_t", "alpha", "base_seed")
+
+
 def cmd_heaviside(args) -> int:
     data = _load_input(args)
-    kwargs = {}
-    for key in ("b", "d", "repetitions", "episodes", "tau", "k",
-                "delta_t", "alpha", "base_seed"):
-        if key in data:
-            kwargs[key] = data[key]
+    _check_keys(data, _HEAVISIDE_KEYS + ("teams",), "heaviside")
+    kwargs = {key: data[key] for key in _HEAVISIDE_KEYS if key in data}
     teams = data.get("teams")
     if args.seed is not None:
         kwargs["base_seed"] = args.seed
@@ -214,6 +225,7 @@ def cmd_heaviside(args) -> int:
 
 def cmd_tune(args) -> int:
     data = _load_input(args)
+    _check_keys(data, ("budget", "episodes"), "tune")
     budget = int(data.get("budget", 0))
     kwargs = {}
     if "episodes" in data:
@@ -225,6 +237,19 @@ def cmd_tune(args) -> int:
     _write_json(out / "tuning.json", result.to_dict())
     print(f"wrote {out / 'tuning.json'}")
     return 0
+
+
+# Optional flags beyond --input, --output-dir and --set, and the
+# subcommands that honour each.
+_FLAGS = {
+    "--format": (("sweep",), {"choices": ("csv", "json"), "default": "csv"}),
+    "--seed": (("learn", "sweep", "heaviside", "tune"), {"type": int}),
+    "--workers": (("sweep",), {"type": int}),
+    "--episodes": (("learn", "sweep", "heaviside"), {"type": int}),
+    "--tau": (("learn", "sweep"), {"type": float}),
+    "--k": (("learn", "sweep"), {"type": float}),
+    "--verbose": (("learn",), {"action": "store_true"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,16 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--input", help="path to the JSON game or sweep spec")
         p.add_argument("--output-dir", default=".", help="directory for outputs")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int,
-                       default=int(env_workers) if env_workers else None)
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a key in the JSON spec (repeatable)")
-        p.add_argument("--episodes", type=int, default=None)
-        p.add_argument("--tau", type=float, default=None)
-        p.add_argument("--k", type=float, default=None)
-        p.add_argument("--verbose", action="store_true")
+        for flag, (commands, kwargs) in _FLAGS.items():
+            if name in commands:
+                p.add_argument(flag, **kwargs)
+        if name == "sweep" and env_workers:
+            p.set_defaults(workers=int(env_workers))
         p.set_defaults(fn=fn)
     return parser
 

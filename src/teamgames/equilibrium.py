@@ -41,7 +41,7 @@ from .errors import (
     WrongSolverError,
 )
 from .evaluation import eval_score, score_scalar, ratio_scalar
-from .games import GameSpec, JointAction, ces_aggregate, ces_aggregate_grid, gifts_from_actions
+from .games import GameSpec, _actions_array, _payoffs, ces_aggregate
 
 # Absolute tolerance on work units for branch and boundary comparisons.
 BOUNDARY_TOL = 1e-10
@@ -124,6 +124,7 @@ def _bisect(f, lo, hi, *, xtol, flo=None, fhi=None, maxiter=400):
     return 0.5 * (lo + hi)
 
 
+# Kept beside ces_aggregate: ~20x cheaper per call, and best-response loops make 1e4+ calls.
 def _agg2(rho: float, w: float, v: float) -> float:
     """(w**rho + v**rho)**(1/rho) for w, v >= 0 with the zero conventions."""
     if w == 0.0 and v == 0.0:
@@ -338,7 +339,8 @@ def solve_equilibrium_concave(game: GameSpec, *, num_brackets: int = 2048) -> li
         return ces_aggregate(gifts, game.rho, game.betas) - G
 
     grid = np.linspace(lo, hi, num_brackets + 1)
-    values = [f(G) for G in grid]
+    scan_gifts = np.array([[gift(i, G) for i in range(game.n)] for G in grid]).T
+    values = ces_aggregate(scan_gifts, game.rho, game.betas) - grid
 
     roots: list[float] = []
     if game.rho == 1 and abs(values[0]) < 1e-12:
@@ -591,16 +593,18 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
             def S(G, _J=J):
                 return sum(_share_positive(game, j, G) for j in _J)
 
+            # An end within the 1e-9 admission band but outside 1e-12 of one
+            # is the root itself: bisecting from it would find no sign change.
             s_lo = S(G_star_J)
             if s_lo > 1.0 + 1e-9:
                 continue
-            if abs(s_lo - 1.0) <= 1e-12:
+            if s_lo >= 1.0 - 1e-12:
                 G_hat = G_star_J
             else:
                 s_hi = S(hi)
                 if s_hi < 1.0 - 1e-9:
                     continue
-                if abs(s_hi - 1.0) <= 1e-12:
+                if s_hi <= 1.0 + 1e-12:
                     G_hat = hi
                 else:
                     G_hat = _bisect(lambda G: S(G) - 1.0, G_star_J, hi,
@@ -629,16 +633,12 @@ def max_achievable_utility(game: GameSpec) -> float:
     return best_leisure ** game.alpha * top_score
 
 
-def _deviation_utilities(game: GameSpec, gifts: np.ndarray, player: int,
+def _deviation_utilities(game: GameSpec, actions: np.ndarray, player: int,
                          candidate_actions: np.ndarray) -> np.ndarray:
-    cap = game.expertise[player] * game.delta_t
-    cand_gifts = candidate_actions * cap
-    arrays = [cand_gifts if j == player else np.asarray(float(gifts[j]))
-              for j in range(game.n)]
-    G = ces_aggregate_grid(arrays, game.rho, game.betas)
-    scores = eval_score(game.evaluation, G)
-    leisure = (1.0 - candidate_actions) * game.leisure_capacity[player] * game.delta_t
-    return leisure ** game.alpha * scores
+    """Utility of ``player`` for each candidate action, the others held fixed."""
+    profiles = np.repeat(actions[:, None], len(candidate_actions), axis=1)
+    profiles[player] = candidate_actions
+    return _payoffs(game, profiles)[2][player]
 
 
 def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
@@ -651,24 +651,17 @@ def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
     profile is an epsilon-Nash point when that gain is at most epsilon.
     Works for any evaluation, including heaviside.
     """
-    if isinstance(actions, JointAction):
-        arr = actions.as_array()
-    else:
-        arr = np.asarray(actions, dtype=float)
     k = round(1.0 / grid_step)
     if abs(k * grid_step - 1.0) > 1e-9:
         raise InputError(f"grid_step must divide 1 evenly, got {grid_step}")
-    gifts = gifts_from_actions(game, arr)
-    base_G = ces_aggregate(gifts, game.rho, game.betas)
-    base_score = eval_score(game.evaluation, base_G)
-    leisure = (1.0 - arr) * np.asarray(game.leisure_capacity) * game.delta_t
-    base_u = leisure ** game.alpha * base_score
+    arr = _actions_array(game, actions)
+    base_u = _payoffs(game, arr)[2]
 
     max_gain = -math.inf
     best = None
     grid_actions = np.linspace(0.0, 1.0, k + 1)
     for i in range(game.n):
-        us = _deviation_utilities(game, gifts, i, grid_actions)
+        us = _deviation_utilities(game, arr, i, grid_actions)
         j = int(np.argmax(us))
         best_a, best_u = float(grid_actions[j]), float(us[j])
         if refine_step is not None:
@@ -677,7 +670,7 @@ def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
             m = int(round((hi - lo) / refine_step))
             fine = lo + refine_step * np.arange(m + 1)
             fine = fine[fine <= 1.0 + 1e-12]
-            us_f = _deviation_utilities(game, gifts, i, np.clip(fine, 0.0, 1.0))
+            us_f = _deviation_utilities(game, arr, i, np.clip(fine, 0.0, 1.0))
             jf = int(np.argmax(us_f))
             if us_f[jf] > best_u:
                 best_a, best_u = float(fine[jf]), float(us_f[jf])

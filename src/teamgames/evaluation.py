@@ -184,6 +184,7 @@ def validate_evaluation(spec: EvaluationSpec, grid: tuple[float, float], points:
     return ValidityReport(True)
 
 
+# Kept beside eval_score: ~50x cheaper per call on a float, and solver loops make 1e4+ calls.
 def score_scalar(spec: EvaluationSpec, G: float) -> float:
     """Scalar fast path used by inner solver loops."""
     if spec.kind == "identity":
@@ -197,6 +198,7 @@ def score_scalar(spec: EvaluationSpec, G: float) -> float:
     return spec.d * ez / (1.0 + ez)
 
 
+# Kept beside eval_ratio: ~40x cheaper per call on a float, and bisections make 1e4+ calls.
 def ratio_scalar(spec: EvaluationSpec, G: float) -> float:
     """Scalar fast path for sigma/sigma' used by inner solver loops."""
     if spec.kind == "identity":

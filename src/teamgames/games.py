@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -174,7 +173,7 @@ def _actions_array(game: GameSpec, actions) -> np.ndarray:
         arr = np.asarray(actions, dtype=float)
     if arr.shape != (game.n,):
         raise InputError(f"expected {game.n} actions, got shape {arr.shape}")
-    if np.any(arr < 0) or np.any(arr > 1):
+    if ((arr < 0) | (arr > 1)).any():
         raise InputError("actions must lie in [0, 1]")
     return arr
 
@@ -202,9 +201,11 @@ def utility(x: float, score: float, alpha: float) -> float:
     return x ** alpha * score
 
 
-def ces_aggregate(gifts, rho: float, betas) -> float:
+def ces_aggregate(gifts, rho: float, betas):
     """CES team outcome ``(sum_i beta_i * g_i**rho) ** (1/rho)``.
 
+    ``gifts`` holds one row per player: a 1-D vector gives a float, an
+    ``(n, ...)`` array gives one outcome per cell of the trailing axes.
     Computed in the log domain with a max shift so |rho| up to 500 is exact
     to rounding.  Zero gifts contribute nothing when rho > 0; when rho < 0 a
     single zero gift forces G = 0 (the weakest-link limit).
@@ -213,51 +214,25 @@ def ces_aggregate(gifts, rho: float, betas) -> float:
         raise ConfigurationError("rho must be nonzero (rho = 0 is not a CES exponent)")
     g = gifts.as_array() if isinstance(gifts, GiftVector) else np.asarray(gifts, dtype=float)
     b = np.asarray(betas, dtype=float)
-    if g.shape != b.shape:
-        raise InputError(f"gifts and betas must align, got {g.shape} vs {b.shape}")
-    if np.any(b <= 0):
+    if b.ndim != 1 or g.shape[:1] != b.shape:
+        raise InputError(f"gifts and betas must align on axis 0, got {g.shape} vs {b.shape}")
+    if not (b > 0).all():
         raise InputError("betas must all be > 0")
-    if np.any(g < 0):
+    if not (g >= 0).all():
         raise InputError("gifts must all be >= 0")
-    pos = g > 0
-    if not pos.any():
-        return 0.0
-    if rho < 0 and not pos.all():
-        return 0.0
-    t = np.log(b[pos]) + rho * np.log(g[pos])
-    m = float(t.max())
-    return float(np.exp((m + np.log(np.exp(t - m).sum())) / rho))
-
-
-def ces_aggregate_grid(gift_arrays: Sequence[np.ndarray], rho: float, betas) -> np.ndarray:
-    """Vectorised CES over broadcastable per-player gift arrays.
-
-    Used to build reward tables and deviation grids; agrees with
-    ``ces_aggregate`` elementwise.
-    """
-    if rho == 0:
-        raise ConfigurationError("rho must be nonzero (rho = 0 is not a CES exponent)")
-    b = np.asarray(betas, dtype=float)
-    arrays = [np.asarray(a, dtype=float) for a in gift_arrays]
-    with np.errstate(divide="ignore"):
-        logs = [np.log(a) for a in arrays]
-    terms = [np.log(b[i]) + rho * lg for i, lg in enumerate(logs)]
-    stacked = np.broadcast_arrays(*terms)
-    stack = np.stack(stacked, axis=0)
-    # rho < 0 turns log(0) = -inf into +inf; mask those cells to G = 0.
-    any_zero = np.zeros(stack.shape[1:], dtype=bool)
-    for a in arrays:
-        any_zero |= np.broadcast_to(a, stack.shape[1:]) == 0
-    finite = np.where(np.isfinite(stack), stack, -np.inf)
-    m = finite.max(axis=0)
-    safe_m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.exp(finite - safe_m).sum(axis=0)
-        out = np.exp((safe_m + np.log(s)) / rho)
-    out = np.where(np.isfinite(m), out, 0.0)
-    if rho < 0:
-        out = np.where(any_zero, 0.0, out)
-    return out
+    log_b = np.log(b).reshape(b.shape + (1,) * (g.ndim - 1))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # A zero gift's term is rho * log(0): -inf when rho > 0, so it adds
+        # nothing to the log-sum-exp, and +inf when rho < 0, which drives
+        # the cell's max shift m to +inf.  Cells whose m is not finite (no
+        # positive gift, or a zero gift under rho < 0) have G = 0; with m
+        # set to 0 there, the sum is 0 or +inf and G comes out as exactly 0.
+        t = log_b + rho * np.log(g)
+        m = t.max(axis=0)
+        m = np.where(np.isfinite(m), m, 0.0)
+        t -= m  # in place: a joint-action grid can hold millions of cells
+        out = np.exp((m + np.log(np.exp(t, out=t).sum(axis=0))) / rho)
+    return float(out) if g.ndim == 1 else out
 
 
 def gifts_from_actions(game: GameSpec, actions) -> np.ndarray:
@@ -266,10 +241,20 @@ def gifts_from_actions(game: GameSpec, actions) -> np.ndarray:
     return arr * game.full_time_gifts()
 
 
-def leisure_from_actions(game: GameSpec, actions) -> np.ndarray:
-    """Map a joint action to the vector of private (leisure) goods."""
-    arr = _actions_array(game, actions)
-    return (1.0 - arr) * np.asarray(game.leisure_capacity) * game.delta_t
+def _payoffs(game: GameSpec, actions: np.ndarray):
+    """Team outcome, score and rewards of validated actions, one row per player.
+
+    ``actions`` has shape ``(n, ...)``; every trailing cell is one joint
+    action.  Returns ``(G, score, rewards)`` with ``rewards`` shaped like
+    ``actions``.  The learner's rewards and the Nash oracle's utilities all
+    come from here.
+    """
+    column = (game.n,) + (1,) * (actions.ndim - 1)
+    G = ces_aggregate(actions * game.full_time_gifts().reshape(column), game.rho, game.betas)
+    score = eval_score(game.evaluation, G)
+    capacity = np.asarray(game.leisure_capacity).reshape(column)
+    leisure = (1.0 - actions) * capacity * game.delta_t
+    return G, score, leisure ** game.alpha * score
 
 
 def evaluate_joint_action(game: GameSpec, actions):
@@ -278,9 +263,6 @@ def evaluate_joint_action(game: GameSpec, actions):
     Returns ``(gifts, aggregate, score, rewards)`` as (ndarray, float, float,
     ndarray).  Works for any evaluation kind, including heaviside.
     """
-    gifts = gifts_from_actions(game, actions)
-    aggregate = ces_aggregate(gifts, game.rho, game.betas)
-    score = eval_score(game.evaluation, aggregate)
-    leisure = leisure_from_actions(game, actions)
-    rewards = leisure ** game.alpha * score
-    return gifts, float(aggregate), float(score), rewards
+    arr = _actions_array(game, actions)
+    G, score, rewards = _payoffs(game, arr)
+    return arr * game.full_time_gifts(), G, score, rewards

@@ -22,25 +22,13 @@ import numpy as np
 
 from .bandit import AgentState, boltzmann_probabilities, greedy_action, update_q
 from .errors import ConfigurationError, UndefinedDispersionError
-from .evaluation import eval_score
-from .games import GameSpec, ces_aggregate, ces_aggregate_grid, evaluate_joint_action
+from .games import GameSpec, _payoffs, evaluate_joint_action
 
 EXTRACTION_MODES = ("greedy", "final_sample", "tail_average")
 
 # Share of each agent's draws taken uniformly over all arms, whatever the
 # Q-table holds, so every arm keeps being sampled at rate >= EXPLORATION / K.
 EXPLORATION = 0.01
-
-
-@dataclass(frozen=True)
-class RoundResult:
-    """Everything one play of the game produces."""
-
-    gifts: tuple[float, ...]
-    aggregate: float
-    score: float
-    rewards: tuple[float, ...]
-    passed: bool | None  # aggregate >= passing threshold; None when no threshold exists
 
 
 @dataclass(frozen=True)
@@ -118,50 +106,22 @@ class LearnedOutcome:
         }
 
 
-def play_round(game: GameSpec, actions) -> RoundResult:
-    """Score one joint action: gifts, CES outcome, evaluation, rewards.
-
-    Accepts any evaluation, including heaviside.  The pass flag compares the
-    outcome against the evaluation's threshold and is informational only.
-    """
-    gifts, aggregate, score, rewards = evaluate_joint_action(game, actions)
-    passed = None
-    if game.evaluation.kind in ("logistic", "heaviside"):
-        passed = bool(aggregate >= game.evaluation.b)
-    return RoundResult(
-        gifts=tuple(float(g) for g in gifts),
-        aggregate=aggregate,
-        score=score,
-        rewards=tuple(float(r) for r in rewards),
-        passed=passed,
-    )
-
-
 def _seed_sequence(seed) -> tuple[np.random.SeedSequence, int]:
     if isinstance(seed, np.random.SeedSequence):
         return seed, int(seed.generate_state(1)[0])
     return np.random.SeedSequence(int(seed)), int(seed)
 
 
-def _reward_tables(game: GameSpec, arm_actions: np.ndarray) -> list[np.ndarray] | None:
-    """Per-player reward lookup over the joint arm grid (small teams only)."""
+def _reward_tables(game: GameSpec, arm_actions: np.ndarray):
+    """``(G, score, rewards)`` over the joint arm grid (small teams only).
+
+    ``G[arms]`` is the team outcome and ``rewards[i][arms]`` player i's
+    reward when each player j plays ``arm_actions[arms[j]]``.
+    """
     if game.n > 3 or len(arm_actions) ** game.n > 3_000_000:
         return None
-    caps = game.full_time_gifts()
-    shapes = []
-    for i in range(game.n):
-        shape = [1] * game.n
-        shape[i] = len(arm_actions)
-        shapes.append((arm_actions * caps[i]).reshape(shape))
-    G = ces_aggregate_grid(shapes, game.rho, game.betas)
-    score = eval_score(game.evaluation, G)
-    tables = []
-    for i in range(game.n):
-        shape = [1] * game.n
-        shape[i] = len(arm_actions)
-        leisure = ((1.0 - arm_actions) * game.leisure_capacity[i] * game.delta_t).reshape(shape)
-        tables.append(leisure ** game.alpha * score)
-    return tables
+    grid = np.stack(np.meshgrid(*[arm_actions] * game.n, indexing="ij"))
+    return _payoffs(game, grid)
 
 
 def _draw_arm(agent: AgentState, u: float) -> int:
@@ -220,11 +180,8 @@ def train(game: GameSpec, config: TrainConfig) -> LearnedOutcome:
                 agent.tau = tau_t
                 arms.append(_draw_arm(agent, uniforms[t, i]))
             if tables is not None:
-                rewards = [float(tables[i][tuple(arms)]) for i in range(game.n)]
-                if trace is not None:
-                    actions = [float(arm_actions[a]) for a in arms]
-                    G = ces_aggregate(
-                        np.asarray(actions) * game.full_time_gifts(), game.rho, game.betas)
+                G = tables[0][tuple(arms)]
+                rewards = tables[2][(slice(None), *arms)].tolist()
             else:
                 actions = [float(arm_actions[a]) for a in arms]
                 _, G, _, reward_arr = evaluate_joint_action(game, actions)
@@ -250,15 +207,13 @@ def train(game: GameSpec, config: TrainConfig) -> LearnedOutcome:
     else:
         learned = [float(v) for v in tail_sum / tail_count]
 
-    gifts = np.asarray(learned) * game.full_time_gifts()
-    learned_G = ces_aggregate(gifts, game.rho, game.betas)
-    learned_score = float(eval_score(game.evaluation, learned_G))
+    learned_G, learned_score, _ = _payoffs(game, np.asarray(learned))
     snapshots = None
     if config.snapshot_q:
         snapshots = tuple(tuple(float(q) for q in agent.q_values) for agent in agents)
     return LearnedOutcome(
         greedy_actions=tuple(learned),
-        learned_G=float(learned_G),
+        learned_G=learned_G,
         learned_score=learned_score,
         episodes=config.episodes,
         seed=seed_label,

@@ -178,6 +178,18 @@ class TestHeavisideAndTune:
         assert data["best_k"] == 40.0
         assert data["best_tau"] == 0.1
 
+    def test_heaviside_unknown_key(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "study.json", {"episodez": 5})
+        rc = cli.main(["heaviside", "--input", spec, "--output-dir", str(tmp_path)])
+        assert rc == 1
+        assert "episodez" in capsys.readouterr().err
+
+    def test_tune_unknown_key(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "tune.json", {"tua": 1})
+        rc = cli.main(["tune", "--input", spec, "--output-dir", str(tmp_path)])
+        assert rc == 1
+        assert "tua" in capsys.readouterr().err
+
     def test_missing_input_file(self, tmp_path, capsys):
         rc = cli.main(["solve", "--input", str(tmp_path / "nope.json"),
                        "--output-dir", str(tmp_path)])
@@ -196,3 +208,10 @@ class TestEnvironment:
         parser = cli.build_parser()
         args = parser.parse_args(["sweep", "--input", "x.json", "--workers", "1"])
         assert args.workers == 1
+
+    def test_flag_the_subcommand_ignores_is_a_usage_error(self, tmp_path):
+        spec = write_json(tmp_path / "game.json", game_spec())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--input", spec, "--output-dir", str(tmp_path),
+                      "--seed", "1"])
+        assert exc.value.code == 2

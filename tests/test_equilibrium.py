@@ -379,6 +379,20 @@ class TestEnumerateDisjunctive:
         for r in enumerate_disjunctive_equilibria(game(rho=500.0, b=5.0)):
             assert r.residual <= 1e-8
 
+    def test_share_sum_a_hair_below_one_at_standalone(self):
+        # Default-grid cell rho = 3, b = 7, team (0.3, 0.3): S(standalone) - 1
+        # is -2.1e-10, inside the band that used to reach the bisection with
+        # two negative ends and raise "no sign change".
+        from teamgames.experiments import SweepConfig, cell_game
+        g = cell_game(SweepConfig(), 0.3, 0.3, 3.0, 7.0)
+        results = enumerate_disjunctive_equilibria(g)
+        assert sorted(r.active_set for r in results) == [(0,), (1,)]
+        eps = 1e-3 * max_achievable_utility(g)
+        for r in results:
+            assert r.aggregate_G == pytest.approx(1.99995, abs=1e-4)
+            assert verify_epsilon_nash(r.actions, g, eps, grid_step=0.01,
+                                       refine_step=1e-4).is_nash
+
     def test_subset_cap(self):
         g = GameSpec(n=3, rho=10.0, betas=(1,) * 3, delta_t=10.0,
                      expertise=(1.0,) * 3, alpha=2.0,

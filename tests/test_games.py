@@ -12,7 +12,6 @@ from teamgames.games import (
     GiftVector,
     JointAction,
     ces_aggregate,
-    ces_aggregate_grid,
     evaluate_joint_action,
     gift_from_action,
     gifts_from_actions,
@@ -99,6 +98,23 @@ class TestCes:
         with pytest.raises(ConfigurationError):
             ces_aggregate((1, 2), 0.0, (1, 1))
 
+    @pytest.mark.parametrize("gifts,betas", [
+        ((1.0, 2.0, 3.0), (1.0, 1.0)),          # more gifts than betas
+        (np.ones((3, 4)), (1.0, 1.0)),          # rows do not match the players
+        (2.0, (1.0,)),                          # no player axis
+        ((1.0, 2.0), (1.0, 0.0)),               # a non-positive weight
+        ((1.0, 2.0), (1.0, math.nan)),
+        ((1.0, -2.0), (1.0, 1.0)),              # a negative gift
+        ((1.0, math.nan), (1.0, 1.0)),
+        (np.array([[1.0, 0.0], [2.0, -1.0]]), (1.0, 1.0)),
+    ])
+    def test_malformed_input_rejected(self, gifts, betas):
+        with pytest.raises(InputError):
+            ces_aggregate(gifts, 2.0, betas)
+
+    def test_gift_vector_accepted(self):
+        assert ces_aggregate(GiftVector((3.0, 3.0)), 1.0, (1, 1)) == pytest.approx(6.0)
+
     @pytest.mark.parametrize("rho,tol", [(-10, 1e-9), (-3, 1e-9), (0.5, 1e-9),
                                          (1, 1e-9), (3, 1e-9), (10, 1e-9),
                                          (500, 1e-4), (-500, 1e-4)])
@@ -128,16 +144,16 @@ class TestCes:
         G = ces_aggregate(g, -500.0, (1, 1, 1))
         assert abs(G - g.min()) <= 1e-2 * g.min()
 
-    def test_grid_variant_matches_scalar(self):
+    def test_stacked_input_matches_1d(self):
         rng = np.random.default_rng(3)
         for rho in (-500.0, -7.0, 0.5, 1.0, 4.0, 500.0):
-            a = rng.uniform(0, 3, size=7)
-            b = rng.uniform(0, 3, size=7)
-            a[0] = 0.0
-            grid = ces_aggregate_grid([a, b], rho, (1.0, 2.0))
+            gifts = rng.uniform(0, 3, size=(2, 7))
+            gifts[0, 0] = 0.0
+            stacked = ces_aggregate(gifts, rho, (1.0, 2.0))
+            assert stacked.shape == (7,)
             for i in range(7):
-                assert grid[i] == pytest.approx(
-                    ces_aggregate((a[i], b[i]), rho, (1.0, 2.0)), rel=1e-12, abs=1e-300)
+                assert stacked[i] == pytest.approx(
+                    ces_aggregate(gifts[:, i], rho, (1.0, 2.0)), rel=1e-12, abs=1e-300)
 
 
 class TestGameSpec:
@@ -195,3 +211,32 @@ class TestJointTypes:
         assert score == pytest.approx(5.0)
         assert rewards[0] == pytest.approx((10 * (1 - 1 / 3)) ** 2 * 5.0)
         assert rewards[1] == pytest.approx((10 * 0.25) ** 2 * 5.0)
+
+
+class TestOnePayoffPipeline:
+    """Reward tables and deviation rows equal evaluate_joint_action exactly."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "heaviside"])
+    @pytest.mark.parametrize("rho", [-10.0, 1.0, 10.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tables_and_deviations_match_evaluate_joint_action(self, n, rho, kind):
+        from teamgames.equilibrium import _deviation_utilities
+        from teamgames.simulator import _reward_tables
+        game = GameSpec(n=n, rho=rho, betas=(1.0, 1.5, 0.7)[:n], delta_t=10.0,
+                        expertise=(0.3, 0.8, 0.6)[:n], alpha=2.0,
+                        evaluation=EvaluationSpec(kind, d=10.0, gamma=2.0, b=5.0),
+                        leisure_capacity=(1.0, 0.9, 0.8)[:n])
+        arms = np.linspace(0.0, 1.0, 11)
+        G_table, _, reward_table = _reward_tables(game, arms)
+        for idx in np.ndindex(*(len(arms),) * n):
+            _, G, _, rewards = evaluate_joint_action(game, arms[list(idx)])
+            assert G_table[idx] == G
+            assert reward_table[(slice(None), *idx)].tolist() == rewards.tolist()
+
+        profile = np.array((0.0, 0.45, 0.7)[:n])
+        for player in range(n):
+            row = _deviation_utilities(game, profile, player, arms)
+            for a, u in zip(arms, row):
+                deviated = profile.copy()
+                deviated[player] = a
+                assert u == evaluate_joint_action(game, deviated)[3][player]

@@ -6,13 +6,12 @@ import pytest
 from teamgames.bandit import AgentState
 from teamgames.errors import ConfigurationError, UndefinedDispersionError
 from teamgames.evaluation import EvaluationSpec
-from teamgames.games import GameSpec
+from teamgames.games import GameSpec, evaluate_joint_action
 from teamgames.simulator import (
     EXPLORATION,
     LearnedOutcome,
     TrainConfig,
     dispersion,
-    play_round,
     spawned_seed,
     _draw_arm,
     train,
@@ -27,34 +26,27 @@ def game(rho=1.0, expertise=(0.3, 0.8), b=7.0, kind="logistic", alpha=2.0):
 
 
 class TestPlayRound:
-    def test_hard_additive_equilibrium_round(self):
-        result = play_round(game(), (1 / 3, 0.75))
-        assert result.aggregate == pytest.approx(7.0)
-        assert result.score == pytest.approx(5.0)
-        assert result.rewards[0] == pytest.approx((10 * (1 - 1 / 3)) ** 2 * 5.0)
-        assert result.rewards[1] == pytest.approx((10 * 0.25) ** 2 * 5.0)
+    """One play of the game, scored by ``evaluate_joint_action``."""
 
-    def test_pass_flag(self):
-        assert play_round(game(), (0.5, 0.8)).passed is True   # G = 7.9
-        assert play_round(game(), (0.1, 0.2)).passed is False  # G = 1.9
+    def test_hard_additive_equilibrium_round(self):
+        _, G, score, rewards = evaluate_joint_action(game(), (1 / 3, 0.75))
+        assert G == pytest.approx(7.0)
+        assert score == pytest.approx(5.0)
+        assert rewards[0] == pytest.approx((10 * (1 - 1 / 3)) ** 2 * 5.0)
+        assert rewards[1] == pytest.approx((10 * 0.25) ** 2 * 5.0)
 
     def test_all_zero_logistic_has_positive_floor(self):
-        result = play_round(game(b=5.0), (0.0, 0.0))
-        assert result.aggregate == 0.0
+        _, G, score, rewards = evaluate_joint_action(game(b=5.0), (0.0, 0.0))
+        assert G == 0.0
         floor = 10.0 / (1.0 + math.exp(2.0 * 5.0))
-        assert result.score == pytest.approx(floor)
-        assert all(r == pytest.approx(10.0 ** 2 * floor) for r in result.rewards)
-        assert result.passed is False
+        assert score == pytest.approx(floor)
+        assert all(r == pytest.approx(10.0 ** 2 * floor) for r in rewards)
 
     def test_heaviside_below_threshold(self):
         g = game(kind="heaviside", b=5.0, expertise=(0.49, 0.49), rho=1.0)
-        result = play_round(g, (0.5, 0.5))  # G = 4.9
-        assert result.score == 0.0
-        assert result.rewards == (0.0, 0.0)
-        assert result.passed is False
-
-    def test_identity_has_no_pass_flag(self):
-        assert play_round(game(kind="identity"), (0.5, 0.5)).passed is None
+        _, _, score, rewards = evaluate_joint_action(g, (0.5, 0.5))  # G = 4.9
+        assert score == 0.0
+        assert rewards.tolist() == [0.0, 0.0]
 
 
 class TestTrainMechanics:
