@@ -49,6 +49,7 @@ from .simulator import (
     dispersion,
     spawned_seed,
     train,
+    train_many,
 )
 from .experiments import (
     ExperimentRecord,

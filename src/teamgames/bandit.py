@@ -15,8 +15,12 @@ floor (``simulator.EXPLORATION``) keeps every arm's draw probability at or
 above ``EXPLORATION / K`` for K arms; the soft-max alone gives an arm valued
 at zero a weight of ``exp(-1 / tau)`` relative to the best arm.
 
-An AgentState is owned by exactly one training loop at a time; nothing here
-is shared between agents.
+The soft-max and the update are written once, for a stack of Q-tables with
+one row per agent (``_boltzmann`` and ``_update_q``): the lockstep trainer
+(``simulator.train_many``) runs them over every agent of every run at once,
+and ``boltzmann_probabilities`` and ``update_q`` are their one-agent case on
+an ``AgentState``.  An AgentState is owned by one caller at a time; nothing
+here is shared between agents.
 """
 
 from __future__ import annotations
@@ -43,17 +47,16 @@ def uniform_action_grid(num_arms: int = 101) -> np.ndarray:
 
 @dataclass
 class AgentState:
-    """One bandit: Q-values, temperature, learning-rate constant, counters.
+    """One bandit: Q-values, temperature, learning-rate constant, pull counts.
 
-    ``step`` counts elapsed episodes; ``pull_counts`` counts selections per
-    arm and drives the learning-rate schedule.
+    ``pull_counts`` counts selections per arm and drives the learning-rate
+    schedule.
     """
 
     q_values: np.ndarray
     arm_actions: np.ndarray
     tau: float = 0.1
     k: float = 40.0
-    step: int = 0
     pull_counts: np.ndarray | None = None
 
     def __post_init__(self):
@@ -71,8 +74,6 @@ class AgentState:
             raise ConfigurationError(f"tau must be > 0, got {self.tau}")
         if not self.k > 0:
             raise ConfigurationError(f"k must be > 0, got {self.k}")
-        if self.step < 0:
-            raise ConfigurationError(f"step must be >= 0, got {self.step}")
         acts = self.arm_actions
         if acts[0] != 0.0 or acts[-1] != 1.0:
             raise ConfigurationError("arm_actions must start at 0 and end at 1")
@@ -93,6 +94,41 @@ class AgentState:
         return len(self.q_values)
 
 
+def _boltzmann(q: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
+    """Row-wise soft-max of the ``(M, K)`` Q-tables ``q`` at ``tau``, into ``out``.
+
+    Each row is normalised by its own best value; a row whose best value is
+    at most ``Q_MAX_FLOOR`` gets the uniform distribution.
+    """
+    # ufunc reductions: the same sums and maxima as the ndarray methods, with
+    # less overhead per call on the few-row tables of the training loop
+    q_max = np.maximum.reduce(q, axis=1, keepdims=True)
+    uniform = None
+    if np.minimum.reduce(q_max, axis=None) <= Q_MAX_FLOOR:
+        uniform = q_max[:, 0] <= Q_MAX_FLOOR
+        q_max[uniform] = 1.0  # any finite scale: these rows are overwritten below
+    np.divide(q, q_max * tau, out=out)
+    out -= np.maximum.reduce(out, axis=1, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=1, keepdims=True)
+    if uniform is not None:
+        out[uniform] = 1.0 / q.shape[1]
+    return out
+
+
+def _update_q(q: np.ndarray, counts: np.ndarray, k, cells, rewards) -> None:
+    """``Q += k / (k + count) * (R - Q)`` on the pulled cells, then count them.
+
+    ``q`` and ``counts`` are flat Q-tables and pull counts; ``cells`` indexes
+    them (one distinct cell per agent, or a single int) and ``k`` and
+    ``rewards`` align with it.
+    """
+    count = counts[cells]
+    old = q[cells]
+    q[cells] = old + k / (k + count) * (rewards - old)
+    counts[cells] = count + 1
+
+
 def boltzmann_probabilities(state: AgentState) -> np.ndarray:
     """Soft-max selection probabilities with Q-max normalisation.
 
@@ -101,16 +137,8 @@ def boltzmann_probabilities(state: AgentState) -> np.ndarray:
     """
     if not state.tau > 0:
         raise ConfigurationError(f"tau must be > 0, got {state.tau}")
-    q = state.q_values
-    q_max = float(q.max())
-    n = len(q)
-    if q_max <= Q_MAX_FLOOR:
-        return np.full(n, 1.0 / n)
-    z = q / (q_max * state.tau)
-    z = z - z.max()
-    p = np.exp(z)
-    p /= p.sum()
-    return p
+    q = state.q_values[None, :]
+    return _boltzmann(q, state.tau, np.empty_like(q))[0]
 
 
 def learning_rate(step: int, k: float) -> float:
@@ -126,18 +154,14 @@ def update_q(state: AgentState, arm: int, reward: float) -> AgentState:
     """Incremental value update on the chosen arm.
 
     The learning rate decays in the arm's own selection count, so an arm's
-    first sample replaces its zero initialisation outright.  Advances both
-    the arm's pull count and the episode counter.  Mutates the state in
-    place and returns it.
+    first sample replaces its zero initialisation outright.  Advances the
+    arm's pull count.  Mutates the state in place and returns it.
     """
     if not 0 <= arm < state.num_arms:
         raise InputError(f"arm must be in [0, {state.num_arms}), got {arm}")
     if not math.isfinite(reward):
         raise InputError(f"reward must be finite, got {reward}")
-    lr = learning_rate(int(state.pull_counts[arm]), state.k)
-    state.q_values[arm] += lr * (reward - state.q_values[arm])
-    state.pull_counts[arm] += 1
-    state.step += 1
+    _update_q(state.q_values, state.pull_counts, state.k, int(arm), reward)
     return state
 
 

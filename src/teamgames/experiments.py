@@ -2,8 +2,10 @@
 
 A sweep cell is one (team, task type, threshold) combination: the cell's
 game is solved for its equilibria and independently learned by the bandit
-system, and both sides are recorded.  Cells are seeded from a base seed and
-their index, so reruns and parallel runs produce identical records.
+system, and both sides are recorded.  Sweeps, the pass/fail study and the
+tuner hand all their training runs to ``simulator.train_many``, which
+learns them in lockstep.  Runs are seeded from a base seed and their index,
+so reruns, parallel runs and any batching produce identical records.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .errors import (
 )
 from .evaluation import EvaluationSpec
 from .games import GameSpec
-from .simulator import TrainConfig, dispersion, spawned_seed, train
+from .simulator import TrainConfig, dispersion, spawned_seed, train_many
+from .simulator import train  # noqa: F401  (bound here for perfbench's tracer tests)
 
 _SWEEP_KEYS = {
     "expertise_values", "rho_values", "b_values", "repetitions", "episodes",
@@ -188,46 +191,52 @@ def _cell_specs(config: SweepConfig) -> list[tuple[int, float, float, float, flo
     return specs
 
 
-def _run_cell(args) -> list[ExperimentRecord]:
-    config, index, p1, p2, rho, b = args
-    game = cell_game(config, p1, p2, rho, b)
-    skip_reason = None
-    g_hats: tuple[float, ...] = ()
-    eq_actions: tuple[tuple[float, ...], ...] = ()
+def _solve_record(game: GameSpec):
+    """``(G_hat_set, equilibrium_actions, skip_reason)`` of one cell's game."""
     try:
         equilibria = solve_cell(game)
-        g_hats = tuple(e.aggregate_G for e in equilibria)
-        eq_actions = tuple(e.actions for e in equilibria)
     except TeamworkGameError as exc:
-        skip_reason = f"{type(exc).__name__}: {exc}"
-
-    records = []
-    for rep in range(config.repetitions):
-        seq = spawned_seed(config.base_seed, index, rep)
-        outcome = train(game, TrainConfig(
-            episodes=config.episodes, tau=config.tau, k=config.k,
-            seed=seq, num_arms=config.num_arms))
-        records.append(ExperimentRecord(
-            index=index, p1=p1, p2=p2, rho=rho, b=b, repetition=rep,
-            seed=outcome.seed, episodes=config.episodes,
-            G_hat_set=g_hats, equilibrium_actions=eq_actions,
-            G_tilde=outcome.learned_G, learned_actions=outcome.greedy_actions,
-            skip_reason=skip_reason))
-    return records
+        return (), (), f"{type(exc).__name__}: {exc}"
+    return tuple(e.aggregate_G for e in equilibria), tuple(e.actions for e in equilibria), None
 
 
 def run_sweep(config: SweepConfig) -> list[ExperimentRecord]:
     """Run every cell of the sweep; cells with solver failures carry a skip
-    reason instead of silently disappearing."""
+    reason instead of silently disappearing.
+
+    Every cell is solved first; then all cells and repetitions learn
+    through one ``train_many`` call, which advances them in lockstep.  With
+    ``workers > 1`` a process pool shares out the cells to solve and
+    contiguous shards of the training jobs; the records do not depend on
+    the worker count.
+    """
     specs = _cell_specs(config)
-    jobs = [(config, *spec) for spec in specs]
+    games = [cell_game(config, p1, p2, rho, b) for _, p1, p2, rho, b in specs]
+    jobs = [(game, TrainConfig(episodes=config.episodes, tau=config.tau, k=config.k,
+                               seed=spawned_seed(config.base_seed, index, rep),
+                               num_arms=config.num_arms))
+            for (index, *_), game in zip(specs, games) for rep in range(config.repetitions)]
     if config.workers > 1 and len(jobs) > 1:
+        size = -(-len(jobs) // config.workers)
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(_run_cell, jobs))
+            solved = list(pool.map(_solve_record, games))
+            outcomes = [out for shard in pool.map(
+                train_many, [jobs[i:i + size] for i in range(0, len(jobs), size)])
+                for out in shard]
     else:
-        chunks = [_run_cell(job) for job in jobs]
-    records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda r: (r.index, r.repetition))
+        solved = [_solve_record(game) for game in games]
+        outcomes = train_many(jobs)
+    records = []
+    learned = iter(outcomes)
+    for (index, p1, p2, rho, b), (g_hats, eq_actions, skip_reason) in zip(specs, solved):
+        for rep in range(config.repetitions):
+            outcome = next(learned)
+            records.append(ExperimentRecord(
+                index=index, p1=p1, p2=p2, rho=rho, b=b, repetition=rep,
+                seed=outcome.seed, episodes=config.episodes,
+                G_hat_set=g_hats, equilibrium_actions=eq_actions,
+                G_tilde=outcome.learned_G, learned_actions=outcome.greedy_actions,
+                skip_reason=skip_reason))
     return records
 
 
@@ -469,23 +478,19 @@ def heaviside_study(teams=None, *, b: float = 5.0, d: float = 10.0,
         levels = (0.3, 0.5, 0.7, 0.9)
         teams = list(itertools.combinations_with_replacement(levels, 2))
     evaluation = EvaluationSpec("heaviside", d=d, b=b)
+    teams = [tuple(sorted((float(p1), float(p2)))) for p1, p2 in teams]
+    jobs = [(GameSpec(n=2, rho=1.0, betas=(1.0, 1.0), delta_t=delta_t,
+                      expertise=team, alpha=alpha, evaluation=evaluation),
+             TrainConfig(episodes=episodes, tau=tau, k=k, num_arms=num_arms,
+                         seed=spawned_seed(base_seed, 10_000 + t_idx, rep)))
+            for t_idx, team in enumerate(teams) for rep in range(repetitions)]
+    learned = iter(train_many(jobs))
     results = []
-    for t_idx, (p1, p2) in enumerate(teams):
-        p1, p2 = sorted((float(p1), float(p2)))
-        game = GameSpec(n=2, rho=1.0, betas=(1.0, 1.0), delta_t=delta_t,
-                        expertise=(p1, p2), alpha=alpha, evaluation=evaluation)
-        outcomes = []
-        weaker = []
-        pairs = set()
-        for rep in range(repetitions):
-            seq = spawned_seed(base_seed, 10_000 + t_idx, rep)
-            out = train(game, TrainConfig(episodes=episodes, tau=tau, k=k,
-                                          seed=seq, num_arms=num_arms))
-            outcomes.append(out.learned_G)
-            weaker.append(out.greedy_actions[0])
-            pairs.add((int(round(out.greedy_actions[0] * 100)),
-                       int(round(out.greedy_actions[1] * 100))))
-        mean_G = float(np.mean(outcomes))
+    for p1, p2 in teams:
+        runs = [next(learned) for _ in range(repetitions)]
+        outcomes = [out.learned_G for out in runs]
+        pairs = {(int(round(out.greedy_actions[0] * 100)),
+                  int(round(out.greedy_actions[1] * 100))) for out in runs}
         try:
             disp = dispersion(outcomes)
         except UndefinedDispersionError:
@@ -493,9 +498,10 @@ def heaviside_study(teams=None, *, b: float = 5.0, d: float = 10.0,
         results.append(HeavisideTeamResult(
             team=(p1, p2),
             outcomes=tuple(float(g) for g in outcomes),
-            mean_G=mean_G,
+            mean_G=float(np.mean(outcomes)),
             dispersion_pct=disp,
-            weaker_actions=tuple(float(a) for a in weaker) if p1 != p2 else None,
+            weaker_actions=(tuple(float(out.greedy_actions[0]) for out in runs)
+                            if p1 != p2 else None),
             strategy_pairs=tuple(sorted(pairs)),
         ))
     return results
@@ -555,14 +561,15 @@ def tune_hyperparameters(budget: int, *, probe_cells=_DEFAULT_PROBE,
     for trial in range(budget):
         k = float(10.0 ** rng.uniform(log_k[0], log_k[1]))
         tau = float(10.0 ** rng.uniform(log_tau[0], log_tau[1]))
-        errs = []
-        for cell_idx, (game, g_hats) in enumerate(probes):
-            seq = spawned_seed(base_seed, 20_000 + trial, cell_idx)
-            # keep the default schedule's decay ratio at the sampled tau
-            out = train(game, TrainConfig(episodes=episodes, tau=tau, k=k,
-                                          seed=seq, num_arms=num_arms,
-                                          anneal_floor=tau * 0.2))
-            errs.append(min(abs(out.learned_G - g) for g in g_hats))
+        # the trial's probe cells learn together; each keeps the default
+        # schedule's decay ratio at the sampled tau
+        runs = train_many([
+            (game, TrainConfig(episodes=episodes, tau=tau, k=k, num_arms=num_arms,
+                               seed=spawned_seed(base_seed, 20_000 + trial, cell_idx),
+                               anneal_floor=tau * 0.2))
+            for cell_idx, (game, _) in enumerate(probes)])
+        errs = [min(abs(out.learned_G - g) for g in g_hats)
+                for out, (_, g_hats) in zip(runs, probes)]
         score = float(np.mean(errs))
         trials.append({"k": k, "tau": tau, "score": score})
         if score < best[2]:

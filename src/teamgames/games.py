@@ -241,20 +241,30 @@ def gifts_from_actions(game: GameSpec, actions) -> np.ndarray:
     return arr * game.full_time_gifts()
 
 
+def _outcome(game: GameSpec, actions: np.ndarray):
+    """Team outcome and score ``(G, sigma(G))`` of validated actions, one row per player."""
+    column = (game.n,) + (1,) * (actions.ndim - 1)
+    G = ces_aggregate(actions * game.full_time_gifts().reshape(column), game.rho, game.betas)
+    return G, eval_score(game.evaluation, G)
+
+
+def _leisure_payoff(game: GameSpec, actions: np.ndarray) -> np.ndarray:
+    """``x ** alpha`` of each player's leisure ``x``; ``actions`` has one row per player."""
+    column = (game.n,) + (1,) * (actions.ndim - 1)
+    capacity = np.asarray(game.leisure_capacity).reshape(column)
+    return ((1.0 - actions) * capacity * game.delta_t) ** game.alpha
+
+
 def _payoffs(game: GameSpec, actions: np.ndarray):
     """Team outcome, score and rewards of validated actions, one row per player.
 
     ``actions`` has shape ``(n, ...)``; every trailing cell is one joint
     action.  Returns ``(G, score, rewards)`` with ``rewards`` shaped like
     ``actions``.  The learner's rewards and the Nash oracle's utilities all
-    come from here.
+    come from here, or from its two factors for the learner's reward tables.
     """
-    column = (game.n,) + (1,) * (actions.ndim - 1)
-    G = ces_aggregate(actions * game.full_time_gifts().reshape(column), game.rho, game.betas)
-    score = eval_score(game.evaluation, G)
-    capacity = np.asarray(game.leisure_capacity).reshape(column)
-    leisure = (1.0 - actions) * capacity * game.delta_t
-    return G, score, leisure ** game.alpha * score
+    G, score = _outcome(game, actions)
+    return G, score, _leisure_payoff(game, actions) * score
 
 
 def evaluate_joint_action(game: GameSpec, actions):

@@ -8,9 +8,18 @@ all arms instead, so no arm is left at its zero initialisation or frozen at
 a value sampled against a long-gone partner.  An arm valued at zero has
 ``exp(-1 / tau)`` of the best arm's soft-max weight, and at low temperature
 the soft-max alone leaves most arms untried.
-Two train calls with the same game, config, and seed produce bitwise
-identical outcomes; sweep seeds are derived from a base seed with spawn
-keys on a counter-based generator so parallel runs match serial ones.
+
+``train_many`` learns many runs in lockstep: runs that share a player
+count, an arm count and a temperature schedule keep their Q-tables in one
+``(runs * n, K)`` array, and every episode does one soft-max, one draw, one
+reward lookup and one update for all of them (``train`` is its one-run
+case).  Teams of up to three read their rewards from a table over the joint
+arm grid, stored per run as the score ``S`` of each joint action and each
+player's ``x ** alpha`` per arm; larger teams score every episode through
+``games._payoffs``, once per distinct game.  Each run draws from its own
+counter-based stream, so an outcome is bitwise the same whatever it is
+batched with; sweep seeds are derived from a base seed with spawn keys, so
+parallel runs match serial ones.
 """
 
 from __future__ import annotations
@@ -20,15 +29,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import AgentState, boltzmann_probabilities, greedy_action, update_q
-from .errors import ConfigurationError, UndefinedDispersionError
-from .games import GameSpec, _payoffs, evaluate_joint_action
+from .bandit import _boltzmann, _update_q, uniform_action_grid
+from .bandit import update_q  # noqa: F401  (bound here for perfbench's tracer tests)
+from .errors import ConfigurationError, InputError, UndefinedDispersionError
+from .games import GameSpec, _leisure_payoff, _outcome, _payoffs
 
 EXTRACTION_MODES = ("greedy", "final_sample", "tail_average")
 
 # Share of each agent's draws taken uniformly over all arms, whatever the
 # Q-table holds, so every arm keeps being sampled at rate >= EXPLORATION / K.
 EXPLORATION = 0.01
+
+# Bytes of reward tables and per-episode draws that one lockstep chunk of
+# runs holds at a time (about a dozen two-player runs).
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -112,113 +126,234 @@ def _seed_sequence(seed) -> tuple[np.random.SeedSequence, int]:
     return np.random.SeedSequence(int(seed)), int(seed)
 
 
-def _reward_tables(game: GameSpec, arm_actions: np.ndarray):
-    """``(G, score, rewards)`` over the joint arm grid (small teams only).
+def _has_table(n: int, num_arms: int) -> bool:
+    """Whether a run's rewards are tabulated over the joint arm grid (small teams)."""
+    return n <= 3 and num_arms ** n <= 3_000_000
 
-    ``G[arms]`` is the team outcome and ``rewards[i][arms]`` player i's
-    reward when each player j plays ``arm_actions[arms[j]]``.
+
+def _run_bytes(n: int, num_arms: int) -> int:
+    """Bytes one run holds in a lockstep chunk: its score table, if any, and
+    about five ``(n, K)`` work arrays."""
+    table = num_arms ** n if _has_table(n, num_arms) else 0
+    return 8 * (table + 5 * n * num_arms)
+
+
+def _reward_tables(games, arm_actions: np.ndarray, traced):
+    """Per-run rewards over the joint arm grid, factored as ``L[i, a_i] * S[a]``.
+
+    Returns ``(S, L, G)``: ``S`` holds each run's score over the flattened
+    joint arm grid (one row per run), ``L`` each player's ``x ** alpha`` per
+    arm (one row per player of each run) and ``G`` maps each run in
+    ``traced`` to its team outcome over the grid.  The products equal
+    ``_payoffs``' rewards bit for bit, and are checked finite here once.
     """
-    if game.n > 3 or len(arm_actions) ** game.n > 3_000_000:
-        return None
-    grid = np.stack(np.meshgrid(*[arm_actions] * game.n, indexing="ij"))
-    return _payoffs(game, grid)
+    n, num_arms = games[0].n, len(arm_actions)
+    grid = np.stack(np.meshgrid(*[arm_actions] * n, indexing="ij"))
+    arms = np.broadcast_to(arm_actions, (n, num_arms))
+    S = np.empty((len(games), num_arms ** n))
+    L = np.empty((len(games) * n, num_arms))
+    G = {}
+    for r, game in enumerate(games):
+        G_r, score = _outcome(game, grid)
+        S[r] = score.ravel()
+        L[r * n:(r + 1) * n] = _leisure_payoff(game, arms)
+        # both factors are >= 0: every reward is finite if this bound is
+        bound = L[r * n:(r + 1) * n].max() * S[r].max()
+        if not np.isfinite(bound):
+            raise InputError(f"rewards must be finite, got a bound of {bound}")
+        if r in traced:
+            G[r] = G_r.ravel()
+    return S, L, G
 
 
-def _draw_arm(agent: AgentState, u: float) -> int:
-    """Arm for one episode from one uniform draw ``u`` in [0, 1).
+def _draws(u: np.ndarray, num_arms: int):
+    """Per episode (row of the uniforms ``u``, one column per agent), what
+    ``_draw_arms`` needs: every agent's rescaled uniform for the soft-max
+    and, when any agent explores, which ones do and their arms."""
+    explore = u < EXPLORATION
+    explore_arms = (u / EXPLORATION * num_arms).astype(np.intp)
+    v = ((u - EXPLORATION) / (1.0 - EXPLORATION))[:, :, None]
+    for e, any_explore in enumerate(explore.any(axis=1).tolist()):
+        yield v[e], (explore[e], explore_arms[e]) if any_explore else None
 
-    ``u < EXPLORATION`` picks an arm uniformly, ``int(u / EXPLORATION * K)``;
-    otherwise the soft-max inverse CDF is read at the rescaled
-    ``(u - EXPLORATION) / (1 - EXPLORATION)``.  The soft-max is evaluated
-    on every draw, exploratory or not, so each episode makes the same
-    kernel calls.
+
+def _draw_arms(probs: np.ndarray, draw, cum: np.ndarray, below: np.ndarray,
+               arms: np.ndarray) -> np.ndarray:
+    """Each agent's arm for one episode, into ``arms``.
+
+    An agent whose uniform ``u`` is below ``EXPLORATION`` takes arm
+    ``int(u / EXPLORATION * K)``; any other reads the inverse CDF of its
+    soft-max row ``probs`` at ``(u - EXPLORATION) / (1 - EXPLORATION)``.
+    ``cum`` and ``below`` are work buffers shaped like ``probs``.
     """
-    cum = np.cumsum(boltzmann_probabilities(agent))
-    if u < EXPLORATION:
-        return int(u / EXPLORATION * agent.num_arms)
-    arm = int(np.searchsorted(cum, (u - EXPLORATION) / (1.0 - EXPLORATION), side="right"))
-    return min(arm, agent.num_arms - 1)
+    v, exploring = draw
+    np.add.accumulate(probs, axis=1, out=cum)  # np.cumsum, without its wrapper
+    # the inverse CDF counts the cumulative weights at or below v
+    np.less_equal(cum, v, out=below)
+    np.add.reduce(below, axis=1, dtype=np.intp, out=arms)
+    np.minimum(arms, probs.shape[1] - 1, out=arms)
+    if exploring is not None:
+        explore, explore_arms = exploring
+        np.copyto(arms, explore_arms, where=explore)
+    return arms
+
+
+def train_many(jobs) -> list[LearnedOutcome]:
+    """Train every ``(game, config)`` job; outcome j equals ``train(*jobs[j])``.
+
+    Jobs with the same player count, arm count, episode count and
+    temperature schedule advance in lockstep, a chunk of runs at a time:
+    their Q-tables are one ``(runs * n, K)`` array, and every episode does
+    one soft-max, one draw, one reward gather and one update for all of
+    them.  ``k``, the game and the seed may differ within a chunk.  Each run
+    keeps its own random stream, so outcomes do not depend on how the jobs
+    are grouped or chunked.
+    """
+    jobs = list(jobs)
+    groups: dict[tuple, list[int]] = {}
+    for j, (game, config) in enumerate(jobs):
+        key = (game.n, config.num_arms, config.episodes, config.tau,
+               config.anneal_floor, config.anneal_start)
+        groups.setdefault(key, []).append(j)
+    outcomes: list = [None] * len(jobs)
+    for (n, num_arms, *_), members in groups.items():
+        size = max(1, _CHUNK_BYTES // _run_bytes(n, num_arms))
+        for start in range(0, len(members), size):
+            chunk = members[start:start + size]
+            for j, outcome in zip(chunk, _train_lockstep([jobs[j] for j in chunk])):
+                outcomes[j] = outcome
+    return outcomes
+
+
+def _train_lockstep(jobs) -> list[LearnedOutcome]:
+    """Run jobs that share n, K and the temperature schedule in lockstep."""
+    games = [game for game, _ in jobs]
+    configs = [config for _, config in jobs]
+    schedule = configs[0]
+    n, num_arms, episodes, runs = games[0].n, schedule.num_arms, schedule.episodes, len(jobs)
+    agents = runs * n
+    arm_actions = uniform_action_grid(num_arms)
+    seeds = [_seed_sequence(config.seed) for config in configs]
+    rngs = [np.random.Generator(np.random.Philox(seq)) for seq, _ in seeds]
+
+    q = np.zeros((agents, num_arms))
+    counts = np.zeros((agents, num_arms), dtype=np.int64)
+    q_flat, counts_flat = q.ravel(), counts.ravel()
+    k = np.repeat([config.k for config in configs], n)
+    row_start = np.arange(agents) * num_arms
+    probs = np.empty_like(q)
+    cum = np.empty_like(q)
+    below = np.empty(q.shape, dtype=bool)
+    arms = np.empty(agents, dtype=np.intp)
+    cells = np.empty(agents, dtype=np.intp)
+    rewards = np.empty(agents)
+    run_rewards = rewards.reshape(runs, n)
+
+    traced = [r for r, config in enumerate(configs) if config.trace_path is not None]
+    tables = _reward_tables(games, arm_actions, traced) if _has_table(n, num_arms) else None
+    if tables is not None:
+        S, L, G_tables = tables
+        S_flat, L_flat = S.ravel(), L.ravel()
+        place = num_arms ** np.arange(n - 1, -1, -1)
+        table_start = np.arange(runs) * num_arms ** n
+        joint = np.empty(runs, dtype=np.intp)
+        run_arms = arms.reshape(runs, n)
+    else:
+        G = np.empty(runs)
+        by_game: dict[GameSpec, list[int]] = {}
+        for r, game in enumerate(games):
+            by_game.setdefault(game, []).append(r)
+        # one _payoffs call per distinct game; a lone game takes every run as a view
+        by_game = [(game, slice(None) if len(members) == runs else np.asarray(members))
+                   for game, members in by_game.items()]
+
+    traces = {}
+    try:
+        for r in traced:
+            fh = open(configs[r].trace_path, "w", newline="")
+            traces[r] = (fh, csv.writer(fh))
+            traces[r][1].writerow(
+                ["episode"]
+                + [f"action_{i}" for i in range(n)]
+                + ["G"]
+                + [f"reward_{i}" for i in range(n)])
+
+        temperatures = [schedule.temperature(t) for t in range(episodes)]
+        tail_start = episodes - max(1, episodes // 10)
+        tail_sum = np.zeros(agents)
+        # about 32 bytes of draws per agent-episode; a block takes 1/8 of the budget
+        block = max(1, _CHUNK_BYTES // (256 * agents))
+        for start in range(0, episodes, block):
+            stop = min(episodes, start + block)
+            # the runs' uniforms for these episodes, one column per agent
+            u = np.concatenate([rng.random((stop - start, n)) for rng in rngs], axis=1)
+            for t, draw in zip(range(start, stop), _draws(u, num_arms)):
+                _boltzmann(q, temperatures[t], out=probs)
+                _draw_arms(probs, draw, cum, below, arms)
+                np.add(row_start, arms, out=cells)
+
+                if tables is not None:
+                    np.dot(run_arms, place, out=joint)
+                    joint += table_start
+                    L_flat.take(cells, out=rewards)
+                    run_rewards *= S_flat.take(joint)[:, None]
+                else:
+                    actions = arm_actions[arms].reshape(runs, n)
+                    for game, members in by_game:
+                        G[members], _, game_rewards = _payoffs(game, actions[members].T)
+                        run_rewards[members] = game_rewards.T
+                    if not np.isfinite(rewards).all():
+                        raise InputError(
+                            f"rewards must be finite, got {rewards[~np.isfinite(rewards)][0]}")
+                _update_q(q_flat, counts_flat, k, cells, rewards)
+
+                if t >= tail_start:
+                    tail_sum += arm_actions[arms]
+                for r, (_, writer) in traces.items():
+                    G_r = G_tables[r][joint[r] - table_start[r]] if tables is not None else G[r]
+                    actions = arm_actions[arms[r * n:(r + 1) * n]].tolist()
+                    writer.writerow([t] + [repr(a) for a in actions] + [repr(float(G_r))]
+                                    + [repr(x) for x in run_rewards[r].tolist()])
+    finally:
+        for fh, _ in traces.values():
+            fh.close()
+
+    extracted = {
+        "greedy": arm_actions[q.argmax(axis=1)],
+        "final_sample": arm_actions[arms],
+        "tail_average": tail_sum / (episodes - tail_start),
+    }
+    outcomes = []
+    for r, (game, config) in enumerate(jobs):
+        rows = slice(r * n, (r + 1) * n)
+        learned = extracted[config.extraction][rows].tolist()
+        learned_G, learned_score = _outcome(game, np.asarray(learned))
+        snapshots = None
+        if config.snapshot_q:
+            snapshots = tuple(tuple(row) for row in q[rows].tolist())
+        outcomes.append(LearnedOutcome(
+            greedy_actions=tuple(learned),
+            learned_G=learned_G,
+            learned_score=learned_score,
+            episodes=episodes,
+            seed=seeds[r][1],
+            q_snapshots=snapshots,
+        ))
+    return outcomes
 
 
 def train(game: GameSpec, config: TrainConfig) -> LearnedOutcome:
     """Train n independent bandits on the game for config.episodes episodes.
 
     Synchronous rounds: all agents pick arms, the round is played, then all
-    agents update.  Each agent's arm comes from one uniform per episode:
-    below ``EXPLORATION`` it picks an arm uniformly, otherwise the Boltzmann
-    distribution at the episode's temperature (see ``_draw_arm``).
-    Deterministic given (game, config) including the seed.
+    agents update.  Each agent's arm comes from one uniform ``u`` per
+    episode: ``u < EXPLORATION`` takes arm ``int(u / EXPLORATION * K)``,
+    any other ``u`` reads the Boltzmann inverse CDF at the episode's
+    temperature at ``(u - EXPLORATION) / (1 - EXPLORATION)``.
+    Deterministic given (game, config) including the seed.  The one-job
+    case of ``train_many``.
     """
-    seq, seed_label = _seed_sequence(config.seed)
-    rng = np.random.Generator(np.random.Philox(seq))
-    agents = [AgentState.fresh(config.num_arms, tau=config.tau, k=config.k)
-              for _ in range(game.n)]
-    arm_actions = agents[0].arm_actions
-    tables = _reward_tables(game, arm_actions)
-    uniforms = rng.random((config.episodes, game.n))
-
-    trace_fh = None
-    trace = None
-    if config.trace_path is not None:
-        trace_fh = open(config.trace_path, "w", newline="")
-        trace = csv.writer(trace_fh)
-        trace.writerow(
-            ["episode"]
-            + [f"action_{i}" for i in range(game.n)]
-            + ["G"]
-            + [f"reward_{i}" for i in range(game.n)])
-
-    tail_start = config.episodes - max(1, config.episodes // 10)
-    tail_sum = np.zeros(game.n)
-    tail_count = 0
-    last_arms = [0] * game.n
-    try:
-        for t in range(config.episodes):
-            tau_t = config.temperature(t)
-            arms = []
-            for i, agent in enumerate(agents):
-                agent.tau = tau_t
-                arms.append(_draw_arm(agent, uniforms[t, i]))
-            if tables is not None:
-                G = tables[0][tuple(arms)]
-                rewards = tables[2][(slice(None), *arms)].tolist()
-            else:
-                actions = [float(arm_actions[a]) for a in arms]
-                _, G, _, reward_arr = evaluate_joint_action(game, actions)
-                rewards = [float(r) for r in reward_arr]
-            for i, agent in enumerate(agents):
-                update_q(agent, arms[i], rewards[i])
-            if t >= tail_start:
-                tail_sum += [arm_actions[a] for a in arms]
-                tail_count += 1
-            last_arms = arms
-            if trace is not None:
-                actions = [float(arm_actions[a]) for a in arms]
-                trace.writerow([t] + [repr(a) for a in actions]
-                               + [repr(float(G))] + [repr(r) for r in rewards])
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
-
-    if config.extraction == "greedy":
-        learned = [greedy_action(agent) for agent in agents]
-    elif config.extraction == "final_sample":
-        learned = [float(arm_actions[a]) for a in last_arms]
-    else:
-        learned = [float(v) for v in tail_sum / tail_count]
-
-    learned_G, learned_score, _ = _payoffs(game, np.asarray(learned))
-    snapshots = None
-    if config.snapshot_q:
-        snapshots = tuple(tuple(float(q) for q in agent.q_values) for agent in agents)
-    return LearnedOutcome(
-        greedy_actions=tuple(learned),
-        learned_G=learned_G,
-        learned_score=learned_score,
-        episodes=config.episodes,
-        seed=seed_label,
-        q_snapshots=snapshots,
-    )
+    return train_many([(game, config)])[0]
 
 
 def spawned_seed(base_seed: int, *key: int) -> np.random.SeedSequence:

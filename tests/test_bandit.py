@@ -136,7 +136,6 @@ class TestUpdateQ:
         update_q(state, 2, 10.0)
         assert state.q_values[2] == 10.0
         assert state.pull_counts[2] == 1
-        assert state.step == 1
 
     def test_zero_td_error(self):
         state = agent([5.0, 5.0, 5.0])

@@ -47,6 +47,21 @@ class TestEvalScore:
         assert eval_score(spec, 1e6) == pytest.approx(10.0)
         assert eval_score(logistic(b=1e6), 0.0) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("spec", [
+        logistic(d=10.0, gamma=1.0, b=0.0),  # z = G, so the grid is the z grid
+        logistic(d=3.0, gamma=2.0, b=5.0),
+        EvaluationSpec("heaviside", d=10.0, b=5.0),
+        EvaluationSpec("identity"),
+    ])
+    def test_scalar_path_equals_array_path(self, spec):
+        g = np.concatenate([np.linspace(-750.0, 750.0, 30001), np.linspace(-3.0, 3.0, 6001),
+                            [0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, np.inf, -np.inf]])
+        expected = eval_score(spec, g).tolist()
+        for cast in (float, np.float64, np.asarray):
+            scores = [eval_score(spec, cast(x)) for x in g]
+            assert all(type(s) is float for s in scores)
+            assert scores == expected
+
 
 class TestEvalRatio:
     def test_logistic_at_threshold(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from teamgames import simulator
 from teamgames.errors import ConfigurationError, DegenerateRegressionError
 from teamgames.experiments import (
     ExperimentRecord,
@@ -16,6 +17,9 @@ from teamgames.experiments import (
     strategy_table,
     tune_hyperparameters,
 )
+from teamgames.evaluation import EvaluationSpec
+from teamgames.games import GameSpec
+from teamgames.simulator import TrainConfig, spawned_seed, train
 
 
 def tiny_sweep(**overrides):
@@ -78,6 +82,22 @@ class TestRunSweep:
                           episodes=120, workers=1)
         cfg2 = SweepConfig.from_dict({**cfg1.to_dict(), "workers": 2})
         assert run_sweep(cfg1) == run_sweep(cfg2)
+
+    @pytest.mark.parametrize("workers,runs_per_chunk", [(1, None), (1, 1), (1, 5), (2, 1)])
+    def test_sweep_learns_as_serial_train(self, monkeypatch, workers, runs_per_chunk):
+        cfg = tiny_sweep(rho_values=(1.0, 10.0), repetitions=2, episodes=150,
+                         workers=workers)
+        if runs_per_chunk is not None:
+            monkeypatch.setattr(simulator, "_CHUNK_BYTES",
+                                runs_per_chunk * simulator._run_bytes(2, cfg.num_arms))
+        records = run_sweep(cfg)
+        assert len(records) == 12
+        for rec in records:
+            out = train(cell_game(cfg, rec.p1, rec.p2, rec.rho, rec.b), TrainConfig(
+                episodes=cfg.episodes, seed=spawned_seed(cfg.base_seed, rec.index,
+                                                         rec.repetition)))
+            assert (rec.learned_actions, rec.G_tilde, rec.seed) == (
+                out.greedy_actions, out.learned_G, out.seed)
 
     def test_repetitions_use_distinct_seeds(self):
         records = run_sweep(tiny_sweep(repetitions=2, episodes=300))
@@ -209,6 +229,19 @@ class TestHeavisideStudy:
         assert hom.weaker_actions is None
         assert len(het.outcomes) == 2
         assert het.strategy_pairs
+
+    def test_teams_learn_as_serial_train(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_CHUNK_BYTES", 2 * simulator._run_bytes(2, 101))
+        results = heaviside_study(teams=[(0.7, 0.3), (0.5, 0.5)], repetitions=2,
+                                  episodes=200, base_seed=4)
+        evaluation = EvaluationSpec("heaviside", d=10.0, b=5.0)
+        for t_idx, result in enumerate(results):
+            game = GameSpec(n=2, rho=1.0, betas=(1.0, 1.0), delta_t=10.0,
+                            expertise=result.team, alpha=2.0, evaluation=evaluation)
+            outs = [train(game, TrainConfig(episodes=200, tau=0.3,
+                                            seed=spawned_seed(4, 10_000 + t_idx, rep)))
+                    for rep in range(2)]
+            assert result.outcomes == tuple(out.learned_G for out in outs)
 
     def test_default_grid_is_ten_teams(self):
         results = heaviside_study(repetitions=1, episodes=60)

@@ -227,11 +227,11 @@ class TestOnePayoffPipeline:
                         evaluation=EvaluationSpec(kind, d=10.0, gamma=2.0, b=5.0),
                         leisure_capacity=(1.0, 0.9, 0.8)[:n])
         arms = np.linspace(0.0, 1.0, 11)
-        G_table, _, reward_table = _reward_tables(game, arms)
-        for idx in np.ndindex(*(len(arms),) * n):
+        S, L, G_tables = _reward_tables([game], arms, traced=[0])
+        for flat, idx in enumerate(np.ndindex(*(len(arms),) * n)):
             _, G, _, rewards = evaluate_joint_action(game, arms[list(idx)])
-            assert G_table[idx] == G
-            assert reward_table[(slice(None), *idx)].tolist() == rewards.tolist()
+            assert G_tables[0][flat] == G
+            assert [L[i, a] * S[0, flat] for i, a in enumerate(idx)] == rewards.tolist()
 
         profile = np.array((0.0, 0.45, 0.7)[:n])
         for player in range(n):

@@ -1,20 +1,25 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from teamgames.bandit import AgentState
-from teamgames.errors import ConfigurationError, UndefinedDispersionError
+from teamgames import simulator
+from teamgames.bandit import AgentState, boltzmann_probabilities
+from teamgames.errors import ConfigurationError, InputError, UndefinedDispersionError
 from teamgames.evaluation import EvaluationSpec
-from teamgames.games import GameSpec, evaluate_joint_action
+from teamgames.games import GameSpec, _payoffs, evaluate_joint_action
 from teamgames.simulator import (
     EXPLORATION,
     LearnedOutcome,
     TrainConfig,
     dispersion,
     spawned_seed,
-    _draw_arm,
+    _draw_arms,
+    _draws,
+    _reward_tables,
     train,
+    train_many,
 )
 
 
@@ -88,20 +93,39 @@ class TestTrainMechanics:
         assert len(lines) == 51
 
     def test_draw_rule_exploration_floor(self):
+        def draw_arm(agent, u):
+            probs = boltzmann_probabilities(agent)[None, :]
+            (draw,) = _draws(np.array([[u]]), agent.num_arms)
+            arms = _draw_arms(probs, draw, np.empty_like(probs),
+                              np.empty(probs.shape, dtype=bool), np.empty(1, dtype=np.intp))
+            return int(arms[0])
+
         # Below the floor the draw is uniform over arms whatever the Q-table
         # holds: here the top arm carries all the soft-max mass.
         peaked = AgentState.fresh(101, tau=0.02)
         peaked.q_values[-1] = 1.0
         for u in (0.0, 0.002, 0.0055, 0.0099):
-            assert _draw_arm(peaked, u) == int(u / EXPLORATION * 101)
+            assert draw_arm(peaked, u) == int(u / EXPLORATION * 101)
         for u in (0.02, 0.5, 0.999):
-            assert _draw_arm(peaked, u) == 100
+            assert draw_arm(peaked, u) == 100
         # Above it the soft-max inverse CDF is read at the rescaled uniform;
         # a fresh agent's soft-max is uniform, so v in arm j's bin gives j.
         fresh = AgentState.fresh(101)
         for j in (0, 37, 50, 100):
             v = (j + 0.5) / 101
-            assert _draw_arm(fresh, EXPLORATION + (1 - EXPLORATION) * v) == j
+            assert draw_arm(fresh, EXPLORATION + (1 - EXPLORATION) * v) == j
+
+    def test_draws_are_per_agent(self):
+        # One episode, three agents: the exploratory one takes its uniform
+        # arm, the others read their own soft-max row's inverse CDF (at
+        # v = 0.49 / 0.99, in the uniform row's bin 49).
+        probs = np.tile(boltzmann_probabilities(AgentState.fresh(101)), (3, 1))
+        probs[1] = 0.0
+        probs[1, 7] = 1.0
+        (draw,) = _draws(np.array([[0.005, 0.5, 0.5]]), 101)
+        arms = _draw_arms(probs, draw, np.empty_like(probs),
+                          np.empty(probs.shape, dtype=bool), np.empty(3, dtype=np.intp))
+        assert arms.tolist() == [50, 7, 49]
 
     def test_extraction_modes(self):
         g = game(b=5.0)
@@ -146,6 +170,97 @@ class TestTrainMechanics:
         data = out.to_dict()
         assert set(data) == {"greedy_actions", "learned_G", "learned_score",
                              "episodes", "seed", "q_snapshots"}
+
+
+def _mixed_jobs(n):
+    """Jobs of one player count mixing evaluations, extraction modes, two
+    temperature schedules and two values of k."""
+    expertise = {2: (0.3, 0.8), 3: (0.4, 0.6, 0.8), 4: (0.3, 0.5, 0.7, 0.9)}[n]
+    num_arms = 21 if n == 3 else 101  # keeps the n = 3 reward tables small
+    jobs = []
+    for j, (rho, kind, mode) in enumerate([
+            (1.0, "logistic", "greedy"), (-10.0, "logistic", "final_sample"),
+            (10.0, "logistic", "tail_average"), (1.0, "heaviside", "greedy"),
+            (10.0, "identity", "final_sample"), (-10.0, "logistic", "tail_average"),
+            (1.0, "logistic", "greedy")]):
+        config = TrainConfig(episodes=400, seed=spawned_seed(9, n, j), num_arms=num_arms,
+                             k=(40.0, 7.0)[j % 2], extraction=mode, snapshot_q=True,
+                             anneal_floor=(0.02, None)[j % 3 == 2])
+        jobs.append((game(rho=rho, expertise=expertise, b=5.0, kind=kind), config))
+    return jobs
+
+
+@functools.cache
+def _serial(n):
+    return [train(g, c) for g, c in _mixed_jobs(n)]
+
+
+class TestTrainMany:
+    """``train_many`` equals one ``train`` call per job, however it batches."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("runs_per_chunk", [1, 3, None])
+    def test_equals_serial_train(self, monkeypatch, n, runs_per_chunk):
+        jobs = _mixed_jobs(n)
+        budget = (1 << 40 if runs_per_chunk is None
+                  else runs_per_chunk * simulator._run_bytes(n, jobs[0][1].num_arms))
+        monkeypatch.setattr(simulator, "_CHUNK_BYTES", budget)
+        outcomes = train_many(jobs)
+        assert outcomes == _serial(n)
+        assert all(out.q_snapshots is not None for out in outcomes)
+
+    def test_job_order_and_mixed_player_counts(self):
+        jobs = _mixed_jobs(4)[:3] + _mixed_jobs(2)
+        expected = _serial(4)[:3] + _serial(2)
+        order = [9, 0, 4, 2, 7, 1, 6, 3, 8, 5]
+        assert train_many([jobs[j] for j in order]) == [expected[j] for j in order]
+        assert train_many([]) == []
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_trace_csv_unchanged_in_a_batch(self, tmp_path, n):
+        g, config = _mixed_jobs(n)[1]
+        alone, batched = tmp_path / "alone.csv", tmp_path / "batched.csv"
+        train(g, TrainConfig(**{**config.__dict__, "trace_path": str(alone)}))
+        jobs = _mixed_jobs(n)[:3]
+        jobs[1] = (g, TrainConfig(**{**config.__dict__, "trace_path": str(batched)}))
+        train_many(jobs)
+        assert batched.read_text() == alone.read_text()
+        assert len(alone.read_text().splitlines()) == config.episodes + 1
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_rewards_rejected(self, n):
+        # (10 * 1e200) ** 2 overflows: the table is refused when it is built
+        # (n = 2), the first episode's rewards when they are scored (n = 4)
+        g = GameSpec(n=n, rho=1.0, betas=(1.0,) * n, delta_t=1e200, expertise=(0.5,) * n,
+                     alpha=2.0, evaluation=EvaluationSpec("identity"))
+        with pytest.raises(InputError):
+            train_many([(game(), TrainConfig(episodes=5)), (g, TrainConfig(episodes=5))])
+
+
+class TestRewardTables:
+    """The trainer's rewards ``L[i, a_i] * S[a]`` equal ``_payoffs``' exactly."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", ["logistic", "identity", "heaviside"])
+    def test_factorisation_is_exact(self, n, kind):
+        arm_actions = np.linspace(0.0, 1.0, 11 if n == 3 else 101)
+        grid = np.stack(np.meshgrid(*[arm_actions] * n, indexing="ij"))
+        checked = 0
+        for rho in (-100.0, -10.0, 0.5, 1.0, 3.0, 10.0, 100.0):
+            for alpha in (0.5, 1.0, 1.5, 2.0, 3.7):
+                for b in (1.0, 3.0, 5.0, 7.0, 9.0):
+                    g = game(rho=rho, expertise=(0.3, 0.8, 0.55)[:n], b=b, kind=kind,
+                             alpha=alpha)
+                    S, L, _ = _reward_tables([g], arm_actions, traced=())
+                    _, _, rewards = _payoffs(g, grid)
+                    for i in range(n):
+                        shape = [1] * n
+                        shape[i] = len(arm_actions)
+                        factored = L[i].reshape(shape) * S[0].reshape(grid.shape[1:])
+                        assert np.array_equal(factored, rewards[i]), (rho, alpha, b, i)
+                    checked += 1
+        assert checked == 175  # 1,050 tables over the six parametrisations
 
 
 class TestDispersion:
