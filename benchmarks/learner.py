@@ -1,13 +1,13 @@
-"""Time the learner layers and the sweep they feed, on two commits; write a BENCH file.
+"""Time the learner and solver layers and the sweep they feed, on two commits; write a BENCH file.
 
     python3 benchmarks/learner.py --side before=../parent/src --side after=src \\
-        --repeats 7 --tier1 --out BENCH_5.json
+        --repeats 7 --tier1 --out BENCH_6.json
 
 Each ``--side`` names a copy of the teamgames sources (default: this
 checkout's ``src/`` as ``after``), so one machine times two commits with the
 same seeds.  Every case runs in a fresh process pinned to one CPU, on each
 side in turn, ``--repeats`` times; the file keeps every sample, the median
-and the quartiles:
+and the quartiles (of a digest, its distinct values):
 
 * ``episode_us.*``: microseconds per run-episode of ``train`` on a two-player
   game (reward-table path) with one run, with a full lockstep chunk of runs
@@ -17,6 +17,9 @@ and the quartiles:
 * ``sweep90.*``: the 90-cell acceptance grid at 5,000 episodes a cell, split
   into solving every cell and learning every cell, and a whole ``run_sweep``
   with the process's peak RSS;
+* ``solve240.*``: ``solve_cell`` on the 240 cells of the default sweep grid,
+  the seconds summed per regime (additive, conjunctive, disjunctive) and a
+  sha256 of every cell's equilibria or exception type;
 * ``tier1`` (with ``--tier1``): one run of the test suite of the checkout
   that holds each side's sources.
 """
@@ -100,6 +103,23 @@ def case(name: str) -> dict:
                     for (index, *_), game in zip(specs, games)])
         out["sweep90.solve_s"] = t1 - t0
         out["sweep90.learn_s"] = time.perf_counter() - t1
+    elif name == "solve_regimes":
+        config = experiments.SweepConfig()
+        seconds = {"additive": 0.0, "conjunctive": 0.0, "disjunctive": 0.0}
+        digest = hashlib.sha256()
+        for _, p1, p2, rho, b in experiments._cell_specs(config):
+            game = experiments.cell_game(config, p1, p2, rho, b)
+            regime = "additive" if rho == 1 else "conjunctive" if rho < 1 else "disjunctive"
+            t1 = time.perf_counter()
+            try:
+                outcome = [e.to_dict() for e in experiments.solve_cell(game)]
+            except tg.TeamworkGameError as exc:
+                outcome = type(exc).__name__
+            seconds[regime] += time.perf_counter() - t1
+            digest.update(repr(outcome).encode() + b"\n")
+        for regime, value in seconds.items():
+            out[f"solve240.{regime}_s"] = value
+        out["solve240.sha256"] = digest.hexdigest()
     elif name == "sweep":
         experiments.run_sweep(_sweep_config())
         out["sweep90.run_sweep_s"] = time.perf_counter() - t0
@@ -109,7 +129,7 @@ def case(name: str) -> dict:
     return out
 
 
-CASES = ("n2_R1", "n2_chunk", "n4_R1", "train50k", "sweep_split", "sweep")
+CASES = ("n2_R1", "n2_chunk", "n4_R1", "train50k", "sweep_split", "solve_regimes", "sweep")
 
 
 def _run_case(src: str, name: str) -> dict:
@@ -145,7 +165,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--side", action="append", metavar="LABEL=SRC",
                         help="a label and the teamgames sources it times (repeatable)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_5.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_6.json"))
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--tier1", action="store_true")
     parser.add_argument("--src", help=argparse.SUPPRESS)
@@ -182,16 +202,17 @@ def main(argv=None) -> int:
         "order": "each case runs on every side in turn, first side alternating per repeat",
     }}
     for label, src in sides.items():
-        metrics = {key: {"median": statistics.median(values),
-                         "quartiles": [float(q) for q in numpy.percentile(values, [25, 75])],
-                         "samples": values}
+        metrics = {key: {"values": sorted(set(values))} if isinstance(values[0], str) else
+                   {"median": statistics.median(values),
+                    "quartiles": [float(q) for q in numpy.percentile(values, [25, 75])],
+                    "samples": values}
                    for key, values in sorted(samples[label].items())}
         if args.tier1:
             metrics["tier1"] = _tier1(src)
         report[label] = {**_describe(src), "metrics": metrics}
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for label in sides:
-        print(label, json.dumps({k: v.get("median", v.get("seconds"))
+        print(label, json.dumps({k: v.get("median", v.get("seconds", v.get("values")))
                                  for k, v in report[label]["metrics"].items()}))
     return 0
 

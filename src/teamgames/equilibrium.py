@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedEvaluationError,
     WrongSolverError,
 )
-from .evaluation import eval_score, score_scalar, ratio_scalar
+from .evaluation import eval_ratio, eval_score, score_scalar, ratio_scalar
 from .games import GameSpec, _actions_array, _payoffs, ces_aggregate
 
 # Absolute tolerance on work units for branch and boundary comparisons.
@@ -124,7 +124,8 @@ def _bisect(f, lo, hi, *, xtol, flo=None, fhi=None, maxiter=400):
     return 0.5 * (lo + hi)
 
 
-# Kept beside ces_aggregate: ~20x cheaper per call, and best-response loops make 1e4+ calls.
+# Kept beside ces_aggregate: ~20x cheaper per call.  The ternary refinement of a best
+# response and critical_thresholds' indifference aggregate call it on one value.
 def _agg2(rho: float, w: float, v: float) -> float:
     """(w**rho + v**rho)**(1/rho) for w, v >= 0 with the zero conventions."""
     if w == 0.0 and v == 0.0:
@@ -182,7 +183,9 @@ def _conjunctive_gift(ratio_G: float, G: float, p: float, beta: float,
     if ratio_G == 0.0 or (math.isinf(ratio_G) and ratio_G < 0):
         # zero opportunity cost: the FOC holds with strict inequality at the cap
         return cap
-    log_rhs = math.log(ratio_G) + (rho - 1.0) * math.log(G)
+    # at G = 0 the right side G**(rho-1) is +inf, like an overflowing ratio
+    log_G = math.log(G) if G > 0.0 else -math.inf
+    log_rhs = math.log(ratio_G) + (rho - 1.0) * log_G
     if math.isinf(log_rhs):
         return 0.0 if log_rhs > 0 else cap
     scale = math.log(beta * p / alpha)
@@ -191,8 +194,85 @@ def _conjunctive_gift(ratio_G: float, G: float, p: float, beta: float,
         return math.log(delta_t - r / p) + scale + (rho - 1.0) * math.log(r) - log_rhs
 
     lo = cap * 1e-300
+    flo = f(lo)
+    if flo < 0:
+        return 0.0  # the root lies below the smallest bracketed gift
     hi = cap * (1.0 - 1e-15)
-    return _bisect(f, lo, hi, xtol=cap * 1e-14)
+    return _bisect(f, lo, hi, xtol=cap * 1e-14, flo=flo)
+
+
+def _replacement_gifts(game: GameSpec, G: np.ndarray) -> np.ndarray:
+    """Replacement gift of every player at every aggregate in ``G``: shape ``(n, m)``.
+
+    The array twin of ``replacement_additive`` and ``replacement_conjunctive``
+    for the bracket scan, whose aggregates all lie in the maps' domain.  For
+    rho < 1 all the first-order-condition roots are bisected in lockstep, each
+    with ``_conjunctive_gift``'s bracket, midpoints and stopping rule, so a
+    gift differs from the scalar one only where numpy's log rounds otherwise.
+    """
+    G = np.asarray(G, dtype=float)
+    p = np.asarray(game.expertise)[:, None]
+    caps = p * game.delta_t
+    ratio = eval_ratio(game.evaluation, G)
+    if game.rho == 1:
+        r = caps - (game.alpha / np.asarray(game.betas)[:, None]) * ratio
+        return np.minimum(caps, np.maximum(0.0, r))  # 0 where p = 0, as r <= 0 there
+
+    rho, dt = game.rho, game.delta_t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_rhs = np.log(ratio) + (rho - 1.0) * np.log(G)
+    # _conjunctive_gift's special cases, in its order of precedence
+    cap_gift = (ratio == 0.0) | (ratio == -np.inf) | (log_rhs == -np.inf)
+    zero_gift = (p == 0.0) | (G == 0.0) & (rho < 0) | ~cap_gift & (log_rhs == np.inf)
+    out = np.where(cap_gift & ~zero_gift, caps, 0.0)
+
+    # the elements to bisect, flattened in scan order: aggregate-major, player-minor
+    cols, rows = np.nonzero(~(zero_gift | cap_gift).T)
+    q = p[rows, 0]
+    cap = caps[rows, 0]
+    scale = np.array([math.log(b * x / game.alpha) if x > 0 else 0.0
+                      for b, x in zip(game.betas, game.expertise)])[rows]
+    target = log_rhs[cols]
+
+    def f(r):
+        return np.log(dt - r / q) + scale + (rho - 1.0) * np.log(r) - target
+
+    lo = cap * 1e-300
+    hi = cap * (1.0 - 1e-15)
+    xtol = cap * 1e-14
+    flo = f(lo)
+    fhi = f(hi)
+    # the root lies below lo: a zero gift; an end at a root is that root
+    out[rows, cols] = np.where(flo < 0, 0.0, np.where(flo == 0, lo, hi))
+    live = ~(flo < 0) & (flo != 0) & (fhi != 0)
+    stuck = live & ((flo < 0) == (fhi < 0))
+    if stuck.any():
+        k = int(np.argmax(stuck))
+        raise InputError(
+            f"no sign change on [{lo[k]}, {hi[k]}]: f={flo[k]}, {fhi[k]}")
+
+    def keep(mask, *arrays):
+        return tuple(a[mask] for a in arrays)
+
+    rows, cols, q, scale, target, lo, hi, xtol, flo = keep(
+        live, rows, cols, q, scale, target, lo, hi, xtol, flo)
+    for _ in range(400):
+        if not rows.size:
+            break
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        same = (fm < 0) == (flo < 0)
+        lo = np.where(same, mid, lo)
+        flo = np.where(same, fm, flo)
+        hi = np.where(same, hi, mid)
+        at_root = fm == 0
+        done = at_root | (hi - lo <= xtol)
+        out[rows[done], cols[done]] = np.where(at_root[done], mid[done],
+                                               0.5 * (lo[done] + hi[done]))
+        rows, cols, q, scale, target, lo, hi, xtol, flo = keep(
+            ~done, rows, cols, q, scale, target, lo, hi, xtol, flo)
+    out[rows, cols] = 0.5 * (lo + hi)
+    return out
 
 
 def standalone_value(player: int, game: GameSpec) -> float:
@@ -310,6 +390,8 @@ def solve_equilibrium_concave(game: GameSpec, *, num_brackets: int = 2048) -> li
             f"concave solver requires rho <= 1 (rho != 0), got {game.rho}; "
             "use the disjunctive enumerator for rho > 1")
     _require_smooth(game, "equilibrium solver")
+    if not num_brackets >= 1:
+        raise InputError(f"num_brackets must be >= 1, got {num_brackets}")
 
     standalones = [_standalone_pair(i, game)[1] for i in range(game.n)]
     G_max = game.max_aggregate()
@@ -339,8 +421,7 @@ def solve_equilibrium_concave(game: GameSpec, *, num_brackets: int = 2048) -> li
         return ces_aggregate(gifts, game.rho, game.betas) - G
 
     grid = np.linspace(lo, hi, num_brackets + 1)
-    scan_gifts = np.array([[gift(i, G) for i in range(game.n)] for G in grid]).T
-    values = ces_aggregate(scan_gifts, game.rho, game.betas) - grid
+    values = ces_aggregate(_replacement_gifts(game, grid), game.rho, game.betas) - grid
 
     roots: list[float] = []
     if game.rho == 1 and abs(values[0]) < 1e-12:
@@ -387,23 +468,35 @@ def _best_positive_response(game: GameSpec, player: int, G_minus: float,
 
     Returns (gift, utility) for the best g > 0, or None when every positive
     contribution is dominated so badly that the sampled utilities vanish.
-    Uses a coarse grid followed by ternary refinement.
+    Uses a coarse grid, evaluated as one array, followed by scalar ternary
+    refinement.  Leisure is clamped at 0: at g = cap, ``dt - g/p`` can round
+    below zero, and a non-integer alpha would turn it into NaN.
     """
     p = game.expertise[player]
     if p == 0.0:
         return None
     cap = p * game.delta_t
-    bscale = game.betas[player] ** (1.0 / game.rho)
+    rho = game.rho
+    bscale = game.betas[player] ** (1.0 / rho)
     spec = game.evaluation
     alpha = game.alpha
     dt = game.delta_t
 
     def u(g):
-        G = _agg2(game.rho, bscale * g, G_minus)
-        return (dt - g / p) ** alpha * score_scalar(spec, G)
+        G = _agg2(rho, bscale * g, G_minus)
+        return max(dt - g / p, 0.0) ** alpha * score_scalar(spec, G)
 
     gs = np.linspace(0.0, cap, grid + 1)[1:]
-    us = [u(g) for g in gs]
+    # _agg2 over the grid: a two-term log-sum-exp (rho > 1, so every w > 0)
+    w = bscale * gs
+    if G_minus == 0.0:
+        G = w
+    else:
+        a = rho * np.log(w)
+        b = rho * math.log(G_minus)
+        m = np.maximum(a, b)
+        G = np.exp((m + np.log(np.exp(a - m) + np.exp(b - m))) / rho)
+    us = np.maximum(dt - gs / p, 0.0) ** alpha * eval_score(spec, G)
     j = int(np.argmax(us))
     lo = gs[j - 1] if j > 0 else cap * 1e-12
     hi = gs[j + 1] if j + 1 < len(gs) else gs[-1]
@@ -651,6 +744,9 @@ def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
     profile is an epsilon-Nash point when that gain is at most epsilon.
     Works for any evaluation, including heaviside.
     """
+    for name, step in (("grid_step", grid_step), ("refine_step", refine_step)):
+        if step is not None and not (math.isfinite(step) and step > 0):
+            raise InputError(f"{name} must be a finite number > 0, got {step}")
     k = round(1.0 / grid_step)
     if abs(k * grid_step - 1.0) > 1e-9:
         raise InputError(f"grid_step must divide 1 evenly, got {grid_step}")

@@ -189,7 +189,8 @@ def validate_evaluation(spec: EvaluationSpec, grid: tuple[float, float], points:
     return ValidityReport(True)
 
 
-# Kept beside eval_score: 3-6x cheaper per call on a float, and solver loops make 1e4+ calls.
+# Kept beside eval_score: 3-6x cheaper per call on a float.  The disjunctive solver's
+# scalar steps call it: the ternary refinement of a best response and the free-riding payoff.
 def score_scalar(spec: EvaluationSpec, G: float) -> float:
     """Scalar fast path used by inner solver loops."""
     if spec.kind == "identity":
@@ -203,7 +204,8 @@ def score_scalar(spec: EvaluationSpec, G: float) -> float:
     return spec.d * ez / (1.0 + ez)
 
 
-# Kept beside eval_ratio: ~40x cheaper per call on a float, and bisections make 1e4+ calls.
+# Kept beside eval_ratio: ~40x cheaper per call on a float.  The scalar replacement maps,
+# the standalone and weakest-link bisections and the disjunctive branch maths call it.
 def ratio_scalar(spec: EvaluationSpec, G: float) -> float:
     """Scalar fast path for sigma/sigma' used by inner solver loops."""
     if spec.kind == "identity":

@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from teamgames import equilibrium
 from teamgames.equilibrium import (
+    _agg2,
+    _best_positive_response,
     _conjunctive_gift,
+    _replacement_gifts,
     critical_thresholds,
     enumerate_disjunctive_equilibria,
     max_achievable_utility,
@@ -18,12 +22,13 @@ from teamgames.equilibrium import (
 )
 from teamgames.errors import (
     ConfigurationError,
+    InputError,
     NoEquilibriumError,
     RegimeError,
     UnsupportedEvaluationError,
     WrongSolverError,
 )
-from teamgames.evaluation import EvaluationSpec
+from teamgames.evaluation import EvaluationSpec, score_scalar
 from teamgames.games import GameSpec, ces_aggregate
 
 
@@ -510,3 +515,158 @@ class TestSinglePlayerDisjunctive:
         results = enumerate_disjunctive_equilibria(g)
         assert len(results) == 1
         assert results[0].aggregate_G == pytest.approx(standalone_value(0, g), abs=1e-9)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("step", [0.0, -0.5, math.nan, math.inf])
+    def test_grid_step_named(self, step):
+        with pytest.raises(InputError, match="grid_step"):
+            verify_epsilon_nash((0.5, 0.5), game(rho=1.0), 0.1, grid_step=step)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-4, math.nan, math.inf])
+    def test_refine_step_named(self, step):
+        with pytest.raises(InputError, match="refine_step"):
+            verify_epsilon_nash((0.5, 0.5), game(rho=1.0), 0.1, refine_step=step)
+
+    @pytest.mark.parametrize("num_brackets", [0, -3])
+    def test_num_brackets_named(self, num_brackets):
+        with pytest.raises(InputError, match="num_brackets"):
+            solve_equilibrium_concave(game(rho=1.0), num_brackets=num_brackets)
+
+
+def _scan_grid(g):
+    """The concave solver's bracket grid, over the players who can contribute."""
+    standalones = [standalone_value(i, g) for i, p in enumerate(g.expertise) if p > 0]
+    G_max = g.max_aggregate()
+    if g.rho == 1:
+        return np.linspace(0.0, G_max, 2049)
+    if g.rho > 0:
+        return np.linspace(max(standalones), G_max, 2049)
+    hi = min(standalones)
+    return np.linspace(hi * 1e-9, hi, 2049)
+
+
+class TestReplacementGiftsParity:
+    """The batched scan agrees with the scalar replacement maps at every grid point."""
+
+    @pytest.mark.parametrize("rho", [-500.0, -100.0, -3.0, 0.5, 1.0])
+    @pytest.mark.parametrize("expertise", [(0.8,), (0.3, 0.9), (0.0, 0.5, 0.9)],
+                             ids=["n1", "n2", "n3-p0"])
+    @pytest.mark.parametrize("kind", ["logistic", "identity"])
+    def test_matches_scalar_maps(self, rho, expertise, kind):
+        g = game(rho=rho, expertise=expertise, b=3.0, kind=kind,
+                 betas=(1.0, 1.7, 0.6)[:len(expertise)])
+        grid = _scan_grid(g)
+        batched = _replacement_gifts(g, grid)
+        if rho == 1:
+            scalar = np.array([[replacement_additive(G, i, g) for G in grid]
+                               for i in range(g.n)])
+        else:
+            scalar = np.array([[replacement_conjunctive(G, i, g) for G in grid]
+                               for i in range(g.n)])
+        xtol = (np.asarray(expertise) * g.delta_t * 1e-14)[:, None]
+        assert np.all(np.abs(batched - scalar) <= xtol)
+        signs = [np.sign(ces_aggregate(gifts, g.rho, g.betas) - grid)
+                 for gifts in (batched, scalar)]
+        np.testing.assert_array_equal(signs[0], signs[1])
+
+    @pytest.mark.parametrize("rho", [-500.0, -3.0, 0.5, 1.0])
+    def test_solver_reports_the_scalar_scan_equilibria(self, rho, monkeypatch):
+        # only the scan's signs come from the batch, so the equilibria are bitwise
+        # those of a scan that calls the scalar maps point by point
+        g = game(rho=rho, expertise=(0.3, 0.5, 0.9), b=3.0)
+        batched = solve_equilibrium_concave(g)
+        assert batched
+        fn = replacement_additive if rho == 1 else replacement_conjunctive
+        monkeypatch.setattr(equilibrium, "_replacement_gifts", lambda g, grid: np.array(
+            [[fn(G, i, g) for G in grid] for i in range(g.n)]))
+        assert solve_equilibrium_concave(g) == batched
+
+    @pytest.mark.parametrize("rho,kind,expected", [
+        (-3.0, "identity", 0.0), (-3.0, "logistic", 0.0),
+        (0.5, "identity", 9.0), (0.5, "logistic", 0.0)])
+    def test_zero_aggregate(self, rho, kind, expected):
+        # at G = 0 a zero ratio (identity) leaves the cap only for rho > 0, and a
+        # positive ratio meets G**(rho-1) = +inf, so the root tends to 0
+        g = game(rho=rho, expertise=(0.0, 0.9), b=5.0, kind=kind)
+        assert replacement_conjunctive(0.0, 1, g, standalone=0.0) == expected
+        np.testing.assert_array_equal(_replacement_gifts(g, np.array([0.0])),
+                                      [[0.0], [expected]])
+
+    def test_solver_starts_at_zero_aggregate_between_zero_and_one(self):
+        # every standalone value is 0, so the scan starts at G = 0 (a math
+        # domain error in math.log before)
+        g = game(rho=0.5, expertise=(0.1, 0.1), b=5.0)
+        results = solve_equilibrium_concave(g)
+        assert results[0].aggregate_G == 0.0
+        eps = 1e-3 * max_achievable_utility(g)
+        for r in results:
+            assert verify_epsilon_nash(r.actions, g, eps, grid_step=0.01,
+                                       refine_step=1e-4).is_nash
+
+
+def _scalar_best_positive_response(g, player, G_minus, grid=256):
+    """Best positive response with the utility grid evaluated one point at a time."""
+    p = g.expertise[player]
+    cap = p * g.delta_t
+    bscale = g.betas[player] ** (1.0 / g.rho)
+
+    def u(x):
+        G = _agg2(g.rho, bscale * x, G_minus)
+        return max(g.delta_t - x / p, 0.0) ** g.alpha * score_scalar(g.evaluation, G)
+
+    gs = np.linspace(0.0, cap, grid + 1)[1:]
+    j = int(np.argmax([u(x) for x in gs]))
+    lo = gs[j - 1] if j > 0 else cap * 1e-12
+    hi = gs[j + 1] if j + 1 < len(gs) else gs[-1]
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if u(m1) < u(m2):
+            lo = m1
+        else:
+            hi = m2
+        if hi - lo <= cap * 1e-14:
+            break
+    g_best = 0.5 * (lo + hi)
+    return g_best, u(g_best)
+
+
+class TestBestPositiveResponse:
+    @pytest.mark.parametrize("rho", [1.5, 3.0, 10.0, 500.0])
+    @pytest.mark.parametrize("kind,alpha", [("logistic", 2.0), ("logistic", 1.631),
+                                            ("identity", 0.7)])
+    def test_array_grid_matches_scalar_grid(self, rho, kind, alpha):
+        # the refinement starts from the grid's argmax, so equal (gift, utility)
+        # bit for bit means the two grids picked the same point
+        g = game(rho=rho, expertise=(0.81, 0.5), b=4.0, kind=kind, alpha=alpha,
+                 betas=(1.3, 1.0))
+        for G_minus in np.linspace(0.0, 1.2 * g.max_aggregate(), 25):
+            assert _best_positive_response(g, 0, G_minus) == \
+                _scalar_best_positive_response(g, 0, G_minus)
+
+    def test_no_nan_when_leisure_rounds_below_zero(self):
+        # at g = cap, dt - cap/p rounds to -1.8e-15 for p = 0.81; with a
+        # non-integer alpha its power was NaN, which np.argmax took as the best
+        g = GameSpec(n=2, rho=3.0, betas=(1.0, 1.0), delta_t=10.0, expertise=(0.81, 0.5),
+                     alpha=1.631, evaluation=EvaluationSpec("identity"))
+        gift, u = _best_positive_response(g, 0, 0.0)
+        assert gift == pytest.approx(3.0787, abs=1e-3)
+        assert u == pytest.approx(60.35, abs=1e-2)
+        assert critical_thresholds(0, g).G_minus_star == pytest.approx(1.466, abs=1e-3)
+
+
+class TestConjunctiveRootBelowBracket:
+    def test_zero_gift_when_root_lies_below_bracket(self):
+        # rho = 0.1 with a steep logistic: f(cap * 1e-300) < 0, so the gift is 0
+        g = GameSpec(n=2, rho=0.1, betas=(1.0, 1.0), delta_t=10.0, expertise=(0.5, 0.9),
+                     alpha=2.0, evaluation=EvaluationSpec("logistic", d=10.0, gamma=100.0,
+                                                          b=0.5))
+        assert replacement_conjunctive(7.0, 0, g) == 0.0
+        np.testing.assert_array_equal(_replacement_gifts(g, np.array([7.0])), [[0.0], [0.0]])
+        results = solve_equilibrium_concave(g)
+        assert len(results) == 1
+        assert results[0].aggregate_G == pytest.approx(0.6206, abs=1e-4)
+        eps = 1e-3 * max_achievable_utility(g)
+        assert verify_epsilon_nash(results[0].actions, g, eps, grid_step=0.01,
+                                   refine_step=1e-4).is_nash
