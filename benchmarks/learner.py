@@ -1,7 +1,7 @@
 """Time the learner and solver layers and the sweep they feed, on two commits; write a BENCH file.
 
     python3 benchmarks/learner.py --side before=../parent/src --side after=src \\
-        --repeats 7 --tier1 --out BENCH_6.json
+        --repeats 7 --tier1 --out BENCH_7.json
 
 Each ``--side`` names a copy of the teamgames sources (default: this
 checkout's ``src/`` as ``after``), so one machine times two commits with the
@@ -9,10 +9,11 @@ same seeds.  Every case runs in a fresh process pinned to one CPU, on each
 side in turn, ``--repeats`` times; the file keeps every sample, the median
 and the quartiles (of a digest, its distinct values):
 
-* ``episode_us.*``: microseconds per run-episode of ``train`` on a two-player
-  game (reward-table path) with one run, with a full lockstep chunk of runs
-  (``CHUNK_RUNS``, trained by one ``train_many`` call where it exists and by
-  one ``train`` call per run otherwise), and on a four-player game (no table);
+* ``episode_us.*``: microseconds per run-episode of ``train`` on a two-,
+  three- and four-player game with one run, and for two and three players
+  with a full lockstep chunk of runs (``chunk_runs.*``: as many as the side's
+  ``simulator._CHUNK_BYTES`` budget holds, trained by one ``train_many``
+  call where it exists and by one ``train`` call per run otherwise);
 * ``train50k_s``: one 50,000-episode two-player ``train``;
 * ``sweep90.*``: the 90-cell acceptance grid at 5,000 episodes a cell, split
   into solving every cell and learning every cell, and a whole ``run_sweep``
@@ -39,13 +40,19 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CHUNK_RUNS = 11  # runs in one lockstep chunk at the default byte budget
 SEED = 1
+R1_EPISODES = {2: 20_000, 3: 10_000, 4: 4_000}
+
+
+def _chunk_runs(n: int) -> int:
+    """Runs of n players and 101 arms in one lockstep chunk at the default byte budget."""
+    from teamgames import simulator
+    return max(1, simulator._CHUNK_BYTES // simulator._run_bytes(n, 101))
 
 
 def _game(n: int):
     import teamgames as tg
-    expertise = {2: (0.3, 0.8), 4: (0.3, 0.5, 0.7, 0.9)}[n]
+    expertise = {2: (0.3, 0.8), 3: (0.3, 0.55, 0.8), 4: (0.3, 0.5, 0.7, 0.9)}[n]
     return tg.GameSpec(n=n, rho=1.0, betas=(1.0,) * n, delta_t=10.0, expertise=expertise,
                        alpha=2.0, evaluation=tg.EvaluationSpec("logistic", d=10.0, gamma=2.0,
                                                                b=5.0))
@@ -76,15 +83,16 @@ def case(name: str) -> dict:
 
     out = {}
     t0 = time.perf_counter()
-    if name == "n2_R1":
-        _train_all(runs(2, 1, 20_000))
-        out["episode_us.n2_R1"] = (time.perf_counter() - t0) / 20_000 * 1e6
-    elif name == "n2_chunk":
-        _train_all(runs(2, CHUNK_RUNS, 5_000))
-        out["episode_us.n2_chunk"] = (time.perf_counter() - t0) / (CHUNK_RUNS * 5_000) * 1e6
-    elif name == "n4_R1":
-        _train_all(runs(4, 1, 4_000))
-        out["episode_us.n4_R1"] = (time.perf_counter() - t0) / 4_000 * 1e6
+    if name in ("n2_R1", "n3_R1", "n4_R1"):
+        episodes = R1_EPISODES[int(name[1])]
+        _train_all(runs(int(name[1]), 1, episodes))
+        out[f"episode_us.{name}"] = (time.perf_counter() - t0) / episodes * 1e6
+    elif name in ("n2_chunk", "n3_chunk"):
+        n = int(name[1])
+        count = _chunk_runs(n)
+        _train_all(runs(n, count, 5_000))
+        out[f"episode_us.{name}"] = (time.perf_counter() - t0) / (count * 5_000) * 1e6
+        out[f"chunk_runs.n{n}"] = count
     elif name == "train50k":
         tg.train(_game(2), tg.TrainConfig(episodes=50_000, seed=SEED))
         out["train50k_s"] = time.perf_counter() - t0
@@ -129,7 +137,8 @@ def case(name: str) -> dict:
     return out
 
 
-CASES = ("n2_R1", "n2_chunk", "n4_R1", "train50k", "sweep_split", "solve_regimes", "sweep")
+CASES = ("n2_R1", "n2_chunk", "n3_R1", "n3_chunk", "n4_R1", "train50k", "sweep_split",
+         "solve_regimes", "sweep")
 
 
 def _run_case(src: str, name: str) -> dict:
@@ -165,7 +174,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--side", action="append", metavar="LABEL=SRC",
                         help="a label and the teamgames sources it times (repeatable)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_6.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_7.json"))
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--tier1", action="store_true")
     parser.add_argument("--src", help=argparse.SUPPRESS)

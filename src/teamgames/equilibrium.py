@@ -46,9 +46,6 @@ from .games import GameSpec, _actions_array, _payoffs, ces_aggregate
 # Absolute tolerance on work units for branch and boundary comparisons.
 BOUNDARY_TOL = 1e-10
 
-# Fixed-point residual targets.
-FIXED_POINT_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class EquilibriumResult:

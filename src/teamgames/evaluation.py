@@ -96,9 +96,10 @@ def _logistic(spec: EvaluationSpec, z):
             return spec.d / (1.0 + np.exp(-z))
         ez = np.exp(z)
         return spec.d * ez / (1.0 + ez)
-    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, and never overflows
+    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, and never
+    # overflows; the numerator picks d or d * e before the one shared division
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, spec.d / (1.0 + e), spec.d * e / (1.0 + e))
+    return np.where(z >= 0, spec.d, spec.d * e) / (1.0 + e)
 
 
 def eval_score(spec: EvaluationSpec, G):

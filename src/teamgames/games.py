@@ -260,8 +260,8 @@ def _payoffs(game: GameSpec, actions: np.ndarray):
 
     ``actions`` has shape ``(n, ...)``; every trailing cell is one joint
     action.  Returns ``(G, score, rewards)`` with ``rewards`` shaped like
-    ``actions``.  The learner's rewards and the Nash oracle's utilities all
-    come from here, or from its two factors for the learner's reward tables.
+    ``actions``.  The Nash oracle's utilities come from here, and the
+    learner's rewards equal them bit for bit (``simulator._term_tables``).
     """
     G, score = _outcome(game, actions)
     return G, score, _leisure_payoff(game, actions) * score

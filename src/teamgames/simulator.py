@@ -12,12 +12,15 @@ the soft-max alone leaves most arms untried.
 ``train_many`` learns many runs in lockstep: runs that share a player
 count, an arm count and a temperature schedule keep their Q-tables in one
 ``(runs * n, K)`` array, and every episode does one soft-max, one draw, one
-reward lookup and one update for all of them (``train`` is its one-run
-case).  Teams of up to three read their rewards from a table over the joint
-arm grid, stored per run as the score ``S`` of each joint action and each
-player's ``x ** alpha`` per arm; larger teams score every episode through
-``games._payoffs``, once per distinct game.  Each run draws from its own
-counter-based stream, so an outcome is bitwise the same whatever it is
+reward computation and one update for all of them (``train`` is its
+one-run case).  Rewards take one path for every team size: each player's
+CES log-term and leisure factor are tabulated per arm before the first
+episode, and each episode finishes ``ces_aggregate`` over the gathered
+terms, scores the outcomes and multiplies by the leisure factors.  They
+equal ``games._payoffs`` on each joint action alone, bit for bit; from
+n = 8 that can differ in the last bit from ``_payoffs`` over an
+``(n, cells)`` grid (see ``_aggregate_terms``).  Each run draws from its
+own counter-based stream, so an outcome is bitwise the same whatever it is
 batched with; sweep seeds are derived from a base seed with spawn keys, so
 parallel runs match serial ones.
 """
@@ -32,7 +35,8 @@ import numpy as np
 from .bandit import _boltzmann, _update_q, uniform_action_grid
 from .bandit import update_q  # noqa: F401  (bound here for perfbench's tracer tests)
 from .errors import ConfigurationError, InputError, UndefinedDispersionError
-from .games import GameSpec, _leisure_payoff, _outcome, _payoffs
+from .evaluation import eval_score
+from .games import GameSpec, _leisure_payoff, _outcome
 
 EXTRACTION_MODES = ("greedy", "final_sample", "tail_average")
 
@@ -40,8 +44,8 @@ EXTRACTION_MODES = ("greedy", "final_sample", "tail_average")
 # Q-table holds, so every arm keeps being sampled at rate >= EXPLORATION / K.
 EXPLORATION = 0.01
 
-# Bytes of reward tables and per-episode draws that one lockstep chunk of
-# runs holds at a time (about a dozen two-player runs).
+# Bytes of per-run tables and per-episode draws that one lockstep chunk of
+# runs holds at a time (about a hundred two-player runs).
 _CHUNK_BYTES = 1 << 20
 
 
@@ -126,44 +130,48 @@ def _seed_sequence(seed) -> tuple[np.random.SeedSequence, int]:
     return np.random.SeedSequence(int(seed)), int(seed)
 
 
-def _has_table(n: int, num_arms: int) -> bool:
-    """Whether a run's rewards are tabulated over the joint arm grid (small teams)."""
-    return n <= 3 and num_arms ** n <= 3_000_000
-
-
 def _run_bytes(n: int, num_arms: int) -> int:
-    """Bytes one run holds in a lockstep chunk: its score table, if any, and
-    about five ``(n, K)`` work arrays."""
-    table = num_arms ** n if _has_table(n, num_arms) else 0
-    return 8 * (table + 5 * n * num_arms)
+    """Bytes one run holds in a lockstep chunk: about six ``(n, K)`` arrays
+    (Q-values, pull counts, the soft-max and its draw buffers, and the two
+    term tables)."""
+    return 8 * 6 * n * num_arms
 
 
-def _reward_tables(games, arm_actions: np.ndarray, traced):
-    """Per-run rewards over the joint arm grid, factored as ``L[i, a_i] * S[a]``.
-
-    Returns ``(S, L, G)``: ``S`` holds each run's score over the flattened
-    joint arm grid (one row per run), ``L`` each player's ``x ** alpha`` per
-    arm (one row per player of each run) and ``G`` maps each run in
-    ``traced`` to its team outcome over the grid.  The products equal
-    ``_payoffs``' rewards bit for bit, and are checked finite here once.
+def _term_tables(games, arm_actions: np.ndarray):
+    """Per player of each run and per arm, laid out ``(runs * n, K)`` like
+    the Q-tables: the CES log-term ``T = log(beta_i) + rho * log(g_i)`` of
+    the arm's gift and the leisure factor ``L = x ** alpha``, by the
+    elementwise steps of ``ces_aggregate`` and ``_leisure_payoff``.  CES and
+    every evaluation are non-decreasing, so a run's rewards are finite if
+    ``max(L) * sigma(G at full time)`` is; that is checked here, once.
     """
-    n, num_arms = games[0].n, len(arm_actions)
-    grid = np.stack(np.meshgrid(*[arm_actions] * n, indexing="ij"))
-    arms = np.broadcast_to(arm_actions, (n, num_arms))
-    S = np.empty((len(games), num_arms ** n))
-    L = np.empty((len(games) * n, num_arms))
-    G = {}
+    n = games[0].n
+    arms = np.broadcast_to(arm_actions, (n, len(arm_actions)))
+    T = np.empty((len(games) * n, len(arm_actions)))
+    L = np.empty_like(T)
     for r, game in enumerate(games):
-        G_r, score = _outcome(game, grid)
-        S[r] = score.ravel()
-        L[r * n:(r + 1) * n] = _leisure_payoff(game, arms)
-        # both factors are >= 0: every reward is finite if this bound is
-        bound = L[r * n:(r + 1) * n].max() * S[r].max()
+        rows = slice(r * n, (r + 1) * n)
+        with np.errstate(divide="ignore"):  # a zero gift's log
+            T[rows] = np.log(game.betas)[:, None] + game.rho * np.log(
+                arms * game.full_time_gifts()[:, None])
+        L[rows] = _leisure_payoff(game, arms)
+        bound = L[rows].max() * eval_score(game.evaluation, game.max_aggregate())
         if not np.isfinite(bound):
             raise InputError(f"rewards must be finite, got a bound of {bound}")
-        if r in traced:
-            G[r] = G_r.ravel()
-    return S, L, G
+    return T, L
+
+
+def _aggregate_terms(terms: np.ndarray, rho) -> np.ndarray:
+    """CES team outcomes from log-terms (one row per player, overwritten) by
+    ``ces_aggregate``'s steps; call it with division warnings off, for the
+    ``log(0)`` of a team with no positive gift.  From 8 players numpy sums
+    contiguous columns pairwise, as ``ces_aggregate`` sums one joint action's
+    gifts, and strided ones in order, which can differ in the last bit."""
+    m = np.maximum.reduce(terms, axis=0)
+    m = np.where(np.isfinite(m), m, 0.0)
+    terms -= m
+    np.exp(terms, out=terms)
+    return np.exp((m + np.log(np.add.reduce(terms, axis=0))) / rho)
 
 
 def _draws(u: np.ndarray, num_arms: int):
@@ -204,10 +212,12 @@ def train_many(jobs) -> list[LearnedOutcome]:
     Jobs with the same player count, arm count, episode count and
     temperature schedule advance in lockstep, a chunk of runs at a time:
     their Q-tables are one ``(runs * n, K)`` array, and every episode does
-    one soft-max, one draw, one reward gather and one update for all of
-    them.  ``k``, the game and the seed may differ within a chunk.  Each run
-    keeps its own random stream, so outcomes do not depend on how the jobs
-    are grouped or chunked.
+    one soft-max, one draw, one reward computation and one update for all
+    of them.  Rewards take one path for every team size, through per-player
+    CES term tables; a chunk is sized by its runs' ``(n, K)`` arrays alone
+    (``_run_bytes``).  ``k``, the game and the seed may differ within a
+    chunk.  Each run keeps its own random stream, so outcomes do not depend
+    on how the jobs are grouped or chunked.
     """
     jobs = list(jobs)
     groups: dict[tuple, list[int]] = {}
@@ -249,24 +259,19 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
     rewards = np.empty(agents)
     run_rewards = rewards.reshape(runs, n)
 
-    traced = [r for r, config in enumerate(configs) if config.trace_path is not None]
-    tables = _reward_tables(games, arm_actions, traced) if _has_table(n, num_arms) else None
-    if tables is not None:
-        S, L, G_tables = tables
-        S_flat, L_flat = S.ravel(), L.ravel()
-        place = num_arms ** np.arange(n - 1, -1, -1)
-        table_start = np.arange(runs) * num_arms ** n
-        joint = np.empty(runs, dtype=np.intp)
-        run_arms = arms.reshape(runs, n)
-    else:
-        G = np.empty(runs)
-        by_game: dict[GameSpec, list[int]] = {}
-        for r, game in enumerate(games):
-            by_game.setdefault(game, []).append(r)
-        # one _payoffs call per distinct game; a lone game takes every run as a view
-        by_game = [(game, slice(None) if len(members) == runs else np.asarray(members))
-                   for game, members in by_game.items()]
+    T, L = _term_tables(games, arm_actions)  # take() reads them flat, as cells index
+    rho = np.array([game.rho for game in games])
+    player_cells = cells.reshape(runs, n).T  # a view: the cells player by player
+    # each run's terms contiguous, so they sum as its own joint action's gifts
+    terms = np.empty((n, runs), order="F")
+    S = np.empty(runs)
+    specs = [game.evaluation for game in games]
+    # one eval_score call per distinct evaluation; a lone one takes every run as a view
+    by_evaluation = [(spec, slice(None) if len(set(specs)) == 1
+                      else np.flatnonzero([other == spec for other in specs]))
+                     for spec in dict.fromkeys(specs)]
 
+    traced = [r for r, config in enumerate(configs) if config.trace_path is not None]
     traces = {}
     try:
         for r in traced:
@@ -283,37 +288,30 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
         tail_sum = np.zeros(agents)
         # about 32 bytes of draws per agent-episode; a block takes 1/8 of the budget
         block = max(1, _CHUNK_BYTES // (256 * agents))
-        for start in range(0, episodes, block):
-            stop = min(episodes, start + block)
-            # the runs' uniforms for these episodes, one column per agent
-            u = np.concatenate([rng.random((stop - start, n)) for rng in rngs], axis=1)
-            for t, draw in zip(range(start, stop), _draws(u, num_arms)):
-                _boltzmann(q, temperatures[t], out=probs)
-                _draw_arms(probs, draw, cum, below, arms)
-                np.add(row_start, arms, out=cells)
+        with np.errstate(divide="ignore"):  # log(0) of a team with no positive gift
+            for start in range(0, episodes, block):
+                stop = min(episodes, start + block)
+                # the runs' uniforms for these episodes, one column per agent
+                u = np.concatenate([rng.random((stop - start, n)) for rng in rngs], axis=1)
+                for t, draw in zip(range(start, stop), _draws(u, num_arms)):
+                    _boltzmann(q, temperatures[t], out=probs)
+                    _draw_arms(probs, draw, cum, below, arms)
+                    np.add(row_start, arms, out=cells)
 
-                if tables is not None:
-                    np.dot(run_arms, place, out=joint)
-                    joint += table_start
-                    L_flat.take(cells, out=rewards)
-                    run_rewards *= S_flat.take(joint)[:, None]
-                else:
-                    actions = arm_actions[arms].reshape(runs, n)
-                    for game, members in by_game:
-                        G[members], _, game_rewards = _payoffs(game, actions[members].T)
-                        run_rewards[members] = game_rewards.T
-                    if not np.isfinite(rewards).all():
-                        raise InputError(
-                            f"rewards must be finite, got {rewards[~np.isfinite(rewards)][0]}")
-                _update_q(q_flat, counts_flat, k, cells, rewards)
+                    T.take(player_cells, out=terms)
+                    G = _aggregate_terms(terms, rho)
+                    for spec, members in by_evaluation:
+                        S[members] = eval_score(spec, G[members])
+                    L.take(cells, out=rewards)
+                    run_rewards *= S[:, None]
+                    _update_q(q_flat, counts_flat, k, cells, rewards)
 
-                if t >= tail_start:
-                    tail_sum += arm_actions[arms]
-                for r, (_, writer) in traces.items():
-                    G_r = G_tables[r][joint[r] - table_start[r]] if tables is not None else G[r]
-                    actions = arm_actions[arms[r * n:(r + 1) * n]].tolist()
-                    writer.writerow([t] + [repr(a) for a in actions] + [repr(float(G_r))]
-                                    + [repr(x) for x in run_rewards[r].tolist()])
+                    if t >= tail_start:
+                        tail_sum += arm_actions[arms]
+                    for r, (_, writer) in traces.items():
+                        actions = arm_actions[arms[r * n:(r + 1) * n]].tolist()
+                        writer.writerow([t] + [repr(a) for a in actions] + [repr(float(G[r]))]
+                                        + [repr(x) for x in run_rewards[r].tolist()])
     finally:
         for fh, _ in traces.values():
             fh.close()

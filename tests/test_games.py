@@ -214,24 +214,28 @@ class TestJointTypes:
 
 
 class TestOnePayoffPipeline:
-    """Reward tables and deviation rows equal evaluate_joint_action exactly."""
+    """Term-table rewards and deviation rows equal evaluate_joint_action exactly."""
 
     @pytest.mark.parametrize("kind", ["logistic", "heaviside"])
     @pytest.mark.parametrize("rho", [-10.0, 1.0, 10.0])
     @pytest.mark.parametrize("n", [2, 3])
     def test_tables_and_deviations_match_evaluate_joint_action(self, n, rho, kind):
         from teamgames.equilibrium import _deviation_utilities
-        from teamgames.simulator import _reward_tables
+        from teamgames.evaluation import eval_score
+        from teamgames.simulator import _aggregate_terms, _term_tables
         game = GameSpec(n=n, rho=rho, betas=(1.0, 1.5, 0.7)[:n], delta_t=10.0,
                         expertise=(0.3, 0.8, 0.6)[:n], alpha=2.0,
                         evaluation=EvaluationSpec(kind, d=10.0, gamma=2.0, b=5.0),
                         leisure_capacity=(1.0, 0.9, 0.8)[:n])
         arms = np.linspace(0.0, 1.0, 11)
-        S, L, G_tables = _reward_tables([game], arms, traced=[0])
-        for flat, idx in enumerate(np.ndindex(*(len(arms),) * n)):
+        T, L = _term_tables([game], arms)
+        for idx in np.ndindex(*(len(arms),) * n):
             _, G, _, rewards = evaluate_joint_action(game, arms[list(idx)])
-            assert G_tables[0][flat] == G
-            assert [L[i, a] * S[0, flat] for i, a in enumerate(idx)] == rewards.tolist()
+            with np.errstate(divide="ignore"):  # one run's terms, as the trainer gathers them
+                G_terms = _aggregate_terms(T[range(n), idx][:, None], rho)
+            assert G_terms.tolist() == [G]
+            score = eval_score(game.evaluation, G_terms)[0]
+            assert [L[i, a] * score for i, a in enumerate(idx)] == rewards.tolist()
 
         profile = np.array((0.0, 0.45, 0.7)[:n])
         for player in range(n):

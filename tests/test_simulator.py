@@ -1,3 +1,4 @@
+import csv
 import functools
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from teamgames import simulator
 from teamgames.bandit import AgentState, boltzmann_probabilities
 from teamgames.errors import ConfigurationError, InputError, UndefinedDispersionError
-from teamgames.evaluation import EvaluationSpec
+from teamgames.evaluation import EvaluationSpec, eval_score
 from teamgames.games import GameSpec, _payoffs, evaluate_joint_action
 from teamgames.simulator import (
     EXPLORATION,
@@ -17,7 +18,6 @@ from teamgames.simulator import (
     spawned_seed,
     _draw_arms,
     _draws,
-    _reward_tables,
     train,
     train_many,
 )
@@ -176,7 +176,7 @@ def _mixed_jobs(n):
     """Jobs of one player count mixing evaluations, extraction modes, two
     temperature schedules and two values of k."""
     expertise = {2: (0.3, 0.8), 3: (0.4, 0.6, 0.8), 4: (0.3, 0.5, 0.7, 0.9)}[n]
-    num_arms = 21 if n == 3 else 101  # keeps the n = 3 reward tables small
+    num_arms = 21 if n == 3 else 101  # keeps the n = 3 case quick
     jobs = []
     for j, (rho, kind, mode) in enumerate([
             (1.0, "logistic", "greedy"), (-10.0, "logistic", "final_sample"),
@@ -230,37 +230,98 @@ class TestTrainMany:
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_rewards_rejected(self, n):
-        # (10 * 1e200) ** 2 overflows: the table is refused when it is built
-        # (n = 2), the first episode's rewards when they are scored (n = 4)
+        # (10 * 1e200) ** 2 overflows: the run is refused when its term tables are built
         g = GameSpec(n=n, rho=1.0, betas=(1.0,) * n, delta_t=1e200, expertise=(0.5,) * n,
                      alpha=2.0, evaluation=EvaluationSpec("identity"))
         with pytest.raises(InputError):
             train_many([(game(), TrainConfig(episodes=5)), (g, TrainConfig(episodes=5))])
 
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_bound_refused_before_the_first_episode(self, monkeypatch, n):
+        g = GameSpec(n=n, rho=1.0, betas=(1.0,) * n, delta_t=1e200, expertise=(0.5,) * n,
+                     alpha=2.0, evaluation=EvaluationSpec("identity"))
+        episodes = []
+        boltzmann = simulator._boltzmann
+        monkeypatch.setattr(simulator, "_boltzmann",
+                            lambda *args, **kwargs: episodes.append(1) or boltzmann(*args, **kwargs))
+        with pytest.raises(InputError, match="bound"):
+            train(g, TrainConfig(episodes=5))
+        assert episodes == []
+
+    def test_default_budget_learns_a_sweep_in_one_chunk(self, monkeypatch):
+        chunks = []
+        monkeypatch.setattr(simulator, "_train_lockstep",
+                            lambda jobs: chunks.append(len(jobs)) or [None] * len(jobs))
+        train_many([(game(), TrainConfig(episodes=5, seed=j)) for j in range(90)])
+        train_many([(game(expertise=(0.4, 0.6, 0.8)), TrainConfig(episodes=5, seed=j))
+                    for j in range(60)])
+        assert chunks == [90, 60]
+
+
+def _term_table_rewards(g, arm_actions, joint):
+    """The trainer's team outcomes and rewards at the joint arm indices
+    ``joint`` (one row per player), from its term tables."""
+    T, L = simulator._term_tables([g], arm_actions)
+    player = np.arange(g.n).reshape((g.n,) + (1,) * (joint.ndim - 1))
+    with np.errstate(divide="ignore"):
+        G = simulator._aggregate_terms(T[player, joint], g.rho)
+    return G, L[player, joint] * eval_score(g.evaluation, G)
+
 
 class TestRewardTables:
-    """The trainer's rewards ``L[i, a_i] * S[a]`` equal ``_payoffs``' exactly."""
+    """The trainer's rewards, from per-player term tables, equal ``_payoffs``' exactly."""
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("kind", ["logistic", "identity", "heaviside"])
     def test_factorisation_is_exact(self, n, kind):
         arm_actions = np.linspace(0.0, 1.0, 11 if n == 3 else 101)
-        grid = np.stack(np.meshgrid(*[arm_actions] * n, indexing="ij"))
+        joint = np.indices((len(arm_actions),) * n)
         checked = 0
         for rho in (-100.0, -10.0, 0.5, 1.0, 3.0, 10.0, 100.0):
             for alpha in (0.5, 1.0, 1.5, 2.0, 3.7):
                 for b in (1.0, 3.0, 5.0, 7.0, 9.0):
                     g = game(rho=rho, expertise=(0.3, 0.8, 0.55)[:n], b=b, kind=kind,
                              alpha=alpha)
-                    S, L, _ = _reward_tables([g], arm_actions, traced=())
-                    _, _, rewards = _payoffs(g, grid)
+                    G_terms, factored = _term_table_rewards(g, arm_actions, joint)
+                    G, _, rewards = _payoffs(g, arm_actions[joint])
+                    assert np.array_equal(G_terms, G), (rho, alpha, b)
                     for i in range(n):
-                        shape = [1] * n
-                        shape[i] = len(arm_actions)
-                        factored = L[i].reshape(shape) * S[0].reshape(grid.shape[1:])
-                        assert np.array_equal(factored, rewards[i]), (rho, alpha, b, i)
+                        assert np.array_equal(factored[i], rewards[i]), (rho, alpha, b, i)
                     checked += 1
-        assert checked == 175  # 1,050 tables over the six parametrisations
+        assert checked == 175  # 1,050 grids over the six parametrisations
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_episode_rewards_equal_payoffs(self, tmp_path, n):
+        # Each episode's rewards are _payoffs' on its joint action alone, whose
+        # gifts numpy sums pairwise from n = 8.  Three arms (0, 0.5, 1) at a
+        # high temperature make zero gifts common, under rho < 0 and rho > 0.
+        rng = np.random.default_rng(n)
+        for rho, evaluation in ((-10.0, EvaluationSpec("logistic", d=10.0, gamma=2.0, b=5.0)),
+                                (0.5, EvaluationSpec("identity")),
+                                (3.0, EvaluationSpec("heaviside", d=10.0, b=5.0))):
+            g = GameSpec(n=n, rho=rho, betas=rng.uniform(0.5, 2.0, n), delta_t=10.0,
+                         expertise=rng.uniform(0.1, 1.0, n), alpha=1.5, evaluation=evaluation,
+                         leisure_capacity=rng.uniform(0.5, 1.0, n))
+            paths = [tmp_path / f"{rho}_{j}.csv" for j in range(3)]
+
+            def config(j):
+                return TrainConfig(episodes=60, num_arms=3, tau=10.0, anneal_floor=None,
+                                   seed=spawned_seed(n, j), trace_path=str(paths[j]))
+            # a lone run, and two traced runs in a batch
+            train(g, config(0))
+            other = TrainConfig(**{**config(1).__dict__, "trace_path": None})
+            train_many([(g, config(1)), (game(rho=rho, expertise=(0.5,) * n), other),
+                        (g, config(2))])
+            for path in paths:
+                with open(path, newline="") as fh:
+                    rows = np.array([[float(x) for x in row] for row in list(csv.reader(fh))[1:]])
+                actions = rows[:, 1:n + 1]
+                assert (actions == 0.0).any()
+                for row, joint in zip(rows, actions):
+                    G, _, rewards = _payoffs(g, joint)
+                    assert row[n + 1] == G and row[n + 2:].tolist() == rewards.tolist(), (
+                        rho, path.name, row[0])
 
 
 class TestDispersion:
