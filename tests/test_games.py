@@ -231,7 +231,8 @@ class TestOnePayoffPipeline:
         T, L = _term_tables([game], arms)
         for idx in np.ndindex(*(len(arms),) * n):
             _, G, _, rewards = evaluate_joint_action(game, arms[list(idx)])
-            with np.errstate(divide="ignore"):  # one run's terms, as the trainer gathers them
+            # one run's terms as an (n, 1) column, as the trainer gathers them
+            with np.errstate(divide="ignore"):
                 G_terms = _aggregate_terms(T[range(n), idx][:, None], rho)
             assert G_terms.tolist() == [G]
             score = eval_score(game.evaluation, G_terms)[0]
