@@ -1,7 +1,7 @@
 """Time the learner and solver layers and the sweep they feed, on two commits; write a BENCH file.
 
     python3 benchmarks/learner.py --side before=../parent/src --side after=src \\
-        --repeats 7 --tier1 --out BENCH_7.json
+        --repeats 7 --tier1 --out BENCH_8.json
 
 Each ``--side`` names a copy of the teamgames sources (default: this
 checkout's ``src/`` as ``after``), so one machine times two commits with the
@@ -21,6 +21,10 @@ and the quartiles (of a digest, its distinct values):
 * ``solve240.*``: ``solve_cell`` on the 240 cells of the default sweep grid,
   the seconds summed per regime (additive, conjunctive, disjunctive) and a
   sha256 of every cell's equilibria or exception type;
+* ``solve240.thresholds_s``: ``critical_thresholds`` for every capable player
+  (one that contributes when alone) of the 90 disjunctive cells of that grid;
+* ``best_response_us``: microseconds per ``_best_positive_response`` call of
+  one disjunctive player, over a sweep of the opponents' provision;
 * ``tier1`` (with ``--tier1``): one run of the test suite of the checkout
   that holds each side's sources.
 """
@@ -128,6 +132,28 @@ def case(name: str) -> dict:
         for regime, value in seconds.items():
             out[f"solve240.{regime}_s"] = value
         out["solve240.sha256"] = digest.hexdigest()
+    elif name == "thresholds":
+        from teamgames import equilibrium
+        config = experiments.SweepConfig()
+        games = [experiments.cell_game(config, p1, p2, rho, b)
+                 for _, p1, p2, rho, b in experiments._cell_specs(config) if rho > 1]
+        t0 = time.perf_counter()
+        for game in games:
+            for i in range(game.n):
+                if equilibrium._standalone_pair(i, game)[0] > equilibrium.BOUNDARY_TOL:
+                    try:
+                        equilibrium.critical_thresholds(i, game)
+                    except tg.TeamworkGameError:
+                        pass
+        out["solve240.thresholds_s"] = time.perf_counter() - t0
+    elif name == "best_response":
+        from teamgames import equilibrium
+        game = experiments.cell_game(experiments.SweepConfig(), 0.5, 0.9, 10.0, 5.0)
+        provisions = [0.1 * k for k in range(100)]
+        t0 = time.perf_counter()
+        for G_minus in provisions:
+            equilibrium._best_positive_response(game, 0, G_minus)
+        out["best_response_us"] = (time.perf_counter() - t0) / len(provisions) * 1e6
     elif name == "sweep":
         experiments.run_sweep(_sweep_config())
         out["sweep90.run_sweep_s"] = time.perf_counter() - t0
@@ -138,7 +164,7 @@ def case(name: str) -> dict:
 
 
 CASES = ("n2_R1", "n2_chunk", "n3_R1", "n3_chunk", "n4_R1", "train50k", "sweep_split",
-         "solve_regimes", "sweep")
+         "solve_regimes", "thresholds", "best_response", "sweep")
 
 
 def _run_case(src: str, name: str) -> dict:
@@ -174,7 +200,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--side", action="append", metavar="LABEL=SRC",
                         help="a label and the teamgames sources it times (repeatable)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_7.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_8.json"))
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--tier1", action="store_true")
     parser.add_argument("--src", help=argparse.SUPPRESS)

@@ -121,24 +121,6 @@ def _bisect(f, lo, hi, *, xtol, flo=None, fhi=None, maxiter=400):
     return 0.5 * (lo + hi)
 
 
-# Kept beside ces_aggregate: ~20x cheaper per call.  The ternary refinement of a best
-# response and critical_thresholds' indifference aggregate call it on one value.
-def _agg2(rho: float, w: float, v: float) -> float:
-    """(w**rho + v**rho)**(1/rho) for w, v >= 0 with the zero conventions."""
-    if w == 0.0 and v == 0.0:
-        return 0.0
-    if rho < 0 and (w == 0.0 or v == 0.0):
-        return 0.0
-    if w == 0.0:
-        return v
-    if v == 0.0:
-        return w
-    a = rho * math.log(w)
-    b = rho * math.log(v)
-    m = max(a, b)
-    return math.exp((m + math.log(math.exp(a - m) + math.exp(b - m))) / rho)
-
-
 def _require_smooth(game: GameSpec, where: str):
     if not game.evaluation.is_smooth:
         raise UnsupportedEvaluationError(
@@ -423,10 +405,16 @@ def solve_equilibrium_concave(game: GameSpec, *, num_brackets: int = 2048) -> li
     roots: list[float] = []
     if game.rho == 1 and abs(values[0]) < 1e-12:
         roots.append(grid[0])  # nobody contributes even at G = 0
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
+    elif 0 < game.rho < 1 and abs(values[0]) <= max(hi, 1.0) * 1e-9:
+        # grid[0] is the largest standalone value; a residue within the dedup
+        # radius makes it a fixed point (a lone player's equilibrium)
+        roots.append(float(grid[0]))
+    neg = values < 0
+    for k in np.nonzero((values[:-1] == 0.0) | (neg[:-1] != neg[1:]))[0]:
+        a, b, fa, fb = grid[k], grid[k + 1], values[k], values[k + 1]
         if fa == 0.0 and a not in roots:
             roots.append(float(a))
-        elif (fa < 0) != (fb < 0):
+        elif neg[k] != neg[k + 1]:
             roots.append(float(_bisect(f, float(a), float(b), xtol=max(hi, 1.0) * 1e-13,
                                        flo=fa, fhi=fb)))
     if abs(values[-1]) < 1e-12 and not any(abs(r - grid[-1]) < 1e-9 for r in roots):
@@ -463,11 +451,13 @@ def _best_positive_response(game: GameSpec, player: int, G_minus: float,
                             *, grid: int = 256) -> tuple[float, float] | None:
     """Best strictly positive contribution against opponents providing G_minus.
 
-    Returns (gift, utility) for the best g > 0, or None when every positive
-    contribution is dominated so badly that the sampled utilities vanish.
-    Uses a coarse grid, evaluated as one array, followed by scalar ternary
-    refinement.  Leisure is clamped at 0: at g = cap, ``dt - g/p`` can round
-    below zero, and a non-integer alpha would turn it into NaN.
+    Returns (gift, utility) for the best g > 0, or None for a player with no
+    expertise.  Scores a ``grid``-point gift grid in one array pass, then
+    zooms in: each level re-grids the two cells around the argmax with
+    ``grid + 1`` points, until the bracket is ``cap * 1e-14`` wide, and
+    returns the last argmax.  Leisure is clamped at 0: at g = cap,
+    ``dt - g/p`` can round below zero, and a non-integer alpha would turn it
+    into NaN.
     """
     p = game.expertise[player]
     if p == 0.0:
@@ -478,36 +468,32 @@ def _best_positive_response(game: GameSpec, player: int, G_minus: float,
     spec = game.evaluation
     alpha = game.alpha
     dt = game.delta_t
+    b = None if G_minus == 0.0 else rho * math.log(G_minus)
 
-    def u(g):
-        G = _agg2(rho, bscale * g, G_minus)
-        return max(dt - g / p, 0.0) ** alpha * score_scalar(spec, G)
-
-    gs = np.linspace(0.0, cap, grid + 1)[1:]
-    # _agg2 over the grid: a two-term log-sum-exp (rho > 1, so every w > 0)
-    w = bscale * gs
-    if G_minus == 0.0:
-        G = w
-    else:
-        a = rho * np.log(w)
-        b = rho * math.log(G_minus)
-        m = np.maximum(a, b)
-        G = np.exp((m + np.log(np.exp(a - m) + np.exp(b - m))) / rho)
-    us = np.maximum(dt - gs / p, 0.0) ** alpha * eval_score(spec, G)
-    j = int(np.argmax(us))
-    lo = gs[j - 1] if j > 0 else cap * 1e-12
-    hi = gs[j + 1] if j + 1 < len(gs) else gs[-1]
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if u(m1) < u(m2):
-            lo = m1
+    def utilities(gs):
+        # the two-term CES (w**rho + G_minus**rho)**(1/rho) as a log-sum-exp;
+        # rho > 1, so every w > 0 has a finite term
+        w = bscale * gs
+        if b is None:
+            G = w
         else:
-            hi = m2
+            a = rho * np.log(w)
+            m = np.maximum(a, b)
+            G = np.exp((m + np.log(np.exp(a - m) + np.exp(b - m))) / rho)
+        return np.maximum(dt - gs / p, 0.0) ** alpha * eval_score(spec, G)
+
+    ramp = np.arange(grid + 1) / grid
+    gs = cap * ramp[1:]
+    lo, hi = cap * 1e-12, gs[-1]
+    for _ in range(200):
+        us = utilities(gs)
+        j = int(np.argmax(us))
+        lo = gs[j - 1] if j > 0 else lo
+        hi = gs[j + 1] if j + 1 < len(gs) else hi
         if hi - lo <= cap * 1e-14:
             break
-    g_best = 0.5 * (lo + hi)
-    return g_best, u(g_best)
+        gs = lo + (hi - lo) * ramp
+    return float(gs[j]), float(us[j])
 
 
 def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
@@ -554,10 +540,11 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
     G_minus_star = _bisect(h, 0.0, G_bar, xtol=max(G_bar, 1.0) * 1e-13, flo=h0)
     best = _best_positive_response(game, player, G_minus_star)
     # The indifference point sits weakly left of the standalone point; the
-    # argmax location carries ~sqrt(eps) ternary noise, so enforce the exact
-    # ordering rather than letting it leak into subset-acceptance checks.
+    # utility is flat at the argmax, so the grid's best point can land a few
+    # grid cells off it.  Enforce the exact ordering rather than letting that
+    # noise leak into subset-acceptance checks.
     g_star = min(best[0], g_bar)
-    G_star = min(_agg2(game.rho, bscale * g_star, G_minus_star), G_bar)
+    G_star = min(ces_aggregate([bscale * g_star, G_minus_star], game.rho, (1.0, 1.0)), G_bar)
 
     u_active = best[1]
     u_out = _u_zero(game, G_minus_star)

@@ -190,8 +190,8 @@ def validate_evaluation(spec: EvaluationSpec, grid: tuple[float, float], points:
     return ValidityReport(True)
 
 
-# Kept beside eval_score: 3-6x cheaper per call on a float.  The disjunctive solver's
-# scalar steps call it: the ternary refinement of a best response and the free-riding payoff.
+# Kept beside eval_score: 3-6x cheaper per call on a float.  Its only solver caller is
+# the free-riding payoff, equilibrium._u_zero, once per step of the threshold bisection.
 def score_scalar(spec: EvaluationSpec, G: float) -> float:
     """Scalar fast path used by inner solver loops."""
     if spec.kind == "identity":

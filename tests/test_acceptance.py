@@ -50,11 +50,12 @@ def spot_check_outcomes():
         "conjunctive_medium_homogeneous": (game(-10.0, (0.9, 0.9), b=5.0), [(58, 58)]),
         "disjunctive_hard_homogeneous": (game(10.0, (0.5, 0.5), b=7.0), [(80, 0), (0, 80)]),
     }
-    outcomes = {}
-    for name, (g, targets) in cases.items():
-        runs = [tg.train(g, TrainConfig(episodes=50_000, seed=seed)) for seed in (0, 1, 2)]
-        outcomes[name] = (runs, targets)
-    return outcomes
+    seeds = (0, 1, 2)
+    # one lockstep batch; each outcome is bitwise that of its own train call
+    runs = tg.train_many([(g, TrainConfig(episodes=50_000, seed=seed))
+                          for g, _ in cases.values() for seed in seeds])
+    return {name: (runs[k * len(seeds):(k + 1) * len(seeds)], targets)
+            for k, (name, (_, targets)) in enumerate(cases.items())}
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,6 @@ import pytest
 
 from teamgames import equilibrium
 from teamgames.equilibrium import (
-    _agg2,
     _best_positive_response,
     _conjunctive_gift,
     _replacement_gifts,
@@ -605,14 +604,23 @@ class TestReplacementGiftsParity:
                                        refine_step=1e-4).is_nash
 
 
-def _scalar_best_positive_response(g, player, G_minus, grid=256):
-    """Best positive response with the utility grid evaluated one point at a time."""
+def _ternary_best_positive_response(g, player, G_minus, grid=256):
+    """Best positive response by the earlier scalar search: a point-by-point
+    grid, then ternary refinement of the bracket around its argmax."""
     p = g.expertise[player]
     cap = p * g.delta_t
     bscale = g.betas[player] ** (1.0 / g.rho)
 
+    def agg2(w, v):
+        # (w**rho + v**rho)**(1/rho) for w > 0, v >= 0
+        if v == 0.0:
+            return w
+        a, b = g.rho * math.log(w), g.rho * math.log(v)
+        m = max(a, b)
+        return math.exp((m + math.log(math.exp(a - m) + math.exp(b - m))) / g.rho)
+
     def u(x):
-        G = _agg2(g.rho, bscale * x, G_minus)
+        G = agg2(bscale * x, G_minus)
         return max(g.delta_t - x / p, 0.0) ** g.alpha * score_scalar(g.evaluation, G)
 
     gs = np.linspace(0.0, cap, grid + 1)[1:]
@@ -637,13 +645,24 @@ class TestBestPositiveResponse:
     @pytest.mark.parametrize("kind,alpha", [("logistic", 2.0), ("logistic", 1.631),
                                             ("identity", 0.7)])
     def test_array_grid_matches_scalar_grid(self, rho, kind, alpha):
-        # the refinement starts from the grid's argmax, so equal (gift, utility)
-        # bit for bit means the two grids picked the same point
+        # the zoom grid never scores below the ternary search, and lands on
+        # the same gift up to the flatness of the utility at its peak
         g = game(rho=rho, expertise=(0.81, 0.5), b=4.0, kind=kind, alpha=alpha,
                  betas=(1.3, 1.0))
+        cap = 0.81 * g.delta_t
         for G_minus in np.linspace(0.0, 1.2 * g.max_aggregate(), 25):
-            assert _best_positive_response(g, 0, G_minus) == \
-                _scalar_best_positive_response(g, 0, G_minus)
+            g_new, u_new = _best_positive_response(g, 0, G_minus)
+            g_ref, u_ref = _ternary_best_positive_response(g, 0, G_minus)
+            assert u_new >= u_ref
+            assert abs(g_new - g_ref) <= 1e-7 * cap
+
+    @pytest.mark.parametrize("rho,expected", [(3.0, 4.413672041469965),
+                                              (10.0, 4.135312522529363),
+                                              (500.0, 4.127949843620842)])
+    def test_threshold_unchanged_by_zoom_grid(self, rho, expected):
+        # the values the ternary search gave: the outer bisection's sign tests
+        # come out the same with the zoom grid's best responses
+        assert critical_thresholds(0, game(rho=rho, b=5.0)).G_minus_star == expected
 
     def test_no_nan_when_leisure_rounds_below_zero(self):
         # at g = cap, dt - cap/p rounds to -1.8e-15 for p = 0.81; with a
@@ -667,6 +686,23 @@ class TestConjunctiveRootBelowBracket:
         results = solve_equilibrium_concave(g)
         assert len(results) == 1
         assert results[0].aggregate_G == pytest.approx(0.6206, abs=1e-4)
+        eps = 1e-3 * max_achievable_utility(g)
+        assert verify_epsilon_nash(results[0].actions, g, eps, grid_step=0.01,
+                                   refine_step=1e-4).is_nash
+
+
+class TestConjunctiveFixedPointAtScanStart:
+    @pytest.mark.parametrize("rho,p", [(0.1, 0.9), (0.5, 0.81)])
+    @pytest.mark.parametrize("kind,gamma", [("identity", 2.0), ("logistic", 2.0),
+                                            ("logistic", 100.0)])
+    def test_lone_player_standalone_is_found(self, rho, p, kind, gamma):
+        # the scan starts at the standalone point, the lone player's fixed
+        # point, where R(G) - G is a rounding residue of 1e-15 to 1e-12,
+        # often negative, rather than an exact zero
+        g = game(rho=rho, expertise=(p,), kind=kind, gamma=gamma)
+        results = solve_equilibrium_concave(g)
+        assert len(results) == 1
+        assert results[0].aggregate_G == pytest.approx(standalone_value(0, g), rel=1e-9)
         eps = 1e-3 * max_achievable_utility(g)
         assert verify_epsilon_nash(results[0].actions, g, eps, grid_step=0.01,
                                    refine_step=1e-4).is_nash
