@@ -447,15 +447,15 @@ def _u_zero(game: GameSpec, G_minus: float) -> float:
     return game.delta_t ** game.alpha * score_scalar(game.evaluation, G_minus)
 
 
-def _best_positive_response(game: GameSpec, player: int, G_minus: float,
-                            *, grid: int = 256) -> tuple[float, float] | None:
+def _best_positive_response(game: GameSpec, player: int,
+                            G_minus: float) -> tuple[float, float] | None:
     """Best strictly positive contribution against opponents providing G_minus.
 
     Returns (gift, utility) for the best g > 0, or None for a player with no
-    expertise.  Scores a ``grid``-point gift grid in one array pass, then
-    zooms in: each level re-grids the two cells around the argmax with
-    ``grid + 1`` points, until the bracket is ``cap * 1e-14`` wide, and
-    returns the last argmax.  Leisure is clamped at 0: at g = cap,
+    expertise.  Scores a 256-point gift grid in one array pass, then zooms
+    in: each level re-grids the two cells around the argmax with 257 points,
+    128 times finer, until the bracket is ``cap * 1e-14`` wide (seven passes),
+    and returns the last argmax.  Leisure is clamped at 0: at g = cap,
     ``dt - g/p`` can round below zero, and a non-integer alpha would turn it
     into NaN.
     """
@@ -482,7 +482,7 @@ def _best_positive_response(game: GameSpec, player: int, G_minus: float,
             G = np.exp((m + np.log(np.exp(a - m) + np.exp(b - m))) / rho)
         return np.maximum(dt - gs / p, 0.0) ** alpha * eval_score(spec, G)
 
-    ramp = np.arange(grid + 1) / grid
+    ramp = np.arange(257) / 256
     gs = cap * ramp[1:]
     lo, hi = cap * 1e-12, gs[-1]
     for _ in range(200):

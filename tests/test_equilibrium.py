@@ -605,8 +605,8 @@ class TestReplacementGiftsParity:
 
 
 def _ternary_best_positive_response(g, player, G_minus, grid=256):
-    """Best positive response by the earlier scalar search: a point-by-point
-    grid, then ternary refinement of the bracket around its argmax."""
+    """Reference best positive response: a point-by-point scalar grid, then
+    ternary refinement of the bracket around its argmax."""
     p = g.expertise[player]
     cap = p * g.delta_t
     bscale = g.betas[player] ** (1.0 / g.rho)
