@@ -1,7 +1,7 @@
 """Time the learner and solver layers and the sweep they feed, on two commits; write a BENCH file.
 
     python3 benchmarks/learner.py --side before=../parent/src --side after=src \\
-        --repeats 7 --tier1 --out BENCH_8.json
+        --repeats 7 --tier1 --out BENCH_9.json
 
 Each ``--side`` names a copy of the teamgames sources (default: this
 checkout's ``src/`` as ``after``), so one machine times two commits with the
@@ -25,6 +25,11 @@ and the quartiles (of a digest, its distinct values):
   (one that contributes when alone) of the 90 disjunctive cells of that grid;
 * ``best_response_us``: microseconds per ``_best_positive_response`` call of
   one disjunctive player, over a sweep of the opponents' provision;
+* ``roots.*``: over ``solve_cell`` on those 240 cells, the mean number of
+  function evaluations the root-finder makes per root of the three outer
+  loops: a critical threshold, a concave fixed point and a disjunctive share
+  equation (end values the caller passes in are not counted), and how many
+  roots of each kind were found (untimed: every evaluation is counted);
 * ``tier1`` (with ``--tier1``): one run of the test suite of the checkout
   that holds each side's sources.
 """
@@ -154,6 +159,41 @@ def case(name: str) -> dict:
         for G_minus in provisions:
             equilibrium._best_positive_response(game, 0, G_minus)
         out["best_response_us"] = (time.perf_counter() - t0) / len(provisions) * 1e6
+    elif name == "roots":
+        from teamgames import equilibrium
+        callers = {"critical_thresholds": "thresholds", "solve_equilibrium_concave": "concave",
+                   "enumerate_disjunctive_equilibria": "share"}
+        evals = {kind: [] for kind in callers.values()}
+
+        def counting(finder):
+            def wrapper(f, *args, **kwargs):
+                kind = callers.get(sys._getframe(1).f_code.co_name)
+                calls = 0
+
+                def counted(x):
+                    nonlocal calls
+                    calls += 1
+                    return f(x)
+                try:
+                    return finder(counted, *args, **kwargs)
+                finally:
+                    if kind:
+                        evals[kind].append(calls)
+            return wrapper
+
+        # the outer loops bisect on older sides; module globals are looked up per call
+        for finder in ("_bisect", "_brent"):
+            if hasattr(equilibrium, finder):
+                setattr(equilibrium, finder, counting(getattr(equilibrium, finder)))
+        config = experiments.SweepConfig()
+        for _, p1, p2, rho, b in experiments._cell_specs(config):
+            try:
+                experiments.solve_cell(experiments.cell_game(config, p1, p2, rho, b))
+            except tg.TeamworkGameError:
+                pass
+        for kind, counts in evals.items():
+            out[f"roots.{kind}_evals"] = statistics.mean(counts) if counts else 0.0
+            out[f"roots.{kind}_count"] = len(counts)
     elif name == "sweep":
         experiments.run_sweep(_sweep_config())
         out["sweep90.run_sweep_s"] = time.perf_counter() - t0
@@ -164,7 +204,7 @@ def case(name: str) -> dict:
 
 
 CASES = ("n2_R1", "n2_chunk", "n3_R1", "n3_chunk", "n4_R1", "train50k", "sweep_split",
-         "solve_regimes", "thresholds", "best_response", "sweep")
+         "solve_regimes", "thresholds", "best_response", "roots", "sweep")
 
 
 def _run_case(src: str, name: str) -> dict:
@@ -200,7 +240,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--side", action="append", metavar="LABEL=SRC",
                         help="a label and the teamgames sources it times (repeatable)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_8.json"))
+    parser.add_argument("--out", help="the BENCH file to write (required)")
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--tier1", action="store_true")
     parser.add_argument("--src", help=argparse.SUPPRESS)
@@ -210,6 +250,8 @@ def main(argv=None) -> int:
         sys.path.insert(0, args.src)
         print(json.dumps(case(args.case)))
         return 0
+    if not args.out:
+        parser.error("--out is required, so a rerun cannot overwrite an earlier BENCH file")
 
     sides = dict(side.split("=", 1) for side in args.side or [f"after={ROOT / 'src'}"])
     sides = {label: str(Path(src).resolve()) for label, src in sides.items()}

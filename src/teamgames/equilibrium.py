@@ -8,7 +8,7 @@ the fixed points of ``R(G) = CES(r_1(G), ..., r_n(G))``.
 Task regimes:
 
 * additive (rho = 1): ``r_i(G) = max(0, p_i*dt - (alpha/beta_i) * sigma/sigma')``,
-  a closed form; the fixed point is found by a bracket scan plus bisection.
+  a closed form; the fixed point is found by a bracket scan plus Brent's method.
 * conjunctive (rho < 1, rho != 0): ``r_i`` solves the implicit first-order
   condition ``sigma/sigma' * G**(rho-1) = (dt - r/p) * (beta*p/alpha) * r**(rho-1)``,
   a strictly decreasing one-dimensional root problem solved in log space so
@@ -119,6 +119,62 @@ def _bisect(f, lo, hi, *, xtol, flo=None, fhi=None, maxiter=400):
         if hi - lo <= xtol:
             break
     return 0.5 * (lo + hi)
+
+
+def _brent(f, lo, hi, *, xtol, flo=None, fhi=None, maxiter=400):
+    """Brent's method with ``_bisect``'s contract: inverse quadratic
+    interpolation or a secant step, falling back to bisection whenever the
+    step leaves the bracket, shrinks too slowly or meets an infinite value.
+
+    ``b`` is the best point so far, ``c`` the other end of the bracket
+    ``[b, c]`` and ``a`` the previous ``b``.  Returns ``b`` once the bracket
+    is ``xtol`` wide (Brent 1973, ch. 4, with the tolerance fixed at
+    ``xtol / 2``).
+    """
+    fa = f(lo) if flo is None else flo
+    fb = f(hi) if fhi is None else fhi
+    if fa == 0:
+        return lo
+    if fb == 0:
+        return hi
+    if (fa < 0) == (fb < 0):
+        raise InputError(f"no sign change on [{lo}, {hi}]: f={fa}, {fb}")
+    a, b = lo, hi
+    c, fc = a, fa
+    step = last = b - a
+    tol = 0.5 * xtol
+    for _ in range(maxiter):
+        if (fb < 0) == (fc < 0):
+            c, fc = a, fa
+            step = last = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        half = 0.5 * (c - b)
+        if fb == 0 or abs(half) <= tol:
+            return b
+        finite = math.isfinite(fa) and math.isfinite(fc)
+        if finite and abs(last) >= tol and abs(fb) < abs(fa):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(last * q)):
+                last, step = step, p / q
+            else:
+                last = step = half
+        else:
+            last = step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else math.copysign(tol, half)
+        fb = f(b)
+    return b
 
 
 def _require_smooth(game: GameSpec, where: str):
@@ -361,8 +417,8 @@ def solve_equilibrium_concave(game: GameSpec, *, num_brackets: int = 2048) -> li
     """All fixed points of the aggregate replacement map for rho <= 1.
 
     Scans ``num_brackets`` uniform brackets for sign changes of R(G) - G and
-    refines each by bisection; raises NoEquilibriumError (with the scan
-    trace attached) when no crossing exists.
+    refines each with Brent's method; raises NoEquilibriumError (with the
+    scan trace attached) when no crossing exists.
     """
     if game.rho > 1 or game.rho == 0:
         raise WrongSolverError(
@@ -415,8 +471,9 @@ def solve_equilibrium_concave(game: GameSpec, *, num_brackets: int = 2048) -> li
         if fa == 0.0 and a not in roots:
             roots.append(float(a))
         elif neg[k] != neg[k + 1]:
-            roots.append(float(_bisect(f, float(a), float(b), xtol=max(hi, 1.0) * 1e-13,
-                                       flo=fa, fhi=fb)))
+            # Brent reads values, not just signs, so the ends come from the
+            # scalar f, not the scan: the root is that of a point-by-point scan
+            roots.append(float(_brent(f, float(a), float(b), xtol=max(hi, 1.0) * 1e-13)))
     if abs(values[-1]) < 1e-12 and not any(abs(r - grid[-1]) < 1e-9 for r in roots):
         roots.append(float(grid[-1]))
 
@@ -499,8 +556,9 @@ def _best_positive_response(game: GameSpec, player: int,
 def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
     """Indifference point between contributing and free-riding (rho > 1).
 
-    Solved with the opponents' provision as the outer bisection variable:
-    at G_minus_star the best positive response and free-riding pay the same.
+    Solved for the opponents' provision with Brent's method, each evaluation
+    one best response: at G_minus_star the best positive response and
+    free-riding pay the same.
     (Parametrising by the gift instead collapses numerically for large rho,
     where the gift gap to the standalone point falls below float spacing.)
     """
@@ -537,7 +595,7 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
         raise RegimeError(
             f"player {player} prefers free-riding even on nothing; no "
             "positive threshold exists")
-    G_minus_star = _bisect(h, 0.0, G_bar, xtol=max(G_bar, 1.0) * 1e-13, flo=h0)
+    G_minus_star = _brent(h, 0.0, G_bar, xtol=max(G_bar, 1.0) * 1e-13, flo=h0)
     best = _best_positive_response(game, player, G_minus_star)
     # The indifference point sits weakly left of the standalone point; the
     # utility is flat at the argmax, so the grid's best point can land a few
@@ -671,7 +729,7 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
                 return sum(_share_positive(game, j, G) for j in _J)
 
             # An end within the 1e-9 admission band but outside 1e-12 of one
-            # is the root itself: bisecting from it would find no sign change.
+            # is the root itself: a root search from it would find no sign change.
             s_lo = S(G_star_J)
             if s_lo > 1.0 + 1e-9:
                 continue
@@ -684,9 +742,9 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
                 if s_hi <= 1.0 + 1e-12:
                     G_hat = hi
                 else:
-                    G_hat = _bisect(lambda G: S(G) - 1.0, G_star_J, hi,
-                                    xtol=max(hi, 1.0) * 1e-14,
-                                    flo=s_lo - 1.0, fhi=s_hi - 1.0)
+                    G_hat = _brent(lambda G: S(G) - 1.0, G_star_J, hi,
+                                   xtol=max(hi, 1.0) * 1e-14,
+                                   flo=s_lo - 1.0, fhi=s_hi - 1.0)
             gifts = np.zeros(game.n)
             for j in J:
                 gifts[j] = _positive_branch_gift(game, j, G_hat)

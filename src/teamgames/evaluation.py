@@ -191,7 +191,7 @@ def validate_evaluation(spec: EvaluationSpec, grid: tuple[float, float], points:
 
 
 # Kept beside eval_score: 3-6x cheaper per call on a float.  Its only solver caller is
-# the free-riding payoff, equilibrium._u_zero, once per step of the threshold bisection.
+# the free-riding payoff, equilibrium._u_zero, once per step of the threshold root search.
 def score_scalar(spec: EvaluationSpec, G: float) -> float:
     """Scalar fast path used by inner solver loops."""
     if spec.kind == "identity":

@@ -228,6 +228,11 @@ def ces_aggregate(gifts, rho: float, betas):
         # positive gift, or a zero gift under rho < 0) have G = 0; with m
         # set to 0 there, the sum is 0 or +inf and G comes out as exactly 0.
         t = log_b + rho * np.log(g)
+        if t.ndim >= 2 and len(t) >= 8:
+            # From 8 terms numpy sums a contiguous run pairwise and a strided
+            # one in order; with each cell's terms contiguous, every cell sums
+            # as a lone joint action does.  Below 8 every layout sums in order.
+            t = np.asfortranarray(t)
         m = t.max(axis=0)
         m = np.where(np.isfinite(m), m, 0.0)
         t -= m  # in place: a joint-action grid can hold millions of cells

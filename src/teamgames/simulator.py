@@ -17,9 +17,8 @@ one-run case).  Rewards take one path for every team size: each player's
 CES log-term and leisure factor are tabulated per arm before the first
 episode, and each episode finishes ``ces_aggregate`` over the gathered
 terms, scores the outcomes and multiplies by the leisure factors.  They
-equal ``games._payoffs`` on each joint action alone, bit for bit; from
-n = 8 that can differ in the last bit from ``_payoffs`` over an
-``(n, cells)`` grid (see ``_aggregate_terms``).  Each run draws from its
+equal ``games._payoffs`` bit for bit, on each joint action alone or over an
+``(n, cells)`` grid of them (see ``_aggregate_terms``).  Each run draws from its
 own counter-based stream, so an outcome is bitwise the same whatever it is
 batched with; sweep seeds are derived from a base seed with spawn keys, so
 parallel runs match serial ones.
@@ -164,9 +163,10 @@ def _term_tables(games, arm_actions: np.ndarray):
 def _aggregate_terms(terms: np.ndarray, rho) -> np.ndarray:
     """CES team outcomes from log-terms (one row per player, overwritten) by
     ``ces_aggregate``'s steps; call it with division warnings off, for the
-    ``log(0)`` of a team with no positive gift.  From 8 players numpy sums
-    contiguous columns pairwise, as ``ces_aggregate`` sums one joint action's
-    gifts, and strided ones in order, which can differ in the last bit."""
+    ``log(0)`` of a team with no positive gift.  Each run's column is
+    contiguous, as ``ces_aggregate`` lays out a grid's cells, so from 8
+    players numpy sums every column pairwise, as it sums one joint action's
+    gifts, and not in order, as it would a strided column."""
     m = np.maximum.reduce(terms, axis=0)
     m = np.where(np.isfinite(m), m, 0.0)
     terms -= m

@@ -660,9 +660,17 @@ class TestBestPositiveResponse:
                                               (10.0, 4.135312522529363),
                                               (500.0, 4.127949843620842)])
     def test_threshold_unchanged_by_zoom_grid(self, rho, expected):
-        # the values the ternary search gave: the outer bisection's sign tests
-        # come out the same with the zoom grid's best responses
-        assert critical_thresholds(0, game(rho=rho, b=5.0)).G_minus_star == expected
+        # the values the ternary search and bisection gave, to the root-finder's
+        # xtol; the indifference gap h changes sign within xtol of the threshold
+        g = game(rho=rho, b=5.0)
+        thr = critical_thresholds(0, g)
+        xtol = max(thr.standalone, 1.0) * 1e-13
+        assert abs(thr.G_minus_star - expected) <= xtol
+
+        def h(G_minus):
+            return _best_positive_response(g, 0, G_minus)[1] - equilibrium._u_zero(g, G_minus)
+
+        assert h(thr.G_minus_star - xtol) > 0 > h(thr.G_minus_star + xtol)
 
     def test_no_nan_when_leisure_rounds_below_zero(self):
         # at g = cap, dt - cap/p rounds to -1.8e-15 for p = 0.81; with a
@@ -673,6 +681,44 @@ class TestBestPositiveResponse:
         assert gift == pytest.approx(3.0787, abs=1e-3)
         assert u == pytest.approx(60.35, abs=1e-2)
         assert critical_thresholds(0, g).G_minus_star == pytest.approx(1.466, abs=1e-3)
+
+
+class TestBrent:
+    @pytest.mark.parametrize("f,lo,hi,root", [
+        (lambda x: (x - 1.0) * (x + 2.0) * (x - 4.0), 0.0, 3.0, 1.0),
+        (lambda x: math.exp(x) - 2.0, -1.0, 5.0, math.log(2.0)),
+        (lambda x: 2.0 - math.exp(x), -1.0, 5.0, math.log(2.0)),
+    ], ids=["cubic", "exp", "exp-falling"])
+    def test_root_within_xtol(self, f, lo, hi, root):
+        assert abs(equilibrium._brent(f, lo, hi, xtol=1e-12) - root) <= 1e-12
+
+    def test_returns_an_end_at_a_root(self):
+        def f(x):
+            return x - 1.0
+        assert equilibrium._brent(f, 1.0, 3.0, xtol=1e-12) == 1.0
+        assert equilibrium._brent(f, -2.0, 1.0, xtol=1e-12) == 1.0
+        # the caller's end values are used, not recomputed
+        assert equilibrium._brent(f, 0.0, 3.0, xtol=1e-12, fhi=0.0) == 3.0
+
+    def test_no_sign_change_names_the_interval(self):
+        with pytest.raises(InputError, match=r"no sign change on \[2.0, 3.0\]"):
+            equilibrium._brent(lambda x: x - 1.0, 2.0, 3.0, xtol=1e-12)
+
+    def test_infinite_end(self):
+        def f(x):
+            return math.inf if x == 0.0 else 1.0 / x - 2.0
+        assert abs(equilibrium._brent(f, 0.0, 4.0, xtol=1e-13) - 0.5) <= 1e-13
+
+    @pytest.mark.parametrize("rho", [3.0, 10.0, 500.0])
+    def test_threshold_takes_few_evaluations(self, rho, monkeypatch):
+        # every h evaluation is one best response, and one more follows the
+        # root; bisection took 45 or more
+        calls = []
+        best = equilibrium._best_positive_response
+        monkeypatch.setattr(equilibrium, "_best_positive_response",
+                            lambda *args: calls.append(args) or best(*args))
+        critical_thresholds(0, game(rho=rho, b=5.0))
+        assert len(calls) - 1 <= 25
 
 
 class TestConjunctiveRootBelowBracket:

@@ -11,6 +11,7 @@ from teamgames.games import (
     GameSpec,
     GiftVector,
     JointAction,
+    _payoffs,
     ces_aggregate,
     evaluate_joint_action,
     gift_from_action,
@@ -245,3 +246,21 @@ class TestOnePayoffPipeline:
                 deviated = profile.copy()
                 deviated[player] = a
                 assert u == evaluate_joint_action(game, deviated)[3][player]
+
+    @pytest.mark.parametrize("rho", [0.5, 3.0, -10.0])
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_c_ordered_grid_matches_each_joint_action(self, n, rho):
+        # from n = 8 numpy sums a contiguous run of terms pairwise and a strided
+        # one in order; the grid's cells must sum as one joint action's gifts
+        rng = np.random.default_rng(n)
+        game = GameSpec(n=n, rho=rho, betas=tuple(rng.uniform(0.5, 2.0, n)), delta_t=10.0,
+                        expertise=tuple(rng.uniform(0.1, 1.0, n)), alpha=2.0,
+                        evaluation=EvaluationSpec("logistic", d=10.0, gamma=2.0, b=5.0))
+        actions = rng.uniform(0.0, 1.0, (n, 300))
+        actions[:, ::7] = np.round(actions[:, ::7])  # zero gifts, under rho < 0 too
+        assert actions.flags.c_contiguous
+        G, score, rewards = _payoffs(game, actions)
+        for c in range(actions.shape[1]):
+            _, G_c, score_c, rewards_c = evaluate_joint_action(game, actions[:, c])
+            assert G[c] == G_c and score[c] == score_c
+            assert rewards[:, c].tolist() == rewards_c.tolist()
