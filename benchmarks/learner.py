@@ -37,6 +37,7 @@ and the quartiles (of a digest, its distinct values):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -129,7 +130,7 @@ def case(name: str) -> dict:
             regime = "additive" if rho == 1 else "conjunctive" if rho < 1 else "disjunctive"
             t1 = time.perf_counter()
             try:
-                outcome = [e.to_dict() for e in experiments.solve_cell(game)]
+                outcome = [dataclasses.asdict(e) for e in experiments.solve_cell(game)]
             except tg.TeamworkGameError as exc:
                 outcome = type(exc).__name__
             seconds[regime] += time.perf_counter() - t1

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .equilibrium import NoEquilibriumError
-from .errors import ConfigurationError, TeamworkGameError
+from .errors import ConfigurationError, TeamworkGameError, _cast
 from .experiments import (
     SweepConfig,
     heatmap_table,
@@ -59,6 +61,8 @@ def _apply_overrides(data: dict, overrides) -> dict:
     Values are parsed as JSON when possible, else kept as strings; dotted
     keys descend into nested objects.
     """
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"input spec must be an object, got {type(data).__name__}")
     out = json.loads(json.dumps(data))
     for item in overrides or []:
         if "=" not in item:
@@ -87,10 +91,8 @@ def _load_input(args) -> dict:
     return _apply_overrides(data, args.set)
 
 
-def _check_keys(data, allowed, what: str) -> None:
-    """Reject a spec that is not an object or has keys outside ``allowed``."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{what} spec must be an object, got {type(data).__name__}")
+def _check_keys(data: dict, allowed, what: str) -> None:
+    """Reject a spec with keys outside ``allowed``."""
     unknown = set(data) - set(allowed)
     if unknown:
         raise ConfigurationError(f"unknown {what} spec key(s): {sorted(unknown)}")
@@ -131,7 +133,7 @@ def cmd_solve(args) -> int:
         print(f"no equilibrium found: {exc}", file=sys.stderr)
         return 2
     _write_json(out / "equilibria.json",
-                {"equilibria": [r.to_dict() for r in results]})
+                {"equilibria": [asdict(r) for r in results]})
     print(f"wrote {len(results)} equilibria to {out / 'equilibria.json'}")
     return 0
 
@@ -140,43 +142,22 @@ def cmd_learn(args) -> int:
     spec = GameSpec.from_dict(_load_input(args))
     out = _out_dir(args)
     trace_path = str(out / "trace.csv") if args.verbose else None
-    kwargs = {"seed": args.seed, "trace_path": trace_path}
-    if args.episodes is not None:
-        kwargs["episodes"] = args.episodes
-    if args.tau is not None:
-        kwargs["tau"] = args.tau
-    if args.k is not None:
-        kwargs["k"] = args.k
-    outcome = train(spec, TrainConfig(**kwargs))
-    _write_json(out / "learned.json", outcome.to_dict())
+    outcome = train(spec, TrainConfig(trace_path=trace_path, **_flag_values(args)))
+    _write_json(out / "learned.json", asdict(outcome))
     print(f"wrote {out / 'learned.json'}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    data = _load_input(args)
-    config = SweepConfig.from_dict(data)
-    overrides = {}
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.episodes is not None:
-        overrides["episodes"] = args.episodes
-    if args.tau is not None:
-        overrides["tau"] = args.tau
-    if args.k is not None:
-        overrides["k"] = args.k
-    if overrides:
-        config = SweepConfig.from_dict({**config.to_dict(), **overrides})
+    config = SweepConfig.from_dict({**_load_input(args), **_flag_values(args)})
     out = _out_dir(args)
     records = run_sweep(config)
     if args.format == "json":
-        _write_json(out / "records.json", [r.to_dict() for r in records])
+        _write_json(out / "records.json", [asdict(r) for r in records])
     else:
         _write_csv(out / "records.csv", _records_rows(records))
     try:
-        regression = regression_from_records(records).to_dict()
+        regression = asdict(regression_from_records(records))
     except DegenerateRegressionError as exc:
         regression = {"error": str(exc)}
     _write_json(out / "regression.json", regression)
@@ -201,15 +182,13 @@ _HEAVISIDE_KEYS = ("b", "d", "repetitions", "episodes", "tau", "k",
 def cmd_heaviside(args) -> int:
     data = _load_input(args)
     _check_keys(data, _HEAVISIDE_KEYS + ("teams",), "heaviside")
-    kwargs = {key: data[key] for key in _HEAVISIDE_KEYS if key in data}
-    teams = data.get("teams")
-    if args.seed is not None:
-        kwargs["base_seed"] = args.seed
-    if args.episodes is not None:
-        kwargs["episodes"] = args.episodes
-    results = heaviside_study(teams, **kwargs)
+    defaults = inspect.signature(heaviside_study).parameters
+    kwargs = {key: _cast(key, data[key], defaults[key].default)
+              for key in _HEAVISIDE_KEYS if key in data}
+    kwargs.update(_flag_values(args))
+    results = heaviside_study(data.get("teams"), **kwargs)
     out = _out_dir(args)
-    _write_json(out / "heaviside.json", [r.to_dict() for r in results])
+    _write_json(out / "heaviside.json", [asdict(r) for r in results])
     rows = [["p1", "p2", "mean_G", "dispersion_pct", "weaker_actions", "strategies"]]
     for r in results:
         rows.append([
@@ -226,30 +205,40 @@ def cmd_heaviside(args) -> int:
 def cmd_tune(args) -> int:
     data = _load_input(args)
     _check_keys(data, ("budget", "episodes"), "tune")
-    budget = int(data.get("budget", 0))
-    kwargs = {}
-    if "episodes" in data:
-        kwargs["episodes"] = int(data["episodes"])
-    if args.seed is not None:
-        kwargs["base_seed"] = args.seed
-    result = tune_hyperparameters(budget, **kwargs)
+    kwargs = {key: _cast(key, value, 0) for key, value in data.items()}
+    kwargs.update(_flag_values(args))
+    result = tune_hyperparameters(kwargs.pop("budget", 0), **kwargs)
     out = _out_dir(args)
-    _write_json(out / "tuning.json", result.to_dict())
+    _write_json(out / "tuning.json", asdict(result))
     print(f"wrote {out / 'tuning.json'}")
     return 0
 
 
-# Optional flags beyond --input, --output-dir and --set, and the
-# subcommands that honour each.
+# Optional flags beyond --input, --output-dir and --set.  Per subcommand
+# that honours a flag, the config key it sets (None: it sets no key).
 _FLAGS = {
-    "--format": (("sweep",), {"choices": ("csv", "json"), "default": "csv"}),
-    "--seed": (("learn", "sweep", "heaviside", "tune"), {"type": int}),
-    "--workers": (("sweep",), {"type": int}),
-    "--episodes": (("learn", "sweep", "heaviside"), {"type": int}),
-    "--tau": (("learn", "sweep"), {"type": float}),
-    "--k": (("learn", "sweep"), {"type": float}),
-    "--verbose": (("learn",), {"action": "store_true"}),
+    "--format": ({"sweep": None}, {"choices": ("csv", "json"), "default": "csv"}),
+    "--seed": ({"learn": "seed", "sweep": "base_seed", "heaviside": "base_seed",
+                "tune": "base_seed"}, {"type": int}),
+    "--workers": ({"sweep": "workers"}, {"type": int}),
+    "--episodes": ({"learn": "episodes", "sweep": "episodes", "heaviside": "episodes"},
+                   {"type": int}),
+    "--tau": ({"learn": "tau", "sweep": "tau"}, {"type": float}),
+    "--k": ({"learn": "k", "sweep": "k"}, {"type": float}),
+    "--verbose": ({"learn": None}, {"action": "store_true"}),
 }
+
+
+def _flag_values(args) -> dict:
+    """``{config key: value}`` of the flags given on the command line; they
+    override the same keys from ``--input`` and ``--set``."""
+    values = {}
+    for flag, (keys, _) in _FLAGS.items():
+        key = keys.get(args.command)
+        value = getattr(args, flag[2:], None)
+        if key is not None and value is not None:
+            values[key] = value
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "learn" and args.seed is None:
-        args.seed = 0
     try:
         return args.fn(args)
     except NoEquilibriumError as exc:

@@ -58,16 +58,6 @@ class EquilibriumResult:
     active_set: tuple[int, ...]
     residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "actions": list(self.actions),
-            "gifts": list(self.gifts),
-            "aggregate_G": self.aggregate_G,
-            "score": self.score,
-            "active_set": list(self.active_set),
-            "residual": self.residual,
-        }
-
 
 @dataclass(frozen=True)
 class CriticalThresholds:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reader that casts one
+input value or raises ``ConfigurationError`` naming its key."""
 
 
 class TeamworkGameError(Exception):
@@ -42,3 +43,20 @@ class UndefinedDispersionError(TeamworkGameError, ValueError):
 
 class DegenerateRegressionError(TeamworkGameError, ValueError):
     """Ordinary least squares needs at least two distinct abscissae."""
+
+
+_KINDS = {tuple: "a list of numbers", int: "an integer", float: "a number"}
+
+
+def _cast(key: str, value, like):
+    """``value`` read as the type of ``like``: a tuple of floats for a tuple,
+    ``int`` or ``float`` for a number; any other ``like`` leaves it as is."""
+    try:
+        if isinstance(like, tuple):
+            return tuple(float(v) for v in value)
+        if isinstance(like, (int, float)):
+            return type(like)(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(
+            f"{key} must be {_KINDS[type(like)]}, got {value!r}") from None
+    return value

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, UnsupportedEvaluationError
+from .errors import ConfigurationError, InputError, UnsupportedEvaluationError, _cast
 
 KINDS = ("logistic", "identity", "heaviside")
 SMOOTH_KINDS = ("logistic", "identity")
@@ -83,7 +83,7 @@ class EvaluationSpec:
             raise ConfigurationError(
                 f"unknown evaluation key(s) {sorted(unknown)} for kind {kind!r}"
             )
-        kwargs = {k: float(v) for k, v in data.items() if k != "kind"}
+        kwargs = {k: _cast(f"evaluation {k}", v, 0.0) for k, v in data.items() if k != "kind"}
         return cls(kind=kind, **kwargs)
 
 

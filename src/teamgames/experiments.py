@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,17 +26,12 @@ from .errors import (
     DegenerateRegressionError,
     TeamworkGameError,
     UndefinedDispersionError,
+    _cast,
 )
 from .evaluation import EvaluationSpec
 from .games import GameSpec
 from .simulator import TrainConfig, dispersion, spawned_seed, train_many
 from .simulator import train  # noqa: F401  (bound here for perfbench's tracer tests)
-
-_SWEEP_KEYS = {
-    "expertise_values", "rho_values", "b_values", "repetitions", "episodes",
-    "tau", "k", "evaluation_kind", "d", "gamma", "delta_t", "alpha",
-    "base_seed", "num_arms", "workers",
-}
 
 
 @dataclass(frozen=True)
@@ -65,43 +60,16 @@ class SweepConfig:
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
 
-    def to_dict(self) -> dict:
-        return {
-            "expertise_values": list(self.expertise_values),
-            "rho_values": list(self.rho_values),
-            "b_values": list(self.b_values),
-            "repetitions": self.repetitions,
-            "episodes": self.episodes,
-            "tau": self.tau,
-            "k": self.k,
-            "evaluation_kind": self.evaluation_kind,
-            "d": self.d,
-            "gamma": self.gamma,
-            "delta_t": self.delta_t,
-            "alpha": self.alpha,
-            "base_seed": self.base_seed,
-            "num_arms": self.num_arms,
-            "workers": self.workers,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
+        """Config from a JSON object; each value is cast to its field's type."""
         if not isinstance(data, dict):
             raise ConfigurationError(f"sweep config must be an object, got {type(data).__name__}")
-        unknown = set(data) - _SWEEP_KEYS
+        defaults = {field.name: field.default for field in fields(cls)}
+        unknown = set(data) - set(defaults)
         if unknown:
             raise ConfigurationError(f"unknown sweep config key(s): {sorted(unknown)}")
-        kwargs = dict(data)
-        for key in ("expertise_values", "rho_values", "b_values"):
-            if key in kwargs:
-                kwargs[key] = tuple(float(v) for v in kwargs[key])
-        for key in ("repetitions", "episodes", "base_seed", "num_arms", "workers"):
-            if key in kwargs:
-                kwargs[key] = int(kwargs[key])
-        for key in ("tau", "k", "d", "gamma", "delta_t", "alpha"):
-            if key in kwargs:
-                kwargs[key] = float(kwargs[key])
-        return cls(**kwargs)
+        return cls(**{key: _cast(key, value, defaults[key]) for key, value in data.items()})
 
 
 @dataclass(frozen=True)
@@ -122,24 +90,6 @@ class ExperimentRecord:
     learned_actions: tuple[float, ...] | None
     skip_reason: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "p1": self.p1,
-            "p2": self.p2,
-            "rho": self.rho,
-            "b": self.b,
-            "repetition": self.repetition,
-            "seed": self.seed,
-            "episodes": self.episodes,
-            "G_hat_set": list(self.G_hat_set),
-            "equilibrium_actions": [list(a) for a in self.equilibrium_actions],
-            "G_tilde": self.G_tilde,
-            "learned_actions": (
-                list(self.learned_actions) if self.learned_actions is not None else None),
-            "skip_reason": self.skip_reason,
-        }
-
 
 @dataclass(frozen=True)
 class RegressionReport:
@@ -148,15 +98,6 @@ class RegressionReport:
     r_squared: float
     n_points: int
     residuals: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "n_points": self.n_points,
-            "residuals": list(self.residuals),
-        }
 
 
 def cell_game(config: SweepConfig, p1: float, p2: float, rho: float, b: float) -> GameSpec:
@@ -448,17 +389,6 @@ class HeavisideTeamResult:
     weaker_actions: tuple[float, ...] | None  # per repetition; None for homogeneous teams
     strategy_pairs: tuple[tuple[int, int], ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "team": list(self.team),
-            "outcomes": list(self.outcomes),
-            "mean_G": self.mean_G,
-            "dispersion_pct": self.dispersion_pct,
-            "weaker_actions": (
-                list(self.weaker_actions) if self.weaker_actions is not None else None),
-            "strategy_pairs": [list(p) for p in self.strategy_pairs],
-        }
-
 
 def heaviside_study(teams=None, *, b: float = 5.0, d: float = 10.0,
                     repetitions: int = 3, episodes: int = 50_000,
@@ -474,11 +404,17 @@ def heaviside_study(teams=None, *, b: float = 5.0, d: float = 10.0,
     search makes the run-to-run outcome spread collapse (the dispersion
     numbers this study is about).
     """
+    if repetitions < 1:
+        raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
     if teams is None:
         levels = (0.3, 0.5, 0.7, 0.9)
         teams = list(itertools.combinations_with_replacement(levels, 2))
     evaluation = EvaluationSpec("heaviside", d=d, b=b)
-    teams = [tuple(sorted((float(p1), float(p2)))) for p1, p2 in teams]
+    try:
+        teams = [tuple(sorted((float(p1), float(p2)))) for p1, p2 in teams]
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"teams must be a list of expertise pairs, got {teams!r}") from None
     jobs = [(GameSpec(n=2, rho=1.0, betas=(1.0, 1.0), delta_t=delta_t,
                       expertise=team, alpha=alpha, evaluation=evaluation),
              TrainConfig(episodes=episodes, tau=tau, k=k, num_arms=num_arms,
@@ -513,14 +449,6 @@ class TuneResult:
     best_tau: float
     best_score: float | None
     trials: tuple[dict, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "best_k": self.best_k,
-            "best_tau": self.best_tau,
-            "best_score": self.best_score,
-            "trials": list(self.trials),
-        }
 
 
 _DEFAULT_PROBE = (

@@ -14,12 +14,11 @@ unrestricted.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, _cast
 from .evaluation import EvaluationSpec, eval_score
 
 _GAME_KEYS = {
@@ -103,9 +102,6 @@ class GameSpec:
             "evaluation": self.evaluation.to_dict(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: dict) -> "GameSpec":
         if not isinstance(data, dict):
@@ -117,21 +113,17 @@ class GameSpec:
         if missing:
             raise ConfigurationError(f"missing game spec key(s): {sorted(missing)}")
         return cls(
-            n=int(data["n"]),
-            rho=float(data["rho"]),
-            betas=tuple(float(v) for v in data["betas"]),
-            delta_t=float(data["delta_t"]),
-            expertise=tuple(float(v) for v in data["expertise"]),
+            n=_cast("n", data["n"], 0),
+            rho=_cast("rho", data["rho"], 0.0),
+            betas=_cast("betas", data["betas"], ()),
+            delta_t=_cast("delta_t", data["delta_t"], 0.0),
+            expertise=_cast("expertise", data["expertise"], ()),
             leisure_capacity=(
-                tuple(float(v) for v in data["leisure_capacity"])
+                _cast("leisure_capacity", data["leisure_capacity"], ())
                 if data.get("leisure_capacity") is not None else None),
-            alpha=float(data["alpha"]),
+            alpha=_cast("alpha", data["alpha"], 0.0),
             evaluation=EvaluationSpec.from_dict(data["evaluation"]),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GameSpec":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

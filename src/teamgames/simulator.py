@@ -37,8 +37,6 @@ from .errors import ConfigurationError, InputError, UndefinedDispersionError
 from .evaluation import eval_score
 from .games import GameSpec, _leisure_payoff, _outcome
 
-EXTRACTION_MODES = ("greedy", "final_sample", "tail_average")
-
 # Share of each agent's draws taken uniformly over all arms, whatever the
 # Q-table holds, so every arm keeps being sampled at rate >= EXPLORATION / K.
 EXPLORATION = 0.01
@@ -59,9 +57,8 @@ class TrainConfig:
     exact ones.  Set ``anneal_floor=None`` for a constant temperature.
 
     Whatever the temperature, a share ``EXPLORATION`` of the draws is
-    uniform over the arms.  The ``final_sample`` and ``tail_average``
-    extraction modes read the drawn arms and so include these exploratory
-    draws; ``greedy`` extraction reads only the Q-table.
+    uniform over the arms.  The learned actions are each agent's greedy
+    arm, read from the Q-table alone.
     """
 
     episodes: int = 50_000
@@ -69,7 +66,6 @@ class TrainConfig:
     k: float = 40.0
     seed: int | np.random.SeedSequence = 0
     num_arms: int = 101
-    extraction: str = "greedy"
     anneal_floor: float | None = 0.02
     anneal_start: float = 0.5
     snapshot_q: bool = False
@@ -78,9 +74,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.episodes < 1:
             raise ConfigurationError(f"episodes must be >= 1, got {self.episodes}")
-        if self.extraction not in EXTRACTION_MODES:
-            raise ConfigurationError(
-                f"extraction must be one of {EXTRACTION_MODES}, got {self.extraction!r}")
         if self.anneal_floor is not None:
             if not 0 < self.anneal_floor <= self.tau:
                 raise ConfigurationError(
@@ -102,7 +95,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LearnedOutcome:
-    """Result of one training run: the extracted policy and its outcome."""
+    """Result of one training run: the greedy policy and its outcome."""
 
     greedy_actions: tuple[float, ...]
     learned_G: float
@@ -110,17 +103,6 @@ class LearnedOutcome:
     episodes: int
     seed: int
     q_snapshots: tuple[tuple[float, ...], ...] | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "greedy_actions": list(self.greedy_actions),
-            "learned_G": self.learned_G,
-            "learned_score": self.learned_score,
-            "episodes": self.episodes,
-            "seed": self.seed,
-            "q_snapshots": (
-                [list(q) for q in self.q_snapshots] if self.q_snapshots is not None else None),
-        }
 
 
 def _seed_sequence(seed) -> tuple[np.random.SeedSequence, int]:
@@ -284,8 +266,6 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
                 + [f"reward_{i}" for i in range(n)])
 
         temperatures = [schedule.temperature(t) for t in range(episodes)]
-        tail_start = episodes - max(1, episodes // 10)
-        tail_sum = np.zeros(agents)
         # about 32 bytes of draws per agent-episode; a block takes 1/8 of the budget
         block = max(1, _CHUNK_BYTES // (256 * agents))
         with np.errstate(divide="ignore"):  # log(0) of a team with no positive gift
@@ -306,8 +286,6 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
                     run_rewards *= S[:, None]
                     _update_q(q_flat, counts_flat, k, cells, rewards)
 
-                    if t >= tail_start:
-                        tail_sum += arm_actions[arms]
                     for r, (_, writer) in traces.items():
                         actions = arm_actions[arms[r * n:(r + 1) * n]].tolist()
                         writer.writerow([t] + [repr(a) for a in actions] + [repr(float(G[r]))]
@@ -316,15 +294,11 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
         for fh, _ in traces.values():
             fh.close()
 
-    extracted = {
-        "greedy": arm_actions[q.argmax(axis=1)],
-        "final_sample": arm_actions[arms],
-        "tail_average": tail_sum / (episodes - tail_start),
-    }
+    greedy = arm_actions[q.argmax(axis=1)]
     outcomes = []
     for r, (game, config) in enumerate(jobs):
         rows = slice(r * n, (r + 1) * n)
-        learned = extracted[config.extraction][rows].tolist()
+        learned = greedy[rows].tolist()
         learned_G, learned_score = _outcome(game, np.asarray(learned))
         snapshots = None
         if config.snapshot_q:

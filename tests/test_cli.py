@@ -153,6 +153,11 @@ class TestSweep:
         records = json.loads((tmp_path / "records.json").read_text())
         assert len(records) == 9
 
+    def test_flag_overrides_input_before_validation(self, tmp_path):
+        spec = write_json(tmp_path / "sweep.json", {**self.sweep_config(), "workers": 0})
+        assert cli.main(["sweep", "--input", spec, "--output-dir", str(tmp_path),
+                         "--workers", "1"]) == 0
+
     def test_unknown_sweep_key(self, tmp_path, capsys):
         spec = write_json(tmp_path / "sweep.json", {"temperature": 1.0})
         rc = cli.main(["sweep", "--input", spec, "--output-dir", str(tmp_path)])
@@ -184,6 +189,14 @@ class TestHeavisideAndTune:
         assert rc == 1
         assert "episodez" in capsys.readouterr().err
 
+    def test_heaviside_zero_repetitions(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "study.json", {"teams": [[0.3, 0.7]], "episodes": 50})
+        rc = cli.main(["heaviside", "--input", spec, "--output-dir", str(tmp_path),
+                       "--set", "repetitions=0"])
+        assert rc == 1
+        assert "repetitions" in capsys.readouterr().err
+        assert not (tmp_path / "heaviside.json").exists()
+
     def test_tune_unknown_key(self, tmp_path, capsys):
         spec = write_json(tmp_path / "tune.json", {"tua": 1})
         rc = cli.main(["tune", "--input", spec, "--output-dir", str(tmp_path)])
@@ -194,6 +207,29 @@ class TestHeavisideAndTune:
         rc = cli.main(["solve", "--input", str(tmp_path / "nope.json"),
                        "--output-dir", str(tmp_path)])
         assert rc == 1
+
+
+MALFORMED = [
+    ("sweep", {"rho_values": 5}, [], "rho_values"),
+    ("sweep", {"episodes": "abc"}, [], "episodes"),
+    ("tune", {"budget": "abc"}, [], "budget"),
+    ("solve", {**game_spec(), "betas": 3}, [], "betas"),
+    ("solve", {**game_spec(), "rho": "x"}, [], "rho"),
+    ("solve", game_spec(evaluation={"kind": "logistic", "d": "x"}), [], "evaluation d"),
+    ("heaviside", {"teams": [[0.3]]}, [], "teams"),
+    ("heaviside", {"episodes": "abc"}, [], "episodes"),
+    ("learn", [game_spec()], ["--set", "x=1"], "object"),
+]
+
+
+@pytest.mark.parametrize("command,payload,extra,key", MALFORMED,
+                         ids=[f"{command}-{key}" for command, _, _, key in MALFORMED])
+def test_malformed_value_is_named(tmp_path, capsys, command, payload, extra, key):
+    spec = write_json(tmp_path / "input.json", payload)
+    rc = cli.main([command, "--input", spec, "--output-dir", str(tmp_path)] + extra)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
 
 
 class TestEnvironment:

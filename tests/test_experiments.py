@@ -1,3 +1,5 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,7 @@ class TestSweepConfig:
 
     def test_round_trip(self):
         cfg = tiny_sweep()
-        assert SweepConfig.from_dict(cfg.to_dict()) == cfg
+        assert SweepConfig.from_dict(asdict(cfg)) == cfg
 
     def test_unknown_key(self):
         with pytest.raises(ConfigurationError, match="horizon"):
@@ -80,7 +82,7 @@ class TestRunSweep:
     def test_worker_count_does_not_change_results(self):
         cfg1 = tiny_sweep(expertise_values=(0.3, 0.8), rho_values=(1.0, 10.0),
                           episodes=120, workers=1)
-        cfg2 = SweepConfig.from_dict({**cfg1.to_dict(), "workers": 2})
+        cfg2 = replace(cfg1, workers=2)
         assert run_sweep(cfg1) == run_sweep(cfg2)
 
     @pytest.mark.parametrize("workers,runs_per_chunk", [(1, None), (1, 1), (1, 5), (2, 1)])

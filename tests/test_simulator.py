@@ -127,17 +127,9 @@ class TestTrainMechanics:
                           np.empty(probs.shape, dtype=bool), np.empty(3, dtype=np.intp))
         assert arms.tolist() == [50, 7, 49]
 
-    def test_extraction_modes(self):
-        g = game(b=5.0)
-        for mode in ("greedy", "final_sample", "tail_average"):
-            out = train(g, TrainConfig(episodes=600, seed=5, extraction=mode))
-            assert all(0.0 <= a <= 1.0 for a in out.greedy_actions)
-
     def test_bad_config(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(episodes=0)
-        with pytest.raises(ConfigurationError):
-            TrainConfig(extraction="modal")
         with pytest.raises(ConfigurationError):
             TrainConfig(anneal_floor=0.5, tau=0.1)
 
@@ -165,26 +157,18 @@ class TestTrainMechanics:
         out3 = train(g, TrainConfig(episodes=300, seed=spawned_seed(42, 3, 2)))
         assert out1 != out3
 
-    def test_outcome_serialises(self):
-        out = train(game(), TrainConfig(episodes=60, seed=0))
-        data = out.to_dict()
-        assert set(data) == {"greedy_actions", "learned_G", "learned_score",
-                             "episodes", "seed", "q_snapshots"}
-
 
 def _mixed_jobs(n):
-    """Jobs of one player count mixing evaluations, extraction modes, two
-    temperature schedules and two values of k."""
+    """Jobs of one player count mixing evaluations, two temperature
+    schedules and two values of k."""
     expertise = {2: (0.3, 0.8), 3: (0.4, 0.6, 0.8), 4: (0.3, 0.5, 0.7, 0.9)}[n]
     num_arms = 21 if n == 3 else 101  # keeps the n = 3 case quick
     jobs = []
-    for j, (rho, kind, mode) in enumerate([
-            (1.0, "logistic", "greedy"), (-10.0, "logistic", "final_sample"),
-            (10.0, "logistic", "tail_average"), (1.0, "heaviside", "greedy"),
-            (10.0, "identity", "final_sample"), (-10.0, "logistic", "tail_average"),
-            (1.0, "logistic", "greedy")]):
+    for j, (rho, kind) in enumerate([
+            (1.0, "logistic"), (-10.0, "logistic"), (10.0, "logistic"), (1.0, "heaviside"),
+            (10.0, "identity"), (-10.0, "logistic"), (1.0, "logistic")]):
         config = TrainConfig(episodes=400, seed=spawned_seed(9, n, j), num_arms=num_arms,
-                             k=(40.0, 7.0)[j % 2], extraction=mode, snapshot_q=True,
+                             k=(40.0, 7.0)[j % 2], snapshot_q=True,
                              anneal_floor=(0.02, None)[j % 3 == 2])
         jobs.append((game(rho=rho, expertise=expertise, b=5.0, kind=kind), config))
     return jobs
