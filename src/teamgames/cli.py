@@ -141,8 +141,7 @@ def cmd_solve(args) -> int:
 def cmd_learn(args) -> int:
     spec = GameSpec.from_dict(_load_input(args))
     out = _out_dir(args)
-    trace_path = str(out / "trace.csv") if args.verbose else None
-    outcome = train(spec, TrainConfig(trace_path=trace_path, **_flag_values(args)))
+    outcome = train(spec, TrainConfig(**_flag_values(args)))
     _write_json(out / "learned.json", asdict(outcome))
     print(f"wrote {out / 'learned.json'}")
     return 0
@@ -225,7 +224,6 @@ _FLAGS = {
                    {"type": int}),
     "--tau": ({"learn": "tau", "sweep": "tau"}, {"type": float}),
     "--k": ({"learn": "k", "sweep": "k"}, {"type": float}),
-    "--verbose": ({"learn": None}, {"action": "store_true"}),
 }
 
 

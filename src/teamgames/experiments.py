@@ -393,8 +393,7 @@ class HeavisideTeamResult:
 def heaviside_study(teams=None, *, b: float = 5.0, d: float = 10.0,
                     repetitions: int = 3, episodes: int = 50_000,
                     tau: float = 0.3, k: float = 40.0, delta_t: float = 10.0,
-                    alpha: float = 2.0, base_seed: int = 0,
-                    num_arms: int = 101) -> list[HeavisideTeamResult]:
+                    alpha: float = 2.0, base_seed: int = 0) -> list[HeavisideTeamResult]:
     """Repeated learning of additive pass/fail games.
 
     Each team is trained ``repetitions`` times with distinct derived seeds;
@@ -417,7 +416,7 @@ def heaviside_study(teams=None, *, b: float = 5.0, d: float = 10.0,
             f"teams must be a list of expertise pairs, got {teams!r}") from None
     jobs = [(GameSpec(n=2, rho=1.0, betas=(1.0, 1.0), delta_t=delta_t,
                       expertise=team, alpha=alpha, evaluation=evaluation),
-             TrainConfig(episodes=episodes, tau=tau, k=k, num_arms=num_arms,
+             TrainConfig(episodes=episodes, tau=tau, k=k,
                          seed=spawned_seed(base_seed, 10_000 + t_idx, rep)))
             for t_idx, team in enumerate(teams) for rep in range(repetitions)]
     learned = iter(train_many(jobs))
@@ -457,22 +456,22 @@ _DEFAULT_PROBE = (
     (0.5, 0.5, 10.0, 7.0),
 )
 
+# Ranges that tune_hyperparameters draws k and tau from, log-uniformly
+_K_RANGE = (10.0, 1e5)
+_TAU_RANGE = (0.01, 1.0)
+
 
 def tune_hyperparameters(budget: int, *, probe_cells=_DEFAULT_PROBE,
-                         episodes: int = 50_000, base_seed: int = 0,
-                         k_range: tuple[float, float] = (10.0, 1e5),
-                         tau_range: tuple[float, float] = (0.01, 1.0),
-                         default_k: float = 40.0, default_tau: float = 0.1,
-                         num_arms: int = 101) -> TuneResult:
+                         episodes: int = 50_000, base_seed: int = 0) -> TuneResult:
     """Random search over (k, tau), scored by mean |G_tilde - G_hat| on probes.
 
-    k and tau are drawn log-uniformly.  budget = 0 returns the defaults
-    untouched.
+    k and tau are drawn log-uniformly from ``_K_RANGE`` and ``_TAU_RANGE``.
+    budget = 0 returns ``TrainConfig``'s defaults untouched.
     """
     if budget < 0:
         raise ConfigurationError(f"budget must be >= 0, got {budget}")
     if budget == 0:
-        return TuneResult(best_k=default_k, best_tau=default_tau,
+        return TuneResult(best_k=TrainConfig.k, best_tau=TrainConfig.tau,
                           best_score=None, trials=())
     config = SweepConfig()
     probes = []
@@ -482,17 +481,17 @@ def tune_hyperparameters(budget: int, *, probe_cells=_DEFAULT_PROBE,
         probes.append((game, tuple(e.aggregate_G for e in eqs)))
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(base_seed))))
-    log_k = np.log10(k_range)
-    log_tau = np.log10(tau_range)
+    log_k = np.log10(_K_RANGE)
+    log_tau = np.log10(_TAU_RANGE)
     trials = []
-    best = (default_k, default_tau, math.inf)
+    best = (TrainConfig.k, TrainConfig.tau, math.inf)
     for trial in range(budget):
         k = float(10.0 ** rng.uniform(log_k[0], log_k[1]))
         tau = float(10.0 ** rng.uniform(log_tau[0], log_tau[1]))
         # the trial's probe cells learn together; each keeps the default
         # schedule's decay ratio at the sampled tau
         runs = train_many([
-            (game, TrainConfig(episodes=episodes, tau=tau, k=k, num_arms=num_arms,
+            (game, TrainConfig(episodes=episodes, tau=tau, k=k,
                                seed=spawned_seed(base_seed, 20_000 + trial, cell_idx),
                                anneal_floor=tau * 0.2))
             for cell_idx, (game, _) in enumerate(probes)])

@@ -225,11 +225,22 @@ def ces_aggregate(gifts, rho: float, betas):
             # one in order; with each cell's terms contiguous, every cell sums
             # as a lone joint action does.  Below 8 every layout sums in order.
             t = np.asfortranarray(t)
-        m = t.max(axis=0)
-        m = np.where(np.isfinite(m), m, 0.0)
-        t -= m  # in place: a joint-action grid can hold millions of cells
-        out = np.exp((m + np.log(np.exp(t, out=t).sum(axis=0))) / rho)
+        out = _aggregate_terms(t, rho)
     return float(out) if g.ndim == 1 else out
+
+
+def _aggregate_terms(terms: np.ndarray, rho) -> np.ndarray:
+    """CES outcomes from log-terms ``log(beta_i) + rho * log(g_i)``, one row
+    per player, overwritten in place: the max-shifted log-sum-exp over axis
+    0, divided by ``rho`` (a scalar or one value per column), exponentiated.
+    Call it with division warnings off, for the ``log(0)`` of a column with
+    no positive gift.  From 8 players a column sums as one joint action's
+    gifts only if it is contiguous (see ``ces_aggregate``)."""
+    m = np.maximum.reduce(terms, axis=0)
+    m = np.where(np.isfinite(m), m, 0.0)
+    terms -= m
+    np.exp(terms, out=terms)
+    return np.exp((m + np.log(np.add.reduce(terms, axis=0))) / rho)
 
 
 def gifts_from_actions(game: GameSpec, actions) -> np.ndarray:
@@ -257,8 +268,10 @@ def _payoffs(game: GameSpec, actions: np.ndarray):
 
     ``actions`` has shape ``(n, ...)``; every trailing cell is one joint
     action.  Returns ``(G, score, rewards)`` with ``rewards`` shaped like
-    ``actions``.  The Nash oracle's utilities come from here, and the
-    learner's rewards equal them bit for bit (``simulator._term_tables``).
+    ``actions``.  The Nash oracle's utilities come from here.  The learner's
+    rewards equal them bit for bit: ``simulator._term_tables`` tabulates the
+    same log-terms and leisure factors per arm, and both paths finish the
+    terms with ``_aggregate_terms``.
     """
     G, score = _outcome(game, actions)
     return G, score, _leisure_payoff(game, actions) * score

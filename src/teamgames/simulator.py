@@ -15,10 +15,12 @@ count, an arm count and a temperature schedule keep their Q-tables in one
 reward computation and one update for all of them (``train`` is its
 one-run case).  Rewards take one path for every team size: each player's
 CES log-term and leisure factor are tabulated per arm before the first
-episode, and each episode finishes ``ces_aggregate`` over the gathered
-terms, scores the outcomes and multiplies by the leisure factors.  They
-equal ``games._payoffs`` bit for bit, on each joint action alone or over an
-``(n, cells)`` grid of them (see ``_aggregate_terms``).  Each run draws from its
+episode, and each episode gathers every run's terms into one column,
+finishes them with ``games._aggregate_terms`` (the log-sum-exp of
+``ces_aggregate``), scores the outcomes and multiplies by the leisure
+factors.  With each run's column contiguous, as ``ces_aggregate`` lays out
+a grid, the rewards equal ``games._payoffs`` bit for bit on each joint
+action alone or over an ``(n, cells)`` grid of them.  Each run draws from its
 own counter-based stream, so an outcome is bitwise the same whatever it is
 batched with; sweep seeds are derived from a base seed with spawn keys, so
 parallel runs match serial ones.
@@ -26,7 +28,7 @@ parallel runs match serial ones.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,7 @@ from .bandit import _boltzmann, _update_q, uniform_action_grid
 from .bandit import update_q  # noqa: F401  (bound here for perfbench's tracer tests)
 from .errors import ConfigurationError, InputError, UndefinedDispersionError
 from .evaluation import eval_score
-from .games import GameSpec, _leisure_payoff, _outcome
+from .games import GameSpec, _aggregate_terms, _leisure_payoff, _outcome
 
 # Share of each agent's draws taken uniformly over all arms, whatever the
 # Q-table holds, so every arm keeps being sampled at rate >= EXPLORATION / K.
@@ -69,11 +71,16 @@ class TrainConfig:
     anneal_floor: float | None = 0.02
     anneal_start: float = 0.5
     snapshot_q: bool = False
-    trace_path: str | None = None
 
     def __post_init__(self):
         if self.episodes < 1:
             raise ConfigurationError(f"episodes must be >= 1, got {self.episodes}")
+        for key in ("tau", "k"):
+            value = getattr(self, key)
+            if not 0 < value < math.inf:
+                raise ConfigurationError(f"{key} must be finite and > 0, got {value}")
+        if self.num_arms < 2:
+            raise ConfigurationError(f"num_arms must be >= 2, got {self.num_arms}")
         if self.anneal_floor is not None:
             if not 0 < self.anneal_floor <= self.tau:
                 raise ConfigurationError(
@@ -140,20 +147,6 @@ def _term_tables(games, arm_actions: np.ndarray):
         if not np.isfinite(bound):
             raise InputError(f"rewards must be finite, got a bound of {bound}")
     return T, L
-
-
-def _aggregate_terms(terms: np.ndarray, rho) -> np.ndarray:
-    """CES team outcomes from log-terms (one row per player, overwritten) by
-    ``ces_aggregate``'s steps; call it with division warnings off, for the
-    ``log(0)`` of a team with no positive gift.  Each run's column is
-    contiguous, as ``ces_aggregate`` lays out a grid's cells, so from 8
-    players numpy sums every column pairwise, as it sums one joint action's
-    gifts, and not in order, as it would a strided column."""
-    m = np.maximum.reduce(terms, axis=0)
-    m = np.where(np.isfinite(m), m, 0.0)
-    terms -= m
-    np.exp(terms, out=terms)
-    return np.exp((m + np.log(np.add.reduce(terms, axis=0))) / rho)
 
 
 def _draws(u: np.ndarray, num_arms: int):
@@ -253,46 +246,26 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
                       else np.flatnonzero([other == spec for other in specs]))
                      for spec in dict.fromkeys(specs)]
 
-    traced = [r for r, config in enumerate(configs) if config.trace_path is not None]
-    traces = {}
-    try:
-        for r in traced:
-            fh = open(configs[r].trace_path, "w", newline="")
-            traces[r] = (fh, csv.writer(fh))
-            traces[r][1].writerow(
-                ["episode"]
-                + [f"action_{i}" for i in range(n)]
-                + ["G"]
-                + [f"reward_{i}" for i in range(n)])
+    temperatures = [schedule.temperature(t) for t in range(episodes)]
+    # about 32 bytes of draws per agent-episode; a block takes 1/8 of the budget
+    block = max(1, _CHUNK_BYTES // (256 * agents))
+    with np.errstate(divide="ignore"):  # log(0) of a team with no positive gift
+        for start in range(0, episodes, block):
+            stop = min(episodes, start + block)
+            # the runs' uniforms for these episodes, one column per agent
+            u = np.concatenate([rng.random((stop - start, n)) for rng in rngs], axis=1)
+            for t, draw in zip(range(start, stop), _draws(u, num_arms)):
+                _boltzmann(q, temperatures[t], out=probs)
+                _draw_arms(probs, draw, cum, below, arms)
+                np.add(row_start, arms, out=cells)
 
-        temperatures = [schedule.temperature(t) for t in range(episodes)]
-        # about 32 bytes of draws per agent-episode; a block takes 1/8 of the budget
-        block = max(1, _CHUNK_BYTES // (256 * agents))
-        with np.errstate(divide="ignore"):  # log(0) of a team with no positive gift
-            for start in range(0, episodes, block):
-                stop = min(episodes, start + block)
-                # the runs' uniforms for these episodes, one column per agent
-                u = np.concatenate([rng.random((stop - start, n)) for rng in rngs], axis=1)
-                for t, draw in zip(range(start, stop), _draws(u, num_arms)):
-                    _boltzmann(q, temperatures[t], out=probs)
-                    _draw_arms(probs, draw, cum, below, arms)
-                    np.add(row_start, arms, out=cells)
-
-                    T.take(player_cells, out=terms)
-                    G = _aggregate_terms(terms, rho)
-                    for spec, members in by_evaluation:
-                        S[members] = eval_score(spec, G[members])
-                    L.take(cells, out=rewards)
-                    run_rewards *= S[:, None]
-                    _update_q(q_flat, counts_flat, k, cells, rewards)
-
-                    for r, (_, writer) in traces.items():
-                        actions = arm_actions[arms[r * n:(r + 1) * n]].tolist()
-                        writer.writerow([t] + [repr(a) for a in actions] + [repr(float(G[r]))]
-                                        + [repr(x) for x in run_rewards[r].tolist()])
-    finally:
-        for fh, _ in traces.values():
-            fh.close()
+                T.take(player_cells, out=terms)
+                G = _aggregate_terms(terms, rho)
+                for spec, members in by_evaluation:
+                    S[members] = eval_score(spec, G[members])
+                L.take(cells, out=rewards)
+                run_rewards *= S[:, None]
+                _update_q(q_flat, counts_flat, k, cells, rewards)
 
     greedy = arm_actions[q.argmax(axis=1)]
     outcomes = []

@@ -102,13 +102,6 @@ class TestLearn:
                        "--episodes", "150"])
         assert rc == 0
 
-    def test_verbose_trace(self, tmp_path):
-        spec = write_json(tmp_path / "game.json", game_spec())
-        rc = cli.main(["learn", "--input", spec, "--output-dir", str(tmp_path),
-                       "--episodes", "40", "--verbose"])
-        assert rc == 0
-        assert (tmp_path / "trace.csv").exists()
-
 
 class TestSweep:
     def sweep_config(self):
@@ -212,6 +205,7 @@ class TestHeavisideAndTune:
 MALFORMED = [
     ("sweep", {"rho_values": 5}, [], "rho_values"),
     ("sweep", {"episodes": "abc"}, [], "episodes"),
+    ("sweep", {}, ["--set", "num_arms=0"], "num_arms"),
     ("tune", {"budget": "abc"}, [], "budget"),
     ("solve", {**game_spec(), "betas": 3}, [], "betas"),
     ("solve", {**game_spec(), "rho": "x"}, [], "rho"),
@@ -219,6 +213,7 @@ MALFORMED = [
     ("heaviside", {"teams": [[0.3]]}, [], "teams"),
     ("heaviside", {"episodes": "abc"}, [], "episodes"),
     ("learn", [game_spec()], ["--set", "x=1"], "object"),
+    ("learn", game_spec(), ["--episodes", "300", "--k", "-5"], "k must be finite"),
 ]
 
 

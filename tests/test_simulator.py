@@ -1,4 +1,3 @@
-import csv
 import functools
 import math
 
@@ -6,10 +5,10 @@ import numpy as np
 import pytest
 
 from teamgames import simulator
-from teamgames.bandit import AgentState, boltzmann_probabilities
+from teamgames.bandit import AgentState, boltzmann_probabilities, uniform_action_grid
 from teamgames.errors import ConfigurationError, InputError, UndefinedDispersionError
 from teamgames.evaluation import EvaluationSpec, eval_score
-from teamgames.games import GameSpec, _payoffs, evaluate_joint_action
+from teamgames.games import GameSpec, _aggregate_terms, _payoffs, evaluate_joint_action
 from teamgames.simulator import (
     EXPLORATION,
     LearnedOutcome,
@@ -85,13 +84,6 @@ class TestTrainMechanics:
         for q in out.q_snapshots:
             assert all(v >= 0 for v in q)
 
-    def test_trace_csv(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        train(game(), TrainConfig(episodes=50, seed=0, trace_path=str(path)))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "episode,action_0,action_1,G,reward_0,reward_1"
-        assert len(lines) == 51
-
     def test_draw_rule_exploration_floor(self):
         def draw_arm(agent, u):
             probs = boltzmann_probabilities(agent)[None, :]
@@ -132,6 +124,15 @@ class TestTrainMechanics:
             TrainConfig(episodes=0)
         with pytest.raises(ConfigurationError):
             TrainConfig(anneal_floor=0.5, tau=0.1)
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", -5.0), ("k", 0.0), ("k", math.inf), ("k", math.nan),
+        ("tau", 0.0), ("tau", -1.0), ("tau", math.nan), ("tau", math.inf),
+        ("num_arms", 0), ("num_arms", 1)])
+    def test_malformed_learning_parameters_named(self, key, value):
+        # a constant temperature, so no anneal_floor check can catch a bad tau
+        with pytest.raises(ConfigurationError, match=f"^{key} must"):
+            TrainConfig(anneal_floor=None, **{key: value})
 
     def test_temperature_schedule(self):
         config = TrainConfig(episodes=100, tau=0.1, anneal_floor=0.02, anneal_start=0.5)
@@ -179,6 +180,36 @@ def _serial(n):
     return [train(g, c) for g, c in _mixed_jobs(n)]
 
 
+@pytest.fixture
+def update_calls(monkeypatch):
+    """The cells and rewards of every ``simulator._update_q`` call, that is,
+    of every episode of every lockstep chunk, in call order."""
+    calls = []
+    update = simulator._update_q
+
+    def spy(q, counts, k, cells, rewards):
+        calls.append((cells.copy(), rewards.copy()))
+        return update(q, counts, k, cells, rewards)
+
+    monkeypatch.setattr(simulator, "_update_q", spy)
+    return calls
+
+
+def _runs(calls, n, num_arms, episodes):
+    """Each run's arms and rewards by episode, ``(episodes, n)`` each, from
+    recorded ``_update_q`` calls.  A chunk makes ``episodes`` consecutive
+    calls over its runs' agents, so runs come out chunk by chunk: in job
+    order when each group's jobs are contiguous."""
+    assert len(calls) % episodes == 0
+    runs = []
+    for start in range(0, len(calls), episodes):
+        cells = np.array([c for c, _ in calls[start:start + episodes]])
+        rewards = np.array([r for _, r in calls[start:start + episodes]])
+        for rows in range(0, cells.shape[1], n):
+            runs.append((cells[:, rows:rows + n] % num_arms, rewards[:, rows:rows + n]))
+    return runs
+
+
 class TestTrainMany:
     """``train_many`` equals one ``train`` call per job, however it batches."""
 
@@ -201,15 +232,19 @@ class TestTrainMany:
         assert train_many([]) == []
 
     @pytest.mark.parametrize("n", [2, 4])
-    def test_trace_csv_unchanged_in_a_batch(self, tmp_path, n):
-        g, config = _mixed_jobs(n)[1]
-        alone, batched = tmp_path / "alone.csv", tmp_path / "batched.csv"
-        train(g, TrainConfig(**{**config.__dict__, "trace_path": str(alone)}))
+    def test_episodes_unchanged_in_a_batch(self, update_calls, n):
+        # job 1 shares a chunk with job 0; job 2 has another schedule
         jobs = _mixed_jobs(n)[:3]
-        jobs[1] = (g, TrainConfig(**{**config.__dict__, "trace_path": str(batched)}))
+        config = jobs[1][1]
+        train(*jobs[1])
+        (alone,) = _runs(update_calls, n, config.num_arms, config.episodes)
+        update_calls.clear()
         train_many(jobs)
-        assert batched.read_text() == alone.read_text()
-        assert len(alone.read_text().splitlines()) == config.episodes + 1
+        batched = _runs(update_calls, n, config.num_arms, config.episodes)
+        assert len(batched) == 3
+        assert alone[0].shape == (config.episodes, n)
+        for lone, in_batch in zip(alone, batched[1]):
+            assert np.array_equal(lone, in_batch)
 
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -249,7 +284,7 @@ def _term_table_rewards(g, arm_actions, joint):
     T, L = simulator._term_tables([g], arm_actions)
     player = np.arange(g.n).reshape((g.n,) + (1,) * (joint.ndim - 1))
     with np.errstate(divide="ignore"):
-        G = simulator._aggregate_terms(T[player, joint], g.rho)
+        G = _aggregate_terms(T[player, joint], g.rho)
     return G, L[player, joint] * eval_score(g.evaluation, G)
 
 
@@ -276,36 +311,34 @@ class TestRewardTables:
         assert checked == 175  # 1,050 grids over the six parametrisations
 
     @pytest.mark.parametrize("n", range(2, 17))
-    def test_episode_rewards_equal_payoffs(self, tmp_path, n):
+    def test_episode_rewards_equal_payoffs(self, update_calls, n):
         # Each episode's rewards are _payoffs' on its joint action alone, whose
         # gifts numpy sums pairwise from n = 8.  Three arms (0, 0.5, 1) at a
         # high temperature make zero gifts common, under rho < 0 and rho > 0.
         rng = np.random.default_rng(n)
+        arm_actions = uniform_action_grid(3)
         for rho, evaluation in ((-10.0, EvaluationSpec("logistic", d=10.0, gamma=2.0, b=5.0)),
                                 (0.5, EvaluationSpec("identity")),
                                 (3.0, EvaluationSpec("heaviside", d=10.0, b=5.0))):
             g = GameSpec(n=n, rho=rho, betas=rng.uniform(0.5, 2.0, n), delta_t=10.0,
                          expertise=rng.uniform(0.1, 1.0, n), alpha=1.5, evaluation=evaluation,
                          leisure_capacity=rng.uniform(0.5, 1.0, n))
-            paths = [tmp_path / f"{rho}_{j}.csv" for j in range(3)]
 
             def config(j):
                 return TrainConfig(episodes=60, num_arms=3, tau=10.0, anneal_floor=None,
-                                   seed=spawned_seed(n, j), trace_path=str(paths[j]))
-            # a lone run, and two traced runs in a batch
+                                   seed=spawned_seed(n, j))
+            # a lone run, and two runs of g in a batch with another game
+            update_calls.clear()
             train(g, config(0))
-            other = TrainConfig(**{**config(1).__dict__, "trace_path": None})
-            train_many([(g, config(1)), (game(rho=rho, expertise=(0.5,) * n), other),
+            train_many([(g, config(1)), (game(rho=rho, expertise=(0.5,) * n), config(1)),
                         (g, config(2))])
-            for path in paths:
-                with open(path, newline="") as fh:
-                    rows = np.array([[float(x) for x in row] for row in list(csv.reader(fh))[1:]])
-                actions = rows[:, 1:n + 1]
+            lone, first, _, second = _runs(update_calls, n, 3, 60)
+            for run, (arms, rewards) in zip(("lone", "first", "second"), (lone, first, second)):
+                actions = arm_actions[arms]
                 assert (actions == 0.0).any()
-                for row, joint in zip(rows, actions):
-                    G, _, rewards = _payoffs(g, joint)
-                    assert row[n + 1] == G and row[n + 2:].tolist() == rewards.tolist(), (
-                        rho, path.name, row[0])
+                for episode, (joint, got) in enumerate(zip(actions, rewards)):
+                    _, _, expected = _payoffs(g, joint)
+                    assert got.tolist() == expected.tolist(), (rho, run, episode)
 
 
 class TestDispersion:
