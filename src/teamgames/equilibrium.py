@@ -167,6 +167,11 @@ def _brent(f, lo, hi, *, xtol, flo=None, fhi=None, maxiter=400):
     return b
 
 
+def _require_player(player, game: GameSpec):
+    if not (isinstance(player, (int, np.integer)) and 0 <= player < game.n):
+        raise InputError(f"player must be an integer in [0, {game.n - 1}], got {player!r}")
+
+
 def _require_smooth(game: GameSpec, where: str):
     if not game.evaluation.is_smooth:
         raise UnsupportedEvaluationError(
@@ -181,6 +186,7 @@ def _require_smooth(game: GameSpec, where: str):
 
 def replacement_additive(G: float, player: int, game: GameSpec) -> float:
     """Additive-task replacement: max(0, p*dt - (alpha/beta) * sigma/sigma')."""
+    _require_player(player, game)
     if game.rho != 1:
         raise WrongSolverError(
             f"additive replacement requires rho = 1, got rho = {game.rho}")
@@ -234,6 +240,9 @@ def _replacement_gifts(game: GameSpec, G: np.ndarray) -> np.ndarray:
     rho < 1 all the first-order-condition roots are bisected in lockstep, each
     with ``_conjunctive_gift``'s bracket, midpoints and stopping rule, so a
     gift differs from the scalar one only where numpy's log rounds otherwise.
+    Every bracket halves from ``cap`` towards ``cap * 1e-14``, so nearly all
+    roots finish on the same step (about the 47th); the finished ones are
+    written out and dropped from the arrays only on a step where some finish.
     """
     G = np.asarray(G, dtype=float)
     p = np.asarray(game.expertise)[:, None]
@@ -292,6 +301,8 @@ def _replacement_gifts(game: GameSpec, G: np.ndarray) -> np.ndarray:
         hi = np.where(same, hi, mid)
         at_root = fm == 0
         done = at_root | (hi - lo <= xtol)
+        if not done.any():
+            continue
         out[rows[done], cols[done]] = np.where(at_root[done], mid[done],
                                                0.5 * (lo[done] + hi[done]))
         rows, cols, q, scale, target, lo, hi, xtol, flo = keep(
@@ -302,6 +313,7 @@ def _replacement_gifts(game: GameSpec, G: np.ndarray) -> np.ndarray:
 
 def standalone_value(player: int, game: GameSpec) -> float:
     """Outcome the player would produce as the sole contributor."""
+    _require_player(player, game)
     return _standalone_pair(player, game)[1]
 
 
@@ -332,6 +344,7 @@ def replacement_conjunctive(G: float, player: int, game: GameSpec,
     when rho < 0; outside, the map is undefined and a RegimeError names the
     regime.
     """
+    _require_player(player, game)
     if not (game.rho < 1 and game.rho != 0):
         raise WrongSolverError(
             f"conjunctive replacement requires rho < 1 (rho != 0), got {game.rho}")
@@ -494,8 +507,8 @@ def _u_zero(game: GameSpec, G_minus: float) -> float:
     return game.delta_t ** game.alpha * score_scalar(game.evaluation, G_minus)
 
 
-def _best_positive_response(game: GameSpec, player: int,
-                            G_minus: float) -> tuple[float, float] | None:
+def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
+                            interior: bool = False) -> tuple[float, float] | None:
     """Best strictly positive contribution against opponents providing G_minus.
 
     Returns (gift, utility) for the best g > 0, or None for a player with no
@@ -505,6 +518,12 @@ def _best_positive_response(game: GameSpec, player: int,
     and returns the last argmax.  Leisure is clamped at 0: at g = cap,
     ``dt - g/p`` can round below zero, and a non-integer alpha would turn it
     into NaN.
+
+    With ``interior``, where the smallest grid gift wins the first pass, the
+    zoom starts instead from the best point past the utility's first rise on
+    the grid (the interior local maximum), or past that smallest gift when
+    the utility only falls.  Where an interior point wins anyway, nothing
+    changes.
     """
     p = game.expertise[player]
     if p == 0.0:
@@ -532,9 +551,13 @@ def _best_positive_response(game: GameSpec, player: int,
     ramp = np.arange(257) / 256
     gs = cap * ramp[1:]
     lo, hi = cap * 1e-12, gs[-1]
-    for _ in range(200):
+    for level in range(200):
         us = utilities(gs)
         j = int(np.argmax(us))
+        if interior and level == 0 and j == 0:
+            rise = np.flatnonzero(us[1:] > us[:-1])
+            start = rise[0] + 1 if rise.size else 1
+            j = int(start + np.argmax(us[start:]))
         lo = gs[j - 1] if j > 0 else lo
         hi = gs[j + 1] if j + 1 < len(gs) else hi
         if hi - lo <= cap * 1e-14:
@@ -548,10 +571,16 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
 
     Solved for the opponents' provision with Brent's method, each evaluation
     one best response: at G_minus_star the best positive response and
-    free-riding pay the same.
+    free-riding pay the same.  The gap scores the interior best response
+    (``interior=True``): above the threshold the best positive gift collapses
+    onto g -> 0+, whose utility sits a rounding error below free-riding's, and
+    Brent would crawl along that plateau of about -1e-10 in tol-sized steps;
+    the interior branch leaves the gap unchanged where it is positive and
+    makes it clearly negative above the root.
     (Parametrising by the gift instead collapses numerically for large rho,
     where the gift gap to the standalone point falls below float spacing.)
     """
+    _require_player(player, game)
     if game.rho <= 1:
         raise WrongSolverError(
             f"critical thresholds exist only for disjunctive tasks (rho > 1), "
@@ -575,7 +604,7 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
             f"sigma'/sigma(standalone) * beta**(1/rho)/alpha = {bound:.6g}")
 
     def h(G_minus):
-        best = _best_positive_response(game, player, G_minus)
+        best = _best_positive_response(game, player, G_minus, interior=True)
         if best is None:
             return -math.inf
         return best[1] - _u_zero(game, G_minus)
@@ -652,6 +681,7 @@ def share_function(player: int, G: float, game: GameSpec, branch: str = "positiv
     [G_star, standalone] and strictly increasing with s(standalone) = 1;
     "zero" is defined for G >= G_minus_star and returns 0.
     """
+    _require_player(player, game)
     if game.rho <= 1:
         raise WrongSolverError(
             f"share functions are used for disjunctive tasks (rho > 1), got {game.rho}")
@@ -779,6 +809,8 @@ def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
     for name, step in (("grid_step", grid_step), ("refine_step", refine_step)):
         if step is not None and not (math.isfinite(step) and step > 0):
             raise InputError(f"{name} must be a finite number > 0, got {step}")
+    if not math.isfinite(epsilon):
+        raise InputError(f"epsilon must be a finite number, got {epsilon}")
     k = round(1.0 / grid_step)
     if abs(k * grid_step - 1.0) > 1e-9:
         raise InputError(f"grid_step must divide 1 evenly, got {grid_step}")

@@ -50,12 +50,12 @@ class EvaluationSpec:
             raise ConfigurationError(
                 f"evaluation kind must be one of {KINDS}, got {self.kind!r}"
             )
-        if self.kind in ("logistic", "heaviside") and not self.d > 0:
-            raise ConfigurationError(f"evaluation d must be > 0, got {self.d}")
-        if self.kind == "logistic" and not self.gamma > 0:
-            raise ConfigurationError(f"evaluation gamma must be > 0, got {self.gamma}")
-        if self.kind in ("logistic", "heaviside") and self.b < 0:
-            raise ConfigurationError(f"evaluation b must be >= 0, got {self.b}")
+        if self.kind in ("logistic", "heaviside") and not 0 < self.d < math.inf:
+            raise ConfigurationError(f"evaluation d must be finite and > 0, got {self.d}")
+        if self.kind == "logistic" and not 0 < self.gamma < math.inf:
+            raise ConfigurationError(f"evaluation gamma must be finite and > 0, got {self.gamma}")
+        if self.kind in ("logistic", "heaviside") and not 0 <= self.b < math.inf:
+            raise ConfigurationError(f"evaluation b must be finite and >= 0, got {self.b}")
 
     @property
     def is_smooth(self) -> bool:

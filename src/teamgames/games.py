@@ -14,6 +14,7 @@ unrestricted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,18 +63,20 @@ class GameSpec:
             raise ConfigurationError(f"n must be >= 1, got {self.n}")
         if self.rho == 0:
             raise ConfigurationError("rho must be nonzero (rho = 0 is not a CES exponent)")
-        if not self.delta_t > 0:
-            raise ConfigurationError(f"delta_t must be > 0, got {self.delta_t}")
-        if not self.alpha > 0:
-            raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
+        if not math.isfinite(self.rho):
+            raise ConfigurationError(f"rho must be finite, got {self.rho}")
+        if not 0 < self.delta_t < math.inf:
+            raise ConfigurationError(f"delta_t must be finite and > 0, got {self.delta_t}")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigurationError(f"alpha must be finite and > 0, got {self.alpha}")
         object.__setattr__(self, "betas", _as_tuple("betas", self.betas, self.n))
         object.__setattr__(self, "expertise", _as_tuple("expertise", self.expertise, self.n))
         lc = self.leisure_capacity
         lc = tuple(1.0 for _ in range(self.n)) if lc is None else _as_tuple(
             "leisure_capacity", lc, self.n)
         object.__setattr__(self, "leisure_capacity", lc)
-        if any(b <= 0 for b in self.betas):
-            raise ConfigurationError(f"betas must all be > 0, got {self.betas}")
+        if not all(0 < b < math.inf for b in self.betas):
+            raise ConfigurationError(f"betas must all be finite and > 0, got {self.betas}")
         if any(not 0 <= p <= 1 for p in self.expertise):
             raise ConfigurationError(f"expertise must lie in [0, 1], got {self.expertise}")
         if any(not 0 <= p <= 1 for p in self.leisure_capacity):

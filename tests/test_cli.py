@@ -209,6 +209,7 @@ MALFORMED = [
     ("tune", {"budget": "abc"}, [], "budget"),
     ("solve", {**game_spec(), "betas": 3}, [], "betas"),
     ("solve", {**game_spec(), "rho": "x"}, [], "rho"),
+    ("solve", {**game_spec(), "rho": float("nan")}, [], "rho must be finite"),
     ("solve", game_spec(evaluation={"kind": "logistic", "d": "x"}), [], "evaluation d"),
     ("heaviside", {"teams": [[0.3]]}, [], "teams"),
     ("heaviside", {"episodes": "abc"}, [], "episodes"),

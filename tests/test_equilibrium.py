@@ -527,6 +527,25 @@ class TestMalformedInput:
         with pytest.raises(InputError, match="refine_step"):
             verify_epsilon_nash((0.5, 0.5), game(rho=1.0), 0.1, refine_step=step)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_epsilon_named(self, epsilon):
+        with pytest.raises(InputError, match="epsilon"):
+            verify_epsilon_nash((0.5, 0.5), game(rho=1.0), epsilon)
+
+    @pytest.mark.parametrize("call,rho", [
+        (lambda i, g: replacement_additive(4.0, i, g), 1.0),
+        (lambda i, g: replacement_conjunctive(8.0, i, g), 0.5),
+        (standalone_value, 10.0),
+        (critical_thresholds, 10.0),
+        (lambda i, g: share_function(i, 4.5, g), 10.0),
+    ], ids=["replacement_additive", "replacement_conjunctive", "standalone_value",
+            "critical_thresholds", "share_function"])
+    @pytest.mark.parametrize("player", [-1, 2, 5, 0.5])
+    def test_player_named(self, call, rho, player):
+        # -1 read the last player and 2 raised a bare IndexError
+        with pytest.raises(InputError, match=r"player must be an integer in \[0, 1\]"):
+            call(player, game(rho=rho))
+
     @pytest.mark.parametrize("num_brackets", [0, -3])
     def test_num_brackets_named(self, num_brackets):
         with pytest.raises(InputError, match="num_brackets"):
@@ -712,13 +731,26 @@ class TestBrent:
     @pytest.mark.parametrize("rho", [3.0, 10.0, 500.0])
     def test_threshold_takes_few_evaluations(self, rho, monkeypatch):
         # every h evaluation is one best response, and one more follows the
-        # root; bisection took 45 or more
+        # root; bisection took 45 or more, and Brent on a gap whose negative
+        # side was a plateau of about -1e-10 took 22 to 24
         calls = []
         best = equilibrium._best_positive_response
         monkeypatch.setattr(equilibrium, "_best_positive_response",
-                            lambda *args: calls.append(args) or best(*args))
+                            lambda *args, **kwargs: calls.append(args) or best(*args, **kwargs))
         critical_thresholds(0, game(rho=rho, b=5.0))
-        assert len(calls) - 1 <= 25
+        assert len(calls) - 1 <= 13
+
+    @pytest.mark.parametrize("rho", [3.0, 10.0, 500.0])
+    def test_gap_is_clearly_negative_above_threshold(self, rho):
+        # above the threshold the corner g -> 0+ wins with a utility just below
+        # free-riding's; the gap scores the interior local maximum instead, so
+        # Brent sees a slope there rather than a plateau of about -1e-10
+        g = game(rho=rho, b=5.0)
+        thr = critical_thresholds(0, g)
+        G_minus = thr.G_minus_star + 0.1 * thr.standalone
+        u_zero = equilibrium._u_zero(g, G_minus)
+        gap = _best_positive_response(g, 0, G_minus, interior=True)[1] - u_zero
+        assert gap < -1e-3 * u_zero
 
 
 class TestConjunctiveRootBelowBracket:

@@ -134,9 +134,14 @@ class TestSpecValidation:
         {"kind": "logistic", "gamma": 0.0},
         {"kind": "heaviside", "d": 0.0},
         {"kind": "logistic", "b": -2.0},
+        {"kind": "logistic", "b": math.nan},
+        {"kind": "heaviside", "b": math.inf},
+        {"kind": "logistic", "d": math.inf},
+        {"kind": "logistic", "gamma": math.inf},
     ])
     def test_parameter_domains(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        key = next(k for k in kwargs if k != "kind")
+        with pytest.raises(ConfigurationError, match=f"evaluation {key} must"):
             EvaluationSpec(**kwargs)
 
     def test_round_trip(self):

@@ -172,11 +172,13 @@ class TestGameSpec:
         ("rho", 0.0), ("delta_t", -1.0), ("alpha", 0.0),
         ("betas", (1.0, -1.0)), ("expertise", (0.3, 1.4)),
         ("leisure_capacity", (2.0, 1.0)),
+        ("rho", math.nan), ("rho", math.inf), ("delta_t", math.inf), ("alpha", math.inf),
+        ("betas", (1.0, math.nan)), ("betas", (math.inf, 1.0)),
     ])
     def test_invariants(self, field, value):
         data = two_player().to_dict()
         data[field] = list(value) if isinstance(value, tuple) else value
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=field):
             GameSpec.from_dict(data)
 
     def test_length_mismatch(self):
