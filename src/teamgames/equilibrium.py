@@ -187,6 +187,10 @@ def _require_smooth(game: GameSpec, where: str):
 def replacement_additive(G: float, player: int, game: GameSpec) -> float:
     """Additive-task replacement: max(0, p*dt - (alpha/beta) * sigma/sigma')."""
     _require_player(player, game)
+    return _replacement_additive(G, player, game)
+
+
+def _replacement_additive(G: float, player: int, game: GameSpec) -> float:
     if game.rho != 1:
         raise WrongSolverError(
             f"additive replacement requires rho = 1, got rho = {game.rho}")
@@ -345,6 +349,11 @@ def replacement_conjunctive(G: float, player: int, game: GameSpec,
     regime.
     """
     _require_player(player, game)
+    return _replacement_conjunctive(G, player, game, standalone=standalone)
+
+
+def _replacement_conjunctive(G: float, player: int, game: GameSpec,
+                             *, standalone: float | None = None) -> float:
     if not (game.rho < 1 and game.rho != 0):
         raise WrongSolverError(
             f"conjunctive replacement requires rho < 1 (rho != 0), got {game.rho}")
@@ -352,7 +361,7 @@ def replacement_conjunctive(G: float, player: int, game: GameSpec,
     p = game.expertise[player]
     if p == 0.0:
         return 0.0
-    G_bar = standalone_value(player, game) if standalone is None else standalone
+    G_bar = _standalone_pair(player, game)[1] if standalone is None else standalone
     if 0 < game.rho < 1 and G < G_bar - BOUNDARY_TOL:
         raise RegimeError(
             f"for 0 < rho < 1 the replacement map of player {player} is defined "
@@ -436,18 +445,18 @@ def solve_equilibrium_concave(game: GameSpec, *, num_brackets: int = 2048) -> li
     if game.rho == 1:
         lo, hi = 0.0, G_max
         def gift(i, G):
-            return replacement_additive(G, i, game)
+            return _replacement_additive(G, i, game)
     elif game.rho > 0:
         lo, hi = max(standalones), G_max
         def gift(i, G):
-            return replacement_conjunctive(G, i, game, standalone=standalones[i])
+            return _replacement_conjunctive(G, i, game, standalone=standalones[i])
     else:
         # G = 0 is a trivial fixed point of the weakest-link limit (any zero
         # gift forces G = 0); the replacement theory covers only G > 0.
         hi = min(standalones)
         lo = hi * 1e-9
         def gift(i, G):
-            return replacement_conjunctive(G, i, game, standalone=standalones[i])
+            return _replacement_conjunctive(G, i, game, standalone=standalones[i])
 
     if not hi > lo:
         raise NoEquilibriumError(
@@ -507,8 +516,8 @@ def _u_zero(game: GameSpec, G_minus: float) -> float:
     return game.delta_t ** game.alpha * score_scalar(game.evaluation, G_minus)
 
 
-def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
-                            interior: bool = False) -> tuple[float, float] | None:
+def _best_positive_response(game: GameSpec, player: int,
+                            G_minus: float) -> tuple[float, float] | None:
     """Best strictly positive contribution against opponents providing G_minus.
 
     Returns (gift, utility) for the best g > 0, or None for a player with no
@@ -519,11 +528,17 @@ def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
     ``dt - g/p`` can round below zero, and a non-integer alpha would turn it
     into NaN.
 
-    With ``interior``, where the smallest grid gift wins the first pass, the
-    zoom starts instead from the best point past the utility's first rise on
-    the grid (the interior local maximum), or past that smallest gift when
-    the utility only falls.  Where an interior point wins anyway, nothing
-    changes.
+    The gift is the best *interior* one.  As g -> 0+ the utility tends to
+    free-riding's (for rho > 1 a small gift adds only O(g**rho) to the
+    aggregate), so while the bracket still reaches down to ``cap * 1e-12``
+    and its smallest grid gift wins, the zoom moves to the best point past
+    the utility's first rise on the grid, the interior local maximum, if the
+    grid shows one.  Where no level shows one, the utility falls from
+    free-riding's on every gift and there is no interior maximum; the
+    smallest gift of the first grid, ``cap / 256``, and its utility are
+    returned, clearly below free-riding, rather than the corner
+    ``cap * 1e-12``, a rounding error below it.  Where an interior point
+    wins anyway, nothing changes.
     """
     p = game.expertise[player]
     if p == 0.0:
@@ -550,19 +565,25 @@ def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
 
     ramp = np.arange(257) / 256
     gs = cap * ramp[1:]
-    lo, hi = cap * 1e-12, gs[-1]
-    for level in range(200):
-        us = utilities(gs)
+    us = utilities(gs)
+    smallest = float(gs[0]), float(us[0])
+    corner = cap * 1e-12
+    lo, hi = corner, gs[-1]
+    for _ in range(200):
         j = int(np.argmax(us))
-        if interior and level == 0 and j == 0:
+        if j == 0 and lo == corner:
             rise = np.flatnonzero(us[1:] > us[:-1])
-            start = rise[0] + 1 if rise.size else 1
-            j = int(start + np.argmax(us[start:]))
+            if rise.size:
+                start = rise[0] + 1
+                j = int(start + np.argmax(us[start:]))
         lo = gs[j - 1] if j > 0 else lo
         hi = gs[j + 1] if j + 1 < len(gs) else hi
         if hi - lo <= cap * 1e-14:
             break
         gs = lo + (hi - lo) * ramp
+        us = utilities(gs)
+    if lo == corner:
+        return smallest
     return float(gs[j]), float(us[j])
 
 
@@ -571,12 +592,12 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
 
     Solved for the opponents' provision with Brent's method, each evaluation
     one best response: at G_minus_star the best positive response and
-    free-riding pay the same.  The gap scores the interior best response
-    (``interior=True``): above the threshold the best positive gift collapses
-    onto g -> 0+, whose utility sits a rounding error below free-riding's, and
-    Brent would crawl along that plateau of about -1e-10 in tol-sized steps;
-    the interior branch leaves the gap unchanged where it is positive and
-    makes it clearly negative above the root.
+    free-riding pay the same.  The best response is the interior one: above
+    the threshold the corner g -> 0+ would win with a utility a rounding
+    error below free-riding's, and Brent would crawl along that plateau of
+    about -1e-10 in tol-sized steps; the interior local maximum leaves the
+    gap unchanged where it is positive and makes it clearly negative above
+    the root.
     (Parametrising by the gift instead collapses numerically for large rho,
     where the gift gap to the standalone point falls below float spacing.)
     """
@@ -604,7 +625,7 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
             f"sigma'/sigma(standalone) * beta**(1/rho)/alpha = {bound:.6g}")
 
     def h(G_minus):
-        best = _best_positive_response(game, player, G_minus, interior=True)
+        best = _best_positive_response(game, player, G_minus)
         if best is None:
             return -math.inf
         return best[1] - _u_zero(game, G_minus)

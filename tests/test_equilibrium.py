@@ -625,7 +625,9 @@ class TestReplacementGiftsParity:
 
 def _ternary_best_positive_response(g, player, G_minus, grid=256):
     """Reference best positive response: a point-by-point scalar grid, then
-    ternary refinement of the bracket around its argmax."""
+    ternary refinement of the bracket around its argmax, or around the
+    interior local maximum where the smallest gift wins the grid; where the
+    refinement collapses onto the corner, the smallest grid gift."""
     p = g.expertise[player]
     cap = p * g.delta_t
     bscale = g.betas[player] ** (1.0 / g.rho)
@@ -643,7 +645,12 @@ def _ternary_best_positive_response(g, player, G_minus, grid=256):
         return max(g.delta_t - x / p, 0.0) ** g.alpha * score_scalar(g.evaluation, G)
 
     gs = np.linspace(0.0, cap, grid + 1)[1:]
-    j = int(np.argmax([u(x) for x in gs]))
+    us = np.array([u(x) for x in gs])
+    j = int(np.argmax(us))
+    rise = np.flatnonzero(us[1:] > us[:-1])
+    if j == 0 and rise.size:
+        # the smallest gift wins: take the interior local maximum past the rise
+        j = int(rise[0] + 1 + np.argmax(us[rise[0] + 1:]))
     lo = gs[j - 1] if j > 0 else cap * 1e-12
     hi = gs[j + 1] if j + 1 < len(gs) else gs[-1]
     for _ in range(200):
@@ -656,6 +663,9 @@ def _ternary_best_positive_response(g, player, G_minus, grid=256):
         if hi - lo <= cap * 1e-14:
             break
     g_best = 0.5 * (lo + hi)
+    if g_best < cap * 1e-11:
+        # no interior maximum: the smallest grid gift stands in for the corner
+        return gs[0], us[0]
     return g_best, u(g_best)
 
 
@@ -672,7 +682,10 @@ class TestBestPositiveResponse:
         for G_minus in np.linspace(0.0, 1.2 * g.max_aggregate(), 25):
             g_new, u_new = _best_positive_response(g, 0, G_minus)
             g_ref, u_ref = _ternary_best_positive_response(g, 0, G_minus)
-            assert u_new >= u_ref
+            if g_new == g_ref:  # one point, scored by the array and the scalar code
+                assert u_new == pytest.approx(u_ref, rel=1e-14)
+            else:
+                assert u_new >= u_ref
             assert abs(g_new - g_ref) <= 1e-7 * cap
 
     @pytest.mark.parametrize("rho,expected", [(3.0, 4.413672041469965),
@@ -690,6 +703,22 @@ class TestBestPositiveResponse:
             return _best_positive_response(g, 0, G_minus)[1] - equilibrium._u_zero(g, G_minus)
 
         assert h(thr.G_minus_star - xtol) > 0 > h(thr.G_minus_star + xtol)
+
+    @pytest.mark.parametrize("rho,alpha,G_minus_star,g_star", [
+        (3.0, 300.0, 0.0012473450970508838, 0.0031240735152),
+        (10.0, 300.0, 0.0012242306473590741, 0.00332210621575),
+        (1.5, 500.0, 0.00093219756514713156, 0.0011631338421),
+    ], ids=["rho3", "rho10", "rho1.5"])
+    def test_threshold_with_gift_below_first_grid_cell(self, rho, alpha, G_minus_star,
+                                                       g_star):
+        # the gift at the threshold lies below cap/256, so the first grid only
+        # falls and the interior maximum is found on a finer level, where the
+        # corner g -> 0+ still beats its coarse grid points; expected values
+        # from a 50-digit search (ternary argmax, secant root)
+        g = game(rho=rho, kind="identity", alpha=alpha, delta_t=1.0)
+        thr = critical_thresholds(0, g)
+        assert abs(thr.G_minus_star - G_minus_star) <= 1e-13
+        assert thr.g_star == pytest.approx(g_star, rel=1e-6)
 
     def test_no_nan_when_leisure_rounds_below_zero(self):
         # at g = cap, dt - cap/p rounds to -1.8e-15 for p = 0.81; with a
@@ -749,7 +778,7 @@ class TestBrent:
         thr = critical_thresholds(0, g)
         G_minus = thr.G_minus_star + 0.1 * thr.standalone
         u_zero = equilibrium._u_zero(g, G_minus)
-        gap = _best_positive_response(g, 0, G_minus, interior=True)[1] - u_zero
+        gap = _best_positive_response(g, 0, G_minus)[1] - u_zero
         assert gap < -1e-3 * u_zero
 
 
