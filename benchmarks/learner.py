@@ -10,14 +10,31 @@ side in turn, ``--repeats`` times; the file keeps every sample, the median
 and the quartiles (of a digest, its distinct values):
 
 * ``episode_us.*``: microseconds per run-episode of ``train`` on a two-,
-  three- and four-player game with one run, and for two and three players
+  three- and four-player game with one run (``n*_R1``); of the team4
+  benchmark workload's lone runs (``n4_team4``: its four four-player games,
+  four seeds each, 2,000 episodes, one ``train`` call per run); of 16
+  four-player runs learned together (``n4_R16``); for two and three players
   with a full lockstep chunk of runs (``chunk_runs.*``: as many as the side's
-  ``simulator._CHUNK_BYTES`` budget holds, trained by one ``train_many``
-  call where it exists and by one ``train`` call per run otherwise);
+  ``simulator._CHUNK_BYTES`` budget holds); and of the sweep90 learning
+  chunk (``sweep90_chunk``: 90 two-player runs).  Runs learned together go
+  through one ``train_many`` call where it exists and one ``train`` call per
+  run otherwise;
+* ``step_us.<case>.<step>``: where that time goes, from a second, untimed
+  run of the same case with the trainer's step functions wrapped by timers
+  (``softmax``, ``draw``, ``ces`` for ``_aggregate_terms``, ``score`` and
+  ``update``; ``other`` is the rest of the run, term gathers, uniforms and
+  the timers' own cost among it), microseconds per run-episode;
+* ``score_evals.<case>``: for the lone cases, calls of the trainer's score
+  function per episode in that second run (``_score`` where it exists,
+  else ``eval_score``, which also scores each run's reward bound once);
 * ``train50k_s``: one 50,000-episode two-player ``train``;
 * ``sweep90.*``: the 90-cell acceptance grid at 5,000 episodes a cell, split
   into solving every cell and learning every cell, and a whole ``run_sweep``
   with the process's peak RSS;
+* ``fixture_s.*``: the setup seconds of the three learning fixtures of the
+  side's ``tests/test_acceptance.py`` (the 90-cell sweep, the spot-check
+  runs and the pass/fail study), from a pytest run of the tests that use
+  them, as ``--durations`` reports them;
 * ``solve240.*``: ``solve_cell`` on the 240 cells of the default sweep grid,
   the seconds summed per regime (additive, conjunctive, disjunctive) and a
   sha256 of every cell's equilibria or exception type;
@@ -42,6 +59,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -52,6 +70,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 R1_EPISODES = {2: 20_000, 3: 10_000, 4: 4_000}
+LONE = ("n2_R1", "n3_R1", "n4_R1", "n4_team4")
+# the trainer's step functions, by the names the simulator module looks up
+STEPS = {"softmax": ("_boltzmann",), "draw": ("_draw_arms",), "ces": ("_aggregate_terms",),
+         "score": ("_score", "eval_score"), "update": ("_update_q",)}
+# the learning fixtures of tests/test_acceptance.py, by the test class charged their setup
+FIXTURES = {"TestCriterion3Regression": "sweep_records",
+            "TestCriterion4LearnedSpotChecks": "spot_check_outcomes",
+            "TestCriterion6Heaviside": "heaviside_results"}
 
 
 def _chunk_runs(n: int) -> int:
@@ -60,12 +86,11 @@ def _chunk_runs(n: int) -> int:
     return max(1, simulator._CHUNK_BYTES // simulator._run_bytes(n, 101))
 
 
-def _game(n: int):
+def _game(n: int, rho: float = 1.0, kind: str = "logistic"):
     import teamgames as tg
     expertise = {2: (0.3, 0.8), 3: (0.3, 0.55, 0.8), 4: (0.3, 0.5, 0.7, 0.9)}[n]
-    return tg.GameSpec(n=n, rho=1.0, betas=(1.0,) * n, delta_t=10.0, expertise=expertise,
-                       alpha=2.0, evaluation=tg.EvaluationSpec("logistic", d=10.0, gamma=2.0,
-                                                               b=5.0))
+    return tg.GameSpec(n=n, rho=rho, betas=(1.0,) * n, delta_t=10.0, expertise=expertise,
+                       alpha=2.0, evaluation=tg.EvaluationSpec(kind, d=10.0, gamma=2.0, b=5.0))
 
 
 def _train_all(jobs):
@@ -73,6 +98,59 @@ def _train_all(jobs):
     if hasattr(simulator, "train_many"):
         return simulator.train_many(jobs)
     return [simulator.train(game, config) for game, config in jobs]
+
+
+def _profiled(name: str, learn, run_episodes: int) -> dict:
+    """Run ``learn()`` with the simulator's step functions wrapped by
+    timers: microseconds per run-episode of each step, and for a lone case
+    the score function's calls per episode."""
+    from teamgames import simulator
+    spent = dict.fromkeys(STEPS, 0.0)
+    score_calls = 0
+    saved = {}
+    for step, names in STEPS.items():
+        attr = next(a for a in names if hasattr(simulator, a))
+        saved[attr] = func = getattr(simulator, attr)
+
+        def timed(*args, _func=func, _step=step, **kwargs):
+            nonlocal score_calls
+            t = time.perf_counter()
+            try:
+                return _func(*args, **kwargs)
+            finally:
+                spent[_step] += time.perf_counter() - t
+                score_calls += _step == "score"
+        setattr(simulator, attr, timed)
+    t0 = time.perf_counter()
+    try:
+        learn()
+    finally:
+        for attr, func in saved.items():
+            setattr(simulator, attr, func)
+    total = time.perf_counter() - t0
+    out = {f"step_us.{name}.{step}": seconds / run_episodes * 1e6
+           for step, seconds in spent.items()}
+    out[f"step_us.{name}.other"] = (total - sum(spent.values())) / run_episodes * 1e6
+    if name in LONE:
+        out[f"score_evals.{name}"] = score_calls / run_episodes
+    return out
+
+
+def _fixture_setups(src: str) -> dict:
+    """Setup seconds of the acceptance suite's learning fixtures."""
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--durations=0", "-k", " or ".join(FIXTURES),
+                           "tests/test_acceptance.py"], cwd=Path(src).parent,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    out = {}
+    for line in proc.stdout.splitlines():
+        match = re.match(r"([0-9.]+)s setup\s+\S+::(\w+)::", line)
+        if match and match.group(2) in FIXTURES:
+            key = f"fixture_s.{FIXTURES[match.group(2)]}"
+            out[key] = max(out.get(key, 0.0), float(match.group(1)))
+    if len(out) != len(FIXTURES):
+        raise SystemExit(f"fixture setups not found in:\n{proc.stdout[-2000:]}")
+    return out
 
 
 def _sweep_config():
@@ -91,12 +169,27 @@ def case(name: str) -> dict:
                                            seed=simulator.spawned_seed(SEED, n, r)))
                 for r in range(count)]
 
+    def timed_and_profiled(learn, run_episodes):
+        t0 = time.perf_counter()
+        learn()
+        out[f"episode_us.{name}"] = (time.perf_counter() - t0) / run_episodes * 1e6
+        out.update(_profiled(name, learn, run_episodes))
+
     out = {}
     t0 = time.perf_counter()
     if name in ("n2_R1", "n3_R1", "n4_R1"):
         episodes = R1_EPISODES[int(name[1])]
-        _train_all(runs(int(name[1]), 1, episodes))
-        out[f"episode_us.{name}"] = (time.perf_counter() - t0) / episodes * 1e6
+        jobs = runs(int(name[1]), 1, episodes)
+        timed_and_profiled(lambda: _train_all(jobs), episodes)
+    elif name == "n4_team4":
+        # the games, episodes and seeds of perfbench's team4 workload, four seeds a game
+        games = [_game(4, 1.0), _game(4, -10.0), _game(4, 10.0), _game(4, 1.0, "heaviside")]
+        jobs = [(game, tg.TrainConfig(episodes=2_000, seed=simulator.spawned_seed(SEED, g, r)))
+                for g, game in enumerate(games) for r in range(4)]
+        timed_and_profiled(lambda: [tg.train(*job) for job in jobs], len(jobs) * 2_000)
+    elif name == "n4_R16":
+        jobs = runs(4, 16, 2_000)
+        timed_and_profiled(lambda: _train_all(jobs), 16 * 2_000)
     elif name in ("n2_chunk", "n3_chunk"):
         n = int(name[1])
         count = _chunk_runs(n)
@@ -116,11 +209,15 @@ def case(name: str) -> dict:
             except tg.TeamworkGameError:
                 pass
         t1 = time.perf_counter()
-        _train_all([(game, tg.TrainConfig(episodes=config.episodes,
-                                          seed=simulator.spawned_seed(SEED, index, 0)))
-                    for (index, *_), game in zip(specs, games)])
+        jobs = [(game, tg.TrainConfig(episodes=config.episodes,
+                                      seed=simulator.spawned_seed(SEED, index, 0)))
+                for (index, *_), game in zip(specs, games)]
+        _train_all(jobs)
         out["sweep90.solve_s"] = t1 - t0
         out["sweep90.learn_s"] = time.perf_counter() - t1
+        run_episodes = len(jobs) * config.episodes
+        out["episode_us.sweep90_chunk"] = out["sweep90.learn_s"] / run_episodes * 1e6
+        out.update(_profiled("sweep90_chunk", lambda: _train_all(jobs), run_episodes))
     elif name == "solve_regimes":
         config = experiments.SweepConfig()
         seconds = {"additive": 0.0, "conjunctive": 0.0, "disjunctive": 0.0}
@@ -199,13 +296,16 @@ def case(name: str) -> dict:
         experiments.run_sweep(_sweep_config())
         out["sweep90.run_sweep_s"] = time.perf_counter() - t0
         out["sweep90.peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    elif name == "fixtures":
+        out.update(_fixture_setups(sys.path[0]))
     else:
         raise SystemExit(f"unknown case {name!r}")
     return out
 
 
-CASES = ("n2_R1", "n2_chunk", "n3_R1", "n3_chunk", "n4_R1", "train50k", "sweep_split",
-         "solve_regimes", "thresholds", "best_response", "roots", "sweep")
+CASES = ("n2_R1", "n2_chunk", "n3_R1", "n3_chunk", "n4_R1", "n4_team4", "n4_R16", "train50k",
+         "sweep_split", "solve_regimes", "thresholds", "best_response", "roots", "sweep",
+         "fixtures")
 
 
 def _run_case(src: str, name: str) -> dict:

@@ -41,7 +41,7 @@ from .errors import (
     WrongSolverError,
 )
 from .evaluation import eval_ratio, eval_score, score_scalar, ratio_scalar
-from .games import GameSpec, _actions_array, _payoffs, ces_aggregate
+from .games import GameSpec, _actions_array, _payoffs, ces_aggregate, utility
 
 # Absolute tolerance on work units for branch and boundary comparisons.
 BOUNDARY_TOL = 1e-10
@@ -513,7 +513,7 @@ def solve_equilibrium_concave(game: GameSpec, *, num_brackets: int = 2048) -> li
 # ---------------------------------------------------------------------------
 
 def _u_zero(game: GameSpec, G_minus: float) -> float:
-    return game.delta_t ** game.alpha * score_scalar(game.evaluation, G_minus)
+    return utility(game.delta_t, score_scalar(game.evaluation, G_minus), game.alpha)
 
 
 def _best_positive_response(game: GameSpec, player: int,
@@ -623,6 +623,17 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
             "the positive replacement branch is not single-valued here: "
             f"rho/(dt*p) = {game.rho / (game.delta_t * p):.6g} < "
             f"sigma'/sigma(standalone) * beta**(1/rho)/alpha = {bound:.6g}")
+
+    # leisure ** alpha is at most delta_t ** alpha: refuse by name a game
+    # whose utilities would overflow on the way to the root
+    top = score_scalar(game.evaluation, game.max_aggregate())
+    try:
+        utility(game.delta_t, top, game.alpha)
+    except InputError:
+        raise InputError(
+            "utilities must be finite, got a bound delta_t ** alpha * sigma(G at full time) "
+            f"beyond the float range (delta_t = {game.delta_t}, alpha = {game.alpha}, "
+            f"sigma = {top})") from None
 
     def h(G_minus):
         best = _best_positive_response(game, player, G_minus)
@@ -806,7 +817,7 @@ def max_achievable_utility(game: GameSpec) -> float:
     """Loose per-player utility bound used to scale epsilon in Nash checks."""
     best_leisure = game.delta_t * max(game.leisure_capacity)
     top_score = float(eval_score(game.evaluation, game.max_aggregate()))
-    return best_leisure ** game.alpha * top_score
+    return utility(best_leisure, top_score, game.alpha)
 
 
 def _deviation_utilities(game: GameSpec, actions: np.ndarray, player: int,

@@ -87,19 +87,27 @@ class EvaluationSpec:
         return cls(kind=kind, **kwargs)
 
 
-def _logistic(spec: EvaluationSpec, z):
-    """Numerically stable d * sigmoid(z), of an array or of one numpy float."""
+def _score(kind: str, g, d, gamma, b):
+    """sigma(g) of one evaluation kind, elementwise.  ``g`` is an array or
+    one numpy float; ``d``, ``gamma`` and ``b`` are scalars or arrays that
+    broadcast with it, so runs with different parameters score in one pass."""
+    if kind == "identity":
+        return g.copy()
+    if kind == "heaviside":
+        return np.where(g >= b, d, 0.0)
+    z = gamma * (g - b)
+    # numerically stable d * sigmoid(z)
     if isinstance(z, np.floating):
         # one value: branch in Python, with numpy's exp (math.exp may differ
         # from it in the last bit)
         if z >= 0:
-            return spec.d / (1.0 + np.exp(-z))
+            return d / (1.0 + np.exp(-z))
         ez = np.exp(z)
-        return spec.d * ez / (1.0 + ez)
+        return d * ez / (1.0 + ez)
     # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, and never
     # overflows; the numerator picks d or d * e before the one shared division
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, spec.d, spec.d * e) / (1.0 + e)
+    return np.where(z >= 0, d, d * e) / (1.0 + e)
 
 
 def eval_score(spec: EvaluationSpec, G):
@@ -108,12 +116,7 @@ def eval_score(spec: EvaluationSpec, G):
     scalar = g.ndim == 0
     if scalar:
         g = g[()]  # a numpy float: scalar arithmetic, the same IEEE operations
-    if spec.kind == "identity":
-        out = g.copy()
-    elif spec.kind == "heaviside":
-        out = np.where(g >= spec.b, spec.d, 0.0)
-    else:
-        out = _logistic(spec, spec.gamma * (g - spec.b))
+    out = _score(spec.kind, g, spec.d, spec.gamma, spec.b)
     return float(out) if scalar else out
 
 

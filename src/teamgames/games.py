@@ -192,8 +192,20 @@ def private_good(a: float, p_l: float, delta_t: float) -> float:
 
 
 def utility(x: float, score: float, alpha: float) -> float:
-    """Cobb-Douglas style payoff: leisure**alpha times the team's score."""
-    return x ** alpha * score
+    """Cobb-Douglas style payoff: leisure**alpha times the team's score.
+
+    A payoff beyond the float range (``x ** alpha`` overflows from about
+    ``alpha * log10(x) > 308``) raises ``InputError`` naming its inputs.
+    """
+    try:
+        u = x ** alpha * score
+    except OverflowError:
+        u = math.inf
+    if not math.isfinite(u):
+        raise InputError(
+            f"utility x ** alpha * score must be finite, got x = {x!r}, alpha = {alpha!r}, "
+            f"score = {score!r}")
+    return u
 
 
 def ces_aggregate(gifts, rho: float, betas):

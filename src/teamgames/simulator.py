@@ -17,13 +17,15 @@ one-run case).  Rewards take one path for every team size: each player's
 CES log-term and leisure factor are tabulated per arm before the first
 episode, and each episode gathers every run's terms into one column,
 finishes them with ``games._aggregate_terms`` (the log-sum-exp of
-``ces_aggregate``), scores the outcomes and multiplies by the leisure
-factors.  With each run's column contiguous, as ``ces_aggregate`` lays out
-a grid, the rewards equal ``games._payoffs`` bit for bit on each joint
-action alone or over an ``(n, cells)`` grid of them.  Each run draws from its
-own counter-based stream, so an outcome is bitwise the same whatever it is
-batched with; sweep seeds are derived from a base seed with spawn keys, so
-parallel runs match serial ones.
+``ces_aggregate``), scores the outcomes in one ``evaluation._score`` pass
+per evaluation kind and multiplies by the leisure factors.  A lone run
+keeps the score of each joint action it has played and looks it up when it
+plays the action again.  With each run's column contiguous, as
+``ces_aggregate`` lays out a grid, the rewards equal ``games._payoffs`` bit
+for bit on each joint action alone or over an ``(n, cells)`` grid of them.
+Each run draws from its own counter-based stream, so an outcome is bitwise
+the same whatever it is batched with; sweep seeds are derived from a base
+seed with spawn keys, so parallel runs match serial ones.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from .bandit import _boltzmann, _update_q, uniform_action_grid
 from .bandit import update_q  # noqa: F401  (bound here for perfbench's tracer tests)
 from .errors import ConfigurationError, InputError, UndefinedDispersionError
-from .evaluation import eval_score
+from .evaluation import _score, eval_score
 from .games import GameSpec, _aggregate_terms, _leisure_payoff, _outcome
 
 # Share of each agent's draws taken uniformly over all arms, whatever the
@@ -189,10 +191,13 @@ def train_many(jobs) -> list[LearnedOutcome]:
     their Q-tables are one ``(runs * n, K)`` array, and every episode does
     one soft-max, one draw, one reward computation and one update for all
     of them.  Rewards take one path for every team size, through per-player
-    CES term tables; a chunk is sized by its runs' ``(n, K)`` arrays alone
-    (``_run_bytes``).  ``k``, the game and the seed may differ within a
-    chunk.  Each run keeps its own random stream, so outcomes do not depend
-    on how the jobs are grouped or chunked.
+    CES term tables, and a chunk scores its outcomes once per evaluation
+    kind; a chunk is sized by its runs' ``(n, K)`` arrays alone
+    (``_run_bytes``).  A group of one run scores each distinct joint action
+    once and looks the score up on every replay: at most
+    ``min(episodes, K ** n)`` entries.  ``k``, the game and the seed may
+    differ within a chunk.  Each run keeps its own random stream, so
+    outcomes do not depend on how the jobs are grouped or chunked.
     """
     jobs = list(jobs)
     groups: dict[tuple, list[int]] = {}
@@ -240,11 +245,28 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
     # each run's terms contiguous, so they sum as its own joint action's gifts
     terms = np.empty((n, runs), order="F")
     S = np.empty(runs)
+    # one _score call per evaluation kind, with each run's d, gamma and b
+    # bound once; a lone kind takes every run as a view
     specs = [game.evaluation for game in games]
-    # one eval_score call per distinct evaluation; a lone one takes every run as a view
-    by_evaluation = [(spec, slice(None) if len(set(specs)) == 1
-                      else np.flatnonzero([other == spec for other in specs]))
-                     for spec in dict.fromkeys(specs)]
+    by_kind = []
+    for kind in dict.fromkeys(spec.kind for spec in specs):
+        rows = [r for r, spec in enumerate(specs) if spec.kind == kind]
+        members = slice(None) if len(rows) == runs else np.array(rows)
+        by_kind.append((kind, members, *(np.array([getattr(specs[r], key) for r in rows])
+                                         for key in ("d", "gamma", "b"))))
+
+    def scores():
+        """sigma(G) of every run's joint action in ``cells``, into ``S``."""
+        T.take(player_cells, out=terms)
+        G = _aggregate_terms(terms, rho)
+        for kind, members, d, gamma, b in by_kind:
+            S[members] = _score(kind, G[members], d, gamma, b)
+        return S
+
+    # A lone run replays most joint actions many times, and a joint action
+    # fixes its team score: keep each one's score, at most min(episodes, K**n)
+    # of them.  A chunk of runs rarely replays every run's joint action at once.
+    memo = {} if runs == 1 else None
 
     temperatures = [schedule.temperature(t) for t in range(episodes)]
     # about 32 bytes of draws per agent-episode; a block takes 1/8 of the budget
@@ -259,12 +281,15 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
                 _draw_arms(probs, draw, cum, below, arms)
                 np.add(row_start, arms, out=cells)
 
-                T.take(player_cells, out=terms)
-                G = _aggregate_terms(terms, rho)
-                for spec, members in by_evaluation:
-                    S[members] = eval_score(spec, G[members])
                 L.take(cells, out=rewards)
-                run_rewards *= S[:, None]
+                if memo is None:
+                    run_rewards *= scores()[:, None]
+                else:
+                    key = cells.tobytes()
+                    score = memo.get(key)
+                    if score is None:
+                        score = memo[key] = float(scores()[0])
+                    rewards *= score
                 _update_q(q_flat, counts_flat, k, cells, rewards)
 
     greedy = arm_actions[q.argmax(axis=1)]

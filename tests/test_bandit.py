@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamgames.bandit import (
+    Q_MAX_FLOOR,
     AgentState,
+    _boltzmann,
     boltzmann_probabilities,
     export_q_csv,
     greedy_action,
@@ -96,6 +99,55 @@ class TestBoltzmann:
             p = boltzmann_probabilities(agent(q, tau=tau))
             assert p[-1] >= last
             last = p[-1]
+
+
+def _two_reduce_boltzmann(q, tau):
+    """The soft-max as written before the shortcut: the row maximum of
+    ``q / (q_max * tau)`` taken by a second full pass."""
+    q_max = np.maximum.reduce(q, axis=1, keepdims=True)
+    uniform = q_max[:, 0] <= Q_MAX_FLOOR
+    q_max[uniform] = 1.0
+    out = q / (q_max * tau)
+    out -= np.maximum.reduce(out, axis=1, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=1, keepdims=True)
+    out[uniform] = 1.0 / q.shape[1]
+    return out
+
+
+class TestBoltzmannKernel:
+    """``_boltzmann`` subtracts ``q_max / (q_max * tau)`` in place of a
+    second row maximum, and keeps the full pass when any row is uniform."""
+
+    def test_equals_two_reduce_formula_bitwise(self):
+        rng = np.random.default_rng(13)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-9, 1e300, -1e300, 3e299])
+        checked = {"trimmed": 0, "full": 0}
+        for table in range(3000):
+            rows, arms = int(rng.integers(1, 9)), int(rng.integers(2, 102))
+            q = rng.normal(0.0, 10.0 ** rng.integers(-12, 6), (rows, arms))
+            mask = rng.random(q.shape) < 0.2
+            q[mask] = rng.choice(special, size=int(mask.sum()))
+            # at least one informative value per row, unless a row is meant uniform
+            q[np.arange(rows), rng.integers(0, arms, rows)] = rng.choice([1.0, 1e300, 7.5e-3])
+            if table % 2:
+                q[rng.integers(0, rows)] = rng.choice([0.0, -1.0, 5e-324, 1e-10])
+            tau = float(rng.choice([1e-3, 0.02, 0.1, 1.0, 10.0]))
+            expected = _two_reduce_boltzmann(q.copy(), tau)
+            got = _boltzmann(q, tau, out=np.empty_like(q))
+            assert np.array_equal(got, expected, equal_nan=True), table
+            checked["full" if (q.max(axis=1) <= Q_MAX_FLOOR).any() else "trimmed"] += 1
+        assert min(checked.values()) > 1000
+
+    def test_fresh_and_negative_rows_at_low_temperature_do_not_warn(self):
+        # a uniform row shifted by 1 / tau would underflow to a 0 / 0 sum
+        q = np.zeros((3, 101))
+        q[1] = -1.0
+        q[2, :50] = 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = _boltzmann(q, 1e-3, out=np.empty_like(q))
+        assert np.array_equal(probs, np.full(q.shape, 1.0 / 101))
 
 
 class TestLearningRate:

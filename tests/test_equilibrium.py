@@ -28,6 +28,7 @@ from teamgames.errors import (
     WrongSolverError,
 )
 from teamgames.evaluation import EvaluationSpec, score_scalar
+from teamgames.experiments import solve_cell
 from teamgames.games import GameSpec, ces_aggregate
 
 
@@ -317,6 +318,18 @@ class TestCriticalThresholds:
     def test_wrong_rho(self):
         with pytest.raises(WrongSolverError):
             critical_thresholds(0, game(rho=1.0))
+
+    @pytest.mark.parametrize("rho,alpha", [(1.5, 500.0), (3.0, 400.0)])
+    def test_overflowing_utilities_refused_by_name(self, rho, alpha):
+        # delta_t ** alpha = 10 ** alpha is beyond the float range; this raised
+        # a bare OverflowError from the free-riding payoff
+        g = GameSpec(n=2, rho=rho, betas=(1.0, 1.0), delta_t=10.0, expertise=(0.5, 0.9),
+                     alpha=alpha, evaluation=EvaluationSpec("identity"))
+        for call in (lambda: critical_thresholds(0, g), lambda: solve_cell(g)):
+            with pytest.raises(InputError, match=r"delta_t \*\* alpha \* sigma"):
+                call()
+        with pytest.raises(InputError, match="alpha"):
+            max_achievable_utility(g)
 
 
 class TestShareFunction:

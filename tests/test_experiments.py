@@ -3,7 +3,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from teamgames import simulator
+from teamgames import experiments, simulator
 from teamgames.errors import ConfigurationError, DegenerateRegressionError
 from teamgames.experiments import (
     ExperimentRecord,
@@ -119,6 +119,17 @@ class TestRunSweep:
         assert records[0].skip_reason is not None
         assert records[0].G_hat_set == ()
         assert records[0].G_tilde is not None
+
+    def test_overflowing_utilities_recorded_as_skip(self, monkeypatch):
+        # 10 ** 500 overflows: the solver refuses the cell by name.  The learner
+        # refuses the same game by its own reward bound, so it is stubbed here.
+        cfg = tiny_sweep(expertise_values=(0.9,), rho_values=(1.5,), alpha=500.0,
+                         evaluation_kind="identity")
+        monkeypatch.setattr(experiments, "train_many", lambda jobs: [
+            simulator.LearnedOutcome((0.0, 0.0), 0.0, 0.0, cfg.episodes, 0) for _ in jobs])
+        (rec,) = run_sweep(cfg)
+        assert rec.skip_reason.startswith("InputError: utilities must be finite")
+        assert rec.G_hat_set == ()
 
 
 class TestRegression:

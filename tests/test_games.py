@@ -78,6 +78,13 @@ class TestUtility:
     def test_zero_score(self):
         assert utility(10, 0, 2) == 0.0
 
+    @pytest.mark.parametrize("x,score,alpha", [(10.0, 1.0, 400.0), (10, 1.0, 400),
+                                               (1e300, 1e10, 1.0)])
+    def test_overflow_refused_by_name(self, x, score, alpha):
+        # 10.0 ** 400 raised a bare OverflowError; 1e300 * 1e10 returned inf
+        with pytest.raises(InputError, match="alpha"):
+            utility(x, score, alpha)
+
 
 class TestCes:
     def test_additive_sum(self):

@@ -278,6 +278,44 @@ class TestTrainMany:
         assert chunks == [90, 60]
 
 
+@pytest.fixture
+def score_calls(monkeypatch):
+    """The run count of every ``simulator._score`` call, in call order."""
+    calls = []
+    score = simulator._score
+
+    def spy(kind, G, d, gamma, b):
+        calls.append(len(G))
+        return score(kind, G, d, gamma, b)
+
+    monkeypatch.setattr(simulator, "_score", spy)
+    return calls
+
+
+class TestScoreMemo:
+    """A lone run scores each distinct joint action once; a chunk of runs
+    scores every episode, once per evaluation kind."""
+
+    @pytest.mark.parametrize("n,num_arms", [(2, 101), (4, 5)])
+    @pytest.mark.parametrize("kind", ["logistic", "identity", "heaviside"])
+    def test_lone_run_scores_each_joint_action_once(self, update_calls, score_calls,
+                                                    n, num_arms, kind):
+        g = game(rho=-10.0, expertise=(0.3, 0.5, 0.7, 0.9)[:n], b=5.0, kind=kind)
+        train(g, TrainConfig(episodes=3000, num_arms=num_arms, seed=spawned_seed(5, n)))
+        distinct = {cells.tobytes() for cells, _ in update_calls}
+        assert len(update_calls) == 3000
+        assert score_calls == [1] * len(distinct)
+        assert len(distinct) < 3000  # the memo was hit
+
+    def test_chunk_scores_once_per_kind_and_episode(self, update_calls, score_calls):
+        jobs = [(game(b=b, kind=kind), TrainConfig(episodes=200, seed=j))
+                for j, (b, kind) in enumerate([(3.0, "logistic"), (5.0, "heaviside"),
+                                               (5.0, "logistic"), (7.0, "logistic")])]
+        train_many(jobs)
+        assert len(update_calls) == 200
+        assert score_calls == [3, 1] * 200
+
+
 def _term_table_rewards(g, arm_actions, joint):
     """The trainer's team outcomes and rewards at the joint arm indices
     ``joint`` (one row per player), from its term tables."""
