@@ -19,8 +19,9 @@ and the quartiles (of a digest, its distinct values):
   chunk (``sweep90_chunk``: 90 two-player runs).  Runs learned together go
   through one ``train_many`` call where it exists and one ``train`` call per
   run otherwise;
-* ``step_us.<case>.<step>``: where that time goes, from a second, untimed
-  run of the same case with the trainer's step functions wrapped by timers
+* ``step_us.<case>.<step>``: where that time goes, from a second run of
+  the same case (not the one ``episode_us`` times) with the trainer's step
+  functions wrapped by timers
   (``softmax``, ``draw``, ``ces`` for ``_aggregate_terms``, ``score`` and
   ``update``; ``other`` is the rest of the run, term gathers, uniforms and
   the timers' own cost among it), microseconds per run-episode;
