@@ -104,19 +104,14 @@ def _boltzmann(q: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
     # less overhead per call on the few-row tables of the training loop
     q_max = np.maximum.reduce(q, axis=1, keepdims=True)
     scale = q_max * tau
-    if np.minimum.reduce(q_max, axis=None) > Q_MAX_FLOOR:
-        np.divide(q, scale, out=out)
-        # each row's best value: division by a positive scale is monotone
-        # and correctly rounded, so no second pass over the row is needed
-        out -= q_max / scale
-        uniform = None
-    else:
+    uniform = None
+    if np.minimum.reduce(q_max, axis=None) <= Q_MAX_FLOOR:
         uniform = q_max[:, 0] <= Q_MAX_FLOOR
         scale[uniform] = tau  # any positive scale: these rows are overwritten below
-        np.divide(q, scale, out=out)
-        # a uniform row's own maximum, not 1 / tau, keeps its exp() from
-        # underflowing to a 0 / 0 sum at small tau
-        out -= np.maximum.reduce(out, axis=1, keepdims=True)
+    np.divide(q, scale, out=out)
+    # each row's best value: division by a positive scale is monotone and
+    # correctly rounded, so no second pass over the row is needed
+    out -= q_max / scale
     np.exp(out, out=out)
     out /= np.add.reduce(out, axis=1, keepdims=True)
     if uniform is not None:

@@ -624,16 +624,7 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
             f"rho/(dt*p) = {game.rho / (game.delta_t * p):.6g} < "
             f"sigma'/sigma(standalone) * beta**(1/rho)/alpha = {bound:.6g}")
 
-    # leisure ** alpha is at most delta_t ** alpha: refuse by name a game
-    # whose utilities would overflow on the way to the root
-    top = score_scalar(game.evaluation, game.max_aggregate())
-    try:
-        utility(game.delta_t, top, game.alpha)
-    except InputError:
-        raise InputError(
-            "utilities must be finite, got a bound delta_t ** alpha * sigma(G at full time) "
-            f"beyond the float range (delta_t = {game.delta_t}, alpha = {game.alpha}, "
-            f"sigma = {top})") from None
+    _u_zero(game, game.max_aggregate())  # refuses by name a game whose utilities overflow
 
     def h(G_minus):
         best = _best_positive_response(game, player, G_minus)

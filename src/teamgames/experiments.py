@@ -24,13 +24,21 @@ from .equilibrium import (
 from .errors import (
     ConfigurationError,
     DegenerateRegressionError,
+    InputError,
     TeamworkGameError,
     UndefinedDispersionError,
     _cast,
 )
 from .evaluation import EvaluationSpec
 from .games import GameSpec
-from .simulator import TrainConfig, dispersion, spawned_seed, train_many
+from .simulator import (
+    TrainConfig,
+    _seed_sequence,
+    dispersion,
+    require_finite_rewards,
+    spawned_seed,
+    train_many,
+)
 from .simulator import train  # noqa: F401  (bound here for perfbench's tracer tests)
 
 
@@ -141,12 +149,24 @@ def _solve_record(game: GameSpec):
     return tuple(e.aggregate_G for e in equilibria), tuple(e.actions for e in equilibria), None
 
 
+def _learn_refusal(game: GameSpec) -> str | None:
+    """Why the learner refuses ``game``, or ``None`` if it learns it."""
+    try:
+        require_finite_rewards(game)
+    except InputError as exc:
+        return f"learner: InputError: {exc}"
+    return None
+
+
 def run_sweep(config: SweepConfig) -> list[ExperimentRecord]:
     """Run every cell of the sweep; cells with solver failures carry a skip
     reason instead of silently disappearing.
 
-    Every cell is solved first; then all cells and repetitions learn
-    through one ``train_many`` call, which advances them in lockstep.  With
+    Every cell is solved first; then all cells and repetitions the learner
+    accepts learn through one ``train_many`` call, which advances them in
+    lockstep.  A cell whose rewards would leave the float range is not
+    learned: its records have no learned side and name the learner's
+    refusal in the skip reason, after any solver failure.  With
     ``workers > 1`` a process pool shares out the cells to solve and
     contiguous shards of the training jobs; the records do not depend on
     the worker count.
@@ -157,27 +177,37 @@ def run_sweep(config: SweepConfig) -> list[ExperimentRecord]:
                                seed=spawned_seed(config.base_seed, index, rep),
                                num_arms=config.num_arms))
             for (index, *_), game in zip(specs, games) for rep in range(config.repetitions)]
-    if config.workers > 1 and len(jobs) > 1:
-        size = -(-len(jobs) // config.workers)
+    refusals = [_learn_refusal(game) for game in games]
+    learnable = [job for j, job in enumerate(jobs)
+                 if refusals[j // config.repetitions] is None]
+    if config.workers > 1 and len(learnable) > 1:
+        size = -(-len(learnable) // config.workers)
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             solved = list(pool.map(_solve_record, games))
             outcomes = [out for shard in pool.map(
-                train_many, [jobs[i:i + size] for i in range(0, len(jobs), size)])
+                train_many, [learnable[i:i + size] for i in range(0, len(learnable), size)])
                 for out in shard]
     else:
         solved = [_solve_record(game) for game in games]
-        outcomes = train_many(jobs)
+        outcomes = train_many(learnable)
     records = []
     learned = iter(outcomes)
-    for (index, p1, p2, rho, b), (g_hats, eq_actions, skip_reason) in zip(specs, solved):
+    runs = iter(jobs)
+    for (index, p1, p2, rho, b), (g_hats, eq_actions, skip_reason), refusal in zip(
+            specs, solved, refusals):
         for rep in range(config.repetitions):
-            outcome = next(learned)
+            _, train_config = next(runs)
+            if refusal is None:
+                outcome = next(learned)
+                seed, G_tilde, actions = outcome.seed, outcome.learned_G, outcome.greedy_actions
+            else:
+                seed, G_tilde, actions = _seed_sequence(train_config.seed)[1], None, None
             records.append(ExperimentRecord(
                 index=index, p1=p1, p2=p2, rho=rho, b=b, repetition=rep,
-                seed=outcome.seed, episodes=config.episodes,
+                seed=seed, episodes=config.episodes,
                 G_hat_set=g_hats, equilibrium_actions=eq_actions,
-                G_tilde=outcome.learned_G, learned_actions=outcome.greedy_actions,
-                skip_reason=skip_reason))
+                G_tilde=G_tilde, learned_actions=actions,
+                skip_reason="; ".join(r for r in (skip_reason, refusal) if r) or None))
     return records
 
 

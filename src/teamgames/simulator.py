@@ -131,24 +131,36 @@ def _term_tables(games, arm_actions: np.ndarray):
     """Per player of each run and per arm, laid out ``(runs * n, K)`` like
     the Q-tables: the CES log-term ``T = log(beta_i) + rho * log(g_i)`` of
     the arm's gift and the leisure factor ``L = x ** alpha``, by the
-    elementwise steps of ``ces_aggregate`` and ``_leisure_payoff``.  CES and
-    every evaluation are non-decreasing, so a run's rewards are finite if
-    ``max(L) * sigma(G at full time)`` is; that is checked here, once.
+    elementwise steps of ``ces_aggregate`` and ``_leisure_payoff``.  Each
+    run passes ``require_finite_rewards`` first, so no reward overflows.
     """
     n = games[0].n
     arms = np.broadcast_to(arm_actions, (n, len(arm_actions)))
     T = np.empty((len(games) * n, len(arm_actions)))
     L = np.empty_like(T)
     for r, game in enumerate(games):
+        require_finite_rewards(game)
         rows = slice(r * n, (r + 1) * n)
         with np.errstate(divide="ignore"):  # a zero gift's log
             T[rows] = np.log(game.betas)[:, None] + game.rho * np.log(
                 arms * game.full_time_gifts()[:, None])
         L[rows] = _leisure_payoff(game, arms)
-        bound = L[rows].max() * eval_score(game.evaluation, game.max_aggregate())
-        if not np.isfinite(bound):
-            raise InputError(f"rewards must be finite, got a bound of {bound}")
     return T, L
+
+
+def require_finite_rewards(game: GameSpec) -> None:
+    """Raise ``InputError`` if a reward of ``game`` could be beyond the float
+    range; ``train`` refuses such a game before its first episode.
+
+    CES and every evaluation are non-decreasing, and leisure is largest at
+    action 0, the first arm of every grid, so the rewards are finite if
+    ``max(L at action 0) * sigma(G at full time)`` is.
+    """
+    with np.errstate(over="ignore"):
+        bound = (_leisure_payoff(game, np.zeros(game.n)).max()
+                 * eval_score(game.evaluation, game.max_aggregate()))
+    if not np.isfinite(bound):
+        raise InputError(f"rewards must be finite, got a bound of {bound}")
 
 
 def _draws(u: np.ndarray, num_arms: int):

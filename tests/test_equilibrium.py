@@ -326,7 +326,7 @@ class TestCriticalThresholds:
         g = GameSpec(n=2, rho=rho, betas=(1.0, 1.0), delta_t=10.0, expertise=(0.5, 0.9),
                      alpha=alpha, evaluation=EvaluationSpec("identity"))
         for call in (lambda: critical_thresholds(0, g), lambda: solve_cell(g)):
-            with pytest.raises(InputError, match=r"delta_t \*\* alpha \* sigma"):
+            with pytest.raises(InputError, match=r"x \*\* alpha \* score must be finite"):
                 call()
         with pytest.raises(InputError, match="alpha"):
             max_achievable_utility(g)

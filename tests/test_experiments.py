@@ -3,7 +3,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from teamgames import experiments, simulator
+from teamgames import simulator
 from teamgames.errors import ConfigurationError, DegenerateRegressionError
 from teamgames.experiments import (
     ExperimentRecord,
@@ -120,16 +120,23 @@ class TestRunSweep:
         assert records[0].G_hat_set == ()
         assert records[0].G_tilde is not None
 
-    def test_overflowing_utilities_recorded_as_skip(self, monkeypatch):
-        # 10 ** 500 overflows: the solver refuses the cell by name.  The learner
-        # refuses the same game by its own reward bound, so it is stubbed here.
-        cfg = tiny_sweep(expertise_values=(0.9,), rho_values=(1.5,), alpha=500.0,
+    def test_overflowing_utilities_recorded_as_skip(self):
+        # 10 ** 307.15 * 14.29 is beyond the float range in the (0.9, 0.9) cell
+        # alone: the solver raised a bare OverflowError there, then the learner
+        # refused the whole sweep.  The other cells must still learn.
+        cfg = tiny_sweep(expertise_values=(0.5, 0.9), rho_values=(1.5,), alpha=307.15,
                          evaluation_kind="identity")
-        monkeypatch.setattr(experiments, "train_many", lambda jobs: [
-            simulator.LearnedOutcome((0.0, 0.0), 0.0, 0.0, cfg.episodes, 0) for _ in jobs])
-        (rec,) = run_sweep(cfg)
-        assert rec.skip_reason.startswith("InputError: utilities must be finite")
-        assert rec.G_hat_set == ()
+        *learned, refused = run_sweep(cfg)
+        assert (refused.p1, refused.p2) == (0.9, 0.9)
+        solver, learner = refused.skip_reason.split("; ")
+        assert solver.startswith("InputError: utility x ** alpha * score must be finite")
+        assert learner.startswith("learner: InputError: rewards must be finite")
+        assert (refused.G_hat_set, refused.G_tilde, refused.learned_actions) == ((), None, None)
+        assert refused.seed == run_sweep(replace(cfg, alpha=1.0))[-1].seed
+        assert len(learned) == 2
+        for rec in learned:
+            assert rec.skip_reason is None and rec.G_tilde is not None
+        assert run_sweep(replace(cfg, workers=2)) == [*learned, refused]
 
 
 class TestRegression:
