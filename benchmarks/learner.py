@@ -1,13 +1,14 @@
 """Time the learner and solver layers and the sweep they feed, on two commits; write a BENCH file.
 
     python3 benchmarks/learner.py --side before=../parent/src --side after=src \\
-        --repeats 7 --tier1 --out BENCH_9.json
+        --repeats 7 --tier1 --out BENCH_9.json [--cases n2_R1,sweep_split,...]
 
 Each ``--side`` names a copy of the teamgames sources (default: this
 checkout's ``src/`` as ``after``), so one machine times two commits with the
-same seeds.  Every case runs in a fresh process pinned to one CPU, on each
-side in turn, ``--repeats`` times; the file keeps every sample, the median
-and the quartiles (of a digest, its distinct values):
+same seeds.  Every case (all of them, or the ``--cases`` named) runs in a
+fresh process pinned to one CPU, on each side in turn, ``--repeats`` times;
+the file keeps every sample, the median and the quartiles (of a digest, its
+distinct values):
 
 * ``episode_us.*``: microseconds per run-episode of ``train`` on a two-,
   three- and four-player game with one run (``n*_R1``); of the team4
@@ -29,6 +30,10 @@ and the quartiles (of a digest, its distinct values):
   function per episode in that second run (``_score`` where it exists,
   else ``eval_score``, which also scores each run's reward bound once);
 * ``train50k_s``: one 50,000-episode two-player ``train``;
+* ``lone50k.*``: one 50,000-episode ``train`` of the team4 workload's
+  additive four-player game (``n4``: 31,120 distinct joint actions at seed
+  1, so a lone run's memo is at its largest), its seconds and the process's
+  peak RSS;
 * ``sweep90.*``: the 90-cell acceptance grid at 5,000 episodes a cell, split
   into solving every cell and learning every cell, and a whole ``run_sweep``
   with the process's peak RSS;
@@ -92,6 +97,10 @@ def _game(n: int, rho: float = 1.0, kind: str = "logistic"):
     expertise = {2: (0.3, 0.8), 3: (0.3, 0.55, 0.8), 4: (0.3, 0.5, 0.7, 0.9)}[n]
     return tg.GameSpec(n=n, rho=rho, betas=(1.0,) * n, delta_t=10.0, expertise=expertise,
                        alpha=2.0, evaluation=tg.EvaluationSpec(kind, d=10.0, gamma=2.0, b=5.0))
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _train_all(jobs):
@@ -200,6 +209,10 @@ def case(name: str) -> dict:
     elif name == "train50k":
         tg.train(_game(2), tg.TrainConfig(episodes=50_000, seed=SEED))
         out["train50k_s"] = time.perf_counter() - t0
+    elif name == "lone50k_n4":
+        tg.train(_game(4), tg.TrainConfig(episodes=50_000, seed=SEED))
+        out["lone50k.n4_s"] = time.perf_counter() - t0
+        out["lone50k.n4_peak_rss_mb"] = _peak_rss_mb()
     elif name == "sweep_split":
         config = _sweep_config()
         specs = experiments._cell_specs(config)
@@ -296,7 +309,7 @@ def case(name: str) -> dict:
     elif name == "sweep":
         experiments.run_sweep(_sweep_config())
         out["sweep90.run_sweep_s"] = time.perf_counter() - t0
-        out["sweep90.peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        out["sweep90.peak_rss_mb"] = _peak_rss_mb()
     elif name == "fixtures":
         out.update(_fixture_setups(sys.path[0]))
     else:
@@ -305,8 +318,8 @@ def case(name: str) -> dict:
 
 
 CASES = ("n2_R1", "n2_chunk", "n3_R1", "n3_chunk", "n4_R1", "n4_team4", "n4_R16", "train50k",
-         "sweep_split", "solve_regimes", "thresholds", "best_response", "roots", "sweep",
-         "fixtures")
+         "lone50k_n4", "sweep_split", "solve_regimes", "thresholds", "best_response", "roots",
+         "sweep", "fixtures")
 
 
 def _run_case(src: str, name: str) -> dict:
@@ -345,6 +358,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="the BENCH file to write (required)")
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--tier1", action="store_true")
+    parser.add_argument("--cases", default=",".join(CASES),
+                        help="comma-separated cases to run (default: all of them)")
     parser.add_argument("--src", help=argparse.SUPPRESS)
     parser.add_argument("--case", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -354,6 +369,10 @@ def main(argv=None) -> int:
         return 0
     if not args.out:
         parser.error("--out is required, so a rerun cannot overwrite an earlier BENCH file")
+    cases = args.cases.split(",")
+    unknown = [name for name in cases if name not in CASES]
+    if unknown:
+        parser.error(f"unknown case(s) {', '.join(unknown)}; choose from {', '.join(CASES)}")
 
     sides = dict(side.split("=", 1) for side in args.side or [f"after={ROOT / 'src'}"])
     sides = {label: str(Path(src).resolve()) for label, src in sides.items()}
@@ -361,7 +380,7 @@ def main(argv=None) -> int:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     samples: dict = {label: {} for label in sides}
     for repeat in range(args.repeats):
-        for name in CASES:
+        for name in cases:
             # alternate which side runs first, so drifts in machine speed even out
             order = list(sides) if repeat % 2 == 0 else list(sides)[::-1]
             for label in order:
@@ -378,6 +397,7 @@ def main(argv=None) -> int:
         "numpy": numpy.__version__,
         "seed": SEED,
         "repeats": args.repeats,
+        "cases": cases,
         "order": "each case runs on every side in turn, first side alternating per repeat",
     }}
     for label, src in sides.items():

@@ -105,7 +105,10 @@ def _boltzmann(q: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
     q_max = np.maximum.reduce(q, axis=1, keepdims=True)
     scale = q_max * tau
     uniform = None
-    if np.minimum.reduce(q_max, axis=None) <= Q_MAX_FLOOR:
+    # the smallest best value through argmin, cheaper than a ufunc reduction
+    # on these few-row tables; a NaN is the minimum of both, so the bool is
+    # the same
+    if q_max[q_max.argmin(), 0] <= Q_MAX_FLOOR:
         uniform = q_max[:, 0] <= Q_MAX_FLOOR
         scale[uniform] = tau  # any positive scale: these rows are overwritten below
     np.divide(q, scale, out=out)

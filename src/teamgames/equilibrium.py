@@ -827,7 +827,9 @@ def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
     For each player, holding the others fixed, evaluates the utility of
     every grid action and reports the largest unilateral improvement; the
     profile is an epsilon-Nash point when that gain is at most epsilon.
-    Works for any evaluation, including heaviside.
+    Works for any evaluation, including heaviside.  A game whose utilities
+    can overflow is refused with ``InputError`` before the first payoff, as
+    ``max_achievable_utility`` refuses it.
     """
     for name, step in (("grid_step", grid_step), ("refine_step", refine_step)):
         if step is not None and not (math.isfinite(step) and step > 0):
@@ -838,6 +840,7 @@ def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
     if abs(k * grid_step - 1.0) > 1e-9:
         raise InputError(f"grid_step must divide 1 evenly, got {grid_step}")
     arr = _actions_array(game, actions)
+    max_achievable_utility(game)  # every payoff lies below this bound
     base_u = _payoffs(game, arr)[2]
 
     max_gain = -math.inf

@@ -19,8 +19,8 @@ episode, and each episode gathers every run's terms into one column,
 finishes them with ``games._aggregate_terms`` (the log-sum-exp of
 ``ces_aggregate``), scores the outcomes in one ``evaluation._score`` pass
 per evaluation kind and multiplies by the leisure factors.  A lone run
-keeps the score of each joint action it has played and looks it up when it
-plays the action again.  With each run's column contiguous, as
+keeps the reward row of each joint action it has played and reuses it when
+it plays the action again.  With each run's column contiguous, as
 ``ces_aggregate`` lays out a grid, the rewards equal ``games._payoffs`` bit
 for bit on each joint action alone or over an ``(n, cells)`` grid of them.
 Each run draws from its own counter-based stream, so an outcome is bitwise
@@ -101,6 +101,16 @@ class TrainConfig:
         frac = (episode - t_switch) / (self.episodes - 1 - t_switch)
         return self.tau * (self.anneal_floor / self.tau) ** frac
 
+    def temperatures(self) -> list[float]:
+        """``temperature(t)`` for every episode t, bit for bit, in one pass."""
+        t_switch = int(self.anneal_start * self.episodes)
+        span = self.episodes - 1 - t_switch
+        if self.anneal_floor is None or self.anneal_floor == self.tau or span <= 0:
+            return [self.tau] * self.episodes
+        ratio = self.anneal_floor / self.tau
+        return [self.tau] * t_switch + [self.tau * ratio ** ((t - t_switch) / span)
+                                        for t in range(t_switch, self.episodes)]
+
 
 @dataclass(frozen=True)
 class LearnedOutcome:
@@ -174,21 +184,33 @@ def _draws(u: np.ndarray, num_arms: int):
         yield v[e], (explore[e], explore_arms[e]) if any_explore else None
 
 
-def _draw_arms(probs: np.ndarray, draw, cum: np.ndarray, below: np.ndarray,
-               arms: np.ndarray) -> np.ndarray:
+def _draw_buffers(probs: np.ndarray) -> tuple:
+    """``_draw_arms``' work buffers for the soft-max rows ``probs``: views of
+    the first K - 1 columns of ``probs`` and of the cumulative weights, the
+    whole ``(M, K)`` cumulative weights, whose last column is a permanent
+    ``+inf`` sentinel, and a bool buffer of that shape."""
+    cum = np.empty_like(probs)
+    cum[:, -1] = np.inf
+    return probs[:, :-1], cum[:, :-1], cum, np.empty(probs.shape, dtype=bool)
+
+
+def _draw_arms(draw, buffers: tuple, arms: np.ndarray) -> np.ndarray:
     """Each agent's arm for one episode, into ``arms``.
 
     An agent whose uniform ``u`` is below ``EXPLORATION`` takes arm
     ``int(u / EXPLORATION * K)``; any other reads the inverse CDF of its
-    soft-max row ``probs`` at ``(u - EXPLORATION) / (1 - EXPLORATION)``.
-    ``cum`` and ``below`` are work buffers shaped like ``probs``.
+    soft-max row at ``v = (u - EXPLORATION) / (1 - EXPLORATION)``: the
+    count of its cumulative weights at or below ``v``, at most K - 1 (the
+    last can round below ``v``).  ``buffers`` is ``_draw_buffers(probs)``:
+    only the first K - 1 weights are summed, and the arm is the first False
+    of ``cum <= v``, which is that count because the weights do not
+    decrease and the ``+inf`` sentinel caps it at K - 1.
     """
     v, exploring = draw
-    np.add.accumulate(probs, axis=1, out=cum)  # np.cumsum, without its wrapper
-    # the inverse CDF counts the cumulative weights at or below v
+    head, cum_head, cum, below = buffers
+    np.add.accumulate(head, axis=1, out=cum_head)  # np.cumsum, without its wrapper
     np.less_equal(cum, v, out=below)
-    np.add.reduce(below, axis=1, dtype=np.intp, out=arms)
-    np.minimum(arms, probs.shape[1] - 1, out=arms)
+    below.argmin(axis=1, out=arms)
     if exploring is not None:
         explore, explore_arms = exploring
         np.copyto(arms, explore_arms, where=explore)
@@ -205,10 +227,10 @@ def train_many(jobs) -> list[LearnedOutcome]:
     of them.  Rewards take one path for every team size, through per-player
     CES term tables, and a chunk scores its outcomes once per evaluation
     kind; a chunk is sized by its runs' ``(n, K)`` arrays alone
-    (``_run_bytes``).  A group of one run scores each distinct joint action
-    once and looks the score up on every replay: at most
-    ``min(episodes, K ** n)`` entries.  ``k``, the game and the seed may
-    differ within a chunk.  Each run keeps its own random stream, so
+    (``_run_bytes``).  A group of one run computes the reward row of each
+    distinct joint action once and reuses it on every replay: at most
+    ``min(episodes, K ** n)`` rows of n floats.  ``k``, the game and the
+    seed may differ within a chunk.  Each run keeps its own random stream, so
     outcomes do not depend on how the jobs are grouped or chunked.
     """
     jobs = list(jobs)
@@ -228,7 +250,12 @@ def train_many(jobs) -> list[LearnedOutcome]:
 
 
 def _train_lockstep(jobs) -> list[LearnedOutcome]:
-    """Run jobs that share n, K and the temperature schedule in lockstep."""
+    """Run jobs that share n, K and the temperature schedule in lockstep.
+
+    Per episode: one soft-max over every Q-table, one draw, then the rewards,
+    gathered and scored, or for a lone run the joint action's memoised
+    reward row, and one update.
+    """
     games = [game for game, _ in jobs]
     configs = [config for _, config in jobs]
     schedule = configs[0]
@@ -244,8 +271,7 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
     k = np.repeat([config.k for config in configs], n)
     row_start = np.arange(agents) * num_arms
     probs = np.empty_like(q)
-    cum = np.empty_like(q)
-    below = np.empty(q.shape, dtype=bool)
+    draw_buffers = _draw_buffers(probs)
     arms = np.empty(agents, dtype=np.intp)
     cells = np.empty(agents, dtype=np.intp)
     rewards = np.empty(agents)
@@ -276,11 +302,14 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
         return S
 
     # A lone run replays most joint actions many times, and a joint action
-    # fixes its team score: keep each one's score, at most min(episodes, K**n)
-    # of them.  A chunk of runs rarely replays every run's joint action at once.
-    memo = {} if runs == 1 else None
+    # fixes its rewards: keep each one's reward row, at most min(episodes, K**n)
+    # of them, in one table the memo indexes.  A chunk of runs rarely replays
+    # every run's joint action at once.
+    memo = None
+    if runs == 1:
+        memo, memo_rows = {}, np.empty((min(episodes, num_arms ** n), n))
 
-    temperatures = [schedule.temperature(t) for t in range(episodes)]
+    temperatures = schedule.temperatures()
     # about 32 bytes of draws per agent-episode; a block takes 1/8 of the budget
     block = max(1, _CHUNK_BYTES // (256 * agents))
     with np.errstate(divide="ignore"):  # log(0) of a team with no positive gift
@@ -290,19 +319,22 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
             u = np.concatenate([rng.random((stop - start, n)) for rng in rngs], axis=1)
             for t, draw in zip(range(start, stop), _draws(u, num_arms)):
                 _boltzmann(q, temperatures[t], out=probs)
-                _draw_arms(probs, draw, cum, below, arms)
+                _draw_arms(draw, draw_buffers, arms)
                 np.add(row_start, arms, out=cells)
 
-                L.take(cells, out=rewards)
                 if memo is None:
+                    L.take(cells, out=rewards)
                     run_rewards *= scores()[:, None]
+                    played = rewards
                 else:
                     key = cells.tobytes()
-                    score = memo.get(key)
-                    if score is None:
-                        score = memo[key] = float(scores()[0])
-                    rewards *= score
-                _update_q(q_flat, counts_flat, k, cells, rewards)
+                    row = memo.get(key)
+                    if row is None:
+                        row = memo[key] = len(memo)
+                        L.take(cells, out=memo_rows[row])
+                        memo_rows[row] *= scores()[0]
+                    played = memo_rows[row]
+                _update_q(q_flat, counts_flat, k, cells, played)
 
     greedy = arm_actions[q.argmax(axis=1)]
     outcomes = []

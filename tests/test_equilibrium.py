@@ -448,6 +448,15 @@ class TestEpsilonNash:
         check = verify_epsilon_nash((0.9, 0.9), g, 1e-9)
         assert check.max_gain > 0  # lowering own effort keeps the pass and adds leisure
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_utilities_refused_by_name(self):
+        # 10 ** 500 is beyond the float range: every payoff overflowed, and any
+        # profile passed as an equilibrium with a gain of -inf
+        g = GameSpec(n=2, rho=1.0, betas=(1.0, 1.0), delta_t=10.0, expertise=(0.9, 0.9),
+                     alpha=500.0, evaluation=EvaluationSpec("identity"))
+        with pytest.raises(InputError, match=r"x \*\* alpha \* score must be finite"):
+            verify_epsilon_nash((0.5, 0.5), g, 1e-3)
+
     def test_bad_grid_step(self):
         g = game(rho=1.0)
         with pytest.raises(Exception):

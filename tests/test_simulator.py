@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from teamgames import simulator
-from teamgames.bandit import AgentState, boltzmann_probabilities, uniform_action_grid
+from teamgames.bandit import AgentState, _boltzmann, boltzmann_probabilities, uniform_action_grid
 from teamgames.errors import ConfigurationError, InputError, UndefinedDispersionError
 from teamgames.evaluation import EvaluationSpec, eval_score
 from teamgames.games import GameSpec, _aggregate_terms, _payoffs, evaluate_joint_action
@@ -16,6 +16,7 @@ from teamgames.simulator import (
     dispersion,
     spawned_seed,
     _draw_arms,
+    _draw_buffers,
     _draws,
     train,
     train_many,
@@ -88,8 +89,7 @@ class TestTrainMechanics:
         def draw_arm(agent, u):
             probs = boltzmann_probabilities(agent)[None, :]
             (draw,) = _draws(np.array([[u]]), agent.num_arms)
-            arms = _draw_arms(probs, draw, np.empty_like(probs),
-                              np.empty(probs.shape, dtype=bool), np.empty(1, dtype=np.intp))
+            arms = _draw_arms(draw, _draw_buffers(probs), np.empty(1, dtype=np.intp))
             return int(arms[0])
 
         # Below the floor the draw is uniform over arms whatever the Q-table
@@ -115,9 +115,43 @@ class TestTrainMechanics:
         probs[1] = 0.0
         probs[1, 7] = 1.0
         (draw,) = _draws(np.array([[0.005, 0.5, 0.5]]), 101)
-        arms = _draw_arms(probs, draw, np.empty_like(probs),
-                          np.empty(probs.shape, dtype=bool), np.empty(3, dtype=np.intp))
+        arms = _draw_arms(draw, _draw_buffers(probs), np.empty(3, dtype=np.intp))
         assert arms.tolist() == [50, 7, 49]
+
+    @pytest.mark.parametrize("tau", [1.0, 0.1, 0.02])
+    def test_sentinel_draw_matches_count_and_clamp(self, tau):
+        rng = np.random.default_rng(11)
+        K = 101
+        q = rng.random((40, K)) * rng.random((40, 1)) * 10.0
+        q[0] = 0.0                   # a fresh, uniform row
+        q[1, 5:] = 0.0               # every weight past the peak underflows to zero
+        q[1, :5] = 50.0
+        q[1, 3] = 60.0
+        probs = np.empty_like(q)
+        _boltzmann(q, tau, out=probs)
+        probs[2] = 0.0               # one-hot rows, at either end and inside
+        probs[2, 0] = 1.0
+        probs[3] = 0.0
+        probs[3, -1] = 1.0
+        probs[4] = 0.0
+        probs[4, 40] = 1.0
+        u = rng.random((300, len(q)))
+        u[::7] *= 2 * EXPLORATION    # rows with explorers
+        u[-1] = np.nextafter(1.0, 0.0)  # v past the last weight of rows that sum below 1
+        u[-2] = EXPLORATION          # v = 0, the first arm of positive weight
+        buffers = _draw_buffers(probs)
+        arms = np.empty(len(q), dtype=np.intp)
+        clamped = 0
+        for draw in _draws(u, K):
+            v, exploring = draw
+            # the count-and-clamp rule: cumulative weights at or below v, at most K - 1
+            count = (np.cumsum(probs, axis=1) <= v).sum(axis=1)
+            expected = np.minimum(count, K - 1)
+            if exploring is not None:
+                expected = np.where(exploring[0], exploring[1], expected)
+            clamped += int((count == K).sum())
+            assert _draw_arms(draw, buffers, arms).tolist() == expected.tolist()
+        assert clamped > 0  # the count-and-clamp rule's clamp was reached
 
     def test_bad_config(self):
         with pytest.raises(ConfigurationError):
@@ -143,6 +177,17 @@ class TestTrainMechanics:
         assert 0.02 < mid < 0.1
         constant = TrainConfig(episodes=100, tau=0.1, anneal_floor=None)
         assert constant.temperature(99) == 0.1
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"anneal_floor": None}, {"anneal_floor": 0.1}, {"episodes": 1},
+        {"anneal_start": 0.0}, {"episodes": 2, "anneal_start": 0.5},
+        {"episodes": 3, "anneal_start": 0.9}, {"episodes": 7919, "anneal_start": 0.37,
+                                                "tau": 0.3, "anneal_floor": 0.011}])
+    def test_schedule_in_one_pass_equals_temperature(self, overrides):
+        config = TrainConfig(**{"episodes": 1000, "tau": 0.1, **overrides})
+        expected = [config.temperature(t) for t in range(config.episodes)]
+        assert config.temperatures() == expected
+        assert all(type(x) is float for x in config.temperatures())
 
     def test_three_player_training_runs(self):
         g = game(expertise=(0.4, 0.6, 0.8), b=5.0)
