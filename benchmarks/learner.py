@@ -48,6 +48,11 @@ distinct values):
   (one that contributes when alone) of the 90 disjunctive cells of that grid;
 * ``best_response_us``: microseconds per ``_best_positive_response`` call of
   one disjunctive player, over a sweep of the opponents' provision;
+* ``scan.*``: the concave solver's bracket scan on the 120 conjunctive cells
+  of that grid: the seconds of ``_replacement_gifts`` over every cell's
+  2,049-point scan grid (``replacement_gifts_s``), and microseconds per
+  scalar ``_conjunctive_gift`` call (``conjunctive_gift_us``) at every 64th
+  point of those grids, every player;
 * ``roots.*``: over ``solve_cell`` on those 240 cells, the mean number of
   function evaluations the root-finder makes per root of the three outer
   loops: a critical threshold, a concave fixed point and a disjunctive share
@@ -171,6 +176,7 @@ def _sweep_config():
 
 def case(name: str) -> dict:
     """Run one case in this process and return its measurements."""
+    import numpy
     import teamgames as tg
     from teamgames import experiments, simulator
 
@@ -271,6 +277,32 @@ def case(name: str) -> dict:
         for G_minus in provisions:
             equilibrium._best_positive_response(game, 0, G_minus)
         out["best_response_us"] = (time.perf_counter() - t0) / len(provisions) * 1e6
+    elif name == "scan":
+        from teamgames import equilibrium
+        config = experiments.SweepConfig()
+        scans = []
+        for _, p1, p2, rho, b in experiments._cell_specs(config):
+            if rho >= 1:
+                continue
+            game = experiments.cell_game(config, p1, p2, rho, b)
+            standalones = [equilibrium._standalone_pair(i, game)[1] for i in range(game.n)]
+            if rho > 0:
+                lo, hi = max(standalones), game.max_aggregate()
+            else:
+                hi = min(standalones)
+                lo = hi * 1e-9
+            scans.append((game, numpy.linspace(lo, hi, 2049)))
+        t0 = time.perf_counter()
+        for game, grid in scans:
+            equilibrium._replacement_gifts(game, grid)
+        out["scan.replacement_gifts_s"] = time.perf_counter() - t0
+        calls = [(equilibrium.ratio_scalar(game.evaluation, G), G, game.expertise[i],
+                  game.betas[i], game.alpha, game.delta_t, game.rho)
+                 for game, grid in scans for G in map(float, grid[::64]) for i in range(game.n)]
+        t0 = time.perf_counter()
+        for args in calls:
+            equilibrium._conjunctive_gift(*args)
+        out["scan.conjunctive_gift_us"] = (time.perf_counter() - t0) / len(calls) * 1e6
     elif name == "roots":
         from teamgames import equilibrium
         callers = {"critical_thresholds": "thresholds", "solve_equilibrium_concave": "concave",
@@ -318,8 +350,8 @@ def case(name: str) -> dict:
 
 
 CASES = ("n2_R1", "n2_chunk", "n3_R1", "n3_chunk", "n4_R1", "n4_team4", "n4_R16", "train50k",
-         "lone50k_n4", "sweep_split", "solve_regimes", "thresholds", "best_response", "roots",
-         "sweep", "fixtures")
+         "lone50k_n4", "sweep_split", "solve_regimes", "thresholds", "best_response", "scan",
+         "roots", "sweep", "fixtures")
 
 
 def _run_case(src: str, name: str) -> dict:

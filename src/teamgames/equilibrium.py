@@ -204,13 +204,41 @@ def _replacement_additive(G: float, player: int, game: GameSpec) -> float:
     return min(cap, max(0.0, r))
 
 
+# Newton steps a gift root may take; a root still moving after them is refused
+_NEWTON_STEPS = 100
+
+
+def _newton_step(z, a, b, k, cap, log, exp):
+    """Newton step on ``phi(z) = a*z + b*log(cap - e**z) + k``, with ``log``
+    and ``exp`` from ``math`` for one root or from numpy for an array of them,
+    so each root runs the same arithmetic either way."""
+    w = exp(z)
+    v = cap - w
+    return (a * z + b * log(v) + k) / (a - b * w / v)
+
+
 def _conjunctive_gift(ratio_G: float, G: float, p: float, beta: float,
                       alpha: float, delta_t: float, rho: float) -> float:
-    """Root of the conjunctive first-order condition, compared in log space.
+    """Root of the conjunctive first-order condition, by Newton's method in log space.
 
     Solves (dt - r/p) * (beta*p/alpha) * r**(rho-1) = ratio_G * G**(rho-1)
     for r in (0, p*dt].  The left side is strictly decreasing for rho < 1,
-    from +inf at r -> 0+ down to 0 at r = p*dt.
+    from +inf at r -> 0+ down to 0 at r = p*dt.  With ``u = cap - r`` the
+    condition reads ``phi = log(u) + (rho-1)*log(r) + k = 0``, where
+    ``k = log(beta/alpha) - log(ratio_G * G**(rho-1))``.
+
+    The ends of the bracket ``[cap*1e-300, cap*(1-1e-15)]`` decide the special
+    cases: a root below it is a zero gift, an end at a root is that end, and
+    no sign change raises ``InputError``.  Otherwise the sign of ``phi`` at
+    ``cap/2`` picks the side of the root.  Below it Newton runs in
+    ``z = log(r)``, where ``phi`` is concave and decreasing; above it in
+    ``z = log(u)``, where ``phi`` is convex and increasing.  Either way it
+    starts at the root's bound from dropping the other log term's dependence
+    on r (capped at ``log(cap/2)``), so every step stays on that side and
+    moves towards the root.  Once a step is at most ``1e-9*max(1, |z|)`` one
+    more step is taken; a root still moving after ``_NEWTON_STEPS`` steps
+    raises ``InputError``.  ``_replacement_gifts`` runs the same steps on
+    arrays.
     """
     cap = p * delta_t
     if G == 0.0 and rho < 0:
@@ -232,8 +260,31 @@ def _conjunctive_gift(ratio_G: float, G: float, p: float, beta: float,
     flo = f(lo)
     if flo < 0:
         return 0.0  # the root lies below the smallest bracketed gift
+    if flo == 0:
+        return lo
     hi = cap * (1.0 - 1e-15)
-    return _bisect(f, lo, hi, xtol=cap * 1e-14, flo=flo)
+    fhi = f(hi)
+    if fhi == 0:
+        return hi
+    if not fhi < 0:
+        raise InputError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
+
+    k = math.log(beta / alpha) - log_rhs
+    log_half = math.log(0.5 * cap)
+    below = rho * log_half + k < 0
+    a, b = (rho - 1.0, 1.0) if below else (1.0, rho - 1.0)
+    z = min(-(b * math.log(cap) + k) / a, log_half)
+    final = False
+    for _ in range(_NEWTON_STEPS):
+        step = _newton_step(z, a, b, k, cap, math.log, math.exp)
+        z -= step
+        if final:
+            w = math.exp(z)
+            return w if below else cap - w
+        final = abs(step) <= 1e-9 * max(1.0, abs(z))
+    raise InputError(
+        f"the conjunctive gift root for p = {p}, G = {G} did not converge in "
+        f"{_NEWTON_STEPS} Newton steps")
 
 
 def _replacement_gifts(game: GameSpec, G: np.ndarray) -> np.ndarray:
@@ -241,12 +292,12 @@ def _replacement_gifts(game: GameSpec, G: np.ndarray) -> np.ndarray:
 
     The array twin of ``replacement_additive`` and ``replacement_conjunctive``
     for the bracket scan, whose aggregates all lie in the maps' domain.  For
-    rho < 1 all the first-order-condition roots are bisected in lockstep, each
-    with ``_conjunctive_gift``'s bracket, midpoints and stopping rule, so a
-    gift differs from the scalar one only where numpy's log rounds otherwise.
-    Every bracket halves from ``cap`` towards ``cap * 1e-14``, so nearly all
-    roots finish on the same step (about the 47th); the finished ones are
-    written out and dropped from the arrays only on a step where some finish.
+    rho < 1 every first-order-condition root takes ``_conjunctive_gift``'s
+    special cases, start and Newton steps, and stops on its own, frozen after
+    the step past its small one; so a gift does not depend on the other
+    aggregates in ``G``, and differs from the scalar one only where numpy's
+    log or exp rounds otherwise than ``math``'s.  The roots take at most
+    about ten steps; the finished ones are kept in place, not dropped.
     """
     G = np.asarray(G, dtype=float)
     p = np.asarray(game.expertise)[:, None]
@@ -264,54 +315,56 @@ def _replacement_gifts(game: GameSpec, G: np.ndarray) -> np.ndarray:
     zero_gift = (p == 0.0) | (G == 0.0) & (rho < 0) | ~cap_gift & (log_rhs == np.inf)
     out = np.where(cap_gift & ~zero_gift, caps, 0.0)
 
-    # the elements to bisect, flattened in scan order: aggregate-major, player-minor
+    # the roots to find, flattened in scan order: aggregate-major, player-minor
     cols, rows = np.nonzero(~(zero_gift | cap_gift).T)
     q = p[rows, 0]
     cap = caps[rows, 0]
-    scale = np.array([math.log(b * x / game.alpha) if x > 0 else 0.0
-                      for b, x in zip(game.betas, game.expertise)])[rows]
     target = log_rhs[cols]
+    # each root's player constants, from math as in _conjunctive_gift
+    scale, log_weight, log_cap, log_half = np.array([
+        (math.log(b * x / game.alpha), math.log(b / game.alpha), math.log(x * dt),
+         math.log(0.5 * (x * dt))) if x > 0 else (0.0,) * 4
+        for b, x in zip(game.betas, game.expertise)])[rows].T
 
     def f(r):
         return np.log(dt - r / q) + scale + (rho - 1.0) * np.log(r) - target
 
     lo = cap * 1e-300
     hi = cap * (1.0 - 1e-15)
-    xtol = cap * 1e-14
     flo = f(lo)
     fhi = f(hi)
     # the root lies below lo: a zero gift; an end at a root is that root
     out[rows, cols] = np.where(flo < 0, 0.0, np.where(flo == 0, lo, hi))
     live = ~(flo < 0) & (flo != 0) & (fhi != 0)
-    stuck = live & ((flo < 0) == (fhi < 0))
+    stuck = live & ~(fhi < 0)
     if stuck.any():
-        k = int(np.argmax(stuck))
+        j = int(np.argmax(stuck))
         raise InputError(
-            f"no sign change on [{lo[k]}, {hi[k]}]: f={flo[k]}, {fhi[k]}")
+            f"no sign change on [{lo[j]}, {hi[j]}]: f={flo[j]}, {fhi[j]}")
 
-    def keep(mask, *arrays):
-        return tuple(a[mask] for a in arrays)
-
-    rows, cols, q, scale, target, lo, hi, xtol, flo = keep(
-        live, rows, cols, q, scale, target, lo, hi, xtol, flo)
-    for _ in range(400):
-        if not rows.size:
+    rows, cols, cap, log_cap, log_half = (
+        rows[live], cols[live], cap[live], log_cap[live], log_half[live])
+    k = log_weight[live] - target[live]
+    below = rho * log_half + k < 0
+    a = np.where(below, rho - 1.0, 1.0)
+    b = np.where(below, 1.0, rho - 1.0)
+    z = np.minimum(-(b * log_cap + k) / a, log_half)
+    moving = np.ones(z.shape, dtype=bool)
+    final = np.zeros(z.shape, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        step = _newton_step(z, a, b, k, cap, np.log, np.exp)
+        z = np.where(moving, z - step, z)
+        moving &= ~final
+        if not moving.any():
             break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        same = (fm < 0) == (flo < 0)
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
-        at_root = fm == 0
-        done = at_root | (hi - lo <= xtol)
-        if not done.any():
-            continue
-        out[rows[done], cols[done]] = np.where(at_root[done], mid[done],
-                                               0.5 * (lo[done] + hi[done]))
-        rows, cols, q, scale, target, lo, hi, xtol, flo = keep(
-            ~done, rows, cols, q, scale, target, lo, hi, xtol, flo)
-    out[rows, cols] = 0.5 * (lo + hi)
+        final |= np.abs(step) <= 1e-9 * np.maximum(1.0, np.abs(z))
+    else:
+        j = int(np.argmax(moving))
+        raise InputError(
+            f"the conjunctive gift root of player {rows[j]} at G = {G[cols[j]]} did not "
+            f"converge in {_NEWTON_STEPS} Newton steps")
+    w = np.exp(z)
+    out[rows, cols] = np.where(below, w, cap - w)
     return out
 
 

@@ -90,8 +90,13 @@ class GameSpec:
         return np.asarray(self.expertise) * self.delta_t
 
     def max_aggregate(self) -> float:
-        """Team outcome when everyone works full time."""
-        return ces_aggregate(self.full_time_gifts(), self.rho, self.betas)
+        """Team outcome when everyone works full time, computed once per game."""
+        try:
+            return self._max_aggregate
+        except AttributeError:
+            G = ces_aggregate(self.full_time_gifts(), self.rho, self.betas)
+            object.__setattr__(self, "_max_aggregate", G)
+            return G
 
     def to_dict(self) -> dict:
         return {

@@ -27,8 +27,8 @@ from teamgames.errors import (
     UnsupportedEvaluationError,
     WrongSolverError,
 )
-from teamgames.evaluation import EvaluationSpec, score_scalar
-from teamgames.experiments import solve_cell
+from teamgames.evaluation import EvaluationSpec, ratio_scalar, score_scalar
+from teamgames.experiments import SweepConfig, _cell_specs, cell_game, solve_cell
 from teamgames.games import GameSpec, ces_aggregate
 
 
@@ -472,6 +472,26 @@ class TestEpsilonNash:
         assert fine.is_nash
 
 
+class TestMaxAchievableUtility:
+    def test_memoised_aggregate_is_the_full_time_ces(self):
+        config = SweepConfig()
+        for _, p1, p2, rho, b in _cell_specs(config):
+            g = cell_game(config, p1, p2, rho, b)
+            expected = ces_aggregate(g.full_time_gifts(), g.rho, g.betas)
+            first = max_achievable_utility(g)
+            assert g.max_aggregate() == expected
+            assert g.max_aggregate() == expected  # the memo
+            assert max_achievable_utility(g) == first
+
+    def test_overflowing_game_refused_on_every_call(self):
+        g = GameSpec(n=2, rho=1.0, betas=(1.0, 1.0), delta_t=10.0, expertise=(0.9, 0.9),
+                     alpha=500.0, evaluation=EvaluationSpec("identity"))
+        for _ in range(3):
+            with pytest.raises(InputError, match=r"x \*\* alpha \* score must be finite"):
+                max_achievable_utility(g)
+            with pytest.raises(InputError, match=r"x \*\* alpha \* score must be finite"):
+                verify_epsilon_nash((0.5, 0.5), g, 1e-3)
+
 class TestScalingInvariance:
     @pytest.mark.parametrize("scale", [0.5, 3.0, 100.0])
     def test_d_scaling_leaves_actions_unchanged(self, scale):
@@ -835,3 +855,57 @@ class TestConjunctiveFixedPointAtScanStart:
         eps = 1e-3 * max_achievable_utility(g)
         assert verify_epsilon_nash(results[0].actions, g, eps, grid_step=0.01,
                                    refine_step=1e-4).is_nash
+
+
+def _random_conjunctive_games(count, seed=15):
+    """A seeded family of smooth conjunctive games: rho from -500 to 0.9,
+    one to three players, identity and logistic evaluations."""
+    rng = np.random.default_rng(seed)
+    games = []
+    while len(games) < count:
+        rho = float(rng.uniform(-500.0, 0.9))
+        if abs(rho) < 1e-3:
+            continue
+        n = int(rng.integers(1, 4))
+        ev = EvaluationSpec("identity") if rng.integers(2) else EvaluationSpec(
+            "logistic", d=10.0, gamma=float(rng.uniform(0.5, 5.0)), b=float(rng.uniform(1.0, 8.0)))
+        games.append(GameSpec(n=n, rho=rho, betas=tuple(rng.uniform(0.5, 2.0, n)),
+                              delta_t=10.0, expertise=tuple(rng.uniform(0.1, 1.0, n)),
+                              alpha=float(rng.uniform(0.5, 3.0)), evaluation=ev))
+    return games
+
+
+class TestConjunctiveGiftNewton:
+    """The scan's gift roots: the scalar root's steps, one root at a time."""
+
+    @pytest.mark.parametrize("rho", [-500.0, -100.0, -3.0, 0.5])
+    @pytest.mark.parametrize("expertise", [(0.8,), (0.3, 0.9), (0.2, 0.5, 0.9)],
+                             ids=["n1", "n2", "n3"])
+    def test_each_root_independent_of_the_batch(self, rho, expertise):
+        g = game(rho=rho, expertise=expertise, b=3.0, betas=(1.0, 1.7, 0.6)[:len(expertise)])
+        grid = _scan_grid(g)
+        batched = _replacement_gifts(g, grid)
+        for j in range(len(grid)):
+            np.testing.assert_array_equal(batched[:, j:j + 1],
+                                          _replacement_gifts(g, grid[j:j + 1]))
+
+    def test_scan_matches_scalar_root_on_random_games(self):
+        for g in _random_conjunctive_games(200):
+            grid = _scan_grid(g)[::8]
+            batched = _replacement_gifts(g, grid)
+            for i in range(g.n):
+                cap = g.expertise[i] * g.delta_t
+                scalar = [_conjunctive_gift(ratio_scalar(g.evaluation, G), G, g.expertise[i],
+                                            g.betas[i], g.alpha, g.delta_t, g.rho)
+                          for G in grid]
+                assert np.all(np.abs(batched[i] - scalar) <= 1e-15 * cap)
+
+    def test_unconverged_root_refused_by_name(self, monkeypatch):
+        g = game(rho=-3.0, expertise=(0.3, 0.9), b=3.0)
+        grid = _scan_grid(g)
+        monkeypatch.setattr(equilibrium, "_NEWTON_STEPS", 1)
+        with pytest.raises(InputError, match="gift root of player 0 at G = .* did not converge"):
+            _replacement_gifts(g, grid)
+        with pytest.raises(InputError, match="gift root for p = 0.3, G = 2.0 did not converge"):
+            _conjunctive_gift(ratio_scalar(g.evaluation, 2.0), 2.0, 0.3, 1.0, g.alpha,
+                              g.delta_t, g.rho)
