@@ -11,8 +11,9 @@ Task regimes:
   a closed form; the fixed point is found by a bracket scan plus Brent's method.
 * conjunctive (rho < 1, rho != 0): ``r_i`` solves the implicit first-order
   condition ``sigma/sigma' * G**(rho-1) = (dt - r/p) * (beta*p/alpha) * r**(rho-1)``,
-  a strictly decreasing one-dimensional root problem solved in log space so
-  |rho| = 500 stays finite.
+  a strictly decreasing one-dimensional root problem, solved by Newton's
+  method in log space so |rho| = 500 stays finite; the bracket scan runs the
+  scalar root's steps on arrays.
 * disjunctive (rho > 1): the replacement map is a correspondence with a zero
   branch and a positive branch.  Equilibria are enumerated over candidate
   active sets using share functions ``s_i(G) = beta_i * r_i(G)**rho / G**rho``,
@@ -293,11 +294,12 @@ def _replacement_gifts(game: GameSpec, G: np.ndarray) -> np.ndarray:
     The array twin of ``replacement_additive`` and ``replacement_conjunctive``
     for the bracket scan, whose aggregates all lie in the maps' domain.  For
     rho < 1 every first-order-condition root takes ``_conjunctive_gift``'s
-    special cases, start and Newton steps, and stops on its own, frozen after
-    the step past its small one; so a gift does not depend on the other
-    aggregates in ``G``, and differs from the scalar one only where numpy's
-    log or exp rounds otherwise than ``math``'s.  The roots take at most
-    about ten steps; the finished ones are kept in place, not dropped.
+    special cases, start and Newton steps, and stops on its own: one step
+    after its first step of at most ``1e-9*max(1, |z|)`` it is frozen.  So a
+    gift does not depend on the other aggregates in ``G``, and differs from
+    the scalar one only where numpy's log or exp rounds otherwise than
+    ``math``'s.  Frozen roots stay in the arrays until the last one stops
+    (after at most 8 steps on the default grid's scans).
     """
     G = np.asarray(G, dtype=float)
     p = np.asarray(game.expertise)[:, None]
