@@ -492,6 +492,7 @@ class TestMaxAchievableUtility:
             with pytest.raises(InputError, match=r"x \*\* alpha \* score must be finite"):
                 verify_epsilon_nash((0.5, 0.5), g, 1e-3)
 
+
 class TestScalingInvariance:
     @pytest.mark.parametrize("scale", [0.5, 3.0, 100.0])
     def test_d_scaling_leaves_actions_unchanged(self, scale):
