@@ -377,7 +377,19 @@ def standalone_value(player: int, game: GameSpec) -> float:
 
 
 def _standalone_pair(player: int, game: GameSpec) -> tuple[float, float]:
-    """(gift, aggregate) of the single-contributor fixed point."""
+    """(gift, aggregate) of the single-contributor fixed point, bisected once
+    per player and memoised on the frozen game, like ``max_aggregate``."""
+    try:
+        memo = game._standalone_pairs
+    except AttributeError:
+        memo = {}
+        object.__setattr__(game, "_standalone_pairs", memo)
+    if player not in memo:
+        memo[player] = _bisect_standalone(player, game)
+    return memo[player]
+
+
+def _bisect_standalone(player: int, game: GameSpec) -> tuple[float, float]:
     _require_smooth(game, "standalone value")
     p = game.expertise[player]
     if p == 0.0:
@@ -571,29 +583,50 @@ def _u_zero(game: GameSpec, G_minus: float) -> float:
     return utility(game.delta_t, score_scalar(game.evaluation, G_minus), game.alpha)
 
 
+# the best response's gift grids, as fractions of the cap: 256 uniform gifts,
+# 256 geometric ones below the first of them, and the last window's 257 points
+_RAMP = np.arange(257) / 256
+_GEOMETRIC = np.geomspace(1e-12, 1 / 256, 256)
+
+
+def _softplus(x, log, exp):
+    """``log(1 + e**x)`` without overflow, with ``log`` and ``exp`` from
+    ``math`` or numpy as in ``_newton_step``."""
+    return 0.5 * (x + abs(x)) + log(1.0 + exp(-abs(x)))
+
+
 def _best_positive_response(game: GameSpec, player: int,
                             G_minus: float) -> tuple[float, float] | None:
     """Best strictly positive contribution against opponents providing G_minus.
 
     Returns (gift, utility) for the best g > 0, or None for a player with no
-    expertise.  Scores a 256-point gift grid in one array pass, then zooms
-    in: each level re-grids the two cells around the argmax with 257 points,
-    128 times finer, until the bracket is ``cap * 1e-14`` wide (seven passes),
-    and returns the last argmax.  Leisure is clamped at 0: at g = cap,
+    expertise.  The interior local maxima of the utility u(g) are the roots
+    where the first-order condition falls through zero: with
+    ``w = beta**(1/rho) * g`` and ``G = (w**rho + G_minus**rho)**(1/rho)``,
+    d log u / dg has the sign of
+
+        phi(g) = log(beta**(1/rho)/alpha) + (rho-1)*(log w - log G)
+                 - log(sigma/sigma')(G) + log(cap - g),
+
+    which is -inf at g = cap, so every stretch where it is positive ends in
+    a local maximum.  One array pass scores phi on the 256 gifts
+    ``cap*k/256``.  Where it shows no fall through zero, a second pass
+    scores it on 256 geometric gifts from ``cap*1e-12`` to ``cap/256``, as
+    the maximum may lie below the first grid cell.  Each fall is refined by
+    Brent's method on the scalar phi to ``cap*1e-14``; the root with the
+    best utility then centres a last 257-point window of ``+-cap*1e-12``
+    (not below half the root), whose argmax is returned, as the utility is
+    flat to rounding there.  Leisure is clamped at 0: at g = cap,
     ``dt - g/p`` can round below zero, and a non-integer alpha would turn it
     into NaN.
 
     The gift is the best *interior* one.  As g -> 0+ the utility tends to
     free-riding's (for rho > 1 a small gift adds only O(g**rho) to the
-    aggregate), so while the bracket still reaches down to ``cap * 1e-12``
-    and its smallest grid gift wins, the zoom moves to the best point past
-    the utility's first rise on the grid, the interior local maximum, if the
-    grid shows one.  Where no level shows one, the utility falls from
-    free-riding's on every gift and there is no interior maximum; the
-    smallest gift of the first grid, ``cap / 256``, and its utility are
-    returned, clearly below free-riding, rather than the corner
-    ``cap * 1e-12``, a rounding error below it.  Where an interior point
-    wins anyway, nothing changes.
+    aggregate), and that corner is no root of phi.  Where neither pass
+    shows a root, the utility falls from free-riding's on every gift and
+    there is no interior maximum; the smallest gift of the first grid,
+    ``cap / 256``, and its utility are returned, clearly below free-riding,
+    rather than the corner ``cap * 1e-12``, a rounding error below it.
     """
     p = game.expertise[player]
     if p == 0.0:
@@ -618,27 +651,44 @@ def _best_positive_response(game: GameSpec, player: int,
             G = np.exp((m + np.log(np.exp(a - m) + np.exp(b - m))) / rho)
         return np.maximum(dt - gs / p, 0.0) ** alpha * eval_score(spec, G)
 
-    ramp = np.arange(257) / 256
-    gs = cap * ramp[1:]
+    log_bscale = math.log(bscale)
+    base = log_bscale - math.log(alpha)
+    logistic = spec.kind == "logistic"
+    log_gamma = math.log(spec.gamma) if logistic else 0.0
+
+    def phi(g, log, exp):
+        # rho*log G = rho*log w + softplus(b - rho*log w), the same log-sum-exp
+        log_w = log_bscale + log(g)
+        if b is None:
+            log_G, out = log_w, base
+        else:
+            lse = _softplus(b - rho * log_w, log, exp)
+            log_G = log_w + lse / rho
+            out = base - (rho - 1.0) / rho * lse
+        if logistic:  # sigma/sigma' = (1 + e**(gamma*(G - b))) / gamma
+            out = out - _softplus(spec.gamma * (exp(log_G) - spec.b), log, exp) + log_gamma
+        else:
+            out = out - log_G
+        return out + log(cap - g)
+
+    def falls(gs):
+        with np.errstate(divide="ignore"):  # log(cap - g) is -inf at g = cap
+            values = phi(gs, np.log, np.exp)
+        up = values > 0
+        return [(float(gs[k]), float(gs[k + 1]), float(values[k]), float(values[k + 1]))
+                for k in np.flatnonzero(up[:-1] & ~up[1:])]
+
+    brackets = falls(cap * _RAMP[1:]) or falls(cap * _GEOMETRIC)
+    if not brackets:
+        smallest = cap * _RAMP[1:2]
+        return float(smallest[0]), float(utilities(smallest)[0])
+    roots = [_brent(lambda g: phi(g, math.log, math.exp), lo, hi, xtol=cap * 1e-14,
+                    flo=flo, fhi=fhi) for lo, hi, flo, fhi in brackets]
+    root = roots[0] if len(roots) == 1 else roots[int(np.argmax(utilities(np.array(roots))))]
+    lo = max(root - cap * 1e-12, 0.5 * root)
+    gs = lo + (root + cap * 1e-12 - lo) * _RAMP
     us = utilities(gs)
-    smallest = float(gs[0]), float(us[0])
-    corner = cap * 1e-12
-    lo, hi = corner, gs[-1]
-    for _ in range(200):
-        j = int(np.argmax(us))
-        if j == 0 and lo == corner:
-            rise = np.flatnonzero(us[1:] > us[:-1])
-            if rise.size:
-                start = rise[0] + 1
-                j = int(start + np.argmax(us[start:]))
-        lo = gs[j - 1] if j > 0 else lo
-        hi = gs[j + 1] if j + 1 < len(gs) else hi
-        if hi - lo <= cap * 1e-14:
-            break
-        gs = lo + (hi - lo) * ramp
-        us = utilities(gs)
-    if lo == corner:
-        return smallest
+    j = int(np.argmax(us))
     return float(gs[j]), float(us[j])
 
 
@@ -647,12 +697,13 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
 
     Solved for the opponents' provision with Brent's method, each evaluation
     one best response: at G_minus_star the best positive response and
-    free-riding pay the same.  The best response is the interior one: above
-    the threshold the corner g -> 0+ would win with a utility a rounding
-    error below free-riding's, and Brent would crawl along that plateau of
-    about -1e-10 in tol-sized steps; the interior local maximum leaves the
-    gap unchanged where it is positive and makes it clearly negative above
-    the root.
+    free-riding pay the same.  The best response is the interior one, a root
+    of the utility's first-order condition: above the threshold the corner
+    g -> 0+ would win with a utility a rounding error below free-riding's,
+    and Brent would crawl along that plateau of about -1e-10 in tol-sized
+    steps; the interior local maximum leaves the gap unchanged where it is
+    positive and makes it clearly negative above the root.  ``g_star`` is
+    that maximum's gift, to within ``cap*1e-12``.
     (Parametrising by the gift instead collapses numerically for large rho,
     where the gift gap to the standalone point falls below float spacing.)
     """
@@ -695,9 +746,9 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
     G_minus_star = _brent(h, 0.0, G_bar, xtol=max(G_bar, 1.0) * 1e-13, flo=h0)
     best = _best_positive_response(game, player, G_minus_star)
     # The indifference point sits weakly left of the standalone point; the
-    # utility is flat at the argmax, so the grid's best point can land a few
-    # grid cells off it.  Enforce the exact ordering rather than letting that
-    # noise leak into subset-acceptance checks.
+    # utility is flat at the argmax, so the best response's last window can
+    # put its best point a little past it.  Enforce the exact ordering rather
+    # than letting that noise leak into subset-acceptance checks.
     g_star = min(best[0], g_bar)
     G_star = min(ces_aggregate([bscale * g_star, G_minus_star], game.rho, (1.0, 1.0)), G_bar)
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -204,6 +205,26 @@ class TestStandalone:
     def test_zero_expertise(self):
         g = game(rho=1.0, expertise=(0.0, 0.8))
         assert standalone_value(0, g) == 0.0
+
+    def test_memo_is_bitwise_a_fresh_bisection(self):
+        config = SweepConfig()
+        for _, p1, p2, rho, b in _cell_specs(config):
+            g = cell_game(config, p1, p2, rho, b)
+            for i in range(g.n):
+                memo = equilibrium._standalone_pair(i, g)
+                assert equilibrium._standalone_pair(i, g) is memo
+                assert memo == equilibrium._bisect_standalone(i, g)
+                assert standalone_value(i, g) == memo[1]
+
+    def test_replacement_map_bisects_the_standalone_point_once(self, monkeypatch):
+        calls = []
+        bisect = equilibrium._bisect
+        monkeypatch.setattr(equilibrium, "_bisect",
+                            lambda *args, **kwargs: calls.append(args) or bisect(*args, **kwargs))
+        g = game(rho=-10.0, expertise=(0.5, 0.9), b=5.0)
+        first = replacement_conjunctive(2.0, 0, g)
+        assert replacement_conjunctive(2.0, 0, g) == first
+        assert len(calls) == 1
 
 
 class TestSolveConcave:
@@ -666,13 +687,10 @@ class TestReplacementGiftsParity:
                                        refine_step=1e-4).is_nash
 
 
-def _ternary_best_positive_response(g, player, G_minus, grid=256):
-    """Reference best positive response: a point-by-point scalar grid, then
-    ternary refinement of the bracket around its argmax, or around the
-    interior local maximum where the smallest gift wins the grid; where the
-    refinement collapses onto the corner, the smallest grid gift."""
+def _scalar_utility(g, player, G_minus):
+    """The player's utility of a gift against opponents providing G_minus, in
+    scalar maths."""
     p = g.expertise[player]
-    cap = p * g.delta_t
     bscale = g.betas[player] ** (1.0 / g.rho)
 
     def agg2(w, v):
@@ -687,6 +705,16 @@ def _ternary_best_positive_response(g, player, G_minus, grid=256):
         G = agg2(bscale * x, G_minus)
         return max(g.delta_t - x / p, 0.0) ** g.alpha * score_scalar(g.evaluation, G)
 
+    return u
+
+
+def _ternary_best_positive_response(g, player, G_minus, grid=256):
+    """Reference best positive response: a point-by-point scalar grid, then
+    ternary refinement of the bracket around its argmax, or around the
+    interior local maximum where the smallest gift wins the grid; where the
+    refinement collapses onto the corner, the smallest grid gift."""
+    cap = g.expertise[player] * g.delta_t
+    u = _scalar_utility(g, player, G_minus)
     gs = np.linspace(0.0, cap, grid + 1)[1:]
     us = np.array([u(x) for x in gs])
     j = int(np.argmax(us))
@@ -772,6 +800,65 @@ class TestBestPositiveResponse:
         assert gift == pytest.approx(3.0787, abs=1e-3)
         assert u == pytest.approx(60.35, abs=1e-2)
         assert critical_thresholds(0, g).G_minus_star == pytest.approx(1.466, abs=1e-3)
+
+
+def _random_disjunctive_games(count, seed=16):
+    """A seeded family of smooth two-player disjunctive games: rho from 1.2 to
+    500 (log-uniform), logistic and identity evaluations, non-integer alpha and
+    unequal weights; one game in four has alpha >= 256 with delta_t = 1, so its
+    best gifts lie below the first grid cell."""
+    rng = np.random.default_rng(seed)
+    games = []
+    for k in range(count):
+        rho = float(np.exp(rng.uniform(np.log(1.2), np.log(500.0))))
+        ev = EvaluationSpec("identity") if rng.integers(2) else EvaluationSpec(
+            "logistic", d=10.0, gamma=float(rng.uniform(0.5, 5.0)), b=float(rng.uniform(1.0, 8.0)))
+        delta_t, alpha = (1.0, float(rng.uniform(256.0, 500.0))) if k % 4 == 0 else (
+            10.0, float(rng.uniform(0.5, 4.0)))
+        games.append(GameSpec(n=2, rho=rho, betas=tuple(rng.uniform(0.5, 2.0, 2)),
+                              delta_t=delta_t, expertise=tuple(rng.uniform(0.1, 1.0, 2)),
+                              alpha=alpha, evaluation=ev))
+    return games
+
+
+def _exact_utility(g, player, G_minus):
+    """The player's utility of a gift in 50-digit decimal arithmetic, where a
+    gift 1e-9 of the cap off the peak scores clearly lower: in doubles the
+    utility is flat to rounding there."""
+    p, dt, rho, beta, alpha, G_minus = map(Decimal, (
+        g.expertise[player], g.delta_t, g.rho, g.betas[player], g.alpha, G_minus))
+    ev = g.evaluation
+
+    def u(x):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            G = (beta * x ** rho + G_minus ** rho) ** (1 / rho)
+            if ev.kind == "logistic":
+                G = Decimal(ev.d) / (1 + (-Decimal(ev.gamma) * (G - Decimal(ev.b))).exp())
+            return (dt - x / p) ** alpha * G
+
+    return u
+
+
+class TestBestPositiveResponseFamily:
+    """The first-order-condition best response against the scalar ternary
+    search, over a family of games wider than the default grid."""
+
+    def test_matches_ternary_search_and_is_a_local_maximum(self):
+        for g in _random_disjunctive_games(100):
+            cap = g.expertise[0] * g.delta_t
+            for G_minus in np.linspace(0.0, 1.2 * g.max_aggregate(), 13):
+                g_new, u_new = _best_positive_response(g, 0, G_minus)
+                g_ref, u_ref = _ternary_best_positive_response(g, 0, G_minus)
+                if g_new == g_ref:
+                    assert u_new == pytest.approx(u_ref, rel=1e-14)
+                else:
+                    assert u_new >= u_ref
+                assert abs(g_new - g_ref) <= 1e-7 * cap
+                if g_new != cap / 256:  # an interior maximum, not the stand-in
+                    u = _exact_utility(g, 0, G_minus)
+                    x, step = Decimal(g_new), Decimal(cap) * Decimal("1e-9")
+                    assert u(x - step) <= u(x) >= u(x + step)
 
 
 class TestBrent:
