@@ -48,6 +48,12 @@ distinct values):
   (one that contributes when alone) of the 90 disjunctive cells of that grid;
 * ``best_response_us``: microseconds per ``_best_positive_response`` call of
   one disjunctive player, over a sweep of the opponents' provision;
+* ``best_response_calls.*``: the ``_best_positive_response`` calls made while
+  ``solve_cell`` solves the 90 disjunctive cells of that grid, recorded once
+  per process and replayed: how many there were (``count``), microseconds per
+  replayed call (``us``), and from a second, untimed replay the array passes
+  per call (``passes``): calls of the best response's closures ``utilities``
+  and ``phi`` (the names in ``PASSES``) on an array of gifts;
 * ``scan.*``: the concave solver's bracket scan on the 120 conjunctive cells
   of that grid: the seconds of ``_replacement_gifts`` over every cell's
   2,049-point scan grid (``replacement_gifts_s``), and microseconds per
@@ -85,6 +91,8 @@ LONE = ("n2_R1", "n3_R1", "n4_R1", "n4_team4")
 # the trainer's step functions, by the names the simulator module looks up
 STEPS = {"softmax": ("_boltzmann",), "draw": ("_draw_arms",), "ces": ("_aggregate_terms",),
          "score": ("_score", "eval_score"), "update": ("_update_q",)}
+# the best response's closures that score an array of gifts in one pass
+PASSES = ("utilities", "phi")
 # the learning fixtures of tests/test_acceptance.py, by the test class charged their setup
 FIXTURES = {"TestCriterion3Regression": "sweep_records",
             "TestCriterion4LearnedSpotChecks": "spot_check_outcomes",
@@ -277,6 +285,42 @@ def case(name: str) -> dict:
         for G_minus in provisions:
             equilibrium._best_positive_response(game, 0, G_minus)
         out["best_response_us"] = (time.perf_counter() - t0) / len(provisions) * 1e6
+    elif name == "best_response_calls":
+        from teamgames import equilibrium
+        config = experiments.SweepConfig()
+        best = equilibrium._best_positive_response
+        calls = []
+        equilibrium._best_positive_response = lambda *args: calls.append(args) or best(*args)
+        try:
+            for _, p1, p2, rho, b in experiments._cell_specs(config):
+                if rho > 1:
+                    try:
+                        experiments.solve_cell(experiments.cell_game(config, p1, p2, rho, b))
+                    except tg.TeamworkGameError:
+                        pass
+        finally:
+            equilibrium._best_positive_response = best
+        t0 = time.perf_counter()
+        for args in calls:
+            best(*args)
+        out["best_response_calls.us"] = (time.perf_counter() - t0) / len(calls) * 1e6
+        out["best_response_calls.count"] = len(calls)
+        passes = 0
+
+        def count_passes(frame, event, arg):
+            nonlocal passes
+            code = frame.f_code
+            if (event == "call" and code.co_name in PASSES
+                    and code.co_filename == equilibrium.__file__
+                    and isinstance(frame.f_locals.get(code.co_varnames[0]), numpy.ndarray)):
+                passes += 1
+        sys.setprofile(count_passes)
+        try:
+            for args in calls:
+                best(*args)
+        finally:
+            sys.setprofile(None)
+        out["best_response_calls.passes"] = passes / len(calls)
     elif name == "scan":
         from teamgames import equilibrium
         config = experiments.SweepConfig()
@@ -350,8 +394,8 @@ def case(name: str) -> dict:
 
 
 CASES = ("n2_R1", "n2_chunk", "n3_R1", "n3_chunk", "n4_R1", "n4_team4", "n4_R16", "train50k",
-         "lone50k_n4", "sweep_split", "solve_regimes", "thresholds", "best_response", "scan",
-         "roots", "sweep", "fixtures")
+         "lone50k_n4", "sweep_split", "solve_regimes", "thresholds", "best_response",
+         "best_response_calls", "scan", "roots", "sweep", "fixtures")
 
 
 def _run_case(src: str, name: str) -> dict:
