@@ -657,7 +657,8 @@ def _best_positive_response(game: GameSpec, player: int,
     log_gamma = math.log(spec.gamma) if logistic else 0.0
 
     def phi(g, log, exp):
-        # rho*log G = rho*log w + softplus(b - rho*log w), the same log-sum-exp
+        # utilities' log-sum-exp, with b = rho*log G_minus:
+        # rho*log G = rho*log w + softplus(b - rho*log w)
         log_w = log_bscale + log(g)
         if b is None:
             log_G, out = log_w, base
