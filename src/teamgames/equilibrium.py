@@ -609,7 +609,8 @@ def _best_positive_response(game: GameSpec, player: int,
                  - log(sigma/sigma')(G) + log(cap - g),
 
     which is -inf at g = cap, so every stretch where it is positive ends in
-    a local maximum.  One array pass scores phi on the 256 gifts
+    a local maximum (phi is concave in log g, so there is at most one such
+    stretch but for rounding).  One array pass scores phi on the 256 gifts
     ``cap*k/256``.  Where it shows no fall through zero, a second pass
     scores it on 256 geometric gifts from ``cap*1e-12`` to ``cap/256``, as
     the maximum may lie below the first grid cell.  Each fall is refined by

@@ -687,10 +687,13 @@ class TestReplacementGiftsParity:
                                        refine_step=1e-4).is_nash
 
 
-def _scalar_utility(g, player, G_minus):
-    """The player's utility of a gift against opponents providing G_minus, in
-    scalar maths."""
+def _ternary_best_positive_response(g, player, G_minus, grid=256):
+    """Reference best positive response: a point-by-point scalar grid, then
+    ternary refinement of the bracket around its argmax, or around the
+    interior local maximum where the smallest gift wins the grid; where the
+    refinement collapses onto the corner, the smallest grid gift."""
     p = g.expertise[player]
+    cap = p * g.delta_t
     bscale = g.betas[player] ** (1.0 / g.rho)
 
     def agg2(w, v):
@@ -705,16 +708,6 @@ def _scalar_utility(g, player, G_minus):
         G = agg2(bscale * x, G_minus)
         return max(g.delta_t - x / p, 0.0) ** g.alpha * score_scalar(g.evaluation, G)
 
-    return u
-
-
-def _ternary_best_positive_response(g, player, G_minus, grid=256):
-    """Reference best positive response: a point-by-point scalar grid, then
-    ternary refinement of the bracket around its argmax, or around the
-    interior local maximum where the smallest gift wins the grid; where the
-    refinement collapses onto the corner, the smallest grid gift."""
-    cap = g.expertise[player] * g.delta_t
-    u = _scalar_utility(g, player, G_minus)
     gs = np.linspace(0.0, cap, grid + 1)[1:]
     us = np.array([u(x) for x in gs])
     j = int(np.argmax(us))
