@@ -60,10 +60,12 @@ distinct values):
   scalar ``_conjunctive_gift`` call (``conjunctive_gift_us``) at every 64th
   point of those grids, every player;
 * ``roots.*``: over ``solve_cell`` on those 240 cells, the mean number of
-  function evaluations the root-finder makes per root of the three outer
-  loops: a critical threshold, a concave fixed point and a disjunctive share
-  equation (end values the caller passes in are not counted), and how many
-  roots of each kind were found (untimed: every evaluation is counted);
+  evaluations per root of the three outer loops, and how many roots of each
+  kind were found (untimed: every evaluation is counted).  A critical
+  threshold counts its ``_best_positive_response`` calls, the one at the
+  root included, whatever root-finder it runs; a concave fixed point and a
+  disjunctive share equation count the function evaluations of the
+  root-finder (end values the caller passes in are not counted);
 * ``tier1`` (with ``--tier1``): one run of the test suite of the checkout
   that holds each side's sources.
 """
@@ -290,7 +292,11 @@ def case(name: str) -> dict:
         config = experiments.SweepConfig()
         best = equilibrium._best_positive_response
         calls = []
-        equilibrium._best_positive_response = lambda *args: calls.append(args) or best(*args)
+
+        def recorded(*args, **kwargs):
+            calls.append((args, kwargs))
+            return best(*args, **kwargs)
+        equilibrium._best_positive_response = recorded
         try:
             for _, p1, p2, rho, b in experiments._cell_specs(config):
                 if rho > 1:
@@ -301,8 +307,8 @@ def case(name: str) -> dict:
         finally:
             equilibrium._best_positive_response = best
         t0 = time.perf_counter()
-        for args in calls:
-            best(*args)
+        for args, kwargs in calls:
+            best(*args, **kwargs)
         out["best_response_calls.us"] = (time.perf_counter() - t0) / len(calls) * 1e6
         out["best_response_calls.count"] = len(calls)
         passes = 0
@@ -316,8 +322,8 @@ def case(name: str) -> dict:
                 passes += 1
         sys.setprofile(count_passes)
         try:
-            for args in calls:
-                best(*args)
+            for args, kwargs in calls:
+                best(*args, **kwargs)
         finally:
             sys.setprofile(None)
         out["best_response_calls.passes"] = passes / len(calls)
@@ -349,9 +355,27 @@ def case(name: str) -> dict:
         out["scan.conjunctive_gift_us"] = (time.perf_counter() - t0) / len(calls) * 1e6
     elif name == "roots":
         from teamgames import equilibrium
-        callers = {"critical_thresholds": "thresholds", "solve_equilibrium_concave": "concave",
+        callers = {"solve_equilibrium_concave": "concave",
                    "enumerate_disjunctive_equilibria": "share"}
-        evals = {kind: [] for kind in callers.values()}
+        evals = {"thresholds": [], **{kind: [] for kind in callers.values()}}
+        best, thresholds = equilibrium._best_positive_response, equilibrium.critical_thresholds
+        responses = None  # best responses of the threshold being found
+
+        def counted_best(*args, **kwargs):
+            nonlocal responses
+            if responses is not None:
+                responses += 1
+            return best(*args, **kwargs)
+
+        def counted_thresholds(*args, **kwargs):
+            nonlocal responses
+            responses = 0
+            try:
+                result = thresholds(*args, **kwargs)
+            finally:
+                count, responses = responses, None
+            evals["thresholds"].append(count)
+            return result
 
         def counting(finder):
             def wrapper(f, *args, **kwargs):
@@ -373,6 +397,8 @@ def case(name: str) -> dict:
         for finder in ("_bisect", "_brent"):
             if hasattr(equilibrium, finder):
                 setattr(equilibrium, finder, counting(getattr(equilibrium, finder)))
+        equilibrium._best_positive_response = counted_best
+        equilibrium.critical_thresholds = counted_thresholds
         config = experiments.SweepConfig()
         for _, p1, p2, rho, b in experiments._cell_specs(config):
             try:

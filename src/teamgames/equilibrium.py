@@ -587,6 +587,8 @@ def _u_zero(game: GameSpec, G_minus: float) -> float:
 # 256 geometric ones below the first of them, and the last window's 257 points
 _RAMP = np.arange(257) / 256
 _GEOMETRIC = np.geomspace(1e-12, 1 / 256, 256)
+# a warm start's steps away from the gift it is given, as fractions of it
+_WARM_STEPS = (1e-3, 1e-2, 0.1, 1.0)
 
 
 def _softplus(x, log, exp):
@@ -595,8 +597,19 @@ def _softplus(x, log, exp):
     return 0.5 * (x + abs(x)) + log(1.0 + exp(-abs(x)))
 
 
-def _best_positive_response(game: GameSpec, player: int,
-                            G_minus: float) -> tuple[float, float] | None:
+def _pair_aggregate(w: float, G_minus: float, rho: float) -> float:
+    """``(w**rho + G_minus**rho)**(1/rho)`` for ``w > 0`` as a log-sum-exp in
+    ``math``, with the arithmetic of the best response's array pass."""
+    if G_minus == 0.0:
+        return w
+    a, b = rho * math.log(w), rho * math.log(G_minus)
+    m = max(a, b)
+    return math.exp((m + math.log(math.exp(a - m) + math.exp(b - m))) / rho)
+
+
+def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
+                            near: float | None = None,
+                            window: bool = True) -> tuple[float, float] | None:
     """Best strictly positive contribution against opponents providing G_minus.
 
     Returns (gift, utility) for the best g > 0, or None for a player with no
@@ -608,18 +621,25 @@ def _best_positive_response(game: GameSpec, player: int,
         phi(g) = log(beta**(1/rho)/alpha) + (rho-1)*(log w - log G)
                  - log(sigma/sigma')(G) + log(cap - g),
 
-    which is -inf at g = cap, so every stretch where it is positive ends in
-    a local maximum (phi is concave in log g, so there is at most one such
-    stretch but for rounding).  One array pass scores phi on the 256 gifts
-    ``cap*k/256``.  Where it shows no fall through zero, a second pass
-    scores it on 256 geometric gifts from ``cap*1e-12`` to ``cap/256``, as
-    the maximum may lie below the first grid cell.  Each fall is refined by
-    Brent's method on the scalar phi to ``cap*1e-14``; the root with the
-    best utility then centres a last 257-point window of ``+-cap*1e-12``
-    (not below half the root), whose argmax is returned, as the utility is
-    flat to rounding there.  Leisure is clamped at 0: at g = cap,
-    ``dt - g/p`` can round below zero, and a non-integer alpha would turn it
-    into NaN.
+    which is -inf at g = cap.  phi is concave in log g, so it is positive on
+    at most one stretch, and that stretch ends in the one interior maximum:
+    any bracket where phi falls through zero holds it.  Given a gift
+    ``near`` (the maximum at a nearby provision), phi is scored at it and at
+    gifts ever further away on the side its sign points to, ``near`` times or
+    over ``1 + s`` for s in ``_WARM_STEPS`` (not past half-way to the cap),
+    until the sign flips.  Without ``near``, or where that finds no flip, one
+    array pass scores phi on the 256 gifts ``cap*k/256``; where it shows no
+    fall through zero and phi falls between the first two of them, a second
+    pass scores it on 256 geometric gifts from ``cap*1e-12`` to ``cap/256``,
+    as the maximum may lie below the first grid cell.  (Where phi rises there
+    it is below its non-positive value at ``cap/256`` on every smaller gift.)
+    The fall is refined by Brent's method on the scalar phi to
+    ``cap*1e-14``.  With ``window`` that root centres a last 257-point window
+    of ``+-cap*1e-12`` (not below half the root), whose argmax is returned,
+    as the utility is flat to rounding there; without it the root and its
+    utility in ``math`` are returned, equal to the window's up to that
+    flatness.  Leisure is clamped at 0: at g = cap, ``dt - g/p`` can round
+    below zero, and a non-integer alpha would turn it into NaN.
 
     The gift is the best *interior* one.  As g -> 0+ the utility tends to
     free-riding's (for rho > 1 a small gift adds only O(g**rho) to the
@@ -673,20 +693,48 @@ def _best_positive_response(game: GameSpec, player: int,
             out = out - log_G
         return out + log(cap - g)
 
-    def falls(gs):
+    def scalar_phi(g):
+        return phi(g, math.log, math.exp)
+
+    def warm_bracket():
+        f_near = scalar_phi(near)
+        up = f_near > 0  # the fall lies above near
+        inner, f_inner = near, f_near
+        for s in _WARM_STEPS:
+            outer = min(near * (1.0 + s), 0.5 * (near + cap)) if up else near / (1.0 + s)
+            f_outer = scalar_phi(outer)
+            if (f_outer > 0) != up:
+                return ((inner, outer, f_inner, f_outer) if up
+                        else (outer, inner, f_outer, f_inner))
+            inner, f_inner = outer, f_outer
+        return None
+
+    def first_fall(gs):
+        # the first bracket where phi falls through zero on the gifts gs, and phi on them
         with np.errstate(divide="ignore"):  # log(cap - g) is -inf at g = cap
             values = phi(gs, np.log, np.exp)
         up = values > 0
-        return [(float(gs[k]), float(gs[k + 1]), float(values[k]), float(values[k + 1]))
-                for k in np.flatnonzero(up[:-1] & ~up[1:])]
+        falls = np.flatnonzero(up[:-1] & ~up[1:])
+        if not falls.size:
+            return None, values
+        k = falls[0]
+        return (float(gs[k]), float(gs[k + 1]), float(values[k]), float(values[k + 1])), values
 
-    brackets = falls(cap * _RAMP[1:]) or falls(cap * _GEOMETRIC)
-    if not brackets:
+    def cold_bracket():
+        bracket, values = first_fall(cap * _RAMP[1:])
+        if bracket is None and not values[1] > values[0]:
+            bracket = first_fall(cap * _GEOMETRIC)[0]
+        return bracket
+
+    bracket = (warm_bracket() if near is not None else None) or cold_bracket()
+    if bracket is None:
         smallest = cap * _RAMP[1:2]
         return float(smallest[0]), float(utilities(smallest)[0])
-    roots = [_brent(lambda g: phi(g, math.log, math.exp), lo, hi, xtol=cap * 1e-14,
-                    flo=flo, fhi=fhi) for lo, hi, flo, fhi in brackets]
-    root = roots[0] if len(roots) == 1 else roots[int(np.argmax(utilities(np.array(roots))))]
+    lo, hi, flo, fhi = bracket
+    root = _brent(scalar_phi, lo, hi, xtol=cap * 1e-14, flo=flo, fhi=fhi)
+    if not window:
+        G = _pair_aggregate(bscale * root, G_minus, rho)
+        return root, max(dt - root / p, 0.0) ** alpha * score_scalar(spec, G)
     lo = max(root - cap * 1e-12, 0.5 * root)
     gs = lo + (root + cap * 1e-12 - lo) * _RAMP
     us = utilities(gs)
@@ -694,20 +742,60 @@ def _best_positive_response(game: GameSpec, player: int,
     return float(gs[j]), float(us[j])
 
 
+def _indifference_gap(game: GameSpec, player: int, G_minus: float,
+                      near: float | None) -> tuple[float, float | None, float | None]:
+    """``(h, h', g)`` at ``G_minus`` for the threshold search: the gap
+    ``h = u(g; G_minus) - u0(G_minus)`` between the best positive response g
+    (warm-started from ``near``, without the last window) and free-riding,
+    and its slope in ``G_minus`` by the envelope theorem,
+
+        h' = u/(sigma/sigma')(G) * (G_minus/G)**(rho-1) - u0/(sigma/sigma')(G_minus),
+
+    G the aggregate at g.  Where the best response has no interior maximum
+    (the ``cap/256`` stand-in) the slope belongs to no maximum, and ``h'``
+    and ``g`` are None."""
+    g, u = _best_positive_response(game, player, G_minus, near=near, window=False)
+    u0 = _u_zero(game, G_minus)
+    if g == game.expertise[player] * game.delta_t * _RAMP[1]:
+        return u - u0, None, None
+    # u*sigma'/sigma at each aggregate; identity's sigma/sigma' is 0 at 0, sigma' 1
+    G = _pair_aggregate(game.betas[player] ** (1.0 / game.rho) * g, G_minus, game.rho)
+    ratio0 = ratio_scalar(game.evaluation, G_minus)
+    slope = (u / ratio_scalar(game.evaluation, G) * (G_minus / G) ** (game.rho - 1.0)
+             - (u0 / ratio0 if ratio0 > 0.0 else game.delta_t ** game.alpha))
+    return u - u0, slope, g
+
+
 def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
     """Indifference point between contributing and free-riding (rho > 1).
 
-    Solved for the opponents' provision with Brent's method, each evaluation
-    one best response: at G_minus_star the best positive response and
-    free-riding pay the same.  The best response is the interior one, a root
-    of the utility's first-order condition: above the threshold the corner
-    g -> 0+ would win with a utility a rounding error below free-riding's,
-    and Brent would crawl along that plateau of about -1e-10 in tol-sized
-    steps; the interior local maximum leaves the gap unchanged where it is
-    positive and makes it clearly negative above the root.  ``g_star`` is
-    that maximum's gift, to within ``cap*1e-12``.
-    (Parametrising by the gift instead collapses numerically for large rho,
-    where the gift gap to the standalone point falls below float spacing.)
+    The threshold G_minus_star is the root of the gap ``h(G_minus)`` between
+    the best positive response's utility and free-riding's, whose slope the
+    envelope theorem gives from that best response (``_indifference_gap``).
+    Newton's method runs on h inside a bracket ``[lo, hi]`` with
+    ``h(lo) > 0 > h(hi)``, from ``lo = 0`` and ``hi = G_bar``, the standalone
+    point, whose gap is scored only if no step finds a negative one (and
+    refused with ``InputError`` if positive).  On the default grid h is
+    concave and decreasing left of the root, so a tangent from the left
+    lands right of the root, and the steps from there fall monotonically
+    onto it.  A step that would leave the bracket, or one from a best
+    response with no interior maximum, whose slope belongs to another
+    branch, bisects the bracket instead.  The search stops once a step or
+    the bracket is at most ``xtol = max(G_bar, 1)*1e-13``, with Brent's
+    contract: the root lies within ``xtol`` of the point returned.  Each
+    best response starts from the last interior one's gift (the first from
+    the standalone gift, the best response to no provision) and skips the
+    last window; the one at the root keeps it, and ``g_star`` is that
+    maximum's gift, to within ``cap*1e-12``.
+
+    The best response is the interior one, a root of the utility's
+    first-order condition: above the threshold the corner g -> 0+ would win
+    with a utility a rounding error below free-riding's, a plateau of about
+    -1e-10 with no slope; the interior local maximum leaves the gap
+    unchanged where it is positive and makes it clearly negative above the
+    root.  (Parametrising by the gift instead collapses numerically for
+    large rho, where the gift gap to the standalone point falls below float
+    spacing.)
     """
     _require_player(player, game)
     if game.rho <= 1:
@@ -733,20 +821,39 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
             f"sigma'/sigma(standalone) * beta**(1/rho)/alpha = {bound:.6g}")
 
     _u_zero(game, game.max_aggregate())  # refuses by name a game whose utilities overflow
-
-    def h(G_minus):
-        best = _best_positive_response(game, player, G_minus)
-        if best is None:
-            return -math.inf
-        return best[1] - _u_zero(game, G_minus)
-
-    h0 = h(0.0)
+    h0, slope, near = _indifference_gap(game, player, 0.0, g_bar)
     if h0 <= 0.0:
         raise RegimeError(
             f"player {player} prefers free-riding even on nothing; no "
             "positive threshold exists")
-    G_minus_star = _brent(h, 0.0, G_bar, xtol=max(G_bar, 1.0) * 1e-13, flo=h0)
-    best = _best_positive_response(game, player, G_minus_star)
+    xtol = max(G_bar, 1.0) * 1e-13
+    x = lo = 0.0
+    hx = h0
+    hi, negative = G_bar, False  # h(G_bar) is scored only if no step finds h < 0
+    for _ in range(_NEWTON_STEPS):
+        step = hx / slope if slope is not None and slope < 0.0 else math.nan
+        if abs(step) <= 0.5 * xtol:  # such a step may round to no move at all
+            x -= step
+            break
+        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+        hx, slope, g = _indifference_gap(game, player, x, near)
+        near = g or near
+        if hx > 0.0:
+            lo = x
+        elif hx < 0.0:
+            hi, negative = x, True
+        if hx == 0.0 or hi - lo <= xtol:
+            break
+    else:
+        raise InputError(
+            f"the critical threshold of player {player} did not converge in "
+            f"{_NEWTON_STEPS} Newton steps")
+    if not negative:
+        h_bar = _indifference_gap(game, player, G_bar, near)[0]
+        if h_bar > 0.0:
+            raise InputError(f"no sign change on [0.0, {G_bar}]: f={h0}, {h_bar}")
+    G_minus_star = x
+    best = _best_positive_response(game, player, G_minus_star, near=near)
     # The indifference point sits weakly left of the standalone point; the
     # utility is flat at the argmax, so the best response's last window can
     # put its best point a little past it.  Enforce the exact ordering rather
@@ -919,12 +1026,19 @@ def max_achievable_utility(game: GameSpec) -> float:
     return utility(best_leisure, top_score, game.alpha)
 
 
-def _deviation_utilities(game: GameSpec, actions: np.ndarray, player: int,
-                         candidate_actions: np.ndarray) -> np.ndarray:
-    """Utility of ``player`` for each candidate action, the others held fixed."""
-    profiles = np.repeat(actions[:, None], len(candidate_actions), axis=1)
-    profiles[player] = candidate_actions
-    return _payoffs(game, profiles)[2][player]
+def _deviation_utilities(game: GameSpec, actions: np.ndarray, candidates) -> list:
+    """Each player's utility for each of its own candidate actions
+    (``candidates[i]`` lists player i's), the others held fixed, in one
+    payoff pass.  Each deviation is a column of its own, and a column's
+    payoff does not depend on the others: below 8 players every layout sums
+    in order, and from 8 ``ces_aggregate`` sums each column contiguously."""
+    ends = np.cumsum([len(c) for c in candidates])
+    players = np.repeat(np.arange(game.n), np.diff(ends, prepend=0))
+    columns = np.arange(ends[-1])
+    profiles = np.repeat(actions[:, None], ends[-1], axis=1)
+    profiles[players, columns] = np.concatenate(candidates)
+    us = _payoffs(game, profiles)[2][players, columns]
+    return [us[end - len(c):end] for c, end in zip(candidates, ends)]
 
 
 def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
@@ -935,9 +1049,11 @@ def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
     For each player, holding the others fixed, evaluates the utility of
     every grid action and reports the largest unilateral improvement; the
     profile is an epsilon-Nash point when that gain is at most epsilon.
-    Works for any evaluation, including heaviside.  A game whose utilities
-    can overflow is refused with ``InputError`` before the first payoff, as
-    ``max_achievable_utility`` refuses it.
+    Every player's grid deviations are scored in one payoff pass, and with
+    ``refine_step`` every player's window around its best grid action in
+    one more.  Works for any evaluation, including heaviside.  A game whose
+    utilities can overflow is refused with ``InputError`` before the first
+    payoff, as ``max_achievable_utility`` refuses it.
     """
     for name, step in (("grid_step", grid_step), ("refine_step", refine_step)):
         if step is not None and not (math.isfinite(step) and step > 0):
@@ -951,23 +1067,28 @@ def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
     max_achievable_utility(game)  # every payoff lies below this bound
     base_u = _payoffs(game, arr)[2]
 
-    max_gain = -math.inf
-    best = None
     grid_actions = np.linspace(0.0, 1.0, k + 1)
-    for i in range(game.n):
-        us = _deviation_utilities(game, arr, i, grid_actions)
+    bests = []  # each player's best deviation (action, utility)
+    for us in _deviation_utilities(game, arr, [grid_actions] * game.n):
         j = int(np.argmax(us))
-        best_a, best_u = float(grid_actions[j]), float(us[j])
-        if refine_step is not None:
+        bests.append((float(grid_actions[j]), float(us[j])))
+    if refine_step is not None:
+        windows = []
+        for best_a, _ in bests:
             lo = max(0.0, best_a - grid_step)
             hi = min(1.0, best_a + grid_step)
             m = int(round((hi - lo) / refine_step))
             fine = lo + refine_step * np.arange(m + 1)
-            fine = fine[fine <= 1.0 + 1e-12]
-            us_f = _deviation_utilities(game, arr, i, np.clip(fine, 0.0, 1.0))
+            windows.append(fine[fine <= 1.0 + 1e-12])
+        refined = _deviation_utilities(game, arr, [np.clip(fine, 0.0, 1.0) for fine in windows])
+        for i, (fine, us_f) in enumerate(zip(windows, refined)):
             jf = int(np.argmax(us_f))
-            if us_f[jf] > best_u:
-                best_a, best_u = float(fine[jf]), float(us_f[jf])
+            if us_f[jf] > bests[i][1]:
+                bests[i] = (float(fine[jf]), float(us_f[jf]))
+
+    max_gain = -math.inf
+    best = None
+    for i, (best_a, best_u) in enumerate(bests):
         gain = best_u - float(base_u[i])
         if gain > max_gain:
             max_gain = gain

@@ -193,8 +193,9 @@ def validate_evaluation(spec: EvaluationSpec, grid: tuple[float, float], points:
     return ValidityReport(True)
 
 
-# Kept beside eval_score: 3-6x cheaper per call on a float.  Its only solver caller is
-# the free-riding payoff, equilibrium._u_zero, once per step of the threshold root search.
+# Kept beside eval_score: 3-6x cheaper per call on a float.  Its solver callers are the
+# free-riding payoff, equilibrium._u_zero, and the best response's utility at its root,
+# once per step of the threshold root search.
 def score_scalar(spec: EvaluationSpec, G: float) -> float:
     """Scalar fast path used by inner solver loops."""
     if spec.kind == "identity":

@@ -6,6 +6,7 @@ import pytest
 
 from teamgames import equilibrium
 from teamgames.equilibrium import (
+    NashCheck,
     _best_positive_response,
     _conjunctive_gift,
     _replacement_gifts,
@@ -30,7 +31,7 @@ from teamgames.errors import (
 )
 from teamgames.evaluation import EvaluationSpec, ratio_scalar, score_scalar
 from teamgames.experiments import SweepConfig, _cell_specs, cell_game, solve_cell
-from teamgames.games import GameSpec, ces_aggregate
+from teamgames.games import GameSpec, _payoffs, ces_aggregate
 
 
 def game(rho=1.0, expertise=(1.0, 1.0), b=5.0, kind="logistic", alpha=2.0,
@@ -493,6 +494,61 @@ class TestEpsilonNash:
         assert fine.is_nash
 
 
+def _per_player_nash_check(actions, g, epsilon, grid_step=0.01, refine_step=None):
+    """The Nash oracle as a loop over players, one payoff pass per player and
+    window: the reference for the oracle's batched passes."""
+    arr = np.asarray(actions, dtype=float)
+    base_u = _payoffs(g, arr)[2]
+
+    def deviations(i, candidates):
+        profiles = np.repeat(arr[:, None], len(candidates), axis=1)
+        profiles[i] = candidates
+        return _payoffs(g, profiles)[2][i]
+
+    max_gain, best = -math.inf, None
+    grid_actions = np.linspace(0.0, 1.0, round(1.0 / grid_step) + 1)
+    for i in range(g.n):
+        us = deviations(i, grid_actions)
+        j = int(np.argmax(us))
+        best_a, best_u = float(grid_actions[j]), float(us[j])
+        if refine_step is not None:
+            lo, hi = max(0.0, best_a - grid_step), min(1.0, best_a + grid_step)
+            fine = lo + refine_step * np.arange(int(round((hi - lo) / refine_step)) + 1)
+            fine = fine[fine <= 1.0 + 1e-12]
+            us_f = deviations(i, np.clip(fine, 0.0, 1.0))
+            jf = int(np.argmax(us_f))
+            if us_f[jf] > best_u:
+                best_a, best_u = float(fine[jf]), float(us_f[jf])
+        if best_u - float(base_u[i]) > max_gain:
+            max_gain, best = best_u - float(base_u[i]), (i, best_a)
+    return NashCheck(is_nash=bool(max_gain <= epsilon), max_gain=float(max_gain),
+                     best_deviation=best)
+
+
+class TestEpsilonNashBatched:
+    """Every player's deviations share one payoff pass, field for field the
+    per-player loop: each deviation is a column of its own."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_matches_per_player_loop(self, n):
+        rng = np.random.default_rng(17 + n)
+        for k in range(12):
+            kind = ("logistic", "identity", "heaviside")[k % 3]
+            g = GameSpec(n=n, rho=float(rng.choice([-10.0, 0.5, 1.0, 3.0, 10.0])),
+                         betas=tuple(rng.uniform(0.5, 2.0, n)), delta_t=10.0,
+                         expertise=tuple(rng.uniform(0.1, 1.0, n)),
+                         alpha=float(rng.uniform(0.5, 3.0)),
+                         evaluation=EvaluationSpec(kind, d=10.0, gamma=2.0,
+                                                   b=float(rng.uniform(1.0, 8.0))))
+            # grid actions, and a profile with actions at 0 and 1, so windows clip
+            actions = np.where(rng.random(n) < 0.3, rng.integers(0, 2, n), rng.random(n))
+            eps = 1e-3 * max_achievable_utility(g)
+            for grid in ({}, {"grid_step": 0.01, "refine_step": 1e-4},
+                         {"grid_step": 0.05, "refine_step": 3e-3}):
+                assert verify_epsilon_nash(actions, g, eps, **grid) == \
+                    _per_player_nash_check(actions, g, eps, **grid)
+
+
 class TestMaxAchievableUtility:
     def test_memoised_aggregate_is_the_full_time_ces(self):
         config = SweepConfig()
@@ -738,8 +794,9 @@ class TestBestPositiveResponse:
     @pytest.mark.parametrize("kind,alpha", [("logistic", 2.0), ("logistic", 1.631),
                                             ("identity", 0.7)])
     def test_array_grid_matches_scalar_grid(self, rho, kind, alpha):
-        # the zoom grid never scores below the ternary search, and lands on
-        # the same gift up to the flatness of the utility at its peak
+        # the first-order-condition best response never scores below the
+        # ternary search, and lands on the same gift up to the flatness of the
+        # utility at its peak
         g = game(rho=rho, expertise=(0.81, 0.5), b=4.0, kind=kind, alpha=alpha,
                  betas=(1.3, 1.0))
         cap = 0.81 * g.delta_t
@@ -755,7 +812,7 @@ class TestBestPositiveResponse:
     @pytest.mark.parametrize("rho,expected", [(3.0, 4.413672041469965),
                                               (10.0, 4.135312522529363),
                                               (500.0, 4.127949843620842)])
-    def test_threshold_unchanged_by_zoom_grid(self, rho, expected):
+    def test_threshold_unchanged_by_first_order_condition(self, rho, expected):
         # the values the ternary search and bisection gave, to the root-finder's
         # xtol; the indifference gap h changes sign within xtol of the threshold
         g = game(rho=rho, b=5.0)
@@ -852,6 +909,70 @@ class TestBestPositiveResponseFamily:
                     u = _exact_utility(g, 0, G_minus)
                     x, step = Decimal(g_new), Decimal(cap) * Decimal("1e-9")
                     assert u(x - step) <= u(x) >= u(x + step)
+
+
+    def test_envelope_slope_matches_central_difference(self):
+        # the threshold search's slope of the gap comes from the envelope
+        # theorem; a central difference of the gap itself must agree, to the
+        # difference's rounding on the scale of the utilities
+        checked = 0
+        for g in _random_disjunctive_games(100):
+            for G_minus in np.linspace(0.0, 1.2 * g.max_aggregate(), 13)[1:]:
+                h, slope, gift = equilibrium._indifference_gap(g, 0, G_minus, None)
+                d = 1e-6 * G_minus
+                h_up, slope_up, _ = equilibrium._indifference_gap(g, 0, G_minus + d, None)
+                h_down, slope_down, _ = equilibrium._indifference_gap(g, 0, G_minus - d, None)
+                if None in (slope, slope_up, slope_down):
+                    continue  # no interior maximum nearby: the search bisects there
+                scale = (abs(h) + equilibrium._u_zero(g, G_minus)) / G_minus
+                assert abs((h_up - h_down) / (2 * d) - slope) <= 1e-7 * scale
+                checked += 1
+        assert checked > 200
+
+    def test_warm_start_matches_cold_response(self):
+        # phi is concave in log g, so a bracket found near any gift holds the
+        # one interior maximum; a near gift far from it falls back to the
+        # passes.  The roots agree within cap*1e-12; each last window's argmax
+        # lies within cap*1e-12 of its own root, as the utility is flat there
+        for g in _random_disjunctive_games(100):
+            cap = g.expertise[0] * g.delta_t
+            for G_minus in np.linspace(0.0, 1.2 * g.max_aggregate(), 13):
+                for window, gift_tol in ((False, cap * 1e-12), (True, 2 * cap * 1e-12)):
+                    g_cold, u_cold = _best_positive_response(g, 0, G_minus, window=window)
+                    for near in (g_cold * (1 + 1e-4), 0.9 * cap, 1e-6 * cap):
+                        g_warm, u_warm = _best_positive_response(g, 0, G_minus, near=near,
+                                                                 window=window)
+                        assert abs(g_warm - g_cold) <= gift_tol
+                        assert u_warm == pytest.approx(u_cold, rel=1e-14, abs=0)
+
+
+class TestThresholdNewton:
+    def test_within_xtol_of_bisection_on_default_grid(self):
+        # the safeguarded Newton search keeps Brent's contract: a tight
+        # bisection of the gap, scored with cold best responses, lands within
+        # xtol of every threshold of the 90 disjunctive default cells
+        config = SweepConfig()
+        thresholds = 0
+        for _, p1, p2, rho, b in _cell_specs(config):
+            if rho <= 1:
+                continue
+            g = cell_game(config, p1, p2, rho, b)
+            for i in range(g.n):
+                try:
+                    thr = critical_thresholds(i, g)
+                except RegimeError:
+                    continue
+
+                def h(G_minus, i=i):
+                    return _best_positive_response(g, i, G_minus)[1] - equilibrium._u_zero(g, G_minus)
+
+                xtol = max(thr.standalone, 1.0) * 1e-13
+                lo, hi = thr.G_minus_star - 2 * xtol, thr.G_minus_star + 2 * xtol
+                assert h(lo) > 0 > h(hi)
+                root = bisect_oracle(h, lo, hi, iters=12)
+                assert abs(thr.G_minus_star - root) <= xtol
+                thresholds += 1
+        assert thresholds == 155
 
 
 class TestBrent:

@@ -249,8 +249,7 @@ class TestOnePayoffPipeline:
             assert [L[i, a] * score for i, a in enumerate(idx)] == rewards.tolist()
 
         profile = np.array((0.0, 0.45, 0.7)[:n])
-        for player in range(n):
-            row = _deviation_utilities(game, profile, player, arms)
+        for player, row in enumerate(_deviation_utilities(game, profile, [arms] * n)):
             for a, u in zip(arms, row):
                 deviated = profile.copy()
                 deviated[player] = a
