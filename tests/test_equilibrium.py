@@ -910,7 +910,6 @@ class TestBestPositiveResponseFamily:
                     x, step = Decimal(g_new), Decimal(cap) * Decimal("1e-9")
                     assert u(x - step) <= u(x) >= u(x + step)
 
-
     def test_envelope_slope_matches_central_difference(self):
         # the threshold search's slope of the gap comes from the envelope
         # theorem; a central difference of the gap itself must agree, to the
@@ -918,7 +917,7 @@ class TestBestPositiveResponseFamily:
         checked = 0
         for g in _random_disjunctive_games(100):
             for G_minus in np.linspace(0.0, 1.2 * g.max_aggregate(), 13)[1:]:
-                h, slope, gift = equilibrium._indifference_gap(g, 0, G_minus, None)
+                h, slope, _ = equilibrium._indifference_gap(g, 0, G_minus, None)
                 d = 1e-6 * G_minus
                 h_up, slope_up, _ = equilibrium._indifference_gap(g, 0, G_minus + d, None)
                 h_down, slope_down, _ = equilibrium._indifference_gap(g, 0, G_minus - d, None)
@@ -964,7 +963,8 @@ class TestThresholdNewton:
                     continue
 
                 def h(G_minus, i=i):
-                    return _best_positive_response(g, i, G_minus)[1] - equilibrium._u_zero(g, G_minus)
+                    u0 = equilibrium._u_zero(g, G_minus)
+                    return _best_positive_response(g, i, G_minus)[1] - u0
 
                 xtol = max(thr.standalone, 1.0) * 1e-13
                 lo, hi = thr.G_minus_star - 2 * xtol, thr.G_minus_star + 2 * xtol
