@@ -1032,13 +1032,16 @@ def _deviation_utilities(game: GameSpec, actions: np.ndarray, candidates) -> lis
     payoff pass.  Each deviation is a column of its own, and a column's
     payoff does not depend on the others: below 8 players every layout sums
     in order, and from 8 ``ces_aggregate`` sums each column contiguously."""
-    ends = np.cumsum([len(c) for c in candidates])
-    players = np.repeat(np.arange(game.n), np.diff(ends, prepend=0))
-    columns = np.arange(ends[-1])
-    profiles = np.repeat(actions[:, None], ends[-1], axis=1)
-    profiles[players, columns] = np.concatenate(candidates)
-    us = _payoffs(game, profiles)[2][players, columns]
-    return [us[end - len(c):end] for c, end in zip(candidates, ends)]
+    blocks = []  # each player's columns
+    start = 0
+    for c in candidates:
+        blocks.append(slice(start, start + len(c)))
+        start += len(c)
+    profiles = np.repeat(actions[:, None], start, axis=1)
+    for i, (c, block) in enumerate(zip(candidates, blocks)):
+        profiles[i, block] = c
+    us = _payoffs(game, profiles)[2]
+    return [us[i, block] for i, block in enumerate(blocks)]
 
 
 def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
