@@ -50,7 +50,7 @@ distinct values):
   one disjunctive player, over a sweep of the opponents' provision;
 * ``best_response_calls.*``: the ``_best_positive_response`` calls made while
   ``solve_cell`` solves the 90 disjunctive cells of that grid, recorded once
-  per process and replayed: how many there were (``count``), microseconds per
+  per process with their keyword arguments and replayed: how many there were (``count``), microseconds per
   replayed call (``us``), and from a second, untimed replay the array passes
   per call (``passes``): calls of the best response's closures ``utilities``
   and ``phi`` (the names in ``PASSES``) on an array of gifts;

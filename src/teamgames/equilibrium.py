@@ -626,8 +626,8 @@ def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
     any bracket where phi falls through zero holds it.  Given a gift
     ``near`` (the maximum at a nearby provision), phi is scored at it and at
     gifts ever further away on the side its sign points to, ``near`` times or
-    over ``1 + s`` for s in ``_WARM_STEPS`` (not past half-way to the cap),
-    until the sign flips.  Without ``near``, or where that finds no flip, one
+    over ``1 + s`` for s in ``_WARM_STEPS`` (upwards, not past the midpoint
+    of ``near`` and the cap), until the sign flips.  Without ``near``, or where that finds no flip, one
     array pass scores phi on the 256 gifts ``cap*k/256``; where it shows no
     fall through zero and phi falls between the first two of them, a second
     pass scores it on 256 geometric gifts from ``cap*1e-12`` to ``cap/256``,
