@@ -53,7 +53,9 @@ distinct values):
   per process with their keyword arguments and replayed: how many there were (``count``), microseconds per
   replayed call (``us``), and from a second, untimed replay the array passes
   per call (``passes``): calls of the best response's closures ``utilities``
-  and ``phi`` (the names in ``PASSES``) on an array of gifts;
+  and ``phi`` (the names in ``PASSES``) on an array of gifts.  Where ``phi``
+  is scalar-only (its Newton iteration), this counts only the last windows;
+  older sides also scored ``phi`` on arrays of gifts;
 * ``scan.*``: the concave solver's bracket scan on the 120 conjunctive cells
   of that grid: the seconds of ``_replacement_gifts`` over every cell's
   2,049-point scan grid (``replacement_gifts_s``), and microseconds per
@@ -94,6 +96,7 @@ LONE = ("n2_R1", "n3_R1", "n4_R1", "n4_team4")
 STEPS = {"softmax": ("_boltzmann",), "draw": ("_draw_arms",), "ces": ("_aggregate_terms",),
          "score": ("_score", "eval_score"), "update": ("_update_q",)}
 # the best response's closures that score an array of gifts in one pass
+# (``phi`` only on older sides, before its Newton iteration made it scalar)
 PASSES = ("utilities", "phi")
 # the learning fixtures of tests/test_acceptance.py, by the test class charged their setup
 FIXTURES = {"TestCriterion3Regression": "sweep_records",

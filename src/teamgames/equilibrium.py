@@ -188,10 +188,6 @@ def _require_smooth(game: GameSpec, where: str):
 def replacement_additive(G: float, player: int, game: GameSpec) -> float:
     """Additive-task replacement: max(0, p*dt - (alpha/beta) * sigma/sigma')."""
     _require_player(player, game)
-    return _replacement_additive(G, player, game)
-
-
-def _replacement_additive(G: float, player: int, game: GameSpec) -> float:
     if game.rho != 1:
         raise WrongSolverError(
             f"additive replacement requires rho = 1, got rho = {game.rho}")
@@ -205,7 +201,7 @@ def _replacement_additive(G: float, player: int, game: GameSpec) -> float:
     return min(cap, max(0.0, r))
 
 
-# Newton steps a gift root may take; a root still moving after them is refused
+# Newton steps a gift root or a best response may take; one still moving is refused
 _NEWTON_STEPS = 100
 
 
@@ -416,11 +412,6 @@ def replacement_conjunctive(G: float, player: int, game: GameSpec,
     regime.
     """
     _require_player(player, game)
-    return _replacement_conjunctive(G, player, game, standalone=standalone)
-
-
-def _replacement_conjunctive(G: float, player: int, game: GameSpec,
-                             *, standalone: float | None = None) -> float:
     if not (game.rho < 1 and game.rho != 0):
         raise WrongSolverError(
             f"conjunctive replacement requires rho < 1 (rho != 0), got {game.rho}")
@@ -512,18 +503,18 @@ def solve_equilibrium_concave(game: GameSpec, *, num_brackets: int = 2048) -> li
     if game.rho == 1:
         lo, hi = 0.0, G_max
         def gift(i, G):
-            return _replacement_additive(G, i, game)
+            return replacement_additive(G, i, game)
     elif game.rho > 0:
         lo, hi = max(standalones), G_max
         def gift(i, G):
-            return _replacement_conjunctive(G, i, game, standalone=standalones[i])
+            return replacement_conjunctive(G, i, game, standalone=standalones[i])
     else:
         # G = 0 is a trivial fixed point of the weakest-link limit (any zero
         # gift forces G = 0); the replacement theory covers only G > 0.
         hi = min(standalones)
         lo = hi * 1e-9
         def gift(i, G):
-            return _replacement_conjunctive(G, i, game, standalone=standalones[i])
+            return replacement_conjunctive(G, i, game, standalone=standalones[i])
 
     if not hi > lo:
         raise NoEquilibriumError(
@@ -583,28 +574,60 @@ def _u_zero(game: GameSpec, G_minus: float) -> float:
     return utility(game.delta_t, score_scalar(game.evaluation, G_minus), game.alpha)
 
 
-# the best response's gift grids, as fractions of the cap: 256 uniform gifts,
-# 256 geometric ones below the first of them, and the last window's 257 points
+# the last window's 257 points, as fractions of its width; cap*_RAMP[1] is the
+# stand-in gift of a best response with no interior maximum
 _RAMP = np.arange(257) / 256
-_GEOMETRIC = np.geomspace(1e-12, 1 / 256, 256)
-# a warm start's steps away from the gift it is given, as fractions of it
-_WARM_STEPS = (1e-3, 1e-2, 0.1, 1.0)
 
 
-def _softplus(x, log, exp):
-    """``log(1 + e**x)`` without overflow, with ``log`` and ``exp`` from
-    ``math`` or numpy as in ``_newton_step``."""
-    return 0.5 * (x + abs(x)) + log(1.0 + exp(-abs(x)))
+def _softplus(x: float) -> tuple[float, float]:
+    """``log(1 + e**x)`` without overflow, and its slope ``1/(1 + e**-x)``."""
+    e = math.exp(-abs(x))
+    return 0.5 * (x + abs(x)) + math.log(1.0 + e), (1.0 if x >= 0 else e) / (1.0 + e)
 
 
 def _pair_aggregate(w: float, G_minus: float, rho: float) -> float:
     """``(w**rho + G_minus**rho)**(1/rho)`` for ``w > 0`` as a log-sum-exp in
-    ``math``, with the arithmetic of the best response's array pass."""
+    ``math``, with the arithmetic of the best response's last window."""
     if G_minus == 0.0:
         return w
     a, b = rho * math.log(w), rho * math.log(G_minus)
     m = max(a, b)
     return math.exp((m + math.log(math.exp(a - m) + math.exp(b - m))) / rho)
+
+
+def _response_condition(game: GameSpec, player: int, G_minus: float):
+    """The best response's first-order condition ``phi`` against G_minus, as
+    a function of the gift g that returns phi and its slope in log g (see
+    ``_best_positive_response``)."""
+    cap = game.expertise[player] * game.delta_t
+    rho = game.rho
+    spec = game.evaluation
+    b = None if G_minus == 0.0 else rho * math.log(G_minus)
+    log_bscale = math.log(game.betas[player] ** (1.0 / rho))
+    base = log_bscale - math.log(game.alpha)
+    logistic = spec.kind == "logistic"
+    log_gamma = math.log(spec.gamma) if logistic else 0.0
+
+    def phi(g):
+        # the window's log-sum-exp: rho*log G = rho*log w + softplus(b - rho*log w)
+        log_w = log_bscale + math.log(g)
+        if b is None:
+            log_G, out, s = log_w, base, 0.0
+        else:
+            lse, s = _softplus(b - rho * log_w)
+            log_G = log_w + lse / rho
+            out = base - (rho - 1.0) / rho * lse
+        if logistic:  # sigma/sigma' = (1 + e**(gamma*(G - b))) / gamma
+            G = math.exp(log_G)
+            sp, sig = _softplus(spec.gamma * (G - spec.b))
+            out = out - sp + log_gamma
+            c = spec.gamma * G * sig
+        else:
+            out = out - log_G
+            c = 1.0
+        return out + math.log(cap - g), (rho - 1.0) * s - c * (1.0 - s) - g / (cap - g)
+
+    return phi
 
 
 def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
@@ -621,33 +644,39 @@ def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
         phi(g) = log(beta**(1/rho)/alpha) + (rho-1)*(log w - log G)
                  - log(sigma/sigma')(G) + log(cap - g),
 
-    which is -inf at g = cap.  phi is concave in log g, so it is positive on
-    at most one stretch, and that stretch ends in the one interior maximum:
-    any bracket where phi falls through zero holds it.  Given a gift
-    ``near`` (the maximum at a nearby provision), phi is scored at it and at
-    gifts ever further away on the side its sign points to, ``near`` times or
-    over ``1 + s`` for s in ``_WARM_STEPS`` (upwards, not past the midpoint
-    of ``near`` and the cap), until the sign flips.  Without ``near``, or where that finds no flip, one
-    array pass scores phi on the 256 gifts ``cap*k/256``; where it shows no
-    fall through zero and phi falls between the first two of them, a second
-    pass scores it on 256 geometric gifts from ``cap*1e-12`` to ``cap/256``,
-    as the maximum may lie below the first grid cell.  (Where phi rises there
-    it is below its non-positive value at ``cap/256`` on every smaller gift.)
-    The fall is refined by Brent's method on the scalar phi to
-    ``cap*1e-14``.  With ``window`` that root centres a last 257-point window
-    of ``+-cap*1e-12`` (not below half the root), whose argmax is returned,
-    as the utility is flat to rounding there; without it the root and its
+    which is -inf at g = cap.  phi is concave in z = log g, so it is positive
+    on at most one stretch, and that stretch ends in the one interior
+    maximum, the larger root of phi.  Its slope is
+
+        phi'(z) = (rho-1)*s - c*(1-s) - g/(cap-g),
+
+    with ``s = sigmoid(rho*log G_minus - rho*log w)`` (0 at G_minus = 0) and
+    ``c = gamma*G*sigmoid(gamma*(G - b))`` for logistic evaluation, 1 for
+    identity.  Newton's method in z starts at ``near`` (the maximum at a
+    nearby provision) or at ``cap/2``.  Where phi falls it takes the Newton
+    step: the tangent lies above the concave phi, so the step lands right of
+    the root, and the steps from there fall monotonically onto it.  Where phi
+    rises and is positive, or the step would reach the cap, g moves halfway
+    to the cap instead.  A point reached by a Newton step where phi rises
+    shows phi negative everywhere, and so does an iterate below
+    ``cap*1e-12``: there is no interior maximum.  The iteration stops at a
+    step of at most ``cap*1e-15``, or where a point reached by a Newton step
+    scores phi >= 0, as only rounding does there; one still moving after
+    ``_NEWTON_STEPS`` steps raises ``InputError``.
+
+    With ``window`` the root centres a last 257-point window of
+    ``+-cap*1e-12`` (not below half the root), whose argmax is returned, as
+    the utility is flat to rounding there; without it the root and its
     utility in ``math`` are returned, equal to the window's up to that
     flatness.  Leisure is clamped at 0: at g = cap, ``dt - g/p`` can round
     below zero, and a non-integer alpha would turn it into NaN.
 
     The gift is the best *interior* one.  As g -> 0+ the utility tends to
     free-riding's (for rho > 1 a small gift adds only O(g**rho) to the
-    aggregate), and that corner is no root of phi.  Where neither pass
-    shows a root, the utility falls from free-riding's on every gift and
-    there is no interior maximum; the smallest gift of the first grid,
-    ``cap / 256``, and its utility are returned, clearly below free-riding,
-    rather than the corner ``cap * 1e-12``, a rounding error below it.
+    aggregate), and that corner is no root of phi.  Where phi has no root
+    the utility falls from free-riding's on every gift; ``cap / 256`` and
+    its utility are returned, clearly below free-riding, rather than a
+    corner a rounding error below it.
     """
     p = game.expertise[player]
     if p == 0.0:
@@ -659,10 +688,15 @@ def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
     alpha = game.alpha
     dt = game.delta_t
     b = None if G_minus == 0.0 else rho * math.log(G_minus)
+    phi = _response_condition(game, player, G_minus)
+
+    def utility_at(g):
+        G = _pair_aggregate(bscale * g, G_minus, rho)
+        return max(dt - g / p, 0.0) ** alpha * score_scalar(spec, G)
 
     def utilities(gs):
-        # the two-term CES (w**rho + G_minus**rho)**(1/rho) as a log-sum-exp;
-        # rho > 1, so every w > 0 has a finite term
+        # utility_at on an array: the two-term CES as a log-sum-exp; rho > 1,
+        # so every w > 0 has a finite term
         w = bscale * gs
         if b is None:
             G = w
@@ -672,71 +706,35 @@ def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
             G = np.exp((m + np.log(np.exp(a - m) + np.exp(b - m))) / rho)
         return np.maximum(dt - gs / p, 0.0) ** alpha * eval_score(spec, G)
 
-    log_bscale = math.log(bscale)
-    base = log_bscale - math.log(alpha)
-    logistic = spec.kind == "logistic"
-    log_gamma = math.log(spec.gamma) if logistic else 0.0
-
-    def phi(g, log, exp):
-        # utilities' log-sum-exp, with b = rho*log G_minus:
-        # rho*log G = rho*log w + softplus(b - rho*log w)
-        log_w = log_bscale + log(g)
-        if b is None:
-            log_G, out = log_w, base
+    g = 0.5 * cap if near is None else near
+    log_cap = math.log(cap)
+    newton = False  # whether g was reached by a Newton step, which lands right of the root
+    for _ in range(_NEWTON_STEPS):
+        f, slope = phi(g)
+        if newton and f >= 0.0:
+            break  # phi <= 0 right of the root: g is the root to rounding
+        if slope < 0.0:
+            z = math.log(g) - f / slope
+            newton = z < log_cap
+            new = math.exp(z) if newton else 0.5 * (g + cap)
+        elif newton:
+            new = 0.0  # phi rises and is negative: no root, as below the floor
         else:
-            lse = _softplus(b - rho * log_w, log, exp)
-            log_G = log_w + lse / rho
-            out = base - (rho - 1.0) / rho * lse
-        if logistic:  # sigma/sigma' = (1 + e**(gamma*(G - b))) / gamma
-            out = out - _softplus(spec.gamma * (exp(log_G) - spec.b), log, exp) + log_gamma
-        else:
-            out = out - log_G
-        return out + log(cap - g)
-
-    def scalar_phi(g):
-        return phi(g, math.log, math.exp)
-
-    def warm_bracket():
-        f_near = scalar_phi(near)
-        up = f_near > 0  # the fall lies above near
-        inner, f_inner = near, f_near
-        for s in _WARM_STEPS:
-            outer = min(near * (1.0 + s), 0.5 * (near + cap)) if up else near / (1.0 + s)
-            f_outer = scalar_phi(outer)
-            if (f_outer > 0) != up:
-                return ((inner, outer, f_inner, f_outer) if up
-                        else (outer, inner, f_outer, f_inner))
-            inner, f_inner = outer, f_outer
-        return None
-
-    def first_fall(gs):
-        # the first bracket where phi falls through zero on the gifts gs, and phi on them
-        with np.errstate(divide="ignore"):  # log(cap - g) is -inf at g = cap
-            values = phi(gs, np.log, np.exp)
-        up = values > 0
-        falls = np.flatnonzero(up[:-1] & ~up[1:])
-        if not falls.size:
-            return None, values
-        k = falls[0]
-        return (float(gs[k]), float(gs[k + 1]), float(values[k]), float(values[k + 1])), values
-
-    def cold_bracket():
-        bracket, values = first_fall(cap * _RAMP[1:])
-        if bracket is None and not values[1] > values[0]:
-            bracket = first_fall(cap * _GEOMETRIC)[0]
-        return bracket
-
-    bracket = (warm_bracket() if near is not None else None) or cold_bracket()
-    if bracket is None:
-        smallest = cap * _RAMP[1:2]
-        return float(smallest[0]), float(utilities(smallest)[0])
-    lo, hi, flo, fhi = bracket
-    root = _brent(scalar_phi, lo, hi, xtol=cap * 1e-14, flo=flo, fhi=fhi)
+            new = 0.5 * (g + cap)
+        if new < cap * 1e-12:
+            stand_in = float(cap * _RAMP[1])
+            return stand_in, utility_at(stand_in)
+        step, g = new - g, new
+        if abs(step) <= cap * 1e-15:
+            break
+    else:
+        raise InputError(
+            f"the best response of player {player} to G_minus = {G_minus} did not "
+            f"converge in {_NEWTON_STEPS} Newton steps")
     if not window:
-        G = _pair_aggregate(bscale * root, G_minus, rho)
-        return root, max(dt - root / p, 0.0) ** alpha * score_scalar(spec, G)
-    lo = max(root - cap * 1e-12, 0.5 * root)
-    gs = lo + (root + cap * 1e-12 - lo) * _RAMP
+        return g, utility_at(g)
+    lo = max(g - cap * 1e-12, 0.5 * g)
+    gs = lo + (g + cap * 1e-12 - lo) * _RAMP
     us = utilities(gs)
     j = int(np.argmax(us))
     return float(gs[j]), float(us[j])

@@ -793,7 +793,7 @@ class TestBestPositiveResponse:
     @pytest.mark.parametrize("rho", [1.5, 3.0, 10.0, 500.0])
     @pytest.mark.parametrize("kind,alpha", [("logistic", 2.0), ("logistic", 1.631),
                                             ("identity", 0.7)])
-    def test_array_grid_matches_scalar_grid(self, rho, kind, alpha):
+    def test_newton_root_matches_ternary_search(self, rho, kind, alpha):
         # the first-order-condition best response never scores below the
         # ternary search, and lands on the same gift up to the flatness of the
         # utility at its peak
@@ -832,10 +832,10 @@ class TestBestPositiveResponse:
     ], ids=["rho3", "rho10", "rho1.5"])
     def test_threshold_with_gift_below_first_grid_cell(self, rho, alpha, G_minus_star,
                                                        g_star):
-        # the gift at the threshold lies below cap/256, so the first grid only
-        # falls and the interior maximum is found on a finer level, where the
-        # corner g -> 0+ still beats its coarse grid points; expected values
-        # from a 50-digit search (ternary argmax, secant root)
+        # the gift at the threshold lies below cap/256, where the corner
+        # g -> 0+ still beats a coarse grid of gifts, and the interior maximum
+        # is found all the same; expected values from a 50-digit search
+        # (ternary argmax, secant root)
         g = game(rho=rho, kind="identity", alpha=alpha, delta_t=1.0)
         thr = critical_thresholds(0, g)
         assert abs(thr.G_minus_star - G_minus_star) <= 1e-13
@@ -856,7 +856,7 @@ def _random_disjunctive_games(count, seed=16):
     """A seeded family of smooth two-player disjunctive games: rho from 1.2 to
     500 (log-uniform), logistic and identity evaluations, non-integer alpha and
     unequal weights; one game in four has alpha >= 256 with delta_t = 1, so its
-    best gifts lie below the first grid cell."""
+    best gifts lie below cap/256."""
     rng = np.random.default_rng(seed)
     games = []
     for k in range(count):
@@ -928,11 +928,27 @@ class TestBestPositiveResponseFamily:
                 checked += 1
         assert checked > 200
 
+    def test_condition_slope_matches_central_difference(self):
+        # the best response's Newton steps use phi's analytic slope in log g;
+        # a central difference of phi must agree, at the response's own gift
+        # and across the gift range
+        for g in _random_disjunctive_games(100):
+            cap = g.expertise[0] * g.delta_t
+            for G_minus in np.linspace(0.0, 1.2 * g.max_aggregate(), 13):
+                phi = equilibrium._response_condition(g, 0, G_minus)
+                gift = _best_positive_response(g, 0, G_minus, window=False)[0]
+                for x in (gift, 1e-6 * cap, 1e-3 * cap, 0.5 * cap, 0.9 * cap):
+                    slope = phi(x)[1]
+                    z, d = math.log(x), 1e-6
+                    difference = (phi(math.exp(z + d))[0] - phi(math.exp(z - d))[0]) / (2 * d)
+                    assert abs(difference - slope) <= 1e-6 * max(1.0, abs(slope))
+
     def test_warm_start_matches_cold_response(self):
-        # phi is concave in log g, so a bracket found near any gift holds the
-        # one interior maximum; a near gift far from it falls back to the
-        # passes.  The roots agree within cap*1e-12; each last window's argmax
-        # lies within cap*1e-12 of its own root, as the utility is flat there
+        # phi is concave in log g, so Newton's method finds the one interior
+        # maximum, or shows there is none, from any starting gift, near the
+        # maximum or far from it.  The roots agree within cap*1e-12; each last
+        # window's argmax lies within cap*1e-12 of its own root, as the
+        # utility is flat there
         for g in _random_disjunctive_games(100):
             cap = g.expertise[0] * g.delta_t
             for G_minus in np.linspace(0.0, 1.2 * g.max_aggregate(), 13):
@@ -974,6 +990,25 @@ class TestThresholdNewton:
                 thresholds += 1
         assert thresholds == 155
 
+    @pytest.mark.parametrize("rho", [3.0, 10.0, 500.0])
+    def test_threshold_takes_few_evaluations(self, rho, monkeypatch):
+        # every gap evaluation is one best response, and one more follows the
+        # root; the Newton search takes 7 on each of these games, where
+        # bisection took 45 or more
+        calls = []
+        best = equilibrium._best_positive_response
+        monkeypatch.setattr(equilibrium, "_best_positive_response",
+                            lambda *args, **kwargs: calls.append(args) or best(*args, **kwargs))
+        critical_thresholds(0, game(rho=rho, b=5.0))
+        assert len(calls) - 1 <= 7
+
+    def test_unconverged_best_response_refused_by_name(self, monkeypatch):
+        g = game(rho=10.0, b=5.0)
+        monkeypatch.setattr(equilibrium, "_NEWTON_STEPS", 1)
+        with pytest.raises(InputError, match=r"best response of player 1 to G_minus = 2.0 "
+                                             r"did not converge"):
+            _best_positive_response(g, 1, 2.0)
+
 
 class TestBrent:
     @pytest.mark.parametrize("f,lo,hi,root", [
@@ -1002,22 +1037,11 @@ class TestBrent:
         assert abs(equilibrium._brent(f, 0.0, 4.0, xtol=1e-13) - 0.5) <= 1e-13
 
     @pytest.mark.parametrize("rho", [3.0, 10.0, 500.0])
-    def test_threshold_takes_few_evaluations(self, rho, monkeypatch):
-        # every h evaluation is one best response, and one more follows the
-        # root; bisection took 45 or more, and Brent on a gap whose negative
-        # side was a plateau of about -1e-10 took 22 to 24
-        calls = []
-        best = equilibrium._best_positive_response
-        monkeypatch.setattr(equilibrium, "_best_positive_response",
-                            lambda *args, **kwargs: calls.append(args) or best(*args, **kwargs))
-        critical_thresholds(0, game(rho=rho, b=5.0))
-        assert len(calls) - 1 <= 13
-
-    @pytest.mark.parametrize("rho", [3.0, 10.0, 500.0])
     def test_gap_is_clearly_negative_above_threshold(self, rho):
         # above the threshold the corner g -> 0+ wins with a utility just below
         # free-riding's; the gap scores the interior local maximum instead, so
-        # Brent sees a slope there rather than a plateau of about -1e-10
+        # the threshold search sees a slope there rather than a plateau of
+        # about -1e-10
         g = game(rho=rho, b=5.0)
         thr = critical_thresholds(0, g)
         G_minus = thr.G_minus_star + 0.1 * thr.standalone
