@@ -93,7 +93,10 @@ SEED = 1
 R1_EPISODES = {2: 20_000, 3: 10_000, 4: 4_000}
 LONE = ("n2_R1", "n3_R1", "n4_R1", "n4_team4")
 # the trainer's step functions, by the names the simulator module looks up
-STEPS = {"softmax": ("_boltzmann",), "draw": ("_draw_arms",), "ces": ("_aggregate_terms",),
+# (the first one a side binds; before the draw read unnormalised weights,
+# the soft-max step was the normalised ``_boltzmann``)
+STEPS = {"softmax": ("_boltzmann_weights", "_boltzmann"), "draw": ("_draw_arms",),
+         "ces": ("_aggregate_terms",),
          "score": ("_score", "eval_score"), "update": ("_update_q",)}
 # the best response's closures that score an array of gifts in one pass
 # (``phi`` only on older sides, before its Newton iteration made it scalar)
@@ -442,10 +445,23 @@ def _tier1(src: str) -> dict:
             "summary": proc.stdout.strip().splitlines()[-1]}
 
 
+def _commit(src: str) -> str | None:
+    """The commit checked out where ``src`` lives, or None when ``src``'s
+    parent is not the top of a git checkout (a ``git archive`` copy)."""
+    checkout = Path(src).parent
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout,
+                              capture_output=True, text=True).stdout.strip()
+    if not checkout.is_dir():
+        return None
+    top = git("rev-parse", "--show-toplevel")
+    return git("rev-parse", "HEAD") if top and Path(top) == checkout else None
+
+
 def _describe(src: str) -> dict:
     checkout = Path(src).parent
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
-                            capture_output=True, text=True).stdout.strip() or None
+    commit = _commit(src)
     edited = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=checkout,
                             capture_output=True, text=True).stdout.strip()
     if commit and edited:
@@ -481,6 +497,10 @@ def main(argv=None) -> int:
 
     sides = dict(side.split("=", 1) for side in args.side or [f"after={ROOT / 'src'}"])
     sides = {label: str(Path(src).resolve()) for label, src in sides.items()}
+    untracked = [label for label, src in sides.items() if _commit(src) is None]
+    if untracked:
+        parser.error(f"--side {', '.join(untracked)}: the sources' parent is not a git "
+                     "checkout, so no commit would name the numbers; use a git clone")
     # every case runs on one CPU, like perfbench; children inherit the affinity
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     samples: dict = {label: {} for label in sides}

@@ -15,12 +15,15 @@ floor (``simulator.EXPLORATION``) keeps every arm's draw probability at or
 above ``EXPLORATION / K`` for K arms; the soft-max alone gives an arm valued
 at zero a weight of ``exp(-1 / tau)`` relative to the best arm.
 
-The soft-max and the update are written once, for a stack of Q-tables with
-one row per agent (``_boltzmann`` and ``_update_q``): the lockstep trainer
-(``simulator.train_many``) runs them over every agent of every run at once,
-and ``boltzmann_probabilities`` and ``update_q`` are their one-agent case on
-an ``AgentState``.  An AgentState is owned by one caller at a time; nothing
-here is shared between agents.
+The soft-max weights and the update are written once, for a stack of
+Q-tables with one row per agent (``_boltzmann_weights`` and ``_update_q``):
+the lockstep trainer (``simulator.train_many``) runs them over every agent
+of every run at once and draws each arm from the unnormalised weights, so
+no episode divides by a row sum.  ``_boltzmann`` is the weights over their
+row sum, kept for ``boltzmann_probabilities``, the one-agent distribution
+on an ``AgentState``; ``update_q`` is the update's one-agent case.  An
+AgentState is owned by one caller at a time; nothing here is shared
+between agents.
 """
 
 from __future__ import annotations
@@ -94,11 +97,13 @@ class AgentState:
         return len(self.q_values)
 
 
-def _boltzmann(q: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
-    """Row-wise soft-max of the ``(M, K)`` Q-tables ``q`` at ``tau``, into ``out``.
+def _boltzmann_weights(q: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
+    """Unnormalised soft-max weights of the ``(M, K)`` Q-tables ``q`` at
+    ``tau``, into ``out``: ``exp(q / scale - q_max / scale)`` with
+    ``scale = q_max * tau``, so each row's best arm weighs 1.
 
-    Each row is normalised by its own best value; a row whose best value is
-    at most ``Q_MAX_FLOOR`` gets the uniform distribution.
+    A row whose best value is at most ``Q_MAX_FLOOR`` gets weight 1 on every
+    arm (the uniform distribution).
     """
     # ufunc reductions: the same sums and maxima as the ndarray methods, with
     # less overhead per call on the few-row tables of the training loop
@@ -116,9 +121,21 @@ def _boltzmann(q: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
     # correctly rounded, so no second pass over the row is needed
     out -= q_max / scale
     np.exp(out, out=out)
-    out /= np.add.reduce(out, axis=1, keepdims=True)
     if uniform is not None:
-        out[uniform] = 1.0 / q.shape[1]
+        out[uniform] = 1.0
+    return out
+
+
+def _boltzmann(q: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
+    """Row-wise soft-max of the ``(M, K)`` Q-tables ``q`` at ``tau``, into
+    ``out``: ``_boltzmann_weights`` over each row's sum.
+
+    Each row is normalised by its own best value; a row whose best value is
+    at most ``Q_MAX_FLOOR`` gets the uniform distribution (K weights of 1
+    sum to K exactly, so each is ``1 / K``).
+    """
+    _boltzmann_weights(q, tau, out)
+    out /= np.add.reduce(out, axis=1, keepdims=True)
     return out
 
 

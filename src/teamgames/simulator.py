@@ -13,12 +13,15 @@ the soft-max alone leaves most arms untried.
 count, an arm count and a temperature schedule keep their Q-tables in one
 ``(runs * n, K)`` array, and every episode does one soft-max, one draw, one
 reward computation and one update for all of them (``train`` is its
-one-run case).  Rewards take one path for every team size: each player's
-CES log-term and leisure factor are tabulated per arm before the first
-episode, and each episode gathers every run's terms into one column,
-finishes them with ``games._aggregate_terms`` (the log-sum-exp of
-``ces_aggregate``), scores the outcomes in one ``evaluation._score`` pass
-per evaluation kind and multiplies by the leisure factors.  A lone run
+one-run case).  The soft-max is left unnormalised: each agent's arm is read
+from its row of weights against ``v`` times the row total, which picks the
+normalised inverse CDF's arm without a row sum or a division.  Rewards take
+one path for every team size: each player's CES log-term and leisure factor
+are tabulated per arm before the first episode, and each episode gathers
+every run's terms into one column, finishes them with
+``games._aggregate_terms`` (the log-sum-exp of ``ces_aggregate``), scores
+the outcomes in one ``evaluation._score`` pass per evaluation kind and
+multiplies by the leisure factors.  A lone run
 keeps the reward row of each joint action it has played and reuses it when
 it plays the action again.  With each run's column contiguous, as
 ``ces_aggregate`` lays out a grid, the rewards equal ``games._payoffs`` bit
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import _boltzmann, _update_q, uniform_action_grid
+from .bandit import _boltzmann_weights, _update_q, uniform_action_grid
 from .bandit import update_q  # noqa: F401  (bound here for perfbench's tracer tests)
 from .errors import ConfigurationError, InputError, UndefinedDispersionError
 from .evaluation import _score, eval_score
@@ -184,14 +187,17 @@ def _draws(u: np.ndarray, num_arms: int):
         yield v[e], (explore[e], explore_arms[e]) if any_explore else None
 
 
-def _draw_buffers(probs: np.ndarray) -> tuple:
-    """``_draw_arms``' work buffers for the soft-max rows ``probs``: views of
-    the first K - 1 columns of ``probs`` and of the cumulative weights, the
+def _draw_buffers(weights: np.ndarray) -> tuple:
+    """``_draw_arms``' work buffers for the soft-max weight rows ``weights``:
+    views of the first K - 1 columns and of the last column of ``weights``,
+    of the first K - 1 and of column K - 2 of the cumulative weights, the
     whole ``(M, K)`` cumulative weights, whose last column is a permanent
-    ``+inf`` sentinel, and a bool buffer of that shape."""
-    cum = np.empty_like(probs)
+    ``+inf`` sentinel, an ``(M, 1)`` buffer for ``v`` times each row total,
+    and a bool buffer of shape ``(M, K)``."""
+    cum = np.empty_like(weights)
     cum[:, -1] = np.inf
-    return probs[:, :-1], cum[:, :-1], cum, np.empty(probs.shape, dtype=bool)
+    return (weights[:, :-1], weights[:, -1:], cum[:, :-1], cum[:, -2:-1], cum,
+            np.empty((len(weights), 1)), np.empty(weights.shape, dtype=bool))
 
 
 def _draw_arms(draw, buffers: tuple, arms: np.ndarray) -> np.ndarray:
@@ -199,17 +205,23 @@ def _draw_arms(draw, buffers: tuple, arms: np.ndarray) -> np.ndarray:
 
     An agent whose uniform ``u`` is below ``EXPLORATION`` takes arm
     ``int(u / EXPLORATION * K)``; any other reads the inverse CDF of its
-    soft-max row at ``v = (u - EXPLORATION) / (1 - EXPLORATION)``: the
-    count of its cumulative weights at or below ``v``, at most K - 1 (the
-    last can round below ``v``).  ``buffers`` is ``_draw_buffers(probs)``:
-    only the first K - 1 weights are summed, and the arm is the first False
-    of ``cum <= v``, which is that count because the weights do not
-    decrease and the ``+inf`` sentinel caps it at K - 1.
+    soft-max row at ``v = (u - EXPLORATION) / (1 - EXPLORATION)`` from the
+    row's unnormalised weights (``bandit._boltzmann_weights``): the count
+    of its cumulative weights at or below ``v`` times the row total, at
+    most K - 1, which is the normalised inverse CDF's arm unless ``v`` lies
+    within rounding of one of its boundaries.  ``buffers`` is
+    ``_draw_buffers(weights)``: only the first K - 1 weights are summed,
+    the row total is the last of those sums plus the last weight, and the
+    arm is the first False of ``cum <= v * total``, which is that count
+    because the sums do not decrease and the ``+inf`` sentinel caps it at
+    K - 1.
     """
     v, exploring = draw
-    head, cum_head, cum, below = buffers
+    head, last, cum_head, head_total, cum, threshold, below = buffers
     np.add.accumulate(head, axis=1, out=cum_head)  # np.cumsum, without its wrapper
-    np.less_equal(cum, v, out=below)
+    np.add(head_total, last, out=threshold)
+    threshold *= v
+    np.less_equal(cum, threshold, out=below)
     below.argmin(axis=1, out=arms)
     if exploring is not None:
         explore, explore_arms = exploring
@@ -252,9 +264,9 @@ def train_many(jobs) -> list[LearnedOutcome]:
 def _train_lockstep(jobs) -> list[LearnedOutcome]:
     """Run jobs that share n, K and the temperature schedule in lockstep.
 
-    Per episode: one soft-max over every Q-table, one draw, then the rewards,
-    gathered and scored, or for a lone run the joint action's memoised
-    reward row, and one update.
+    Per episode: one table of unnormalised soft-max weights over every
+    Q-table, one draw from it, then the rewards, gathered and scored, or
+    for a lone run the joint action's memoised reward row, and one update.
     """
     games = [game for game, _ in jobs]
     configs = [config for _, config in jobs]
@@ -270,8 +282,8 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
     q_flat, counts_flat = q.ravel(), counts.ravel()
     k = np.repeat([config.k for config in configs], n)
     row_start = np.arange(agents) * num_arms
-    probs = np.empty_like(q)
-    draw_buffers = _draw_buffers(probs)
+    weights = np.empty_like(q)
+    draw_buffers = _draw_buffers(weights)
     arms = np.empty(agents, dtype=np.intp)
     cells = np.empty(agents, dtype=np.intp)
     rewards = np.empty(agents)
@@ -318,7 +330,7 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
             # the runs' uniforms for these episodes, one column per agent
             u = np.concatenate([rng.random((stop - start, n)) for rng in rngs], axis=1)
             for t, draw in zip(range(start, stop), _draws(u, num_arms)):
-                _boltzmann(q, temperatures[t], out=probs)
+                _boltzmann_weights(q, temperatures[t], out=weights)
                 _draw_arms(draw, draw_buffers, arms)
                 np.add(row_start, arms, out=cells)
 

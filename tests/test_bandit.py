@@ -10,6 +10,7 @@ from teamgames.bandit import (
     Q_MAX_FLOOR,
     AgentState,
     _boltzmann,
+    _boltzmann_weights,
     boltzmann_probabilities,
     export_q_csv,
     greedy_action,
@@ -148,6 +149,15 @@ class TestBoltzmannKernel:
             warnings.simplefilter("error")
             probs = _boltzmann(q, 1e-3, out=np.empty_like(q))
         assert np.array_equal(probs, np.full(q.shape, 1.0 / 101))
+
+    def test_fresh_and_negative_rows_weigh_one_without_warning(self):
+        q = np.zeros((3, 101))
+        q[1] = -1.0
+        q[2, :50] = 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = _boltzmann_weights(q, 1e-3, out=np.empty_like(q))
+        assert np.array_equal(weights, np.ones(q.shape))
 
 
 class TestLearningRate:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from teamgames import simulator
-from teamgames.bandit import AgentState, _boltzmann, boltzmann_probabilities, uniform_action_grid
+from teamgames.bandit import AgentState, _boltzmann, _boltzmann_weights, uniform_action_grid
 from teamgames.errors import ConfigurationError, InputError, UndefinedDispersionError
 from teamgames.evaluation import EvaluationSpec, eval_score
 from teamgames.games import GameSpec, _aggregate_terms, _payoffs, evaluate_joint_action
@@ -87,9 +87,10 @@ class TestTrainMechanics:
 
     def test_draw_rule_exploration_floor(self):
         def draw_arm(agent, u):
-            probs = boltzmann_probabilities(agent)[None, :]
+            q = agent.q_values[None, :]
+            weights = _boltzmann_weights(q, agent.tau, out=np.empty_like(q))
             (draw,) = _draws(np.array([[u]]), agent.num_arms)
-            arms = _draw_arms(draw, _draw_buffers(probs), np.empty(1, dtype=np.intp))
+            arms = _draw_arms(draw, _draw_buffers(weights), np.empty(1, dtype=np.intp))
             return int(arms[0])
 
         # Below the floor the draw is uniform over arms whatever the Q-table
@@ -111,11 +112,12 @@ class TestTrainMechanics:
         # One episode, three agents: the exploratory one takes its uniform
         # arm, the others read their own soft-max row's inverse CDF (at
         # v = 0.49 / 0.99, in the uniform row's bin 49).
-        probs = np.tile(boltzmann_probabilities(AgentState.fresh(101)), (3, 1))
-        probs[1] = 0.0
-        probs[1, 7] = 1.0
+        q = np.zeros((3, 101))
+        weights = _boltzmann_weights(q, 0.1, out=np.empty_like(q))
+        weights[1] = 0.0
+        weights[1, 7] = 1.0
         (draw,) = _draws(np.array([[0.005, 0.5, 0.5]]), 101)
-        arms = _draw_arms(draw, _draw_buffers(probs), np.empty(3, dtype=np.intp))
+        arms = _draw_arms(draw, _draw_buffers(weights), np.empty(3, dtype=np.intp))
         assert arms.tolist() == [50, 7, 49]
 
     @pytest.mark.parametrize("tau", [1.0, 0.1, 0.02])
@@ -127,31 +129,70 @@ class TestTrainMechanics:
         q[1, 5:] = 0.0               # every weight past the peak underflows to zero
         q[1, :5] = 50.0
         q[1, 3] = 60.0
-        probs = np.empty_like(q)
-        _boltzmann(q, tau, out=probs)
-        probs[2] = 0.0               # one-hot rows, at either end and inside
-        probs[2, 0] = 1.0
-        probs[3] = 0.0
-        probs[3, -1] = 1.0
-        probs[4] = 0.0
-        probs[4, 40] = 1.0
+        weights = np.empty_like(q)
+        _boltzmann_weights(q, tau, out=weights)
+        weights[2] = 0.0             # one-hot rows, at either end and inside
+        weights[2, 0] = 1.0
+        weights[3] = 0.0
+        weights[3, -1] = 1.0
+        weights[4] = 0.0
+        weights[4, 40] = 1.0
         u = rng.random((300, len(q)))
         u[::7] *= 2 * EXPLORATION    # rows with explorers
-        u[-1] = np.nextafter(1.0, 0.0)  # v past the last weight of rows that sum below 1
+        u[-1] = np.nextafter(1.0, 0.0)  # the largest v, past every weight but the last
         u[-2] = EXPLORATION          # v = 0, the first arm of positive weight
-        buffers = _draw_buffers(probs)
+        buffers = _draw_buffers(weights)
         arms = np.empty(len(q), dtype=np.intp)
-        clamped = 0
+        cum = np.cumsum(weights, axis=1)
+        capped = 0
         for draw in _draws(u, K):
             v, exploring = draw
-            # the count-and-clamp rule: cumulative weights at or below v, at most K - 1
-            count = (np.cumsum(probs, axis=1) <= v).sum(axis=1)
+            # the count-and-clamp rule: cumulative weights at or below v times
+            # the row total, at most K - 1
+            count = (cum <= v * cum[:, -1:]).sum(axis=1)
             expected = np.minimum(count, K - 1)
             if exploring is not None:
                 expected = np.where(exploring[0], exploring[1], expected)
-            clamped += int((count == K).sum())
+            capped += int((count >= K - 1).sum())
             assert _draw_arms(draw, buffers, arms).tolist() == expected.tolist()
-        assert clamped > 0  # the count-and-clamp rule's clamp was reached
+        # every sum but the last lay at or below v * total: only the +inf
+        # sentinel ended the count
+        assert capped > 0
+
+    @pytest.mark.parametrize("tau", [1.0, 0.1, 0.02, 1e-3])
+    def test_unnormalised_draw_matches_normalised_inverse_cdf(self, tau):
+        rng = np.random.default_rng(17)
+        K = 101
+        q = rng.random((60, K)) * rng.random((60, 1)) * 10.0
+        q[0] = 0.0                   # fresh and negative rows: uniform
+        q[1] = -1.0
+        q[2, 5:] = 0.0               # a tail far below the peak
+        q[2, :5] = 50.0
+        q[2, 3] = 60.0
+        weights = _boltzmann_weights(q, tau, out=np.empty_like(q))
+        probs = _boltzmann(q, tau, out=np.empty_like(q))
+        for row, arm in ((3, 0), (4, K - 1), (5, 40)):  # one-hot rows
+            weights[row] = probs[row] = 0.0
+            weights[row, arm] = probs[row, arm] = 1.0
+        bounds = np.cumsum(probs, axis=1)
+        u = rng.random((2000, len(q)))
+        u[::7] *= 2 * EXPLORATION    # rows with explorers
+        buffers = _draw_buffers(weights)
+        arms = np.empty(len(q), dtype=np.intp)
+        compared = 0
+        for draw in _draws(u, K):
+            v, exploring = draw
+            # the normalised inverse CDF: cumulative probabilities at or
+            # below v, at most K - 1
+            expected = np.minimum((bounds <= v).sum(axis=1), K - 1)
+            clear = np.abs(bounds - v).min(axis=1) > 1e-12
+            if exploring is not None:
+                expected = np.where(exploring[0], exploring[1], expected)
+                clear |= exploring[0]
+            got = _draw_arms(draw, buffers, arms)
+            assert got[clear].tolist() == expected[clear].tolist()
+            compared += int(clear.sum())
+        assert compared > 0.99 * u.size
 
     def test_bad_config(self):
         with pytest.raises(ConfigurationError):
@@ -306,9 +347,9 @@ class TestTrainMany:
         g = GameSpec(n=n, rho=1.0, betas=(1.0,) * n, delta_t=1e200, expertise=(0.5,) * n,
                      alpha=2.0, evaluation=EvaluationSpec("identity"))
         episodes = []
-        boltzmann = simulator._boltzmann
-        monkeypatch.setattr(simulator, "_boltzmann",
-                            lambda *args, **kwargs: episodes.append(1) or boltzmann(*args, **kwargs))
+        weights = simulator._boltzmann_weights
+        monkeypatch.setattr(simulator, "_boltzmann_weights",
+                            lambda *args, **kwargs: episodes.append(1) or weights(*args, **kwargs))
         with pytest.raises(InputError, match="bound"):
             train(g, TrainConfig(episodes=5))
         assert episodes == []
