@@ -61,6 +61,12 @@ distinct values):
   2,049-point scan grid (``replacement_gifts_s``), and microseconds per
   scalar ``_conjunctive_gift`` call (``conjunctive_gift_us``) at every 64th
   point of those grids, every player;
+* ``oracle.*``: the criterion-7a Nash check (``verify_epsilon_nash`` with
+  epsilon 1e-3 of ``max_achievable_utility``, grid step 0.01, refine step
+  1e-4) of every equilibrium the solvers find on those 240 cells, after
+  solving them untimed: how many checks there were (``checks``),
+  microseconds per check (``check_us``), and from a second, untimed run
+  the payoff passes (``_payoffs`` calls) per check (``passes``);
 * ``roots.*``: over ``solve_cell`` on those 240 cells, the mean number of
   evaluations per root of the three outer loops, and how many roots of each
   kind were found (untimed: every evaluation is counted).  A critical
@@ -359,6 +365,38 @@ def case(name: str) -> dict:
         for args in calls:
             equilibrium._conjunctive_gift(*args)
         out["scan.conjunctive_gift_us"] = (time.perf_counter() - t0) / len(calls) * 1e6
+    elif name == "oracle":
+        from teamgames import equilibrium
+        config = experiments.SweepConfig()
+        checks = []
+        for _, p1, p2, rho, b in experiments._cell_specs(config):
+            game = experiments.cell_game(config, p1, p2, rho, b)
+            try:
+                equilibria = experiments.solve_cell(game)
+            except tg.TeamworkGameError:
+                continue
+            eps = 1e-3 * equilibrium.max_achievable_utility(game)
+            checks += [(e.actions, game, eps) for e in equilibria]
+
+        def check_all():
+            for args in checks:
+                equilibrium.verify_epsilon_nash(*args, grid_step=0.01, refine_step=1e-4)
+        t0 = time.perf_counter()
+        check_all()
+        out["oracle.check_us"] = (time.perf_counter() - t0) / len(checks) * 1e6
+        out["oracle.checks"] = len(checks)
+        payoffs, passes = equilibrium._payoffs, 0
+
+        def counted(*args, **kwargs):
+            nonlocal passes
+            passes += 1
+            return payoffs(*args, **kwargs)
+        equilibrium._payoffs = counted
+        try:
+            check_all()
+        finally:
+            equilibrium._payoffs = payoffs
+        out["oracle.passes"] = passes / len(checks)
     elif name == "roots":
         from teamgames import equilibrium
         callers = {"solve_equilibrium_concave": "concave",
@@ -427,7 +465,7 @@ def case(name: str) -> dict:
 
 CASES = ("n2_R1", "n2_chunk", "n3_R1", "n3_chunk", "n4_R1", "n4_team4", "n4_R16", "train50k",
          "lone50k_n4", "sweep_split", "solve_regimes", "thresholds", "best_response",
-         "best_response_calls", "scan", "roots", "sweep", "fixtures")
+         "best_response_calls", "scan", "oracle", "roots", "sweep", "fixtures")
 
 
 def _run_case(src: str, name: str) -> dict:

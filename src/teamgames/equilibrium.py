@@ -27,6 +27,8 @@ games may be solved concurrently.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,7 +44,7 @@ from .errors import (
     WrongSolverError,
 )
 from .evaluation import eval_ratio, eval_score, score_scalar, ratio_scalar
-from .games import GameSpec, _actions_array, _payoffs, ces_aggregate, utility
+from .games import GameSpec, _actions_array, _ces, _payoffs, ces_aggregate, utility
 
 # Absolute tolerance on work units for branch and boundary comparisons.
 BOUNDARY_TOL = 1e-10
@@ -295,7 +297,8 @@ def _replacement_gifts(game: GameSpec, G: np.ndarray) -> np.ndarray:
     gift does not depend on the other aggregates in ``G``, and differs from
     the scalar one only where numpy's log or exp rounds otherwise than
     ``math``'s.  Frozen roots stay in the arrays until the last one stops
-    (after at most 8 steps on the default grid's scans).
+    (after at most 8 steps on the default grid's scans), and so do the cells
+    that need no root, a zero or full-time gift (none on those scans).
     """
     G = np.asarray(G, dtype=float)
     p = np.asarray(game.expertise)[:, None]
@@ -306,64 +309,55 @@ def _replacement_gifts(game: GameSpec, G: np.ndarray) -> np.ndarray:
         return np.minimum(caps, np.maximum(0.0, r))  # 0 where p = 0, as r <= 0 there
 
     rho, dt = game.rho, game.delta_t
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # every root in one (n, m) array: (n, 1) player columns against (m,)
+    # targets; cells that are not roots hold masked-out placeholders
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_rhs = np.log(ratio) + (rho - 1.0) * np.log(G)
-    # _conjunctive_gift's special cases, in its order of precedence
-    cap_gift = (ratio == 0.0) | (ratio == -np.inf) | (log_rhs == -np.inf)
-    zero_gift = (p == 0.0) | (G == 0.0) & (rho < 0) | ~cap_gift & (log_rhs == np.inf)
-    out = np.where(cap_gift & ~zero_gift, caps, 0.0)
+        # _conjunctive_gift's special cases, in its order of precedence
+        cap_gift = (ratio == 0.0) | (ratio == -np.inf) | (log_rhs == -np.inf)
+        zero_gift = (p == 0.0) | (G == 0.0) & (rho < 0) | ~cap_gift & (log_rhs == np.inf)
+        roots = ~(zero_gift | cap_gift)
+        # each player's constants, from math as in _conjunctive_gift
+        scale, log_weight, log_cap, log_half = np.array([
+            (math.log(b * x / game.alpha), math.log(b / game.alpha), math.log(x * dt),
+             math.log(0.5 * (x * dt))) if x > 0 else (0.0,) * 4
+            for b, x in zip(game.betas, game.expertise)]).T[:, :, None]
 
-    # the roots to find, flattened in scan order: aggregate-major, player-minor
-    cols, rows = np.nonzero(~(zero_gift | cap_gift).T)
-    q = p[rows, 0]
-    cap = caps[rows, 0]
-    target = log_rhs[cols]
-    # each root's player constants, from math as in _conjunctive_gift
-    scale, log_weight, log_cap, log_half = np.array([
-        (math.log(b * x / game.alpha), math.log(b / game.alpha), math.log(x * dt),
-         math.log(0.5 * (x * dt))) if x > 0 else (0.0,) * 4
-        for b, x in zip(game.betas, game.expertise)])[rows].T
+        # f at each bracket end: a player's constant, then minus the target
+        lo, hi = caps * 1e-300, caps * (1.0 - 1e-15)
+        flo, fhi = (np.log(dt - r / p) + scale + (rho - 1.0) * np.log(r) - log_rhs
+                    for r in (lo, hi))
+        # the root lies below lo: a zero gift; an end at a root is that root
+        out = np.where(roots, np.where(flo < 0, 0.0, np.where(flo == 0, lo, hi)),
+                       np.where(cap_gift & ~zero_gift, caps, 0.0))
+        live = roots & ~(flo < 0) & (flo != 0) & (fhi != 0)
+        stuck = live & ~(fhi < 0)
+        if stuck.any():
+            j, i = divmod(int(np.argmax(stuck.T)), game.n)  # the first in scan order
+            raise InputError(
+                f"no sign change on [{lo[i, 0]}, {hi[i, 0]}]: f={flo[i, j]}, {fhi[i, j]}")
 
-    def f(r):
-        return np.log(dt - r / q) + scale + (rho - 1.0) * np.log(r) - target
-
-    lo = cap * 1e-300
-    hi = cap * (1.0 - 1e-15)
-    flo = f(lo)
-    fhi = f(hi)
-    # the root lies below lo: a zero gift; an end at a root is that root
-    out[rows, cols] = np.where(flo < 0, 0.0, np.where(flo == 0, lo, hi))
-    live = ~(flo < 0) & (flo != 0) & (fhi != 0)
-    stuck = live & ~(fhi < 0)
-    if stuck.any():
-        j = int(np.argmax(stuck))
-        raise InputError(
-            f"no sign change on [{lo[j]}, {hi[j]}]: f={flo[j]}, {fhi[j]}")
-
-    rows, cols, cap, log_cap, log_half = (
-        rows[live], cols[live], cap[live], log_cap[live], log_half[live])
-    k = log_weight[live] - target[live]
-    below = rho * log_half + k < 0
-    a = np.where(below, rho - 1.0, 1.0)
-    b = np.where(below, 1.0, rho - 1.0)
-    z = np.minimum(-(b * log_cap + k) / a, log_half)
-    moving = np.ones(z.shape, dtype=bool)
-    final = np.zeros(z.shape, dtype=bool)
-    for _ in range(_NEWTON_STEPS):
-        step = _newton_step(z, a, b, k, cap, np.log, np.exp)
-        z = np.where(moving, z - step, z)
-        moving &= ~final
-        if not moving.any():
-            break
-        final |= np.abs(step) <= 1e-9 * np.maximum(1.0, np.abs(z))
-    else:
-        j = int(np.argmax(moving))
-        raise InputError(
-            f"the conjunctive gift root of player {rows[j]} at G = {G[cols[j]]} did not "
-            f"converge in {_NEWTON_STEPS} Newton steps")
-    w = np.exp(z)
-    out[rows, cols] = np.where(below, w, cap - w)
-    return out
+        k = log_weight - log_rhs
+        below = rho * log_half + k < 0
+        a = np.where(below, rho - 1.0, 1.0)
+        b = np.where(below, 1.0, rho - 1.0)
+        z = np.minimum(-(b * log_cap + k) / a, log_half)
+        moving = live.copy()
+        final = np.zeros(z.shape, dtype=bool)
+        for _ in range(_NEWTON_STEPS):
+            step = _newton_step(z, a, b, k, caps, np.log, np.exp)
+            z = np.where(moving, z - step, z)
+            moving &= ~final
+            if not moving.any():
+                break
+            final |= np.abs(step) <= 1e-9 * np.maximum(1.0, np.abs(z))
+        else:
+            j, i = divmod(int(np.argmax(moving.T)), game.n)
+            raise InputError(
+                f"the conjunctive gift root of player {i} at G = {G[j]} did not "
+                f"converge in {_NEWTON_STEPS} Newton steps")
+        w = np.exp(z)
+        return np.where(live, np.where(below, w, caps - w), out)
 
 
 def standalone_value(player: int, game: GameSpec) -> float:
@@ -467,28 +461,25 @@ def strongly_conjunctive_limit(game: GameSpec) -> float:
 
 def _result_from_gifts(game: GameSpec, gifts: np.ndarray, reference_G: float) -> EquilibriumResult:
     gifts = np.maximum(np.asarray(gifts, dtype=float), 0.0)
-    caps = game.full_time_gifts()
+    log_b, caps, _ = game._columns
     actions = np.where(caps > 0, np.clip(gifts / np.where(caps > 0, caps, 1.0), 0.0, 1.0), 0.0)
-    aggregate = ces_aggregate(gifts, game.rho, game.betas)
+    aggregate = _ces(gifts, game.rho, log_b)
     score = float(eval_score(game.evaluation, aggregate))
     active = tuple(int(i) for i in np.nonzero(gifts > BOUNDARY_TOL)[0])
-    residual = abs(aggregate - reference_G)
     return EquilibriumResult(
-        actions=tuple(float(a) for a in actions),
-        gifts=tuple(float(g) for g in gifts),
-        aggregate_G=float(aggregate),
-        score=score,
-        active_set=active,
-        residual=float(residual),
-    )
+        actions=tuple(actions.tolist()), gifts=tuple(gifts.tolist()), aggregate_G=aggregate,
+        score=score, active_set=active, residual=abs(aggregate - reference_G))
 
 
 def solve_equilibrium_concave(game: GameSpec, *, num_brackets: int = 2048) -> list[EquilibriumResult]:
-    """All fixed points of the aggregate replacement map for rho <= 1.
+    """The fixed points of the aggregate replacement map for rho <= 1.
 
     Scans ``num_brackets`` uniform brackets for sign changes of R(G) - G and
     refines each with Brent's method; raises NoEquilibriumError (with the
-    scan trace attached) when no crossing exists.
+    scan trace attached) when no crossing exists.  For rho < 0 the scan
+    starts just above G = 0 and leaves out the trivial fixed point G = 0,
+    where any zero gift forces the weakest-link outcome to 0: every fixed
+    point with G > 0 is returned, the zero profile never.
     """
     if game.rho > 1 or game.rho == 0:
         raise WrongSolverError(
@@ -521,12 +512,14 @@ def solve_equilibrium_concave(game: GameSpec, *, num_brackets: int = 2048) -> li
             f"empty scan interval [{lo:.6g}, {hi:.6g}]: some player has a "
             "degenerate standalone value", scan=[])
 
+    log_b = game._columns[0]
+
     def f(G):
-        gifts = [gift(i, G) for i in range(game.n)]
-        return ces_aggregate(gifts, game.rho, game.betas) - G
+        gifts = np.array([gift(i, G) for i in range(game.n)])
+        return _ces(gifts, game.rho, log_b) - G
 
     grid = np.linspace(lo, hi, num_brackets + 1)
-    values = ces_aggregate(_replacement_gifts(game, grid), game.rho, game.betas) - grid
+    values = _ces(_replacement_gifts(game, grid), game.rho, log_b) - grid
 
     roots: list[float] = []
     if game.rho == 1 and abs(values[0]) < 1e-12:
@@ -1004,12 +997,8 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
             gifts = np.zeros(game.n)
             for j in J:
                 gifts[j] = _positive_branch_gift(game, j, G_hat)
-            result = _result_from_gifts(game, gifts, G_hat)
-            residual = abs(S(G_hat) - 1.0)
-            results.append(EquilibriumResult(
-                actions=result.actions, gifts=result.gifts,
-                aggregate_G=result.aggregate_G, score=result.score,
-                active_set=result.active_set, residual=float(residual)))
+            results.append(dataclasses.replace(_result_from_gifts(game, gifts, G_hat),
+                                               residual=float(abs(S(G_hat) - 1.0))))
     return results
 
 
@@ -1024,22 +1013,32 @@ def max_achievable_utility(game: GameSpec) -> float:
     return utility(best_leisure, top_score, game.alpha)
 
 
-def _deviation_utilities(game: GameSpec, actions: np.ndarray, candidates) -> list:
-    """Each player's utility for each of its own candidate actions
-    (``candidates[i]`` lists player i's), the others held fixed, in one
-    payoff pass.  Each deviation is a column of its own, and a column's
-    payoff does not depend on the others: below 8 players every layout sums
-    in order, and from 8 ``ces_aggregate`` sums each column contiguously."""
-    blocks = []  # each player's columns
-    start = 0
-    for c in candidates:
-        blocks.append(slice(start, start + len(c)))
-        start += len(c)
-    profiles = np.repeat(actions[:, None], start, axis=1)
-    for i, (c, block) in enumerate(zip(candidates, blocks)):
-        profiles[i, block] = c
+def _deviation_payoffs(game: GameSpec, actions: np.ndarray, candidates):
+    """The profile's utilities (column 0 of one payoff pass), and each
+    player's utility for each of its own candidate actions (``candidates[i]``
+    lists player i's, clipped to at most 1), the others held fixed.  A
+    column's payoff does not depend on the others: below 8 players every
+    layout sums in order, and from 8 ``_ces`` sums each column contiguously."""
+    ends = list(itertools.accumulate(map(len, candidates), initial=1))
+    profiles = np.repeat(actions[:, None], ends[-1], axis=1)
+    for i, c in enumerate(candidates):
+        profiles[i, ends[i]:ends[i + 1]] = c
+    np.minimum(profiles, 1.0, out=profiles)
     us = _payoffs(game, profiles)[2]
-    return [us[i, block] for i, block in enumerate(blocks)]
+    return us[:, 0], [us[i, ends[i]:ends[i + 1]] for i in range(len(candidates))]
+
+
+def _deviation_utilities(game: GameSpec, actions: np.ndarray, candidates) -> list:
+    """Each player's utility for each of its own candidate actions (``_deviation_payoffs``)."""
+    return _deviation_payoffs(game, actions, candidates)[1]
+
+
+@functools.lru_cache(maxsize=8)
+def _action_grid(points: int) -> np.ndarray:
+    """The oracle's ``points`` grid actions on [0, 1], built once per size, read-only."""
+    grid = np.linspace(0.0, 1.0, points)
+    grid.flags.writeable = False
+    return grid
 
 
 def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
@@ -1050,11 +1049,12 @@ def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
     For each player, holding the others fixed, evaluates the utility of
     every grid action and reports the largest unilateral improvement; the
     profile is an epsilon-Nash point when that gain is at most epsilon.
-    Every player's grid deviations are scored in one payoff pass, and with
-    ``refine_step`` every player's window around its best grid action in
-    one more.  Works for any evaluation, including heaviside.  A game whose
-    utilities can overflow is refused with ``InputError`` before the first
-    payoff, as ``max_achievable_utility`` refuses it.
+    The profile and every player's grid deviations are scored in one payoff
+    pass, and with ``refine_step`` every player's window around its best
+    grid action in one more.  Works for any evaluation, including
+    heaviside.  A game whose utilities can overflow is refused with
+    ``InputError`` before the first payoff, as ``max_achievable_utility``
+    refuses it.
     """
     for name, step in (("grid_step", grid_step), ("refine_step", refine_step)):
         if step is not None and not (math.isfinite(step) and step > 0):
@@ -1066,22 +1066,21 @@ def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
         raise InputError(f"grid_step must divide 1 evenly, got {grid_step}")
     arr = _actions_array(game, actions)
     max_achievable_utility(game)  # every payoff lies below this bound
-    base_u = _payoffs(game, arr)[2]
 
-    grid_actions = np.linspace(0.0, 1.0, k + 1)
+    grid_actions = _action_grid(k + 1)
+    base_u, deviations = _deviation_payoffs(game, arr, [grid_actions] * game.n)
     bests = []  # each player's best deviation (action, utility)
-    for us in _deviation_utilities(game, arr, [grid_actions] * game.n):
+    for us in deviations:
         j = int(np.argmax(us))
         bests.append((float(grid_actions[j]), float(us[j])))
     if refine_step is not None:
-        windows = []
+        windows = []  # from lo >= 0, so the pass's clip at 1 is np.clip's
         for best_a, _ in bests:
             lo = max(0.0, best_a - grid_step)
             hi = min(1.0, best_a + grid_step)
-            m = int(round((hi - lo) / refine_step))
-            fine = lo + refine_step * np.arange(m + 1)
+            fine = lo + refine_step * np.arange(int(round((hi - lo) / refine_step)) + 1)
             windows.append(fine[fine <= 1.0 + 1e-12])
-        refined = _deviation_utilities(game, arr, [np.clip(fine, 0.0, 1.0) for fine in windows])
+        refined = _deviation_utilities(game, arr, windows)
         for i, (fine, us_f) in enumerate(zip(windows, refined)):
             jf = int(np.argmax(us_f))
             if us_f[jf] > bests[i][1]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -181,6 +180,7 @@ def run_sweep(config: SweepConfig) -> list[ExperimentRecord]:
     learnable = [job for j, job in enumerate(jobs)
                  if refusals[j // config.repetitions] is None]
     if config.workers > 1 and len(learnable) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported only when a pool runs
         size = -(-len(learnable) // config.workers)
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             solved = list(pool.map(_solve_record, games))

@@ -14,6 +14,7 @@ unrestricted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,9 +95,19 @@ class GameSpec:
         try:
             return self._max_aggregate
         except AttributeError:
-            G = ces_aggregate(self.full_time_gifts(), self.rho, self.betas)
+            G = _ces(self._columns[1], self.rho, self._columns[0])
             object.__setattr__(self, "_max_aggregate", G)
             return G
+
+    @functools.cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-player ``log(beta)``, full-time gift and leisure capacity, the
+        payoff kernel's ``(n,)`` constants, computed once per game and read-only."""
+        columns = (np.log(np.asarray(self.betas)), self.full_time_gifts(),
+                   np.asarray(self.leisure_capacity))
+        for column in columns:
+            column.flags.writeable = False
+        return columns
 
     def to_dict(self) -> dict:
         return {
@@ -232,21 +243,27 @@ def ces_aggregate(gifts, rho: float, betas):
         raise InputError("betas must all be > 0")
     if not (g >= 0).all():
         raise InputError("gifts must all be >= 0")
-    log_b = np.log(b).reshape(b.shape + (1,) * (g.ndim - 1))
+    return _ces(g, rho, np.log(b))
+
+
+def _ces(gifts: np.ndarray, rho: float, log_b: np.ndarray):
+    """``ces_aggregate`` of checked gifts ``(n, ...)`` with the logs of the
+    weights ``(n,)``, without its input checks: a float for one joint action."""
+    log_b = log_b.reshape(log_b.shape + (1,) * (gifts.ndim - 1))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # A zero gift's term is rho * log(0): -inf when rho > 0, so it adds
         # nothing to the log-sum-exp, and +inf when rho < 0, which drives
         # the cell's max shift m to +inf.  Cells whose m is not finite (no
         # positive gift, or a zero gift under rho < 0) have G = 0; with m
         # set to 0 there, the sum is 0 or +inf and G comes out as exactly 0.
-        t = log_b + rho * np.log(g)
+        t = log_b + rho * np.log(gifts)
         if t.ndim >= 2 and len(t) >= 8:
             # From 8 terms numpy sums a contiguous run pairwise and a strided
             # one in order; with each cell's terms contiguous, every cell sums
             # as a lone joint action does.  Below 8 every layout sums in order.
             t = np.asfortranarray(t)
         out = _aggregate_terms(t, rho)
-    return float(out) if g.ndim == 1 else out
+    return float(out) if gifts.ndim == 1 else out
 
 
 def _aggregate_terms(terms: np.ndarray, rho) -> np.ndarray:
@@ -271,15 +288,16 @@ def gifts_from_actions(game: GameSpec, actions) -> np.ndarray:
 
 def _outcome(game: GameSpec, actions: np.ndarray):
     """Team outcome and score ``(G, sigma(G))`` of validated actions, one row per player."""
+    log_b, caps, _ = game._columns
     column = (game.n,) + (1,) * (actions.ndim - 1)
-    G = ces_aggregate(actions * game.full_time_gifts().reshape(column), game.rho, game.betas)
+    G = _ces(actions * caps.reshape(column), game.rho, log_b)
     return G, eval_score(game.evaluation, G)
 
 
 def _leisure_payoff(game: GameSpec, actions: np.ndarray) -> np.ndarray:
     """``x ** alpha`` of each player's leisure ``x``; ``actions`` has one row per player."""
     column = (game.n,) + (1,) * (actions.ndim - 1)
-    capacity = np.asarray(game.leisure_capacity).reshape(column)
+    capacity = game._columns[2].reshape(column)
     return ((1.0 - actions) * capacity * game.delta_t) ** game.alpha
 
 

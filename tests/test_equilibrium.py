@@ -549,6 +549,97 @@ class TestEpsilonNashBatched:
                     _per_player_nash_check(actions, g, eps, **grid)
 
 
+def _three_pass_nash_check(actions, g, epsilon, grid_step=0.01, refine_step=None):
+    """The Nash oracle in three payoff passes: the profile alone, every
+    player's grid deviations, and every player's refine window clipped to
+    [0, 1]: the reference for the oracle's two passes."""
+    arr = np.asarray(actions, dtype=float)
+    base_u = _payoffs(g, arr)[2]
+
+    def deviations(candidates):
+        starts = np.cumsum([0] + [len(c) for c in candidates])
+        profiles = np.repeat(arr[:, None], starts[-1], axis=1)
+        for i, c in enumerate(candidates):
+            profiles[i, starts[i]:starts[i + 1]] = c
+        us = _payoffs(g, profiles)[2]
+        return [us[i, starts[i]:starts[i + 1]] for i in range(g.n)]
+
+    grid_actions = np.linspace(0.0, 1.0, round(1.0 / grid_step) + 1)
+    bests = []
+    for us in deviations([grid_actions] * g.n):
+        j = int(np.argmax(us))
+        bests.append((float(grid_actions[j]), float(us[j])))
+    if refine_step is not None:
+        windows = []
+        for best_a, _ in bests:
+            lo, hi = max(0.0, best_a - grid_step), min(1.0, best_a + grid_step)
+            fine = lo + refine_step * np.arange(int(round((hi - lo) / refine_step)) + 1)
+            windows.append(fine[fine <= 1.0 + 1e-12])
+        for i, us_f in enumerate(deviations([np.clip(w, 0.0, 1.0) for w in windows])):
+            jf = int(np.argmax(us_f))
+            if us_f[jf] > bests[i][1]:
+                bests[i] = (float(windows[i][jf]), float(us_f[jf]))
+    max_gain, best = -math.inf, None
+    for i, (best_a, best_u) in enumerate(bests):
+        if best_u - float(base_u[i]) > max_gain:
+            max_gain, best = best_u - float(base_u[i]), (i, best_a)
+    return NashCheck(is_nash=bool(max_gain <= epsilon), max_gain=float(max_gain),
+                     best_deviation=best)
+
+
+def _check_bits(check):
+    """A NashCheck's fields with every float as its exact bits."""
+    deviation = check.best_deviation
+    return (check.is_nash, check.max_gain.hex(),
+            None if deviation is None else (deviation[0], deviation[1].hex()))
+
+
+_ORACLE_GRIDS = ({}, {"grid_step": 0.01, "refine_step": 1e-4},
+                 {"grid_step": 0.05, "refine_step": 3e-3})
+
+
+class TestOracleParity:
+    """The oracle's two payoff passes give, field for field and bit for bit,
+    the three-pass reference's NashCheck."""
+
+    def test_default_grid_equilibria(self):
+        config = SweepConfig()
+        checked = 0
+        for _, p1, p2, rho, b in _cell_specs(config):
+            g = cell_game(config, p1, p2, rho, b)
+            try:
+                equilibria = solve_cell(g)
+            except (NoEquilibriumError, RegimeError):
+                continue
+            eps = 1e-3 * max_achievable_utility(g)
+            for e in equilibria:
+                for grid in _ORACLE_GRIDS[:2]:
+                    assert _check_bits(verify_epsilon_nash(e.actions, g, eps, **grid)) == \
+                        _check_bits(_three_pass_nash_check(e.actions, g, eps, **grid)), (g, e)
+                checked += 1
+        assert checked == 273
+
+    @pytest.mark.parametrize("kind", ["logistic", "identity", "heaviside"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+    def test_random_profiles(self, n, kind):
+        # from 8 players ces_aggregate sums each column contiguously, as a lone profile
+        rng = np.random.default_rng(100 * n + len(kind))
+        for _ in range(6):
+            g = GameSpec(n=n, rho=float(rng.choice([-10.0, 0.5, 1.0, 3.0, 10.0])),
+                         betas=tuple(rng.uniform(0.5, 2.0, n)), delta_t=10.0,
+                         expertise=tuple(rng.uniform(0.1, 1.0, n)),
+                         leisure_capacity=tuple(rng.uniform(0.2, 1.0, n)),
+                         alpha=float(rng.uniform(0.5, 3.0)),
+                         evaluation=EvaluationSpec(kind, d=10.0, gamma=2.0,
+                                                   b=float(rng.uniform(1.0, 8.0))))
+            # actions at 0 and 1 too, so windows meet the ends of [0, 1]
+            actions = np.where(rng.random(n) < 0.3, rng.integers(0, 2, n), rng.random(n))
+            eps = 1e-3 * max_achievable_utility(g)
+            for grid in _ORACLE_GRIDS:
+                assert _check_bits(verify_epsilon_nash(actions, g, eps, **grid)) == \
+                    _check_bits(_three_pass_nash_check(actions, g, eps, **grid))
+
+
 class TestMaxAchievableUtility:
     def test_memoised_aggregate_is_the_full_time_ces(self):
         config = SweepConfig()

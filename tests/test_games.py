@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamgames.errors import ConfigurationError, InputError
-from teamgames.evaluation import EvaluationSpec
+from teamgames.evaluation import EvaluationSpec, eval_score
 from teamgames.games import (
     GameSpec,
     GiftVector,
@@ -272,3 +272,47 @@ class TestOnePayoffPipeline:
             _, G_c, score_c, rewards_c = evaluate_joint_action(game, actions[:, c])
             assert G[c] == G_c and score[c] == score_c
             assert rewards[:, c].tolist() == rewards_c.tolist()
+
+
+class TestPayoffKernelParity:
+    """The payoff kernel, fed the per-game columns, equals the public
+    ``ces_aggregate`` and ``eval_score`` and the leisure formula bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "identity", "heaviside"])
+    @pytest.mark.parametrize("rho", [-500.0, -10.0, 0.5, 1.0, 3.0, 500.0])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_kernel_matches_public_pipeline(self, n, rho, kind):
+        from teamgames.games import _ces, _leisure_payoff, _outcome
+        rng = np.random.default_rng(n * 1000 + int(abs(rho)) + len(kind))
+        game = GameSpec(n=n, rho=rho, betas=tuple(rng.uniform(0.5, 2.0, n)), delta_t=10.0,
+                        expertise=tuple(rng.uniform(0.05, 1.0, n)),
+                        leisure_capacity=tuple(rng.uniform(0.2, 1.0, n)),
+                        alpha=float(rng.uniform(0.5, 3.0)),
+                        evaluation=EvaluationSpec(kind, d=10.0, gamma=2.0,
+                                                  b=float(rng.uniform(1.0, 8.0))))
+        actions = rng.uniform(0.0, 1.0, (n, 64))
+        actions[:, ::4] = 0.0  # every gift zero: G = 0 under either sign of rho
+        actions[0, 1::4] = 0.0  # one zero gift: G = 0 under rho < 0
+        actions[:, 2::4] = np.round(actions[:, 2::4])
+        log_b, caps, _ = game._columns
+
+        def bits(x):
+            return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+        # the whole grid, then each joint action alone
+        for a in [actions, *(actions[:, c].copy() for c in range(actions.shape[1]))]:
+            column = (n,) + (1,) * (a.ndim - 1)
+            gifts = a * (np.asarray(game.expertise) * game.delta_t).reshape(column)
+            G = ces_aggregate(gifts, rho, game.betas)
+            score = eval_score(game.evaluation, G)
+            leisure = ((1.0 - a) * np.asarray(game.leisure_capacity).reshape(column)
+                       * game.delta_t) ** game.alpha
+            assert type(_ces(gifts, rho, log_b)) is type(G)
+            assert bits(_ces(gifts, rho, log_b)) == bits(G)
+            assert bits(_outcome(game, a)) == bits((G, score))
+            assert bits(_leisure_payoff(game, a)) == bits(leisure)
+            assert [bits(x) for x in _payoffs(game, a)] == \
+                [bits(G), bits(score), bits(leisure * score)]
+        G = _payoffs(game, actions)[0]
+        assert G[::4].tolist() == [0.0] * 16
+        assert (G[1::4] == 0.0).all() == (rho < 0 or n == 1)
