@@ -298,7 +298,8 @@ def _replacement_gifts(game: GameSpec, G: np.ndarray) -> np.ndarray:
     the scalar one only where numpy's log or exp rounds otherwise than
     ``math``'s.  Frozen roots stay in the arrays until the last one stops
     (after at most 8 steps on the default grid's scans), and so do the cells
-    that need no root, a zero or full-time gift (none on those scans).
+    of a contributing player that need no root, a zero or full-time gift
+    (none on those scans).
     """
     G = np.asarray(G, dtype=float)
     p = np.asarray(game.expertise)[:, None]
@@ -309,19 +310,21 @@ def _replacement_gifts(game: GameSpec, G: np.ndarray) -> np.ndarray:
         return np.minimum(caps, np.maximum(0.0, r))  # 0 where p = 0, as r <= 0 there
 
     rho, dt = game.rho, game.delta_t
-    # every root in one (n, m) array: (n, 1) player columns against (m,)
-    # targets; cells that are not roots hold masked-out placeholders
+    able = p[:, 0] > 0  # a player without expertise gives 0 at every aggregate
+    p, caps = p[able], caps[able]
+    # the other players' roots share one array: (n, 1) player columns
+    # against (m,) targets; cells that need no root hold masked-out placeholders
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_rhs = np.log(ratio) + (rho - 1.0) * np.log(G)
         # _conjunctive_gift's special cases, in its order of precedence
         cap_gift = (ratio == 0.0) | (ratio == -np.inf) | (log_rhs == -np.inf)
-        zero_gift = (p == 0.0) | (G == 0.0) & (rho < 0) | ~cap_gift & (log_rhs == np.inf)
+        zero_gift = (G == 0.0) & (rho < 0) | ~cap_gift & (log_rhs == np.inf)
         roots = ~(zero_gift | cap_gift)
         # each player's constants, from math as in _conjunctive_gift
         scale, log_weight, log_cap, log_half = np.array([
             (math.log(b * x / game.alpha), math.log(b / game.alpha), math.log(x * dt),
-             math.log(0.5 * (x * dt))) if x > 0 else (0.0,) * 4
-            for b, x in zip(game.betas, game.expertise)]).T[:, :, None]
+             math.log(0.5 * (x * dt)))
+            for b, x in zip(game.betas, game.expertise) if x > 0]).reshape(-1, 4).T[:, :, None]
 
         # f at each bracket end: a player's constant, then minus the target
         lo, hi = caps * 1e-300, caps * (1.0 - 1e-15)
@@ -333,7 +336,7 @@ def _replacement_gifts(game: GameSpec, G: np.ndarray) -> np.ndarray:
         live = roots & ~(flo < 0) & (flo != 0) & (fhi != 0)
         stuck = live & ~(fhi < 0)
         if stuck.any():
-            j, i = divmod(int(np.argmax(stuck.T)), game.n)  # the first in scan order
+            j, i = divmod(int(np.argmax(stuck.T)), len(p))  # the first in scan order
             raise InputError(
                 f"no sign change on [{lo[i, 0]}, {hi[i, 0]}]: f={flo[i, j]}, {fhi[i, j]}")
 
@@ -352,12 +355,14 @@ def _replacement_gifts(game: GameSpec, G: np.ndarray) -> np.ndarray:
                 break
             final |= np.abs(step) <= 1e-9 * np.maximum(1.0, np.abs(z))
         else:
-            j, i = divmod(int(np.argmax(moving.T)), game.n)
+            j, i = divmod(int(np.argmax(moving.T)), len(p))
             raise InputError(
-                f"the conjunctive gift root of player {i} at G = {G[j]} did not "
-                f"converge in {_NEWTON_STEPS} Newton steps")
+                f"the conjunctive gift root of player {np.flatnonzero(able)[i]} at "
+                f"G = {G[j]} did not converge in {_NEWTON_STEPS} Newton steps")
         w = np.exp(z)
-        return np.where(live, np.where(below, w, caps - w), out)
+        gifts = np.zeros((game.n,) + G.shape)
+        gifts[able] = np.where(live, np.where(below, w, caps - w), out)
+        return gifts
 
 
 def standalone_value(player: int, game: GameSpec) -> float:
