@@ -272,7 +272,7 @@ def _aggregate_terms(terms: np.ndarray, rho) -> np.ndarray:
     0, divided by ``rho`` (a scalar or one value per column), exponentiated.
     Call it with division warnings off, for the ``log(0)`` of a column with
     no positive gift.  From 8 players a column sums as one joint action's
-    gifts only if it is contiguous (see ``ces_aggregate``)."""
+    gifts only if it is contiguous (see ``_ces``)."""
     m = np.maximum.reduce(terms, axis=0)
     m = np.where(np.isfinite(m), m, 0.0)
     terms -= m
