@@ -56,11 +56,11 @@ distinct values):
   and ``phi`` (the names in ``PASSES``) on an array of gifts.  Where ``phi``
   is scalar-only (its Newton iteration), this counts only the last windows;
   older sides also scored ``phi`` on arrays of gifts;
-* ``scan.*``: the concave solver's bracket scan on the 120 conjunctive cells
-  of that grid: the seconds of ``_replacement_gifts`` over every cell's
-  2,049-point scan grid (``replacement_gifts_s``), and microseconds per
-  scalar ``_conjunctive_gift`` call (``conjunctive_gift_us``) at every 64th
-  point of those grids, every player;
+* ``conjunctive_gift_us``: microseconds per ``_conjunctive_gift`` call on
+  the 120 conjunctive cells of that grid, every player, at 33 evenly spaced
+  aggregates across each cell's solver interval (the points of the
+  2,049-point bracket scan that ``scan.conjunctive_gift_us`` timed before
+  ``BENCH_21`` removed the scan);
 * ``oracle.*``: the criterion-7a Nash check (``verify_epsilon_nash`` with
   epsilon 1e-3 of ``max_achievable_utility``, grid step 0.01, refine step
   1e-4) of every equilibrium the solvers find on those 240 cells, after
@@ -73,7 +73,8 @@ distinct values):
   threshold counts its ``_best_positive_response`` calls, the one at the
   root included, whatever root-finder it runs; a concave fixed point and a
   disjunctive share equation count the function evaluations of the
-  root-finder (end values the caller passes in are not counted);
+  root-finder (end values the caller passes in are not counted: since
+  ``BENCH_21`` the concave solver passes in both of its interval's ends);
 * ``tier1`` (with ``--tier1``): one run of the test suite of the checkout
   that holds each side's sources.
 """
@@ -339,10 +340,10 @@ def case(name: str) -> dict:
         finally:
             sys.setprofile(None)
         out["best_response_calls.passes"] = passes / len(calls)
-    elif name == "scan":
+    elif name == "conjunctive_gift":
         from teamgames import equilibrium
         config = experiments.SweepConfig()
-        scans = []
+        calls = []
         for _, p1, p2, rho, b in experiments._cell_specs(config):
             if rho >= 1:
                 continue
@@ -353,18 +354,13 @@ def case(name: str) -> dict:
             else:
                 hi = min(standalones)
                 lo = hi * 1e-9
-            scans.append((game, numpy.linspace(lo, hi, 2049)))
-        t0 = time.perf_counter()
-        for game, grid in scans:
-            equilibrium._replacement_gifts(game, grid)
-        out["scan.replacement_gifts_s"] = time.perf_counter() - t0
-        calls = [(equilibrium.ratio_scalar(game.evaluation, G), G, game.expertise[i],
-                  game.betas[i], game.alpha, game.delta_t, game.rho)
-                 for game, grid in scans for G in map(float, grid[::64]) for i in range(game.n)]
+            calls += [(equilibrium.ratio_scalar(game.evaluation, G), G, game.expertise[i],
+                       game.betas[i], game.alpha, game.delta_t, rho)
+                      for G in map(float, numpy.linspace(lo, hi, 33)) for i in range(game.n)]
         t0 = time.perf_counter()
         for args in calls:
             equilibrium._conjunctive_gift(*args)
-        out["scan.conjunctive_gift_us"] = (time.perf_counter() - t0) / len(calls) * 1e6
+        out["conjunctive_gift_us"] = (time.perf_counter() - t0) / len(calls) * 1e6
     elif name == "oracle":
         from teamgames import equilibrium
         config = experiments.SweepConfig()
@@ -465,7 +461,7 @@ def case(name: str) -> dict:
 
 CASES = ("n2_R1", "n2_chunk", "n3_R1", "n3_chunk", "n4_R1", "n4_team4", "n4_R16", "train50k",
          "lone50k_n4", "sweep_split", "solve_regimes", "thresholds", "best_response",
-         "best_response_calls", "scan", "oracle", "roots", "sweep", "fixtures")
+         "best_response_calls", "conjunctive_gift", "oracle", "roots", "sweep", "fixtures")
 
 
 def _run_case(src: str, name: str) -> dict:

@@ -14,12 +14,7 @@ from .errors import (
 from .evaluation import EvaluationSpec, eval_ratio, eval_score, validate_evaluation
 from .games import (
     GameSpec,
-    GiftVector,
-    JointAction,
     ces_aggregate,
-    gift_from_action,
-    gifts_from_actions,
-    private_good,
     utility,
 )
 from .equilibrium import (

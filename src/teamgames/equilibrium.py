@@ -8,12 +8,12 @@ the fixed points of ``R(G) = CES(r_1(G), ..., r_n(G))``.
 Task regimes:
 
 * additive (rho = 1): ``r_i(G) = max(0, p_i*dt - (alpha/beta_i) * sigma/sigma')``,
-  a closed form; the fixed point is found by a bracket scan plus Brent's method.
+  a closed form; the one fixed point is found by Brent's method.
 * conjunctive (rho < 1, rho != 0): ``r_i`` solves the implicit first-order
   condition ``sigma/sigma' * G**(rho-1) = (dt - r/p) * (beta*p/alpha) * r**(rho-1)``,
   a strictly decreasing one-dimensional root problem, solved by Newton's
-  method in log space so |rho| = 500 stays finite; the bracket scan runs the
-  scalar root's steps on arrays.
+  method in log space so |rho| = 500 stays finite; the aggregate's fixed
+  point is one bracketed Brent solve, as for rho = 1.
 * disjunctive (rho > 1): the replacement map is a correspondence with a zero
   branch and a positive branch.  Equilibria are enumerated over candidate
   active sets using share functions ``s_i(G) = beta_i * r_i(G)**rho / G**rho``,
@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedEvaluationError,
     WrongSolverError,
 )
-from .evaluation import eval_ratio, eval_score, score_scalar, ratio_scalar
+from .evaluation import eval_score, score_scalar, ratio_scalar
 from .games import GameSpec, _actions_array, _ces, _payoffs, ces_aggregate, utility
 
 # Absolute tolerance on work units for branch and boundary comparisons.
@@ -114,15 +114,16 @@ def _bisect(f, lo, hi, *, xtol, flo=None, fhi=None, maxiter=400):
     return 0.5 * (lo + hi)
 
 
-def _brent(f, lo, hi, *, xtol, flo=None, fhi=None, maxiter=400):
+def _brent(f, lo, hi, *, xtol, rtol=0.0, flo=None, fhi=None, maxiter=400):
     """Brent's method with ``_bisect``'s contract: inverse quadratic
     interpolation or a secant step, falling back to bisection whenever the
     step leaves the bracket, shrinks too slowly or meets an infinite value.
 
     ``b`` is the best point so far, ``c`` the other end of the bracket
     ``[b, c]`` and ``a`` the previous ``b``.  Returns ``b`` once the bracket
-    is ``xtol`` wide (Brent 1973, ch. 4, with the tolerance fixed at
-    ``xtol / 2``).
+    is ``max(xtol, rtol*|b|)`` wide (Brent 1973, ch. 4, with the tolerance
+    at half that).  An ``rtol`` of a few ulps keeps a root far below the
+    bracket's width as accurate as one near it.
     """
     fa = f(lo) if flo is None else flo
     fb = f(hi) if fhi is None else fhi
@@ -135,7 +136,6 @@ def _brent(f, lo, hi, *, xtol, flo=None, fhi=None, maxiter=400):
     a, b = lo, hi
     c, fc = a, fa
     step = last = b - a
-    tol = 0.5 * xtol
     for _ in range(maxiter):
         if (fb < 0) == (fc < 0):
             c, fc = a, fa
@@ -143,6 +143,7 @@ def _brent(f, lo, hi, *, xtol, flo=None, fhi=None, maxiter=400):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
+        tol = 0.5 * max(xtol, rtol * abs(b))
         half = 0.5 * (c - b)
         if fb == 0 or abs(half) <= tol:
             return b
@@ -207,15 +208,6 @@ def replacement_additive(G: float, player: int, game: GameSpec) -> float:
 _NEWTON_STEPS = 100
 
 
-def _newton_step(z, a, b, k, cap, log, exp):
-    """Newton step on ``phi(z) = a*z + b*log(cap - e**z) + k``, with ``log``
-    and ``exp`` from ``math`` for one root or from numpy for an array of them,
-    so each root runs the same arithmetic either way."""
-    w = exp(z)
-    v = cap - w
-    return (a * z + b * log(v) + k) / (a - b * w / v)
-
-
 def _conjunctive_gift(ratio_G: float, G: float, p: float, beta: float,
                       alpha: float, delta_t: float, rho: float) -> float:
     """Root of the conjunctive first-order condition, by Newton's method in log space.
@@ -236,8 +228,7 @@ def _conjunctive_gift(ratio_G: float, G: float, p: float, beta: float,
     on r (capped at ``log(cap/2)``), so every step stays on that side and
     moves towards the root.  Once a step is at most ``1e-9*max(1, |z|)`` one
     more step is taken; a root still moving after ``_NEWTON_STEPS`` steps
-    raises ``InputError``.  ``_replacement_gifts`` runs the same steps on
-    arrays.
+    raises ``InputError``.
     """
     cap = p * delta_t
     if G == 0.0 and rho < 0:
@@ -275,7 +266,10 @@ def _conjunctive_gift(ratio_G: float, G: float, p: float, beta: float,
     z = min(-(b * math.log(cap) + k) / a, log_half)
     final = False
     for _ in range(_NEWTON_STEPS):
-        step = _newton_step(z, a, b, k, cap, math.log, math.exp)
+        # a Newton step on phi(z) = a*z + b*log(cap - e**z) + k
+        w = math.exp(z)
+        v = cap - w
+        step = (a * z + b * math.log(v) + k) / (a - b * w / v)
         z -= step
         if final:
             w = math.exp(z)
@@ -284,85 +278,6 @@ def _conjunctive_gift(ratio_G: float, G: float, p: float, beta: float,
     raise InputError(
         f"the conjunctive gift root for p = {p}, G = {G} did not converge in "
         f"{_NEWTON_STEPS} Newton steps")
-
-
-def _replacement_gifts(game: GameSpec, G: np.ndarray) -> np.ndarray:
-    """Replacement gift of every player at every aggregate in ``G``: shape ``(n, m)``.
-
-    The array twin of ``replacement_additive`` and ``replacement_conjunctive``
-    for the bracket scan, whose aggregates all lie in the maps' domain.  For
-    rho < 1 every first-order-condition root takes ``_conjunctive_gift``'s
-    special cases, start and Newton steps, and stops on its own: one step
-    after its first step of at most ``1e-9*max(1, |z|)`` it is frozen.  So a
-    gift does not depend on the other aggregates in ``G``, and differs from
-    the scalar one only where numpy's log or exp rounds otherwise than
-    ``math``'s.  Frozen roots stay in the arrays until the last one stops
-    (after at most 8 steps on the default grid's scans), and so do the cells
-    of a contributing player that need no root, a zero or full-time gift
-    (none on those scans).
-    """
-    G = np.asarray(G, dtype=float)
-    p = np.asarray(game.expertise)[:, None]
-    caps = p * game.delta_t
-    ratio = eval_ratio(game.evaluation, G)
-    if game.rho == 1:
-        r = caps - (game.alpha / np.asarray(game.betas)[:, None]) * ratio
-        return np.minimum(caps, np.maximum(0.0, r))  # 0 where p = 0, as r <= 0 there
-
-    rho, dt = game.rho, game.delta_t
-    able = p[:, 0] > 0  # a player without expertise gives 0 at every aggregate
-    p, caps = p[able], caps[able]
-    # the other players' roots share one array: (n, 1) player columns
-    # against (m,) targets; cells that need no root hold masked-out placeholders
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_rhs = np.log(ratio) + (rho - 1.0) * np.log(G)
-        # _conjunctive_gift's special cases, in its order of precedence
-        cap_gift = (ratio == 0.0) | (ratio == -np.inf) | (log_rhs == -np.inf)
-        zero_gift = (G == 0.0) & (rho < 0) | ~cap_gift & (log_rhs == np.inf)
-        roots = ~(zero_gift | cap_gift)
-        # each player's constants, from math as in _conjunctive_gift
-        scale, log_weight, log_cap, log_half = np.array([
-            (math.log(b * x / game.alpha), math.log(b / game.alpha), math.log(x * dt),
-             math.log(0.5 * (x * dt)))
-            for b, x in zip(game.betas, game.expertise) if x > 0]).reshape(-1, 4).T[:, :, None]
-
-        # f at each bracket end: a player's constant, then minus the target
-        lo, hi = caps * 1e-300, caps * (1.0 - 1e-15)
-        flo, fhi = (np.log(dt - r / p) + scale + (rho - 1.0) * np.log(r) - log_rhs
-                    for r in (lo, hi))
-        # the root lies below lo: a zero gift; an end at a root is that root
-        out = np.where(roots, np.where(flo < 0, 0.0, np.where(flo == 0, lo, hi)),
-                       np.where(cap_gift & ~zero_gift, caps, 0.0))
-        live = roots & ~(flo < 0) & (flo != 0) & (fhi != 0)
-        stuck = live & ~(fhi < 0)
-        if stuck.any():
-            j, i = divmod(int(np.argmax(stuck.T)), len(p))  # the first in scan order
-            raise InputError(
-                f"no sign change on [{lo[i, 0]}, {hi[i, 0]}]: f={flo[i, j]}, {fhi[i, j]}")
-
-        k = log_weight - log_rhs
-        below = rho * log_half + k < 0
-        a = np.where(below, rho - 1.0, 1.0)
-        b = np.where(below, 1.0, rho - 1.0)
-        z = np.minimum(-(b * log_cap + k) / a, log_half)
-        moving = live.copy()
-        final = np.zeros(z.shape, dtype=bool)
-        for _ in range(_NEWTON_STEPS):
-            step = _newton_step(z, a, b, k, caps, np.log, np.exp)
-            z = np.where(moving, z - step, z)
-            moving &= ~final
-            if not moving.any():
-                break
-            final |= np.abs(step) <= 1e-9 * np.maximum(1.0, np.abs(z))
-        else:
-            j, i = divmod(int(np.argmax(moving.T)), len(p))
-            raise InputError(
-                f"the conjunctive gift root of player {np.flatnonzero(able)[i]} at "
-                f"G = {G[j]} did not converge in {_NEWTON_STEPS} Newton steps")
-        w = np.exp(z)
-        gifts = np.zeros((game.n,) + G.shape)
-        gifts[able] = np.where(live, np.where(below, w, caps - w), out)
-        return gifts
 
 
 def standalone_value(player: int, game: GameSpec) -> float:
@@ -476,23 +391,42 @@ def _result_from_gifts(game: GameSpec, gifts: np.ndarray, reference_G: float) ->
         score=score, active_set=active, residual=abs(aggregate - reference_G))
 
 
-def solve_equilibrium_concave(game: GameSpec, *, num_brackets: int = 2048) -> list[EquilibriumResult]:
+def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
     """The fixed points of the aggregate replacement map for rho <= 1.
 
-    Scans ``num_brackets`` uniform brackets for sign changes of R(G) - G and
-    refines each with Brent's method; raises NoEquilibriumError (with the
-    scan trace attached) when no crossing exists.  For rho < 0 the scan
-    starts just above G = 0 and leaves out the trivial fixed point G = 0,
-    where any zero gift forces the weakest-link outcome to 0: every fixed
-    point with G > 0 is returned, the zero profile never.
+    A fixed point is a root of ``f(G) = CES(r(G)) - G``, and ``f`` changes
+    sign at most once: the share-function picture of aggregative games
+    (Cornes & Hartley 2007, J. Public Econ. Theory 9).  In ``y_i = r_i(G)/G``
+    a contributing player's first-order condition reads
+    ``(p_i*dt - G*y_i) * (beta_i/alpha) * y_i**(rho-1) = sigma/sigma'(G)``.
+    For rho < 1 the left side falls in y_i and in G, and ``sigma/sigma'`` is
+    ``G`` for identity evaluation and ``1/(gamma*(1 - sigma/d))`` for
+    logistic, both non-decreasing; for rho = 1, ``r_i`` is the positive part
+    of ``p_i*dt - (alpha/beta_i)*sigma/sigma'``.  So every ``y_i`` is
+    non-increasing in G, the shares ``s_i = beta_i * y_i**rho`` sum to a
+    monotone function of G, and ``CES(r(G))/G = (sum_i s_i)**(1/rho)``
+    never rises: it crosses 1 at most once.
+
+    So ``f`` is evaluated at the interval's two ends, and one Brent solve
+    refines a sign change between them.  The ends keep their own rules: for
+    rho = 1, ``|f(0)| < 1e-12`` makes ``G = 0`` a root (nobody contributes);
+    for 0 < rho < 1, ``lo`` is the largest standalone value, a lone
+    player's fixed point when ``|f(lo)|`` is within the dedup radius
+    ``max(hi, 1)*1e-9``; an exact zero at ``lo`` is a root; and ``hi`` is a
+    root when ``|f(hi)| < 1e-12``.  ``f = G*(CES(r(G))/G - 1)`` vanishes at
+    ``G = 0`` on either side of the crossing, so from ``f(0) = 0`` the
+    bracket starts at the radius.  Roots within the radius are one.  No
+    root raises NoEquilibriumError with the two ends ``[(lo, f(lo)), (hi,
+    f(hi))]`` attached.  For rho < 0 the interval starts just above G = 0
+    and leaves out the trivial fixed point G = 0, where any zero gift forces
+    the weakest-link outcome to 0: the fixed point with G > 0 is returned,
+    the zero profile never.
     """
     if game.rho > 1 or game.rho == 0:
         raise WrongSolverError(
             f"concave solver requires rho <= 1 (rho != 0), got {game.rho}; "
             "use the disjunctive enumerator for rho > 1")
     _require_smooth(game, "equilibrium solver")
-    if not num_brackets >= 1:
-        raise InputError(f"num_brackets must be >= 1, got {num_brackets}")
 
     standalones = [_standalone_pair(i, game)[1] for i in range(game.n)]
     G_max = game.max_aggregate()
@@ -514,7 +448,7 @@ def solve_equilibrium_concave(game: GameSpec, *, num_brackets: int = 2048) -> li
 
     if not hi > lo:
         raise NoEquilibriumError(
-            f"empty scan interval [{lo:.6g}, {hi:.6g}]: some player has a "
+            f"empty interval [{lo:.6g}, {hi:.6g}]: some player has a "
             "degenerate standalone value", scan=[])
 
     log_b = game._columns[0]
@@ -523,39 +457,30 @@ def solve_equilibrium_concave(game: GameSpec, *, num_brackets: int = 2048) -> li
         gifts = np.array([gift(i, G) for i in range(game.n)])
         return _ces(gifts, game.rho, log_b) - G
 
-    grid = np.linspace(lo, hi, num_brackets + 1)
-    values = _ces(_replacement_gifts(game, grid), game.rho, log_b) - grid
-
+    f_lo, f_hi = f(lo), f(hi)
+    radius = max(hi, 1.0) * 1e-9
     roots: list[float] = []
-    if game.rho == 1 and abs(values[0]) < 1e-12:
-        roots.append(grid[0])  # nobody contributes even at G = 0
-    elif 0 < game.rho < 1 and abs(values[0]) <= max(hi, 1.0) * 1e-9:
-        # grid[0] is the largest standalone value; a residue within the dedup
-        # radius makes it a fixed point (a lone player's equilibrium)
-        roots.append(float(grid[0]))
-    neg = values < 0
-    for k in np.nonzero((values[:-1] == 0.0) | (neg[:-1] != neg[1:]))[0]:
-        a, b, fa, fb = grid[k], grid[k + 1], values[k], values[k + 1]
-        if fa == 0.0 and a not in roots:
-            roots.append(float(a))
-        elif neg[k] != neg[k + 1]:
-            # Brent reads values, not just signs, so the ends come from the
-            # scalar f, not the scan: the root is that of a point-by-point scan
-            roots.append(float(_brent(f, float(a), float(b), xtol=max(hi, 1.0) * 1e-13)))
-    if abs(values[-1]) < 1e-12 and not any(abs(r - grid[-1]) < 1e-9 for r in roots):
-        roots.append(float(grid[-1]))
+    if (f_lo == 0.0 or game.rho == 1 and abs(f_lo) < 1e-12
+            or 0 < game.rho < 1 and abs(f_lo) <= radius):
+        roots.append(lo)  # nobody contributes at G = 0, or a lone player's fixed point
+    a, f_a = lo, f_lo
+    if lo == 0.0 and f_lo == 0.0 and hi > radius:
+        # a root below the radius would be merged into G = 0 anyway
+        a, f_a = radius, f(radius)
+    if (f_a < 0) != (f_hi < 0):
+        # every root lies above a, so xtol is at most 1e-15 of it
+        roots.append(_brent(f, a, hi, xtol=a * 1e-15, rtol=1e-15, flo=f_a, fhi=f_hi))
+    if abs(f_hi) < 1e-12 and not any(abs(r - hi) < 1e-9 for r in roots):
+        roots.append(hi)
 
     deduped: list[float] = []
     for r in sorted(roots):
-        if not deduped or r - deduped[-1] > max(hi, 1.0) * 1e-9:
+        if not deduped or r - deduped[-1] > radius:
             deduped.append(r)
-
     if not deduped:
-        step = max(1, num_brackets // 64)
-        trace = [(float(G), float(v)) for G, v in zip(grid[::step], values[::step])]
         raise NoEquilibriumError(
             f"no fixed point of the aggregate replacement map on [{lo:.6g}, {hi:.6g}]",
-            scan=trace)
+            scan=[(lo, f_lo), (hi, f_hi)])
 
     results = []
     for G_hat in deduped:

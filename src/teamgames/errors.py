@@ -27,9 +27,11 @@ class RegimeError(TeamworkGameError):
 
 
 class NoEquilibriumError(TeamworkGameError):
-    """The fixed-point scan found no equilibrium.
+    """The concave solver found no fixed point of the aggregate replacement map.
 
-    ``scan`` holds the (G, R(G) - G) trace so callers can see what was searched.
+    ``scan`` holds ``[(lo, R(lo) - lo), (hi, R(hi) - hi)]``, the ends of the
+    interval searched, where ``R(G) - G`` has one sign; it is empty when the
+    interval is.
     """
 
     def __init__(self, message, scan=None):

@@ -209,8 +209,10 @@ def score_scalar(spec: EvaluationSpec, G: float) -> float:
     return spec.d * ez / (1.0 + ez)
 
 
-# Kept beside eval_ratio: ~40x cheaper per call on a float.  The scalar replacement maps,
-# the standalone and weakest-link bisections and the disjunctive branch maths call it.
+# Kept beside eval_ratio: ~40x cheaper per call on a float.  Every solver caller takes one
+# aggregate at a time: the replacement maps (each evaluation of the concave solver's Brent
+# root), the standalone and weakest-link bisections, and the disjunctive thresholds and
+# positive branch.
 def ratio_scalar(spec: EvaluationSpec, G: float) -> float:
     """Scalar fast path for sigma/sigma' used by inner solver loops."""
     if spec.kind == "identity":

@@ -145,66 +145,13 @@ class GameSpec:
         )
 
 
-@dataclass(frozen=True)
-class JointAction:
-    """Fraction of the turn each player allocates to the task."""
-
-    actions: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(float(a) for a in self.actions))
-        for i, a in enumerate(self.actions):
-            if not 0.0 <= a <= 1.0:
-                raise InputError(f"action {i} must lie in [0, 1], got {a}")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.actions, dtype=float)
-
-
-@dataclass(frozen=True)
-class GiftVector:
-    """Work units contributed by each player."""
-
-    gifts: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "gifts", tuple(float(g) for g in self.gifts))
-        for i, g in enumerate(self.gifts):
-            if g < 0:
-                raise InputError(f"gift {i} must be >= 0, got {g}")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.gifts, dtype=float)
-
-
 def _actions_array(game: GameSpec, actions) -> np.ndarray:
-    if isinstance(actions, JointAction):
-        arr = actions.as_array()
-    else:
-        arr = np.asarray(actions, dtype=float)
+    arr = np.asarray(actions, dtype=float)
     if arr.shape != (game.n,):
         raise InputError(f"expected {game.n} actions, got shape {arr.shape}")
     if ((arr < 0) | (arr > 1)).any():
         raise InputError("actions must lie in [0, 1]")
     return arr
-
-
-def gift_from_action(a: float, p: float, delta_t: float) -> float:
-    """Work units gifted by a player with expertise ``p`` acting ``a`` of a turn."""
-    if not 0.0 <= a <= 1.0:
-        raise InputError(f"action must lie in [0, 1], got {a}")
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"expertise must lie in [0, 1], got {p}")
-    if not delta_t > 0:
-        raise InputError(f"delta_t must be > 0, got {delta_t}")
-    return a * p * delta_t
-
-
-def private_good(a: float, p_l: float, delta_t: float) -> float:
-    """Leisure units obtained from the fraction of the turn not worked."""
-    if not 0.0 <= a <= 1.0:
-        raise InputError(f"action must lie in [0, 1], got {a}")
-    return (1.0 - a) * p_l * delta_t
 
 
 def utility(x: float, score: float, alpha: float) -> float:
@@ -235,7 +182,7 @@ def ces_aggregate(gifts, rho: float, betas):
     """
     if rho == 0:
         raise ConfigurationError("rho must be nonzero (rho = 0 is not a CES exponent)")
-    g = gifts.as_array() if isinstance(gifts, GiftVector) else np.asarray(gifts, dtype=float)
+    g = np.asarray(gifts, dtype=float)
     b = np.asarray(betas, dtype=float)
     if b.ndim != 1 or g.shape[:1] != b.shape:
         raise InputError(f"gifts and betas must align on axis 0, got {g.shape} vs {b.shape}")
@@ -278,12 +225,6 @@ def _aggregate_terms(terms: np.ndarray, rho) -> np.ndarray:
     terms -= m
     np.exp(terms, out=terms)
     return np.exp((m + np.log(np.add.reduce(terms, axis=0))) / rho)
-
-
-def gifts_from_actions(game: GameSpec, actions) -> np.ndarray:
-    """Map a joint action to the vector of gifts."""
-    arr = _actions_array(game, actions)
-    return arr * game.full_time_gifts()
 
 
 def _outcome(game: GameSpec, actions: np.ndarray):

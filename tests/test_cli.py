@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from teamgames import cli
+from teamgames import GameSpec, NoEquilibriumError, cli, solve_equilibrium_concave
+from teamgames.equilibrium import standalone_value
 
 
 def write_json(path, payload):
@@ -59,6 +60,20 @@ class TestSolve:
         assert rc == 2
         data = json.loads((tmp_path / "equilibria.json").read_text())
         assert data["equilibria"] == []
+
+    def test_no_equilibrium_writes_the_interval_ends(self, tmp_path):
+        # a weak weakest-link pair: CES(r(G)) < G at both ends of (0, hi]
+        payload = game_spec(rho=-1.0, expertise=(0.3, 0.5))
+        g = GameSpec.from_dict(payload)
+        with pytest.raises(NoEquilibriumError) as info:
+            solve_equilibrium_concave(g)
+        (lo, f_lo), (hi, f_hi) = info.value.scan
+        assert hi == min(standalone_value(i, g) for i in range(g.n))
+        assert lo == hi * 1e-9 and f_lo < 0 and f_hi < 0
+        spec = write_json(tmp_path / "game.json", payload)
+        assert cli.main(["solve", "--input", spec, "--output-dir", str(tmp_path)]) == 2
+        data = json.loads((tmp_path / "equilibria.json").read_text())
+        assert data == {"equilibria": [], "scan": [[lo, f_lo], [hi, f_hi]]}
 
     def test_unknown_key_named(self, tmp_path, capsys):
         payload = game_spec()

@@ -9,7 +9,6 @@ from teamgames.equilibrium import (
     NashCheck,
     _best_positive_response,
     _conjunctive_gift,
-    _replacement_gifts,
     critical_thresholds,
     enumerate_disjunctive_equilibria,
     max_achievable_utility,
@@ -757,60 +756,8 @@ class TestMalformedInput:
         with pytest.raises(InputError, match=r"player must be an integer in \[0, 1\]"):
             call(player, game(rho=rho))
 
-    @pytest.mark.parametrize("num_brackets", [0, -3])
-    def test_num_brackets_named(self, num_brackets):
-        with pytest.raises(InputError, match="num_brackets"):
-            solve_equilibrium_concave(game(rho=1.0), num_brackets=num_brackets)
 
-
-def _scan_grid(g):
-    """The concave solver's bracket grid, over the players who can contribute."""
-    standalones = [standalone_value(i, g) for i, p in enumerate(g.expertise) if p > 0]
-    G_max = g.max_aggregate()
-    if g.rho == 1:
-        return np.linspace(0.0, G_max, 2049)
-    if g.rho > 0:
-        return np.linspace(max(standalones), G_max, 2049)
-    hi = min(standalones)
-    return np.linspace(hi * 1e-9, hi, 2049)
-
-
-class TestReplacementGiftsParity:
-    """The batched scan agrees with the scalar replacement maps at every grid point."""
-
-    @pytest.mark.parametrize("rho", [-500.0, -100.0, -3.0, 0.5, 1.0])
-    @pytest.mark.parametrize("expertise", [(0.8,), (0.3, 0.9), (0.0, 0.5, 0.9)],
-                             ids=["n1", "n2", "n3-p0"])
-    @pytest.mark.parametrize("kind", ["logistic", "identity"])
-    def test_matches_scalar_maps(self, rho, expertise, kind):
-        g = game(rho=rho, expertise=expertise, b=3.0, kind=kind,
-                 betas=(1.0, 1.7, 0.6)[:len(expertise)])
-        grid = _scan_grid(g)
-        batched = _replacement_gifts(g, grid)
-        if rho == 1:
-            scalar = np.array([[replacement_additive(G, i, g) for G in grid]
-                               for i in range(g.n)])
-        else:
-            scalar = np.array([[replacement_conjunctive(G, i, g) for G in grid]
-                               for i in range(g.n)])
-        xtol = (np.asarray(expertise) * g.delta_t * 1e-14)[:, None]
-        assert np.all(np.abs(batched - scalar) <= xtol)
-        signs = [np.sign(ces_aggregate(gifts, g.rho, g.betas) - grid)
-                 for gifts in (batched, scalar)]
-        np.testing.assert_array_equal(signs[0], signs[1])
-
-    @pytest.mark.parametrize("rho", [-500.0, -3.0, 0.5, 1.0])
-    def test_solver_reports_the_scalar_scan_equilibria(self, rho, monkeypatch):
-        # only the scan's signs come from the batch, so the equilibria are bitwise
-        # those of a scan that calls the scalar maps point by point
-        g = game(rho=rho, expertise=(0.3, 0.5, 0.9), b=3.0)
-        batched = solve_equilibrium_concave(g)
-        assert batched
-        fn = replacement_additive if rho == 1 else replacement_conjunctive
-        monkeypatch.setattr(equilibrium, "_replacement_gifts", lambda g, grid: np.array(
-            [[fn(G, i, g) for G in grid] for i in range(g.n)]))
-        assert solve_equilibrium_concave(g) == batched
-
+class TestZeroAggregate:
     @pytest.mark.parametrize("rho,kind,expected", [
         (-3.0, "identity", 0.0), (-3.0, "logistic", 0.0),
         (0.5, "identity", 9.0), (0.5, "logistic", 0.0)])
@@ -819,15 +766,15 @@ class TestReplacementGiftsParity:
         # positive ratio meets G**(rho-1) = +inf, so the root tends to 0
         g = game(rho=rho, expertise=(0.0, 0.9), b=5.0, kind=kind)
         assert replacement_conjunctive(0.0, 1, g, standalone=0.0) == expected
-        np.testing.assert_array_equal(_replacement_gifts(g, np.array([0.0])),
-                                      [[0.0], [expected]])
 
     def test_solver_starts_at_zero_aggregate_between_zero_and_one(self):
-        # every standalone value is 0, so the scan starts at G = 0 (a math
+        # every standalone value is 0, so the interval starts at G = 0 (a math
         # domain error in math.log before)
         g = game(rho=0.5, expertise=(0.1, 0.1), b=5.0)
         results = solve_equilibrium_concave(g)
         assert results[0].aggregate_G == 0.0
+        # f = 0 at G = 0 says nothing of the crossing, which lies above it
+        assert len(results) == 2 and results[1].aggregate_G > 1.0
         eps = 1e-3 * max_achievable_utility(g)
         for r in results:
             assert verify_epsilon_nash(r.actions, g, eps, grid_step=0.01,
@@ -1148,7 +1095,6 @@ class TestConjunctiveRootBelowBracket:
                      alpha=2.0, evaluation=EvaluationSpec("logistic", d=10.0, gamma=100.0,
                                                           b=0.5))
         assert replacement_conjunctive(7.0, 0, g) == 0.0
-        np.testing.assert_array_equal(_replacement_gifts(g, np.array([7.0])), [[0.0], [0.0]])
         results = solve_equilibrium_concave(g)
         assert len(results) == 1
         assert results[0].aggregate_G == pytest.approx(0.6206, abs=1e-4)
@@ -1174,55 +1120,86 @@ class TestConjunctiveFixedPointAtScanStart:
                                    refine_step=1e-4).is_nash
 
 
-def _random_conjunctive_games(count, seed=15):
-    """A seeded family of smooth conjunctive games: rho from -500 to 0.9,
-    one to three players, identity and logistic evaluations."""
+def _random_concave_games(count, seed=21):
+    """A seeded family of smooth conjunctive games: two to five players, rho
+    from -500 to 0.99 (log-uniform in |rho| below 0, uniform above, |rho| >=
+    0.05), identity and logistic evaluations, random weights, expertise,
+    alpha and turn length."""
     rng = np.random.default_rng(seed)
     games = []
-    while len(games) < count:
-        rho = float(rng.uniform(-500.0, 0.9))
-        if abs(rho) < 1e-3:
-            continue
-        n = int(rng.integers(1, 4))
+    for _ in range(count):
+        if rng.integers(2):
+            rho = -float(10.0 ** rng.uniform(math.log10(0.05), math.log10(500.0)))
+        else:
+            rho = float(rng.uniform(0.05, 0.99))
+        n = int(rng.integers(2, 6))
         ev = EvaluationSpec("identity") if rng.integers(2) else EvaluationSpec(
-            "logistic", d=10.0, gamma=float(rng.uniform(0.5, 5.0)), b=float(rng.uniform(1.0, 8.0)))
+            "logistic", d=float(rng.uniform(1.0, 20.0)), gamma=float(10.0 ** rng.uniform(-1, 1.5)),
+            b=float(rng.uniform(0.5, 10.0)))
         games.append(GameSpec(n=n, rho=rho, betas=tuple(rng.uniform(0.5, 2.0, n)),
-                              delta_t=10.0, expertise=tuple(rng.uniform(0.1, 1.0, n)),
+                              delta_t=float(rng.uniform(2.0, 20.0)),
+                              expertise=tuple(rng.uniform(0.05, 1.0, n)),
                               alpha=float(rng.uniform(0.5, 3.0)), evaluation=ev))
     return games
 
 
+class TestOneRootPerConcaveGame:
+    """``CES(r(G))/G`` never rises, so the solver's one bracketed root is
+    every fixed point a dense point-by-point scan of the scalar maps finds."""
+
+    @pytest.fixture(scope="class")
+    def scans(self):
+        """Each game with a non-empty interval, and ``CES(r(G))`` on a
+        513-point geometric grid over the solver's interval (from ``hi*1e-9``
+        where that starts at 0)."""
+        out = []
+        for g in _random_concave_games(60):
+            standalones = [standalone_value(i, g) for i in range(g.n)]
+            lo, hi = ((max(standalones), g.max_aggregate()) if g.rho > 0
+                      else (min(standalones) * 1e-9, min(standalones)))
+            if not hi > lo:
+                continue  # a player who never contributes: no weakest-link fixed point
+            grid = np.geomspace(lo or hi * 1e-9, hi, 513)
+            out.append((g, lo, grid, np.array([_outcome_of_replacements(g, G) for G in grid])))
+        return out
+
+    def test_ces_over_aggregate_never_rises(self, scans):
+        assert len(scans) >= 45
+        for g, _, grid, R in scans:
+            ratio = R / grid
+            assert np.all(np.diff(ratio) <= 1e-13 * ratio[:-1]), g
+
+    def test_solver_finds_the_dense_scan_roots(self, scans):
+        counts = []
+        for g, lo, grid, R in scans:
+            f = R - grid
+            expected = [0.0] if lo == 0.0 and _outcome_of_replacements(g, 0.0) == 0.0 else []
+            for k in np.nonzero((f[:-1] < 0) != (f[1:] < 0))[0]:
+                a, b, fa = grid[k], grid[k + 1], f[k]
+                while a < 0.5 * (a + b) < b:  # bisect to adjacent floats
+                    mid = 0.5 * (a + b)
+                    fm = _outcome_of_replacements(g, mid) - mid
+                    a, b, fa = (mid, b, fm) if (fm < 0) == (fa < 0) else (a, mid, fa)
+                expected.append(a)
+            try:
+                found = [e.aggregate_G for e in solve_equilibrium_concave(g)]
+            except NoEquilibriumError:
+                found = []
+            assert len(found) == len(expected), g
+            np.testing.assert_allclose(found, expected, rtol=1e-12, atol=0, err_msg=str(g))
+            counts.append(len(found))
+        assert counts.count(1) >= 30
+
+
+def _outcome_of_replacements(g, G):
+    """``CES(r(G))`` from the scalar replacement maps."""
+    return ces_aggregate([replacement_conjunctive(G, i, g) for i in range(g.n)], g.rho, g.betas)
+
+
 class TestConjunctiveGiftNewton:
-    """The scan's gift roots: the scalar root's steps, one root at a time."""
-
-    @pytest.mark.parametrize("rho", [-500.0, -100.0, -3.0, 0.5])
-    @pytest.mark.parametrize("expertise", [(0.8,), (0.3, 0.9), (0.2, 0.5, 0.9)],
-                             ids=["n1", "n2", "n3"])
-    def test_each_root_independent_of_the_batch(self, rho, expertise):
-        g = game(rho=rho, expertise=expertise, b=3.0, betas=(1.0, 1.7, 0.6)[:len(expertise)])
-        grid = _scan_grid(g)
-        batched = _replacement_gifts(g, grid)
-        for j in range(len(grid)):
-            np.testing.assert_array_equal(batched[:, j:j + 1],
-                                          _replacement_gifts(g, grid[j:j + 1]))
-
-    def test_scan_matches_scalar_root_on_random_games(self):
-        for g in _random_conjunctive_games(200):
-            grid = _scan_grid(g)[::8]
-            batched = _replacement_gifts(g, grid)
-            for i in range(g.n):
-                cap = g.expertise[i] * g.delta_t
-                scalar = [_conjunctive_gift(ratio_scalar(g.evaluation, G), G, g.expertise[i],
-                                            g.betas[i], g.alpha, g.delta_t, g.rho)
-                          for G in grid]
-                assert np.all(np.abs(batched[i] - scalar) <= 1e-15 * cap)
-
     def test_unconverged_root_refused_by_name(self, monkeypatch):
         g = game(rho=-3.0, expertise=(0.3, 0.9), b=3.0)
-        grid = _scan_grid(g)
         monkeypatch.setattr(equilibrium, "_NEWTON_STEPS", 1)
-        with pytest.raises(InputError, match="gift root of player 0 at G = .* did not converge"):
-            _replacement_gifts(g, grid)
         with pytest.raises(InputError, match="gift root for p = 0.3, G = 2.0 did not converge"):
             _conjunctive_gift(ratio_scalar(g.evaluation, 2.0), 2.0, 0.3, 1.0, g.alpha,
                               g.delta_t, g.rho)

@@ -2,21 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from teamgames.errors import ConfigurationError, InputError
 from teamgames.evaluation import EvaluationSpec, eval_score
 from teamgames.games import (
     GameSpec,
-    GiftVector,
-    JointAction,
     _payoffs,
     ces_aggregate,
     evaluate_joint_action,
-    gift_from_action,
-    gifts_from_actions,
-    private_good,
     utility,
 )
 
@@ -28,44 +21,6 @@ def two_player(rho=1.0, expertise=(0.3, 0.8), b=5.0, kind="logistic", alpha=2.0)
         ev = EvaluationSpec(kind, d=10.0, gamma=2.0, b=b)
     return GameSpec(n=2, rho=rho, betas=(1.0, 1.0), delta_t=10.0,
                     expertise=expertise, alpha=alpha, evaluation=ev)
-
-
-class TestGift:
-    def test_direct_product(self):
-        assert gift_from_action(0.5, 0.8, 10) == pytest.approx(4.0)
-
-    def test_zero_action(self):
-        assert gift_from_action(0.0, 0.3, 10) == 0.0
-
-    def test_strong_player_three_quarter_turn(self):
-        # the stronger player's gift from 75% of a 10-unit turn
-        assert gift_from_action(0.75, 0.8, 10) == pytest.approx(6.0)
-
-    @pytest.mark.parametrize("a,p,dt", [(-0.1, 0.5, 10), (1.1, 0.5, 10),
-                                        (0.5, 1.5, 10), (0.5, 0.5, 0.0)])
-    def test_domain(self, a, p, dt):
-        with pytest.raises(InputError):
-            gift_from_action(a, p, dt)
-
-
-class TestPrivateGood:
-    def test_basic(self):
-        assert private_good(0.3, 1, 10) == pytest.approx(7.0)
-
-    def test_full_dedication(self):
-        assert private_good(1.0, 1, 10) == 0.0
-
-    def test_exogenous_income(self):
-        assert private_good(0.0, 1, 10) == 10.0
-
-    @given(a=st.floats(0, 1), p=st.floats(0.01, 1.0), pl=st.floats(0.0, 1.0),
-           dt=st.floats(0.1, 100.0))
-    @settings(max_examples=100, deadline=None)
-    def test_budget_constraint(self, a, p, pl, dt):
-        # leisure plus the leisure-equivalent of the gift exhausts the endowment
-        g = gift_from_action(a, p, dt)
-        x = private_good(a, pl, dt)
-        assert x + g * pl / p == pytest.approx(dt * pl, rel=1e-12, abs=1e-12)
 
 
 class TestUtility:
@@ -119,9 +74,6 @@ class TestCes:
     def test_malformed_input_rejected(self, gifts, betas):
         with pytest.raises(InputError):
             ces_aggregate(gifts, 2.0, betas)
-
-    def test_gift_vector_accepted(self):
-        assert ces_aggregate(GiftVector((3.0, 3.0)), 1.0, (1, 1)) == pytest.approx(6.0)
 
     @pytest.mark.parametrize("rho,tol", [(-10, 1e-9), (-3, 1e-9), (0.5, 1e-9),
                                          (1, 1e-9), (3, 1e-9), (10, 1e-9),
@@ -200,19 +152,6 @@ class TestGameSpec:
 
 
 class TestJointTypes:
-    def test_joint_action_domain(self):
-        with pytest.raises(InputError):
-            JointAction((0.5, 1.2))
-
-    def test_gift_vector_domain(self):
-        with pytest.raises(InputError):
-            GiftVector((-0.1, 2.0))
-
-    def test_gifts_from_actions(self):
-        game = two_player()
-        np.testing.assert_allclose(
-            gifts_from_actions(game, (0.5, 0.25)), [1.5, 2.0])
-
     def test_evaluate_joint_action_pipeline(self):
         game = two_player(b=7.0)
         gifts, G, score, rewards = evaluate_joint_action(game, (1 / 3, 0.75))

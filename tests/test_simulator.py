@@ -69,10 +69,11 @@ class TestTrainMechanics:
         assert a.greedy_actions != b.greedy_actions or a.learned_G != b.learned_G
 
     def test_learned_G_consistent_with_actions(self):
-        from teamgames.games import ces_aggregate, gifts_from_actions
+        from teamgames.games import ces_aggregate
         g = game(rho=-10.0, expertise=(0.5, 0.7), b=5.0)
         out = train(g, TrainConfig(episodes=1500, seed=7))
-        expected = ces_aggregate(gifts_from_actions(g, out.greedy_actions), g.rho, g.betas)
+        gifts = np.asarray(out.greedy_actions) * g.full_time_gifts()
+        expected = ces_aggregate(gifts, g.rho, g.betas)
         assert out.learned_G == pytest.approx(expected, abs=1e-9)
 
     def test_single_episode_runs(self):
