@@ -1108,7 +1108,7 @@ class TestConjunctiveFixedPointAtScanStart:
     @pytest.mark.parametrize("kind,gamma", [("identity", 2.0), ("logistic", 2.0),
                                             ("logistic", 100.0)])
     def test_lone_player_standalone_is_found(self, rho, p, kind, gamma):
-        # the scan starts at the standalone point, the lone player's fixed
+        # the interval starts at the standalone point, the lone player's fixed
         # point, where R(G) - G is a rounding residue of 1e-15 to 1e-12,
         # often negative, rather than an exact zero
         g = game(rho=rho, expertise=(p,), kind=kind, gamma=gamma)
@@ -1122,9 +1122,12 @@ class TestConjunctiveFixedPointAtScanStart:
 
 def _random_concave_games(count, seed=21):
     """A seeded family of smooth conjunctive games: two to five players, rho
-    from -500 to 0.99 (log-uniform in |rho| below 0, uniform above, |rho| >=
-    0.05), identity and logistic evaluations, random weights, expertise,
-    alpha and turn length."""
+    from -500 to 0.99 (log-uniform in |rho| below 0, uniform above), identity
+    and logistic evaluations, random weights, expertise, alpha and turn
+    length.  |rho| stays above 0.05: nearer 0 the top of the interval,
+    ``max_aggregate``, grows like ``n**(1/rho)``, and with it the end rules'
+    radius ``max(hi, 1)*1e-9``, until the lone-player rule takes a point
+    with ``f`` far from 0 for a root."""
     rng = np.random.default_rng(seed)
     games = []
     for _ in range(count):
@@ -1141,6 +1144,11 @@ def _random_concave_games(count, seed=21):
                               expertise=tuple(rng.uniform(0.05, 1.0, n)),
                               alpha=float(rng.uniform(0.5, 3.0)), evaluation=ev))
     return games
+
+
+def _outcome_of_replacements(g, G):
+    """``CES(r(G))`` from the scalar replacement maps."""
+    return ces_aggregate([replacement_conjunctive(G, i, g) for i in range(g.n)], g.rho, g.betas)
 
 
 class TestOneRootPerConcaveGame:
@@ -1189,11 +1197,6 @@ class TestOneRootPerConcaveGame:
             np.testing.assert_allclose(found, expected, rtol=1e-12, atol=0, err_msg=str(g))
             counts.append(len(found))
         assert counts.count(1) >= 30
-
-
-def _outcome_of_replacements(g, G):
-    """``CES(r(G))`` from the scalar replacement maps."""
-    return ces_aggregate([replacement_conjunctive(G, i, g) for i in range(g.n)], g.rho, g.betas)
 
 
 class TestConjunctiveGiftNewton:
