@@ -285,8 +285,9 @@ class TestSolveConcave:
 
     def test_degenerate_weakest_link_reports_no_equilibrium(self):
         g = game(rho=-10.0, expertise=(0.0, 0.8), b=5.0)
-        with pytest.raises(NoEquilibriumError):
+        with pytest.raises(NoEquilibriumError) as info:
             solve_equilibrium_concave(g)
+        assert info.value.scan == []  # the interval is empty: no ends to report
 
     def test_disjunctive_rejected(self):
         with pytest.raises(WrongSolverError):
@@ -757,6 +758,101 @@ class TestMalformedInput:
             call(player, game(rho=rho))
 
 
+def _scan_grid(g, num=2049):
+    """``num`` uniform points over the concave solver's interval, set by the
+    players who can contribute."""
+    standalones = [standalone_value(i, g) for i, p in enumerate(g.expertise) if p > 0]
+    G_max = g.max_aggregate()
+    if g.rho == 1:
+        return np.linspace(0.0, G_max, num)
+    if g.rho > 0:
+        return np.linspace(max(standalones), G_max, num)
+    hi = min(standalones)
+    return np.linspace(hi * 1e-9, hi, num)
+
+
+def _replacement_gifts(g, G):
+    """Every player's gift at ``G`` from the scalar replacement map of the game's regime."""
+    fn = replacement_additive if g.rho == 1 else replacement_conjunctive
+    return [fn(G, i, g) for i in range(g.n)]
+
+
+def _first_order_condition(r, G, i, g):
+    """``log`` of the left side minus the right side of player ``i``'s
+    first-order condition ``(dt - r/p) * (beta*p/alpha) * r**(rho-1) =
+    sigma/sigma' * G**(rho-1)``, for rho <= 1 decreasing in ``r`` on
+    ``(0, p*dt)``."""
+    p, beta, rho = g.expertise[i], g.betas[i], g.rho
+    return (math.log(g.delta_t - r / p) + math.log(beta * p / g.alpha)
+            + (rho - 1.0) * math.log(r) - math.log(ratio_scalar(g.evaluation, G))
+            - (rho - 1.0) * math.log(G))
+
+
+def _assert_first_order_root(r, G, i, g, tol):
+    """The gift ``r`` lies within ``tol`` of the root of the first-order
+    condition, or of the end of ``[0, p*dt]`` the root lies beyond: the
+    condition has its sign on either side of ``r`` at that distance."""
+    cap = g.expertise[i] * g.delta_t
+    if cap == 0.0:
+        assert r == 0.0
+        return
+    assert 0.0 <= r <= cap, (G, i, r)
+    if r - tol > 0.0:
+        assert _first_order_condition(r - tol, G, i, g) >= 0.0, (G, i, r)
+    if r + tol < cap:
+        assert _first_order_condition(r + tol, G, i, g) <= 0.0, (G, i, r)
+
+
+def _roots_by_bisection(f, grid, values):
+    """Every sign change of ``values = f(grid)`` bisected to adjacent floats."""
+    roots = []
+    for k in np.nonzero((values[:-1] < 0) != (values[1:] < 0))[0]:
+        a, b, fa = grid[k], grid[k + 1], values[k]
+        while a < 0.5 * (a + b) < b:
+            mid = 0.5 * (a + b)
+            fm = f(mid)
+            a, b, fa = (mid, b, fm) if (fm < 0) == (fa < 0) else (a, mid, fa)
+        roots.append(a)
+    return roots
+
+
+class TestReplacementMapsOnTheInterval:
+    """The scalar replacement maps over the solver's interval: each gift is its
+    first-order condition's root, and ``CES(r(G)) - G`` changes sign once."""
+
+    @pytest.mark.parametrize("rho", [-500.0, -100.0, -3.0, 0.5, 1.0])
+    @pytest.mark.parametrize("expertise", [(0.8,), (0.3, 0.9), (0.0, 0.5, 0.9)],
+                             ids=["n1", "n2", "n3-p0"])
+    @pytest.mark.parametrize("kind", ["logistic", "identity"])
+    def test_gifts_solve_the_first_order_condition(self, rho, expertise, kind):
+        g = game(rho=rho, expertise=expertise, b=3.0, kind=kind,
+                 betas=(1.0, 1.7, 0.6)[:len(expertise)])
+        grid = _scan_grid(g)
+        gifts = np.array([_replacement_gifts(g, G) for G in grid]).T
+        for G, column in zip(grid, gifts.T):
+            if G == 0.0:
+                continue  # the condition's logs are infinite; TestZeroAggregate covers it
+            for i, r in enumerate(column):
+                _assert_first_order_root(r, G, i, g, 1e-14 * g.expertise[i] * g.delta_t)
+        signs = np.sign(ces_aggregate(gifts, g.rho, g.betas) - grid)
+        signs = signs[signs != 0]
+        assert np.count_nonzero(signs[1:] != signs[:-1]) <= 1
+
+    @pytest.mark.parametrize("rho", [-500.0, -3.0, 0.5, 1.0])
+    def test_solver_reports_the_scalar_scan_equilibria(self, rho):
+        # the one Brent root is the crossing a 2,049-point scan of the scalar
+        # maps finds, bisected to adjacent floats
+        g = game(rho=rho, expertise=(0.3, 0.5, 0.9), b=3.0)
+        found = [e.aggregate_G for e in solve_equilibrium_concave(g)]
+        assert found
+
+        def f(G):
+            return ces_aggregate(_replacement_gifts(g, G), g.rho, g.betas) - G
+        grid = _scan_grid(g)
+        expected = _roots_by_bisection(f, grid, np.array([f(G) for G in grid]))
+        np.testing.assert_allclose(found, expected, rtol=1e-12, atol=0)
+
+
 class TestZeroAggregate:
     @pytest.mark.parametrize("rho,kind,expected", [
         (-3.0, "identity", 0.0), (-3.0, "logistic", 0.0),
@@ -1148,7 +1244,7 @@ def _random_concave_games(count, seed=21):
 
 def _outcome_of_replacements(g, G):
     """``CES(r(G))`` from the scalar replacement maps."""
-    return ces_aggregate([replacement_conjunctive(G, i, g) for i in range(g.n)], g.rho, g.betas)
+    return ces_aggregate(_replacement_gifts(g, G), g.rho, g.betas)
 
 
 class TestOneRootPerConcaveGame:
@@ -1182,13 +1278,8 @@ class TestOneRootPerConcaveGame:
         for g, lo, grid, R in scans:
             f = R - grid
             expected = [0.0] if lo == 0.0 and _outcome_of_replacements(g, 0.0) == 0.0 else []
-            for k in np.nonzero((f[:-1] < 0) != (f[1:] < 0))[0]:
-                a, b, fa = grid[k], grid[k + 1], f[k]
-                while a < 0.5 * (a + b) < b:  # bisect to adjacent floats
-                    mid = 0.5 * (a + b)
-                    fm = _outcome_of_replacements(g, mid) - mid
-                    a, b, fa = (mid, b, fm) if (fm < 0) == (fa < 0) else (a, mid, fa)
-                expected.append(a)
+            expected += _roots_by_bisection(
+                lambda G: _outcome_of_replacements(g, G) - G, grid, f)  # noqa: B023
             try:
                 found = [e.aggregate_G for e in solve_equilibrium_concave(g)]
             except NoEquilibriumError:
@@ -1199,7 +1290,52 @@ class TestOneRootPerConcaveGame:
         assert counts.count(1) >= 30
 
 
+def _random_conjunctive_games(count, seed=15):
+    """A seeded family of smooth conjunctive games: rho from -500 to 0.9,
+    one to three players, identity and logistic evaluations."""
+    rng = np.random.default_rng(seed)
+    games = []
+    while len(games) < count:
+        rho = float(rng.uniform(-500.0, 0.9))
+        if abs(rho) < 1e-3:
+            continue
+        n = int(rng.integers(1, 4))
+        ev = EvaluationSpec("identity") if rng.integers(2) else EvaluationSpec(
+            "logistic", d=10.0, gamma=float(rng.uniform(0.5, 5.0)), b=float(rng.uniform(1.0, 8.0)))
+        games.append(GameSpec(n=n, rho=rho, betas=tuple(rng.uniform(0.5, 2.0, n)),
+                              delta_t=10.0, expertise=tuple(rng.uniform(0.1, 1.0, n)),
+                              alpha=float(rng.uniform(0.5, 3.0)), evaluation=ev))
+    return games
+
+
 class TestConjunctiveGiftNewton:
+    """``_conjunctive_gift``, the one gift root of every rho < 1 solve."""
+
+    @pytest.mark.parametrize("rho", [-500.0, -100.0, -3.0, 0.5])
+    @pytest.mark.parametrize("expertise", [(0.8,), (0.3, 0.9), (0.2, 0.5, 0.9)],
+                             ids=["n1", "n2", "n3"])
+    def test_gift_per_unit_aggregate_never_rises(self, rho, expertise):
+        # the share-function argument's premise, player by player: r_i(G)/G
+        # is non-increasing over the solver's interval
+        g = game(rho=rho, expertise=expertise, b=3.0, betas=(1.0, 1.7, 0.6)[:len(expertise)])
+        grid = _scan_grid(g)
+        for i in range(g.n):
+            y = np.array([replacement_conjunctive(G, i, g) for G in grid]) / grid
+            assert np.all(np.diff(y) <= 1e-13 * y[:-1]), i
+
+    def test_root_solves_the_first_order_condition_on_random_games(self):
+        for g in _random_conjunctive_games(200):
+            # a player who gives nothing alone leaves a weakest-link game no
+            # interval: its grid is G = 0, where every gift is 0
+            for G in _scan_grid(g)[::64]:
+                if G == 0.0:
+                    continue
+                ratio = ratio_scalar(g.evaluation, G)
+                for i in range(g.n):
+                    r = _conjunctive_gift(ratio, G, g.expertise[i], g.betas[i], g.alpha,
+                                          g.delta_t, g.rho)
+                    _assert_first_order_root(r, G, i, g, 1e-14 * g.expertise[i] * g.delta_t)
+
     def test_unconverged_root_refused_by_name(self, monkeypatch):
         g = game(rho=-3.0, expertise=(0.3, 0.9), b=3.0)
         monkeypatch.setattr(equilibrium, "_NEWTON_STEPS", 1)

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teamgames.errors import ConfigurationError, InputError
 from teamgames.evaluation import EvaluationSpec, eval_score
 from teamgames.games import (
     GameSpec,
+    _leisure_payoff,
     _payoffs,
     ces_aggregate,
     evaluate_joint_action,
@@ -21,6 +24,66 @@ def two_player(rho=1.0, expertise=(0.3, 0.8), b=5.0, kind="logistic", alpha=2.0)
         ev = EvaluationSpec(kind, d=10.0, gamma=2.0, b=b)
     return GameSpec(n=2, rho=rho, betas=(1.0, 1.0), delta_t=10.0,
                     expertise=expertise, alpha=alpha, evaluation=ev)
+
+
+def one_player(p=0.8, delta_t=10.0, leisure=1.0, alpha=2.0):
+    return GameSpec(n=1, rho=1.0, betas=(1.0,), delta_t=delta_t, expertise=(p,),
+                    leisure_capacity=(leisure,), alpha=alpha,
+                    evaluation=EvaluationSpec("identity"))
+
+
+def gift(a, game):
+    """The one player's gift from action ``a``, as the pipeline computes it."""
+    return float(evaluate_joint_action(game, (a,))[0][0])
+
+
+def leisure(a, game):
+    """The one player's leisure from action ``a``: the pipeline's leisure factor at alpha = 1."""
+    return float(_leisure_payoff(game, np.array([a]))[0])
+
+
+class TestGift:
+    def test_direct_product(self):
+        assert gift(0.5, one_player(p=0.8)) == pytest.approx(4.0)
+
+    def test_zero_action(self):
+        assert gift(0.0, one_player(p=0.3)) == 0.0
+
+    def test_strong_player_three_quarter_turn(self):
+        # the stronger player's gift from 75% of a 10-unit turn
+        assert gift(0.75, one_player(p=0.8)) == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("a,p,dt", [(-0.1, 0.5, 10), (1.1, 0.5, 10),
+                                        (0.5, 1.5, 10), (0.5, 0.5, 0.0)])
+    def test_domain(self, a, p, dt):
+        # the pipeline refuses an action outside [0, 1]; the game refuses
+        # expertise outside [0, 1] and a turn of no length
+        if 0 <= p <= 1 and dt > 0:
+            with pytest.raises(InputError, match=r"actions must lie in \[0, 1\]"):
+                gift(a, one_player(p=p, delta_t=dt))
+        else:
+            with pytest.raises(ConfigurationError):
+                one_player(p=p, delta_t=dt)
+
+
+class TestPrivateGood:
+    def test_basic(self):
+        assert leisure(0.3, one_player(alpha=1.0)) == pytest.approx(7.0)
+
+    def test_full_dedication(self):
+        assert leisure(1.0, one_player(alpha=1.0)) == 0.0
+
+    def test_exogenous_income(self):
+        assert leisure(0.0, one_player(alpha=1.0)) == 10.0
+
+    @given(a=st.floats(0, 1), p=st.floats(0.01, 1.0), pl=st.floats(0.0, 1.0),
+           dt=st.floats(0.1, 100.0))
+    @settings(max_examples=100, deadline=None)
+    def test_budget_constraint(self, a, p, pl, dt):
+        # leisure plus the leisure-equivalent of the gift exhausts the endowment
+        game = one_player(p=p, delta_t=dt, leisure=pl, alpha=1.0)
+        x, g = leisure(a, game), gift(a, game)
+        assert x + g * pl / p == pytest.approx(dt * pl, rel=1e-12, abs=1e-12)
 
 
 class TestUtility:
@@ -152,6 +215,20 @@ class TestGameSpec:
 
 
 class TestJointTypes:
+    def test_joint_action_domain(self):
+        with pytest.raises(InputError, match=r"actions must lie in \[0, 1\]"):
+            evaluate_joint_action(two_player(), (0.5, 1.2))
+
+    @pytest.mark.parametrize("actions", [(0.5,), (0.5, 0.5, 0.5), ((0.5, 0.5),)])
+    def test_joint_action_shape(self, actions):
+        with pytest.raises(InputError, match="expected 2 actions"):
+            evaluate_joint_action(two_player(), actions)
+
+    def test_gifts_from_actions(self):
+        game = two_player()
+        np.testing.assert_allclose(
+            evaluate_joint_action(game, (0.5, 0.25))[0], [1.5, 2.0])
+
     def test_evaluate_joint_action_pipeline(self):
         game = two_player(b=7.0)
         gifts, G, score, rewards = evaluate_joint_action(game, (1 / 3, 0.75))
