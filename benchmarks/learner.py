@@ -71,10 +71,12 @@ distinct values):
   evaluations per root of the three outer loops, and how many roots of each
   kind were found (untimed: every evaluation is counted).  A critical
   threshold counts its ``_best_positive_response`` calls, the one at the
-  root included, whatever root-finder it runs; a concave fixed point and a
-  disjunctive share equation count the function evaluations of the
-  root-finder (end values the caller passes in are not counted: since
-  ``BENCH_21`` the concave solver passes in both of its interval's ends);
+  root included, whatever root-finder it runs; a concave fixed point, a
+  disjunctive share equation and a player's standalone point count the
+  function evaluations of the root-finder (end values the caller passes in
+  are not counted: since ``BENCH_21`` the concave solver passes in both of
+  its interval's ends, and since ``BENCH_22`` the standalone point its
+  value at 0);
 * ``tier1`` (with ``--tier1``): one run of the test suite of the checkout
   that holds each side's sources.
 """
@@ -396,7 +398,8 @@ def case(name: str) -> dict:
     elif name == "roots":
         from teamgames import equilibrium
         callers = {"solve_equilibrium_concave": "concave",
-                   "enumerate_disjunctive_equilibria": "share"}
+                   "enumerate_disjunctive_equilibria": "share",
+                   "_bisect_standalone": "standalone", "_lone_root": "standalone"}
         evals = {"thresholds": [], **{kind: [] for kind in callers.values()}}
         best, thresholds = equilibrium._best_positive_response, equilibrium.critical_thresholds
         responses = None  # best responses of the threshold being found

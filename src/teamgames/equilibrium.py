@@ -90,34 +90,12 @@ class NashCheck:
 # scalar root-finding / log-domain helpers
 # ---------------------------------------------------------------------------
 
-def _bisect(f, lo, hi, *, xtol, flo=None, fhi=None, maxiter=400):
-    """Plain bisection; tolerant of +/-inf function values at the ends."""
-    flo = f(lo) if flo is None else flo
-    fhi = f(hi) if fhi is None else fhi
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    if (flo < 0) == (fhi < 0):
-        raise InputError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-    for _ in range(maxiter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0:
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= xtol:
-            break
-    return 0.5 * (lo + hi)
-
-
 def _brent(f, lo, hi, *, xtol, rtol=0.0, flo=None, fhi=None, maxiter=400):
-    """Brent's method with ``_bisect``'s contract: inverse quadratic
-    interpolation or a secant step, falling back to bisection whenever the
-    step leaves the bracket, shrinks too slowly or meets an infinite value.
+    """Brent's method on a bracket ``[lo, hi]`` whose ends' values differ in
+    sign: inverse quadratic interpolation or a secant step, falling back to
+    bisection whenever the step leaves the bracket, shrinks too slowly or
+    meets an infinite value.  An end at a root is returned; ends of one sign
+    raise ``InputError``.
 
     ``b`` is the best point so far, ``c`` the other end of the bracket
     ``[b, c]`` and ``a`` the previous ``b``.  Returns ``b`` once the bracket
@@ -195,6 +173,8 @@ def replacement_additive(G: float, player: int, game: GameSpec) -> float:
         raise WrongSolverError(
             f"additive replacement requires rho = 1, got rho = {game.rho}")
     _require_smooth(game, "replacement function")
+    if not G >= 0:
+        raise RegimeError(f"aggregate must be >= 0, got {G}")
     p = game.expertise[player]
     if p == 0.0:
         return 0.0
@@ -208,27 +188,61 @@ def replacement_additive(G: float, player: int, game: GameSpec) -> float:
 _NEWTON_STEPS = 100
 
 
+def _gift_condition(r: float, cap: float, rho: float, k: float) -> float:
+    """The first-order condition of a gift ``r`` in ``(0, cap)``, in logs:
+    ``log(cap - r) + (rho-1)*log(r) + k``, where
+    ``k = log(beta/alpha) - log(sigma/sigma'(G) * G**(rho-1))``.  It falls in
+    ``r`` for rho < 1, and for rho > 1 rises up to ``cap*(1 - 1/rho)``."""
+    return math.log(cap - r) + (rho - 1.0) * math.log(r) + k
+
+
+def _gift_root(a: float, b: float, k: float, cap: float, z_max: float,
+               p: float, G: float) -> float:
+    """Root of ``phi(z) = a*z + b*log(cap - e**z) + k`` by Newton's method.
+
+    ``phi`` is ``_gift_condition`` in ``z = log(r)`` for ``(a, b) =
+    (rho-1, 1)``, or in ``z = log(cap - r)`` for ``(a, b) = (1, rho-1)``;
+    the caller picks the form that is monotone up to ``z_max``, with the
+    root below it.  The iteration starts at ``min(z0, z_max)``, where ``z0``
+    zeroes ``phi`` without its ``e**z``: ``phi(z0) = b*log(1 - e**z0/cap)``
+    has the sign of ``phi'' = -b*cap*e**z/(cap - e**z)**2``, and the caller
+    makes sure that ``phi(z_max)`` has it too if ``z_max`` is the smaller.
+    From there every Newton step stays on the start's side of the root and
+    moves monotonically onto it.  Once a step is at most
+    ``1e-9*max(1, |z|)`` one more step is taken; a root still moving after
+    ``_NEWTON_STEPS`` steps raises ``InputError`` naming the gift's ``p`` and
+    ``G``.
+    """
+    z = min(-(b * math.log(cap) + k) / a, z_max)
+    final = False
+    for _ in range(_NEWTON_STEPS):
+        w = math.exp(z)
+        v = cap - w
+        step = (a * z + b * math.log(v) + k) / (a - b * w / v)
+        z -= step
+        if final:
+            return z
+        final = abs(step) <= 1e-9 * max(1.0, abs(z))
+    raise InputError(
+        f"the gift root for p = {p}, G = {G} did not converge in "
+        f"{_NEWTON_STEPS} Newton steps")
+
+
 def _conjunctive_gift(ratio_G: float, G: float, p: float, beta: float,
                       alpha: float, delta_t: float, rho: float) -> float:
     """Root of the conjunctive first-order condition, by Newton's method in log space.
 
     Solves (dt - r/p) * (beta*p/alpha) * r**(rho-1) = ratio_G * G**(rho-1)
-    for r in (0, p*dt].  The left side is strictly decreasing for rho < 1,
-    from +inf at r -> 0+ down to 0 at r = p*dt.  With ``u = cap - r`` the
-    condition reads ``phi = log(u) + (rho-1)*log(r) + k = 0``, where
-    ``k = log(beta/alpha) - log(ratio_G * G**(rho-1))``.
+    for r in (0, p*dt], in logs ``_gift_condition``.  For rho < 1 it falls
+    from +inf at r -> 0+ down to -inf at r = p*dt.
 
     The ends of the bracket ``[cap*1e-300, cap*(1-1e-15)]`` decide the special
     cases: a root below it is a zero gift, an end at a root is that end, and
-    no sign change raises ``InputError``.  Otherwise the sign of ``phi`` at
-    ``cap/2`` picks the side of the root.  Below it Newton runs in
-    ``z = log(r)``, where ``phi`` is concave and decreasing; above it in
-    ``z = log(u)``, where ``phi`` is convex and increasing.  Either way it
-    starts at the root's bound from dropping the other log term's dependence
-    on r (capped at ``log(cap/2)``), so every step stays on that side and
-    moves towards the root.  Once a step is at most ``1e-9*max(1, |z|)`` one
-    more step is taken; a root still moving after ``_NEWTON_STEPS`` steps
-    raises ``InputError``.
+    no sign change raises ``InputError``.  Otherwise the sign of the
+    condition at ``cap/2`` picks the side of the root, and ``_gift_root``
+    finds it from ``cap/2`` at most: below it in ``z = log(r)``, where the
+    condition is concave and falling; above it in ``z = log(cap - r)``, where
+    it is convex and rising.
     """
     cap = p * delta_t
     if G == 0.0 and rho < 0:
@@ -241,43 +255,25 @@ def _conjunctive_gift(ratio_G: float, G: float, p: float, beta: float,
     log_rhs = math.log(ratio_G) + (rho - 1.0) * log_G
     if math.isinf(log_rhs):
         return 0.0 if log_rhs > 0 else cap
-    scale = math.log(beta * p / alpha)
-
-    def f(r):
-        return math.log(delta_t - r / p) + scale + (rho - 1.0) * math.log(r) - log_rhs
+    k = math.log(beta / alpha) - log_rhs
 
     lo = cap * 1e-300
-    flo = f(lo)
+    flo = _gift_condition(lo, cap, rho, k)
     if flo < 0:
         return 0.0  # the root lies below the smallest bracketed gift
     if flo == 0:
         return lo
     hi = cap * (1.0 - 1e-15)
-    fhi = f(hi)
+    fhi = _gift_condition(hi, cap, rho, k)
     if fhi == 0:
         return hi
     if not fhi < 0:
         raise InputError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
 
-    k = math.log(beta / alpha) - log_rhs
     log_half = math.log(0.5 * cap)
-    below = rho * log_half + k < 0
-    a, b = (rho - 1.0, 1.0) if below else (1.0, rho - 1.0)
-    z = min(-(b * math.log(cap) + k) / a, log_half)
-    final = False
-    for _ in range(_NEWTON_STEPS):
-        # a Newton step on phi(z) = a*z + b*log(cap - e**z) + k
-        w = math.exp(z)
-        v = cap - w
-        step = (a * z + b * math.log(v) + k) / (a - b * w / v)
-        z -= step
-        if final:
-            w = math.exp(z)
-            return w if below else cap - w
-        final = abs(step) <= 1e-9 * max(1.0, abs(z))
-    raise InputError(
-        f"the conjunctive gift root for p = {p}, G = {G} did not converge in "
-        f"{_NEWTON_STEPS} Newton steps")
+    if rho * log_half + k < 0:  # the root lies below cap/2
+        return math.exp(_gift_root(rho - 1.0, 1.0, k, cap, log_half, p, G))
+    return cap - math.exp(_gift_root(1.0, rho - 1.0, k, cap, log_half, p, G))
 
 
 def standalone_value(player: int, game: GameSpec) -> float:
@@ -287,7 +283,7 @@ def standalone_value(player: int, game: GameSpec) -> float:
 
 
 def _standalone_pair(player: int, game: GameSpec) -> tuple[float, float]:
-    """(gift, aggregate) of the single-contributor fixed point, bisected once
+    """(gift, aggregate) of the single-contributor fixed point, solved once
     per player and memoised on the frozen game, like ``max_aggregate``."""
     try:
         memo = game._standalone_pairs
@@ -295,26 +291,31 @@ def _standalone_pair(player: int, game: GameSpec) -> tuple[float, float]:
         memo = {}
         object.__setattr__(game, "_standalone_pairs", memo)
     if player not in memo:
-        memo[player] = _bisect_standalone(player, game)
+        memo[player] = _solve_standalone(player, game)
     return memo[player]
 
 
-def _bisect_standalone(player: int, game: GameSpec) -> tuple[float, float]:
+def _solve_standalone(player: int, game: GameSpec) -> tuple[float, float]:
     _require_smooth(game, "standalone value")
     p = game.expertise[player]
     if p == 0.0:
         return 0.0, 0.0
-    cap = p * game.delta_t
     bscale = game.betas[player] ** (1.0 / game.rho)
-    spec = game.evaluation
+    G = _lone_root(bscale * p * game.delta_t, game.alpha, game.evaluation)
+    return G / bscale, G
 
-    def f(g):
-        return cap - (game.alpha / bscale) * ratio_scalar(spec, bscale * g) - g
 
-    if f(0.0) <= 0.0:
-        return 0.0, 0.0
-    g = _bisect(f, 0.0, cap, xtol=cap * 1e-14)
-    return g, bscale * g
+def _lone_root(top: float, c: float, spec) -> float:
+    """Root G of ``top - c*sigma/sigma'(G) - G``, the aggregate of a lone
+    contributor (or of the weakest-link limit), by one Brent solve on
+    ``[0, top]`` to 1e-15 relative; 0 where the left side is <= 0 at G = 0."""
+    def f(G):
+        return top - c * ratio_scalar(spec, G) - G
+
+    f0 = f(0.0)
+    if f0 <= 0.0:
+        return 0.0
+    return _brent(f, 0.0, top, xtol=0.0, rtol=1e-15, flo=f0)
 
 
 def replacement_conjunctive(G: float, player: int, game: GameSpec,
@@ -330,6 +331,8 @@ def replacement_conjunctive(G: float, player: int, game: GameSpec,
         raise WrongSolverError(
             f"conjunctive replacement requires rho < 1 (rho != 0), got {game.rho}")
     _require_smooth(game, "replacement function")
+    if not G >= 0:
+        raise RegimeError(f"aggregate must be >= 0, got {G}")
     p = game.expertise[player]
     if p == 0.0:
         return 0.0
@@ -342,8 +345,6 @@ def replacement_conjunctive(G: float, player: int, game: GameSpec,
         raise RegimeError(
             f"for rho < 0 the replacement map of player {player} is defined "
             f"only for G <= standalone ({G_bar:.6g}); got G = {G:.6g}")
-    if G < 0:
-        raise RegimeError(f"aggregate must be >= 0, got {G}")
     ratio = ratio_scalar(game.evaluation, G)
     return _conjunctive_gift(ratio, G, p, game.betas[player],
                              game.alpha, game.delta_t, game.rho)
@@ -362,17 +363,7 @@ def strongly_conjunctive_limit(game: GameSpec) -> float:
         raise RegimeError(
             "the weakest-link closed form assumes identical players "
             "(equal expertise and equal weights)")
-    cap = p * game.delta_t
-    if cap == 0.0:
-        return 0.0
-    spec = game.evaluation
-
-    def f(G):
-        return cap - game.n * game.alpha * ratio_scalar(spec, G) - G
-
-    if f(0.0) <= 0.0:
-        return 0.0
-    return _bisect(f, 0.0, cap, xtol=cap * 1e-14)
+    return _lone_root(p * game.delta_t, game.n * game.alpha, game.evaluation)
 
 
 # ---------------------------------------------------------------------------
@@ -801,29 +792,36 @@ def _positive_branch_gift(game: GameSpec, player: int, G: float) -> float:
     """Positive replacement branch: the local-maximum gift at aggregate G.
 
     Solves (dt - g/p) * (beta*p/alpha) * g**(rho-1) = sigma/sigma' * G**(rho-1)
-    on the rising part g in (0, p*dt*(1 - 1/rho)], where the left side is
-    strictly increasing for rho > 1.
+    on the rising part g in (0, peak], ``peak = p*dt*(1 - 1/rho)``, where the
+    condition in logs (``_gift_condition``) is concave and rising in
+    ``z = log(g)`` for rho > 1.  ``_gift_root`` climbs onto the root from
+    below: with the condition >= 0 at the peak, its start lies below
+    ``log(peak)`` by at least ``log(rho)/(rho-1)``.  A condition below zero
+    at the peak means G sits above the bell of the local-max curve, a
+    ``RegimeError`` (within ``1e-9`` it is the peak); one above zero at
+    ``peak*1e-300`` leaves no root in the bracket, an ``InputError``.
     """
     p = game.expertise[player]
     cap = p * game.delta_t
     rho = game.rho
     peak = cap * (1.0 - 1.0 / rho)
     ratio = ratio_scalar(game.evaluation, G)
-    log_rhs = math.log(ratio) + (rho - 1.0) * math.log(G)
-    scale = math.log(game.betas[player] * p / game.alpha)
-
-    def f(g):
-        return math.log(game.delta_t - g / p) + scale + (rho - 1.0) * math.log(g) - log_rhs
-
-    f_peak = f(peak)
-    if f_peak < 0:
-        # G sits above the bell of the local-max curve; allow a whisker of
-        # slack for aggregates at the very top of the branch domain.
+    k = math.log(game.betas[player] / game.alpha) - (math.log(ratio) + (rho - 1.0) * math.log(G))
+    f_peak = _gift_condition(peak, cap, rho, k)
+    if f_peak <= 0:
+        # a root at the peak, or a whisker of slack for aggregates at the very
+        # top of the branch domain
         if f_peak > -1e-9:
             return peak
         raise RegimeError(
             f"no positive replacement branch at G = {G:.6g} for player {player}")
-    return _bisect(f, peak * 1e-300, peak, xtol=cap * 1e-15, fhi=f_peak)
+    lo = peak * 1e-300
+    flo = _gift_condition(lo, cap, rho, k)
+    if flo == 0:
+        return lo
+    if flo > 0:
+        raise InputError(f"no sign change on [{lo}, {peak}]: f={flo}, {f_peak}")
+    return math.exp(_gift_root(rho - 1.0, 1.0, k, cap, math.log(peak), p, G))
 
 
 def _share_positive(game: GameSpec, player: int, G: float) -> float:
@@ -958,11 +956,6 @@ def _deviation_payoffs(game: GameSpec, actions: np.ndarray, candidates):
     return us[:, 0], [us[i, ends[i]:ends[i + 1]] for i in range(len(candidates))]
 
 
-def _deviation_utilities(game: GameSpec, actions: np.ndarray, candidates) -> list:
-    """Each player's utility for each of its own candidate actions (``_deviation_payoffs``)."""
-    return _deviation_payoffs(game, actions, candidates)[1]
-
-
 @functools.lru_cache(maxsize=8)
 def _action_grid(points: int) -> np.ndarray:
     """The oracle's ``points`` grid actions on [0, 1], built once per size, read-only."""
@@ -1010,7 +1003,7 @@ def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
             hi = min(1.0, best_a + grid_step)
             fine = lo + refine_step * np.arange(int(round((hi - lo) / refine_step)) + 1)
             windows.append(fine[fine <= 1.0 + 1e-12])
-        refined = _deviation_utilities(game, arr, windows)
+        refined = _deviation_payoffs(game, arr, windows)[1]
         for i, (fine, us_f) in enumerate(zip(windows, refined)):
             jf = int(np.argmax(us_f))
             if us_f[jf] > bests[i][1]:

@@ -211,7 +211,7 @@ def score_scalar(spec: EvaluationSpec, G: float) -> float:
 
 # Kept beside eval_ratio: ~40x cheaper per call on a float.  Every solver caller takes one
 # aggregate at a time: the replacement maps (each evaluation of the concave solver's Brent
-# root), the standalone and weakest-link bisections, and the disjunctive thresholds and
+# root), the standalone and weakest-link Brent roots, and the disjunctive thresholds and
 # positive branch.
 def ratio_scalar(spec: EvaluationSpec, G: float) -> float:
     """Scalar fast path for sigma/sigma' used by inner solver loops."""

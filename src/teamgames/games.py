@@ -149,7 +149,7 @@ def _actions_array(game: GameSpec, actions) -> np.ndarray:
     arr = np.asarray(actions, dtype=float)
     if arr.shape != (game.n,):
         raise InputError(f"expected {game.n} actions, got shape {arr.shape}")
-    if ((arr < 0) | (arr > 1)).any():
+    if not ((arr >= 0) & (arr <= 1)).all():  # NaN fails both
         raise InputError("actions must lie in [0, 1]")
     return arr
 

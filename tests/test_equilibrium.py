@@ -206,21 +206,21 @@ class TestStandalone:
         g = game(rho=1.0, expertise=(0.0, 0.8))
         assert standalone_value(0, g) == 0.0
 
-    def test_memo_is_bitwise_a_fresh_bisection(self):
+    def test_memo_is_bitwise_a_fresh_solve(self):
         config = SweepConfig()
         for _, p1, p2, rho, b in _cell_specs(config):
             g = cell_game(config, p1, p2, rho, b)
             for i in range(g.n):
                 memo = equilibrium._standalone_pair(i, g)
                 assert equilibrium._standalone_pair(i, g) is memo
-                assert memo == equilibrium._bisect_standalone(i, g)
+                assert memo == equilibrium._solve_standalone(i, g)
                 assert standalone_value(i, g) == memo[1]
 
-    def test_replacement_map_bisects_the_standalone_point_once(self, monkeypatch):
+    def test_replacement_map_solves_the_standalone_point_once(self, monkeypatch):
         calls = []
-        bisect = equilibrium._bisect
-        monkeypatch.setattr(equilibrium, "_bisect",
-                            lambda *args, **kwargs: calls.append(args) or bisect(*args, **kwargs))
+        lone_root = equilibrium._lone_root
+        monkeypatch.setattr(equilibrium, "_lone_root",
+                            lambda *args, **kwargs: calls.append(args) or lone_root(*args, **kwargs))
         g = game(rho=-10.0, expertise=(0.5, 0.9), b=5.0)
         first = replacement_conjunctive(2.0, 0, g)
         assert replacement_conjunctive(2.0, 0, g) == first
@@ -757,6 +757,17 @@ class TestMalformedInput:
         with pytest.raises(InputError, match=r"player must be an integer in \[0, 1\]"):
             call(player, game(rho=rho))
 
+    @pytest.mark.parametrize("G", [-1.0, math.nan])
+    @pytest.mark.parametrize("rho", [1.0, 0.5, -3.0])
+    def test_replacement_maps_refuse_a_bad_aggregate(self, rho, G):
+        # the additive map returned a gift near its cap at G = -1 and 0.0 at
+        # NaN; the conjunctive map refused NaN only by an unrelated "no sign change"
+        fn = replacement_additive if rho == 1 else replacement_conjunctive
+        g = game(rho=rho, expertise=(0.0, 0.9))
+        for player in range(g.n):
+            with pytest.raises(RegimeError, match="aggregate must be >= 0"):
+                fn(G, player, g)
+
 
 def _scan_grid(g, num=2049):
     """``num`` uniform points over the concave solver's interval, set by the
@@ -780,27 +791,30 @@ def _replacement_gifts(g, G):
 def _first_order_condition(r, G, i, g):
     """``log`` of the left side minus the right side of player ``i``'s
     first-order condition ``(dt - r/p) * (beta*p/alpha) * r**(rho-1) =
-    sigma/sigma' * G**(rho-1)``, for rho <= 1 decreasing in ``r`` on
-    ``(0, p*dt)``."""
+    sigma/sigma' * G**(rho-1)``: for rho < 1 decreasing in ``r`` on
+    ``(0, p*dt)``, for rho > 1 increasing on ``(0, p*dt*(1 - 1/rho))``."""
     p, beta, rho = g.expertise[i], g.betas[i], g.rho
     return (math.log(g.delta_t - r / p) + math.log(beta * p / g.alpha)
             + (rho - 1.0) * math.log(r) - math.log(ratio_scalar(g.evaluation, G))
             - (rho - 1.0) * math.log(G))
 
 
-def _assert_first_order_root(r, G, i, g, tol):
+def _assert_first_order_root(r, G, i, g, tol, rising=False):
     """The gift ``r`` lies within ``tol`` of the root of the first-order
-    condition, or of the end of ``[0, p*dt]`` the root lies beyond: the
-    condition has its sign on either side of ``r`` at that distance."""
+    condition, or of the end of ``[0, top]`` the root lies beyond: the
+    condition has its sign on either side of ``r`` at that distance.  It
+    falls on ``[0, top] = [0, p*dt]``, or with ``rising`` rises on the
+    positive branch's ``[0, top] = [0, p*dt*(1 - 1/rho)]``."""
     cap = g.expertise[i] * g.delta_t
     if cap == 0.0:
         assert r == 0.0
         return
-    assert 0.0 <= r <= cap, (G, i, r)
+    top, sign = (cap * (1.0 - 1.0 / g.rho), -1.0) if rising else (cap, 1.0)
+    assert 0.0 <= r <= top, (G, i, r)
     if r - tol > 0.0:
-        assert _first_order_condition(r - tol, G, i, g) >= 0.0, (G, i, r)
-    if r + tol < cap:
-        assert _first_order_condition(r + tol, G, i, g) <= 0.0, (G, i, r)
+        assert sign * _first_order_condition(r - tol, G, i, g) >= 0.0, (G, i, r)
+    if r + tol < top:
+        assert sign * _first_order_condition(r + tol, G, i, g) <= 0.0, (G, i, r)
 
 
 def _roots_by_bisection(f, grid, values):
@@ -1342,3 +1356,65 @@ class TestConjunctiveGiftNewton:
         with pytest.raises(InputError, match="gift root for p = 0.3, G = 2.0 did not converge"):
             _conjunctive_gift(ratio_scalar(g.evaluation, 2.0), 2.0, 0.3, 1.0, g.alpha,
                               g.delta_t, g.rho)
+
+
+def _rounding_band(r, G, i, g):
+    """How far rounding alone moves the root of player ``i``'s first-order
+    condition near the gift ``r``: an evaluation of the condition is off by
+    about eps times the sum of its terms' sizes, divided by its slope in r."""
+    p, rho = g.expertise[i], g.rho
+    terms = (math.log(g.delta_t - r / p), math.log(g.betas[i] * p / g.alpha),
+             (rho - 1.0) * math.log(r), math.log(ratio_scalar(g.evaluation, G)),
+             (rho - 1.0) * math.log(G))
+    slope = (rho - 1.0) / r - 1.0 / (p * g.delta_t - r)
+    return sum(map(abs, terms)) * np.finfo(float).eps / abs(slope)
+
+
+class TestPositiveBranchGift:
+    """``_positive_branch_gift``, the gift behind every share function (rho > 1)."""
+
+    @staticmethod
+    def _assert_roots_on_the_branch(g):
+        # the tolerance is 1e-14 of the cap, plus the rounding band twice (the
+        # solver's evaluations and the check's): near the peak the condition
+        # is flat, and on the default grid the (0.3, .), rho = 3, b = 7 gift at
+        # the standalone point has a band of 7e-12 of the cap
+        checked = 0
+        for i in range(g.n):
+            try:
+                thr = critical_thresholds(i, g)
+            except RegimeError:
+                continue  # no contribution alone, or no single-valued branch
+            for G in np.linspace(thr.G_star, thr.standalone, 33):
+                r = equilibrium._positive_branch_gift(g, i, G)
+                tol = 1e-14 * g.expertise[i] * g.delta_t + 2.0 * _rounding_band(r, G, i, g)
+                _assert_first_order_root(r, G, i, g, tol, rising=True)
+            checked += 1
+        return checked
+
+    def test_root_solves_the_first_order_condition_on_default_grid(self):
+        config = SweepConfig()
+        checked = sum(self._assert_roots_on_the_branch(cell_game(config, p1, p2, rho, b))
+                      for _, p1, p2, rho, b in _cell_specs(config) if rho > 1)
+        assert checked == 155
+
+    def test_root_solves_the_first_order_condition_on_random_games(self):
+        checked = sum(map(self._assert_roots_on_the_branch, _random_disjunctive_games(60)))
+        assert checked == 85
+
+    def test_end_rules(self, monkeypatch):
+        g = game(rho=3.0, kind="identity", alpha=2.0)
+        cap, peak = 10.0, 10.0 * (1.0 - 1.0 / 3.0)
+        # identity: the condition at the peak is log(cap/rho) + (rho-1)*log(peak)
+        # + log(beta/alpha) - rho*log(G), so this G leaves it at -5e-10,
+        # within the whisker that returns the peak
+        top = math.log(cap / 3.0) + 2.0 * math.log(peak) + math.log(0.5)
+        assert equilibrium._positive_branch_gift(g, 0, math.exp((top + 5e-10) / 3.0)) == peak
+        with pytest.raises(RegimeError, match="no positive replacement branch at G = 9"):
+            equilibrium._positive_branch_gift(g, 0, 9.0)
+        # for rho near 1 the root can lie below peak*1e-300
+        with pytest.raises(InputError, match="no sign change"):
+            equilibrium._positive_branch_gift(game(rho=1.0001, kind="identity"), 0, 1.0)
+        monkeypatch.setattr(equilibrium, "_NEWTON_STEPS", 1)
+        with pytest.raises(InputError, match="gift root for p = 1.0, G = 1.0 did not converge"):
+            equilibrium._positive_branch_gift(g, 0, 1.0)

@@ -53,7 +53,7 @@ class TestGift:
         # the stronger player's gift from 75% of a 10-unit turn
         assert gift(0.75, one_player(p=0.8)) == pytest.approx(6.0)
 
-    @pytest.mark.parametrize("a,p,dt", [(-0.1, 0.5, 10), (1.1, 0.5, 10),
+    @pytest.mark.parametrize("a,p,dt", [(-0.1, 0.5, 10), (1.1, 0.5, 10), (math.nan, 0.5, 10),
                                         (0.5, 1.5, 10), (0.5, 0.5, 0.0)])
     def test_domain(self, a, p, dt):
         # the pipeline refuses an action outside [0, 1]; the game refuses
@@ -246,7 +246,7 @@ class TestOnePayoffPipeline:
     @pytest.mark.parametrize("rho", [-10.0, 1.0, 10.0])
     @pytest.mark.parametrize("n", [2, 3])
     def test_tables_and_deviations_match_evaluate_joint_action(self, n, rho, kind):
-        from teamgames.equilibrium import _deviation_utilities
+        from teamgames.equilibrium import _deviation_payoffs
         from teamgames.evaluation import eval_score
         from teamgames.simulator import _aggregate_terms, _term_tables
         game = GameSpec(n=n, rho=rho, betas=(1.0, 1.5, 0.7)[:n], delta_t=10.0,
@@ -265,7 +265,7 @@ class TestOnePayoffPipeline:
             assert [L[i, a] * score for i, a in enumerate(idx)] == rewards.tolist()
 
         profile = np.array((0.0, 0.45, 0.7)[:n])
-        for player, row in enumerate(_deviation_utilities(game, profile, [arms] * n)):
+        for player, row in enumerate(_deviation_payoffs(game, profile, [arms] * n)[1]):
             for a, u in zip(arms, row):
                 deviated = profile.copy()
                 deviated[player] = a
