@@ -1408,8 +1408,8 @@ class TestPositiveBranchGift:
         # identity: the condition at the peak is log(cap/rho) + (rho-1)*log(peak)
         # + log(beta/alpha) - rho*log(G), so this G leaves it at -5e-10,
         # within the whisker that returns the peak
-        top = math.log(cap / 3.0) + 2.0 * math.log(peak) + math.log(0.5)
-        assert equilibrium._positive_branch_gift(g, 0, math.exp((top + 5e-10) / 3.0)) == peak
+        at_peak = math.log(cap / 3.0) + 2.0 * math.log(peak) + math.log(0.5)
+        assert equilibrium._positive_branch_gift(g, 0, math.exp((at_peak + 5e-10) / 3.0)) == peak
         with pytest.raises(RegimeError, match="no positive replacement branch at G = 9"):
             equilibrium._positive_branch_gift(g, 0, 9.0)
         # for rho near 1 the root can lie below peak*1e-300
