@@ -18,8 +18,7 @@ distinct values):
   with a full lockstep chunk of runs (``chunk_runs.*``: as many as the side's
   ``simulator._CHUNK_BYTES`` budget holds); and of the sweep90 learning
   chunk (``sweep90_chunk``: 90 two-player runs).  Runs learned together go
-  through one ``train_many`` call where it exists and one ``train`` call per
-  run otherwise;
+  through one ``train_many`` call;
 * ``step_us.<case>.<step>``: where that time goes, from a second run of
   the same case (not the one ``episode_us`` times) with the trainer's step
   functions wrapped by timers
@@ -27,8 +26,7 @@ distinct values):
   ``update``; ``other`` is the rest of the run, term gathers, uniforms and
   the timers' own cost among it), microseconds per run-episode;
 * ``score_evals.<case>``: for the lone cases, calls of the trainer's score
-  function per episode in that second run (``_score`` where it exists,
-  else ``eval_score``, which also scores each run's reward bound once);
+  function ``_score`` per episode in that second run;
 * ``train50k_s``: one 50,000-episode two-player ``train``;
 * ``lone50k.*``: one 50,000-episode ``train`` of the team4 workload's
   additive four-player game (``n4``: 31,120 distinct joint actions at seed
@@ -52,10 +50,8 @@ distinct values):
   ``solve_cell`` solves the 90 disjunctive cells of that grid, recorded once
   per process with their keyword arguments and replayed: how many there were (``count``), microseconds per
   replayed call (``us``), and from a second, untimed replay the array passes
-  per call (``passes``): calls of the best response's closures ``utilities``
-  and ``phi`` (the names in ``PASSES``) on an array of gifts.  Where ``phi``
-  is scalar-only (its Newton iteration), this counts only the last windows;
-  older sides also scored ``phi`` on arrays of gifts;
+  per call (``passes``): calls of the best response's closure ``utilities``
+  (``PASS``), its last window, on an array of gifts;
 * ``conjunctive_gift_us``: microseconds per ``_conjunctive_gift`` call on
   the 120 conjunctive cells of that grid, every player, at 33 evenly spaced
   aggregates across each cell's solver interval (the points of the
@@ -74,9 +70,8 @@ distinct values):
   root included, whatever root-finder it runs; a concave fixed point, a
   disjunctive share equation and a player's standalone point count the
   function evaluations of the root-finder (end values the caller passes in
-  are not counted: since ``BENCH_21`` the concave solver passes in both of
-  its interval's ends, and since ``BENCH_22`` the standalone point its
-  value at 0);
+  are not counted: the concave solver passes in both of its interval's
+  ends, and the standalone point its value at 0);
 * ``tier1`` (with ``--tier1``): one run of the test suite of the checkout
   that holds each side's sources.
 """
@@ -102,14 +97,10 @@ SEED = 1
 R1_EPISODES = {2: 20_000, 3: 10_000, 4: 4_000}
 LONE = ("n2_R1", "n3_R1", "n4_R1", "n4_team4")
 # the trainer's step functions, by the names the simulator module looks up
-# (the first one a side binds; before the draw read unnormalised weights,
-# the soft-max step was the normalised ``_boltzmann``)
-STEPS = {"softmax": ("_boltzmann_weights", "_boltzmann"), "draw": ("_draw_arms",),
-         "ces": ("_aggregate_terms",),
-         "score": ("_score", "eval_score"), "update": ("_update_q",)}
-# the best response's closures that score an array of gifts in one pass
-# (``phi`` only on older sides, before its Newton iteration made it scalar)
-PASSES = ("utilities", "phi")
+STEPS = {"softmax": "_boltzmann_weights", "draw": "_draw_arms", "ces": "_aggregate_terms",
+         "score": "_score", "update": "_update_q"}
+# the best response's closure that scores an array of gifts in one pass
+PASS = "utilities"
 # the learning fixtures of tests/test_acceptance.py, by the test class charged their setup
 FIXTURES = {"TestCriterion3Regression": "sweep_records",
             "TestCriterion4LearnedSpotChecks": "spot_check_outcomes",
@@ -133,13 +124,6 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def _train_all(jobs):
-    from teamgames import simulator
-    if hasattr(simulator, "train_many"):
-        return simulator.train_many(jobs)
-    return [simulator.train(game, config) for game, config in jobs]
-
-
 def _profiled(name: str, learn, run_episodes: int) -> dict:
     """Run ``learn()`` with the simulator's step functions wrapped by
     timers: microseconds per run-episode of each step, and for a lone case
@@ -148,8 +132,7 @@ def _profiled(name: str, learn, run_episodes: int) -> dict:
     spent = dict.fromkeys(STEPS, 0.0)
     score_calls = 0
     saved = {}
-    for step, names in STEPS.items():
-        attr = next(a for a in names if hasattr(simulator, a))
+    for step, attr in STEPS.items():
         saved[attr] = func = getattr(simulator, attr)
 
         def timed(*args, _func=func, _step=step, **kwargs):
@@ -221,7 +204,7 @@ def case(name: str) -> dict:
     if name in ("n2_R1", "n3_R1", "n4_R1"):
         episodes = R1_EPISODES[int(name[1])]
         jobs = runs(int(name[1]), 1, episodes)
-        timed_and_profiled(lambda: _train_all(jobs), episodes)
+        timed_and_profiled(lambda: tg.train_many(jobs), episodes)
     elif name == "n4_team4":
         # the games, episodes and seeds of perfbench's team4 workload, four seeds a game
         games = [_game(4, 1.0), _game(4, -10.0), _game(4, 10.0), _game(4, 1.0, "heaviside")]
@@ -230,11 +213,11 @@ def case(name: str) -> dict:
         timed_and_profiled(lambda: [tg.train(*job) for job in jobs], len(jobs) * 2_000)
     elif name == "n4_R16":
         jobs = runs(4, 16, 2_000)
-        timed_and_profiled(lambda: _train_all(jobs), 16 * 2_000)
+        timed_and_profiled(lambda: tg.train_many(jobs), 16 * 2_000)
     elif name in ("n2_chunk", "n3_chunk"):
         n = int(name[1])
         count = _chunk_runs(n)
-        _train_all(runs(n, count, 5_000))
+        tg.train_many(runs(n, count, 5_000))
         out[f"episode_us.{name}"] = (time.perf_counter() - t0) / (count * 5_000) * 1e6
         out[f"chunk_runs.n{n}"] = count
     elif name == "train50k":
@@ -257,12 +240,12 @@ def case(name: str) -> dict:
         jobs = [(game, tg.TrainConfig(episodes=config.episodes,
                                       seed=simulator.spawned_seed(SEED, index, 0)))
                 for (index, *_), game in zip(specs, games)]
-        _train_all(jobs)
+        tg.train_many(jobs)
         out["sweep90.solve_s"] = t1 - t0
         out["sweep90.learn_s"] = time.perf_counter() - t1
         run_episodes = len(jobs) * config.episodes
         out["episode_us.sweep90_chunk"] = out["sweep90.learn_s"] / run_episodes * 1e6
-        out.update(_profiled("sweep90_chunk", lambda: _train_all(jobs), run_episodes))
+        out.update(_profiled("sweep90_chunk", lambda: tg.train_many(jobs), run_episodes))
     elif name == "solve_regimes":
         config = experiments.SweepConfig()
         seconds = {"additive": 0.0, "conjunctive": 0.0, "disjunctive": 0.0}
@@ -331,7 +314,7 @@ def case(name: str) -> dict:
         def count_passes(frame, event, arg):
             nonlocal passes
             code = frame.f_code
-            if (event == "call" and code.co_name in PASSES
+            if (event == "call" and code.co_name == PASS
                     and code.co_filename == equilibrium.__file__
                     and isinstance(frame.f_locals.get(code.co_varnames[0]), numpy.ndarray)):
                 passes += 1
@@ -399,7 +382,7 @@ def case(name: str) -> dict:
         from teamgames import equilibrium
         callers = {"solve_equilibrium_concave": "concave",
                    "enumerate_disjunctive_equilibria": "share",
-                   "_bisect_standalone": "standalone", "_lone_root": "standalone"}
+                   "_lone_root": "standalone"}
         evals = {"thresholds": [], **{kind: [] for kind in callers.values()}}
         best, thresholds = equilibrium._best_positive_response, equilibrium.critical_thresholds
         responses = None  # best responses of the threshold being found
@@ -436,10 +419,8 @@ def case(name: str) -> dict:
                         evals[kind].append(calls)
             return wrapper
 
-        # the outer loops bisect on older sides; module globals are looked up per call
-        for finder in ("_bisect", "_brent"):
-            if hasattr(equilibrium, finder):
-                setattr(equilibrium, finder, counting(getattr(equilibrium, finder)))
+        # module globals are looked up per call
+        equilibrium._brent = counting(equilibrium._brent)
         equilibrium._best_positive_response = counted_best
         equilibrium.critical_thresholds = counted_thresholds
         config = experiments.SweepConfig()

@@ -11,10 +11,11 @@ from .errors import (
     UnsupportedEvaluationError,
     WrongSolverError,
 )
-from .evaluation import EvaluationSpec, eval_ratio, eval_score, validate_evaluation
+from .evaluation import EvaluationSpec, eval_score, validate_evaluation
 from .games import (
     GameSpec,
     ces_aggregate,
+    max_achievable_utility,
     utility,
 )
 from .equilibrium import (
@@ -22,7 +23,6 @@ from .equilibrium import (
     EquilibriumResult,
     critical_thresholds,
     enumerate_disjunctive_equilibria,
-    max_achievable_utility,
     replacement_additive,
     replacement_conjunctive,
     share_function,
@@ -34,8 +34,6 @@ from .equilibrium import (
 from .bandit import (
     AgentState,
     boltzmann_probabilities,
-    greedy_action,
-    learning_rate,
     update_q,
 )
 from .simulator import (

@@ -28,7 +28,6 @@ between agents.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -164,15 +163,6 @@ def boltzmann_probabilities(state: AgentState) -> np.ndarray:
     return _boltzmann(q, state.tau, np.empty_like(q))[0]
 
 
-def learning_rate(step: int, k: float) -> float:
-    """Decaying learning rate k / (k + step), in (0, 1]."""
-    if not k > 0:
-        raise ConfigurationError(f"k must be > 0, got {k}")
-    if step < 0:
-        raise InputError(f"step must be >= 0, got {step}")
-    return k / (k + step)
-
-
 def update_q(state: AgentState, arm: int, reward: float) -> AgentState:
     """Incremental value update on the chosen arm.
 
@@ -186,21 +176,3 @@ def update_q(state: AgentState, arm: int, reward: float) -> AgentState:
         raise InputError(f"reward must be finite, got {reward}")
     _update_q(state.q_values, state.pull_counts, state.k, int(arm), reward)
     return state
-
-
-def greedy_action(state: AgentState) -> float:
-    """Action of the best-valued arm; ties break toward the smallest action."""
-    return float(state.arm_actions[int(np.argmax(state.q_values))])
-
-
-def q_table_rows(state: AgentState) -> list[tuple[float, float]]:
-    return [(float(a), float(q)) for a, q in zip(state.arm_actions, state.q_values)]
-
-
-def export_q_csv(state: AgentState, path) -> None:
-    """Dump the Q-table as (arm_action, q_value) rows for diagnostics."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["arm_action", "q_value"])
-        for action, q in q_table_rows(state):
-            writer.writerow([repr(action), repr(q)])

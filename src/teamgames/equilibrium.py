@@ -44,7 +44,8 @@ from .errors import (
     WrongSolverError,
 )
 from .evaluation import eval_score, score_scalar, ratio_scalar
-from .games import GameSpec, _actions_array, _ces, _payoffs, ces_aggregate, utility
+from .games import (GameSpec, _actions_array, _aggregate_terms, _ces, _payoffs,
+                    max_achievable_utility, utility)
 
 # Absolute tolerance on work units for branch and boundary comparisons.
 BOUNDARY_TOL = 1e-10
@@ -318,8 +319,7 @@ def _lone_root(top: float, c: float, spec) -> float:
     return _brent(f, 0.0, top, xtol=0.0, rtol=1e-15, flo=f0)
 
 
-def replacement_conjunctive(G: float, player: int, game: GameSpec,
-                            *, standalone: float | None = None) -> float:
+def replacement_conjunctive(G: float, player: int, game: GameSpec) -> float:
     """Conjunctive-task replacement via the implicit first-order condition.
 
     Valid for G >= standalone when 0 < rho < 1 and for 0 <= G <= standalone
@@ -336,7 +336,7 @@ def replacement_conjunctive(G: float, player: int, game: GameSpec,
     p = game.expertise[player]
     if p == 0.0:
         return 0.0
-    G_bar = _standalone_pair(player, game)[1] if standalone is None else standalone
+    G_bar = _standalone_pair(player, game)[1]
     if 0 < game.rho < 1 and G < G_bar - BOUNDARY_TOL:
         raise RegimeError(
             f"for 0 < rho < 1 the replacement map of player {player} is defined "
@@ -423,19 +423,17 @@ def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
     G_max = game.max_aggregate()
     if game.rho == 1:
         lo, hi = 0.0, G_max
-        def gift(i, G):
-            return replacement_additive(G, i, game)
     elif game.rho > 0:
         lo, hi = max(standalones), G_max
-        def gift(i, G):
-            return replacement_conjunctive(G, i, game, standalone=standalones[i])
     else:
         # G = 0 is a trivial fixed point of the weakest-link limit (any zero
         # gift forces G = 0); the replacement theory covers only G > 0.
         hi = min(standalones)
         lo = hi * 1e-9
-        def gift(i, G):
-            return replacement_conjunctive(G, i, game, standalone=standalones[i])
+    replacement = replacement_additive if game.rho == 1 else replacement_conjunctive
+
+    def gift(i, G):
+        return replacement(G, i, game)
 
     if not hi > lo:
         raise NoEquilibriumError(
@@ -609,15 +607,15 @@ def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
         return max(dt - g / p, 0.0) ** alpha * score_scalar(spec, G)
 
     def utilities(gs):
-        # utility_at on an array: the two-term CES as a log-sum-exp; rho > 1,
-        # so every w > 0 has a finite term
+        # utility_at on an array; rho > 1, so every w > 0 has a finite term
         w = bscale * gs
         if b is None:
             G = w
         else:
-            a = rho * np.log(w)
-            m = np.maximum(a, b)
-            G = np.exp((m + np.log(np.exp(a - m) + np.exp(b - m))) / rho)
+            terms = np.empty((2, len(w)))
+            terms[0] = rho * np.log(w)
+            terms[1] = b
+            G = _aggregate_terms(terms, rho)
         return np.maximum(dt - gs / p, 0.0) ** alpha * eval_score(spec, G)
 
     g = 0.5 * cap if near is None else near
@@ -708,6 +706,13 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
     root.  (Parametrising by the gift instead collapses numerically for
     large rho, where the gift gap to the standalone point falls below float
     spacing.)
+
+    A game whose utilities can overflow is refused with ``InputError``
+    before the search.  The bound is free-riding's utility on the full-time
+    aggregate, ``delta_t**alpha * sigma(G at full time)``, not
+    ``max_achievable_utility``: the search works in the normalised leisure
+    ``dt - g/p``, which has no leisure-capacity factor, so its utilities can
+    exceed that bound when a capacity is below 1.
     """
     _require_player(player, game)
     if game.rho <= 1:
@@ -771,7 +776,7 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
     # put its best point a little past it.  Enforce the exact ordering rather
     # than letting that noise leak into subset-acceptance checks.
     g_star = min(best[0], g_bar)
-    G_star = min(ces_aggregate([bscale * g_star, G_minus_star], game.rho, (1.0, 1.0)), G_bar)
+    G_star = min(_pair_aggregate(bscale * g_star, G_minus_star, game.rho), G_bar)
 
     u_active = best[1]
     u_out = _u_zero(game, G_minus_star)
@@ -871,7 +876,9 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
     G*(J) = max(max_{j in J} G_star_j, max_{i not in J} G_minus_star_i)
     does not exceed the smallest standalone value in J and the active shares
     at G*(J) sum to at most one; its equilibrium aggregate then solves
-    sum_{j in J} s_j(G) = 1.
+    sum_{j in J} s_j(G) = 1.  A sole contributor's share is 1 exactly at its
+    standalone point, so a one-player set J = {j}, once admitted, reports
+    that point (``_standalone_pair``) without solving the share equation.
     """
     if game.rho <= 1:
         raise WrongSolverError(
@@ -900,6 +907,11 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
             hi = min(thresholds[j].standalone for j in J)
             if G_star_J > hi + BOUNDARY_TOL:
                 continue
+            gifts = np.zeros(game.n)
+            if size == 1:
+                gifts[J[0]], G_bar = pairs[J[0]]
+                results.append(_result_from_gifts(game, gifts, G_bar))
+                continue
             G_star_J = min(G_star_J, hi)
 
             def S(G, _J=J):
@@ -922,7 +934,6 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
                     G_hat = _brent(lambda G: S(G) - 1.0, G_star_J, hi,
                                    xtol=max(hi, 1.0) * 1e-14,
                                    flo=s_lo - 1.0, fhi=s_hi - 1.0)
-            gifts = np.zeros(game.n)
             for j in J:
                 gifts[j] = _positive_branch_gift(game, j, G_hat)
             results.append(dataclasses.replace(_result_from_gifts(game, gifts, G_hat),
@@ -933,13 +944,6 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
 # ---------------------------------------------------------------------------
 # brute-force oracle
 # ---------------------------------------------------------------------------
-
-def max_achievable_utility(game: GameSpec) -> float:
-    """Loose per-player utility bound used to scale epsilon in Nash checks."""
-    best_leisure = game.delta_t * max(game.leisure_capacity)
-    top_score = float(eval_score(game.evaluation, game.max_aggregate()))
-    return utility(best_leisure, top_score, game.alpha)
-
 
 def _deviation_payoffs(game: GameSpec, actions: np.ndarray, candidates):
     """The profile's utilities (column 0 of one payoff pass), and each

@@ -120,28 +120,6 @@ def eval_score(spec: EvaluationSpec, G):
     return float(out) if scalar else out
 
 
-def eval_ratio(spec: EvaluationSpec, G):
-    """sigma(G) / sigma'(G), the opportunity-cost ratio of the evaluation.
-
-    Logistic closed form: (1 + exp(gamma * (G - b))) / gamma (d cancels).
-    Identity: G.  Heaviside has no derivative and is rejected.
-    """
-    if not spec.is_smooth:
-        raise UnsupportedEvaluationError(
-            "sigma/sigma' requires a smooth evaluation (logistic or identity), "
-            "got heaviside"
-        )
-    scalar = np.ndim(G) == 0
-    g = np.asarray(G, dtype=float)
-    if spec.kind == "identity":
-        out = g.copy()
-    else:
-        z = spec.gamma * (g - spec.b)
-        with np.errstate(over="ignore"):
-            out = np.where(z > _EXP_MAX, np.inf, (1.0 + np.exp(np.minimum(z, _EXP_MAX))) / spec.gamma)
-    return float(out) if scalar else out
-
-
 @dataclass(frozen=True)
 class ValidityReport:
     """Outcome of checking an evaluation against the smooth-score conditions."""
@@ -209,12 +187,13 @@ def score_scalar(spec: EvaluationSpec, G: float) -> float:
     return spec.d * ez / (1.0 + ez)
 
 
-# Kept beside eval_ratio: ~40x cheaper per call on a float.  Every solver caller takes one
-# aggregate at a time: the replacement maps (each evaluation of the concave solver's Brent
-# root), the standalone and weakest-link Brent roots, and the disjunctive thresholds and
-# positive branch.
+# Every solver caller takes one aggregate at a time: the replacement maps (each evaluation
+# of the concave solver's Brent root), the standalone and weakest-link Brent roots, and
+# the disjunctive thresholds and positive branch.
 def ratio_scalar(spec: EvaluationSpec, G: float) -> float:
-    """Scalar fast path for sigma/sigma' used by inner solver loops."""
+    """sigma(G) / sigma'(G): (1 + exp(gamma * (G - b))) / gamma for logistic (d
+    cancels; +inf once gamma * (G - b) > 700), G for identity; heaviside has
+    no derivative and is rejected."""
     if spec.kind == "identity":
         return G
     if spec.kind == "heaviside":

@@ -29,12 +29,11 @@ from .errors import (
     _cast,
 )
 from .evaluation import EvaluationSpec
-from .games import GameSpec
+from .games import GameSpec, max_achievable_utility
 from .simulator import (
     TrainConfig,
     _seed_sequence,
     dispersion,
-    require_finite_rewards,
     spawned_seed,
     train_many,
 )
@@ -151,7 +150,7 @@ def _solve_record(game: GameSpec):
 def _learn_refusal(game: GameSpec) -> str | None:
     """Why the learner refuses ``game``, or ``None`` if it learns it."""
     try:
-        require_finite_rewards(game)
+        max_achievable_utility(game)
     except InputError as exc:
         return f"learner: InputError: {exc}"
     return None

@@ -171,6 +171,20 @@ def utility(x: float, score: float, alpha: float) -> float:
     return u
 
 
+def max_achievable_utility(game: GameSpec) -> float:
+    """The largest utility any player of ``game`` can get, ``(delta_t *
+    max(leisure_capacity))**alpha * sigma(G at full time)``: CES and every
+    evaluation are non-decreasing and leisure is largest at action 0.
+
+    It scales epsilon in Nash checks, and it is the one overflow bound: a
+    game for which it raises ``InputError`` (see ``utility``) is refused by
+    the learner and the Nash oracle before their first payoff.
+    """
+    best_leisure = game.delta_t * max(game.leisure_capacity)
+    top_score = float(eval_score(game.evaluation, game.max_aggregate()))
+    return utility(best_leisure, top_score, game.alpha)
+
+
 def ces_aggregate(gifts, rho: float, betas):
     """CES team outcome ``(sum_i beta_i * g_i**rho) ** (1/rho)``.
 

@@ -40,9 +40,10 @@ import numpy as np
 
 from .bandit import _boltzmann_weights, _update_q, uniform_action_grid
 from .bandit import update_q  # noqa: F401  (bound here for perfbench's tracer tests)
-from .errors import ConfigurationError, InputError, UndefinedDispersionError
-from .evaluation import _score, eval_score
-from .games import GameSpec, _aggregate_terms, _leisure_payoff, _outcome
+from .errors import ConfigurationError, UndefinedDispersionError
+from .evaluation import _score
+from .games import (GameSpec, _aggregate_terms, _leisure_payoff, _outcome,
+                    max_achievable_utility)
 
 # Share of each agent's draws taken uniformly over all arms, whatever the
 # Q-table holds, so every arm keeps being sampled at rate >= EXPLORATION / K.
@@ -145,35 +146,20 @@ def _term_tables(games, arm_actions: np.ndarray):
     the Q-tables: the CES log-term ``T = log(beta_i) + rho * log(g_i)`` of
     the arm's gift and the leisure factor ``L = x ** alpha``, by the
     elementwise steps of ``ces_aggregate`` and ``_leisure_payoff``.  Each
-    run passes ``require_finite_rewards`` first, so no reward overflows.
+    run passes ``max_achievable_utility`` first, so no reward overflows.
     """
     n = games[0].n
     arms = np.broadcast_to(arm_actions, (n, len(arm_actions)))
     T = np.empty((len(games) * n, len(arm_actions)))
     L = np.empty_like(T)
     for r, game in enumerate(games):
-        require_finite_rewards(game)
+        max_achievable_utility(game)  # refuses a game whose rewards overflow
         rows = slice(r * n, (r + 1) * n)
         with np.errstate(divide="ignore"):  # a zero gift's log
             T[rows] = np.log(game.betas)[:, None] + game.rho * np.log(
                 arms * game.full_time_gifts()[:, None])
         L[rows] = _leisure_payoff(game, arms)
     return T, L
-
-
-def require_finite_rewards(game: GameSpec) -> None:
-    """Raise ``InputError`` if a reward of ``game`` could be beyond the float
-    range; ``train`` refuses such a game before its first episode.
-
-    CES and every evaluation are non-decreasing, and leisure is largest at
-    action 0, the first arm of every grid, so the rewards are finite if
-    ``max(L at action 0) * sigma(G at full time)`` is.
-    """
-    with np.errstate(over="ignore"):
-        bound = (_leisure_payoff(game, np.zeros(game.n)).max()
-                 * eval_score(game.evaluation, game.max_aggregate()))
-    if not np.isfinite(bound):
-        raise InputError(f"rewards must be finite, got a bound of {bound}")
 
 
 def _draws(u: np.ndarray, num_arms: int):

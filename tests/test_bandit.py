@@ -12,10 +12,6 @@ from teamgames.bandit import (
     _boltzmann,
     _boltzmann_weights,
     boltzmann_probabilities,
-    export_q_csv,
-    greedy_action,
-    learning_rate,
-    q_table_rows,
     uniform_action_grid,
     update_q,
 )
@@ -161,12 +157,6 @@ class TestBoltzmannKernel:
 
 
 class TestLearningRate:
-    def test_step_zero(self):
-        assert learning_rate(0, 1000.0) == 1.0
-
-    def test_step_equals_k(self):
-        assert learning_rate(1000, 1000.0) == 0.5
-
     def test_stochastic_approximation_sums(self):
         # sum of rates keeps growing while the sum of squares converges:
         # the linear sum gains hundreds over the second half of 10^6 steps,
@@ -180,16 +170,6 @@ class TestLearningRate:
         first_window = sq[250_000:500_000].sum()
         second_window = sq[500_000:].sum()
         assert second_window < 0.6 * first_window
-
-    def test_in_unit_interval(self):
-        for step in (0, 1, 10, 10**6):
-            assert 0 < learning_rate(step, 40.0) <= 1
-
-    def test_bad_inputs(self):
-        with pytest.raises(ConfigurationError):
-            learning_rate(0, 0.0)
-        with pytest.raises(InputError):
-            learning_rate(-1, 10.0)
 
 
 class TestUpdateQ:
@@ -237,22 +217,6 @@ class TestUpdateQ:
         assert np.all(state.q_values >= 0)
 
 
-class TestGreedy:
-    def test_unique_max(self):
-        q = np.zeros(101)
-        q[30] = 5.0
-        assert greedy_action(agent(q)) == pytest.approx(0.30)
-
-    def test_all_equal_tie_breaks_to_zero(self):
-        assert greedy_action(agent(np.zeros(101))) == 0.0
-
-    def test_tie_breaks_to_smallest_action(self):
-        q = np.zeros(101)
-        q[20] = 5.0
-        q[64] = 5.0
-        assert greedy_action(agent(q)) == pytest.approx(0.20)
-
-
 class TestStateValidation:
     def test_grid_must_span_unit_interval(self):
         with pytest.raises(ConfigurationError):
@@ -267,12 +231,3 @@ class TestStateValidation:
         assert grid[0] == 0.0 and grid[-1] == 1.0
         assert len(grid) == 101
         np.testing.assert_allclose(np.diff(grid), 0.01)
-
-    def test_csv_export(self, tmp_path):
-        state = agent([1.0, 2.0, 0.5])
-        path = tmp_path / "q.csv"
-        export_q_csv(state, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "arm_action,q_value"
-        assert len(lines) == 4
-        assert q_table_rows(state)[1] == (0.5, 2.0)

@@ -726,6 +726,35 @@ class TestSinglePlayerDisjunctive:
         assert len(results) == 1
         assert results[0].aggregate_G == pytest.approx(standalone_value(0, g), abs=1e-9)
 
+    @staticmethod
+    def _assert_singletons_are_standalone_pairs(g):
+        try:
+            results = enumerate_disjunctive_equilibria(g)
+        except (RegimeError, InputError):
+            return 0
+        singletons = [e for e in results if len(e.active_set) == 1]
+        for e in singletons:
+            j = e.active_set[0]
+            g_bar, G_bar = equilibrium._standalone_pair(j, g)
+            gifts = np.zeros(g.n)
+            gifts[j] = g_bar
+            assert e == equilibrium._result_from_gifts(g, gifts, G_bar), (g, e)
+            assert e.gifts[j] == g_bar
+            # the CES of the gift is the standalone aggregate up to rounding
+            assert e.aggregate_G == pytest.approx(G_bar, rel=1e-14, abs=0)
+        return len(singletons)
+
+    def test_singleton_equilibria_are_standalone_pairs_on_default_grid(self):
+        config = SweepConfig()
+        found = sum(self._assert_singletons_are_standalone_pairs(cell_game(config, *spec[1:]))
+                    for spec in _cell_specs(config) if spec[3] > 1)
+        assert found == 122
+
+    def test_singleton_equilibria_are_standalone_pairs_on_random_games(self):
+        found = sum(map(self._assert_singletons_are_standalone_pairs,
+                        _random_disjunctive_games(60)))
+        assert found == 65
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("step", [0.0, -0.5, math.nan, math.inf])
@@ -874,8 +903,9 @@ class TestZeroAggregate:
     def test_zero_aggregate(self, rho, kind, expected):
         # at G = 0 a zero ratio (identity) leaves the cap only for rho > 0, and a
         # positive ratio meets G**(rho-1) = +inf, so the root tends to 0
-        g = game(rho=rho, expertise=(0.0, 0.9), b=5.0, kind=kind)
-        assert replacement_conjunctive(0.0, 1, g, standalone=0.0) == expected
+        spec = game(kind=kind, b=5.0).evaluation
+        assert _conjunctive_gift(ratio_scalar(spec, 0.0), 0.0, 0.9, 1.0, 2.0, 10.0,
+                                 rho) == expected
 
     def test_solver_starts_at_zero_aggregate_between_zero_and_one(self):
         # every standalone value is 0, so the interval starts at G = 0 (a math

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from teamgames.errors import ConfigurationError, UnsupportedEvaluationError
 from teamgames.evaluation import (
     EvaluationSpec,
-    eval_ratio,
     eval_score,
+    ratio_scalar,
     validate_evaluation,
 )
 
@@ -63,9 +63,9 @@ class TestEvalScore:
             assert scores == expected
 
 
-class TestEvalRatio:
+class TestRatioScalar:
     def test_logistic_at_threshold(self):
-        assert eval_ratio(logistic(gamma=2, b=5), 5.0) == pytest.approx(1.0)
+        assert ratio_scalar(logistic(gamma=2, b=5), 5.0) == pytest.approx(1.0)
 
     def test_logistic_closed_form_vs_finite_difference(self):
         # oracle: central finite differences of the score
@@ -75,14 +75,14 @@ class TestEvalRatio:
         assert expected == pytest.approx(27.799075, rel=1e-6)
         h = 1e-6
         deriv = (eval_score(spec, G + h) - eval_score(spec, G - h)) / (2 * h)
-        assert eval_ratio(spec, G) == pytest.approx(eval_score(spec, G) / deriv, rel=1e-6)
+        assert ratio_scalar(spec, G) == pytest.approx(eval_score(spec, G) / deriv, rel=1e-6)
 
     def test_identity(self):
-        assert eval_ratio(EvaluationSpec("identity"), 4.0) == 4.0
+        assert ratio_scalar(EvaluationSpec("identity"), 4.0) == 4.0
 
     def test_heaviside_rejected(self):
         with pytest.raises(UnsupportedEvaluationError):
-            eval_ratio(EvaluationSpec("heaviside", d=10, b=5), 4.0)
+            ratio_scalar(EvaluationSpec("heaviside", d=10, b=5), 4.0)
 
     @given(
         d1=st.floats(0.1, 1e3),
@@ -91,8 +91,8 @@ class TestEvalRatio:
     )
     @settings(max_examples=60, deadline=None)
     def test_d_cancels(self, d1, d2, G):
-        r1 = eval_ratio(logistic(d=d1), G)
-        r2 = eval_ratio(logistic(d=d2), G)
+        r1 = ratio_scalar(logistic(d=d1), G)
+        r2 = ratio_scalar(logistic(d=d2), G)
         assert r1 == pytest.approx(r2, rel=1e-12)
 
     def test_matches_derivative_on_working_range(self):
@@ -100,7 +100,7 @@ class TestEvalRatio:
         h = 1e-6
         for G in np.linspace(0.01, 10.0, 57):
             deriv = (eval_score(spec, G + h) - eval_score(spec, G - h)) / (2 * h)
-            assert eval_ratio(spec, G) == pytest.approx(
+            assert ratio_scalar(spec, G) == pytest.approx(
                 eval_score(spec, G) / deriv, rel=1e-5)
 
 

@@ -130,7 +130,7 @@ class TestRunSweep:
         assert (refused.p1, refused.p2) == (0.9, 0.9)
         solver, learner = refused.skip_reason.split("; ")
         assert solver.startswith("InputError: utility x ** alpha * score must be finite")
-        assert learner.startswith("learner: InputError: rewards must be finite")
+        assert learner.startswith("learner: InputError: utility x ** alpha * score must be finite")
         assert (refused.G_hat_set, refused.G_tilde, refused.learned_actions) == ((), None, None)
         assert refused.seed == run_sweep(replace(cfg, alpha=1.0))[-1].seed
         assert len(learned) == 2

@@ -351,9 +351,40 @@ class TestTrainMany:
         weights = simulator._boltzmann_weights
         monkeypatch.setattr(simulator, "_boltzmann_weights",
                             lambda *args, **kwargs: episodes.append(1) or weights(*args, **kwargs))
-        with pytest.raises(InputError, match="bound"):
+        with pytest.raises(InputError, match=r"x \*\* alpha \* score must be finite"):
             train(g, TrainConfig(episodes=5))
         assert episodes == []
+
+    def test_learner_and_oracle_refuse_the_same_games(self):
+        # seeded games with leisure capacities below 1 and alpha within 0.5% of
+        # where (delta_t * max capacity) ** alpha alone overflows: the score
+        # factor puts games on both sides of the bound
+        from teamgames.equilibrium import verify_epsilon_nash
+        rng = np.random.default_rng(23)
+        refused = {"learner": [], "oracle": []}
+        tried = 0
+        for k in range(150):
+            n = int(rng.integers(1, 5))
+            capacity = tuple(rng.uniform(0.02, 1.0, n))
+            x = 10.0 * max(capacity)
+            if x <= 1.0:
+                continue
+            ev = EvaluationSpec("identity") if k % 3 == 0 else EvaluationSpec(
+                ("logistic", "heaviside")[k % 3 - 1], d=float(rng.uniform(0.5, 20.0)),
+                gamma=2.0, b=3.0)
+            g = GameSpec(n=n, rho=float(rng.choice([-3.0, 0.5, 1.0, 3.0])), betas=(1.0,) * n,
+                         delta_t=10.0, expertise=tuple(rng.uniform(0.1, 1.0, n)),
+                         leisure_capacity=capacity, evaluation=ev,
+                         alpha=308.25 / math.log10(x) * float(rng.uniform(0.995, 1.005)))
+            tried += 1
+            for side, call in (("learner", lambda: train(g, TrainConfig(episodes=1))),
+                               ("oracle", lambda: verify_epsilon_nash([0.5] * n, g, 1.0))):
+                try:
+                    call()
+                except InputError:
+                    refused[side].append(k)
+        assert refused["learner"] == refused["oracle"]
+        assert 0 < len(refused["learner"]) < tried
 
     def test_default_budget_learns_a_sweep_in_one_chunk(self, monkeypatch):
         chunks = []
