@@ -156,7 +156,33 @@ class TestBoltzmannKernel:
         assert np.array_equal(weights, np.ones(q.shape))
 
 
+def learning_rate(step, k):
+    """The share of the TD error that ``update_q`` applies to an arm pulled
+    ``step`` times before."""
+    state = agent([4.0, 0.0], k=k)
+    state.pull_counts[0] = step
+    update_q(state, 0, 10.0)
+    return (state.q_values[0] - 4.0) / 6.0
+
+
 class TestLearningRate:
+    def test_step_zero(self):
+        assert learning_rate(0, 1000.0) == 1.0
+
+    def test_step_equals_k(self):
+        assert learning_rate(1000, 1000.0) == 0.5
+
+    def test_in_unit_interval(self):
+        for step in (0, 1, 10, 10**6):
+            assert 0 < learning_rate(step, 40.0) <= 1
+
+    def test_bad_inputs(self):
+        with pytest.raises(ConfigurationError):
+            agent([0.0, 0.0], k=0.0)
+        with pytest.raises(ConfigurationError):
+            AgentState(q_values=np.zeros(2), arm_actions=np.array([0.0, 1.0]),
+                       pull_counts=np.array([-1, 0]))
+
     def test_stochastic_approximation_sums(self):
         # sum of rates keeps growing while the sum of squares converges:
         # the linear sum gains hundreds over the second half of 10^6 steps,

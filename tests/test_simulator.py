@@ -297,6 +297,25 @@ def _runs(calls, n, num_arms, episodes):
     return runs
 
 
+class TestGreedy:
+    """The learned action is the best-valued arm, the smallest on a tie."""
+
+    def test_unique_max(self):
+        out = train(game(b=5.0), TrainConfig(episodes=400, seed=123, snapshot_q=True))
+        grid = uniform_action_grid(101)
+        for action, q in zip(out.greedy_actions, out.q_snapshots):
+            best = int(np.argmax(q))
+            assert action == grid[best]
+            assert all(v < q[best] for j, v in enumerate(q) if j != best)
+
+    def test_all_equal_tie_breaks_to_zero(self):
+        # the pair can never reach the threshold, so every Q-value stays 0
+        g = game(kind="heaviside", b=5.0, expertise=(0.1, 0.1))
+        out = train(g, TrainConfig(episodes=200, seed=0, snapshot_q=True))
+        assert all(v == 0.0 for q in out.q_snapshots for v in q)
+        assert out.greedy_actions == (0.0, 0.0)
+
+
 class TestTrainMany:
     """``train_many`` equals one ``train`` call per job, however it batches."""
 
