@@ -13,12 +13,15 @@ distinct values):
 * ``episode_us.*``: microseconds per run-episode of ``train`` on a two-,
   three- and four-player game with one run (``n*_R1``); of the team4
   benchmark workload's lone runs (``n4_team4``: its four four-player games,
-  four seeds each, 2,000 episodes, one ``train`` call per run); of 16
-  four-player runs learned together (``n4_R16``); for two and three players
-  with a full lockstep chunk of runs (``chunk_runs.*``: as many as the side's
-  ``simulator._CHUNK_BYTES`` budget holds); and of the sweep90 learning
-  chunk (``sweep90_chunk``: 90 two-player runs).  Runs learned together go
-  through one ``train_many`` call;
+  four seeds each, 2,000 episodes, one ``train`` call per run); of 8 and 16
+  two-player runs learned together for 5,000 episodes (``n2_R8`` and
+  ``n2_R16``: 16 and 32 agents, on either side of the agent count
+  ``simulator._ARM_MAJOR_AGENTS`` from which a chunk is stored arm-major);
+  of 16 four-player runs learned together (``n4_R16``); for two and three
+  players with a full lockstep chunk of runs (``chunk_runs.*``: as many as
+  the side's ``simulator._CHUNK_BYTES`` budget holds); and of the sweep90
+  learning chunk (``sweep90_chunk``: 90 two-player runs).  Runs learned
+  together go through one ``train_many`` call;
 * ``step_us.<case>.<step>``: where that time goes, from a second run of
   the same case (not the one ``episode_us`` times) with the trainer's step
   functions wrapped by timers
@@ -27,6 +30,11 @@ distinct values):
   the timers' own cost among it), microseconds per run-episode;
 * ``score_evals.<case>``: for the lone cases, calls of the trainer's score
   function ``_score`` per episode in that second run;
+* ``layout.n2_A<agents>``: on a side whose simulator has
+  ``_ARM_MAJOR_AGENTS``, the median time of ``train_many`` on 4, 8, 12 and
+  16 two-player runs (8 to 32 agents, 20,000 run-episodes) with every
+  chunk forced arm-major, over the same with every chunk forced
+  row-major, from 9 alternating pairs: where the constant should lie;
 * ``train50k_s``: one 50,000-episode two-player ``train``;
 * ``lone50k.*``: one 50,000-episode ``train`` of the team4 workload's
   additive four-player game (``n4``: 31,120 distinct joint actions at seed
@@ -211,15 +219,30 @@ def case(name: str) -> dict:
         jobs = [(game, tg.TrainConfig(episodes=2_000, seed=simulator.spawned_seed(SEED, g, r)))
                 for g, game in enumerate(games) for r in range(4)]
         timed_and_profiled(lambda: [tg.train(*job) for job in jobs], len(jobs) * 2_000)
-    elif name == "n4_R16":
-        jobs = runs(4, 16, 2_000)
-        timed_and_profiled(lambda: tg.train_many(jobs), 16 * 2_000)
+    elif name in ("n2_R8", "n2_R16", "n4_R16"):
+        n, count = int(name[1]), int(name[4:])
+        episodes = 5_000 if n == 2 else 2_000
+        jobs = runs(n, count, episodes)
+        timed_and_profiled(lambda: tg.train_many(jobs), count * episodes)
     elif name in ("n2_chunk", "n3_chunk"):
         n = int(name[1])
         count = _chunk_runs(n)
         tg.train_many(runs(n, count, 5_000))
         out[f"episode_us.{name}"] = (time.perf_counter() - t0) / (count * 5_000) * 1e6
         out[f"chunk_runs.n{n}"] = count
+    elif name == "layout":
+        if hasattr(simulator, "_ARM_MAJOR_AGENTS"):
+            for count in (4, 8, 12, 16):
+                jobs = runs(2, count, 20_000 // count)
+                seconds = {0: [], 1 << 40: []}  # every chunk arm-major, row-major
+                for repeat in range(9):
+                    for threshold in list(seconds)[::1 - 2 * (repeat % 2)]:
+                        simulator._ARM_MAJOR_AGENTS = threshold
+                        t1 = time.perf_counter()
+                        tg.train_many(jobs)
+                        seconds[threshold].append(time.perf_counter() - t1)
+                arm, row = (statistics.median(values) for values in seconds.values())
+                out[f"layout.n2_A{2 * count}"] = arm / row
     elif name == "train50k":
         tg.train(_game(2), tg.TrainConfig(episodes=50_000, seed=SEED))
         out["train50k_s"] = time.perf_counter() - t0
@@ -443,9 +466,10 @@ def case(name: str) -> dict:
     return out
 
 
-CASES = ("n2_R1", "n2_chunk", "n3_R1", "n3_chunk", "n4_R1", "n4_team4", "n4_R16", "train50k",
-         "lone50k_n4", "sweep_split", "solve_regimes", "thresholds", "best_response",
-         "best_response_calls", "conjunctive_gift", "oracle", "roots", "sweep", "fixtures")
+CASES = ("n2_R1", "n2_R8", "n2_R16", "n2_chunk", "n3_R1", "n3_chunk", "n4_R1", "n4_team4",
+         "n4_R16", "layout", "train50k", "lone50k_n4", "sweep_split", "solve_regimes",
+         "thresholds", "best_response", "best_response_calls", "conjunctive_gift", "oracle",
+         "roots", "sweep", "fixtures")
 
 
 def _run_case(src: str, name: str) -> dict:

@@ -53,7 +53,12 @@ BOUNDARY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """One pure-strategy Nash equilibrium of a teamwork game."""
+    """One pure-strategy Nash equilibrium of a teamwork game.
+
+    ``residual`` is ``|CES(gifts) - G|``, in work units, for the concave
+    solver and for one-player disjunctive equilibria, and ``|S(G) - 1|``,
+    a share, for disjunctive equilibria of two or more players.
+    """
 
     actions: tuple[float, ...]
     gifts: tuple[float, ...]
@@ -402,13 +407,14 @@ def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
     refines a sign change between them.  The ends keep their own rules: for
     rho = 1, ``|f(0)| < 1e-12`` makes ``G = 0`` a root (nobody contributes);
     for 0 < rho < 1, ``lo`` is the largest standalone value, a lone
-    player's fixed point when ``|f(lo)|`` is within the dedup radius
-    ``max(hi, 1)*1e-9``; an exact zero at ``lo`` is a root; and ``hi`` is a
-    root when ``|f(hi)| < 1e-12``.  ``f = G*(CES(r(G))/G - 1)`` vanishes at
-    ``G = 0`` on either side of the crossing, so from ``f(0) = 0`` the
-    bracket starts at the radius.  Roots within the radius are one.  No
-    root raises NoEquilibriumError with the two ends ``[(lo, f(lo)), (hi,
-    f(hi))]`` attached.  For rho < 0 the interval starts just above G = 0
+    player's fixed point when ``|f(lo)| <= max(lo, 1)*1e-9``, relative to
+    ``lo`` itself because ``hi`` grows like ``n**(1/rho)`` as rho nears 0;
+    an exact zero at ``lo`` is a root; and ``hi`` is a root when
+    ``|f(hi)| < 1e-12``.  Roots within the dedup radius ``max(hi, 1)*1e-9``
+    are one.  ``f = G*(CES(r(G))/G - 1)`` vanishes at ``G = 0`` on either
+    side of the crossing, so from ``f(0) = 0`` the bracket starts at the
+    radius.  No root raises NoEquilibriumError with the two ends
+    ``[(lo, f(lo)), (hi, f(hi))]`` attached.  For rho < 0 the interval starts just above G = 0
     and leaves out the trivial fixed point G = 0, where any zero gift forces
     the weakest-link outcome to 0: the fixed point with G > 0 is returned,
     the zero profile never.
@@ -450,7 +456,7 @@ def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
     radius = max(hi, 1.0) * 1e-9
     roots: list[float] = []
     if (f_lo == 0.0 or game.rho == 1 and abs(f_lo) < 1e-12
-            or 0 < game.rho < 1 and abs(f_lo) <= radius):
+            or 0 < game.rho < 1 and abs(f_lo) <= max(lo, 1.0) * 1e-9):
         roots.append(lo)  # nobody contributes at G = 0, or a lone player's fixed point
     a, f_a = lo, f_lo
     if lo == 0.0 and f_lo == 0.0 and hi > radius:

@@ -15,13 +15,18 @@ count, an arm count and a temperature schedule keep their Q-tables in one
 reward computation and one update for all of them (``train`` is its
 one-run case).  The soft-max is left unnormalised: each agent's arm is read
 from its row of weights against ``v`` times the row total, which picks the
-normalised inverse CDF's arm without a row sum or a division.  Rewards take
-one path for every team size: each player's CES log-term and leisure factor
-are tabulated per arm before the first episode, and each episode gathers
-every run's terms into one column, finishes them with
-``games._aggregate_terms`` (the log-sum-exp of ``ces_aggregate``), scores
-the outcomes in one ``evaluation._score`` pass per evaluation kind and
-multiplies by the leisure factors.  A lone run
+normalised inverse CDF's arm without a row sum or a division.  A chunk of
+at least ``_ARM_MAJOR_AGENTS`` agents keeps its ``(agents, K)`` tables in
+arm-major (Fortran) order: the draw's running sums then advance one arm
+per step over every agent at once, two agents per add, where row-major
+order chains K dependent adds per agent.  A smaller chunk would walk K
+short rows in every op, so it stays row-major.  Both orders give the same
+sums bit for bit.  Rewards take one path for every team size: each
+player's CES log-term and leisure factor are tabulated per arm before the
+first episode, and each episode gathers every run's terms into one column,
+finishes them with ``games._aggregate_terms`` (the log-sum-exp of
+``ces_aggregate``), scores the outcomes in one ``evaluation._score`` pass
+per evaluation kind and multiplies by the leisure factors.  A lone run
 keeps the reward row of each joint action it has played and reuses it when
 it plays the action again.  With each run's column contiguous, as
 ``ces_aggregate`` lays out a grid, the rewards equal ``games._payoffs`` bit
@@ -52,6 +57,12 @@ EXPLORATION = 0.01
 # Bytes of per-run tables and per-episode draws that one lockstep chunk of
 # runs holds at a time (about a hundred two-player runs).
 _CHUNK_BYTES = 1 << 20
+
+# Agent count from which a lockstep chunk keeps its (agents, K) tables in
+# arm-major (Fortran) order, where the draw's cumulative sum adds two agents
+# per step; below it every op would walk K short rows, and row-major is as
+# fast or faster (BENCH_24: the two break even at 20 to 28 agents).
+_ARM_MAJOR_AGENTS = 32
 
 
 @dataclass(frozen=True)
@@ -141,16 +152,17 @@ def _run_bytes(n: int, num_arms: int) -> int:
     return 8 * 6 * n * num_arms
 
 
-def _term_tables(games, arm_actions: np.ndarray):
-    """Per player of each run and per arm, laid out ``(runs * n, K)`` like
-    the Q-tables: the CES log-term ``T = log(beta_i) + rho * log(g_i)`` of
-    the arm's gift and the leisure factor ``L = x ** alpha``, by the
-    elementwise steps of ``ces_aggregate`` and ``_leisure_payoff``.  Each
-    run passes ``max_achievable_utility`` first, so no reward overflows.
+def _term_tables(games, arm_actions: np.ndarray, order: str = "C"):
+    """Per player of each run and per arm, laid out ``(runs * n, K)`` in
+    memory order ``order`` like the Q-tables: the CES log-term
+    ``T = log(beta_i) + rho * log(g_i)`` of the arm's gift and the leisure
+    factor ``L = x ** alpha``, by the elementwise steps of
+    ``ces_aggregate`` and ``_leisure_payoff``.  Each run passes
+    ``max_achievable_utility`` first, so no reward overflows.
     """
     n = games[0].n
     arms = np.broadcast_to(arm_actions, (n, len(arm_actions)))
-    T = np.empty((len(games) * n, len(arm_actions)))
+    T = np.empty((len(games) * n, len(arm_actions)), order=order)
     L = np.empty_like(T)
     for r, game in enumerate(games):
         max_achievable_utility(game)  # refuses a game whose rewards overflow
@@ -174,16 +186,30 @@ def _draws(u: np.ndarray, num_arms: int):
 
 
 def _draw_buffers(weights: np.ndarray) -> tuple:
-    """``_draw_arms``' work buffers for the soft-max weight rows ``weights``:
-    views of the first K - 1 columns and of the last column of ``weights``,
-    of the first K - 1 and of column K - 2 of the cumulative weights, the
-    whole ``(M, K)`` cumulative weights, whose last column is a permanent
-    ``+inf`` sentinel, an ``(M, 1)`` buffer for ``v`` times each row total,
-    and a bool buffer of shape ``(M, K)``."""
+    """``_draw_arms``' work buffers for the ``(M, K)`` soft-max weights
+    ``weights``, in their memory order: the first K - 1 columns of the
+    weights and of the cumulative weights as ``np.add.accumulate`` sums
+    them, with its axis; views of the last column of the weights and of
+    column K - 2 of the cumulative weights; the whole cumulative weights,
+    whose last column is a permanent ``+inf`` sentinel; an ``(M, 1)``
+    buffer for ``v`` times each row total; and a bool buffer of shape
+    ``(M, K)``.
+
+    Row-major weights are summed along each row.  Arm-major (Fortran-order)
+    weights are summed down the ``(K - 1, M)`` transpose, one arm per step;
+    for an even M as ``complex128`` pairs, so each step adds two agents,
+    two correctly rounded float adds, and every sum is the row-major one.
+    """
     cum = np.empty_like(weights)
     cum[:, -1] = np.inf
-    return (weights[:, :-1], weights[:, -1:], cum[:, :-1], cum[:, -2:-1], cum,
-            np.empty((len(weights), 1)), np.empty(weights.shape, dtype=bool))
+    if weights.flags.c_contiguous:
+        head, cum_head, axis = weights[:, :-1], cum[:, :-1], 1
+    else:
+        head, cum_head, axis = weights.T[:-1], cum.T[:-1], 0
+        if len(weights) % 2 == 0:
+            head, cum_head = head.view(np.complex128), cum_head.view(np.complex128)
+    return (head, axis, weights[:, -1:], cum_head, cum[:, -2:-1], cum,
+            np.empty((len(weights), 1)), np.empty_like(weights, dtype=bool))
 
 
 def _draw_arms(draw, buffers: tuple, arms: np.ndarray) -> np.ndarray:
@@ -200,11 +226,12 @@ def _draw_arms(draw, buffers: tuple, arms: np.ndarray) -> np.ndarray:
     the row total is the last of those sums plus the last weight, and the
     arm is the first False of ``cum <= v * total``, which is that count
     because the sums do not decrease and the ``+inf`` sentinel caps it at
-    K - 1.
+    K - 1.  The weights may be row-major or arm-major: the sums, and so
+    the arms, are the same bit for bit.
     """
     v, exploring = draw
-    head, last, cum_head, head_total, cum, threshold, below = buffers
-    np.add.accumulate(head, axis=1, out=cum_head)  # np.cumsum, without its wrapper
+    head, axis, last, cum_head, head_total, cum, threshold, below = buffers
+    np.add.accumulate(head, axis=axis, out=cum_head)  # np.cumsum, without its wrapper
     np.add(head_total, last, out=threshold)
     threshold *= v
     np.less_equal(cum, threshold, out=below)
@@ -253,6 +280,11 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
     Per episode: one table of unnormalised soft-max weights over every
     Q-table, one draw from it, then the rewards, gathered and scored, or
     for a lone run the joint action's memoised reward row, and one update.
+    The Q-values, pull counts, weights and term tables keep the logical
+    shape ``(agents, K)``.  From ``_ARM_MAJOR_AGENTS`` agents they are
+    stored arm-major, where the draw's cumulative sum runs down the arms
+    two agents per add; below it they are row-major, where each op walks a
+    few long rows instead of K short ones.
     """
     games = [game for game, _ in jobs]
     configs = [config for _, config in jobs]
@@ -263,11 +295,16 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
     seeds = [_seed_sequence(config.seed) for config in configs]
     rngs = [np.random.Generator(np.random.Philox(seq)) for seq, _ in seeds]
 
-    q = np.zeros((agents, num_arms))
-    counts = np.zeros((agents, num_arms), dtype=np.int64)
-    q_flat, counts_flat = q.ravel(), counts.ravel()
+    # a cell's flat index is agent * K + arm in row-major order and
+    # arm * agents + agent in arm-major order
+    arm_major = agents >= _ARM_MAJOR_AGENTS
+    order = "F" if arm_major else "C"
+    q = np.zeros((agents, num_arms), order=order)
+    counts = np.zeros((agents, num_arms), dtype=np.int64, order=order)
+    q_flat, counts_flat = q.ravel(order="K"), counts.ravel(order="K")
     k = np.repeat([config.k for config in configs], n)
-    row_start = np.arange(agents) * num_arms
+    agent_ids = np.arange(agents)
+    row_start = agent_ids * num_arms
     weights = np.empty_like(q)
     draw_buffers = _draw_buffers(weights)
     arms = np.empty(agents, dtype=np.intp)
@@ -275,7 +312,8 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
     rewards = np.empty(agents)
     run_rewards = rewards.reshape(runs, n)
 
-    T, L = _term_tables(games, arm_actions)  # take() reads them flat, as cells index
+    # flat in memory order, as cells index them
+    T, L = (table.ravel(order="K") for table in _term_tables(games, arm_actions, order))
     rho = np.array([game.rho for game in games])
     player_cells = cells.reshape(runs, n).T  # a view: the cells player by player
     # each run's terms contiguous, so they sum as its own joint action's gifts
@@ -318,7 +356,11 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
             for t, draw in zip(range(start, stop), _draws(u, num_arms)):
                 _boltzmann_weights(q, temperatures[t], out=weights)
                 _draw_arms(draw, draw_buffers, arms)
-                np.add(row_start, arms, out=cells)
+                if arm_major:
+                    np.multiply(arms, agents, out=cells)
+                    cells += agent_ids
+                else:
+                    np.add(row_start, arms, out=cells)
 
                 if memo is None:
                     L.take(cells, out=rewards)

@@ -265,6 +265,15 @@ class TestSolveConcave:
         for r in results:
             assert r.residual <= 1e-8
 
+    def test_lone_player_end_rule_relative_to_lo_at_small_rho(self):
+        # hi = max_aggregate() grows like n**(1/rho): an end rule relative to
+        # hi took lo, where f(lo) was 6.4e9, for a root
+        g = game(rho=0.0291, expertise=(0.54, 0.65), alpha=2.47, betas=(1.49, 1.96),
+                 delta_t=17.4, d=12.5, gamma=1.22, b=8.05)
+        (r,) = solve_equilibrium_concave(g)
+        assert r.aggregate_G == pytest.approx(43.716, rel=1e-4)
+        assert r.residual <= 1e-9 * r.aggregate_G
+
     def test_result_consistency_invariants(self):
         for g in (game(rho=1.0, expertise=(0.3, 0.8), b=7.0),
                   game(rho=-10.0, expertise=(0.5, 0.7), b=5.0)):

@@ -54,6 +54,19 @@ class TestPlayRound:
         assert rewards.tolist() == [0.0, 0.0]
 
 
+def _arm_major_draws(weights, draw):
+    """``_draw_arms`` of ``draw`` on ``weights`` in arm-major (Fortran) order,
+    over all M rows and over the first M - 1: both an even and an odd row
+    count when M is even."""
+    v, exploring = draw
+    arms = []
+    for rows in (len(weights), len(weights) - 1):
+        buffers = _draw_buffers(np.asfortranarray(weights[:rows]))
+        part = None if exploring is None else (exploring[0][:rows], exploring[1][:rows])
+        arms.append(_draw_arms((v[:rows], part), buffers, np.empty(rows, dtype=np.intp)))
+    return arms
+
+
 class TestTrainMechanics:
     def test_determinism_bitwise(self):
         g = game(b=5.0)
@@ -156,6 +169,8 @@ class TestTrainMechanics:
                 expected = np.where(exploring[0], exploring[1], expected)
             capped += int((count >= K - 1).sum())
             assert _draw_arms(draw, buffers, arms).tolist() == expected.tolist()
+            for arm_major in _arm_major_draws(weights, draw):
+                assert arm_major.tolist() == arms[:len(arm_major)].tolist()
         # every sum but the last lay at or below v * total: only the +inf
         # sentinel ended the count
         assert capped > 0
@@ -192,6 +207,8 @@ class TestTrainMechanics:
                 clear |= exploring[0]
             got = _draw_arms(draw, buffers, arms)
             assert got[clear].tolist() == expected[clear].tolist()
+            for arm_major in _arm_major_draws(weights, draw):
+                assert arm_major.tolist() == got[:len(arm_major)].tolist()
             compared += int(clear.sum())
         assert compared > 0.99 * u.size
 
@@ -286,14 +303,19 @@ def _runs(calls, n, num_arms, episodes):
     """Each run's arms and rewards by episode, ``(episodes, n)`` each, from
     recorded ``_update_q`` calls.  A chunk makes ``episodes`` consecutive
     calls over its runs' agents, so runs come out chunk by chunk: in job
-    order when each group's jobs are contiguous."""
+    order when each group's jobs are contiguous.  A cell is
+    ``agent * K + arm`` in a row-major chunk and ``arm * agents + agent`` in
+    an arm-major one, of at least ``simulator._ARM_MAJOR_AGENTS`` agents."""
     assert len(calls) % episodes == 0
     runs = []
     for start in range(0, len(calls), episodes):
         cells = np.array([c for c, _ in calls[start:start + episodes]])
         rewards = np.array([r for _, r in calls[start:start + episodes]])
-        for rows in range(0, cells.shape[1], n):
-            runs.append((cells[:, rows:rows + n] % num_arms, rewards[:, rows:rows + n]))
+        agents = cells.shape[1]
+        arms = (cells // agents if agents >= simulator._ARM_MAJOR_AGENTS
+                else cells % num_arms)
+        for rows in range(0, agents, n):
+            runs.append((arms[:, rows:rows + n], rewards[:, rows:rows + n]))
     return runs
 
 
@@ -321,13 +343,17 @@ class TestTrainMany:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("runs_per_chunk", [1, 3, None])
-    def test_equals_serial_train(self, monkeypatch, n, runs_per_chunk):
+    @pytest.mark.parametrize("arm_major_agents", [0, 1 << 40], ids=["arm_major", "row_major"])
+    def test_equals_serial_train(self, monkeypatch, n, runs_per_chunk, arm_major_agents):
+        # every chunk forced into one layout; n = 3 gives odd agent counts
         jobs = _mixed_jobs(n)
+        expected = _serial(n)
         budget = (1 << 40 if runs_per_chunk is None
                   else runs_per_chunk * simulator._run_bytes(n, jobs[0][1].num_arms))
         monkeypatch.setattr(simulator, "_CHUNK_BYTES", budget)
+        monkeypatch.setattr(simulator, "_ARM_MAJOR_AGENTS", arm_major_agents)
         outcomes = train_many(jobs)
-        assert outcomes == _serial(n)
+        assert outcomes == expected
         assert all(out.q_snapshots is not None for out in outcomes)
 
     def test_job_order_and_mixed_player_counts(self):
@@ -465,6 +491,15 @@ def _term_table_rewards(g, arm_actions, joint):
 
 class TestRewardTables:
     """The trainer's rewards, from per-player term tables, equal ``_payoffs``' exactly."""
+
+    def test_tables_in_either_memory_order(self):
+        games = [game(rho=rho) for rho in (-10.0, 0.5, 10.0)]
+        arm_actions = uniform_action_grid(101)
+        row_major = simulator._term_tables(games, arm_actions)
+        arm_major = simulator._term_tables(games, arm_actions, "F")
+        for rows, arms in zip(row_major, arm_major):
+            assert arms.flags.f_contiguous and not arms.flags.c_contiguous
+            assert np.array_equal(rows, arms)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("kind", ["logistic", "identity", "heaviside"])
