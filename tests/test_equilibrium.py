@@ -1272,10 +1272,11 @@ def _random_concave_games(count, seed=21):
     """A seeded family of smooth conjunctive games: two to five players, rho
     from -500 to 0.99 (log-uniform in |rho| below 0, uniform above), identity
     and logistic evaluations, random weights, expertise, alpha and turn
-    length.  |rho| stays above 0.05: nearer 0 the top of the interval,
-    ``max_aggregate``, grows like ``n**(1/rho)``, and with it the end rules'
-    radius ``max(hi, 1)*1e-9``, until the lone-player rule takes a point
-    with ``f`` far from 0 for a root."""
+    length.  |rho| stays above 0.05: nearer 0, below 0 ``beta**(1/rho)``
+    drives the standalone values to 1e-13 and below, and above 0 the top of
+    the interval, ``max_aggregate``, grows like ``n**(1/rho)``: 5e154 for a
+    seeded five-player game at rho = 0.0056, whose reported gifts of 1e-154
+    are no equilibrium."""
     rng = np.random.default_rng(seed)
     games = []
     for _ in range(count):
