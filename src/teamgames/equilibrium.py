@@ -414,10 +414,10 @@ def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
     are one.  ``f = G*(CES(r(G))/G - 1)`` vanishes at ``G = 0`` on either
     side of the crossing, so from ``f(0) = 0`` the bracket starts at the
     radius.  No root raises NoEquilibriumError with the two ends
-    ``[(lo, f(lo)), (hi, f(hi))]`` attached.  For rho < 0 the interval starts just above G = 0
-    and leaves out the trivial fixed point G = 0, where any zero gift forces
-    the weakest-link outcome to 0: the fixed point with G > 0 is returned,
-    the zero profile never.
+    ``[(lo, f(lo)), (hi, f(hi))]`` attached.  For rho < 0 the interval
+    starts just above G = 0 and leaves out the trivial fixed point G = 0,
+    where any zero gift forces the weakest-link outcome to 0: the fixed
+    point with G > 0 is returned, the zero profile never.
     """
     if game.rho > 1 or game.rho == 0:
         raise WrongSolverError(
