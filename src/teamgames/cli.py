@@ -19,9 +19,10 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .equilibrium import NoEquilibriumError
-from .errors import ConfigurationError, TeamworkGameError, _cast
+from .errors import ConfigurationError, DegenerateRegressionError, TeamworkGameError, _read_spec
 from .experiments import (
     SweepConfig,
+    _pairs_text,
     heatmap_table,
     heaviside_study,
     increment_table,
@@ -33,7 +34,6 @@ from .experiments import (
 from .games import GameSpec
 from .simulator import TrainConfig, train
 from . import experiments as _experiments
-from .errors import DegenerateRegressionError
 
 
 def _float_repr(value):
@@ -91,13 +91,6 @@ def _load_input(args) -> dict:
     return _apply_overrides(data, args.set)
 
 
-def _check_keys(data: dict, allowed, what: str) -> None:
-    """Reject a spec with keys outside ``allowed``."""
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ConfigurationError(f"unknown {what} spec key(s): {sorted(unknown)}")
-
-
 def _out_dir(args) -> Path:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -141,7 +134,9 @@ def cmd_solve(args) -> int:
 def cmd_learn(args) -> int:
     spec = GameSpec.from_dict(_load_input(args))
     out = _out_dir(args)
-    outcome = train(spec, TrainConfig(**_flag_values(args)))
+    flags = _flag_values(args)
+    floor = min(TrainConfig.anneal_floor, flags.get("tau", TrainConfig.tau))
+    outcome = train(spec, TrainConfig(**flags, anneal_floor=floor))
     _write_json(out / "learned.json", asdict(outcome))
     print(f"wrote {out / 'learned.json'}")
     return 0
@@ -163,10 +158,8 @@ def cmd_sweep(args) -> int:
     if args.format == "csv":
         for rho in config.rho_values:
             for b in config.b_values:
-                hm = heatmap_table(records, rho, b)
-                _write_csv(out / f"heatmap_{rho:g}_{b:g}.csv", hm.to_rows())
-                st = strategy_table(records, rho, b)
-                _write_csv(out / f"strategy_{rho:g}_{b:g}.csv", st.to_rows())
+                for name, table in (("heatmap", heatmap_table), ("strategy", strategy_table)):
+                    _write_csv(out / f"{name}_{rho:g}_{b:g}.csv", table(records, rho, b).to_rows())
         if len(config.b_values) == 3:
             for table in increment_table(records):
                 _write_csv(out / f"increments_{table.rho:g}.csv", table.to_rows())
@@ -174,18 +167,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-_HEAVISIDE_KEYS = ("b", "d", "repetitions", "episodes", "tau", "k",
-                   "delta_t", "alpha", "base_seed")
-
-
 def cmd_heaviside(args) -> int:
-    data = _load_input(args)
-    _check_keys(data, _HEAVISIDE_KEYS + ("teams",), "heaviside")
-    defaults = inspect.signature(heaviside_study).parameters
-    kwargs = {key: _cast(key, data[key], defaults[key].default)
-              for key in _HEAVISIDE_KEYS if key in data}
-    kwargs.update(_flag_values(args))
-    results = heaviside_study(data.get("teams"), **kwargs)
+    defaults = {key: param.default
+                for key, param in inspect.signature(heaviside_study).parameters.items()}
+    results = heaviside_study(**_read_spec(
+        {**_load_input(args), **_flag_values(args)}, defaults, "heaviside spec"))
     out = _out_dir(args)
     _write_json(out / "heaviside.json", [asdict(r) for r in results])
     rows = [["p1", "p2", "mean_G", "dispersion_pct", "weaker_actions", "strategies"]]
@@ -194,7 +180,7 @@ def cmd_heaviside(args) -> int:
             r.team[0], r.team[1], r.mean_G,
             "" if r.dispersion_pct is None else r.dispersion_pct,
             ";".join(repr(a) for a in (r.weaker_actions or ())),
-            " | ".join(f"({a}%, {b}%)" for a, b in r.strategy_pairs),
+            _pairs_text(r.strategy_pairs),
         ])
     _write_csv(out / "heaviside.csv", rows)
     print(f"wrote {out / 'heaviside.csv'}")
@@ -202,11 +188,9 @@ def cmd_heaviside(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    data = _load_input(args)
-    _check_keys(data, ("budget", "episodes"), "tune")
-    kwargs = {key: _cast(key, value, 0) for key, value in data.items()}
-    kwargs.update(_flag_values(args))
-    result = tune_hyperparameters(kwargs.pop("budget", 0), **kwargs)
+    spec = _read_spec({**_load_input(args), **_flag_values(args)},
+                      dict.fromkeys(("budget", "episodes", "base_seed"), 0), "tune spec")
+    result = tune_hyperparameters(spec.pop("budget", 0), **spec)
     out = _out_dir(args)
     _write_json(out / "tuning.json", asdict(result))
     print(f"wrote {out / 'tuning.json'}")

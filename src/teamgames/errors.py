@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the reader that casts one
-input value or raises ``ConfigurationError`` naming its key."""
+"""Exception types shared across the package, and the readers that cast an
+input spec or raise ``ConfigurationError`` naming the key at fault."""
 
 
 class TeamworkGameError(Exception):
@@ -62,3 +62,14 @@ def _cast(key: str, value, like):
         raise ConfigurationError(
             f"{key} must be {_KINDS[type(like)]}, got {value!r}") from None
     return value
+
+
+def _read_spec(data, defaults: dict, what: str) -> dict:
+    """``data`` with each value cast by ``_cast`` to its default's type; a
+    non-object or a key not in ``defaults`` raises ``ConfigurationError``."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{what} must be an object, got {type(data).__name__}")
+    unknown = set(data) - set(defaults)
+    if unknown:
+        raise ConfigurationError(f"unknown {what} key(s): {sorted(unknown)}")
+    return {key: _cast(key, value, defaults[key]) for key, value in data.items()}

@@ -26,7 +26,7 @@ from .errors import (
     InputError,
     TeamworkGameError,
     UndefinedDispersionError,
-    _cast,
+    _read_spec,
 )
 from .evaluation import EvaluationSpec
 from .games import GameSpec, max_achievable_utility
@@ -69,13 +69,8 @@ class SweepConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
         """Config from a JSON object; each value is cast to its field's type."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(f"sweep config must be an object, got {type(data).__name__}")
         defaults = {field.name: field.default for field in fields(cls)}
-        unknown = set(data) - set(defaults)
-        if unknown:
-            raise ConfigurationError(f"unknown sweep config key(s): {sorted(unknown)}")
-        return cls(**{key: _cast(key, value, defaults[key]) for key, value in data.items()})
+        return cls(**_read_spec(data, defaults, "sweep config"))
 
 
 @dataclass(frozen=True)
@@ -173,7 +168,8 @@ def run_sweep(config: SweepConfig) -> list[ExperimentRecord]:
     games = [cell_game(config, p1, p2, rho, b) for _, p1, p2, rho, b in specs]
     jobs = [(game, TrainConfig(episodes=config.episodes, tau=config.tau, k=config.k,
                                seed=spawned_seed(config.base_seed, index, rep),
-                               num_arms=config.num_arms))
+                               num_arms=config.num_arms,
+                               anneal_floor=min(TrainConfig.anneal_floor, config.tau)))
             for (index, *_), game in zip(specs, games) for rep in range(config.repetitions)]
     refusals = [_learn_refusal(game) for game in games]
     learnable = [job for j, job in enumerate(jobs)
@@ -248,6 +244,29 @@ def regression_from_records(records) -> RegressionReport:
     return fit_regression(pairs)
 
 
+def _triangle_rows(levels, cells: dict, fmt) -> list[list]:
+    """A team table's rows: a header of the levels p1, then one row per level
+    p2 whose cell under each p1 >= p2 reads ``fmt(cells[(p2, p1)])``; cells
+    below the diagonal or missing are ``""``."""
+    rows = [["p2\\p1"] + [f"{p:g}" for p in levels]]
+    for p2 in levels:
+        row = [f"{p2:g}"]
+        for p1 in levels:
+            value = cells.get((p2, p1))
+            row.append("" if p1 < p2 or value is None else fmt(value))
+        rows.append(row)
+    return rows
+
+
+def _pct_pair(actions) -> tuple[int, int]:
+    """A two-player action pair rounded to whole percent."""
+    return int(round(actions[0] * 100)), int(round(actions[1] * 100))
+
+
+def _pairs_text(pairs) -> str:
+    return " | ".join(f"({a}%, {b}%)" for a, b in pairs)
+
+
 @dataclass(frozen=True)
 class HeatmapTable:
     """Learned team outcome per expertise pair for one (rho, b) slice."""
@@ -255,24 +274,14 @@ class HeatmapTable:
     rho: float
     b: float
     levels: tuple[float, ...]
-    values: dict  # (p1, p2) -> float | None
-    passed: dict  # (p1, p2) -> bool | None
+    values: dict  # (p1, p2) -> float
+    passed: dict  # (p1, p2) -> bool
 
     def cell(self, p1: float, p2: float):
         return self.values.get((min(p1, p2), max(p1, p2)))
 
     def to_rows(self) -> list[list]:
-        rows = [["p2\\p1"] + [f"{p:g}" for p in self.levels]]
-        for p2 in self.levels:
-            row = [f"{p2:g}"]
-            for p1 in self.levels:
-                if p1 < p2:
-                    row.append("")
-                    continue
-                value = self.values.get((p2, p1))
-                row.append("" if value is None else repr(value))
-            rows.append(row)
-        return rows
+        return _triangle_rows(self.levels, self.values, repr)
 
 
 @dataclass(frozen=True)
@@ -288,24 +297,18 @@ class StrategyTable:
         return self.cells.get((min(p1, p2), max(p1, p2)))
 
     def to_rows(self) -> list[list]:
-        rows = [["p2\\p1"] + [f"{p:g}" for p in self.levels]]
-        for p2 in self.levels:
-            row = [f"{p2:g}"]
-            for p1 in self.levels:
-                if p1 < p2:
-                    row.append("")
-                    continue
-                pairs = self.cells.get((p2, p1))
-                if pairs is None:
-                    row.append("")
-                else:
-                    row.append(" | ".join(f"({a}%, {b}%)" for a, b in pairs))
-            rows.append(row)
-        return rows
+        return _triangle_rows(self.levels, self.cells, _pairs_text)
 
 
-def _slice_records(records, rho: float, b: float):
-    return [r for r in records if r.rho == rho and r.b == b and r.G_tilde is not None]
+def _by_team(records, rho: float, b: float):
+    """``(levels, teams)`` of the learned records on one (rho, b) slice:
+    ``teams`` maps each (p1, p2) to its records in order, and ``levels`` are
+    the sorted expertise levels the teams span."""
+    teams: dict = {}
+    for rec in records:
+        if rec.rho == rho and rec.b == b and rec.G_tilde is not None:
+            teams.setdefault((rec.p1, rec.p2), []).append(rec)
+    return tuple(sorted({p for team in teams for p in team})), teams
 
 
 def heatmap_table(records, rho: float, b: float) -> HeatmapTable:
@@ -313,34 +316,18 @@ def heatmap_table(records, rho: float, b: float) -> HeatmapTable:
 
     Cells absent from the records stay None (explicit gaps, never zeros).
     """
-    slice_recs = _slice_records(records, rho, b)
-    levels = tuple(sorted({p for r in slice_recs for p in (r.p1, r.p2)}))
-    values: dict = {}
-    passed: dict = {}
-    grouped: dict = {}
-    for rec in slice_recs:
-        grouped.setdefault((rec.p1, rec.p2), []).append(rec.G_tilde)
-    for key, vals in grouped.items():
-        mean = float(np.mean(vals))
-        values[key] = mean
-        passed[key] = bool(mean >= b)
-    return HeatmapTable(rho=rho, b=b, levels=levels, values=values, passed=passed)
+    levels, teams = _by_team(records, rho, b)
+    values = {team: float(np.mean([rec.G_tilde for rec in recs]))
+              for team, recs in teams.items()}
+    return HeatmapTable(rho=rho, b=b, levels=levels, values=values,
+                        passed={team: bool(mean >= b) for team, mean in values.items()})
 
 
 def strategy_table(records, rho: float, b: float) -> StrategyTable:
     """Learned greedy action pairs (rounded to whole percent) per team."""
-    slice_recs = _slice_records(records, rho, b)
-    levels = tuple(sorted({p for r in slice_recs for p in (r.p1, r.p2)}))
-    cells: dict = {}
-    grouped: dict = {}
-    for rec in slice_recs:
-        if rec.learned_actions is None:
-            continue
-        pair = (int(round(rec.learned_actions[0] * 100)),
-                int(round(rec.learned_actions[1] * 100)))
-        grouped.setdefault((rec.p1, rec.p2), set()).add(pair)
-    for key, pairs in grouped.items():
-        cells[key] = tuple(sorted(pairs))
+    levels, teams = _by_team(records, rho, b)
+    cells = {team: tuple(sorted({_pct_pair(rec.learned_actions) for rec in recs}))
+             for team, recs in teams.items()}
     return StrategyTable(rho=rho, b=b, levels=levels, cells=cells)
 
 
@@ -361,27 +348,18 @@ class IncrementTable:
         b1, b2, b3 = self.b_values
         rows = [["p", f"b{b1:g}_to_b{b2:g}_pct", f"b{b2:g}_to_b{b3:g}_pct"]]
         for p in sorted(self.increments):
-            a, b = self.increments[p]
-            rows.append([f"{p:g}",
-                         "" if a is None else repr(a),
-                         "" if b is None else repr(b)])
+            rows.append([f"{p:g}"] + ["" if v is None else repr(v)
+                                      for v in self.increments[p]])
         return rows
 
 
 def _mean_dedication(records, rho: float, b: float) -> dict:
     """Mean action per expertise level over teams where it is the junior member."""
-    slice_recs = _slice_records(records, rho, b)
-    by_team: dict = {}
-    for rec in slice_recs:
-        if rec.learned_actions is None:
-            continue
-        by_team.setdefault((rec.p1, rec.p2), []).append(rec.learned_actions)
     samples: dict = {}
-    for (p1, p2), action_lists in by_team.items():
-        a1 = float(np.mean([a[0] for a in action_lists]))
-        a2 = float(np.mean([a[1] for a in action_lists]))
-        value = 0.5 * (a1 + a2) if p1 == p2 else a1
-        samples.setdefault(p1, []).append(value)
+    for (p1, p2), recs in _by_team(records, rho, b)[1].items():
+        a1 = float(np.mean([rec.learned_actions[0] for rec in recs]))
+        a2 = float(np.mean([rec.learned_actions[1] for rec in recs]))
+        samples.setdefault(p1, []).append(0.5 * (a1 + a2) if p1 == p2 else a1)
     return {p: float(np.mean(vals)) for p, vals in samples.items()}
 
 
@@ -395,15 +373,9 @@ def increment_table(records, rho: float | None = None) -> list[IncrementTable]:
             raise ConfigurationError(
                 f"increment table needs exactly three thresholds for rho={r:g}, got {bs}")
         means = [_mean_dedication(records, r, b) for b in bs]
-        increments = {}
-        for p in sorted(set(means[0]) & set(means[1]) & set(means[2])):
-            first = None
-            second = None
-            if means[0][p] > 0:
-                first = (means[1][p] - means[0][p]) / means[0][p] * 100.0
-            if means[1][p] > 0:
-                second = (means[2][p] - means[1][p]) / means[1][p] * 100.0
-            increments[p] = (first, second)
+        increments = {p: tuple((hi[p] - lo[p]) / lo[p] * 100.0 if lo[p] > 0 else None
+                               for lo, hi in zip(means, means[1:]))
+                      for p in sorted(set(means[0]) & set(means[1]) & set(means[2]))}
         tables.append(IncrementTable(rho=r, b_values=(bs[0], bs[1], bs[2]),
                                      increments=increments))
     return tables
@@ -446,15 +418,15 @@ def heaviside_study(teams=None, *, b: float = 5.0, d: float = 10.0,
     jobs = [(GameSpec(n=2, rho=1.0, betas=(1.0, 1.0), delta_t=delta_t,
                       expertise=team, alpha=alpha, evaluation=evaluation),
              TrainConfig(episodes=episodes, tau=tau, k=k,
-                         seed=spawned_seed(base_seed, 10_000 + t_idx, rep)))
+                         seed=spawned_seed(base_seed, 10_000 + t_idx, rep),
+                         anneal_floor=min(TrainConfig.anneal_floor, tau)))
             for t_idx, team in enumerate(teams) for rep in range(repetitions)]
     learned = iter(train_many(jobs))
     results = []
     for p1, p2 in teams:
         runs = [next(learned) for _ in range(repetitions)]
         outcomes = [out.learned_G for out in runs]
-        pairs = {(int(round(out.greedy_actions[0] * 100)),
-                  int(round(out.greedy_actions[1] * 100))) for out in runs}
+        pairs = {_pct_pair(out.greedy_actions) for out in runs}
         try:
             disp = dispersion(outcomes)
         except UndefinedDispersionError:

@@ -1,9 +1,11 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
-from teamgames import GameSpec, NoEquilibriumError, cli, solve_equilibrium_concave
+from teamgames import GameSpec, NoEquilibriumError, cli, experiments, solve_equilibrium_concave
 from teamgames.equilibrium import standalone_value
+from teamgames.simulator import LearnedOutcome, TrainConfig, train
 
 
 def write_json(path, payload):
@@ -161,11 +163,6 @@ class TestSweep:
         records = json.loads((tmp_path / "records.json").read_text())
         assert len(records) == 9
 
-    def test_flag_overrides_input_before_validation(self, tmp_path):
-        spec = write_json(tmp_path / "sweep.json", {**self.sweep_config(), "workers": 0})
-        assert cli.main(["sweep", "--input", spec, "--output-dir", str(tmp_path),
-                         "--workers", "1"]) == 0
-
     def test_unknown_sweep_key(self, tmp_path, capsys):
         spec = write_json(tmp_path / "sweep.json", {"temperature": 1.0})
         rc = cli.main(["sweep", "--input", spec, "--output-dir", str(tmp_path)])
@@ -215,6 +212,84 @@ class TestHeavisideAndTune:
         rc = cli.main(["solve", "--input", str(tmp_path / "nope.json"),
                        "--output-dir", str(tmp_path)])
         assert rc == 1
+
+    def test_heaviside_csv_rows(self, tmp_path, monkeypatch):
+        # fixed outcomes per (team, repetition), in the study's job order
+        runs = [((0.2, 0.64), 5.0), ((0.56, 0.62), 6.0),
+                ((0.58, 0.53), 4.0), ((0.58, 0.53), 4.0),
+                ((0.0, 0.0), 0.0), ((0.0, 0.0), 0.0)]
+
+        def fake_train_many(jobs):
+            assert len(jobs) == len(runs)
+            return [LearnedOutcome(actions, g, 0.0, 50, 0) for actions, g in runs]
+
+        monkeypatch.setattr(experiments, "train_many", fake_train_many)
+        spec = write_json(tmp_path / "study.json",
+                          {"teams": [[0.7, 0.3], [0.5, 0.5], [0.1, 0.1]],
+                           "repetitions": 2, "episodes": 50})
+        assert cli.main(["heaviside", "--input", spec, "--output-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "heaviside.csv").read_text() == (
+            "p1,p2,mean_G,dispersion_pct,weaker_actions,strategies\n"
+            "0.3,0.7,5.5,18.181818181818183,0.2;0.56,\"(20%, 64%) | (56%, 62%)\"\n"
+            "0.5,0.5,4.0,0.0,,\"(58%, 53%)\"\n"
+            "0.1,0.1,0.0,,,\"(0%, 0%)\"\n")
+
+
+SMALL_SWEEP = {"expertise_values": [0.3, 0.8], "rho_values": [1.0], "b_values": [5.0],
+               "episodes": 50}
+SMALL_STUDY = {"teams": [[0.3, 0.7]], "repetitions": 1, "episodes": 50}
+
+
+@pytest.mark.parametrize("command,payload,extra", [
+    ("sweep", {**SMALL_SWEEP, "workers": 0}, ["--workers", "1"]),
+    ("heaviside", {**SMALL_STUDY, "episodes": "abc"}, ["--episodes", "50"]),
+    ("tune", {"budget": 0, "base_seed": "abc"}, ["--seed", "1"]),
+], ids=["sweep", "heaviside", "tune"])
+def test_flag_overrides_input_before_validation(tmp_path, command, payload, extra):
+    spec = write_json(tmp_path / "input.json", payload)
+    assert cli.main([command, "--input", spec, "--output-dir", str(tmp_path)] + extra) == 0
+
+
+# Every (subcommand, flag, config key) that --input and --set can also reach.
+# learn reads a game from its input; its flags set TrainConfig fields, which
+# no input carries.
+FLAG_KEYS = [(command, flag, key) for flag, (keys, _) in cli._FLAGS.items()
+             for command, key in keys.items() if key is not None and command != "learn"]
+FLAG_INPUTS = {"sweep": SMALL_SWEEP, "heaviside": SMALL_STUDY,
+               "tune": {"budget": 1, "episodes": 50}}
+FLAG_VALUES = {"base_seed": "3", "workers": "2", "episodes": "60", "tau": "0.2", "k": "30"}
+
+
+@pytest.mark.parametrize("command,flag,key", FLAG_KEYS,
+                         ids=[f"{command}{flag}" for command, flag, _ in FLAG_KEYS])
+def test_set_writes_what_the_flag_writes(tmp_path, command, flag, key):
+    spec = write_json(tmp_path / "input.json", FLAG_INPUTS[command])
+    value = FLAG_VALUES[key]
+    written = []
+    for name, extra in (("flag", [flag, value]), ("set", ["--set", f"{key}={value}"])):
+        out = tmp_path / name
+        assert cli.main([command, "--input", spec, "--output-dir", str(out)] + extra) == 0
+        written.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("sweep", {**SMALL_SWEEP, "tau": 0.015}),
+    ("heaviside", {**SMALL_STUDY, "tau": 0.01}),
+], ids=["sweep", "heaviside"])
+def test_tau_below_the_default_floor_is_accepted(tmp_path, command, payload):
+    spec = write_json(tmp_path / "input.json", payload)
+    assert cli.main([command, "--input", spec, "--output-dir", str(tmp_path)]) == 0
+
+
+def test_learn_at_low_tau_holds_the_temperature(tmp_path):
+    spec = write_json(tmp_path / "game.json", game_spec())
+    assert cli.main(["learn", "--input", spec, "--output-dir", str(tmp_path),
+                     "--episodes", "60", "--tau", "0.01"]) == 0
+    expected = train(GameSpec.from_dict(game_spec()),
+                     TrainConfig(episodes=60, tau=0.01, anneal_floor=0.01))
+    data = json.loads((tmp_path / "learned.json").read_text())
+    assert data == json.loads(json.dumps(asdict(expected)))
 
 
 MALFORMED = [

@@ -238,6 +238,45 @@ class TestTables:
         assert inc[0.3][1] == pytest.approx(0.0)
 
 
+class TestTableRows:
+    """The CSV bodies of the team tables, pinned on a fixed record set."""
+
+    def records(self):
+        return [record(p1=0.3, p2=0.5, g_tilde=2.0, actions=(0.2, 0.514)),
+                record(p1=0.3, p2=0.5, g_tilde=4.5, actions=(0.0, 0.67), rep=1),
+                record(p1=0.3, p2=0.8, g_tilde=1.25, actions=(0.106, 0.6), index=1),
+                record(p1=0.5, p2=0.5, g_tilde=3.5, actions=(0.34, 0.34), index=2),
+                record(p1=0.5, p2=0.8, g_tilde=None, actions=(0.5, 0.5), index=3),
+                record(p1=0.8, p2=0.8, b=5.0, g_tilde=6.0, index=4),
+                # an unsorted team never fills a cell below the diagonal
+                record(p1=0.8, p2=0.5, g_tilde=7.0, actions=(0.9, 0.9), index=5)]
+
+    def test_heatmap_rows(self):
+        assert heatmap_table(self.records(), 1.0, 3.0).to_rows() == [
+            ["p2\\p1", "0.3", "0.5", "0.8"],
+            ["0.3", "", "3.25", "1.25"],
+            ["0.5", "", "3.5", ""],
+            ["0.8", "", "", ""]]
+
+    def test_strategy_rows(self):
+        assert strategy_table(self.records(), 1.0, 3.0).to_rows() == [
+            ["p2\\p1", "0.3", "0.5", "0.8"],
+            ["0.3", "", "(0%, 67%) | (20%, 51%)", "(11%, 60%)"],
+            ["0.5", "", "(34%, 34%)", ""],
+            ["0.8", "", "", ""]]
+
+    def test_increment_rows(self):
+        records = [record(p1=0.3, p2=0.3, b=b, actions=(a, a), index=i)
+                   for i, (b, a) in enumerate(((3.0, 0.0), (5.0, 0.4), (7.0, 0.5)))]
+        records += [record(p1=0.6, p2=0.9, b=b, actions=(a, 0.9), index=3 + i)
+                    for i, (b, a) in enumerate(((3.0, 0.2), (5.0, 0.3), (7.0, 0.3)))]
+        (table,) = increment_table(records)
+        assert table.to_rows() == [
+            ["p", "b3_to_b5_pct", "b5_to_b7_pct"],
+            ["0.3", "", "24.999999999999993"],
+            ["0.6", "49.999999999999986", "0.0"]]
+
+
 class TestHeavisideStudy:
     def test_structure(self):
         results = heaviside_study(teams=[(0.3, 0.7), (0.5, 0.5)], repetitions=2,
