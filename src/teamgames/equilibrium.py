@@ -410,8 +410,11 @@ def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
     player's fixed point when ``|f(lo)| <= max(lo, 1)*1e-9``, relative to
     ``lo`` itself because ``hi`` grows like ``n**(1/rho)`` as rho nears 0;
     an exact zero at ``lo`` is a root; and ``hi`` is a root when
-    ``|f(hi)| < 1e-12``.  Roots within the dedup radius ``max(hi, 1)*1e-9``
-    are one.  ``f = G*(CES(r(G))/G - 1)`` vanishes at ``G = 0`` on either
+    ``|f(hi)| < min(hi, 1)*1e-12``, relative to ``hi`` below 1 because for
+    rho < 0 near 0 ``hi``, the least standalone value, shrinks like
+    ``beta**(1/rho)``, and ``f(hi)``, about ``-hi`` there, with it.  Roots
+    within the dedup radius ``max(hi, 1)*1e-9`` are one.
+    ``f = G*(CES(r(G))/G - 1)`` vanishes at ``G = 0`` on either
     side of the crossing, so from ``f(0) = 0`` the bracket starts at the
     radius.  No root raises NoEquilibriumError with the two ends
     ``[(lo, f(lo)), (hi, f(hi))]`` attached.  For rho < 0 the interval
@@ -465,7 +468,7 @@ def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
     if (f_a < 0) != (f_hi < 0):
         # every root lies above a, so xtol is at most 1e-15 of it
         roots.append(_brent(f, a, hi, xtol=a * 1e-15, rtol=1e-15, flo=f_a, fhi=f_hi))
-    if abs(f_hi) < 1e-12 and not any(abs(r - hi) < 1e-9 for r in roots):
+    if abs(f_hi) < 1e-12 * min(hi, 1.0) and not any(abs(r - hi) < 1e-9 for r in roots):
         roots.append(hi)
 
     deduped: list[float] = []

@@ -48,16 +48,16 @@ class SweepConfig:
     rho_values: tuple[float, ...] = (-100.0, -10.0, -3.0, 0.5, 1.0, 3.0, 10.0, 100.0)
     b_values: tuple[float, ...] = (3.0, 5.0, 7.0)
     repetitions: int = 1
-    episodes: int = 50_000
-    tau: float = 0.1
-    k: float = 40.0
+    episodes: int = TrainConfig.episodes
+    tau: float = TrainConfig.tau
+    k: float = TrainConfig.k
     evaluation_kind: str = "logistic"
     d: float = 10.0
     gamma: float = 2.0
     delta_t: float = 10.0
     alpha: float = 2.0
     base_seed: int = 0
-    num_arms: int = 101
+    num_arms: int = TrainConfig.num_arms
     workers: int = 1
 
     def __post_init__(self):
@@ -303,10 +303,15 @@ class StrategyTable:
 def _by_team(records, rho: float, b: float):
     """``(levels, teams)`` of the learned records on one (rho, b) slice:
     ``teams`` maps each (p1, p2) to its records in order, and ``levels`` are
-    the sorted expertise levels the teams span."""
+    the sorted expertise levels the teams span.  A learned record whose
+    team is not sorted (p1 > p2) raises ``ConfigurationError``."""
     teams: dict = {}
     for rec in records:
         if rec.rho == rho and rec.b == b and rec.G_tilde is not None:
+            if rec.p1 > rec.p2:
+                raise ConfigurationError(
+                    f"team tables need p1 <= p2, got record {rec.index} with team "
+                    f"({rec.p1:g}, {rec.p2:g})")
             teams.setdefault((rec.p1, rec.p2), []).append(rec)
     return tuple(sorted({p for team in teams for p in team})), teams
 
@@ -392,8 +397,8 @@ class HeavisideTeamResult:
 
 
 def heaviside_study(teams=None, *, b: float = 5.0, d: float = 10.0,
-                    repetitions: int = 3, episodes: int = 50_000,
-                    tau: float = 0.3, k: float = 40.0, delta_t: float = 10.0,
+                    repetitions: int = 3, episodes: int = TrainConfig.episodes,
+                    tau: float = 0.3, k: float = TrainConfig.k, delta_t: float = 10.0,
                     alpha: float = 2.0, base_seed: int = 0) -> list[HeavisideTeamResult]:
     """Repeated learning of additive pass/fail games.
 
@@ -463,7 +468,8 @@ _TAU_RANGE = (0.01, 1.0)
 
 
 def tune_hyperparameters(budget: int, *, probe_cells=_DEFAULT_PROBE,
-                         episodes: int = 50_000, base_seed: int = 0) -> TuneResult:
+                         episodes: int = TrainConfig.episodes,
+                         base_seed: int = 0) -> TuneResult:
     """Random search over (k, tau), scored by mean |G_tilde - G_hat| on probes.
 
     k and tau are drawn log-uniformly from ``_K_RANGE`` and ``_TAU_RANGE``.

@@ -23,10 +23,10 @@ import numpy as np
 from .errors import ConfigurationError, InputError, _cast
 from .evaluation import EvaluationSpec, eval_score
 
-_GAME_KEYS = {
-    "n", "rho", "betas", "delta_t", "expertise", "leisure_capacity",
-    "alpha", "evaluation",
-}
+# Each game spec key, in the order ``from_dict`` reads and ``to_dict`` writes it, and
+# the value ``_cast`` reads it as; ``evaluation`` is read by ``EvaluationSpec.from_dict``.
+_GAME_KEYS = {"n": 0, "rho": 0.0, "betas": (), "delta_t": 0.0, "expertise": (),
+              "leisure_capacity": (), "alpha": 0.0, "evaluation": None}
 
 
 def _as_tuple(name: str, values, n: int) -> tuple[float, ...]:
@@ -110,39 +110,24 @@ class GameSpec:
         return columns
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rho": self.rho,
-            "betas": list(self.betas),
-            "delta_t": self.delta_t,
-            "expertise": list(self.expertise),
-            "leisure_capacity": list(self.leisure_capacity),
-            "alpha": self.alpha,
-            "evaluation": self.evaluation.to_dict(),
-        }
+        data = {key: list(getattr(self, key)) if isinstance(like, tuple) else getattr(self, key)
+                for key, like in _GAME_KEYS.items()}
+        return {**data, "evaluation": self.evaluation.to_dict()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "GameSpec":
         if not isinstance(data, dict):
             raise ConfigurationError(f"game spec must be an object, got {type(data).__name__}")
-        unknown = set(data) - _GAME_KEYS
+        unknown = set(data) - set(_GAME_KEYS)
         if unknown:
             raise ConfigurationError(f"unknown game spec key(s): {sorted(unknown)}")
-        missing = {"n", "rho", "betas", "delta_t", "expertise", "alpha", "evaluation"} - set(data)
+        missing = set(_GAME_KEYS) - {"leisure_capacity"} - set(data)
         if missing:
             raise ConfigurationError(f"missing game spec key(s): {sorted(missing)}")
-        return cls(
-            n=_cast("n", data["n"], 0),
-            rho=_cast("rho", data["rho"], 0.0),
-            betas=_cast("betas", data["betas"], ()),
-            delta_t=_cast("delta_t", data["delta_t"], 0.0),
-            expertise=_cast("expertise", data["expertise"], ()),
-            leisure_capacity=(
-                _cast("leisure_capacity", data["leisure_capacity"], ())
-                if data.get("leisure_capacity") is not None else None),
-            alpha=_cast("alpha", data["alpha"], 0.0),
-            evaluation=EvaluationSpec.from_dict(data["evaluation"]),
-        )
+        kwargs = {key: _cast(key, data[key], like) for key, like in _GAME_KEYS.items()
+                  if key != "leisure_capacity" or data.get(key) is not None}
+        kwargs["evaluation"] = EvaluationSpec.from_dict(kwargs["evaluation"])
+        return cls(**kwargs)
 
 
 def _actions_array(game: GameSpec, actions) -> np.ndarray:

@@ -1343,6 +1343,44 @@ class TestOneRootPerConcaveGame:
         assert counts.count(1) >= 30
 
 
+def _small_rho_conjunctive_games(count, band, seed=1000):
+    """``count`` seeded rho < 0 games with |rho| log-uniform in ``band``; the
+    other draws are those of ``_random_concave_games``."""
+    rng = np.random.default_rng(seed)
+    games = []
+    for _ in range(count):
+        rho = -float(10.0 ** rng.uniform(math.log10(band[0]), math.log10(band[1])))
+        n = int(rng.integers(2, 6))
+        ev = EvaluationSpec("identity") if rng.integers(2) else EvaluationSpec(
+            "logistic", d=float(rng.uniform(1.0, 20.0)), gamma=float(10.0 ** rng.uniform(-1, 1.5)),
+            b=float(rng.uniform(0.5, 10.0)))
+        games.append(GameSpec(n=n, rho=rho, betas=tuple(rng.uniform(0.5, 2.0, n)),
+                              delta_t=float(rng.uniform(2.0, 20.0)),
+                              expertise=tuple(rng.uniform(0.05, 1.0, n)),
+                              alpha=float(rng.uniform(0.5, 3.0)), evaluation=ev))
+    return games
+
+
+class TestSmallRhoConcaveTopEnd:
+    """Below rho = 0 and near it, ``hi``, the least standalone value, falls
+    to 1e-15 and below, and ``f(hi)`` is about ``-hi``: an absolute top-end
+    rule took such an ``hi`` for a fixed point that is no equilibrium."""
+
+    def test_every_reported_equilibrium_passes_the_oracle(self):
+        checked = 0
+        for band in ((0.005, 0.01), (0.01, 0.02), (0.02, 0.03), (0.03, 0.05), (0.05, 0.1)):
+            for g in _small_rho_conjunctive_games(60, band):
+                try:
+                    equilibria = solve_equilibrium_concave(g)
+                except NoEquilibriumError:
+                    continue  # the game's equilibrium is the zero profile, left out
+                eps = 1e-6 * max_achievable_utility(g)
+                for e in equilibria:
+                    assert verify_epsilon_nash(e.actions, g, eps).is_nash, (band, g)
+                    checked += 1
+        assert checked >= 30
+
+
 def _random_conjunctive_games(count, seed=15):
     """A seeded family of smooth conjunctive games: rho from -500 to 0.9,
     one to three players, identity and logistic evaluations."""

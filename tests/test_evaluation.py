@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from teamgames.errors import ConfigurationError, UnsupportedEvaluationError
 from teamgames.evaluation import (
+    KINDS,
     EvaluationSpec,
     eval_score,
     ratio_scalar,
@@ -152,6 +154,35 @@ class TestSpecValidation:
     def test_unknown_key_named(self):
         with pytest.raises(ConfigurationError, match="steepness"):
             EvaluationSpec.from_dict({"kind": "identity", "steepness": 3})
+
+    def test_to_dict_writes_the_kind_then_its_parameters(self):
+        assert json.dumps(logistic(d=3.0, gamma=0.5, b=1.5).to_dict()) == (
+            '{"kind": "logistic", "d": 3.0, "gamma": 0.5, "b": 1.5}')
+        assert json.dumps(EvaluationSpec("identity", d=3.0).to_dict()) == '{"kind": "identity"}'
+        assert json.dumps(EvaluationSpec("heaviside", d=7.0, gamma=9.0, b=5.0).to_dict()) == (
+            '{"kind": "heaviside", "d": 7.0, "b": 5.0}')
+
+    @pytest.mark.parametrize("data,message", [
+        ([], "evaluation must be an object, got list"),
+        ({}, f"evaluation kind must be one of {KINDS}, got None"),
+        # the kind is read before any other key
+        ({"zz": 1, "kind": "cubic"}, f"evaluation kind must be one of {KINDS}, got 'cubic'"),
+        ({"kind": "identity", "d": 1.0}, "unknown evaluation key(s) ['d'] for kind 'identity'"),
+        ({"kind": "heaviside", "zz": 1, "gamma": 2.0, "d": "x"},
+         "unknown evaluation key(s) ['gamma', 'zz'] for kind 'heaviside'"),
+        # values are cast in the input's order, then checked in the kind's
+        ({"kind": "logistic", "b": None, "d": "x"}, "evaluation b must be a number, got None"),
+        ({"kind": "logistic", "b": -1, "gamma": 0, "d": -1},
+         "evaluation d must be finite and > 0, got -1.0"),
+        ({"kind": "logistic", "b": -1, "gamma": 0}, "evaluation gamma must be finite and > 0, got 0.0"),
+        ({"kind": "heaviside", "b": -1, "d": 0}, "evaluation d must be finite and > 0, got 0.0"),
+        ({"kind": "heaviside", "b": math.inf}, "evaluation b must be finite and >= 0, got inf"),
+        ({"kind": "logistic", "b": math.nan}, "evaluation b must be finite and >= 0, got nan"),
+    ])
+    def test_from_dict_message(self, data, message):
+        with pytest.raises(ConfigurationError) as exc:
+            EvaluationSpec.from_dict(data)
+        assert str(exc.value) == message
 
     def test_smoothness_flag(self):
         assert logistic().is_smooth

@@ -247,9 +247,7 @@ class TestTableRows:
                 record(p1=0.3, p2=0.8, g_tilde=1.25, actions=(0.106, 0.6), index=1),
                 record(p1=0.5, p2=0.5, g_tilde=3.5, actions=(0.34, 0.34), index=2),
                 record(p1=0.5, p2=0.8, g_tilde=None, actions=(0.5, 0.5), index=3),
-                record(p1=0.8, p2=0.8, b=5.0, g_tilde=6.0, index=4),
-                # an unsorted team never fills a cell below the diagonal
-                record(p1=0.8, p2=0.5, g_tilde=7.0, actions=(0.9, 0.9), index=5)]
+                record(p1=0.8, p2=0.8, b=5.0, g_tilde=6.0, index=4)]
 
     def test_heatmap_rows(self):
         assert heatmap_table(self.records(), 1.0, 3.0).to_rows() == [
@@ -275,6 +273,16 @@ class TestTableRows:
             ["p", "b3_to_b5_pct", "b5_to_b7_pct"],
             ["0.3", "", "24.999999999999993"],
             ["0.6", "49.999999999999986", "0.0"]]
+
+    def test_unsorted_team_refused_by_name(self):
+        records = [record(p1=0.3, p2=0.5, b=b, index=i) for i, b in enumerate((3.0, 5.0, 7.0))]
+        records.append(record(p1=0.8, p2=0.5, g_tilde=7.0, actions=(0.9, 0.9), index=5))
+        for table in (heatmap_table, strategy_table):
+            with pytest.raises(ConfigurationError,
+                               match=r"p1 <= p2, got record 5 with team \(0.8, 0.5\)"):
+                table(records, 1.0, 3.0)
+        with pytest.raises(ConfigurationError, match=r"got record 5 with team \(0.8, 0.5\)"):
+            increment_table(records)
 
 
 class TestHeavisideStudy:

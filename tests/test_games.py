@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamgames.errors import ConfigurationError, InputError
-from teamgames.evaluation import EvaluationSpec, eval_score
+from teamgames.evaluation import KINDS, EvaluationSpec, eval_score
 from teamgames.games import (
     GameSpec,
     _leisure_payoff,
@@ -15,6 +16,9 @@ from teamgames.games import (
     evaluate_joint_action,
     utility,
 )
+
+
+_DROP = object()  # a key left out of a game spec
 
 
 def two_player(rho=1.0, expertise=(0.3, 0.8), b=5.0, kind="logistic", alpha=2.0):
@@ -202,6 +206,54 @@ class TestGameSpec:
         data[field] = list(value) if isinstance(value, tuple) else value
         with pytest.raises(ConfigurationError, match=field):
             GameSpec.from_dict(data)
+
+    def test_to_dict_key_order(self):
+        game = GameSpec(n=2, rho=0.5, betas=(1.0, 2.0), delta_t=10.0, expertise=(0.3, 0.8),
+                        leisure_capacity=(1.0, 0.5), alpha=2.0,
+                        evaluation=EvaluationSpec("heaviside", d=10.0, b=5.0))
+        assert json.dumps(game.to_dict()) == (
+            '{"n": 2, "rho": 0.5, "betas": [1.0, 2.0], "delta_t": 10.0, '
+            '"expertise": [0.3, 0.8], "leisure_capacity": [1.0, 0.5], "alpha": 2.0, '
+            '"evaluation": {"kind": "heaviside", "d": 10.0, "b": 5.0}}')
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"zz": 1}, "unknown game spec key(s): ['zz']"),
+        ({"zz": 1, "aa": 2, "n": None}, "unknown game spec key(s): ['aa', 'zz']"),
+        # unknown keys come before missing ones, and missing ones before values
+        ({"zz": 1, "rho": _DROP}, "unknown game spec key(s): ['zz']"),
+        ({"rho": _DROP, "alpha": _DROP}, "missing game spec key(s): ['alpha', 'rho']"),
+        ({"alpha": _DROP, "n": "x"}, "missing game spec key(s): ['alpha']"),
+        ({"evaluation": _DROP, "betas": None}, "missing game spec key(s): ['evaluation']"),
+        # values are cast in the spec's key order, whatever the input's order
+        ({"alpha": "x", "n": "y"}, "n must be an integer, got 'y'"),
+        ({"alpha": "x", "leisure_capacity": "y"}, "leisure_capacity must be a list of numbers, got 'y'"),
+        ({"n": None}, "n must be an integer, got None"),
+        ({"betas": 3}, "betas must be a list of numbers, got 3"),
+        ({"rho": "x", "evaluation": None}, "rho must be a number, got 'x'"),
+        # the evaluation is read before the game's own checks
+        ({"delta_t": -1.0, "evaluation": None}, "evaluation must be an object, got NoneType"),
+        ({"delta_t": -1.0, "evaluation": {"kind": "zz"}},
+         f"evaluation kind must be one of {KINDS}, got 'zz'"),
+        ({"delta_t": -1.0, "alpha": 0.0}, "delta_t must be finite and > 0, got -1.0"),
+    ])
+    def test_from_dict_message(self, changes, message):
+        # the changed keys come first in the input
+        data = {**changes, **two_player().to_dict(), **changes}
+        data = {key: value for key, value in data.items() if value is not _DROP}
+        with pytest.raises(ConfigurationError) as exc:
+            GameSpec.from_dict(data)
+        assert str(exc.value) == message
+
+    def test_from_dict_refuses_a_non_object(self):
+        with pytest.raises(ConfigurationError) as exc:
+            GameSpec.from_dict([two_player().to_dict()])
+        assert str(exc.value) == "game spec must be an object, got list"
+
+    def test_null_or_missing_leisure_capacity_means_full_capacity(self):
+        data = two_player().to_dict()
+        assert GameSpec.from_dict({**data, "leisure_capacity": None}) == two_player()
+        del data["leisure_capacity"]
+        assert GameSpec.from_dict(data) == two_player()
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigurationError):
