@@ -33,7 +33,6 @@ from .equilibrium import (
 )
 from .bandit import (
     AgentState,
-    boltzmann_probabilities,
     update_q,
 )
 from .simulator import (

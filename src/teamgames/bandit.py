@@ -19,17 +19,16 @@ The soft-max weights and the update are written once, for a stack of
 Q-tables with one row per agent (``_boltzmann_weights`` and ``_update_q``):
 the lockstep trainer (``simulator.train_many``) runs them over every agent
 of every run at once and draws each arm from the unnormalised weights, so
-no episode divides by a row sum.  ``_boltzmann`` is the weights over their
-row sum, kept for ``boltzmann_probabilities``, the one-agent distribution
-on an ``AgentState``; ``update_q`` is the update's one-agent case.  An
-AgentState is owned by one caller at a time; nothing here is shared
-between agents.
+no episode divides by a row sum.  ``update_q`` is the update's one-agent
+case, on an ``AgentState`` that holds one agent's Q-values, learning-rate
+constant and pull counts.  An AgentState is owned by one caller at a time;
+nothing here is shared between agents.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,47 +48,35 @@ def uniform_action_grid(num_arms: int = 101) -> np.ndarray:
 
 @dataclass
 class AgentState:
-    """One bandit: Q-values, temperature, learning-rate constant, pull counts.
+    """One bandit: Q-values, learning-rate constant, pull counts.
 
     ``pull_counts`` counts selections per arm and drives the learning-rate
     schedule.
     """
 
     q_values: np.ndarray
-    arm_actions: np.ndarray
-    tau: float = 0.1
     k: float = 40.0
     pull_counts: np.ndarray | None = None
 
     def __post_init__(self):
         self.q_values = np.asarray(self.q_values, dtype=float)
-        self.arm_actions = np.asarray(self.arm_actions, dtype=float)
+        if self.q_values.ndim != 1:
+            raise ConfigurationError("q_values must be 1-D")
         if self.pull_counts is None:
             self.pull_counts = np.zeros(len(self.q_values), dtype=np.int64)
         else:
             self.pull_counts = np.asarray(self.pull_counts, dtype=np.int64)
-        if self.q_values.shape != self.arm_actions.shape or self.q_values.ndim != 1:
-            raise ConfigurationError("q_values and arm_actions must be 1-D and aligned")
         if self.pull_counts.shape != self.q_values.shape or np.any(self.pull_counts < 0):
             raise ConfigurationError("pull_counts must align with q_values and be >= 0")
-        if not self.tau > 0:
-            raise ConfigurationError(f"tau must be > 0, got {self.tau}")
         if not self.k > 0:
             raise ConfigurationError(f"k must be > 0, got {self.k}")
-        acts = self.arm_actions
-        if acts[0] != 0.0 or acts[-1] != 1.0:
-            raise ConfigurationError("arm_actions must start at 0 and end at 1")
-        spacing = np.diff(acts)
-        if np.any(spacing <= 0) or not np.allclose(spacing, spacing[0], rtol=0, atol=1e-12):
-            raise ConfigurationError("arm_actions must be strictly increasing and uniform")
         if not np.all(np.isfinite(self.q_values)):
             raise ConfigurationError("q_values must be finite")
 
     @classmethod
-    def fresh(cls, num_arms: int = 101, tau: float = 0.1, k: float = 40.0) -> "AgentState":
-        """Zero-initialised agent; the first draw is uniform by the Q_max guard."""
-        return cls(q_values=np.zeros(num_arms), arm_actions=uniform_action_grid(num_arms),
-                   tau=tau, k=k)
+    def fresh(cls, num_arms: int = 101, k: float = 40.0) -> "AgentState":
+        """Zero-initialised agent."""
+        return cls(q_values=np.zeros(num_arms), k=k)
 
     @property
     def num_arms(self) -> int:
@@ -125,19 +112,6 @@ def _boltzmann_weights(q: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _boltzmann(q: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
-    """Row-wise soft-max of the ``(M, K)`` Q-tables ``q`` at ``tau``, into
-    ``out``: ``_boltzmann_weights`` over each row's sum.
-
-    Each row is normalised by its own best value; a row whose best value is
-    at most ``Q_MAX_FLOOR`` gets the uniform distribution (K weights of 1
-    sum to K exactly, so each is ``1 / K``).
-    """
-    _boltzmann_weights(q, tau, out)
-    out /= np.add.reduce(out, axis=1, keepdims=True)
-    return out
-
-
 def _update_q(q: np.ndarray, counts: np.ndarray, k, cells, rewards) -> None:
     """``Q += k / (k + count) * (R - Q)`` on the pulled cells, then count them.
 
@@ -149,18 +123,6 @@ def _update_q(q: np.ndarray, counts: np.ndarray, k, cells, rewards) -> None:
     old = q[cells]
     q[cells] = old + k / (k + count) * (rewards - old)
     counts[cells] = count + 1
-
-
-def boltzmann_probabilities(state: AgentState) -> np.ndarray:
-    """Soft-max selection probabilities with Q-max normalisation.
-
-    Falls back to the uniform distribution while the best value is still
-    essentially zero (fresh agents, or reward-free runs).
-    """
-    if not state.tau > 0:
-        raise ConfigurationError(f"tau must be > 0, got {state.tau}")
-    q = state.q_values[None, :]
-    return _boltzmann(q, state.tau, np.empty_like(q))[0]
 
 
 def update_q(state: AgentState, arm: int, reward: float) -> AgentState:

@@ -42,6 +42,7 @@ from .errors import (
     RegimeError,
     UnsupportedEvaluationError,
     WrongSolverError,
+    _cast,
 )
 from .evaluation import eval_score, score_scalar, ratio_scalar
 from .games import (GameSpec, _actions_array, _aggregate_terms, _ces, _payoffs,
@@ -993,9 +994,11 @@ def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
     refuses it.
     """
     for name, step in (("grid_step", grid_step), ("refine_step", refine_step)):
-        if step is not None and not (math.isfinite(step) and step > 0):
+        if step is None and name == "refine_step":
+            continue
+        if not (math.isfinite(_cast(name, step, 0.0, strict=True)) and step > 0):
             raise InputError(f"{name} must be a finite number > 0, got {step}")
-    if not math.isfinite(epsilon):
+    if not math.isfinite(_cast("epsilon", epsilon, 0.0, strict=True)):
         raise InputError(f"epsilon must be a finite number, got {epsilon}")
     k = round(1.0 / grid_step)
     if abs(k * grid_step - 1.0) > 1e-9:

@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the readers that cast an
 input spec or raise ``ConfigurationError`` naming the key at fault."""
 
+import numbers
+
 
 class TeamworkGameError(Exception):
     """Base class for every error this package raises on purpose."""
@@ -50,9 +52,19 @@ class DegenerateRegressionError(TeamworkGameError, ValueError):
 _KINDS = {tuple: "a list of numbers", int: "an integer", float: "a number"}
 
 
-def _cast(key: str, value, like):
+def _cast(key: str, value, like, strict: bool = False):
     """``value`` read as the type of ``like``: a tuple of floats for a tuple,
-    ``int`` or ``float`` for a number; any other ``like`` leaves it as is."""
+    ``int`` or ``float`` for a number; any other ``like`` leaves it as is.
+
+    ``strict`` reads a number without converting it: ``value`` must be an
+    ``int`` or ``np.integer`` for an int and any real for a float, and never
+    a bool; it is returned as given.
+    """
+    if strict:
+        kind = numbers.Integral if isinstance(like, int) else numbers.Real
+        if isinstance(value, kind) and not isinstance(value, bool):
+            return value
+        raise ConfigurationError(f"{key} must be {_KINDS[type(like)]}, got {value!r}")
     try:
         if isinstance(like, tuple):
             return tuple(float(v) for v in value)
@@ -62,6 +74,13 @@ def _cast(key: str, value, like):
         raise ConfigurationError(
             f"{key} must be {_KINDS[type(like)]}, got {value!r}") from None
     return value
+
+
+def _count(key: str, value, minimum: int) -> None:
+    """Raise ``ConfigurationError`` naming ``key`` unless ``_cast`` reads
+    ``value`` strictly as an integer of at least ``minimum``."""
+    if _cast(key, value, 0, strict=True) < minimum:
+        raise ConfigurationError(f"{key} must be >= {minimum}, got {value}")
 
 
 def _read_spec(data, defaults: dict, what: str) -> dict:

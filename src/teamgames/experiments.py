@@ -26,6 +26,7 @@ from .errors import (
     InputError,
     TeamworkGameError,
     UndefinedDispersionError,
+    _count,
     _read_spec,
 )
 from .evaluation import EvaluationSpec
@@ -61,10 +62,9 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ConfigurationError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
+        _count("repetitions", self.repetitions, 1)
+        _count("workers", self.workers, 1)
+        _count("base_seed", self.base_seed, 0)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
@@ -409,8 +409,8 @@ def heaviside_study(teams=None, *, b: float = 5.0, d: float = 10.0,
     search makes the run-to-run outcome spread collapse (the dispersion
     numbers this study is about).
     """
-    if repetitions < 1:
-        raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
+    _count("repetitions", repetitions, 1)
+    _count("base_seed", base_seed, 0)
     if teams is None:
         levels = (0.3, 0.5, 0.7, 0.9)
         teams = list(itertools.combinations_with_replacement(levels, 2))
@@ -475,14 +475,19 @@ def tune_hyperparameters(budget: int, *, probe_cells=_DEFAULT_PROBE,
     k and tau are drawn log-uniformly from ``_K_RANGE`` and ``_TAU_RANGE``.
     budget = 0 returns ``TrainConfig``'s defaults untouched.
     """
-    if budget < 0:
-        raise ConfigurationError(f"budget must be >= 0, got {budget}")
+    _count("budget", budget, 0)
+    _count("base_seed", base_seed, 0)
+    try:
+        cells = [(float(p1), float(p2), float(rho), float(b)) for p1, p2, rho, b in probe_cells]
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"probe_cells must be a list of (p1, p2, rho, b) cells, got {probe_cells!r}") from None
     if budget == 0:
         return TuneResult(best_k=TrainConfig.k, best_tau=TrainConfig.tau,
                           best_score=None, trials=())
     config = SweepConfig()
     probes = []
-    for p1, p2, rho, b in probe_cells:
+    for p1, p2, rho, b in cells:
         game = cell_game(config, p1, p2, rho, b)
         eqs = solve_cell(game)
         probes.append((game, tuple(e.aggregate_G for e in eqs)))

@@ -131,7 +131,10 @@ class GameSpec:
 
 
 def _actions_array(game: GameSpec, actions) -> np.ndarray:
-    arr = np.asarray(actions, dtype=float)
+    try:
+        arr = np.asarray(actions, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"actions must be {game.n} numbers, got {actions!r}") from None
     if arr.shape != (game.n,):
         raise InputError(f"expected {game.n} actions, got shape {arr.shape}")
     if not ((arr >= 0) & (arr <= 1)).all():  # NaN fails both

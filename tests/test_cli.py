@@ -305,6 +305,10 @@ MALFORMED = [
     ("heaviside", {"episodes": "abc"}, [], "episodes"),
     ("learn", [game_spec()], ["--set", "x=1"], "object"),
     ("learn", game_spec(), ["--episodes", "300", "--k", "-5"], "k must be finite"),
+    ("learn", game_spec(), ["--episodes", "60", "--seed", "-1"], "seed must be >= 0"),
+    ("sweep", SMALL_SWEEP, ["--seed", "-1"], "base_seed must be >= 0"),
+    ("heaviside", SMALL_STUDY, ["--seed", "-1"], "base_seed must be >= 0"),
+    ("tune", {"budget": 1, "episodes": 50}, ["--seed", "-1"], "base_seed must be >= 0"),
 ]
 
 

@@ -1,0 +1,87 @@
+"""Every public constructor and entry point refuses a malformed argument by
+name: each row below must raise a ``TeamworkGameError`` whose message names
+the argument, before any learning starts."""
+
+import math
+
+import numpy as np
+import pytest
+
+from teamgames import (
+    EvaluationSpec,
+    GameSpec,
+    SweepConfig,
+    TeamworkGameError,
+    TrainConfig,
+    heaviside_study,
+    tune_hyperparameters,
+    verify_epsilon_nash,
+)
+
+GAME = GameSpec(n=2, rho=1.0, betas=(1.0, 1.0), delta_t=10.0, expertise=(0.5, 0.5),
+                alpha=2.0, evaluation=EvaluationSpec("logistic", d=10.0, gamma=2.0, b=5.0))
+
+NOT_A_NUMBER = [None, "x", True]
+NOT_FINITE = [math.nan, math.inf, -math.inf]
+NOT_AN_INTEGER = NOT_A_NUMBER + [np.True_, 10.5, math.nan]
+NOT_A_SEED = NOT_AN_INTEGER + [-1, np.int64(-1)]
+
+
+def train_config(key):
+    return lambda value: TrainConfig(**{key: value})
+
+
+def verify(key):
+    args = {"actions": (0.3, 0.3), "epsilon": 0.01}
+    return lambda value: verify_epsilon_nash(game=GAME, **{**args, key: value})
+
+
+def tune(key):
+    args = {"budget": 1, "episodes": 10}
+    return lambda value: tune_hyperparameters(**{**args, key: value})
+
+
+def study(key):
+    return lambda value: heaviside_study([(0.5, 0.5)], episodes=10, **{key: value})
+
+
+def sweep_config(key):
+    return lambda value: SweepConfig(**{key: value})
+
+
+TABLE = [
+    *((train_config("episodes"), "episodes", v) for v in NOT_AN_INTEGER),
+    *((train_config("num_arms"), "num_arms", v) for v in NOT_AN_INTEGER + [2.0]),
+    *((train_config("seed"), "seed", v) for v in NOT_A_SEED),
+    *((train_config(key), key, v) for key in ("tau", "k") for v in NOT_A_NUMBER),
+    *((train_config("anneal_floor"), "anneal_floor", v) for v in ["x", True] + NOT_FINITE),
+    *((train_config("anneal_start"), "anneal_start", v) for v in NOT_A_NUMBER + NOT_FINITE),
+    *((verify("epsilon"), "epsilon", v) for v in NOT_A_NUMBER),
+    *((verify("grid_step"), "grid_step", v) for v in NOT_A_NUMBER + [0.3]),
+    *((verify("refine_step"), "refine_step", v) for v in ["x", True]),
+    *((verify("actions"), "actions", v)
+      for v in [("a", 0.5), (0.5,), (0.5, 0.5, 0.5), (-0.1, 0.5), (0.5, math.nan), None,
+                [[0.5, 0.5]]]),
+    *((tune("budget"), "budget", v) for v in NOT_AN_INTEGER + [-1]),
+    *((tune("base_seed"), "base_seed", v) for v in NOT_A_SEED),
+    *((tune("probe_cells"), "probe_cells", v)
+      for v in [[(0.3,)], [(0.3, 0.9, 1.0, 5.0, 0.0)], [(0.3, 0.9, "x", 5.0)], None, 5]),
+    *((study("base_seed"), "base_seed", v) for v in NOT_A_SEED),
+    *((study("repetitions"), "repetitions", v) for v in NOT_AN_INTEGER),
+    *((sweep_config(key), key, v) for key in ("base_seed", "repetitions", "workers")
+      for v in (NOT_A_SEED if key == "base_seed" else NOT_AN_INTEGER)),
+]
+
+
+@pytest.mark.parametrize("call,name,value", TABLE,
+                         ids=[f"{call.__qualname__.split('.')[0]}-{name}-{value!r}"
+                              for call, name, value in TABLE])
+def test_malformed_argument_is_refused_by_name(call, name, value):
+    with pytest.raises(TeamworkGameError, match=name):
+        call(value)
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.random.SeedSequence(7)],
+                         ids=["zero", "int", "np.int64", "SeedSequence"])
+def test_valid_seed_is_accepted(seed):
+    assert TrainConfig(seed=seed).seed is seed

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from teamgames import simulator
-from teamgames.bandit import AgentState, _boltzmann, _boltzmann_weights, uniform_action_grid
+from teamgames.bandit import _boltzmann_weights, uniform_action_grid
 from teamgames.errors import ConfigurationError, InputError, UndefinedDispersionError
 from teamgames.evaluation import EvaluationSpec, eval_score
 from teamgames.games import GameSpec, _aggregate_terms, _payoffs, evaluate_joint_action
@@ -100,27 +100,27 @@ class TestTrainMechanics:
             assert all(v >= 0 for v in q)
 
     def test_draw_rule_exploration_floor(self):
-        def draw_arm(agent, u):
-            q = agent.q_values[None, :]
-            weights = _boltzmann_weights(q, agent.tau, out=np.empty_like(q))
-            (draw,) = _draws(np.array([[u]]), agent.num_arms)
+        def draw_arm(q_values, tau, u):
+            q = q_values[None, :]
+            weights = _boltzmann_weights(q, tau, out=np.empty_like(q))
+            (draw,) = _draws(np.array([[u]]), len(q_values))
             arms = _draw_arms(draw, _draw_buffers(weights), np.empty(1, dtype=np.intp))
             return int(arms[0])
 
         # Below the floor the draw is uniform over arms whatever the Q-table
         # holds: here the top arm carries all the soft-max mass.
-        peaked = AgentState.fresh(101, tau=0.02)
-        peaked.q_values[-1] = 1.0
+        peaked = np.zeros(101)
+        peaked[-1] = 1.0
         for u in (0.0, 0.002, 0.0055, 0.0099):
-            assert draw_arm(peaked, u) == int(u / EXPLORATION * 101)
+            assert draw_arm(peaked, 0.02, u) == int(u / EXPLORATION * 101)
         for u in (0.02, 0.5, 0.999):
-            assert draw_arm(peaked, u) == 100
+            assert draw_arm(peaked, 0.02, u) == 100
         # Above it the soft-max inverse CDF is read at the rescaled uniform;
         # a fresh agent's soft-max is uniform, so v in arm j's bin gives j.
-        fresh = AgentState.fresh(101)
+        fresh = np.zeros(101)
         for j in (0, 37, 50, 100):
             v = (j + 0.5) / 101
-            assert draw_arm(fresh, EXPLORATION + (1 - EXPLORATION) * v) == j
+            assert draw_arm(fresh, 0.1, EXPLORATION + (1 - EXPLORATION) * v) == j
 
     def test_draws_are_per_agent(self):
         # One episode, three agents: the exploratory one takes its uniform
@@ -186,7 +186,7 @@ class TestTrainMechanics:
         q[2, :5] = 50.0
         q[2, 3] = 60.0
         weights = _boltzmann_weights(q, tau, out=np.empty_like(q))
-        probs = _boltzmann(q, tau, out=np.empty_like(q))
+        probs = weights / np.add.reduce(weights, axis=1, keepdims=True)
         for row, arm in ((3, 0), (4, K - 1), (5, 40)):  # one-hot rows
             weights[row] = probs[row] = 0.0
             weights[row, arm] = probs[row, arm] = 1.0
