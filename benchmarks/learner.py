@@ -26,8 +26,12 @@ distinct values):
   the same case (not the one ``episode_us`` times) with the trainer's step
   functions wrapped by timers
   (``softmax``, ``draw``, ``ces`` for ``_aggregate_terms``, ``score`` and
-  ``update``; ``other`` is the rest of the run, term gathers, uniforms and
-  the timers' own cost among it), microseconds per run-episode;
+  ``update``, which times ``_update_arms`` too where a side has it; ``other``
+  is the rest of the run, term gathers, uniforms and the timers' own cost
+  among it), microseconds per run-episode.  Where a lone run computes its
+  soft-max in the episode loop, ``softmax`` sees only the episodes that
+  call ``_boltzmann_weights`` (a row at or below ``Q_MAX_FLOOR``) and the
+  rest of the soft-max counts in ``other``;
 * ``score_evals.<case>``: for the lone cases, calls of the trainer's score
   function ``_score`` per episode in that second run;
 * ``layout.n2_A<agents>``: on a side whose simulator has
@@ -104,9 +108,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 R1_EPISODES = {2: 20_000, 3: 10_000, 4: 4_000}
 LONE = ("n2_R1", "n3_R1", "n4_R1", "n4_team4")
-# the trainer's step functions, by the names the simulator module looks up
-STEPS = {"softmax": "_boltzmann_weights", "draw": "_draw_arms", "ces": "_aggregate_terms",
-         "score": "_score", "update": "_update_q"}
+# the trainer's step functions, by the names the simulator module looks up (a
+# side's simulator may lack some: a lone run updates through _update_arms)
+STEPS = {"softmax": ("_boltzmann_weights",), "draw": ("_draw_arms",),
+         "ces": ("_aggregate_terms",), "score": ("_score",),
+         "update": ("_update_q", "_update_arms")}
 # the best response's closure that scores an array of gifts in one pass
 PASS = "utilities"
 # the learning fixtures of tests/test_acceptance.py, by the test class charged their setup
@@ -140,7 +146,8 @@ def _profiled(name: str, learn, run_episodes: int) -> dict:
     spent = dict.fromkeys(STEPS, 0.0)
     score_calls = 0
     saved = {}
-    for step, attr in STEPS.items():
+    for step, attr in ((step, attr) for step, attrs in STEPS.items() for attr in attrs
+                       if hasattr(simulator, attr)):
         saved[attr] = func = getattr(simulator, attr)
 
         def timed(*args, _func=func, _step=step, **kwargs):

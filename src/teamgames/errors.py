@@ -55,6 +55,8 @@ _KINDS = {tuple: "a list of numbers", int: "an integer", float: "a number"}
 def _cast(key: str, value, like, strict: bool = False):
     """``value`` read as the type of ``like``: a tuple of floats for a tuple,
     ``int`` or ``float`` for a number; any other ``like`` leaves it as is.
+    A number read as an ``int`` must be integral: ``10.0`` reads as 10, and
+    ``10.5`` is refused rather than truncated.
 
     ``strict`` reads a number without converting it: ``value`` must be an
     ``int`` or ``np.integer`` for an int and any real for a float, and never
@@ -69,7 +71,10 @@ def _cast(key: str, value, like, strict: bool = False):
         if isinstance(like, tuple):
             return tuple(float(v) for v in value)
         if isinstance(like, (int, float)):
-            return type(like)(value)
+            cast = type(like)(value)
+            if isinstance(like, int) and isinstance(value, numbers.Real) and cast != value:
+                raise ValueError  # int() would truncate it
+            return cast
     except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(
             f"{key} must be {_KINDS[type(like)]}, got {value!r}") from None

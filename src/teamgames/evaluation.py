@@ -54,6 +54,8 @@ class EvaluationSpec:
             )
         for key in _PARAMS[self.kind]:
             value = getattr(self, key)
+            if not isinstance(value, bool):  # a bool reads as 0 or 1, as it always has
+                _cast(f"evaluation {key}", value, 0.0, strict=True)
             if key == "b" and not 0 <= value < math.inf:
                 raise ConfigurationError(f"evaluation b must be finite and >= 0, got {value}")
             if key != "b" and not 0 < value < math.inf:

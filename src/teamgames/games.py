@@ -60,6 +60,10 @@ class GameSpec:
     leisure_capacity: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for key in ("n", "rho", "delta_t", "alpha"):
+            value = getattr(self, key)
+            if not isinstance(value, bool):  # a bool reads as 0 or 1, as it always has
+                _cast(key, value, _GAME_KEYS[key], strict=True)
         if self.n < 1:
             raise ConfigurationError(f"n must be >= 1, got {self.n}")
         if self.rho == 0:

@@ -26,11 +26,18 @@ player's CES log-term and leisure factor are tabulated per arm before the
 first episode, and each episode gathers every run's terms into one column,
 finishes them with ``games._aggregate_terms`` (the log-sum-exp of
 ``ces_aggregate``), scores the outcomes in one ``evaluation._score`` pass
-per evaluation kind and multiplies by the leisure factors.  A lone run
-keeps the reward row of each joint action it has played and reuses it when
-it plays the action again.  With each run's column contiguous, as
-``ces_aggregate`` lays out a grid, the rewards equal ``games._payoffs`` bit
-for bit on each joint action alone or over an ``(n, cells)`` grid of them.
+per evaluation kind and multiplies by the leisure factors.  With each
+run's column contiguous, as ``ces_aggregate`` lays out a grid, the rewards
+equal ``games._payoffs`` bit for bit on each joint action alone or over an
+``(n, cells)`` grid of them.
+
+A chunk of one run has an episode loop of its own, because a handful of
+cells costs more in numpy calls than in arithmetic.  It keeps the reward
+row of each joint action it has played (the memo) and reuses it when it
+plays the action again, and it keeps its pull counts in a list and updates
+its n pulled cells one at a time in Python floats (``_update_arms``), with
+the same correctly rounded operations as ``bandit._update_q``.  Its
+soft-max and draw stay on the ``(n, K)`` arrays.
 Each run draws from its own counter-based stream, so an outcome is bitwise
 the same whatever it is batched with; sweep seeds are derived from a base
 seed with spawn keys, so parallel runs match serial ones.
@@ -40,10 +47,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .bandit import _boltzmann_weights, _update_q, uniform_action_grid
+from .bandit import Q_MAX_FLOOR, _boltzmann_weights, _update_q, uniform_action_grid
 from .bandit import update_q  # noqa: F401  (bound here for perfbench's tracer tests)
 from .errors import ConfigurationError, UndefinedDispersionError, _cast, _count
 from .evaluation import _score
@@ -181,7 +189,7 @@ def _draws(u: np.ndarray, num_arms: int):
     and, when any agent explores, which ones do and their arms."""
     explore = u < EXPLORATION
     explore_arms = (u / EXPLORATION * num_arms).astype(np.intp)
-    v = ((u - EXPLORATION) / (1.0 - EXPLORATION))[:, :, None]
+    v = (u - EXPLORATION) / (1.0 - EXPLORATION)
     for e, any_explore in enumerate(explore.any(axis=1).tolist()):
         yield v[e], (explore[e], explore_arms[e]) if any_explore else None
 
@@ -191,26 +199,40 @@ def _draw_buffers(weights: np.ndarray) -> tuple:
     ``weights``, in their memory order: the first K - 1 columns of the
     weights and of the cumulative weights as ``np.add.accumulate`` sums
     them, with its axis; views of the last column of the weights and of
-    column K - 2 of the cumulative weights; the whole cumulative weights,
-    whose last column is a permanent ``+inf`` sentinel; an ``(M, 1)``
-    buffer for ``v`` times each row total; and a bool buffer of shape
-    ``(M, K)``.
+    column K - 2 of the cumulative weights; an ``(M, 1)`` view for ``v``
+    times each row total; and what finds each row's count of cumulative
+    weights at or below it.  The last column of the cumulative weights is a
+    permanent ``+inf`` sentinel.
 
-    Row-major weights are summed along each row.  Arm-major (Fortran-order)
-    weights are summed down the ``(K - 1, M)`` transpose, one arm per step;
-    for an even M as ``complex128`` pairs, so each step adds two agents,
-    two correctly rounded float adds, and every sum is the row-major one.
+    Row-major weights are summed along each row, into the imaginary parts
+    of a complex table whose real parts are the row indices: flattened, the
+    table is sorted in numpy's complex order (real part first), so one
+    ``searchsorted`` of the complex keys ``row + 1j * threshold`` finds
+    every row's count.  Arm-major (Fortran-order) weights are summed down
+    the ``(K - 1, M)`` transpose, one arm per step; for an even M as
+    ``complex128`` pairs, so each step adds two agents, two correctly
+    rounded float adds, and every sum is the row-major one.  Their counts
+    are the True entries of a bool table, summed down the arms as bytes
+    while a count fits in one (K <= 256).
     """
-    cum = np.empty_like(weights)
-    cum[:, -1] = np.inf
+    rows, num_arms = weights.shape
     if weights.flags.c_contiguous:
+        table = np.empty_like(weights, dtype=np.complex128)
+        table.real = np.arange(rows)[:, None]
+        keys = np.arange(rows, dtype=np.complex128)
+        cum, threshold = table.imag, keys.imag
         head, cum_head, axis = weights[:, :-1], cum[:, :-1], 1
+        find = (table.ravel(), keys, np.arange(0, rows * num_arms, num_arms))
     else:
+        cum, column = np.empty_like(weights), np.empty((rows, 1))
+        threshold = column[:, 0]
         head, cum_head, axis = weights.T[:-1], cum.T[:-1], 0
-        if len(weights) % 2 == 0:
+        if rows % 2 == 0:
             head, cum_head = head.view(np.complex128), cum_head.view(np.complex128)
-    return (head, axis, weights[:, -1:], cum_head, cum[:, -2:-1], cum,
-            np.empty((len(weights), 1)), np.empty_like(weights, dtype=bool))
+        find = (cum, column, np.empty_like(weights, dtype=bool),
+                np.empty(rows, dtype=np.uint8) if num_arms <= 256 else None)
+    cum[:, -1] = np.inf
+    return head, axis, weights[:, -1], cum_head, cum[:, -2], threshold, find
 
 
 def _draw_arms(draw, buffers: tuple, arms: np.ndarray) -> np.ndarray:
@@ -225,22 +247,46 @@ def _draw_arms(draw, buffers: tuple, arms: np.ndarray) -> np.ndarray:
     within rounding of one of its boundaries.  ``buffers`` is
     ``_draw_buffers(weights)``: only the first K - 1 weights are summed,
     the row total is the last of those sums plus the last weight, and the
-    arm is the first False of ``cum <= v * total``, which is that count
-    because the sums do not decrease and the ``+inf`` sentinel caps it at
-    K - 1.  The weights may be row-major or arm-major: the sums, and so
-    the arms, are the same bit for bit.
+    ``+inf`` sentinel caps the count at K - 1.  The sums do not decrease,
+    so the count is also the first False of ``cum <= v * total``.  The
+    weights may be row-major or arm-major: the sums, and so the arms, are
+    the same bit for bit.
     """
     v, exploring = draw
-    head, axis, last, cum_head, head_total, cum, threshold, below = buffers
+    head, axis, last, cum_head, head_total, threshold, find = buffers
     np.add.accumulate(head, axis=axis, out=cum_head)  # np.cumsum, without its wrapper
     np.add(head_total, last, out=threshold)
-    threshold *= v
-    np.less_equal(cum, threshold, out=below)
-    below.argmin(axis=1, out=arms)
+    np.multiply(threshold, v, out=threshold)
+    if axis:
+        table, keys, row_start = find
+        np.subtract(table.searchsorted(keys, "right"), row_start, out=arms)
+    else:
+        cum, column, below, count = find
+        np.less_equal(cum, column, out=below)
+        if count is None:
+            below.argmin(axis=1, out=arms)
+        else:  # the True entries are a prefix of each row
+            np.add.reduce(below.view(np.uint8), axis=1, dtype=np.uint8, out=count)
+            np.copyto(arms, count)
     if exploring is not None:
         explore, explore_arms = exploring
         np.copyto(arms, explore_arms, where=explore)
     return arms
+
+
+def _update_arms(q: np.ndarray, counts: list, k: float, arms: list, rewards: list,
+                 stride: int, offsets) -> None:
+    """``bandit._update_q`` for one run, on Python scalars: agent i's
+    pulled cell ``arms[i] * stride + offsets[i]`` of the flat Q-table ``q``
+    moves towards ``rewards[i]``, and its count in the list ``counts``
+    advances.  The float operations are ``_update_q``'s, each correctly
+    rounded, so the Q-values are the same bit for bit."""
+    for arm, offset, reward in zip(arms, offsets, rewards):
+        cell = arm * stride + offset
+        count = counts[cell]
+        old = q.item(cell)
+        q[cell] = old + k / (k + count) * (reward - old)
+        counts[cell] = count + 1
 
 
 def train_many(jobs) -> list[LearnedOutcome]:
@@ -253,10 +299,11 @@ def train_many(jobs) -> list[LearnedOutcome]:
     of them.  Rewards take one path for every team size, through per-player
     CES term tables, and a chunk scores its outcomes once per evaluation
     kind; a chunk is sized by its runs' ``(n, K)`` arrays alone
-    (``_run_bytes``).  A group of one run computes the reward row of each
-    distinct joint action once and reuses it on every replay: at most
-    ``min(episodes, K ** n)`` rows of n floats.  ``k``, the game and the
-    seed may differ within a chunk.  Each run keeps its own random stream, so
+    (``_run_bytes``).  A chunk of one run computes the reward row of each
+    distinct joint action once and reuses it on every replay (at most
+    ``min(episodes, K ** n)`` rows of n floats), and updates its n pulled
+    cells in Python scalars, bit for bit as a chunk of runs does.  ``k``,
+    the game and the seed may differ within a chunk.  Each run keeps its own random stream, so
     outcomes do not depend on how the jobs are grouped or chunked.
     """
     jobs = list(jobs)
@@ -279,10 +326,12 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
     """Run jobs that share n, K and the temperature schedule in lockstep.
 
     Per episode: one table of unnormalised soft-max weights over every
-    Q-table, one draw from it, then the rewards, gathered and scored, or
-    for a lone run the joint action's memoised reward row, and one update.
-    The Q-values, pull counts, weights and term tables keep the logical
-    shape ``(agents, K)``.  From ``_ARM_MAJOR_AGENTS`` agents they are
+    Q-table, one draw from it, then the rewards, gathered and scored, and
+    one update.  A lone run has a loop of its own: it reads the joint
+    action's reward row from its memo, scoring only an action it has not
+    played, and updates through ``_update_arms``.  The Q-values, pull
+    counts, weights and term tables keep the logical shape
+    ``(agents, K)``.  From ``_ARM_MAJOR_AGENTS`` agents they are
     stored arm-major, where the draw's cumulative sum runs down the arms
     two agents per add; below it they are row-major, where each op walks a
     few long rows instead of K short ones.
@@ -301,17 +350,13 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
     arm_major = agents >= _ARM_MAJOR_AGENTS
     order = "F" if arm_major else "C"
     q = np.zeros((agents, num_arms), order=order)
-    counts = np.zeros((agents, num_arms), dtype=np.int64, order=order)
-    q_flat, counts_flat = q.ravel(order="K"), counts.ravel(order="K")
-    k = np.repeat([config.k for config in configs], n)
-    agent_ids = np.arange(agents)
-    row_start = agent_ids * num_arms
+    q_flat = q.ravel(order="K")
     weights = np.empty_like(q)
     draw_buffers = _draw_buffers(weights)
     arms = np.empty(agents, dtype=np.intp)
     cells = np.empty(agents, dtype=np.intp)
-    rewards = np.empty(agents)
-    run_rewards = rewards.reshape(runs, n)
+    agent_ids = np.arange(agents)
+    row_start = agent_ids * num_arms
 
     # flat in memory order, as cells index them
     T, L = (table.ravel(order="K") for table in _term_tables(games, arm_actions, order))
@@ -331,51 +376,78 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
                                          for key in ("d", "gamma", "b"))))
 
     def scores():
-        """sigma(G) of every run's joint action in ``cells``, into ``S``."""
+        """The cells of every run's joint action in ``arms``, into
+        ``cells``, and sigma(G) of each, into ``S``."""
+        if arm_major:
+            np.multiply(arms, agents, out=cells)
+            np.add(cells, agent_ids, out=cells)
+        else:
+            np.add(row_start, arms, out=cells)
         T.take(player_cells, out=terms)
         G = _aggregate_terms(terms, rho)
         for kind, members, d, gamma, b in by_kind:
             S[members] = _score(kind, G[members], d, gamma, b)
-        return S
-
-    # A lone run replays most joint actions many times, and a joint action
-    # fixes its rewards: keep each one's reward row, at most min(episodes, K**n)
-    # of them, in one table the memo indexes.  A chunk of runs rarely replays
-    # every run's joint action at once.
-    memo = None
-    if runs == 1:
-        memo, memo_rows = {}, np.empty((min(episodes, num_arms ** n), n))
 
     temperatures = schedule.temperatures()
     # about 32 bytes of draws per agent-episode; a block takes 1/8 of the budget
     block = max(1, _CHUNK_BYTES // (256 * agents))
-    with np.errstate(divide="ignore"):  # log(0) of a team with no positive gift
+
+    def blocks():
+        """Each block of episodes' temperatures and draws, from the runs'
+        uniforms for those episodes, one column per agent."""
         for start in range(0, episodes, block):
             stop = min(episodes, start + block)
-            # the runs' uniforms for these episodes, one column per agent
             u = np.concatenate([rng.random((stop - start, n)) for rng in rngs], axis=1)
-            for t, draw in zip(range(start, stop), _draws(u, num_arms)):
-                _boltzmann_weights(q, temperatures[t], out=weights)
-                _draw_arms(draw, draw_buffers, arms)
-                if arm_major:
-                    np.multiply(arms, agents, out=cells)
-                    cells += agent_ids
-                else:
-                    np.add(row_start, arms, out=cells)
+            yield zip(temperatures[start:stop], _draws(u, num_arms))
 
-                if memo is None:
-                    L.take(cells, out=rewards)
-                    run_rewards *= scores()[:, None]
-                    played = rewards
+    with np.errstate(divide="ignore"):  # log(0) of a team with no positive gift
+        if runs > 1:
+            counts = np.zeros((agents, num_arms), dtype=np.int64, order=order)
+            counts_flat = counts.ravel(order="K")
+            k = np.repeat([config.k for config in configs], n)
+            rewards = np.empty(agents)
+            run_rewards = rewards.reshape(runs, n)
+            for tau, draw in chain.from_iterable(blocks()):
+                _boltzmann_weights(q, tau, out=weights)
+                _draw_arms(draw, draw_buffers, arms)
+                scores()
+                L.take(cells, out=rewards)
+                run_rewards *= S[:, None]
+                _update_q(q_flat, counts_flat, k, cells, rewards)
+        else:
+            # A lone run replays most joint actions many times, and a joint
+            # action fixes its rewards: keep each one's reward row, at most
+            # min(episodes, K**n) of them, in one table the memo indexes.
+            # Its bookkeeping is in Python scalars, where n cells cost less
+            # than numpy calls on them, and its soft-max is
+            # _boltzmann_weights' on preallocated columns while no row is
+            # uniform.
+            memo, memo_rows = {}, np.empty((min(episodes, num_arms ** n), n))
+            counts = [0] * (agents * num_arms)
+            k = float(schedule.k)
+            stride, offsets = (agents, range(agents)) if arm_major else (1, row_start.tolist())
+            q_max, scale, shift = np.empty((3, agents, 1))
+            q_max_row = q_max[:, 0]
+            for tau, draw in chain.from_iterable(blocks()):
+                np.maximum.reduce(q, axis=1, keepdims=True, out=q_max)
+                if min(q_max_row.tolist()) <= Q_MAX_FLOOR:
+                    _boltzmann_weights(q, tau, out=weights)
                 else:
-                    key = cells.tobytes()
-                    row = memo.get(key)
-                    if row is None:
-                        row = memo[key] = len(memo)
-                        L.take(cells, out=memo_rows[row])
-                        memo_rows[row] *= scores()[0]
-                    played = memo_rows[row]
-                _update_q(q_flat, counts_flat, k, cells, played)
+                    np.multiply(q_max, tau, out=scale)
+                    np.divide(q, scale, out=weights)
+                    np.divide(q_max, scale, out=shift)
+                    np.subtract(weights, shift, out=weights)
+                    np.exp(weights, out=weights)
+                played = _draw_arms(draw, draw_buffers, arms).tolist()
+                key = tuple(played)
+                row = memo.get(key)
+                if row is None:
+                    row = memo[key] = len(memo)
+                    scores()
+                    L.take(cells, out=memo_rows[row])
+                    memo_rows[row] *= S[0]
+                _update_arms(q_flat, counts, k, played, memo_rows[row].tolist(),
+                             stride, offsets)
 
     greedy = arm_actions[q.argmax(axis=1)]
     outcomes = []

@@ -309,6 +309,8 @@ MALFORMED = [
     ("sweep", SMALL_SWEEP, ["--seed", "-1"], "base_seed must be >= 0"),
     ("heaviside", SMALL_STUDY, ["--seed", "-1"], "base_seed must be >= 0"),
     ("tune", {"budget": 1, "episodes": 50}, ["--seed", "-1"], "base_seed must be >= 0"),
+    ("sweep", SMALL_SWEEP, ["--set", "base_seed=1.7"], "base_seed must be an integer"),
+    ("heaviside", {**SMALL_STUDY, "episodes": 50.5}, [], "episodes must be an integer"),
 ]
 
 
@@ -320,6 +322,22 @@ def test_malformed_value_is_named(tmp_path, capsys, command, payload, extra, key
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("command,payload,key,value", [
+    ("sweep", SMALL_SWEEP, "base_seed", 3),
+    ("sweep", SMALL_SWEEP, "episodes", 50),
+    ("heaviside", SMALL_STUDY, "repetitions", 1),
+], ids=["sweep-base_seed", "sweep-episodes", "heaviside-repetitions"])
+def test_integral_float_reads_as_its_integer(tmp_path, command, payload, key, value):
+    spec = write_json(tmp_path / "input.json", payload)
+    written = []
+    for text in (str(value), f"{value}.0"):
+        out = tmp_path / text
+        assert cli.main([command, "--input", spec, "--output-dir", str(out),
+                         "--set", f"{key}={text}"]) == 0
+        written.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert written[0] == written[1]
 
 
 class TestEnvironment:

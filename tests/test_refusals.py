@@ -49,6 +49,20 @@ def sweep_config(key):
     return lambda value: SweepConfig(**{key: value})
 
 
+def sweep_json(key):
+    return lambda value: SweepConfig.from_dict({key: value})
+
+
+def game_spec(key):
+    args = {"n": 2, "rho": 1.0, "betas": (1.0, 1.0), "delta_t": 10.0,
+            "expertise": (0.5, 0.5), "alpha": 2.0, "evaluation": GAME.evaluation}
+    return lambda value: GameSpec(**{**args, key: value})
+
+
+def evaluation_spec(key):
+    return lambda value: EvaluationSpec("logistic", **{key: value})
+
+
 TABLE = [
     *((train_config("episodes"), "episodes", v) for v in NOT_AN_INTEGER),
     *((train_config("num_arms"), "num_arms", v) for v in NOT_AN_INTEGER + [2.0]),
@@ -70,6 +84,12 @@ TABLE = [
     *((study("repetitions"), "repetitions", v) for v in NOT_AN_INTEGER),
     *((sweep_config(key), key, v) for key in ("base_seed", "repetitions", "workers")
       for v in (NOT_A_SEED if key == "base_seed" else NOT_AN_INTEGER)),
+    *((sweep_json(key), key, v) for key in ("base_seed", "episodes", "repetitions")
+      for v in [1.7, 10.5]),
+    *((game_spec("n"), "n", v) for v in [None, "2", 2.5]),
+    *((game_spec(key), key, v) for key in ("rho", "delta_t", "alpha") for v in [None, "x"]),
+    *((evaluation_spec(key), f"evaluation {key}", v) for key in ("d", "gamma", "b")
+      for v in [None, "x"]),
 ]
 
 
@@ -85,3 +105,9 @@ def test_malformed_argument_is_refused_by_name(call, name, value):
                          ids=["zero", "int", "np.int64", "SeedSequence"])
 def test_valid_seed_is_accepted(seed):
     assert TrainConfig(seed=seed).seed is seed
+
+
+def test_integral_float_reads_as_its_integer():
+    read = SweepConfig.from_dict({"base_seed": 3.0, "episodes": 60.0, "repetitions": 2.0})
+    assert read == SweepConfig.from_dict({"base_seed": 3, "episodes": 60, "repetitions": 2})
+    assert all(type(getattr(read, key)) is int for key in ("base_seed", "episodes", "repetitions"))

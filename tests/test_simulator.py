@@ -161,6 +161,7 @@ class TestTrainMechanics:
         capped = 0
         for draw in _draws(u, K):
             v, exploring = draw
+            v = v[:, None]  # each row's v, as a column
             # the count-and-clamp rule: cumulative weights at or below v times
             # the row total, at most K - 1
             count = (cum <= v * cum[:, -1:]).sum(axis=1)
@@ -174,6 +175,26 @@ class TestTrainMechanics:
         # every sum but the last lay at or below v * total: only the +inf
         # sentinel ended the count
         assert capped > 0
+
+    @pytest.mark.parametrize("num_arms", [255, 256, 300])
+    def test_arm_major_draws_equal_row_major_draws(self, num_arms):
+        # arm-major counts are summed as bytes while one fits (K <= 256)
+        rng = np.random.default_rng(num_arms)
+        q = rng.random((40, num_arms)) * rng.random((40, 1)) * 10.0
+        q[0] = 0.0                   # a uniform row, whose counts reach K - 1
+        weights = _boltzmann_weights(q, 0.1, out=np.empty_like(q))
+        u = rng.random((300, len(q)))
+        u[::7] *= 2 * EXPLORATION    # rows with explorers
+        u[-1] = np.nextafter(1.0, 0.0)  # the largest v
+        buffers = _draw_buffers(weights)
+        arms = np.empty(len(q), dtype=np.intp)
+        top = 0
+        for draw in _draws(u, num_arms):
+            expected = _draw_arms(draw, buffers, arms).tolist()
+            for arm_major in _arm_major_draws(weights, draw):
+                assert arm_major.tolist() == expected[:len(arm_major)]
+            top = max(top, *expected)
+        assert top == num_arms - 1
 
     @pytest.mark.parametrize("tau", [1.0, 0.1, 0.02, 1e-3])
     def test_unnormalised_draw_matches_normalised_inverse_cdf(self, tau):
@@ -198,6 +219,7 @@ class TestTrainMechanics:
         compared = 0
         for draw in _draws(u, K):
             v, exploring = draw
+            v = v[:, None]  # each row's v, as a column
             # the normalised inverse CDF: cumulative probabilities at or
             # below v, at most K - 1
             expected = np.minimum((bounds <= v).sum(axis=1), K - 1)
@@ -286,22 +308,30 @@ def _serial(n):
 
 @pytest.fixture
 def update_calls(monkeypatch):
-    """The cells and rewards of every ``simulator._update_q`` call, that is,
-    of every episode of every lockstep chunk, in call order."""
+    """The cells and rewards of every episode's update, in call order:
+    every ``simulator._update_q`` call, one per episode of a lockstep chunk
+    of runs, and every ``simulator._update_arms`` call, one per episode of
+    a lone run."""
     calls = []
-    update = simulator._update_q
+    update_q, update_arms = simulator._update_q, simulator._update_arms
 
-    def spy(q, counts, k, cells, rewards):
+    def spy_q(q, counts, k, cells, rewards):
         calls.append((cells.copy(), rewards.copy()))
-        return update(q, counts, k, cells, rewards)
+        return update_q(q, counts, k, cells, rewards)
 
-    monkeypatch.setattr(simulator, "_update_q", spy)
+    def spy_arms(q, counts, k, arms, rewards, stride, offsets):
+        cells = [arm * stride + offset for arm, offset in zip(arms, offsets)]
+        calls.append((np.array(cells), np.array(rewards)))
+        return update_arms(q, counts, k, arms, rewards, stride, offsets)
+
+    monkeypatch.setattr(simulator, "_update_q", spy_q)
+    monkeypatch.setattr(simulator, "_update_arms", spy_arms)
     return calls
 
 
 def _runs(calls, n, num_arms, episodes):
     """Each run's arms and rewards by episode, ``(episodes, n)`` each, from
-    recorded ``_update_q`` calls.  A chunk makes ``episodes`` consecutive
+    recorded update calls.  A chunk makes ``episodes`` consecutive
     calls over its runs' agents, so runs come out chunk by chunk: in job
     order when each group's jobs are contiguous.  A cell is
     ``agent * K + arm`` in a row-major chunk and ``arm * agents + agent`` in
@@ -377,6 +407,34 @@ class TestTrainMany:
         assert alone[0].shape == (config.episodes, n)
         for lone, in_batch in zip(alone, batched[1]):
             assert np.array_equal(lone, in_batch)
+
+    @pytest.mark.parametrize("case", ["floor", "n1", "n33"])
+    @pytest.mark.parametrize("arm_major_agents", [0, None, 1 << 40],
+                             ids=["arm_major", "by_count", "row_major"])
+    def test_lone_run_equals_its_chunk(self, monkeypatch, update_calls, case,
+                                       arm_major_agents):
+        # the lone loop's edges: rows that cross Q_MAX_FLOOR mid-run (rewards
+        # of about 1e-9), one player, and 33 players, arm-major by agent count
+        if arm_major_agents is not None:
+            monkeypatch.setattr(simulator, "_ARM_MAJOR_AGENTS", arm_major_agents)
+        expertise = {"floor": (0.3, 0.8), "n1": (0.6,), "n33": tuple(np.linspace(0.1, 0.9, 33))}
+        g = GameSpec(n=len(expertise[case]), rho=1.0, betas=(1.0,) * len(expertise[case]),
+                     delta_t=10.0, expertise=expertise[case], alpha=2.0,
+                     evaluation=EvaluationSpec("logistic", d=6e-11 if case == "floor" else 10.0,
+                                               gamma=2.0, b=5.0))
+        episodes = 400 if case == "floor" else 200
+        jobs = [(g, TrainConfig(episodes=episodes, seed=spawned_seed(3, j), snapshot_q=True))
+                for j in range(2)]
+        uniform = []  # the lone run's episodes with a row at or below the floor
+        weights = simulator._boltzmann_weights
+        monkeypatch.setattr(simulator, "_boltzmann_weights", lambda *args, **kwargs: (
+            uniform.append(len(update_calls)) or weights(*args, **kwargs)))
+        lone = train(*jobs[0])
+        if case == "floor":
+            # every row above the floor at some episode, and one back at it later
+            clear = sorted(set(range(episodes)) - set(uniform))
+            assert clear and uniform[-1] > clear[0]
+        assert train_many(jobs)[0] == lone
 
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
