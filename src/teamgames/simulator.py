@@ -404,7 +404,7 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
         if runs > 1:
             counts = np.zeros((agents, num_arms), dtype=np.int64, order=order)
             counts_flat = counts.ravel(order="K")
-            k = np.repeat([config.k for config in configs], n)
+            k = np.repeat([float(config.k) for config in configs], n)
             rewards = np.empty(agents)
             run_rewards = rewards.reshape(runs, n)
             for tau, draw in chain.from_iterable(blocks()):

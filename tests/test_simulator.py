@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -435,6 +436,13 @@ class TestTrainMany:
             clear = sorted(set(range(episodes)) - set(uniform))
             assert clear and uniform[-1] > clear[0]
         assert train_many(jobs)[0] == lone
+
+    @pytest.mark.parametrize("k", [40, np.float32(7.3), Fraction(1, 3)],
+                             ids=["int", "float32", "Fraction"])
+    def test_lone_run_equals_its_chunk_for_any_real_k(self, k):
+        jobs = [(game(b=5.0), TrainConfig(episodes=300, k=k, seed=j, snapshot_q=True))
+                for j in range(2)]
+        assert train_many(jobs)[0] == train(*jobs[0])
 
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
