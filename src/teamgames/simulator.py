@@ -213,7 +213,7 @@ def _draw_buffers(weights: np.ndarray) -> tuple:
     ``complex128`` pairs, so each step adds two agents, two correctly
     rounded float adds, and every sum is the row-major one.  Their counts
     are the True entries of a bool table, summed down the arms as bytes
-    while a count fits in one (K <= 256).
+    while a count fits in one (K <= 256), as ``intp`` beyond.
     """
     rows, num_arms = weights.shape
     if weights.flags.c_contiguous:
@@ -230,7 +230,7 @@ def _draw_buffers(weights: np.ndarray) -> tuple:
         if rows % 2 == 0:
             head, cum_head = head.view(np.complex128), cum_head.view(np.complex128)
         find = (cum, column, np.empty_like(weights, dtype=bool),
-                np.empty(rows, dtype=np.uint8) if num_arms <= 256 else None)
+                np.empty(rows, dtype=np.uint8 if num_arms <= 256 else np.intp))
     cum[:, -1] = np.inf
     return head, axis, weights[:, -1], cum_head, cum[:, -2], threshold, find
 
@@ -247,10 +247,9 @@ def _draw_arms(draw, buffers: tuple, arms: np.ndarray) -> np.ndarray:
     within rounding of one of its boundaries.  ``buffers`` is
     ``_draw_buffers(weights)``: only the first K - 1 weights are summed,
     the row total is the last of those sums plus the last weight, and the
-    ``+inf`` sentinel caps the count at K - 1.  The sums do not decrease,
-    so the count is also the first False of ``cum <= v * total``.  The
-    weights may be row-major or arm-major: the sums, and so the arms, are
-    the same bit for bit.
+    ``+inf`` sentinel caps the count at K - 1.  The weights may be
+    row-major or arm-major: the sums, and so the arms, are the same bit for
+    bit.
     """
     v, exploring = draw
     head, axis, last, cum_head, head_total, threshold, find = buffers
@@ -263,11 +262,8 @@ def _draw_arms(draw, buffers: tuple, arms: np.ndarray) -> np.ndarray:
     else:
         cum, column, below, count = find
         np.less_equal(cum, column, out=below)
-        if count is None:
-            below.argmin(axis=1, out=arms)
-        else:  # the True entries are a prefix of each row
-            np.add.reduce(below.view(np.uint8), axis=1, dtype=np.uint8, out=count)
-            np.copyto(arms, count)
+        np.add.reduce(below.view(np.uint8), axis=1, dtype=count.dtype, out=count)
+        np.copyto(arms, count)
     if exploring is not None:
         explore, explore_arms = exploring
         np.copyto(arms, explore_arms, where=explore)
@@ -419,9 +415,9 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
             # action fixes its rewards: keep each one's reward row, at most
             # min(episodes, K**n) of them, in one table the memo indexes.
             # Its bookkeeping is in Python scalars, where n cells cost less
-            # than numpy calls on them, and its soft-max is
-            # _boltzmann_weights' on preallocated columns while no row is
-            # uniform.
+            # than numpy calls on them.  Its soft-max is _boltzmann_weights'
+            # operations into preallocated columns, or the kernel itself
+            # while a row's best value is at or below Q_MAX_FLOOR.
             memo, memo_rows = {}, np.empty((min(episodes, num_arms ** n), n))
             counts = [0] * (agents * num_arms)
             k = float(schedule.k)

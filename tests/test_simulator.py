@@ -177,7 +177,7 @@ class TestTrainMechanics:
         # sentinel ended the count
         assert capped > 0
 
-    @pytest.mark.parametrize("num_arms", [255, 256, 300])
+    @pytest.mark.parametrize("num_arms", [255, 256, 257, 300])
     def test_arm_major_draws_equal_row_major_draws(self, num_arms):
         # arm-major counts are summed as bytes while one fits (K <= 256)
         rng = np.random.default_rng(num_arms)
