@@ -38,6 +38,7 @@ plays the action again, and it keeps its pull counts in a list and updates
 its n pulled cells one at a time in Python floats (``_update_arms``), with
 the same correctly rounded operations as ``bandit._update_q``.  Its
 soft-max and draw stay on the ``(n, K)`` arrays.
+
 Each run draws from its own counter-based stream, so an outcome is bitwise
 the same whatever it is batched with; sweep seeds are derived from a base
 seed with spawn keys, so parallel runs match serial ones.
