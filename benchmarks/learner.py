@@ -60,10 +60,8 @@ distinct values):
   one disjunctive player, over a sweep of the opponents' provision;
 * ``best_response_calls.*``: the ``_best_positive_response`` calls made while
   ``solve_cell`` solves the 90 disjunctive cells of that grid, recorded once
-  per process with their keyword arguments and replayed: how many there were (``count``), microseconds per
-  replayed call (``us``), and from a second, untimed replay the array passes
-  per call (``passes``): calls of the best response's closure ``utilities``
-  (``PASS``), its last window, on an array of gifts;
+  per process with their keyword arguments and replayed: how many there were
+  (``count``) and microseconds per replayed call (``us``);
 * ``conjunctive_gift_us``: microseconds per ``_conjunctive_gift`` call on
   the 120 conjunctive cells of that grid, every player, at 33 evenly spaced
   aggregates across each cell's solver interval (the points of the
@@ -113,8 +111,6 @@ LONE = ("n2_R1", "n3_R1", "n4_R1", "n4_team4")
 STEPS = {"softmax": ("_boltzmann_weights",), "draw": ("_draw_arms",),
          "ces": ("_aggregate_terms",), "score": ("_score",),
          "update": ("_update_q", "_update_arms")}
-# the best response's closure that scores an array of gifts in one pass
-PASS = "utilities"
 # the learning fixtures of tests/test_acceptance.py, by the test class charged their setup
 FIXTURES = {"TestCriterion3Regression": "sweep_records",
             "TestCriterion4LearnedSpotChecks": "spot_check_outcomes",
@@ -339,22 +335,6 @@ def case(name: str) -> dict:
             best(*args, **kwargs)
         out["best_response_calls.us"] = (time.perf_counter() - t0) / len(calls) * 1e6
         out["best_response_calls.count"] = len(calls)
-        passes = 0
-
-        def count_passes(frame, event, arg):
-            nonlocal passes
-            code = frame.f_code
-            if (event == "call" and code.co_name == PASS
-                    and code.co_filename == equilibrium.__file__
-                    and isinstance(frame.f_locals.get(code.co_varnames[0]), numpy.ndarray)):
-                passes += 1
-        sys.setprofile(count_passes)
-        try:
-            for args, kwargs in calls:
-                best(*args, **kwargs)
-        finally:
-            sys.setprofile(None)
-        out["best_response_calls.passes"] = passes / len(calls)
     elif name == "conjunctive_gift":
         from teamgames import equilibrium
         config = experiments.SweepConfig()

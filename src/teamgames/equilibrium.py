@@ -45,8 +45,8 @@ from .errors import (
     _cast,
 )
 from .evaluation import eval_score, score_scalar, ratio_scalar
-from .games import (GameSpec, _actions_array, _aggregate_terms, _ces, _payoffs,
-                    max_achievable_utility, utility)
+from .games import (GameSpec, _actions_array, _ces, _payoffs, max_achievable_utility,
+                    utility)
 
 # Absolute tolerance on work units for branch and boundary comparisons.
 BOUNDARY_TOL = 1e-10
@@ -97,7 +97,11 @@ class NashCheck:
 # scalar root-finding / log-domain helpers
 # ---------------------------------------------------------------------------
 
-def _brent(f, lo, hi, *, xtol, rtol=0.0, flo=None, fhi=None, maxiter=400):
+# evaluations a Brent solve may take; a bracket still wider is refused
+_BRENT_STEPS = 400
+
+
+def _brent(f, lo, hi, *, xtol, rtol=0.0, flo=None, fhi=None):
     """Brent's method on a bracket ``[lo, hi]`` whose ends' values differ in
     sign: inverse quadratic interpolation or a secant step, falling back to
     bisection whenever the step leaves the bracket, shrinks too slowly or
@@ -108,7 +112,9 @@ def _brent(f, lo, hi, *, xtol, rtol=0.0, flo=None, fhi=None, maxiter=400):
     ``[b, c]`` and ``a`` the previous ``b``.  Returns ``b`` once the bracket
     is ``max(xtol, rtol*|b|)`` wide (Brent 1973, ch. 4, with the tolerance
     at half that).  An ``rtol`` of a few ulps keeps a root far below the
-    bracket's width as accurate as one near it.
+    bracket's width as accurate as one near it.  A bracket still wider
+    after ``_BRENT_STEPS`` evaluations raises ``InputError`` naming
+    ``[lo, hi]``, rather than returning a point that is no root.
     """
     fa = f(lo) if flo is None else flo
     fb = f(hi) if fhi is None else fhi
@@ -121,7 +127,7 @@ def _brent(f, lo, hi, *, xtol, rtol=0.0, flo=None, fhi=None, maxiter=400):
     a, b = lo, hi
     c, fc = a, fa
     step = last = b - a
-    for _ in range(maxiter):
+    for _ in range(_BRENT_STEPS):
         if (fb < 0) == (fc < 0):
             c, fc = a, fa
             step = last = b - a
@@ -153,7 +159,7 @@ def _brent(f, lo, hi, *, xtol, rtol=0.0, flo=None, fhi=None, maxiter=400):
         a, fa = b, fb
         b += step if abs(step) > tol else math.copysign(tol, half)
         fb = f(b)
-    return b
+    raise InputError(f"Brent's method on [{lo}, {hi}] did not converge in {_BRENT_STEPS} steps")
 
 
 def _require_player(player, game: GameSpec):
@@ -496,11 +502,6 @@ def _u_zero(game: GameSpec, G_minus: float) -> float:
     return utility(game.delta_t, score_scalar(game.evaluation, G_minus), game.alpha)
 
 
-# the last window's 257 points, as fractions of its width; cap*_RAMP[1] is the
-# stand-in gift of a best response with no interior maximum
-_RAMP = np.arange(257) / 256
-
-
 def _softplus(x: float) -> tuple[float, float]:
     """``log(1 + e**x)`` without overflow, and its slope ``1/(1 + e**-x)``."""
     e = math.exp(-abs(x))
@@ -509,7 +510,7 @@ def _softplus(x: float) -> tuple[float, float]:
 
 def _pair_aggregate(w: float, G_minus: float, rho: float) -> float:
     """``(w**rho + G_minus**rho)**(1/rho)`` for ``w > 0`` as a log-sum-exp in
-    ``math``, with the arithmetic of the best response's last window."""
+    ``math``: the aggregate at which the best response scores a gift."""
     if G_minus == 0.0:
         return w
     a, b = rho * math.log(w), rho * math.log(G_minus)
@@ -531,7 +532,7 @@ def _response_condition(game: GameSpec, player: int, G_minus: float):
     log_gamma = math.log(spec.gamma) if logistic else 0.0
 
     def phi(g):
-        # the window's log-sum-exp: rho*log G = rho*log w + softplus(b - rho*log w)
+        # _pair_aggregate's log-sum-exp: rho*log G = rho*log w + softplus(b - rho*log w)
         log_w = log_bscale + math.log(g)
         if b is None:
             log_G, out, s = log_w, base, 0.0
@@ -553,8 +554,7 @@ def _response_condition(game: GameSpec, player: int, G_minus: float):
 
 
 def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
-                            near: float | None = None,
-                            window: bool = True) -> tuple[float, float] | None:
+                            near: float | None = None) -> tuple[float, float] | None:
     """Best strictly positive contribution against opponents providing G_minus.
 
     Returns (gift, utility) for the best g > 0, or None for a player with no
@@ -586,11 +586,8 @@ def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
     scores phi >= 0, as only rounding does there; one still moving after
     ``_NEWTON_STEPS`` steps raises ``InputError``.
 
-    With ``window`` the root centres a last 257-point window of
-    ``+-cap*1e-12`` (not below half the root), whose argmax is returned, as
-    the utility is flat to rounding there; without it the root and its
-    utility in ``math`` are returned, equal to the window's up to that
-    flatness.  Leisure is clamped at 0: at g = cap, ``dt - g/p`` can round
+    The root and its utility, scored in ``math`` at ``_pair_aggregate``, are
+    returned.  Leisure is clamped at 0: at g = cap, ``dt - g/p`` can round
     below zero, and a non-integer alpha would turn it into NaN.
 
     The gift is the best *interior* one.  As g -> 0+ the utility tends to
@@ -606,27 +603,11 @@ def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
     cap = p * game.delta_t
     rho = game.rho
     bscale = game.betas[player] ** (1.0 / rho)
-    spec = game.evaluation
-    alpha = game.alpha
-    dt = game.delta_t
-    b = None if G_minus == 0.0 else rho * math.log(G_minus)
     phi = _response_condition(game, player, G_minus)
 
     def utility_at(g):
         G = _pair_aggregate(bscale * g, G_minus, rho)
-        return max(dt - g / p, 0.0) ** alpha * score_scalar(spec, G)
-
-    def utilities(gs):
-        # utility_at on an array; rho > 1, so every w > 0 has a finite term
-        w = bscale * gs
-        if b is None:
-            G = w
-        else:
-            terms = np.empty((2, len(w)))
-            terms[0] = rho * np.log(w)
-            terms[1] = b
-            G = _aggregate_terms(terms, rho)
-        return np.maximum(dt - gs / p, 0.0) ** alpha * eval_score(spec, G)
+        return max(game.delta_t - g / p, 0.0) ** game.alpha * score_scalar(game.evaluation, G)
 
     g = 0.5 * cap if near is None else near
     log_cap = math.log(cap)
@@ -644,7 +625,7 @@ def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
         else:
             new = 0.5 * (g + cap)
         if new < cap * 1e-12:
-            stand_in = float(cap * _RAMP[1])
+            stand_in = cap / 256
             return stand_in, utility_at(stand_in)
         step, g = new - g, new
         if abs(step) <= cap * 1e-15:
@@ -653,20 +634,14 @@ def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
         raise InputError(
             f"the best response of player {player} to G_minus = {G_minus} did not "
             f"converge in {_NEWTON_STEPS} Newton steps")
-    if not window:
-        return g, utility_at(g)
-    lo = max(g - cap * 1e-12, 0.5 * g)
-    gs = lo + (g + cap * 1e-12 - lo) * _RAMP
-    us = utilities(gs)
-    j = int(np.argmax(us))
-    return float(gs[j]), float(us[j])
+    return g, utility_at(g)
 
 
 def _indifference_gap(game: GameSpec, player: int, G_minus: float,
                       near: float | None) -> tuple[float, float | None, float | None]:
     """``(h, h', g)`` at ``G_minus`` for the threshold search: the gap
     ``h = u(g; G_minus) - u0(G_minus)`` between the best positive response g
-    (warm-started from ``near``, without the last window) and free-riding,
+    (warm-started from ``near``) and free-riding,
     and its slope in ``G_minus`` by the envelope theorem,
 
         h' = u/(sigma/sigma')(G) * (G_minus/G)**(rho-1) - u0/(sigma/sigma')(G_minus),
@@ -674,9 +649,9 @@ def _indifference_gap(game: GameSpec, player: int, G_minus: float,
     G the aggregate at g.  Where the best response has no interior maximum
     (the ``cap/256`` stand-in) the slope belongs to no maximum, and ``h'``
     and ``g`` are None."""
-    g, u = _best_positive_response(game, player, G_minus, near=near, window=False)
+    g, u = _best_positive_response(game, player, G_minus, near=near)
     u0 = _u_zero(game, G_minus)
-    if g == game.expertise[player] * game.delta_t * _RAMP[1]:
+    if g == game.expertise[player] * game.delta_t / 256:
         return u - u0, None, None
     # u*sigma'/sigma at each aggregate; identity's sigma/sigma' is 0 at 0, sigma' 1
     G = _pair_aggregate(game.betas[player] ** (1.0 / game.rho) * g, G_minus, game.rho)
@@ -704,9 +679,9 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
     the bracket is at most ``xtol = max(G_bar, 1)*1e-13``, with Brent's
     contract: the root lies within ``xtol`` of the point returned.  Each
     best response starts from the last interior one's gift (the first from
-    the standalone gift, the best response to no provision) and skips the
-    last window; the one at the root keeps it, and ``g_star`` is that
-    maximum's gift, to within ``cap*1e-12``.
+    the standalone gift, the best response to no provision).  ``g_star`` is
+    the best response's Newton root at ``G_minus_star`` and ``G_star`` its
+    ``_pair_aggregate``, each clamped at the standalone point.
 
     The best response is the interior one, a root of the utility's
     first-order condition: above the threshold the corner g -> 0+ would win
@@ -782,9 +757,10 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
     G_minus_star = x
     best = _best_positive_response(game, player, G_minus_star, near=near)
     # The indifference point sits weakly left of the standalone point; the
-    # utility is flat at the argmax, so the best response's last window can
-    # put its best point a little past it.  Enforce the exact ordering rather
-    # than letting that noise leak into subset-acceptance checks.
+    # root of phi and the standalone gift come from two root-finders, each
+    # exact only to rounding, so the root could land a little past it.
+    # Enforce the exact ordering rather than letting that noise leak into
+    # subset-acceptance checks.
     g_star = min(best[0], g_bar)
     G_star = min(_pair_aggregate(bscale * g_star, G_minus_star, game.rho), G_bar)
 

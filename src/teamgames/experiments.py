@@ -26,6 +26,7 @@ from .errors import (
     InputError,
     TeamworkGameError,
     UndefinedDispersionError,
+    _cast,
     _count,
     _read_spec,
 )
@@ -62,6 +63,8 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for key in ("expertise_values", "rho_values", "b_values"):
+            _cast(key, getattr(self, key), ())  # refuses by name; the values stay as given
         _count("repetitions", self.repetitions, 1)
         _count("workers", self.workers, 1)
         _count("base_seed", self.base_seed, 0)

@@ -30,7 +30,7 @@ _GAME_KEYS = {"n": 0, "rho": 0.0, "betas": (), "delta_t": 0.0, "expertise": (),
 
 
 def _as_tuple(name: str, values, n: int) -> tuple[float, ...]:
-    t = tuple(float(v) for v in values)
+    t = _cast(name, values, ())
     if len(t) != n:
         raise ConfigurationError(f"{name} must have length n={n}, got {len(t)}")
     return t

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -980,19 +981,16 @@ class TestBestPositiveResponse:
     @pytest.mark.parametrize("kind,alpha", [("logistic", 2.0), ("logistic", 1.631),
                                             ("identity", 0.7)])
     def test_newton_root_matches_ternary_search(self, rho, kind, alpha):
-        # the first-order-condition best response never scores below the
-        # ternary search, and lands on the same gift up to the flatness of the
-        # utility at its peak
+        # the first-order-condition best response lands on the ternary
+        # search's gift up to the flatness of the utility at its peak
         g = game(rho=rho, expertise=(0.81, 0.5), b=4.0, kind=kind, alpha=alpha,
                  betas=(1.3, 1.0))
         cap = 0.81 * g.delta_t
         for G_minus in np.linspace(0.0, 1.2 * g.max_aggregate(), 25):
             g_new, u_new = _best_positive_response(g, 0, G_minus)
             g_ref, u_ref = _ternary_best_positive_response(g, 0, G_minus)
-            if g_new == g_ref:  # one point, scored by the array and the scalar code
+            if g_new == g_ref:  # one point, scored by two scalar codes
                 assert u_new == pytest.approx(u_ref, rel=1e-14)
-            else:
-                assert u_new >= u_ref
             assert abs(g_new - g_ref) <= 1e-7 * cap
 
     @pytest.mark.parametrize("rho,expected", [(3.0, 4.413672041469965),
@@ -1088,8 +1086,6 @@ class TestBestPositiveResponseFamily:
                 g_ref, u_ref = _ternary_best_positive_response(g, 0, G_minus)
                 if g_new == g_ref:
                     assert u_new == pytest.approx(u_ref, rel=1e-14)
-                else:
-                    assert u_new >= u_ref
                 assert abs(g_new - g_ref) <= 1e-7 * cap
                 if g_new != cap / 256:  # an interior maximum, not the stand-in
                     u = _exact_utility(g, 0, G_minus)
@@ -1122,7 +1118,7 @@ class TestBestPositiveResponseFamily:
             cap = g.expertise[0] * g.delta_t
             for G_minus in np.linspace(0.0, 1.2 * g.max_aggregate(), 13):
                 phi = equilibrium._response_condition(g, 0, G_minus)
-                gift = _best_positive_response(g, 0, G_minus, window=False)[0]
+                gift = _best_positive_response(g, 0, G_minus)[0]
                 for x in (gift, 1e-6 * cap, 1e-3 * cap, 0.5 * cap, 0.9 * cap):
                     slope = phi(x)[1]
                     z, d = math.log(x), 1e-6
@@ -1132,19 +1128,15 @@ class TestBestPositiveResponseFamily:
     def test_warm_start_matches_cold_response(self):
         # phi is concave in log g, so Newton's method finds the one interior
         # maximum, or shows there is none, from any starting gift, near the
-        # maximum or far from it.  The roots agree within cap*1e-12; each last
-        # window's argmax lies within cap*1e-12 of its own root, as the
-        # utility is flat there
+        # maximum or far from it.  The roots agree within cap*1e-12
         for g in _random_disjunctive_games(100):
             cap = g.expertise[0] * g.delta_t
             for G_minus in np.linspace(0.0, 1.2 * g.max_aggregate(), 13):
-                for window, gift_tol in ((False, cap * 1e-12), (True, 2 * cap * 1e-12)):
-                    g_cold, u_cold = _best_positive_response(g, 0, G_minus, window=window)
-                    for near in (g_cold * (1 + 1e-4), 0.9 * cap, 1e-6 * cap):
-                        g_warm, u_warm = _best_positive_response(g, 0, G_minus, near=near,
-                                                                 window=window)
-                        assert abs(g_warm - g_cold) <= gift_tol
-                        assert u_warm == pytest.approx(u_cold, rel=1e-14, abs=0)
+                g_cold, u_cold = _best_positive_response(g, 0, G_minus)
+                for near in (g_cold * (1 + 1e-4), 0.9 * cap, 1e-6 * cap):
+                    g_warm, u_warm = _best_positive_response(g, 0, G_minus, near=near)
+                    assert abs(g_warm - g_cold) <= cap * 1e-12
+                    assert u_warm == pytest.approx(u_cold, rel=1e-14, abs=0)
 
 
 class TestThresholdNewton:
@@ -1188,6 +1180,29 @@ class TestThresholdNewton:
         critical_thresholds(0, game(rho=rho, b=5.0))
         assert len(calls) - 1 <= 7
 
+    def test_thresholds_sit_on_the_newton_root(self):
+        # g_star is the best response's Newton root at G_minus_star, to its
+        # step tolerance, and G_star that gift's aggregate, on all 155
+        # thresholds of the 90 disjunctive default cells
+        config = SweepConfig()
+        thresholds = 0
+        for _, p1, p2, rho, b in _cell_specs(config):
+            if rho <= 1:
+                continue
+            g = cell_game(config, p1, p2, rho, b)
+            for i in range(g.n):
+                try:
+                    thr = critical_thresholds(i, g)
+                except RegimeError:
+                    continue
+                cap = g.expertise[i] * g.delta_t
+                root = _best_positive_response(g, i, thr.G_minus_star)[0]
+                assert abs(thr.g_star - root) <= cap * 1e-14
+                w = g.betas[i] ** (1.0 / rho) * thr.g_star
+                assert thr.G_star == equilibrium._pair_aggregate(w, thr.G_minus_star, rho)
+                thresholds += 1
+        assert thresholds == 155
+
     def test_unconverged_best_response_refused_by_name(self, monkeypatch):
         g = game(rho=10.0, b=5.0)
         monkeypatch.setattr(equilibrium, "_NEWTON_STEPS", 1)
@@ -1221,6 +1236,35 @@ class TestBrent:
         def f(x):
             return math.inf if x == 0.0 else 1.0 / x - 2.0
         assert abs(equilibrium._brent(f, 0.0, 4.0, xtol=1e-13) - 0.5) <= 1e-13
+
+    def test_unconverged_root_refused_by_name(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "_BRENT_STEPS", 3)
+        with pytest.raises(InputError, match=r"Brent's method on \[-1.0, 5.0\] did not "
+                                             r"converge in 3 steps"):
+            equilibrium._brent(lambda x: math.exp(x) - 2.0, -1.0, 5.0, xtol=1e-12)
+
+    def test_unconverged_fixed_point_refused_by_name(self):
+        # with 0.005 <= rho <= 0.01 the top of the concave solver's interval,
+        # max_aggregate, reaches 1e159; on such a bracket Brent's method can
+        # run out of evaluations, and the point it stops at, with a residual
+        # of up to 1,062 here, is no equilibrium
+        refused, checked = [], 0
+        for k, g in enumerate(_small_rho_conjunctive_games(200, (0.005, 0.01))):
+            g = dataclasses.replace(g, rho=-g.rho)
+            try:
+                equilibria = solve_equilibrium_concave(g)
+            except NoEquilibriumError:
+                continue
+            except InputError as exc:
+                assert "Brent's method on [" in str(exc) and "did not converge" in str(exc)
+                refused.append(k)
+                continue
+            eps = 1e-6 * max_achievable_utility(g)
+            for e in equilibria:
+                assert verify_epsilon_nash(e.actions, g, eps).is_nash, (k, g)
+                checked += 1
+        assert refused == [72, 106, 130]
+        assert checked == 197  # one equilibrium in each other game
 
     @pytest.mark.parametrize("rho", [3.0, 10.0, 500.0])
     def test_gap_is_clearly_negative_above_threshold(self, rho):

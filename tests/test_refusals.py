@@ -25,6 +25,7 @@ NOT_A_NUMBER = [None, "x", True]
 NOT_FINITE = [math.nan, math.inf, -math.inf]
 NOT_AN_INTEGER = NOT_A_NUMBER + [np.True_, 10.5, math.nan]
 NOT_A_SEED = NOT_AN_INTEGER + [-1, np.int64(-1)]
+NOT_A_LIST = [None, 5, ("x", 0.5)]
 
 
 def train_config(key):
@@ -86,7 +87,11 @@ TABLE = [
       for v in (NOT_A_SEED if key == "base_seed" else NOT_AN_INTEGER)),
     *((sweep_json(key), key, v) for key in ("base_seed", "episodes", "repetitions")
       for v in [1.7, 10.5]),
+    *((sweep_config(key), key, v) for key in ("expertise_values", "rho_values", "b_values")
+      for v in NOT_A_LIST),
     *((game_spec("n"), "n", v) for v in [None, "2", 2.5]),
+    *((game_spec(key), key, v) for key in ("betas", "expertise", "leisure_capacity")
+      for v in NOT_A_LIST if key != "leisure_capacity" or v is not None),  # None: all ones
     *((game_spec(key), key, v) for key in ("rho", "delta_t", "alpha") for v in [None, "x"]),
     *((evaluation_spec(key), f"evaluation {key}", v) for key in ("d", "gamma", "b")
       for v in [None, "x"]),
