@@ -67,6 +67,10 @@ distinct values):
   aggregates across each cell's solver interval (the points of the
   2,049-point bracket scan that ``scan.conjunctive_gift_us`` timed before
   ``BENCH_21`` removed the scan);
+* ``concave_f_us``: microseconds per evaluation of the concave solver's
+  ``f(G) = CES(r(G)) - G`` on the 150 concave cells of that grid, replayed
+  at the points its Brent solves evaluated while ``solve_cell`` solved them
+  (``concave_f_calls``, every evaluation counted);
 * ``oracle.*``: the criterion-7a Nash check (``verify_epsilon_nash`` with
   epsilon 1e-3 of ``max_achievable_utility``, grid step 0.01, refine step
   1e-4) of every equilibrium the solvers find on those 240 cells, after
@@ -356,6 +360,34 @@ def case(name: str) -> dict:
         for args in calls:
             equilibrium._conjunctive_gift(*args)
         out["conjunctive_gift_us"] = (time.perf_counter() - t0) / len(calls) * 1e6
+    elif name == "concave_f_us":
+        from teamgames import equilibrium
+        config = experiments.SweepConfig()
+        brent, calls = equilibrium._brent, []
+
+        def recorded(f, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name != "solve_equilibrium_concave":
+                return brent(f, *args, **kwargs)
+
+            def logged(x):
+                calls.append((f, x))
+                return f(x)
+            return brent(logged, *args, **kwargs)
+        equilibrium._brent = recorded
+        try:
+            for _, p1, p2, rho, b in experiments._cell_specs(config):
+                if rho <= 1:
+                    try:
+                        experiments.solve_cell(experiments.cell_game(config, p1, p2, rho, b))
+                    except tg.TeamworkGameError:
+                        pass
+        finally:
+            equilibrium._brent = brent
+        t0 = time.perf_counter()
+        for f, x in calls:
+            f(x)
+        out["concave_f_us"] = (time.perf_counter() - t0) / len(calls) * 1e6
+        out["concave_f_calls"] = len(calls)
     elif name == "oracle":
         from teamgames import equilibrium
         config = experiments.SweepConfig()
@@ -455,8 +487,8 @@ def case(name: str) -> dict:
 
 CASES = ("n2_R1", "n2_R8", "n2_R16", "n2_chunk", "n3_R1", "n3_chunk", "n4_R1", "n4_team4",
          "n4_R16", "layout", "train50k", "lone50k_n4", "sweep_split", "solve_regimes",
-         "thresholds", "best_response", "best_response_calls", "conjunctive_gift", "oracle",
-         "roots", "sweep", "fixtures")
+         "thresholds", "best_response", "best_response_calls", "conjunctive_gift",
+         "concave_f_us", "oracle", "roots", "sweep", "fixtures")
 
 
 def _run_case(src: str, name: str) -> dict:

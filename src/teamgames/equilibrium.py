@@ -45,8 +45,8 @@ from .errors import (
     _cast,
 )
 from .evaluation import eval_score, score_scalar, ratio_scalar
-from .games import (GameSpec, _actions_array, _ces, _payoffs, max_achievable_utility,
-                    utility)
+from .games import (GameSpec, _actions_array, _ces, _payoffs, _require_game,
+                    max_achievable_utility, utility)
 
 # Absolute tolerance on work units for branch and boundary comparisons.
 BOUNDARY_TOL = 1e-10
@@ -163,6 +163,7 @@ def _brent(f, lo, hi, *, xtol, rtol=0.0, flo=None, fhi=None):
 
 
 def _require_player(player, game: GameSpec):
+    _require_game(game)
     if not (isinstance(player, (int, np.integer)) and 0 <= player < game.n):
         raise InputError(f"player must be an integer in [0, {game.n - 1}], got {player!r}")
 
@@ -173,6 +174,29 @@ def _require_smooth(game: GameSpec, where: str):
             f"{where} needs a smooth evaluation (logistic or identity); "
             "heaviside games can only be learned"
         )
+
+
+def _scalar_ces(gifts, log_b, rho: float) -> float:
+    """``games._ces`` of one joint action in ``math``: the log-sum-exp of the
+    log-terms ``log(beta_i) + rho*log(g_i)``, max-shifted, divided by ``rho``
+    and exponentiated, with ``_ces``'s zero gifts: under rho > 0 a zero gift
+    adds nothing, under rho < 0 it forces G = 0, and with no positive gift
+    G = 0.  ``log_b`` holds the ``log(beta_i)``.  The terms are summed in
+    order, as numpy sums fewer than 8 (built-in ``sum`` compensates from
+    Python 3.12), so it agrees with ``_ces`` to rounding."""
+    terms = []
+    for g, log_beta in zip(gifts, log_b):
+        if g > 0.0:
+            terms.append(log_beta + rho * math.log(g))
+        elif rho < 0.0:
+            return 0.0
+    if not terms:
+        return 0.0
+    m = max(terms)
+    total = 0.0
+    for t in terms:
+        total += math.exp(t - m)
+    return math.exp((m + math.log(total)) / rho)
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +212,16 @@ def replacement_additive(G: float, player: int, game: GameSpec) -> float:
     _require_smooth(game, "replacement function")
     if not G >= 0:
         raise RegimeError(f"aggregate must be >= 0, got {G}")
-    p = game.expertise[player]
-    if p == 0.0:
-        return 0.0
-    cap = p * game.delta_t
-    ratio = ratio_scalar(game.evaluation, G)
-    r = cap - (game.alpha / game.betas[player]) * ratio
+    return _additive_gift(ratio_scalar(game.evaluation, G), G, game.expertise[player],
+                          game.betas[player], game.alpha, game.delta_t, game.rho)
+
+
+def _additive_gift(ratio_G: float, G: float, p: float, beta: float,
+                   alpha: float, delta_t: float, rho: float) -> float:
+    """``replacement_additive`` without its checks, from ``ratio_G = sigma/sigma'(G)``;
+    the arguments are ``_conjunctive_gift``'s, so the concave solver calls either."""
+    cap = p * delta_t
+    r = cap - (alpha / beta) * ratio_G
     return min(cap, max(0.0, r))
 
 
@@ -247,7 +275,9 @@ def _conjunctive_gift(ratio_G: float, G: float, p: float, beta: float,
 
     Solves (dt - r/p) * (beta*p/alpha) * r**(rho-1) = ratio_G * G**(rho-1)
     for r in (0, p*dt], in logs ``_gift_condition``.  For rho < 1 it falls
-    from +inf at r -> 0+ down to -inf at r = p*dt.
+    from +inf at r -> 0+ down to -inf at r = p*dt.  This is
+    ``replacement_conjunctive`` without its checks; a player with no
+    expertise gifts 0.
 
     The ends of the bracket ``[cap*1e-300, cap*(1-1e-15)]`` decide the special
     cases: a root below it is a zero gift, an end at a root is that end, and
@@ -258,7 +288,7 @@ def _conjunctive_gift(ratio_G: float, G: float, p: float, beta: float,
     it is convex and rising.
     """
     cap = p * delta_t
-    if G == 0.0 and rho < 0:
+    if p == 0.0 or G == 0.0 and rho < 0:
         return 0.0
     if ratio_G == 0.0 or (math.isinf(ratio_G) and ratio_G < 0):
         # zero opportunity cost: the FOC holds with strict inequality at the cap
@@ -369,6 +399,7 @@ def strongly_conjunctive_limit(game: GameSpec) -> float:
     this is the textbook symmetric expression; the common factor p keeps it
     consistent with the rho = -500 solver for weaker symmetric teams.
     """
+    _require_game(game)
     _require_smooth(game, "strongly conjunctive limit")
     p = game.expertise[0]
     if any(q != p for q in game.expertise) or any(b != game.betas[0] for b in game.betas):
@@ -411,7 +442,10 @@ def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
     never rises: it crosses 1 at most once.
 
     So ``f`` is evaluated at the interval's two ends, and one Brent solve
-    refines a sign change between them.  The ends keep their own rules: for
+    refines a sign change between them.  Each evaluation is scalar
+    arithmetic: the replacement maps' gifts without their checks, and their
+    aggregate by ``_scalar_ces``; ``games._ces`` scores only the reported
+    equilibria (``_result_from_gifts``).  The ends keep their own rules: for
     rho = 1, ``|f(0)| < 1e-12`` makes ``G = 0`` a root (nobody contributes);
     for 0 < rho < 1, ``lo`` is the largest standalone value, a lone
     player's fixed point when ``|f(lo)| <= max(lo, 1)*1e-9``, relative to
@@ -429,6 +463,7 @@ def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
     where any zero gift forces the weakest-link outcome to 0: the fixed
     point with G > 0 is returned, the zero profile never.
     """
+    _require_game(game)
     if game.rho > 1 or game.rho == 0:
         raise WrongSolverError(
             f"concave solver requires rho <= 1 (rho != 0), got {game.rho}; "
@@ -446,21 +481,26 @@ def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
         # gift forces G = 0); the replacement theory covers only G > 0.
         hi = min(standalones)
         lo = hi * 1e-9
-    replacement = replacement_additive if game.rho == 1 else replacement_conjunctive
-
-    def gift(i, G):
-        return replacement(G, i, game)
-
     if not hi > lo:
         raise NoEquilibriumError(
             f"empty interval [{lo:.6g}, {hi:.6g}]: some player has a "
             "degenerate standalone value", scan=[])
 
-    log_b = game._columns[0]
+    # The replacement maps without their checks: the game is checked above,
+    # and every G evaluated lies in [lo, hi], so G >= 0, and G is at least
+    # every standalone value for 0 < rho < 1 (lo is their max) and at most
+    # every one for rho < 0 (hi is their min).
+    gift = _additive_gift if game.rho == 1 else _conjunctive_gift
+    players = list(zip(game.expertise, game.betas))
+    log_b = game._columns[0].tolist()
+    spec, alpha, delta_t, rho = game.evaluation, game.alpha, game.delta_t, game.rho
+
+    def gifts(G):
+        ratio = ratio_scalar(spec, G)
+        return [gift(ratio, G, p, beta, alpha, delta_t, rho) for p, beta in players]
 
     def f(G):
-        gifts = np.array([gift(i, G) for i in range(game.n)])
-        return _ces(gifts, game.rho, log_b) - G
+        return _scalar_ces(gifts(G), log_b, rho) - G
 
     f_lo, f_hi = f(lo), f(hi)
     radius = max(hi, 1.0) * 1e-9
@@ -487,11 +527,7 @@ def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
             f"no fixed point of the aggregate replacement map on [{lo:.6g}, {hi:.6g}]",
             scan=[(lo, f_lo), (hi, f_hi)])
 
-    results = []
-    for G_hat in deduped:
-        gifts = np.array([gift(i, G_hat) for i in range(game.n)])
-        results.append(_result_from_gifts(game, gifts, G_hat))
-    return results
+    return [_result_from_gifts(game, np.array(gifts(G_hat)), G_hat) for G_hat in deduped]
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +545,12 @@ def _softplus(x: float) -> tuple[float, float]:
 
 
 def _pair_aggregate(w: float, G_minus: float, rho: float) -> float:
-    """``(w**rho + G_minus**rho)**(1/rho)`` for ``w > 0`` as a log-sum-exp in
-    ``math``: the aggregate at which the best response scores a gift."""
+    """``(w**rho + G_minus**rho)**(1/rho)`` for ``w > 0``: the aggregate at
+    which the best response scores a gift, ``_scalar_ces`` of the log-terms
+    ``rho*log w`` and ``rho*log G_minus``."""
     if G_minus == 0.0:
         return w
-    a, b = rho * math.log(w), rho * math.log(G_minus)
-    m = max(a, b)
-    return math.exp((m + math.log(math.exp(a - m) + math.exp(b - m))) / rho)
+    return _scalar_ces((w, G_minus), (0.0, 0.0), rho)
 
 
 def _response_condition(game: GameSpec, player: int, G_minus: float):
@@ -866,6 +901,7 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
     standalone point, so a one-player set J = {j}, once admitted, reports
     that point (``_standalone_pair``) without solving the share equation.
     """
+    _require_game(game)
     if game.rho <= 1:
         raise WrongSolverError(
             f"disjunctive enumeration requires rho > 1, got {game.rho}")
@@ -979,6 +1015,7 @@ def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
     k = round(1.0 / grid_step)
     if abs(k * grid_step - 1.0) > 1e-9:
         raise InputError(f"grid_step must divide 1 evenly, got {grid_step}")
+    _require_game(game)
     arr = _actions_array(game, actions)
     max_achievable_utility(game)  # every payoff lies below this bound
 

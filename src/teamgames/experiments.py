@@ -31,7 +31,7 @@ from .errors import (
     _read_spec,
 )
 from .evaluation import EvaluationSpec
-from .games import GameSpec, max_achievable_utility
+from .games import GameSpec, _require_game, max_achievable_utility
 from .simulator import (
     TrainConfig,
     _seed_sequence,
@@ -118,6 +118,7 @@ def cell_game(config: SweepConfig, p1: float, p2: float, rho: float, b: float) -
 
 def solve_cell(game: GameSpec):
     """Equilibria of one cell's game, routed by task type."""
+    _require_game(game)
     if game.rho > 1:
         return enumerate_disjunctive_equilibria(game)
     return solve_equilibrium_concave(game)

@@ -134,6 +134,11 @@ class GameSpec:
         return cls(**kwargs)
 
 
+def _require_game(game) -> None:
+    if not isinstance(game, GameSpec):
+        raise InputError(f"game must be a GameSpec, got {game!r}")
+
+
 def _actions_array(game: GameSpec, actions) -> np.ndarray:
     try:
         arr = np.asarray(actions, dtype=float)
@@ -186,8 +191,12 @@ def ces_aggregate(gifts, rho: float, betas):
     to rounding.  Zero gifts contribute nothing when rho > 0; when rho < 0 a
     single zero gift forces G = 0 (the weakest-link limit).
     """
+    if not isinstance(rho, bool):  # a bool reads as 0 or 1, as in GameSpec
+        _cast("rho", rho, 0.0, strict=True)
     if rho == 0:
         raise ConfigurationError("rho must be nonzero (rho = 0 is not a CES exponent)")
+    if not math.isfinite(rho):
+        raise ConfigurationError(f"rho must be finite, got {rho}")
     g = np.asarray(gifts, dtype=float)
     b = np.asarray(betas, dtype=float)
     if b.ndim != 1 or g.shape[:1] != b.shape:

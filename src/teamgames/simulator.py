@@ -54,7 +54,7 @@ import numpy as np
 
 from .bandit import Q_MAX_FLOOR, _boltzmann_weights, _update_q, uniform_action_grid
 from .bandit import update_q  # noqa: F401  (bound here for perfbench's tracer tests)
-from .errors import ConfigurationError, UndefinedDispersionError, _cast, _count
+from .errors import ConfigurationError, InputError, UndefinedDispersionError, _cast, _count
 from .evaluation import _score
 from .games import (GameSpec, _aggregate_terms, _leisure_payoff, _outcome,
                     max_achievable_utility)
@@ -303,9 +303,20 @@ def train_many(jobs) -> list[LearnedOutcome]:
     the game and the seed may differ within a chunk.  Each run keeps its own random stream, so
     outcomes do not depend on how the jobs are grouped or chunked.
     """
-    jobs = list(jobs)
+    try:
+        jobs = list(jobs)
+    except TypeError:
+        raise InputError(f"jobs must be (game, config) pairs, got {jobs!r}") from None
     groups: dict[tuple, list[int]] = {}
-    for j, (game, config) in enumerate(jobs):
+    for j, job in enumerate(jobs):
+        try:
+            game, config = job
+        except (TypeError, ValueError):
+            raise InputError(f"job {j} must be a (game, config) pair, got {job!r}") from None
+        if not isinstance(game, GameSpec):
+            raise InputError(f"job {j}'s game must be a GameSpec, got {game!r}")
+        if not isinstance(config, TrainConfig):
+            raise InputError(f"job {j}'s config must be a TrainConfig, got {config!r}")
         key = (game.n, config.num_arms, config.episodes, config.tau,
                config.anneal_floor, config.anneal_start)
         groups.setdefault(key, []).append(j)
@@ -481,15 +492,25 @@ def train(game: GameSpec, config: TrainConfig) -> LearnedOutcome:
 
 
 def spawned_seed(base_seed: int, *key: int) -> np.random.SeedSequence:
-    """Deterministic per-cell seed derivation for sweeps."""
+    """Deterministic per-cell seed derivation for sweeps; every argument is a
+    non-negative integer, read as ``TrainConfig.seed`` is."""
+    _count("base_seed", base_seed, 0)
+    for i, k in enumerate(key):
+        _count(f"key {i}", k, 0)
     return np.random.SeedSequence(entropy=int(base_seed), spawn_key=tuple(int(k) for k in key))
 
 
 def dispersion(values) -> float:
     """Percentage dispersion: (max - min) / mean * 100."""
-    arr = np.asarray(list(values), dtype=float)
+    try:
+        sample = list(values)
+        arr = np.asarray(sample, dtype=float)
+    except (TypeError, ValueError):
+        raise UndefinedDispersionError(f"dispersion needs numbers, got {values!r}") from None
     if arr.size == 0:
         raise UndefinedDispersionError("dispersion needs a non-empty sample")
+    if not np.isfinite(arr).all():
+        raise UndefinedDispersionError(f"dispersion needs finite values, got {sample!r}")
     mean = float(arr.mean())
     if mean <= 0:
         raise UndefinedDispersionError(f"dispersion undefined for mean {mean}")

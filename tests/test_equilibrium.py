@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -1539,3 +1540,100 @@ class TestPositiveBranchGift:
         monkeypatch.setattr(equilibrium, "_NEWTON_STEPS", 1)
         with pytest.raises(InputError, match="gift root for p = 1.0, G = 1.0 did not converge"):
             equilibrium._positive_branch_gift(g, 0, 1.0)
+
+
+class TestScalarConcaveSolve:
+    """The concave solver scores ``f(G) = CES(r(G)) - G`` in ``math``: one
+    scalar CES and the replacement maps without their checks."""
+
+    RHOS = (-500.0, -100.0, -10.0, -0.5, 0.5, 1.0, 3.0, 10.0, 100.0, 500.0)
+
+    def test_scalar_ces_matches_the_numpy_kernel(self):
+        rng = np.random.default_rng(30)
+        zeros = 0
+        for n in range(1, 17):
+            for rho in self.RHOS:
+                for _ in range(20):
+                    gifts = 10.0 ** rng.uniform(-3.0, 2.0, n)
+                    gifts[rng.random(n) < 0.1] = 0.0
+                    log_b = np.log(rng.uniform(0.5, 2.0, n))
+                    expected = equilibrium._ces(gifts, rho, log_b)
+                    got = equilibrium._scalar_ces(gifts.tolist(), log_b.tolist(), rho)
+                    if expected == 0.0:
+                        assert got == 0.0
+                        zeros += 1
+                    else:
+                        assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+        assert zeros > 0
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_scalar_ces_keeps_the_zero_gift_conventions(self, rho):
+        log_b = [0.0, math.log(1.5), math.log(0.7)]
+        for gifts in ([0.0, 2.0, 3.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]):
+            expected = equilibrium._ces(np.array(gifts), rho, np.array(log_b))
+            got = equilibrium._scalar_ces(gifts, log_b, rho)
+            if rho < 0 or not any(gifts):
+                assert got == expected == 0.0
+            else:  # a zero gift drops out
+                positive = [(g, b) for g, b in zip(gifts, log_b) if g > 0.0]
+                assert got == equilibrium._scalar_ces(*zip(*positive), rho)
+                assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_numpy_kernel_scores_only_the_reported_equilibria(self, monkeypatch):
+        config = SweepConfig()
+        games = [cell_game(config, p1, p2, rho, b)
+                 for _, p1, p2, rho, b in _cell_specs(config) if rho <= 1]
+        assert len(games) == 150
+        for g in games:
+            g.max_aggregate()  # memoised before the spy, as every later call reads it
+        callers = []
+        kernel = equilibrium._ces
+
+        def spy(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return kernel(*args)
+        monkeypatch.setattr(equilibrium, "_ces", spy)
+        monkeypatch.setattr("teamgames.games._ces", spy)
+        solved = 0
+        for g in games:
+            callers.clear()
+            try:
+                results = solve_equilibrium_concave(g)
+            except (NoEquilibriumError, RegimeError):
+                assert callers == []
+                continue
+            assert callers == ["_result_from_gifts"] * len(results)
+            solved += 1
+        assert solved > 100
+
+    @pytest.mark.parametrize("fn,G,player,g,error", [
+        (replacement_additive, 4.0, -1, game(rho=1.0), InputError),
+        (replacement_additive, 4.0, 2, game(rho=1.0), InputError),
+        (replacement_additive, 4.0, 0.5, game(rho=1.0), InputError),
+        (replacement_additive, 4.0, "0", game(rho=1.0), InputError),
+        (replacement_additive, 4.0, 0, None, InputError),
+        (replacement_additive, 4.0, 0, game(rho=0.5), WrongSolverError),
+        (replacement_additive, 4.0, 0, game(rho=3.0), WrongSolverError),
+        (replacement_additive, 4.0, 0, game(rho=1.0, kind="heaviside"),
+         UnsupportedEvaluationError),
+        (replacement_additive, -1.0, 0, game(rho=1.0), RegimeError),
+        (replacement_additive, math.nan, 0, game(rho=1.0), RegimeError),
+        (replacement_conjunctive, 8.0, -1, game(rho=0.5), InputError),
+        (replacement_conjunctive, 8.0, 2, game(rho=0.5), InputError),
+        (replacement_conjunctive, 8.0, 0.5, game(rho=0.5), InputError),
+        (replacement_conjunctive, 8.0, 0, None, InputError),
+        (replacement_conjunctive, 8.0, 0, game(rho=1.0), WrongSolverError),
+        (replacement_conjunctive, 8.0, 0, game(rho=3.0), WrongSolverError),
+        (replacement_conjunctive, 8.0, 0, game(rho=0.5, kind="heaviside"),
+         UnsupportedEvaluationError),
+        (replacement_conjunctive, -1.0, 0, game(rho=0.5), RegimeError),
+        (replacement_conjunctive, math.nan, 0, game(rho=-3.0), RegimeError),
+        (replacement_conjunctive, 1.0, 0, game(rho=0.5), RegimeError),  # below standalone
+        (replacement_conjunctive, 20.0, 0, game(rho=-3.0), RegimeError),  # above standalone
+    ])
+    def test_public_replacement_maps_still_check_their_arguments(self, fn, G, player, g,
+                                                                 error):
+        # the solver calls the same maps unchecked; every call refused before is refused
+        # (a game of None raised a bare AttributeError)
+        with pytest.raises(error):
+            fn(G, player, g)

@@ -13,10 +13,19 @@ from teamgames import (
     SweepConfig,
     TeamworkGameError,
     TrainConfig,
+    ces_aggregate,
+    critical_thresholds,
+    dispersion,
+    enumerate_disjunctive_equilibria,
     heaviside_study,
+    solve_equilibrium_concave,
+    spawned_seed,
+    train,
+    train_many,
     tune_hyperparameters,
     verify_epsilon_nash,
 )
+from teamgames.experiments import solve_cell
 
 GAME = GameSpec(n=2, rho=1.0, betas=(1.0, 1.0), delta_t=10.0, expertise=(0.5, 0.5),
                 alpha=2.0, evaluation=EvaluationSpec("logistic", d=10.0, gamma=2.0, b=5.0))
@@ -26,6 +35,8 @@ NOT_FINITE = [math.nan, math.inf, -math.inf]
 NOT_AN_INTEGER = NOT_A_NUMBER + [np.True_, 10.5, math.nan]
 NOT_A_SEED = NOT_AN_INTEGER + [-1, np.int64(-1)]
 NOT_A_LIST = [None, 5, ("x", 0.5)]
+NOT_A_GAME = [None, "x", 5]
+CONFIG = TrainConfig(episodes=10)
 
 
 def train_config(key):
@@ -33,8 +44,8 @@ def train_config(key):
 
 
 def verify(key):
-    args = {"actions": (0.3, 0.3), "epsilon": 0.01}
-    return lambda value: verify_epsilon_nash(game=GAME, **{**args, key: value})
+    args = {"actions": (0.3, 0.3), "game": GAME, "epsilon": 0.01}
+    return lambda value: verify_epsilon_nash(**{**args, key: value})
 
 
 def tune(key):
@@ -62,6 +73,22 @@ def game_spec(key):
 
 def evaluation_spec(key):
     return lambda value: EvaluationSpec("logistic", **{key: value})
+
+
+def thresholds(value):
+    return critical_thresholds(0, value)
+
+
+def ces(value):
+    return ces_aggregate([1.0, 2.0], value, [1.0, 1.0])
+
+
+def spawn_key(value):
+    return spawned_seed(1, value)
+
+
+def train_with(value):
+    return train(GAME, value)
 
 
 TABLE = [
@@ -95,6 +122,19 @@ TABLE = [
     *((game_spec(key), key, v) for key in ("rho", "delta_t", "alpha") for v in [None, "x"]),
     *((evaluation_spec(key), f"evaluation {key}", v) for key in ("d", "gamma", "b")
       for v in [None, "x"]),
+    *((ces, "rho", v) for v in [None, "x"] + NOT_FINITE),
+    *((call, "game", v) for call in (solve_cell, solve_equilibrium_concave,
+                                     enumerate_disjunctive_equilibria, thresholds)
+      for v in NOT_A_GAME),
+    (verify("game"), "game", None),
+    *((train_many, name, v) for name, v in [
+        ("jobs", None), ("job 0", [1]), ("job 0", [(GAME,)]), ("job 0's game", [(None, CONFIG)]),
+        ("job 0's config", [(GAME, None)]), ("job 1's config", [(GAME, CONFIG), (GAME, {})])]),
+    (train_with, "config", {}),
+    *((spawned_seed, "base_seed", v) for v in NOT_A_SEED),
+    *((spawn_key, "key 0", v) for v in NOT_A_SEED),
+    *((dispersion, "dispersion", v)
+      for v in [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf], ["x"], None]),
 ]
 
 
