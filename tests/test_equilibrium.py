@@ -1594,17 +1594,10 @@ class TestScalarConcaveSolve:
             return kernel(*args)
         monkeypatch.setattr(equilibrium, "_ces", spy)
         monkeypatch.setattr("teamgames.games._ces", spy)
-        solved = 0
         for g in games:
             callers.clear()
-            try:
-                results = solve_equilibrium_concave(g)
-            except (NoEquilibriumError, RegimeError):
-                assert callers == []
-                continue
+            results = solve_equilibrium_concave(g)
             assert callers == ["_result_from_gifts"] * len(results)
-            solved += 1
-        assert solved > 100
 
     @pytest.mark.parametrize("fn,G,player,g,error", [
         (replacement_additive, 4.0, -1, game(rho=1.0), InputError),
