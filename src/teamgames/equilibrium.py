@@ -27,7 +27,6 @@ games may be solved concurrently.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -43,9 +42,10 @@ from .errors import (
     UnsupportedEvaluationError,
     WrongSolverError,
     _cast,
+    _count,
 )
-from .evaluation import eval_score, score_scalar, ratio_scalar
-from .games import (GameSpec, _actions_array, _ces, _payoffs, _require_game,
+from .evaluation import _score, eval_score, score_scalar, ratio_scalar
+from .games import (GameSpec, _actions_array, _ces, _leisure_payoff, _require_game,
                     max_achievable_utility, utility)
 
 # Absolute tolerance on work units for branch and boundary comparisons.
@@ -164,7 +164,8 @@ def _brent(f, lo, hi, *, xtol, rtol=0.0, flo=None, fhi=None):
 
 def _require_player(player, game: GameSpec):
     _require_game(game)
-    if not (isinstance(player, (int, np.integer)) and 0 <= player < game.n):
+    if (isinstance(player, (bool, np.bool_))  # a bool is an int, but no player
+            or not (isinstance(player, (int, np.integer)) and 0 <= player < game.n)):
         raise InputError(f"player must be an integer in [0, {game.n - 1}], got {player!r}")
 
 
@@ -413,16 +414,21 @@ def strongly_conjunctive_limit(game: GameSpec) -> float:
 # concave solver (rho <= 1)
 # ---------------------------------------------------------------------------
 
-def _result_from_gifts(game: GameSpec, gifts: np.ndarray, reference_G: float) -> EquilibriumResult:
-    gifts = np.maximum(np.asarray(gifts, dtype=float), 0.0)
+def _result_from_gifts(game: GameSpec, gifts, reference_G: float,
+                       residual: float | None = None) -> EquilibriumResult:
+    """The equilibrium of ``gifts``, each clamped at 0 (a NaN kept, as
+    ``np.maximum`` keeps it), scored by the payoff kernel; ``residual``
+    defaults to ``|CES(gifts) - reference_G|``."""
+    gifts = tuple(0.0 if g <= 0.0 else float(g) for g in gifts)
     log_b, caps, _ = game._columns
-    actions = np.where(caps > 0, np.clip(gifts / np.where(caps > 0, caps, 1.0), 0.0, 1.0), 0.0)
-    aggregate = _ces(gifts, game.rho, log_b)
-    score = float(eval_score(game.evaluation, aggregate))
-    active = tuple(int(i) for i in np.nonzero(gifts > BOUNDARY_TOL)[0])
+    actions = tuple(min(g / cap, 1.0) if cap > 0.0 else 0.0
+                    for g, cap in zip(gifts, caps.tolist()))
+    aggregate = _ces(np.array(gifts), game.rho, log_b)
     return EquilibriumResult(
-        actions=tuple(actions.tolist()), gifts=tuple(gifts.tolist()), aggregate_G=aggregate,
-        score=score, active_set=active, residual=abs(aggregate - reference_G))
+        actions=actions, gifts=gifts, aggregate_G=aggregate,
+        score=eval_score(game.evaluation, aggregate),
+        active_set=tuple(i for i, g in enumerate(gifts) if g > BOUNDARY_TOL),
+        residual=abs(aggregate - reference_G) if residual is None else residual)
 
 
 def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
@@ -527,7 +533,7 @@ def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
             f"no fixed point of the aggregate replacement map on [{lo:.6g}, {hi:.6g}]",
             scan=[(lo, f_lo), (hi, f_hi)])
 
-    return [_result_from_gifts(game, np.array(gifts(G_hat)), G_hat) for G_hat in deduped]
+    return [_result_from_gifts(game, gifts(G_hat), G_hat) for G_hat in deduped]
 
 
 # ---------------------------------------------------------------------------
@@ -902,6 +908,7 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
     that point (``_standalone_pair``) without solving the share equation.
     """
     _require_game(game)
+    _count("subset_cap", subset_cap, 1)
     if game.rho <= 1:
         raise WrongSolverError(
             f"disjunctive enumeration requires rho > 1, got {game.rho}")
@@ -929,7 +936,7 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
             hi = min(thresholds[j].standalone for j in J)
             if G_star_J > hi + BOUNDARY_TOL:
                 continue
-            gifts = np.zeros(game.n)
+            gifts = [0.0] * game.n
             if size == 1:
                 gifts[J[0]], G_bar = pairs[J[0]]
                 results.append(_result_from_gifts(game, gifts, G_bar))
@@ -958,8 +965,7 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
                                    flo=s_lo - 1.0, fhi=s_hi - 1.0)
             for j in J:
                 gifts[j] = _positive_branch_gift(game, j, G_hat)
-            results.append(dataclasses.replace(_result_from_gifts(game, gifts, G_hat),
-                                               residual=float(abs(S(G_hat) - 1.0))))
+            results.append(_result_from_gifts(game, gifts, G_hat, abs(S(G_hat) - 1.0)))
     return results
 
 
@@ -970,15 +976,19 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
 def _deviation_payoffs(game: GameSpec, actions: np.ndarray, candidates):
     """The profile's utilities (column 0 of one payoff pass), and each
     player's utility for each of its own candidate actions (``candidates[i]``
-    lists player i's, clipped to at most 1), the others held fixed.  A
-    column's payoff does not depend on the others: below 8 players every
-    layout sums in order, and from 8 ``_ces`` sums each column contiguously."""
+    lists player i's, clipped to at most 1), the others held fixed: one
+    ``games._payoffs`` pass with ``_score`` called directly.  A column's
+    payoff does not depend on the others: below 8 players every layout sums
+    in order, and from 8 ``_ces`` sums each column contiguously."""
     ends = list(itertools.accumulate(map(len, candidates), initial=1))
     profiles = np.repeat(actions[:, None], ends[-1], axis=1)
     for i, c in enumerate(candidates):
         profiles[i, ends[i]:ends[i + 1]] = c
     np.minimum(profiles, 1.0, out=profiles)
-    us = _payoffs(game, profiles)[2]
+    log_b, caps, _ = game._columns
+    spec = game.evaluation
+    G = _ces(profiles * caps[:, None], game.rho, log_b)
+    us = _leisure_payoff(game, profiles) * _score(spec.kind, G, spec.d, spec.gamma, spec.b)
     return us[:, 0], [us[i, ends[i]:ends[i + 1]] for i in range(len(candidates))]
 
 
@@ -988,6 +998,15 @@ def _action_grid(points: int) -> np.ndarray:
     grid = np.linspace(0.0, 1.0, points)
     grid.flags.writeable = False
     return grid
+
+
+@functools.lru_cache(maxsize=16)
+def _refine_offsets(refine_step: float, points: int) -> np.ndarray:
+    """``refine_step * arange(points)``, a refine window's offsets from its
+    low end, built once per step and length, read-only."""
+    offsets = refine_step * np.arange(points)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
@@ -1017,33 +1036,35 @@ def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
         raise InputError(f"grid_step must divide 1 evenly, got {grid_step}")
     _require_game(game)
     arr = _actions_array(game, actions)
-    max_achievable_utility(game)  # every payoff lies below this bound
+    max_achievable_utility(game)  # every payoff lies below this bound; memoised
 
     grid_actions = _action_grid(k + 1)
     base_u, deviations = _deviation_payoffs(game, arr, [grid_actions] * game.n)
     bests = []  # each player's best deviation (action, utility)
     for us in deviations:
-        j = int(np.argmax(us))
-        bests.append((float(grid_actions[j]), float(us[j])))
+        j = us.argmax()
+        bests.append((grid_actions.item(j), us.item(j)))
     if refine_step is not None:
         windows = []  # from lo >= 0, so the pass's clip at 1 is np.clip's
         for best_a, _ in bests:
             lo = max(0.0, best_a - grid_step)
             hi = min(1.0, best_a + grid_step)
-            fine = lo + refine_step * np.arange(int(round((hi - lo) / refine_step)) + 1)
-            windows.append(fine[fine <= 1.0 + 1e-12])
+            fine = lo + _refine_offsets(refine_step, int(round((hi - lo) / refine_step)) + 1)
+            if fine.item(-1) > 1.0 + 1e-12:  # the offsets rise, so only the top can fail
+                fine = fine[fine <= 1.0 + 1e-12]
+            windows.append(fine)
         refined = _deviation_payoffs(game, arr, windows)[1]
         for i, (fine, us_f) in enumerate(zip(windows, refined)):
-            jf = int(np.argmax(us_f))
-            if us_f[jf] > bests[i][1]:
-                bests[i] = (float(fine[jf]), float(us_f[jf]))
+            jf = us_f.argmax()
+            if us_f.item(jf) > bests[i][1]:
+                bests[i] = (fine.item(jf), us_f.item(jf))
 
     max_gain = -math.inf
     best = None
-    for i, (best_a, best_u) in enumerate(bests):
-        gain = best_u - float(base_u[i])
+    for i, ((best_a, best_u), u) in enumerate(zip(bests, base_u.tolist())):
+        gain = best_u - u
         if gain > max_gain:
             max_gain = gain
             best = (i, best_a)
-    return NashCheck(is_nash=bool(max_gain <= epsilon), max_gain=float(max_gain),
+    return NashCheck(is_nash=bool(max_gain <= epsilon), max_gain=max_gain,
                      best_deviation=best)

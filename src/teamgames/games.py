@@ -175,11 +175,18 @@ def max_achievable_utility(game: GameSpec) -> float:
 
     It scales epsilon in Nash checks, and it is the one overflow bound: a
     game for which it raises ``InputError`` (see ``utility``) is refused by
-    the learner and the Nash oracle before their first payoff.
+    the learner and the Nash oracle before their first payoff.  The value
+    is memoised on the frozen game, like ``max_aggregate``; a refusal is
+    not, so it raises on every call.
     """
-    best_leisure = game.delta_t * max(game.leisure_capacity)
-    top_score = float(eval_score(game.evaluation, game.max_aggregate()))
-    return utility(best_leisure, top_score, game.alpha)
+    try:
+        return game._max_utility
+    except AttributeError:
+        best_leisure = game.delta_t * max(game.leisure_capacity)
+        top_score = float(eval_score(game.evaluation, game.max_aggregate()))
+        u = utility(best_leisure, top_score, game.alpha)
+        object.__setattr__(game, "_max_utility", u)
+        return u
 
 
 def ces_aggregate(gifts, rho: float, betas):
@@ -262,10 +269,11 @@ def _payoffs(game: GameSpec, actions: np.ndarray):
 
     ``actions`` has shape ``(n, ...)``; every trailing cell is one joint
     action.  Returns ``(G, score, rewards)`` with ``rewards`` shaped like
-    ``actions``.  The Nash oracle's utilities come from here.  The learner's
-    rewards equal them bit for bit: ``simulator._term_tables`` tabulates the
-    same log-terms and leisure factors per arm, and both paths finish the
-    terms with ``_aggregate_terms``.
+    ``actions``.  The Nash oracle's pass, ``equilibrium._deviation_payoffs``,
+    is this one with ``_score`` called directly.  The learner's rewards equal
+    these bit for bit: ``simulator._term_tables`` tabulates the same
+    log-terms and leisure factors per arm, and both paths finish the terms
+    with ``_aggregate_terms``.
     """
     G, score = _outcome(game, actions)
     return G, score, _leisure_payoff(game, actions) * score

@@ -511,7 +511,13 @@ def dispersion(values) -> float:
         raise UndefinedDispersionError("dispersion needs a non-empty sample")
     if not np.isfinite(arr).all():
         raise UndefinedDispersionError(f"dispersion needs finite values, got {sample!r}")
-    mean = float(arr.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, spread = float(arr.mean()), arr.max() - arr.min()
+    if not (math.isfinite(mean) and math.isfinite(spread)):
+        # the sum or the range overflows: the measure is scale-free, so take
+        # it on the sample divided by its largest magnitude
+        arr = arr / np.abs(arr).max()
+        mean, spread = float(arr.mean()), arr.max() - arr.min()
     if mean <= 0:
         raise UndefinedDispersionError(f"dispersion undefined for mean {mean}")
-    return float((arr.max() - arr.min()) / mean * 100.0)
+    return float(spread / mean * 100.0)

@@ -1630,3 +1630,94 @@ class TestScalarConcaveSolve:
         # (a game of None raised a bare AttributeError)
         with pytest.raises(error):
             fn(G, player, g)
+
+
+def _reference_result_from_gifts(game, gifts, reference_G):
+    """The result builder as it was in numpy: the reference for the one in
+    Python floats."""
+    from teamgames.evaluation import eval_score
+    from teamgames.games import _ces
+    gifts = np.maximum(np.asarray(gifts, dtype=float), 0.0)
+    log_b, caps, _ = game._columns
+    actions = np.where(caps > 0, np.clip(gifts / np.where(caps > 0, caps, 1.0), 0.0, 1.0), 0.0)
+    aggregate = _ces(gifts, game.rho, log_b)
+    score = float(eval_score(game.evaluation, aggregate))
+    active = tuple(int(i) for i in np.nonzero(gifts > equilibrium.BOUNDARY_TOL)[0])
+    return equilibrium.EquilibriumResult(
+        actions=tuple(actions.tolist()), gifts=tuple(gifts.tolist()), aggregate_G=aggregate,
+        score=score, active_set=active, residual=abs(aggregate - reference_G))
+
+
+def _result_bits(result):
+    """An EquilibriumResult's fields with every float as its exact bits and type."""
+    def bits(x):
+        return (type(x).__name__, x.hex()) if isinstance(x, float) else x
+    return tuple(tuple(map(bits, v)) if isinstance(v, tuple) else bits(v)
+                 for v in dataclasses.astuple(result))
+
+
+class TestLeanOracleAndResults:
+    """The result builder in Python floats, the oracle's two payoff passes
+    and the memoised utility bound give the numpy versions' values."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "identity", "heaviside"])
+    @pytest.mark.parametrize("rho", [-10.0, 0.5, 1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_result_from_gifts_matches_the_numpy_reference(self, n, rho, kind):
+        rng = np.random.default_rng(31 * n + len(kind))
+        expertise = rng.uniform(0.1, 1.0, n)
+        if n > 1:
+            expertise[n // 2] = 0.0  # a zero-expertise player: cap 0
+        g = GameSpec(n=n, rho=rho, betas=tuple(rng.uniform(0.5, 2.0, n)), delta_t=10.0,
+                     expertise=tuple(expertise), alpha=2.0,
+                     evaluation=EvaluationSpec(kind, d=10.0, gamma=2.0, b=5.0))
+        caps = expertise * g.delta_t
+        edges = [-1.0, -0.0, 0.0, 1e-11, 1e-300]  # below zero, zeros, below BOUNDARY_TOL
+        checked = 0
+        for _ in range(40):
+            gifts = rng.uniform(0.0, 1.2, n) * np.maximum(caps, 1.0)  # some above the cap
+            pick = rng.random(n) < 0.4
+            gifts[pick] = rng.choice(edges, pick.sum())
+            gifts[rng.random(n) < 0.2] = 2.0 * caps.max() + 1.0  # above every cap
+            reference_G = float(rng.uniform(0.0, 10.0))
+            expected = _result_bits(_reference_result_from_gifts(g, gifts, reference_G))
+            for given in (gifts, gifts.tolist()):
+                assert _result_bits(equilibrium._result_from_gifts(g, given, reference_G)) == \
+                    expected, (g, gifts)
+            residual = float(rng.uniform())
+            assert _result_bits(equilibrium._result_from_gifts(
+                g, gifts.tolist(), reference_G, residual)) == _result_bits(dataclasses.replace(
+                    _reference_result_from_gifts(g, gifts, reference_G), residual=residual))
+            checked += 1
+        assert checked == 40
+
+    def test_a_check_runs_the_ces_kernel_once_per_payoff_pass(self, monkeypatch):
+        import teamgames.games as games_module
+        kernel, calls = games_module._aggregate_terms, []
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return kernel(*args)
+        for g in (game(rho=1.0, expertise=(0.5, 0.9)), game(rho=-10.0, expertise=(0.3, 0.7, 1.0)),
+                  game(rho=10.0, expertise=(0.9,), kind="heaviside")):
+            eps = 1e-3 * max_achievable_utility(g)  # memoised before the spy
+            monkeypatch.setattr(games_module, "_aggregate_terms", spy)
+            for grid, passes in (({}, 1), ({"grid_step": 0.01, "refine_step": 1e-4}, 2)):
+                calls.clear()
+                verify_epsilon_nash((0.4,) * g.n, g, eps, **grid)
+                assert len(calls) == passes, (g, grid, calls)
+            monkeypatch.setattr(games_module, "_aggregate_terms", kernel)
+
+    def test_memo_leaves_equality_hashing_and_pickling_unchanged(self):
+        import pickle
+        config = SweepConfig()
+        for _, p1, p2, rho, b in _cell_specs(config)[::7]:
+            fresh, memoised = (cell_game(config, p1, p2, rho, b) for _ in range(2))
+            bound = max_achievable_utility(memoised)
+            assert memoised == fresh and hash(memoised) == hash(fresh)
+            assert {memoised: 1}[fresh] == 1
+            for g in (fresh, memoised):  # the sweep pool pickles each cell's game
+                copy = pickle.loads(pickle.dumps(g))
+                assert copy == fresh and hash(copy) == hash(fresh)
+                assert max_achievable_utility(copy) == bound
+            assert max_achievable_utility(fresh) == bound

@@ -18,8 +18,12 @@ from teamgames import (
     dispersion,
     enumerate_disjunctive_equilibria,
     heaviside_study,
+    replacement_additive,
+    replacement_conjunctive,
+    share_function,
     solve_equilibrium_concave,
     spawned_seed,
+    standalone_value,
     train,
     train_many,
     tune_hyperparameters,
@@ -29,6 +33,10 @@ from teamgames.experiments import solve_cell
 
 GAME = GameSpec(n=2, rho=1.0, betas=(1.0, 1.0), delta_t=10.0, expertise=(0.5, 0.5),
                 alpha=2.0, evaluation=EvaluationSpec("logistic", d=10.0, gamma=2.0, b=5.0))
+CONJUNCTIVE = GameSpec(n=2, rho=0.5, betas=(1.0, 1.0), delta_t=10.0, expertise=(0.5, 0.9),
+                       alpha=2.0, evaluation=GAME.evaluation)
+DISJUNCTIVE = GameSpec(n=2, rho=10.0, betas=(1.0, 1.0), delta_t=10.0, expertise=(0.5, 0.9),
+                       alpha=2.0, evaluation=GAME.evaluation)
 
 NOT_A_NUMBER = [None, "x", True]
 NOT_FINITE = [math.nan, math.inf, -math.inf]
@@ -36,6 +44,7 @@ NOT_AN_INTEGER = NOT_A_NUMBER + [np.True_, 10.5, math.nan]
 NOT_A_SEED = NOT_AN_INTEGER + [-1, np.int64(-1)]
 NOT_A_LIST = [None, 5, ("x", 0.5)]
 NOT_A_GAME = [None, "x", 5]
+NOT_A_PLAYER = [True, np.True_]  # a bool is an int, and reads as player 0 or 1
 CONFIG = TrainConfig(episodes=10)
 
 
@@ -77,6 +86,30 @@ def evaluation_spec(key):
 
 def thresholds(value):
     return critical_thresholds(0, value)
+
+
+def additive_player(value):
+    return replacement_additive(4.0, value, GAME)
+
+
+def conjunctive_player(value):
+    return replacement_conjunctive(8.0, value, CONJUNCTIVE)
+
+
+def standalone_player(value):
+    return standalone_value(value, GAME)
+
+
+def thresholds_player(value):
+    return critical_thresholds(value, DISJUNCTIVE)
+
+
+def share_player(value):
+    return share_function(value, 5.0, DISJUNCTIVE)
+
+
+def enumerate_capped(value):
+    return enumerate_disjunctive_equilibria(DISJUNCTIVE, subset_cap=value)
 
 
 def ces(value):
@@ -127,6 +160,10 @@ TABLE = [
                                      enumerate_disjunctive_equilibria, thresholds)
       for v in NOT_A_GAME),
     (verify("game"), "game", None),
+    *((call, "player", v) for call in (additive_player, conjunctive_player, standalone_player,
+                                       thresholds_player, share_player)
+      for v in NOT_A_PLAYER),
+    *((enumerate_capped, "subset_cap", v) for v in NOT_AN_INTEGER + [2.5, 0]),
     *((train_many, name, v) for name, v in [
         ("jobs", None), ("job 0", [1]), ("job 0", [(GAME,)]), ("job 0's game", [(None, CONFIG)]),
         ("job 0's config", [(GAME, None)]), ("job 1's config", [(GAME, CONFIG), (GAME, {})])]),

@@ -630,6 +630,22 @@ class TestDispersion:
         with pytest.raises(UndefinedDispersionError):
             dispersion(())
 
+    @pytest.mark.parametrize("sample", [[1.7e308, 1.0e308], [-1e308, 1e308, 1e308]])
+    def test_overflowing_sample_gives_its_scaled_twins_value(self, sample):
+        # the sum of the first and the range of the second leave the float range;
+        # tier-1 turns the RuntimeWarning that would show it into an error
+        scale = max(abs(v) for v in sample)
+        twin = [v / scale for v in sample]
+        assert dispersion(sample) == dispersion(twin)
+        assert math.isfinite(dispersion(sample)) and dispersion(sample) > 0.0
+
+    def test_finite_sample_keeps_its_arithmetic(self):
+        rng = np.random.default_rng(31)
+        for sample in ([1e307, 2e307, 3e307], *rng.uniform(0.1, 5.0, (20, 5)).tolist()):
+            arr = np.asarray(sample)
+            expected = float((arr.max() - arr.min()) / float(arr.mean()) * 100.0)
+            assert dispersion(sample).hex() == expected.hex()
+
 
 class TestConvergence:
     """Desk-scale sanity that training approaches the theory on easy games."""
