@@ -76,14 +76,14 @@ distinct values):
   7a's settings (epsilon 1e-3 of ``max_achievable_utility``, grid step
   0.01, refine step 1e-4; ``solver``), and of the 90 greedy profiles the
   sweep90 cells learn, at the 2% oracle's (epsilon 0.02 of it, the default
-  grid, no refine; ``learned``), each after one untimed round, as a
-  benchmark pass repeats them; how many checks there were
-  (``oracle.checks``, ``oracle.learned_checks``), and from a further
-  untimed round the CES kernel passes (``games._aggregate_terms`` calls)
-  per solver check (``oracle.passes``);
+  grid, no refine; ``learned``), the median of 9 and 25 rounds, each
+  after one untimed round, as a benchmark pass repeats them; how many
+  checks there were (``oracle.checks``, ``oracle.learned_checks``), and
+  from a further untimed round the CES kernel passes
+  (``games._aggregate_terms`` calls) per solver check (``oracle.passes``);
 * ``result_us``: microseconds per ``_result_from_gifts`` call, the result
-  builder, replaying the calls (``result_calls``) that ``solve_cell`` makes
-  on those 240 cells;
+  builder, over the median of 25 rounds replaying the calls
+  (``result_calls``) that ``solve_cell`` makes on those 240 cells;
 * ``roots.*``: over ``solve_cell`` on those 240 cells, the mean number of
   evaluations per root of the three outer loops, and how many roots of each
   kind were found (untimed: every evaluation is counted).  A critical
@@ -179,6 +179,18 @@ def _profiled(name: str, learn, run_episodes: int) -> dict:
     if name in LONE:
         out[f"score_evals.{name}"] = score_calls / run_episodes
     return out
+
+
+def _median_round_us(run, rounds: int, calls: int) -> float:
+    """Microseconds per call of the median of ``rounds`` timed rounds of
+    ``run()``, each making ``calls`` calls: a load burst on a shared host
+    spoils a round, not the median."""
+    seconds = []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        run()
+        seconds.append(time.perf_counter() - t0)
+    return statistics.median(seconds) / calls * 1e6
 
 
 def _fixture_setups(src: str) -> dict:
@@ -413,16 +425,14 @@ def case(name: str) -> dict:
                        experiments.cell_game(sweep, p1, p2, rho, b)
                        for _, p1, p2, rho, b in experiments._cell_specs(sweep)))]
 
-        def check_all(checks, reps=1):
-            t1 = time.perf_counter()
-            for _ in range(reps):
-                for args in checks:
-                    equilibrium.verify_epsilon_nash(*args)
-            return (time.perf_counter() - t1) / (reps * len(checks)) * 1e6
+        def check_all(checks, rounds=1):
+            return _median_round_us(
+                lambda: [equilibrium.verify_epsilon_nash(*args) for args in checks],
+                rounds, len(checks))
         check_all(solver)  # memoises each game's utility bound, as a benchmark pass has
         check_all(learned)
-        out["oracle_us.solver"] = check_all(solver, 5)
-        out["oracle_us.learned"] = check_all(learned, 20)
+        out["oracle_us.solver"] = check_all(solver, 9)
+        out["oracle_us.learned"] = check_all(learned, 25)
         out["oracle.checks"] = len(solver)
         out["oracle.learned_checks"] = len(learned)
         kernel, passes = games._aggregate_terms, 0
@@ -454,11 +464,8 @@ def case(name: str) -> dict:
                     pass
         finally:
             equilibrium._result_from_gifts = build
-        t0 = time.perf_counter()
-        for _ in range(20):
-            for args, kwargs in calls:
-                build(*args, **kwargs)
-        out["result_us"] = (time.perf_counter() - t0) / (20 * len(calls)) * 1e6
+        out["result_us"] = _median_round_us(
+            lambda: [build(*args, **kwargs) for args, kwargs in calls], 25, len(calls))
         out["result_calls"] = len(calls)
     elif name == "roots":
         from teamgames import equilibrium
