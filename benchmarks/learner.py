@@ -71,19 +71,12 @@ distinct values):
   ``f(G) = CES(r(G)) - G`` on the 150 concave cells of that grid, replayed
   at the points its Brent solves evaluated while ``solve_cell`` solved them
   (``concave_f_calls``, every evaluation counted);
-* ``oracle_us.*``: microseconds per Nash check (``verify_epsilon_nash``)
-  of every equilibrium the solvers find on those 240 cells, at criterion
-  7a's settings (epsilon 1e-3 of ``max_achievable_utility``, grid step
-  0.01, refine step 1e-4; ``solver``), and of the 90 greedy profiles the
-  sweep90 cells learn, at the 2% oracle's (epsilon 0.02 of it, the default
-  grid, no refine; ``learned``), the median of 9 and 25 rounds, each
-  after one untimed round, as a benchmark pass repeats them; how many
-  checks there were (``oracle.checks``, ``oracle.learned_checks``), and
-  from a further untimed round the CES kernel passes
-  (``games._aggregate_terms`` calls) per solver check (``oracle.passes``);
-* ``result_us``: microseconds per ``_result_from_gifts`` call, the result
-  builder, over the median of 25 rounds replaying the calls
-  (``result_calls``) that ``solve_cell`` makes on those 240 cells;
+* ``oracle.*``: the criterion-7a Nash check (``verify_epsilon_nash`` with
+  epsilon 1e-3 of ``max_achievable_utility``, grid step 0.01, refine step
+  1e-4) of every equilibrium the solvers find on those 240 cells, after
+  solving them untimed: how many checks there were (``checks``),
+  microseconds per check (``check_us``), and from a second, untimed run
+  the payoff passes (``_payoffs`` calls) per check (``passes``);
 * ``roots.*``: over ``solve_cell`` on those 240 cells, the mean number of
   evaluations per root of the three outer loops, and how many roots of each
   kind were found (untimed: every evaluation is counted).  A critical
@@ -179,18 +172,6 @@ def _profiled(name: str, learn, run_episodes: int) -> dict:
     if name in LONE:
         out[f"score_evals.{name}"] = score_calls / run_episodes
     return out
-
-
-def _median_round_us(run, rounds: int, calls: int) -> float:
-    """Microseconds per call of the median of ``rounds`` timed rounds of
-    ``run()``, each making ``calls`` calls: a load burst on a shared host
-    spoils a round, not the median."""
-    seconds = []
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        run()
-        seconds.append(time.perf_counter() - t0)
-    return statistics.median(seconds) / calls * 1e6
 
 
 def _fixture_setups(src: str) -> dict:
@@ -407,10 +388,10 @@ def case(name: str) -> dict:
             f(x)
         out["concave_f_us"] = (time.perf_counter() - t0) / len(calls) * 1e6
         out["concave_f_calls"] = len(calls)
-    elif name == "oracle_us":
-        from teamgames import equilibrium, games
+    elif name == "oracle":
+        from teamgames import equilibrium
         config = experiments.SweepConfig()
-        solver = []
+        checks = []
         for _, p1, p2, rho, b in experiments._cell_specs(config):
             game = experiments.cell_game(config, p1, p2, rho, b)
             try:
@@ -418,55 +399,27 @@ def case(name: str) -> dict:
             except tg.TeamworkGameError:
                 continue
             eps = 1e-3 * equilibrium.max_achievable_utility(game)
-            solver += [(e.actions, game, eps, 0.01, 1e-4) for e in equilibria]
-        sweep = _sweep_config()
-        learned = [(r.learned_actions, game, 0.02 * equilibrium.max_achievable_utility(game))
-                   for r, game in zip(experiments.run_sweep(sweep), (
-                       experiments.cell_game(sweep, p1, p2, rho, b)
-                       for _, p1, p2, rho, b in experiments._cell_specs(sweep)))]
+            checks += [(e.actions, game, eps) for e in equilibria]
 
-        def check_all(checks, rounds=1):
-            return _median_round_us(
-                lambda: [equilibrium.verify_epsilon_nash(*args) for args in checks],
-                rounds, len(checks))
-        check_all(solver)  # memoises each game's utility bound, as a benchmark pass has
-        check_all(learned)
-        out["oracle_us.solver"] = check_all(solver, 9)
-        out["oracle_us.learned"] = check_all(learned, 25)
-        out["oracle.checks"] = len(solver)
-        out["oracle.learned_checks"] = len(learned)
-        kernel, passes = games._aggregate_terms, 0
+        def check_all():
+            for args in checks:
+                equilibrium.verify_epsilon_nash(*args, grid_step=0.01, refine_step=1e-4)
+        t0 = time.perf_counter()
+        check_all()
+        out["oracle.check_us"] = (time.perf_counter() - t0) / len(checks) * 1e6
+        out["oracle.checks"] = len(checks)
+        payoffs, passes = equilibrium._payoffs, 0
 
         def counted(*args, **kwargs):
             nonlocal passes
             passes += 1
-            return kernel(*args, **kwargs)
-        games._aggregate_terms = counted
+            return payoffs(*args, **kwargs)
+        equilibrium._payoffs = counted
         try:
-            check_all(solver)
+            check_all()
         finally:
-            games._aggregate_terms = kernel
-        out["oracle.passes"] = passes / len(solver)
-    elif name == "result_us":
-        from teamgames import equilibrium
-        config = experiments.SweepConfig()
-        build, calls = equilibrium._result_from_gifts, []
-
-        def recorded(*args, **kwargs):
-            calls.append((args, kwargs))
-            return build(*args, **kwargs)
-        equilibrium._result_from_gifts = recorded
-        try:
-            for _, p1, p2, rho, b in experiments._cell_specs(config):
-                try:
-                    experiments.solve_cell(experiments.cell_game(config, p1, p2, rho, b))
-                except tg.TeamworkGameError:
-                    pass
-        finally:
-            equilibrium._result_from_gifts = build
-        out["result_us"] = _median_round_us(
-            lambda: [build(*args, **kwargs) for args, kwargs in calls], 25, len(calls))
-        out["result_calls"] = len(calls)
+            equilibrium._payoffs = payoffs
+        out["oracle.passes"] = passes / len(checks)
     elif name == "roots":
         from teamgames import equilibrium
         callers = {"solve_equilibrium_concave": "concave",
@@ -535,7 +488,7 @@ def case(name: str) -> dict:
 CASES = ("n2_R1", "n2_R8", "n2_R16", "n2_chunk", "n3_R1", "n3_chunk", "n4_R1", "n4_team4",
          "n4_R16", "layout", "train50k", "lone50k_n4", "sweep_split", "solve_regimes",
          "thresholds", "best_response", "best_response_calls", "conjunctive_gift",
-         "concave_f_us", "oracle_us", "result_us", "roots", "sweep", "fixtures")
+         "concave_f_us", "oracle", "roots", "sweep", "fixtures")
 
 
 def _run_case(src: str, name: str) -> dict:

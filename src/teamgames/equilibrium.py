@@ -44,8 +44,8 @@ from .errors import (
     _cast,
     _count,
 )
-from .evaluation import _score, eval_score, score_scalar, ratio_scalar
-from .games import (GameSpec, _actions_array, _ces, _leisure_payoff, _require_game,
+from .evaluation import eval_score, score_scalar, ratio_scalar
+from .games import (GameSpec, _actions_array, _ces, _payoffs, _require_game,
                     max_achievable_utility, utility)
 
 # Absolute tolerance on work units for branch and boundary comparisons.
@@ -164,7 +164,7 @@ def _brent(f, lo, hi, *, xtol, rtol=0.0, flo=None, fhi=None):
 
 def _require_player(player, game: GameSpec):
     _require_game(game)
-    if (isinstance(player, (bool, np.bool_))  # a bool is an int, but no player
+    if (isinstance(player, bool)  # a bool is an int, but no player
             or not (isinstance(player, (int, np.integer)) and 0 <= player < game.n)):
         raise InputError(f"player must be an integer in [0, {game.n - 1}], got {player!r}")
 
@@ -976,19 +976,15 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
 def _deviation_payoffs(game: GameSpec, actions: np.ndarray, candidates):
     """The profile's utilities (column 0 of one payoff pass), and each
     player's utility for each of its own candidate actions (``candidates[i]``
-    lists player i's, clipped to at most 1), the others held fixed: one
-    ``games._payoffs`` pass with ``_score`` called directly.  A column's
-    payoff does not depend on the others: below 8 players every layout sums
-    in order, and from 8 ``_ces`` sums each column contiguously."""
+    lists player i's, clipped to at most 1), the others held fixed.  A
+    column's payoff does not depend on the others: below 8 players every
+    layout sums in order, and from 8 ``_ces`` sums each column contiguously."""
     ends = list(itertools.accumulate(map(len, candidates), initial=1))
     profiles = np.repeat(actions[:, None], ends[-1], axis=1)
     for i, c in enumerate(candidates):
         profiles[i, ends[i]:ends[i + 1]] = c
     np.minimum(profiles, 1.0, out=profiles)
-    log_b, caps, _ = game._columns
-    spec = game.evaluation
-    G = _ces(profiles * caps[:, None], game.rho, log_b)
-    us = _leisure_payoff(game, profiles) * _score(spec.kind, G, spec.d, spec.gamma, spec.b)
+    us = _payoffs(game, profiles)[2]
     return us[:, 0], [us[i, ends[i]:ends[i + 1]] for i in range(len(candidates))]
 
 

@@ -269,11 +269,10 @@ def _payoffs(game: GameSpec, actions: np.ndarray):
 
     ``actions`` has shape ``(n, ...)``; every trailing cell is one joint
     action.  Returns ``(G, score, rewards)`` with ``rewards`` shaped like
-    ``actions``.  The Nash oracle's pass, ``equilibrium._deviation_payoffs``,
-    is this one with ``_score`` called directly.  The learner's rewards equal
-    these bit for bit: ``simulator._term_tables`` tabulates the same
-    log-terms and leisure factors per arm, and both paths finish the terms
-    with ``_aggregate_terms``.
+    ``actions``.  The Nash oracle's utilities come from here.  The learner's
+    rewards equal them bit for bit: ``simulator._term_tables`` tabulates the
+    same log-terms and leisure factors per arm, and both paths finish the
+    terms with ``_aggregate_terms``.
     """
     G, score = _outcome(game, actions)
     return G, score, _leisure_payoff(game, actions) * score

@@ -44,7 +44,9 @@ NOT_AN_INTEGER = NOT_A_NUMBER + [np.True_, 10.5, math.nan]
 NOT_A_SEED = NOT_AN_INTEGER + [-1, np.int64(-1)]
 NOT_A_LIST = [None, 5, ("x", 0.5)]
 NOT_A_GAME = [None, "x", 5]
-NOT_A_PLAYER = [True, np.True_]  # a bool is an int, and reads as player 0 or 1
+# a Python bool is an int, so it needs its own refusal; np.True_ is no int
+# and was always refused, its rows pin that
+NOT_A_PLAYER = [True, np.True_]
 CONFIG = TrainConfig(episodes=10)
 
 
