@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, _at_least, _check
 
 # Below this best-value the Q-table is treated as uninformative and the
 # selection distribution falls back to uniform.
@@ -43,9 +43,7 @@ Q_MAX_FLOOR = 1e-9
 
 def uniform_action_grid(num_arms: int = 101) -> np.ndarray:
     """Evenly spaced arm actions from 0 to 1 inclusive."""
-    if num_arms < 2:
-        raise ConfigurationError(f"need at least 2 arms, got {num_arms}")
-    return np.linspace(0.0, 1.0, num_arms)
+    return np.linspace(0.0, 1.0, _check("num_arms", num_arms, _at_least(2)))
 
 
 @dataclass

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import json
 import os
 import sys
@@ -21,6 +20,8 @@ from pathlib import Path
 from .equilibrium import NoEquilibriumError
 from .errors import ConfigurationError, DegenerateRegressionError, TeamworkGameError, _read_spec
 from .experiments import (
+    _STUDY_FIELDS,
+    _TUNE_FIELDS,
     SweepConfig,
     _pairs_text,
     heatmap_table,
@@ -168,10 +169,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_heaviside(args) -> int:
-    defaults = {key: param.default
-                for key, param in inspect.signature(heaviside_study).parameters.items()}
     results = heaviside_study(**_read_spec(
-        {**_load_input(args), **_flag_values(args)}, defaults, "heaviside spec"))
+        {**_load_input(args), **_flag_values(args)}, _STUDY_FIELDS, "heaviside spec"))
     out = _out_dir(args)
     _write_json(out / "heaviside.json", [asdict(r) for r in results])
     rows = [["p1", "p2", "mean_G", "dispersion_pct", "weaker_actions", "strategies"]]
@@ -188,8 +187,7 @@ def cmd_heaviside(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    spec = _read_spec({**_load_input(args), **_flag_values(args)},
-                      dict.fromkeys(("budget", "episodes", "base_seed"), 0), "tune spec")
+    spec = _read_spec({**_load_input(args), **_flag_values(args)}, _TUNE_FIELDS, "tune spec")
     result = tune_hyperparameters(spec.pop("budget", 0), **spec)
     out = _out_dir(args)
     _write_json(out / "tuning.json", asdict(result))

@@ -41,8 +41,11 @@ from .errors import (
     RegimeError,
     UnsupportedEvaluationError,
     WrongSolverError,
-    _cast,
-    _count,
+    _FINITE,
+    _POSITIVE,
+    _at_least,
+    _check,
+    _none,
 )
 from .evaluation import eval_score, score_scalar, ratio_scalar
 from .games import (GameSpec, _actions_array, _ces, _payoffs, _require_game,
@@ -50,6 +53,8 @@ from .games import (GameSpec, _actions_array, _ces, _payoffs, _require_game,
 
 # Absolute tolerance on work units for branch and boundary comparisons.
 BOUNDARY_TOL = 1e-10
+# The Nash oracle's refine_step: a step > 0, or None for no refine pass.
+_REFINE_STEP = _POSITIVE._replace(also=_none)
 
 
 @dataclass(frozen=True)
@@ -908,7 +913,7 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
     that point (``_standalone_pair``) without solving the share equation.
     """
     _require_game(game)
-    _count("subset_cap", subset_cap, 1)
+    _check("subset_cap", subset_cap, _at_least(1))
     if game.rho <= 1:
         raise WrongSolverError(
             f"disjunctive enumeration requires rho > 1, got {game.rho}")
@@ -1020,13 +1025,9 @@ def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
     ``InputError`` before the first payoff, as ``max_achievable_utility``
     refuses it.
     """
-    for name, step in (("grid_step", grid_step), ("refine_step", refine_step)):
-        if step is None and name == "refine_step":
-            continue
-        if not (math.isfinite(_cast(name, step, 0.0, strict=True)) and step > 0):
-            raise InputError(f"{name} must be a finite number > 0, got {step}")
-    if not math.isfinite(_cast("epsilon", epsilon, 0.0, strict=True)):
-        raise InputError(f"epsilon must be a finite number, got {epsilon}")
+    _check("grid_step", grid_step, _POSITIVE, InputError)
+    _check("refine_step", refine_step, _REFINE_STEP, InputError)
+    _check("epsilon", epsilon, _FINITE, InputError)
     k = round(1.0 / grid_step)
     if abs(k * grid_step - 1.0) > 1e-9:
         raise InputError(f"grid_step must divide 1 evenly, got {grid_step}")

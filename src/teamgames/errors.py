@@ -1,7 +1,11 @@
-"""Exception types shared across the package, and the readers that cast an
-input spec or raise ``ConfigurationError`` naming the key at fault."""
+"""Exception types shared across the package, and the one checker of every
+entry point: each input is declared once as a ``Field`` (its kind and its
+range), and ``_check`` and the JSON reader ``_read_spec`` refuse a value
+that fails its declaration with an error naming the input."""
 
+import math
 import numbers
+from typing import Callable, NamedTuple
 
 
 class TeamworkGameError(Exception):
@@ -49,51 +53,91 @@ class DegenerateRegressionError(TeamworkGameError, ValueError):
     """Ordinary least squares needs at least two distinct abscissae."""
 
 
-_KINDS = {tuple: "a list of numbers", int: "an integer", float: "a number"}
+class Field(NamedTuple):
+    """One input's declaration.  ``kind``: ``int``, ``float`` (a real; a bool is
+    neither), ``tuple`` (a list of reals, read as a tuple of floats) or a class.
+    ``holds`` tests the range ``text`` states, on a value or each number of a
+    list; a value for which ``also`` holds passes as it is."""
+
+    kind: type
+    text: str = ""
+    holds: Callable | None = None
+    also: Callable | None = None
 
 
-def _cast(key: str, value, like, strict: bool = False):
-    """``value`` read as the type of ``like``: a tuple of floats for a tuple,
-    ``int`` or ``float`` for a number; any other ``like`` leaves it as is.
-    A number read as an ``int`` must be integral: ``10.0`` reads as 10, and
-    ``10.5`` is refused rather than truncated.
-
-    ``strict`` reads a number without converting it: ``value`` must be an
-    ``int`` or ``np.integer`` for an int and any real for a float, and never
-    a bool; it is returned as given.
-    """
-    if strict:
-        kind = numbers.Integral if isinstance(like, int) else numbers.Real
-        if isinstance(value, kind) and not isinstance(value, bool):
-            return value
-        raise ConfigurationError(f"{key} must be {_KINDS[type(like)]}, got {value!r}")
-    try:
-        if isinstance(like, tuple):
-            return tuple(float(v) for v in value)
-        if isinstance(like, (int, float)):
-            cast = type(like)(value)
-            if isinstance(like, int) and isinstance(value, numbers.Real) and cast != value:
-                raise ValueError  # int() would truncate it
-            return cast
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(
-            f"{key} must be {_KINDS[type(like)]}, got {value!r}") from None
-    return value
+def _none(value) -> bool:
+    return value is None
 
 
-def _count(key: str, value, minimum: int) -> None:
-    """Raise ``ConfigurationError`` naming ``key`` unless ``_cast`` reads
-    ``value`` strictly as an integer of at least ``minimum``."""
-    if _cast(key, value, 0, strict=True) < minimum:
-        raise ConfigurationError(f"{key} must be >= {minimum}, got {value}")
+def _at_least(m: int) -> Field:
+    return Field(int, f">= {m}", lambda v: v >= m)
 
 
-def _read_spec(data, defaults: dict, what: str) -> dict:
-    """``data`` with each value cast by ``_cast`` to its default's type; a
-    non-object or a key not in ``defaults`` raises ``ConfigurationError``."""
+_FINITE = Field(float, "finite", lambda v: abs(v) < math.inf)
+_POSITIVE = Field(float, "finite and > 0", lambda v: 0 < v < math.inf)
+_SEED = _at_least(0)
+# Each number kind's builtin types, tested before its ABC, whose isinstance costs ~10x more
+_NUMBERS = {int: ((int,), numbers.Integral), float: ((float, int), numbers.Real)}
+_NAMES = {int: "an integer", float: "a number", tuple: "a list of numbers", bool: "a bool",
+          str: "a name"}
+
+
+def _is(value, kind) -> bool:
+    if kind in _NUMBERS:  # a bool is an int to Python, but no number here
+        exact, abc = _NUMBERS[kind]
+        return type(value) in exact or (isinstance(value, abc) and not isinstance(value, bool))
+    return isinstance(value, kind)
+
+
+def _read(key: str, value, field: Field, error=ConfigurationError):
+    """``value`` if of ``field``'s kind (a list as a tuple of floats), else raise ``error``."""
+    kind = field.kind
+    if (field.also and field.also(value)) or (kind is not tuple and _is(value, kind)):
+        return value
+    if kind is tuple:
+        try:
+            values = tuple(value)
+            if all(_is(v, float) for v in values):
+                return tuple(map(float, values))
+        except (TypeError, OverflowError):
+            pass
+    name = _NAMES.get(kind) or ("an " if kind.__name__[0] in "AEIOU" else "a ") + kind.__name__
+    raise error(f"{key} must be {name}, got {value!r}")
+
+
+def _check(key: str, value, field: Field, error=ConfigurationError):
+    """``_read``'s value if it lies in ``field``'s range, else raise ``error``."""
+    value = _read(key, value, field, error)
+    if (field.holds is None or (field.also and field.also(value))
+            or (all(map(field.holds, value)) if field.kind is tuple else field.holds(value))):
+        return value
+    raise error(f"{key} must {'all ' * (field.kind is tuple)}be {field.text}, got {value!r}")
+
+
+def _check_all(fields: dict, values: dict) -> dict:
+    """``_check`` of each value of ``values`` that ``fields`` declares, in their order."""
+    return {key: _check(key, values[key], field) for key, field in fields.items()}
+
+
+def _from_json(value, kind):
+    """A JSON value as ``kind``: integral float to int, int to float, object by ``from_dict``."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if kind is float and type(value) is int:
+        return float(value) if abs(value) < 1e308 else math.inf  # refused by its range
+    return kind.from_dict(value) if hasattr(kind, "from_dict") else value
+
+
+def _read_spec(data, fields: dict, what: str, required=(), prefix: str = "") -> dict:
+    """JSON object ``data`` read by its declarations ``fields``, in their
+    order: each value by ``_from_json`` and ``_read``, named ``prefix + key``.
+    A non-object, then an unknown key, then a missing ``required`` key raise
+    ``ConfigurationError``; the ranges are the constructor's to check."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"{what} must be an object, got {type(data).__name__}")
-    unknown = set(data) - set(defaults)
-    if unknown:
-        raise ConfigurationError(f"unknown {what} key(s): {sorted(unknown)}")
-    return {key: _cast(key, value, defaults[key]) for key, value in data.items()}
+    for problem, keys in (("unknown", set(data) - set(fields)),
+                          ("missing", set(required) - set(data))):
+        if keys:
+            raise ConfigurationError(f"{problem} {what} key(s): {sorted(keys)}")
+    return {key: _read(prefix + key, _from_json(data[key], field.kind), field)
+            for key, field in fields.items() if key in data}

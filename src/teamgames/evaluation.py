@@ -22,12 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, UnsupportedEvaluationError, _cast
+from .errors import (ConfigurationError, Field, InputError, UnsupportedEvaluationError, _FINITE,
+                     _POSITIVE, _at_least, _check, _read_spec)
 
 # Each kind's parameters, in the order ``to_dict`` writes them.
 _PARAMS = {"logistic": ("d", "gamma", "b"), "identity": (), "heaviside": ("d", "b")}
 KINDS = tuple(_PARAMS)
 SMOOTH_KINDS = ("logistic", "identity")
+# Each evaluation key's declaration; a spec checks the parameters its kind takes.
+_EVALUATION_FIELDS = {"kind": Field(str, f"one of {KINDS}", KINDS.__contains__),
+                      "d": _POSITIVE, "gamma": _POSITIVE,
+                      "b": Field(float, "finite and >= 0", lambda v: 0 <= v < math.inf)}
 
 # exp() overflows float64 a bit above 709; treat anything larger as inf.
 _EXP_MAX = 700.0
@@ -48,18 +53,9 @@ class EvaluationSpec:
     b: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigurationError(
-                f"evaluation kind must be one of {KINDS}, got {self.kind!r}"
-            )
-        for key in _PARAMS[self.kind]:
-            value = getattr(self, key)
-            if not isinstance(value, bool):  # a bool reads as 0 or 1, as it always has
-                _cast(f"evaluation {key}", value, 0.0, strict=True)
-            if key == "b" and not 0 <= value < math.inf:
-                raise ConfigurationError(f"evaluation b must be finite and >= 0, got {value}")
-            if key != "b" and not 0 < value < math.inf:
-                raise ConfigurationError(f"evaluation {key} must be finite and > 0, got {value}")
+        _check("evaluation kind", self.kind, _EVALUATION_FIELDS["kind"])
+        for key in _PARAMS[self.kind]:  # the parameters this kind takes
+            _check(f"evaluation {key}", getattr(self, key), _EVALUATION_FIELDS[key])
 
     @property
     def is_smooth(self) -> bool:
@@ -70,18 +66,11 @@ class EvaluationSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvaluationSpec":
-        if not isinstance(data, dict):
-            raise ConfigurationError(f"evaluation must be an object, got {type(data).__name__}")
-        kind = data.get("kind")
-        if kind not in KINDS:
-            raise ConfigurationError(f"evaluation kind must be one of {KINDS}, got {kind!r}")
-        unknown = set(data) - {"kind", *_PARAMS[kind]}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown evaluation key(s) {sorted(unknown)} for kind {kind!r}"
-            )
-        kwargs = {k: _cast(f"evaluation {k}", v, 0.0) for k, v in data.items() if k != "kind"}
-        return cls(kind=kind, **kwargs)
+        spec = cls(**_read_spec(data, _EVALUATION_FIELDS, "evaluation", ("kind",), "evaluation "))
+        unused = sorted(set(data) - {"kind", *_PARAMS[spec.kind]})  # keys its kind does not take
+        if unused:
+            raise ConfigurationError(f"unknown evaluation key(s) {unused} for kind {spec.kind!r}")
+        return spec
 
 
 def _score(kind: str, g, d, gamma, b):
@@ -123,13 +112,11 @@ def validate_evaluation(spec: EvaluationSpec, grid: tuple[float, float], points:
     sigma'(G)^2 - sigma''(G) * sigma(G) > 0 at every interior grid point.
     Failures are reported, never raised.
     """
-    lo, hi = float(grid[0]), float(grid[1])
-    if not lo < hi:
-        raise InputError(f"grid must satisfy G_lo < G_hi, got ({lo}, {hi})")
-    if points < 3:
-        raise InputError(f"need at least 3 grid points, got {points}")
-
-    g = np.linspace(lo, hi, int(points))
+    _check("spec", spec, Field(EvaluationSpec), InputError)
+    grid = _check("grid", grid, _FINITE._replace(kind=tuple), InputError)
+    if len(grid) != 2 or not grid[0] < grid[1]:
+        raise InputError(f"grid must be a pair G_lo < G_hi, got {grid}")
+    g = np.linspace(*grid, _check("points", points, _at_least(3), InputError))
     h = g[1] - g[0]
     s = eval_score(spec, g)
 

@@ -10,6 +10,7 @@ so reruns, parallel runs and any batching produce identical records.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -23,16 +24,19 @@ from .equilibrium import (
 from .errors import (
     ConfigurationError,
     DegenerateRegressionError,
+    Field,
     InputError,
     TeamworkGameError,
     UndefinedDispersionError,
-    _cast,
-    _count,
+    _SEED,
+    _at_least,
+    _check_all,
     _read_spec,
 )
-from .evaluation import EvaluationSpec
-from .games import GameSpec, _require_game, max_achievable_utility
+from .evaluation import _EVALUATION_FIELDS, EvaluationSpec
+from .games import _GAME_FIELDS, GameSpec, _require_game, max_achievable_utility
 from .simulator import (
+    _TRAIN_FIELDS,
     TrainConfig,
     _seed_sequence,
     dispersion,
@@ -40,6 +44,16 @@ from .simulator import (
     train_many,
 )
 from .simulator import train  # noqa: F401  (bound here for perfbench's tracer tests)
+
+# Every experiment input's declaration, by name: a name that a game, an
+# evaluation or a training run takes keeps its declaration there.
+_FIELDS = {**_GAME_FIELDS, **_EVALUATION_FIELDS, **_TRAIN_FIELDS,
+           "expertise_values": _GAME_FIELDS["expertise"],
+           "rho_values": _GAME_FIELDS["rho"]._replace(kind=tuple),
+           "b_values": _EVALUATION_FIELDS["b"]._replace(kind=tuple),
+           "evaluation_kind": _EVALUATION_FIELDS["kind"], "repetitions": _at_least(1),
+           "workers": _at_least(1), "base_seed": _SEED, "budget": _at_least(0),
+           "teams": Field(object)}
 
 
 @dataclass(frozen=True)
@@ -63,17 +77,15 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for key in ("expertise_values", "rho_values", "b_values"):
-            _cast(key, getattr(self, key), ())  # refuses by name; the values stay as given
-        _count("repetitions", self.repetitions, 1)
-        _count("workers", self.workers, 1)
-        _count("base_seed", self.base_seed, 0)
+        _check_all(_SWEEP_FIELDS, vars(self))  # the value lists stay as given
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
-        """Config from a JSON object; each value is cast to its field's type."""
-        defaults = {field.name: field.default for field in fields(cls)}
-        return cls(**_read_spec(data, defaults, "sweep config"))
+        """Config from a JSON object; each value is read as its field's kind."""
+        return cls(**_read_spec(data, _SWEEP_FIELDS, "sweep config"))
+
+
+_SWEEP_FIELDS = {field.name: _FIELDS[field.name] for field in fields(SweepConfig)}
 
 
 @dataclass(frozen=True)
@@ -320,11 +332,20 @@ def _by_team(records, rho: float, b: float):
     return tuple(sorted({p for team in teams for p in team})), teams
 
 
+def _check_slice(records, **values) -> None:
+    """Refuse by name records that are no list of ``ExperimentRecord``, and a bad slice."""
+    if not (isinstance(records, (list, tuple))
+            and all(isinstance(rec, ExperimentRecord) for rec in records)):
+        raise ConfigurationError(f"records must be a list of ExperimentRecord, got {records!r}")
+    _check_all({key: _FIELDS[key] for key in values}, values)
+
+
 def heatmap_table(records, rho: float, b: float) -> HeatmapTable:
     """Mean learned outcome per team on the requested slice.
 
     Cells absent from the records stay None (explicit gaps, never zeros).
     """
+    _check_slice(records, rho=rho, b=b)
     levels, teams = _by_team(records, rho, b)
     values = {team: float(np.mean([rec.G_tilde for rec in recs]))
               for team, recs in teams.items()}
@@ -334,6 +355,7 @@ def heatmap_table(records, rho: float, b: float) -> HeatmapTable:
 
 def strategy_table(records, rho: float, b: float) -> StrategyTable:
     """Learned greedy action pairs (rounded to whole percent) per team."""
+    _check_slice(records, rho=rho, b=b)
     levels, teams = _by_team(records, rho, b)
     cells = {team: tuple(sorted({_pct_pair(rec.learned_actions) for rec in recs}))
              for team, recs in teams.items()}
@@ -374,6 +396,7 @@ def _mean_dedication(records, rho: float, b: float) -> dict:
 
 def increment_table(records, rho: float | None = None) -> list[IncrementTable]:
     """Dedication increases from soft to medium and medium to hard thresholds."""
+    _check_slice(records, **({} if rho is None else {"rho": rho}))  # None: every rho
     rhos = sorted({r.rho for r in records}) if rho is None else [rho]
     tables = []
     for r in rhos:
@@ -413,8 +436,7 @@ def heaviside_study(teams=None, *, b: float = 5.0, d: float = 10.0,
     search makes the run-to-run outcome spread collapse (the dispersion
     numbers this study is about).
     """
-    _count("repetitions", repetitions, 1)
-    _count("base_seed", base_seed, 0)
+    _check_all(_STUDY_FIELDS, locals())
     if teams is None:
         levels = (0.3, 0.5, 0.7, 0.9)
         teams = list(itertools.combinations_with_replacement(levels, 2))
@@ -452,6 +474,11 @@ def heaviside_study(teams=None, *, b: float = 5.0, d: float = 10.0,
     return results
 
 
+# The study's and the tuner's keywords, which the CLI reads their JSON inputs by
+_STUDY_FIELDS = {key: _FIELDS[key] for key in inspect.signature(heaviside_study).parameters}
+_TUNE_FIELDS = {key: _FIELDS[key] for key in ("budget", "episodes", "base_seed")}
+
+
 @dataclass(frozen=True)
 class TuneResult:
     best_k: float
@@ -479,8 +506,7 @@ def tune_hyperparameters(budget: int, *, probe_cells=_DEFAULT_PROBE,
     k and tau are drawn log-uniformly from ``_K_RANGE`` and ``_TAU_RANGE``.
     budget = 0 returns ``TrainConfig``'s defaults untouched.
     """
-    _count("budget", budget, 0)
-    _count("base_seed", base_seed, 0)
+    _check_all(_TUNE_FIELDS, locals())
     try:
         cells = [(float(p1), float(p2), float(rho), float(b)) for p1, p2, rho, b in probe_cells]
     except (TypeError, ValueError):

@@ -20,20 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, _cast
+from .errors import (ConfigurationError, Field, InputError, _POSITIVE, _at_least, _check,
+                     _check_all, _none, _read_spec)
 from .evaluation import EvaluationSpec, eval_score
 
-# Each game spec key, in the order ``from_dict`` reads and ``to_dict`` writes it, and
-# the value ``_cast`` reads it as; ``evaluation`` is read by ``EvaluationSpec.from_dict``.
-_GAME_KEYS = {"n": 0, "rho": 0.0, "betas": (), "delta_t": 0.0, "expertise": (),
-              "leisure_capacity": (), "alpha": 0.0, "evaluation": None}
-
-
-def _as_tuple(name: str, values, n: int) -> tuple[float, ...]:
-    t = _cast(name, values, ())
-    if len(t) != n:
-        raise ConfigurationError(f"{name} must have length n={n}, got {len(t)}")
-    return t
+_UNIT = Field(tuple, "in [0, 1]", lambda v: 0 <= v <= 1)
+# Each game spec key's declaration, in the order ``from_dict`` reads and ``to_dict`` writes it.
+_GAME_FIELDS = {"n": _at_least(1),
+                "rho": Field(float, "finite and nonzero", lambda v: 0 < abs(v) < math.inf),
+                "betas": _POSITIVE._replace(kind=tuple), "delta_t": _POSITIVE, "expertise": _UNIT,
+                "leisure_capacity": _UNIT._replace(also=_none), "alpha": _POSITIVE,
+                "evaluation": Field(EvaluationSpec)}
 
 
 @dataclass(frozen=True)
@@ -60,35 +57,12 @@ class GameSpec:
     leisure_capacity: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for key in ("n", "rho", "delta_t", "alpha"):
-            value = getattr(self, key)
-            if not isinstance(value, bool):  # a bool reads as 0 or 1, as it always has
-                _cast(key, value, _GAME_KEYS[key], strict=True)
-        if self.n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {self.n}")
-        if self.rho == 0:
-            raise ConfigurationError("rho must be nonzero (rho = 0 is not a CES exponent)")
-        if not math.isfinite(self.rho):
-            raise ConfigurationError(f"rho must be finite, got {self.rho}")
-        if not 0 < self.delta_t < math.inf:
-            raise ConfigurationError(f"delta_t must be finite and > 0, got {self.delta_t}")
-        if not 0 < self.alpha < math.inf:
-            raise ConfigurationError(f"alpha must be finite and > 0, got {self.alpha}")
-        object.__setattr__(self, "betas", _as_tuple("betas", self.betas, self.n))
-        object.__setattr__(self, "expertise", _as_tuple("expertise", self.expertise, self.n))
-        lc = self.leisure_capacity
-        lc = tuple(1.0 for _ in range(self.n)) if lc is None else _as_tuple(
-            "leisure_capacity", lc, self.n)
-        object.__setattr__(self, "leisure_capacity", lc)
-        if not all(0 < b < math.inf for b in self.betas):
-            raise ConfigurationError(f"betas must all be finite and > 0, got {self.betas}")
-        if any(not 0 <= p <= 1 for p in self.expertise):
-            raise ConfigurationError(f"expertise must lie in [0, 1], got {self.expertise}")
-        if any(not 0 <= p <= 1 for p in self.leisure_capacity):
-            raise ConfigurationError(
-                f"leisure_capacity must lie in [0, 1], got {self.leisure_capacity}")
-        if not isinstance(self.evaluation, EvaluationSpec):
-            raise ConfigurationError("evaluation must be an EvaluationSpec")
+        read = _check_all(_GAME_FIELDS, vars(self))
+        for key in ("betas", "expertise", "leisure_capacity"):  # None: full capacity
+            value = tuple(1.0 for _ in range(self.n)) if read[key] is None else read[key]
+            if len(value) != self.n:
+                raise ConfigurationError(f"{key} must have length n={self.n}, got {len(value)}")
+            object.__setattr__(self, key, value)
 
     def full_time_gifts(self) -> np.ndarray:
         """Gift each player would produce by spending the whole turn on the task."""
@@ -114,29 +88,18 @@ class GameSpec:
         return columns
 
     def to_dict(self) -> dict:
-        data = {key: list(getattr(self, key)) if isinstance(like, tuple) else getattr(self, key)
-                for key, like in _GAME_KEYS.items()}
+        data = {key: list(getattr(self, key)) if field.kind is tuple else getattr(self, key)
+                for key, field in _GAME_FIELDS.items()}
         return {**data, "evaluation": self.evaluation.to_dict()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "GameSpec":
-        if not isinstance(data, dict):
-            raise ConfigurationError(f"game spec must be an object, got {type(data).__name__}")
-        unknown = set(data) - set(_GAME_KEYS)
-        if unknown:
-            raise ConfigurationError(f"unknown game spec key(s): {sorted(unknown)}")
-        missing = set(_GAME_KEYS) - {"leisure_capacity"} - set(data)
-        if missing:
-            raise ConfigurationError(f"missing game spec key(s): {sorted(missing)}")
-        kwargs = {key: _cast(key, data[key], like) for key, like in _GAME_KEYS.items()
-                  if key != "leisure_capacity" or data.get(key) is not None}
-        kwargs["evaluation"] = EvaluationSpec.from_dict(kwargs["evaluation"])
-        return cls(**kwargs)
+        return cls(**_read_spec(data, _GAME_FIELDS, "game spec",
+                                required=set(_GAME_FIELDS) - {"leisure_capacity"}))
 
 
 def _require_game(game) -> None:
-    if not isinstance(game, GameSpec):
-        raise InputError(f"game must be a GameSpec, got {game!r}")
+    _check("game", game, Field(GameSpec), InputError)
 
 
 def _actions_array(game: GameSpec, actions) -> np.ndarray:
@@ -198,18 +161,11 @@ def ces_aggregate(gifts, rho: float, betas):
     to rounding.  Zero gifts contribute nothing when rho > 0; when rho < 0 a
     single zero gift forces G = 0 (the weakest-link limit).
     """
-    if not isinstance(rho, bool):  # a bool reads as 0 or 1, as in GameSpec
-        _cast("rho", rho, 0.0, strict=True)
-    if rho == 0:
-        raise ConfigurationError("rho must be nonzero (rho = 0 is not a CES exponent)")
-    if not math.isfinite(rho):
-        raise ConfigurationError(f"rho must be finite, got {rho}")
+    _check("rho", rho, _GAME_FIELDS["rho"])
     g = np.asarray(gifts, dtype=float)
-    b = np.asarray(betas, dtype=float)
-    if b.ndim != 1 or g.shape[:1] != b.shape:
+    b = np.array(_check("betas", betas, _GAME_FIELDS["betas"], InputError))
+    if g.shape[:1] != b.shape:
         raise InputError(f"gifts and betas must align on axis 0, got {g.shape} vs {b.shape}")
-    if not (b > 0).all():
-        raise InputError("betas must all be > 0")
     if not (g >= 0).all():
         raise InputError("gifts must all be >= 0")
     return _ces(g, rho, np.log(b))

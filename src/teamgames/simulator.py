@@ -54,7 +54,8 @@ import numpy as np
 
 from .bandit import Q_MAX_FLOOR, _boltzmann_weights, _update_q, uniform_action_grid
 from .bandit import update_q  # noqa: F401  (bound here for perfbench's tracer tests)
-from .errors import ConfigurationError, InputError, UndefinedDispersionError, _cast, _count
+from .errors import (ConfigurationError, Field, InputError, UndefinedDispersionError, _FINITE,
+                     _POSITIVE, _SEED, _at_least, _check, _check_all, _none)
 from .evaluation import _score
 from .games import (GameSpec, _aggregate_terms, _leisure_payoff, _outcome,
                     max_achievable_utility)
@@ -72,6 +73,14 @@ _CHUNK_BYTES = 1 << 20
 # per step; below it every op would walk K short rows, and row-major is as
 # fast or faster (BENCH_24: the two break even at 20 to 28 agents).
 _ARM_MAJOR_AGENTS = 32
+
+# Each TrainConfig field's declaration; anneal_floor must also be at most tau.  A seed
+# may be a SeedSequence, named at the check so that this import leaves numpy.random unloaded.
+_TRAIN_FIELDS = {"episodes": _at_least(1), "tau": _POSITIVE, "k": _POSITIVE,
+                 "seed": _SEED._replace(also=lambda v: isinstance(v, np.random.SeedSequence)),
+                 "num_arms": _at_least(2), "anneal_floor": _POSITIVE._replace(also=_none),
+                 "anneal_start": Field(float, "in [0, 1)", lambda v: 0 <= v < 1),
+                 "snapshot_q": Field(bool)}
 
 
 @dataclass(frozen=True)
@@ -99,22 +108,9 @@ class TrainConfig:
     snapshot_q: bool = False
 
     def __post_init__(self):
-        _count("episodes", self.episodes, 1)
-        for key in ("tau", "k"):
-            value = _cast(key, getattr(self, key), 0.0, strict=True)
-            if not 0 < value < math.inf:
-                raise ConfigurationError(f"{key} must be finite and > 0, got {value}")
-        if not isinstance(self.seed, np.random.SeedSequence):
-            _count("seed", self.seed, 0)
-        _count("num_arms", self.num_arms, 2)
-        _cast("anneal_start", self.anneal_start, 0.0, strict=True)
-        if self.anneal_floor is not None:
-            if not 0 < _cast("anneal_floor", self.anneal_floor, 0.0, strict=True) <= self.tau:
-                raise ConfigurationError(
-                    f"anneal_floor must lie in (0, tau], got {self.anneal_floor}")
-            if not 0.0 <= self.anneal_start < 1.0:
-                raise ConfigurationError(
-                    f"anneal_start must lie in [0, 1), got {self.anneal_start}")
+        _check_all(_TRAIN_FIELDS, vars(self))
+        if self.anneal_floor is not None and self.anneal_floor > self.tau:
+            raise ConfigurationError(f"anneal_floor must be <= tau, got {self.anneal_floor}")
 
     def temperature(self, episode: int) -> float:
         """Temperature used at the given episode index."""
@@ -313,10 +309,8 @@ def train_many(jobs) -> list[LearnedOutcome]:
             game, config = job
         except (TypeError, ValueError):
             raise InputError(f"job {j} must be a (game, config) pair, got {job!r}") from None
-        if not isinstance(game, GameSpec):
-            raise InputError(f"job {j}'s game must be a GameSpec, got {game!r}")
-        if not isinstance(config, TrainConfig):
-            raise InputError(f"job {j}'s config must be a TrainConfig, got {config!r}")
+        _check(f"job {j}'s game", game, Field(GameSpec), InputError)
+        _check(f"job {j}'s config", config, Field(TrainConfig), InputError)
         key = (game.n, config.num_arms, config.episodes, config.tau,
                config.anneal_floor, config.anneal_start)
         groups.setdefault(key, []).append(j)
@@ -494,23 +488,18 @@ def train(game: GameSpec, config: TrainConfig) -> LearnedOutcome:
 def spawned_seed(base_seed: int, *key: int) -> np.random.SeedSequence:
     """Deterministic per-cell seed derivation for sweeps; every argument is a
     non-negative integer, read as ``TrainConfig.seed`` is."""
-    _count("base_seed", base_seed, 0)
+    _check("base_seed", base_seed, _SEED)
     for i, k in enumerate(key):
-        _count(f"key {i}", k, 0)
+        _check(f"key {i}", k, _SEED)
     return np.random.SeedSequence(entropy=int(base_seed), spawn_key=tuple(int(k) for k in key))
 
 
 def dispersion(values) -> float:
     """Percentage dispersion: (max - min) / mean * 100."""
-    try:
-        sample = list(values)
-        arr = np.asarray(sample, dtype=float)
-    except (TypeError, ValueError):
-        raise UndefinedDispersionError(f"dispersion needs numbers, got {values!r}") from None
+    arr = np.array(_check("dispersion sample", values, _FINITE._replace(kind=tuple),
+                          UndefinedDispersionError))
     if arr.size == 0:
         raise UndefinedDispersionError("dispersion needs a non-empty sample")
-    if not np.isfinite(arr).all():
-        raise UndefinedDispersionError(f"dispersion needs finite values, got {sample!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         mean, spread = float(arr.mean()), arr.max() - arr.min()
     if not (math.isfinite(mean) and math.isfinite(spread)):

@@ -2,6 +2,7 @@
 name: each row below must raise a ``TeamworkGameError`` whose message names
 the argument, before any learning starts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,18 +18,24 @@ from teamgames import (
     critical_thresholds,
     dispersion,
     enumerate_disjunctive_equilibria,
+    heatmap_table,
     heaviside_study,
+    increment_table,
     replacement_additive,
     replacement_conjunctive,
     share_function,
     solve_equilibrium_concave,
     spawned_seed,
     standalone_value,
+    strategy_table,
     train,
     train_many,
     tune_hyperparameters,
+    validate_evaluation,
     verify_epsilon_nash,
 )
+from teamgames import evaluation, experiments, games, simulator
+from teamgames.errors import _check
 from teamgames.experiments import solve_cell
 
 GAME = GameSpec(n=2, rho=1.0, betas=(1.0, 1.0), delta_t=10.0, expertise=(0.5, 0.5),
@@ -52,6 +59,10 @@ CONFIG = TrainConfig(episodes=10)
 
 def train_config(key):
     return lambda value: TrainConfig(**{key: value})
+
+
+def constant_temperature(key):
+    return lambda value: TrainConfig(anneal_floor=None, **{key: value})
 
 
 def verify(key):
@@ -82,8 +93,30 @@ def game_spec(key):
     return lambda value: GameSpec(**{**args, key: value})
 
 
+def game_json(key):
+    return lambda value: GameSpec.from_dict({**GAME.to_dict(), key: value})
+
+
 def evaluation_spec(key):
     return lambda value: EvaluationSpec("logistic", **{key: value})
+
+
+def untuned(key):
+    return lambda value: tune_hyperparameters(0, **{key: value})
+
+
+def slice_table(make_table, key):
+    args = {"records": [], "rho": 1.0, "b": 5.0}
+    return lambda value: make_table(**{**args, key: value})
+
+
+def increments(key):
+    return lambda value: increment_table(**{"records": [], key: value})
+
+
+def validate(key):
+    args = {"spec": GAME.evaluation, "grid": (0.0, 10.0), "points": 11}
+    return lambda value: validate_evaluation(**{**args, key: value})
 
 
 def thresholds(value):
@@ -174,6 +207,36 @@ TABLE = [
     *((spawn_key, "key 0", v) for v in NOT_A_SEED),
     *((dispersion, "dispersion", v)
       for v in [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf], ["x"], None]),
+    # a bool is no number, in the constructors and the JSON readers alike
+    *((game_spec(key), key, True) for key in ("n", "rho", "delta_t", "alpha")),
+    *((game_spec(key), key, (True, 1.0)) for key in ("betas", "expertise", "leisure_capacity")),
+    *((evaluation_spec(key), f"evaluation {key}", True) for key in ("d", "gamma", "b")),
+    (ces, "rho", True),
+    *((game_json(key), key, v) for key in ("n", "rho", "delta_t", "alpha") for v in [True, "2"]),
+    *((sweep_json(key), key, True) for key in ("base_seed", "episodes", "tau")),
+    # each declared range holds whatever the other fields are
+    *((constant_temperature("anneal_start"), "anneal_start", v)
+      for v in [5.0, math.nan, -0.1, 1.0]),
+    *((train_config("snapshot_q"), "snapshot_q", v) for v in ["x", 1, None]),
+    *((sweep_config(key), key, v) for key, v in [
+        ("tau", None), ("episodes", 0), ("num_arms", 1), ("evaluation_kind", "foo"),
+        ("expertise_values", (0.3, 1.5)), ("rho_values", (0.0,)), ("b_values", (-1.0,)),
+        ("d", True), ("gamma", 0.0), ("delta_t", math.inf), ("alpha", None)]),
+    *((untuned("episodes"), "episodes", v) for v in ["x", 0]),
+    # the team tables
+    *((slice_table(make_table, key), key, v) for make_table in (heatmap_table, strategy_table)
+      for key, values in [("records", [None, "x", 5, [None], [(0.5, 0.5)]]),
+                          ("rho", NOT_A_NUMBER + NOT_FINITE + [0.0]),
+                          ("b", NOT_A_NUMBER + NOT_FINITE + [-1.0])]
+      for v in values),
+    *((increments(key), key, v) for key, values in [("records", [None, "x", [None]]),
+                                                    ("rho", ["x", True, math.nan, 0.0])]
+      for v in values),
+    # validate_evaluation
+    *((validate("spec"), "spec", v) for v in [None, "x", {"kind": "logistic"}]),
+    *((validate("grid"), "grid", v)
+      for v in [None, "x", (1.0,), (0.0, 5.0, 10.0), (5.0, 1.0), (0.0, math.inf), (True, 2.0)]),
+    *((validate("points"), "points", v) for v in ["x", None, True, 3.5, 2]),
 ]
 
 
@@ -195,3 +258,14 @@ def test_integral_float_reads_as_its_integer():
     read = SweepConfig.from_dict({"base_seed": 3.0, "episodes": 60.0, "repetitions": 2.0})
     assert read == SweepConfig.from_dict({"base_seed": 3, "episodes": 60, "repetitions": 2})
     assert all(type(getattr(read, key)) is int for key in ("base_seed", "episodes", "repetitions"))
+
+
+def test_every_field_is_declared_and_its_default_passes_its_check():
+    for cls, declared in [(GameSpec, games._GAME_FIELDS),
+                          (EvaluationSpec, evaluation._EVALUATION_FIELDS),
+                          (TrainConfig, simulator._TRAIN_FIELDS),
+                          (SweepConfig, experiments._SWEEP_FIELDS)]:
+        for field in dataclasses.fields(cls):
+            assert field.name in declared, (cls.__name__, field.name)
+            if field.default is not dataclasses.MISSING:
+                _check(field.name, field.default, declared[field.name])
