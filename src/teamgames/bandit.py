@@ -29,12 +29,11 @@ nothing here is shared between agents.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, _at_least, _check
+from .errors import ConfigurationError, Field, InputError, _FINITE, _at_least, _check
 
 # Below this best-value the Q-table is treated as uninformative and the
 # selection distribution falls back to uniform.
@@ -68,8 +67,7 @@ class AgentState:
             self.pull_counts = np.asarray(self.pull_counts, dtype=np.int64)
         if self.pull_counts.shape != self.q_values.shape or np.any(self.pull_counts < 0):
             raise ConfigurationError("pull_counts must align with q_values and be >= 0")
-        if not self.k > 0:
-            raise ConfigurationError(f"k must be > 0, got {self.k}")
+        _check("k", self.k, Field(float, "> 0", lambda k: k > 0))
         if not np.all(np.isfinite(self.q_values)):
             raise ConfigurationError("q_values must be finite")
 
@@ -132,9 +130,8 @@ def update_q(state: AgentState, arm: int, reward: float) -> AgentState:
     first sample replaces its zero initialisation outright.  Advances the
     arm's pull count.  Mutates the state in place and returns it.
     """
-    if not 0 <= arm < state.num_arms:
-        raise InputError(f"arm must be in [0, {state.num_arms}), got {arm}")
-    if not math.isfinite(reward):
-        raise InputError(f"reward must be finite, got {reward}")
+    n = state.num_arms
+    _check("arm", arm, Field(int, f"in [0, {n})", lambda a: 0 <= a < n), InputError)
+    _check("reward", reward, _FINITE, InputError)
     _update_q(state.q_values, state.pull_counts, state.k, int(arm), reward)
     return state

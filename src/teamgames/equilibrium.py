@@ -43,9 +43,9 @@ from .errors import (
     WrongSolverError,
     _FINITE,
     _POSITIVE,
+    _POSITIVE_OR_NONE,
     _at_least,
     _check,
-    _none,
 )
 from .evaluation import eval_score, score_scalar, ratio_scalar
 from .games import (GameSpec, _actions_array, _ces, _payoffs, _require_game,
@@ -53,8 +53,6 @@ from .games import (GameSpec, _actions_array, _ces, _payoffs, _require_game,
 
 # Absolute tolerance on work units for branch and boundary comparisons.
 BOUNDARY_TOL = 1e-10
-# The Nash oracle's refine_step: a step > 0, or None for no refine pass.
-_REFINE_STEP = _POSITIVE._replace(also=_none)
 
 
 @dataclass(frozen=True)
@@ -1026,7 +1024,7 @@ def verify_epsilon_nash(actions, game: GameSpec, epsilon: float,
     refuses it.
     """
     _check("grid_step", grid_step, _POSITIVE, InputError)
-    _check("refine_step", refine_step, _REFINE_STEP, InputError)
+    _check("refine_step", refine_step, _POSITIVE_OR_NONE, InputError)  # None: no refine pass
     _check("epsilon", epsilon, _FINITE, InputError)
     k = round(1.0 / grid_step)
     if abs(k * grid_step - 1.0) > 1e-9:

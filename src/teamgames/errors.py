@@ -75,11 +75,11 @@ def _at_least(m: int) -> Field:
 
 _FINITE = Field(float, "finite", lambda v: abs(v) < math.inf)
 _POSITIVE = Field(float, "finite and > 0", lambda v: 0 < v < math.inf)
+_POSITIVE_OR_NONE = _POSITIVE._replace(also=_none)
 _SEED = _at_least(0)
 # Each number kind's builtin types, tested before its ABC, whose isinstance costs ~10x more
 _NUMBERS = {int: ((int,), numbers.Integral), float: ((float, int), numbers.Real)}
-_NAMES = {int: "an integer", float: "a number", tuple: "a list of numbers", bool: "a bool",
-          str: "a name"}
+_NAMES = {int: "an integer", float: "a number", tuple: "a list of numbers", bool: "a bool"}
 
 
 def _is(value, kind) -> bool:

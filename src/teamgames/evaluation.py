@@ -30,7 +30,7 @@ _PARAMS = {"logistic": ("d", "gamma", "b"), "identity": (), "heaviside": ("d", "
 KINDS = tuple(_PARAMS)
 SMOOTH_KINDS = ("logistic", "identity")
 # Each evaluation key's declaration; a spec checks the parameters its kind takes.
-_EVALUATION_FIELDS = {"kind": Field(str, f"one of {KINDS}", KINDS.__contains__),
+_EVALUATION_FIELDS = {"kind": Field(object, f"one of {KINDS}", KINDS.__contains__),
                       "d": _POSITIVE, "gamma": _POSITIVE,
                       "b": Field(float, "finite and >= 0", lambda v: 0 <= v < math.inf)}
 
@@ -66,11 +66,15 @@ class EvaluationSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvaluationSpec":
-        spec = cls(**_read_spec(data, _EVALUATION_FIELDS, "evaluation", ("kind",), "evaluation "))
-        unused = sorted(set(data) - {"kind", *_PARAMS[spec.kind]})  # keys its kind does not take
-        if unused:
-            raise ConfigurationError(f"unknown evaluation key(s) {unused} for kind {spec.kind!r}")
-        return spec
+        # the kind, then the keys it does not take; then the values, in the input's order
+        fields = {}
+        if isinstance(data, dict):
+            kind = _check("evaluation kind", data.get("kind"), _EVALUATION_FIELDS["kind"])
+            unused = sorted(set(data) - {"kind", *_PARAMS[kind]})
+            if unused:
+                raise ConfigurationError(f"unknown evaluation key(s) {unused} for kind {kind!r}")
+            fields = {key: _EVALUATION_FIELDS[key] for key in data}
+        return cls(**_read_spec(data, fields, "evaluation", prefix="evaluation "))
 
 
 def _score(kind: str, g, d, gamma, b):

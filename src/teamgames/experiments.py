@@ -31,6 +31,7 @@ from .errors import (
     _SEED,
     _at_least,
     _check_all,
+    _read,
     _read_spec,
 )
 from .evaluation import _EVALUATION_FIELDS, EvaluationSpec
@@ -438,11 +439,10 @@ def heaviside_study(teams=None, *, b: float = 5.0, d: float = 10.0,
     """
     _check_all(_STUDY_FIELDS, locals())
     if teams is None:
-        levels = (0.3, 0.5, 0.7, 0.9)
-        teams = list(itertools.combinations_with_replacement(levels, 2))
+        teams = list(itertools.combinations_with_replacement((0.3, 0.5, 0.7, 0.9), 2))
     evaluation = EvaluationSpec("heaviside", d=d, b=b)
     try:
-        teams = [tuple(sorted((float(p1), float(p2)))) for p1, p2 in teams]
+        teams = [tuple(sorted(_read("teams", (p1, p2), _FIELDS["expertise"]))) for p1, p2 in teams]
     except (TypeError, ValueError):
         raise ConfigurationError(
             f"teams must be a list of expertise pairs, got {teams!r}") from None
@@ -508,7 +508,8 @@ def tune_hyperparameters(budget: int, *, probe_cells=_DEFAULT_PROBE,
     """
     _check_all(_TUNE_FIELDS, locals())
     try:
-        cells = [(float(p1), float(p2), float(rho), float(b)) for p1, p2, rho, b in probe_cells]
+        cells = [_read("probe_cells", (p1, p2, rho, b), Field(tuple))
+                 for p1, p2, rho, b in probe_cells]
     except (TypeError, ValueError):
         raise ConfigurationError(
             f"probe_cells must be a list of (p1, p2, rho, b) cells, got {probe_cells!r}") from None

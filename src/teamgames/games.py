@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigurationError, Field, InputError, _POSITIVE, _at_least, _check,
-                     _check_all, _none, _read_spec)
+                     _check_all, _none, _read, _read_spec)
 from .evaluation import EvaluationSpec, eval_score
 
 _UNIT = Field(tuple, "in [0, 1]", lambda v: 0 <= v <= 1)
@@ -109,6 +109,7 @@ def _actions_array(game: GameSpec, actions) -> np.ndarray:
         raise InputError(f"actions must be {game.n} numbers, got {actions!r}") from None
     if arr.shape != (game.n,):
         raise InputError(f"expected {game.n} actions, got shape {arr.shape}")
+    _read("actions", actions, Field(tuple), InputError)  # a bool or a string is no action
     if not ((arr >= 0) & (arr <= 1)).all():  # NaN fails both
         raise InputError("actions must lie in [0, 1]")
     return arr

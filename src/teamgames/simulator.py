@@ -55,7 +55,7 @@ import numpy as np
 from .bandit import Q_MAX_FLOOR, _boltzmann_weights, _update_q, uniform_action_grid
 from .bandit import update_q  # noqa: F401  (bound here for perfbench's tracer tests)
 from .errors import (ConfigurationError, Field, InputError, UndefinedDispersionError, _FINITE,
-                     _POSITIVE, _SEED, _at_least, _check, _check_all, _none)
+                     _POSITIVE, _POSITIVE_OR_NONE, _SEED, _at_least, _check, _check_all)
 from .evaluation import _score
 from .games import (GameSpec, _aggregate_terms, _leisure_payoff, _outcome,
                     max_achievable_utility)
@@ -78,7 +78,7 @@ _ARM_MAJOR_AGENTS = 32
 # may be a SeedSequence, named at the check so that this import leaves numpy.random unloaded.
 _TRAIN_FIELDS = {"episodes": _at_least(1), "tau": _POSITIVE, "k": _POSITIVE,
                  "seed": _SEED._replace(also=lambda v: isinstance(v, np.random.SeedSequence)),
-                 "num_arms": _at_least(2), "anneal_floor": _POSITIVE._replace(also=_none),
+                 "num_arms": _at_least(2), "anneal_floor": _POSITIVE_OR_NONE,
                  "anneal_start": Field(float, "in [0, 1)", lambda v: 0 <= v < 1),
                  "snapshot_q": Field(bool)}
 
@@ -489,9 +489,8 @@ def spawned_seed(base_seed: int, *key: int) -> np.random.SeedSequence:
     """Deterministic per-cell seed derivation for sweeps; every argument is a
     non-negative integer, read as ``TrainConfig.seed`` is."""
     _check("base_seed", base_seed, _SEED)
-    for i, k in enumerate(key):
-        _check(f"key {i}", k, _SEED)
-    return np.random.SeedSequence(entropy=int(base_seed), spawn_key=tuple(int(k) for k in key))
+    spawn_key = tuple(int(_check(f"key {i}", k, _SEED)) for i, k in enumerate(key))
+    return np.random.SeedSequence(entropy=int(base_seed), spawn_key=spawn_key)
 
 
 def dispersion(values) -> float:

@@ -164,16 +164,14 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("data,message", [
         ([], "evaluation must be an object, got list"),
-        ({}, "missing evaluation key(s): ['kind']"),
-        # unknown keys come before the kind, as in every JSON reader
-        ({"zz": 1, "kind": "cubic"}, "unknown evaluation key(s): ['zz']"),
-        ({"kind": "cubic"}, f"evaluation kind must be one of {KINDS}, got 'cubic'"),
+        ({}, f"evaluation kind must be one of {KINDS}, got None"),
+        # the kind is read before any other key
+        ({"zz": 1, "kind": "cubic"}, f"evaluation kind must be one of {KINDS}, got 'cubic'"),
         ({"kind": "identity", "d": 1.0}, "unknown evaluation key(s) ['d'] for kind 'identity'"),
-        ({"kind": "heaviside", "b": 1.0, "gamma": 2.0, "d": 1.0},
-         "unknown evaluation key(s) ['gamma'] for kind 'heaviside'"),
-        # values are read in the declarations' order (kind, d, gamma, b), then
-        # checked in the kind's
-        ({"kind": "logistic", "b": None, "d": "x"}, "evaluation d must be a number, got 'x'"),
+        ({"kind": "heaviside", "zz": 1, "gamma": 2.0, "d": "x"},
+         "unknown evaluation key(s) ['gamma', 'zz'] for kind 'heaviside'"),
+        # values are cast in the input's order, then checked in the kind's
+        ({"kind": "logistic", "b": None, "d": "x"}, "evaluation b must be a number, got None"),
         ({"kind": "logistic", "b": -1, "gamma": 0, "d": -1},
          "evaluation d must be finite and > 0, got -1.0"),
         ({"kind": "logistic", "b": -1, "gamma": 0}, "evaluation gamma must be finite and > 0, got 0.0"),

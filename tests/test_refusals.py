@@ -4,11 +4,13 @@ the argument, before any learning starts."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from teamgames import (
+    AgentState,
     EvaluationSpec,
     GameSpec,
     SweepConfig,
@@ -31,12 +33,14 @@ from teamgames import (
     train,
     train_many,
     tune_hyperparameters,
+    update_q,
     validate_evaluation,
     verify_epsilon_nash,
 )
 from teamgames import evaluation, experiments, games, simulator
 from teamgames.errors import _check
 from teamgames.experiments import solve_cell
+from teamgames.games import evaluate_joint_action
 
 GAME = GameSpec(n=2, rho=1.0, betas=(1.0, 1.0), delta_t=10.0, expertise=(0.5, 0.5),
                 alpha=2.0, evaluation=EvaluationSpec("logistic", d=10.0, gamma=2.0, b=5.0))
@@ -55,6 +59,9 @@ NOT_A_GAME = [None, "x", 5]
 # and was always refused, its rows pin that
 NOT_A_PLAYER = [True, np.True_]
 CONFIG = TrainConfig(episodes=10)
+# one player, so that n = True cannot fail on the vectors' lengths, which are 1 = True
+ONE_PLAYER = {"n": 1, "rho": 1.0, "betas": [1.0], "delta_t": 10.0, "expertise": [0.5],
+              "alpha": 2.0}
 
 
 def train_config(key):
@@ -97,6 +104,14 @@ def game_json(key):
     return lambda value: GameSpec.from_dict({**GAME.to_dict(), key: value})
 
 
+def one_player_spec(value):
+    return GameSpec(**{**ONE_PLAYER, "n": value, "evaluation": GAME.evaluation})
+
+
+def one_player_json(value):
+    return GameSpec.from_dict({**ONE_PLAYER, "n": value, "evaluation": GAME.evaluation.to_dict()})
+
+
 def evaluation_spec(key):
     return lambda value: EvaluationSpec("logistic", **{key: value})
 
@@ -117,6 +132,23 @@ def increments(key):
 def validate(key):
     args = {"spec": GAME.evaluation, "grid": (0.0, 10.0), "points": 11}
     return lambda value: validate_evaluation(**{**args, key: value})
+
+
+def joint_action(value):
+    return evaluate_joint_action(GAME, value)
+
+
+def study_teams(value):
+    return heaviside_study(value, episodes=10)
+
+
+def agent(value):
+    return AgentState(np.zeros(3), k=value)
+
+
+def update(key):
+    args = {"state": AgentState.fresh(5), "arm": 0, "reward": 1.0}
+    return lambda value: update_q(**{**args, key: value})
 
 
 def thresholds(value):
@@ -207,12 +239,30 @@ TABLE = [
     *((spawn_key, "key 0", v) for v in NOT_A_SEED),
     *((dispersion, "dispersion", v)
       for v in [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf], ["x"], None]),
+]
+
+
+# Inputs refused since every entry point reads its arguments through the
+# declarations in the modules' field tables
+DECLARED = [
     # a bool is no number, in the constructors and the JSON readers alike
-    *((game_spec(key), key, True) for key in ("n", "rho", "delta_t", "alpha")),
+    *((game_spec(key), key, True) for key in ("rho", "delta_t", "alpha")),
+    (one_player_spec, "n", True),
+    (one_player_json, "n", True),
     *((game_spec(key), key, (True, 1.0)) for key in ("betas", "expertise", "leisure_capacity")),
     *((evaluation_spec(key), f"evaluation {key}", True) for key in ("d", "gamma", "b")),
     (ces, "rho", True),
-    *((game_json(key), key, v) for key in ("n", "rho", "delta_t", "alpha") for v in [True, "2"]),
+    *((game_json(key), key, v) for key in ("rho", "delta_t", "alpha") for v in [True, "2"]),
+    (game_json("n"), "n", "2"),
+    # the lists of numbers that are no declared field read through the same rule
+    *((call, "actions", v) for call in (verify("actions"), joint_action)
+      for v in [(True, 0.5), ("0.5", 0.5), np.array([True, False])]),
+    *((study_teams, "teams", v) for v in [[(True, 0.5)], [("0.5", 0.5)]]),
+    *((tune("probe_cells"), "probe_cells", v)
+      for v in [[(0.3, 0.9, True, 5.0)], [(0.3, 0.9, "1.0", 5.0)]]),
+    *((agent, "k", v) for v in [True, "x"]),
+    *((update("arm"), "arm", v) for v in [True, 1.5, "x"]),
+    *((update("reward"), "reward", v) for v in [True, "x"]),
     *((sweep_json(key), key, True) for key in ("base_seed", "episodes", "tau")),
     # each declared range holds whatever the other fields are
     *((constant_temperature("anneal_start"), "anneal_start", v)
@@ -240,11 +290,21 @@ TABLE = [
 ]
 
 
-@pytest.mark.parametrize("call,name,value", TABLE,
-                         ids=[f"{call.__qualname__.split('.')[0]}-{name}-{value!r}"
-                              for call, name, value in TABLE])
+def row_ids(table):
+    return [f"{call.__qualname__.split('.')[0]}-{name}-{value!r}" for call, name, value in table]
+
+
+@pytest.mark.parametrize("call,name,value", TABLE, ids=row_ids(TABLE))
 def test_malformed_argument_is_refused_by_name(call, name, value):
     with pytest.raises(TeamworkGameError, match=name):
+        call(value)
+
+
+@pytest.mark.parametrize("call,name,value", DECLARED, ids=row_ids(DECLARED))
+def test_declared_input_is_refused_by_its_own_name(call, name, value):
+    # anchored, so that the refusal of another input, such as a vector's
+    # length or a threshold count, cannot pass the row
+    with pytest.raises(TeamworkGameError, match=f"^{re.escape(name)} must"):
         call(value)
 
 
