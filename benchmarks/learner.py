@@ -25,15 +25,19 @@ distinct values):
 * ``step_us.<case>.<step>``: where that time goes, from a second run of
   the same case (not the one ``episode_us`` times) with the trainer's step
   functions wrapped by timers
-  (``softmax``, ``draw``, ``ces`` for ``_aggregate_terms``, ``score`` and
-  ``update``, which times ``_update_arms`` too where a side has it; ``other``
+  (``softmax``, ``draw``, ``ces`` for ``_aggregate_terms``, ``score`` for
+  ``_score`` and ``update``, which times ``_update_arms`` too where a side
+  has it; where a lone run scores a joint action it has not played in
+  floats, ``ces`` and ``score`` time ``_scalar_ces`` and ``score_scalar``
+  too; ``other``
   is the rest of the run, term gathers, uniforms and the timers' own cost
   among it), microseconds per run-episode.  Where a lone run computes its
   soft-max in the episode loop, ``softmax`` sees only the episodes that
   call ``_boltzmann_weights`` (a row at or below ``Q_MAX_FLOOR``) and the
   rest of the soft-max counts in ``other``;
 * ``score_evals.<case>``: for the lone cases, calls of the trainer's score
-  function ``_score`` per episode in that second run;
+  functions (``_score``, and ``score_scalar`` where a side has it: one per
+  joint action not played before) per episode in that second run;
 * ``layout.n2_A<agents>``: on a side whose simulator has
   ``_ARM_MAJOR_AGENTS``, the median time of ``train_many`` on 4, 8, 12 and
   16 two-player runs (8 to 32 agents, 20,000 run-episodes) with every
@@ -111,9 +115,10 @@ SEED = 1
 R1_EPISODES = {2: 20_000, 3: 10_000, 4: 4_000}
 LONE = ("n2_R1", "n3_R1", "n4_R1", "n4_team4")
 # the trainer's step functions, by the names the simulator module looks up (a
-# side's simulator may lack some: a lone run updates through _update_arms)
+# side's simulator may lack some: a lone run updates through _update_arms, and
+# scores a joint action it has not played through _scalar_ces and score_scalar)
 STEPS = {"softmax": ("_boltzmann_weights",), "draw": ("_draw_arms",),
-         "ces": ("_aggregate_terms",), "score": ("_score",),
+         "ces": ("_aggregate_terms", "_scalar_ces"), "score": ("_score", "score_scalar"),
          "update": ("_update_q", "_update_arms")}
 # the learning fixtures of tests/test_acceptance.py, by the test class charged their setup
 FIXTURES = {"TestCriterion3Regression": "sweep_records",

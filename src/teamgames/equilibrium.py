@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    Field,
     InputError,
     NoEquilibriumError,
     RegimeError,
@@ -46,6 +47,7 @@ from .errors import (
     _POSITIVE_OR_NONE,
     _at_least,
     _check,
+    _read,
 )
 from .evaluation import eval_score, score_scalar, ratio_scalar
 from .games import (GameSpec, _actions_array, _ces, _payoffs, _require_game,
@@ -53,6 +55,9 @@ from .games import (GameSpec, _actions_array, _ces, _payoffs, _require_game,
 
 # Absolute tolerance on work units for branch and boundary comparisons.
 BOUNDARY_TOL = 1e-10
+
+# An aggregate argument's kind (a bool is none); each map refuses its own range
+_AGGREGATE = Field(float)
 
 
 @dataclass(frozen=True)
@@ -180,27 +185,33 @@ def _require_smooth(game: GameSpec, where: str):
         )
 
 
-def _scalar_ces(gifts, log_b, rho: float) -> float:
-    """``games._ces`` of one joint action in ``math``: the log-sum-exp of the
-    log-terms ``log(beta_i) + rho*log(g_i)``, max-shifted, divided by ``rho``
-    and exponentiated, with ``_ces``'s zero gifts: under rho > 0 a zero gift
-    adds nothing, under rho < 0 it forces G = 0, and with no positive gift
-    G = 0.  ``log_b`` holds the ``log(beta_i)``.  The terms are summed in
-    order, as numpy sums fewer than 8 (built-in ``sum`` compensates from
-    Python 3.12), so it agrees with ``_ces`` to rounding."""
+def _scalar_ces(gifts, log_b, rho: float, exp=math.exp, log=math.log) -> float:
+    """``games._ces`` of one joint action on floats: the log-sum-exp of the
+    log-terms ``log(beta_i) + rho*log(g_i)``, max-shifted (by 0 where a term
+    leaves the float range, as ``_aggregate_terms`` shifts), divided by
+    ``rho`` and exponentiated, with ``_ces``'s zero gifts: under rho > 0 a
+    zero gift adds nothing, under rho < 0 it forces G = 0, and with no
+    positive gift G = 0.  ``log_b`` holds the ``log(beta_i)``.  The terms
+    are summed in order, as numpy sums fewer than ``games._PAIRWISE_TERMS``
+    (built-in ``sum`` compensates from Python 3.12).  With ``math``'s
+    ``exp`` and ``log``, the default, it agrees with ``_ces`` to rounding;
+    with numpy's ``np.exp`` and ``np.log``, which give a float the array
+    kernels' bits, it equals ``_ces`` exactly below that term count."""
     terms = []
     for g, log_beta in zip(gifts, log_b):
         if g > 0.0:
-            terms.append(log_beta + rho * math.log(g))
+            terms.append(log_beta + rho * log(g))
         elif rho < 0.0:
             return 0.0
     if not terms:
         return 0.0
     m = max(terms)
+    if math.isinf(m):  # |rho * log(g)| beyond the float range
+        m = 0.0
     total = 0.0
     for t in terms:
-        total += math.exp(t - m)
-    return math.exp((m + math.log(total)) / rho)
+        total += exp(t - m)
+    return exp((m + log(total)) / rho)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +225,7 @@ def replacement_additive(G: float, player: int, game: GameSpec) -> float:
         raise WrongSolverError(
             f"additive replacement requires rho = 1, got rho = {game.rho}")
     _require_smooth(game, "replacement function")
+    _read("G", G, _AGGREGATE, InputError)
     if not G >= 0:
         raise RegimeError(f"aggregate must be >= 0, got {G}")
     return _additive_gift(ratio_scalar(game.evaluation, G), G, game.expertise[player],
@@ -377,6 +389,7 @@ def replacement_conjunctive(G: float, player: int, game: GameSpec) -> float:
         raise WrongSolverError(
             f"conjunctive replacement requires rho < 1 (rho != 0), got {game.rho}")
     _require_smooth(game, "replacement function")
+    _read("G", G, _AGGREGATE, InputError)
     if not G >= 0:
         raise RegimeError(f"aggregate must be >= 0, got {G}")
     p = game.expertise[player]
@@ -880,6 +893,7 @@ def share_function(player: int, G: float, game: GameSpec, branch: str = "positiv
     _require_smooth(game, "share function")
     if branch not in ("positive", "zero"):
         raise InputError(f"branch must be 'positive' or 'zero', got {branch!r}")
+    _read("G", G, _AGGREGATE, InputError)
     g_bar, G_bar = _standalone_pair(player, game)
     if g_bar <= BOUNDARY_TOL:
         if branch == "zero":

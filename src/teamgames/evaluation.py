@@ -152,17 +152,19 @@ def validate_evaluation(spec: EvaluationSpec, grid: tuple[float, float], points:
 # Kept beside eval_score, which scores one value as a 0-d array: 10-40x cheaper per call
 # on a float (0.1-0.5 us against 1.2-8 us, timeit on one CPU, numpy 2.4).  Its solver
 # callers are the free-riding payoff, equilibrium._u_zero, and the best response's utility
-# at its root, once per step of the threshold root search.
-def score_scalar(spec: EvaluationSpec, G: float) -> float:
-    """Scalar fast path used by inner solver loops."""
+# at its root, once per step of the threshold root search; they take math.exp.  The
+# learner's lone run scores each joint action it has not played yet with np.exp, which
+# gives a float the array kernel's bits, so its rewards are _score's exactly.
+def score_scalar(spec: EvaluationSpec, G: float, exp=math.exp) -> float:
+    """sigma(G) of one float, by ``_score``'s operations with ``exp``."""
     if spec.kind == "identity":
         return G
     if spec.kind == "heaviside":
         return spec.d if G >= spec.b else 0.0
     z = spec.gamma * (G - spec.b)
     if z >= 0:
-        return spec.d / (1.0 + math.exp(-z))
-    ez = math.exp(z)
+        return spec.d / (1.0 + exp(-z))
+    ez = exp(z)
     return spec.d * ez / (1.0 + ez)
 
 

@@ -98,8 +98,11 @@ class GameSpec:
                                 required=set(_GAME_FIELDS) - {"leisure_capacity"}))
 
 
+_GAME = Field(GameSpec)  # a game argument's declaration, read on every solver entry
+
+
 def _require_game(game) -> None:
-    _check("game", game, Field(GameSpec), InputError)
+    _check("game", game, _GAME, InputError)
 
 
 def _actions_array(game: GameSpec, actions) -> np.ndarray:
@@ -109,7 +112,8 @@ def _actions_array(game: GameSpec, actions) -> np.ndarray:
         raise InputError(f"actions must be {game.n} numbers, got {actions!r}") from None
     if arr.shape != (game.n,):
         raise InputError(f"expected {game.n} actions, got shape {arr.shape}")
-    _read("actions", actions, Field(tuple), InputError)  # a bool or a string is no action
+    # its kind alone: a bool or a string is no action; the range follows
+    _read("actions", actions, _UNIT, InputError)
     if not ((arr >= 0) & (arr <= 1)).all():  # NaN fails both
         raise InputError("actions must lie in [0, 1]")
     return arr
@@ -172,6 +176,11 @@ def ces_aggregate(gifts, rho: float, betas):
     return _ces(g, rho, np.log(b))
 
 
+# Term count from which numpy may sum pairwise; fewer terms it sums in order in
+# every layout, as equilibrium._scalar_ces does.
+_PAIRWISE_TERMS = 8
+
+
 def _ces(gifts: np.ndarray, rho: float, log_b: np.ndarray):
     """``ces_aggregate`` of checked gifts ``(n, ...)`` with the logs of the
     weights ``(n,)``, without its input checks: a float for one joint action."""
@@ -183,10 +192,11 @@ def _ces(gifts: np.ndarray, rho: float, log_b: np.ndarray):
         # positive gift, or a zero gift under rho < 0) have G = 0; with m
         # set to 0 there, the sum is 0 or +inf and G comes out as exactly 0.
         t = log_b + rho * np.log(gifts)
-        if t.ndim >= 2 and len(t) >= 8:
-            # From 8 terms numpy sums a contiguous run pairwise and a strided
-            # one in order; with each cell's terms contiguous, every cell sums
-            # as a lone joint action does.  Below 8 every layout sums in order.
+        if t.ndim >= 2 and len(t) >= _PAIRWISE_TERMS:
+            # From _PAIRWISE_TERMS terms numpy sums a contiguous run pairwise
+            # and a strided one in order; with each cell's terms contiguous,
+            # every cell sums as a lone joint action does.  Below it every
+            # layout sums in order.
             t = np.asfortranarray(t)
         out = _aggregate_terms(t, rho)
     return float(out) if gifts.ndim == 1 else out
@@ -197,8 +207,8 @@ def _aggregate_terms(terms: np.ndarray, rho) -> np.ndarray:
     per player, overwritten in place: the max-shifted log-sum-exp over axis
     0, divided by ``rho`` (a scalar or one value per column), exponentiated.
     Call it with division warnings off, for the ``log(0)`` of a column with
-    no positive gift.  From 8 players a column sums as one joint action's
-    gifts only if it is contiguous (see ``_ces``)."""
+    no positive gift.  From ``_PAIRWISE_TERMS`` players a column sums as one
+    joint action's gifts only if it is contiguous (see ``_ces``)."""
     m = np.maximum.reduce(terms, axis=0)
     m = np.where(np.isfinite(m), m, 0.0)
     terms -= m

@@ -36,8 +36,14 @@ cells costs more in numpy calls than in arithmetic.  It keeps the reward
 row of each joint action it has played (the memo) and reuses it when it
 plays the action again, and it keeps its pull counts in a list and updates
 its n pulled cells one at a time in Python floats (``_update_arms``), with
-the same correctly rounded operations as ``bandit._update_q``.  Its
-soft-max and draw stay on the ``(n, K)`` arrays.
+the same correctly rounded operations as ``bandit._update_q``.  A joint
+action it has not played (a memo miss) is scored in floats too, below
+``games._PAIRWISE_TERMS`` players, where numpy sums a joint action's terms
+in order: ``equilibrium._scalar_ces`` of its gifts and
+``evaluation.score_scalar``, given numpy's ``exp`` and ``log``, which return
+the array kernels' bits for a float, so the row equals the kernels' bit for
+bit.  From that many players a miss goes through the kernels.  Its soft-max
+and draw stay on the ``(n, K)`` arrays.
 
 Each run draws from its own counter-based stream, so an outcome is bitwise
 the same whatever it is batched with; sweep seeds are derived from a base
@@ -56,9 +62,10 @@ from .bandit import Q_MAX_FLOOR, _boltzmann_weights, _update_q, uniform_action_g
 from .bandit import update_q  # noqa: F401  (bound here for perfbench's tracer tests)
 from .errors import (ConfigurationError, Field, InputError, UndefinedDispersionError, _FINITE,
                      _POSITIVE, _POSITIVE_OR_NONE, _SEED, _at_least, _check, _check_all)
-from .evaluation import _score
-from .games import (GameSpec, _aggregate_terms, _leisure_payoff, _outcome,
-                    max_achievable_utility)
+from .equilibrium import _scalar_ces
+from .evaluation import _score, score_scalar
+from .games import (GameSpec, _GAME, _PAIRWISE_TERMS, _aggregate_terms, _leisure_payoff,
+                    _outcome, max_achievable_utility)
 
 # Share of each agent's draws taken uniformly over all arms, whatever the
 # Q-table holds, so every arm keeps being sampled at rate >= EXPLORATION / K.
@@ -131,6 +138,9 @@ class TrainConfig:
         ratio = self.anneal_floor / self.tau
         return [self.tau] * t_switch + [self.tau * ratio ** ((t - t_switch) / span)
                                         for t in range(t_switch, self.episodes)]
+
+
+_CONFIG = Field(TrainConfig)  # a job's config, read by train_many
 
 
 @dataclass(frozen=True)
@@ -309,8 +319,8 @@ def train_many(jobs) -> list[LearnedOutcome]:
             game, config = job
         except (TypeError, ValueError):
             raise InputError(f"job {j} must be a (game, config) pair, got {job!r}") from None
-        _check(f"job {j}'s game", game, Field(GameSpec), InputError)
-        _check(f"job {j}'s config", config, Field(TrainConfig), InputError)
+        _check(f"job {j}'s game", game, _GAME, InputError)
+        _check(f"job {j}'s config", config, _CONFIG, InputError)
         key = (game.n, config.num_arms, config.episodes, config.tau,
                config.anneal_floor, config.anneal_start)
         groups.setdefault(key, []).append(j)
@@ -421,13 +431,20 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
             # action fixes its rewards: keep each one's reward row, at most
             # min(episodes, K**n) of them, in one table the memo indexes.
             # Its bookkeeping is in Python scalars, where n cells cost less
-            # than numpy calls on them.  Its soft-max is _boltzmann_weights'
-            # operations into preallocated columns, or the kernel itself
-            # while a row's best value is at or below Q_MAX_FLOOR.
+            # than numpy calls on them, and so is a miss's reward row below
+            # _PAIRWISE_TERMS players, where numpy sums the terms in order:
+            # the scalar CES and sigma with numpy's exp and log give scores()'s
+            # bits.  Its soft-max is _boltzmann_weights' operations into
+            # preallocated columns, or the kernel itself while a row's best
+            # value is at or below Q_MAX_FLOOR.
             memo, memo_rows = {}, np.empty((min(episodes, num_arms ** n), n))
             counts = [0] * (agents * num_arms)
             k = float(schedule.k)
             stride, offsets = (agents, range(agents)) if arm_major else (1, row_start.tolist())
+            game = games[0]
+            in_order = n < _PAIRWISE_TERMS
+            log_b, caps = (column.tolist() for column in game._columns[:2])
+            arm_values, leisure = arm_actions.tolist(), L.tolist()
             q_max, scale, shift = np.empty((3, agents, 1))
             q_max_row = q_max[:, 0]
             for tau, draw in chain.from_iterable(blocks()):
@@ -445,9 +462,16 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
                 row = memo.get(key)
                 if row is None:
                     row = memo[key] = len(memo)
-                    scores()
-                    L.take(cells, out=memo_rows[row])
-                    memo_rows[row] *= S[0]
+                    if in_order:
+                        G = _scalar_ces([arm_values[a] * cap for a, cap in zip(played, caps)],
+                                        log_b, game.rho, np.exp, np.log)
+                        sigma = score_scalar(game.evaluation, G, np.exp)
+                        memo_rows[row] = [leisure[a * stride + offset] * sigma
+                                          for a, offset in zip(played, offsets)]
+                    else:
+                        scores()
+                        L.take(cells, out=memo_rows[row])
+                        memo_rows[row] *= S[0]
                 _update_arms(q_flat, counts, k, played, memo_rows[row].tolist(),
                              stride, offsets)
 

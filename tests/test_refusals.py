@@ -175,6 +175,18 @@ def share_player(value):
     return share_function(value, 5.0, DISJUNCTIVE)
 
 
+def additive_aggregate(value):
+    return replacement_additive(value, 0, GAME)
+
+
+def conjunctive_aggregate(value):
+    return replacement_conjunctive(value, 0, CONJUNCTIVE)
+
+
+def share_aggregate(value):
+    return share_function(0, value, DISJUNCTIVE)
+
+
 def enumerate_capped(value):
     return enumerate_disjunctive_equilibria(DISJUNCTIVE, subset_cap=value)
 
@@ -261,6 +273,9 @@ DECLARED = [
     *((tune("probe_cells"), "probe_cells", v)
       for v in [[(0.3, 0.9, True, 5.0)], [(0.3, 0.9, "1.0", 5.0)]]),
     *((agent, "k", v) for v in [True, "x"]),
+    # the replacement and share maps' aggregate; each map still refuses its range itself
+    *((call, "G", v) for call in (additive_aggregate, conjunctive_aggregate, share_aggregate)
+      for v in [True, "x", None]),
     *((update("arm"), "arm", v) for v in [True, 1.5, "x"]),
     *((update("reward"), "reward", v) for v in [True, "x"]),
     *((sweep_json(key), key, True) for key in ("base_seed", "episodes", "tau")),

@@ -1,14 +1,16 @@
 import functools
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from teamgames import simulator
+from teamgames import games, simulator
 from teamgames.bandit import _boltzmann_weights, uniform_action_grid
 from teamgames.errors import ConfigurationError, InputError, UndefinedDispersionError
-from teamgames.evaluation import EvaluationSpec, eval_score
+from teamgames.equilibrium import _scalar_ces
+from teamgames.evaluation import EvaluationSpec, _score, eval_score, score_scalar
 from teamgames.games import GameSpec, _aggregate_terms, _payoffs, evaluate_joint_action
 from teamgames.simulator import (
     EXPLORATION,
@@ -509,15 +511,21 @@ class TestTrainMany:
 
 @pytest.fixture
 def score_calls(monkeypatch):
-    """The run count of every ``simulator._score`` call, in call order."""
+    """The run count of every ``simulator._score`` call, and 1 for every
+    ``simulator.score_scalar`` call (a lone run's miss), in call order."""
     calls = []
-    score = simulator._score
+    score, score_scalar = simulator._score, simulator.score_scalar
 
     def spy(kind, G, d, gamma, b):
         calls.append(len(G))
         return score(kind, G, d, gamma, b)
 
+    def scalar_spy(*args):
+        calls.append(1)
+        return score_scalar(*args)
+
     monkeypatch.setattr(simulator, "_score", spy)
+    monkeypatch.setattr(simulator, "score_scalar", scalar_spy)
     return calls
 
 
@@ -543,6 +551,87 @@ class TestScoreMemo:
         train_many(jobs)
         assert len(update_calls) == 200
         assert score_calls == [3, 1] * 200
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestScalarMisses:
+    """A lone run below ``games._PAIRWISE_TERMS`` players scores a joint
+    action it has not played in floats, through the scalar CES and sigma
+    with numpy's exp and log: the array kernels' results, bit for bit."""
+
+    EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 709.78, -745.13, -708.5, -740.0,
+             -744.5, 5e-324, 2.2250738585072014e-308, 1e-310, 1.0, 2.0, 0.5]
+
+    def test_numpy_exp_and_log_of_a_float_are_the_array_kernels_bits(self):
+        rng = np.random.default_rng(33)
+        exp_in = np.concatenate([rng.uniform(-760.0, 720.0, 50_000), self.EDGES])
+        # logs of every float magnitude, subnormals included, and the edges
+        log_in = np.concatenate([10.0 ** rng.uniform(-323.0, 308.0, 50_000), self.EDGES,
+                                 [-1.0, -5e-324]])
+        with np.errstate(all="ignore"):
+            for func, values in ((np.exp, exp_in), (np.log, log_in)):
+                arrays = func(values)  # contiguous, and one value at a time as a column
+                columns = [func(values[i:i + 1, None])[0, 0] for i in range(0, len(values), 97)]
+                scalars = [func(x) for x in values.tolist()]
+                assert _bits(scalars) == _bits(arrays), func
+                assert _bits(columns) == _bits(scalars[::97]), func
+
+    @pytest.mark.parametrize("n", range(1, simulator._PAIRWISE_TERMS))
+    def test_scalar_ces_and_score_equal_the_kernels_for_every_zero_pattern(self, n):
+        rng = np.random.default_rng(n)
+        specs = [EvaluationSpec("logistic", d=10.0, gamma=2.0, b=5.0),
+                 EvaluationSpec("logistic", d=3.0, gamma=0.5, b=0.5),
+                 EvaluationSpec("identity"), EvaluationSpec("heaviside", d=10.0, b=5.0)]
+        checked = zeros = 0
+        for zero in itertools.product((False, True), repeat=n):
+            for rho in (-1e308, -100.0, -10.0, -0.5, 0.5, 1.0, 3.0, 10.0, 100.0, 1e308):
+                # gifts over five decades, some as in the learner's grid; a 1e308 rho
+                # takes most terms beyond the float range
+                gifts = 10.0 ** rng.uniform(-3.0, 2.0, (n, 3))
+                gifts[:, 0] = rng.integers(0, 101, n) / 100 * rng.uniform(0.1, 10.0, n)
+                gifts[np.array(zero)] = 0.0
+                log_b = np.log(rng.uniform(0.5, 2.0, n))
+                with np.errstate(over="ignore", divide="ignore"):
+                    grid = games._ces(gifts, rho, log_b)
+                    for cell in range(gifts.shape[1]):
+                        column = gifts[:, cell]
+                        G = _scalar_ces(column.tolist(), log_b.tolist(), rho, np.exp, np.log)
+                        assert _bits([G, G]) == _bits([games._ces(column, rho, log_b),
+                                                       grid[cell]]), (zero, rho, cell)
+                        zeros += G == 0.0
+                        for spec in specs:
+                            sigma = score_scalar(spec, G, np.exp)
+                            kernel = _score(spec.kind, np.array([G]), spec.d, spec.gamma, spec.b)
+                            assert _bits([sigma]) == _bits(kernel), (zero, rho, spec)
+                        checked += 1
+        assert checked == 2 ** n * 10 * 3
+        # at least the cells of the four rho < 0 with a zero gift and of the six rho > 0 with
+        # no positive gift
+        assert zeros >= (2 ** n - 1) * 4 * 3 + 6 * 3
+
+    @pytest.mark.parametrize("rho", [-1e308, 1e308])
+    @pytest.mark.parametrize("kind", ["logistic", "heaviside"])  # identity's G overflows
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_lone_run_equals_its_chunk_beyond_the_float_range(self, rho, kind):
+        # most positive gifts' log-terms are +-inf: the shift falls back to 0
+        jobs = [(game(rho=rho, expertise=(0.3, 0.5, 0.8), b=5.0, kind=kind),
+                 TrainConfig(episodes=300, seed=spawned_seed(4, j), snapshot_q=True))
+                for j in range(2)]
+        assert train_many(jobs)[0] == train(*jobs[0])
+
+    def test_from_pairwise_terms_a_miss_takes_the_kernels(self, monkeypatch):
+        n = simulator._PAIRWISE_TERMS
+        scalar = []
+        monkeypatch.setattr(simulator, "_scalar_ces",
+                            lambda *args: scalar.append(1) or _scalar_ces(*args))
+        train(game(expertise=(0.5,) * (n - 1)), TrainConfig(episodes=20, seed=1))
+        assert len(scalar) > 0
+        scalar.clear()
+        train(game(expertise=(0.5,) * n), TrainConfig(episodes=20, seed=1))
+        assert scalar == []
 
 
 def _term_table_rewards(g, arm_actions, joint):
