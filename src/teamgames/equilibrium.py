@@ -187,16 +187,16 @@ def _require_smooth(game: GameSpec, where: str):
 
 def _scalar_ces(gifts, log_b, rho: float, exp=math.exp, log=math.log) -> float:
     """``games._ces`` of one joint action on floats: the log-sum-exp of the
-    log-terms ``log(beta_i) + rho*log(g_i)``, max-shifted (by 0 where a term
-    leaves the float range, as ``_aggregate_terms`` shifts), divided by
-    ``rho`` and exponentiated, with ``_ces``'s zero gifts: under rho > 0 a
-    zero gift adds nothing, under rho < 0 it forces G = 0, and with no
-    positive gift G = 0.  ``log_b`` holds the ``log(beta_i)``.  The terms
-    are summed in order, as numpy sums fewer than ``games._PAIRWISE_TERMS``
-    (built-in ``sum`` compensates from Python 3.12).  With ``math``'s
-    ``exp`` and ``log``, the default, it agrees with ``_ces`` to rounding;
-    with numpy's ``np.exp`` and ``np.log``, which give a float the array
-    kernels' bits, it equals ``_ces`` exactly below that term count."""
+    log-terms ``log(beta_i) + rho*log(g_i)``, max-shifted, divided by ``rho``
+    and exponentiated, with ``_ces``'s zero gifts: under rho > 0 a zero gift
+    adds nothing, under rho < 0 it forces G = 0, and with no positive gift
+    G = 0.  ``log_b`` holds the ``log(beta_i)``.  The terms are summed in
+    order, as numpy sums fewer than ``games._PAIRWISE_TERMS`` (built-in
+    ``sum`` compensates from Python 3.12).  With ``math``'s ``exp`` and
+    ``log``, the default, it agrees with ``_ces`` to rounding; with numpy's
+    ``np.exp`` and ``np.log``, which give a float the array kernels' bits,
+    it equals ``_ces`` exactly below that term count while every term is
+    finite (``_ces`` shifts by 0 where one is not)."""
     terms = []
     for g, log_beta in zip(gifts, log_b):
         if g > 0.0:
@@ -206,8 +206,6 @@ def _scalar_ces(gifts, log_b, rho: float, exp=math.exp, log=math.log) -> float:
     if not terms:
         return 0.0
     m = max(terms)
-    if math.isinf(m):  # |rho * log(g)| beyond the float range
-        m = 0.0
     total = 0.0
     for t in terms:
         total += exp(t - m)

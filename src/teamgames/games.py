@@ -98,7 +98,7 @@ class GameSpec:
                                 required=set(_GAME_FIELDS) - {"leisure_capacity"}))
 
 
-_GAME = Field(GameSpec)  # a game argument's declaration, read on every solver entry
+_GAME = Field(GameSpec)  # a game argument's declaration: every solver entry and train_many read it
 
 
 def _require_game(game) -> None:

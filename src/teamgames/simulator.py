@@ -42,8 +42,9 @@ action it has not played (a memo miss) is scored in floats too, below
 in order: ``equilibrium._scalar_ces`` of its gifts and
 ``evaluation.score_scalar``, given numpy's ``exp`` and ``log``, which return
 the array kernels' bits for a float, so the row equals the kernels' bit for
-bit.  From that many players a miss goes through the kernels.  Its soft-max
-and draw stay on the ``(n, K)`` arrays.
+bit.  From that many players a miss goes through the kernels, as it does
+where a |rho| near the float range overflows a log-term.  Its soft-max and
+draw stay on the ``(n, K)`` arrays.
 
 Each run draws from its own counter-based stream, so an outcome is bitwise
 the same whatever it is batched with; sweep seeds are derived from a base
@@ -432,18 +433,21 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
             # min(episodes, K**n) of them, in one table the memo indexes.
             # Its bookkeeping is in Python scalars, where n cells cost less
             # than numpy calls on them, and so is a miss's reward row below
-            # _PAIRWISE_TERMS players, where numpy sums the terms in order:
-            # the scalar CES and sigma with numpy's exp and log give scores()'s
-            # bits.  Its soft-max is _boltzmann_weights' operations into
-            # preallocated columns, or the kernel itself while a row's best
-            # value is at or below Q_MAX_FLOOR.
+            # _PAIRWISE_TERMS players, where numpy sums the terms in order,
+            # while every positive gift's log-term is finite (a |rho| near
+            # the float range overflows them): the scalar CES and sigma with
+            # numpy's exp and log give scores()'s bits.  Its soft-max is
+            # _boltzmann_weights' operations into preallocated columns, or
+            # the kernel itself while a row's best value is at or below
+            # Q_MAX_FLOOR.
             memo, memo_rows = {}, np.empty((min(episodes, num_arms ** n), n))
             counts = [0] * (agents * num_arms)
             k = float(schedule.k)
             stride, offsets = (agents, range(agents)) if arm_major else (1, row_start.tolist())
             game = games[0]
-            in_order = n < _PAIRWISE_TERMS
             log_b, caps = (column.tolist() for column in game._columns[:2])
+            in_floats = n < _PAIRWISE_TERMS and np.isfinite(
+                T[(arm_actions * game._columns[1][:, None] > 0.0).ravel()]).all()
             arm_values, leisure = arm_actions.tolist(), L.tolist()
             q_max, scale, shift = np.empty((3, agents, 1))
             q_max_row = q_max[:, 0]
@@ -462,7 +466,7 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
                 row = memo.get(key)
                 if row is None:
                     row = memo[key] = len(memo)
-                    if in_order:
+                    if in_floats:
                         G = _scalar_ces([arm_values[a] * cap for a, cap in zip(played, caps)],
                                         log_b, game.rho, np.exp, np.log)
                         sigma = score_scalar(game.evaluation, G, np.exp)

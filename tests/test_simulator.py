@@ -587,9 +587,8 @@ class TestScalarMisses:
                  EvaluationSpec("identity"), EvaluationSpec("heaviside", d=10.0, b=5.0)]
         checked = zeros = 0
         for zero in itertools.product((False, True), repeat=n):
-            for rho in (-1e308, -100.0, -10.0, -0.5, 0.5, 1.0, 3.0, 10.0, 100.0, 1e308):
-                # gifts over five decades, some as in the learner's grid; a 1e308 rho
-                # takes most terms beyond the float range
+            for rho in (-500.0, -100.0, -10.0, -0.5, 0.5, 1.0, 3.0, 10.0, 100.0, 500.0):
+                # gifts over five decades, some as in the learner's grid
                 gifts = 10.0 ** rng.uniform(-3.0, 2.0, (n, 3))
                 gifts[:, 0] = rng.integers(0, 101, n) / 100 * rng.uniform(0.1, 10.0, n)
                 gifts[np.array(zero)] = 0.0
@@ -612,26 +611,23 @@ class TestScalarMisses:
         # no positive gift
         assert zeros >= (2 ** n - 1) * 4 * 3 + 6 * 3
 
-    @pytest.mark.parametrize("rho", [-1e308, 1e308])
+    @pytest.mark.parametrize("n,rho,in_floats", [
+        (simulator._PAIRWISE_TERMS - 1, 1.0, True), (simulator._PAIRWISE_TERMS, 1.0, False),
+        # most positive gifts' log-terms are +-inf, where the kernels shift by 0
+        (3, -1e308, False), (3, 1e308, False)])
     @pytest.mark.parametrize("kind", ["logistic", "heaviside"])  # identity's G overflows
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_lone_run_equals_its_chunk_beyond_the_float_range(self, rho, kind):
-        # most positive gifts' log-terms are +-inf: the shift falls back to 0
-        jobs = [(game(rho=rho, expertise=(0.3, 0.5, 0.8), b=5.0, kind=kind),
-                 TrainConfig(episodes=300, seed=spawned_seed(4, j), snapshot_q=True))
-                for j in range(2)]
-        assert train_many(jobs)[0] == train(*jobs[0])
-
-    def test_from_pairwise_terms_a_miss_takes_the_kernels(self, monkeypatch):
-        n = simulator._PAIRWISE_TERMS
+    def test_a_miss_takes_the_kernels_where_floats_would_differ(self, monkeypatch, n, rho,
+                                                                in_floats, kind):
         scalar = []
         monkeypatch.setattr(simulator, "_scalar_ces",
                             lambda *args: scalar.append(1) or _scalar_ces(*args))
-        train(game(expertise=(0.5,) * (n - 1)), TrainConfig(episodes=20, seed=1))
-        assert len(scalar) > 0
-        scalar.clear()
-        train(game(expertise=(0.5,) * n), TrainConfig(episodes=20, seed=1))
-        assert scalar == []
+        jobs = [(game(rho=rho, expertise=tuple(np.linspace(0.3, 0.8, n)), b=5.0, kind=kind),
+                 TrainConfig(episodes=200, seed=spawned_seed(4, j), snapshot_q=True))
+                for j in range(2)]
+        lone = train(*jobs[0])
+        assert bool(scalar) == in_floats
+        assert train_many(jobs)[0] == lone
 
 
 def _term_table_rewards(g, arm_actions, joint):
