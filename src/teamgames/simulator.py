@@ -432,11 +432,9 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
             # action fixes its rewards: keep each one's reward row, at most
             # min(episodes, K**n) of them, in one table the memo indexes.
             # Its bookkeeping is in Python scalars, where n cells cost less
-            # than numpy calls on them, and so is a miss's reward row below
-            # _PAIRWISE_TERMS players, where numpy sums the terms in order,
-            # while every positive gift's log-term is finite (a |rho| near
-            # the float range overflows them): the scalar CES and sigma with
-            # numpy's exp and log give scores()'s bits.  Its soft-max is
+            # than numpy calls on them, and so is a miss's reward row where
+            # floats give scores()'s bits: below _PAIRWISE_TERMS players and
+            # with every positive gift's log-term finite.  Its soft-max is
             # _boltzmann_weights' operations into preallocated columns, or
             # the kernel itself while a row's best value is at or below
             # Q_MAX_FLOOR.
