@@ -8,7 +8,12 @@ checkout's ``src/`` as ``after``), so one machine times two commits with the
 same seeds.  Every case (all of them, or the ``--cases`` named) runs in a
 fresh process pinned to one CPU, on each side in turn, ``--repeats`` times;
 the file keeps every sample, the median and the quartiles (of a digest, its
-distinct values):
+distinct values).  The solver metrics time the calls the solvers really make
+on the default sweep grid: a case records them while ``solve_cell`` solves
+the grid untimed, then replays them, and the metric is the median of
+``ROUNDS`` (5) rounds in its process, each round making every call once
+(where a round solves games, it builds them afresh, outside its timer, so
+that no memo of a game is warm):
 
 * ``episode_us.*``: microseconds per run-episode of ``train`` on a two-,
   three- and four-player game with one run (``n*_R1``); of the team4
@@ -56,31 +61,33 @@ distinct values):
   runs and the pass/fail study), from a pytest run of the tests that use
   them, as ``--durations`` reports them;
 * ``solve240.*``: ``solve_cell`` on the 240 cells of the default sweep grid,
-  the seconds summed per regime (additive, conjunctive, disjunctive) and a
-  sha256 of every cell's equilibria or exception type;
-* ``solve240.thresholds_s``: ``critical_thresholds`` for every capable player
+  the seconds a round takes per regime (additive, conjunctive, disjunctive)
+  and a sha256 of every cell's equilibria or exception type;
+* ``solve240.thresholds_s``: the seconds a round takes to solve each player's
+  standalone point and then ``critical_thresholds`` for every capable player
   (one that contributes when alone) of the 90 disjunctive cells of that grid;
-* ``best_response_us``: microseconds per ``_best_positive_response`` call of
-  one disjunctive player, over a sweep of the opponents' provision;
 * ``best_response_calls.*``: the ``_best_positive_response`` calls made while
-  ``solve_cell`` solves the 90 disjunctive cells of that grid, recorded once
-  per process with their keyword arguments and replayed: how many there were
-  (``count``) and microseconds per replayed call (``us``);
-* ``conjunctive_gift_us``: microseconds per ``_conjunctive_gift`` call on
-  the 120 conjunctive cells of that grid, every player, at 33 evenly spaced
-  aggregates across each cell's solver interval (the points of the
-  2,049-point bracket scan that ``scan.conjunctive_gift_us`` timed before
-  ``BENCH_21`` removed the scan);
+  ``solve_cell`` solves the 90 disjunctive cells of that grid: how many there
+  were (``count``) and microseconds per replayed call (``us``);
+* ``conjunctive_gift_us``: microseconds per ``_conjunctive_gift`` call, over
+  the calls the concave solver makes on the 120 conjunctive cells of that
+  grid;
 * ``concave_f_us``: microseconds per evaluation of the concave solver's
-  ``f(G) = CES(r(G)) - G`` on the 150 concave cells of that grid, replayed
-  at the points its Brent solves evaluated while ``solve_cell`` solved them
-  (``concave_f_calls``, every evaluation counted);
+  ``f(G) = CES(r(G)) - G`` on the 150 concave cells of that grid, at the
+  points its Brent solves evaluate (``concave_f_calls``, every evaluation
+  counted);
+* ``result_us``: microseconds per ``_result_from_gifts`` call, over the
+  calls ``solve_cell`` makes on the 240 cells (``result_calls``);
 * ``oracle.*``: the criterion-7a Nash check (``verify_epsilon_nash`` with
   epsilon 1e-3 of ``max_achievable_utility``, grid step 0.01, refine step
-  1e-4) of every equilibrium the solvers find on those 240 cells, after
-  solving them untimed: how many checks there were (``checks``),
-  microseconds per check (``check_us``), and from a second, untimed run
-  the payoff passes (``_payoffs`` calls) per check (``passes``);
+  1e-4) of every equilibrium the solvers find on those 240 cells: how many
+  checks there were (``checks``), microseconds per check (``check_us``),
+  and from one more, untimed run the payoff passes (``_payoffs`` calls) per
+  check (``passes``);
+* ``oracle.learned_us``: microseconds per check of sweep90's 2%-epsilon Nash
+  oracle (``verify_epsilon_nash`` on its default grid, epsilon 0.02 of
+  ``max_achievable_utility``) on the 90 learned profiles of an untimed run
+  of the ``sweep90.*`` grid (case ``oracle_learned``);
 * ``roots.*``: over ``solve_cell`` on those 240 cells, the mean number of
   evaluations per root of the three outer loops, and how many roots of each
   kind were found (untimed: every evaluation is counted).  A critical
@@ -97,6 +104,7 @@ distinct values):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -113,6 +121,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 R1_EPISODES = {2: 20_000, 3: 10_000, 4: 4_000}
+ROUNDS = 5  # a replay-timed metric is the median of this many rounds in one process
 LONE = ("n2_R1", "n3_R1", "n4_R1", "n4_team4")
 # the trainer's step functions, by the names the simulator module looks up (a
 # side's simulator may lack some: a lone run updates through _update_arms, and
@@ -202,11 +211,76 @@ def _sweep_config():
                        b_values=(3.0, 5.0, 7.0), episodes=5_000, base_seed=SEED, workers=1)
 
 
+def _cells(keep=lambda rho: True):
+    """Each game of the default sweep grid whose rho passes ``keep``, with
+    ``solve_cell``'s equilibria and the name of the error it raised (no
+    equilibria, or None where it returned)."""
+    import teamgames as tg
+    from teamgames import experiments
+    config = experiments.SweepConfig()
+    for _, p1, p2, rho, b in experiments._cell_specs(config):
+        if keep(rho):
+            game = experiments.cell_game(config, p1, p2, rho, b)
+            try:
+                equilibria, error = experiments.solve_cell(game), None
+            except tg.TeamworkGameError as exc:
+                equilibria, error = [], type(exc).__name__
+            yield game, equilibria, error
+
+
+@contextlib.contextmanager
+def _recorded(module, name: str, caller: str | None = None):
+    """Log each call of the global ``module.name`` while the block runs, as
+    ``(function, args, kwargs)`` in the list it yields (only the calls made
+    from the function named ``caller``, if given), and restore the global
+    on exit.  Module globals are looked up per call, so every caller sees
+    the recorder."""
+    func, calls = getattr(module, name), []
+
+    def recorder(*args, **kwargs):
+        if caller is None or sys._getframe(1).f_code.co_name == caller:
+            calls.append((func, args, kwargs))
+        return func(*args, **kwargs)
+    setattr(module, name, recorder)
+    try:
+        yield calls
+    finally:
+        setattr(module, name, func)
+
+
+def _replay(calls) -> float:
+    """The median seconds of ``ROUNDS`` rounds, each of which makes every
+    ``(function, args, kwargs)`` call once; a call that raises a
+    ``TeamworkGameError`` counts as made.  ``calls`` is a list, or a
+    function that builds each round's list before the round's timer starts
+    (to solve games afresh, whose memos would be warm after one round)."""
+    from teamgames import TeamworkGameError
+    seconds = []
+    for _ in range(ROUNDS):
+        batch = calls() if callable(calls) else calls
+        t0 = time.perf_counter()
+        for func, args, kwargs in batch:
+            try:
+                func(*args, **kwargs)
+            except TeamworkGameError:
+                pass
+        seconds.append(time.perf_counter() - t0)
+    return statistics.median(seconds)
+
+
+def _points(call) -> tuple:
+    """The function of a recorded ``_brent`` call and the points the call
+    evaluates it at, from a rerun (the root-finder is deterministic)."""
+    brent, (f, *ends), kwargs = call
+    points = []
+    brent(lambda x: points.append(x) or f(x), *ends, **kwargs)
+    return f, points
+
+
 def case(name: str) -> dict:
     """Run one case in this process and return its measurements."""
-    import numpy
     import teamgames as tg
-    from teamgames import experiments, simulator
+    from teamgames import equilibrium, experiments, simulator
 
     def runs(n, count, episodes):
         return [(_game(n), tg.TrainConfig(episodes=episodes,
@@ -282,200 +356,89 @@ def case(name: str) -> dict:
         out["episode_us.sweep90_chunk"] = out["sweep90.learn_s"] / run_episodes * 1e6
         out.update(_profiled("sweep90_chunk", lambda: tg.train_many(jobs), run_episodes))
     elif name == "solve_regimes":
-        config = experiments.SweepConfig()
-        seconds = {"additive": 0.0, "conjunctive": 0.0, "disjunctive": 0.0}
+        regimes = {"additive": [], "conjunctive": [], "disjunctive": []}
         digest = hashlib.sha256()
-        for _, p1, p2, rho, b in experiments._cell_specs(config):
-            game = experiments.cell_game(config, p1, p2, rho, b)
-            regime = "additive" if rho == 1 else "conjunctive" if rho < 1 else "disjunctive"
-            t1 = time.perf_counter()
-            try:
-                outcome = [dataclasses.asdict(e) for e in experiments.solve_cell(game)]
-            except tg.TeamworkGameError as exc:
-                outcome = type(exc).__name__
-            seconds[regime] += time.perf_counter() - t1
+        for game, equilibria, error in _cells():
+            regime = "additive" if game.rho == 1 else "conjunctive" if game.rho < 1 else "disjunctive"
+            regimes[regime].append(game)
+            outcome = error or [dataclasses.asdict(e) for e in equilibria]
             digest.update(repr(outcome).encode() + b"\n")
-        for regime, value in seconds.items():
-            out[f"solve240.{regime}_s"] = value
+        for regime, games in regimes.items():
+            # each round solves games built afresh, whose memos are cold
+            out[f"solve240.{regime}_s"] = _replay(lambda games=games: [
+                (experiments.solve_cell, (dataclasses.replace(game),), {}) for game in games])
         out["solve240.sha256"] = digest.hexdigest()
     elif name == "thresholds":
-        from teamgames import equilibrium
-        config = experiments.SweepConfig()
-        games = [experiments.cell_game(config, p1, p2, rho, b)
-                 for _, p1, p2, rho, b in experiments._cell_specs(config) if rho > 1]
-        t0 = time.perf_counter()
-        for game in games:
-            for i in range(game.n):
-                if equilibrium._standalone_pair(i, game)[0] > equilibrium.BOUNDARY_TOL:
-                    try:
-                        equilibrium.critical_thresholds(i, game)
-                    except tg.TeamworkGameError:
-                        pass
-        out["solve240.thresholds_s"] = time.perf_counter() - t0
-    elif name == "best_response":
-        from teamgames import equilibrium
-        game = experiments.cell_game(experiments.SweepConfig(), 0.5, 0.9, 10.0, 5.0)
-        provisions = [0.1 * k for k in range(100)]
-        t0 = time.perf_counter()
-        for G_minus in provisions:
-            equilibrium._best_positive_response(game, 0, G_minus)
-        out["best_response_us"] = (time.perf_counter() - t0) / len(provisions) * 1e6
-    elif name == "best_response_calls":
-        from teamgames import equilibrium
-        config = experiments.SweepConfig()
-        best = equilibrium._best_positive_response
-        calls = []
+        cells = [(game, [i for i in range(game.n) if equilibrium._standalone_pair(i, game)[0]
+                         > equilibrium.BOUNDARY_TOL])
+                 for game, *_ in _cells(lambda rho: rho > 1)]
 
-        def recorded(*args, **kwargs):
-            calls.append((args, kwargs))
-            return best(*args, **kwargs)
-        equilibrium._best_positive_response = recorded
-        try:
-            for _, p1, p2, rho, b in experiments._cell_specs(config):
-                if rho > 1:
-                    try:
-                        experiments.solve_cell(experiments.cell_game(config, p1, p2, rho, b))
-                    except tg.TeamworkGameError:
-                        pass
-        finally:
-            equilibrium._best_positive_response = best
-        t0 = time.perf_counter()
-        for args, kwargs in calls:
-            best(*args, **kwargs)
-        out["best_response_calls.us"] = (time.perf_counter() - t0) / len(calls) * 1e6
+        def fresh():
+            # games built afresh, each player's standalone point solved in the timer and
+            # then the thresholds of every player who contributes alone
+            calls = []
+            for game, capable in cells:
+                game = dataclasses.replace(game)
+                calls += [(equilibrium._standalone_pair, (i, game), {}) for i in range(game.n)]
+                calls += [(equilibrium.critical_thresholds, (i, game), {}) for i in capable]
+            return calls
+        out["solve240.thresholds_s"] = _replay(fresh)
+    elif name == "best_response_calls":
+        with _recorded(equilibrium, "_best_positive_response") as calls:
+            list(_cells(lambda rho: rho > 1))
+        out["best_response_calls.us"] = _replay(calls) / len(calls) * 1e6
         out["best_response_calls.count"] = len(calls)
     elif name == "conjunctive_gift":
-        from teamgames import equilibrium
-        config = experiments.SweepConfig()
-        calls = []
-        for _, p1, p2, rho, b in experiments._cell_specs(config):
-            if rho >= 1:
-                continue
-            game = experiments.cell_game(config, p1, p2, rho, b)
-            standalones = [equilibrium._standalone_pair(i, game)[1] for i in range(game.n)]
-            if rho > 0:
-                lo, hi = max(standalones), game.max_aggregate()
-            else:
-                hi = min(standalones)
-                lo = hi * 1e-9
-            calls += [(equilibrium.ratio_scalar(game.evaluation, G), G, game.expertise[i],
-                       game.betas[i], game.alpha, game.delta_t, rho)
-                      for G in map(float, numpy.linspace(lo, hi, 33)) for i in range(game.n)]
-        t0 = time.perf_counter()
-        for args in calls:
-            equilibrium._conjunctive_gift(*args)
-        out["conjunctive_gift_us"] = (time.perf_counter() - t0) / len(calls) * 1e6
+        with _recorded(equilibrium, "_conjunctive_gift") as calls:
+            list(_cells(lambda rho: rho < 1))
+        out["conjunctive_gift_us"] = _replay(calls) / len(calls) * 1e6
     elif name == "concave_f_us":
-        from teamgames import equilibrium
-        config = experiments.SweepConfig()
-        brent, calls = equilibrium._brent, []
-
-        def recorded(f, *args, **kwargs):
-            if sys._getframe(1).f_code.co_name != "solve_equilibrium_concave":
-                return brent(f, *args, **kwargs)
-
-            def logged(x):
-                calls.append((f, x))
-                return f(x)
-            return brent(logged, *args, **kwargs)
-        equilibrium._brent = recorded
-        try:
-            for _, p1, p2, rho, b in experiments._cell_specs(config):
-                if rho <= 1:
-                    try:
-                        experiments.solve_cell(experiments.cell_game(config, p1, p2, rho, b))
-                    except tg.TeamworkGameError:
-                        pass
-        finally:
-            equilibrium._brent = brent
-        t0 = time.perf_counter()
-        for f, x in calls:
-            f(x)
-        out["concave_f_us"] = (time.perf_counter() - t0) / len(calls) * 1e6
+        with _recorded(equilibrium, "_brent", "solve_equilibrium_concave") as roots:
+            list(_cells(lambda rho: rho <= 1))
+        calls = [(f, (x,), {}) for f, points in map(_points, roots) for x in points]
+        out["concave_f_us"] = _replay(calls) / len(calls) * 1e6
         out["concave_f_calls"] = len(calls)
+    elif name == "result_us":
+        with _recorded(equilibrium, "_result_from_gifts") as calls:
+            list(_cells())
+        out["result_us"] = _replay(calls) / len(calls) * 1e6
+        out["result_calls"] = len(calls)
     elif name == "oracle":
-        from teamgames import equilibrium
-        config = experiments.SweepConfig()
-        checks = []
-        for _, p1, p2, rho, b in experiments._cell_specs(config):
-            game = experiments.cell_game(config, p1, p2, rho, b)
-            try:
-                equilibria = experiments.solve_cell(game)
-            except tg.TeamworkGameError:
-                continue
-            eps = 1e-3 * equilibrium.max_achievable_utility(game)
-            checks += [(e.actions, game, eps) for e in equilibria]
-
-        def check_all():
-            for args in checks:
-                equilibrium.verify_epsilon_nash(*args, grid_step=0.01, refine_step=1e-4)
-        t0 = time.perf_counter()
-        check_all()
-        out["oracle.check_us"] = (time.perf_counter() - t0) / len(checks) * 1e6
+        checks = [(equilibrium.verify_epsilon_nash,
+                   (e.actions, game, 1e-3 * equilibrium.max_achievable_utility(game)),
+                   {"grid_step": 0.01, "refine_step": 1e-4})
+                  for game, equilibria, _ in _cells() for e in equilibria]
+        out["oracle.check_us"] = _replay(checks) / len(checks) * 1e6
         out["oracle.checks"] = len(checks)
-        payoffs, passes = equilibrium._payoffs, 0
-
-        def counted(*args, **kwargs):
-            nonlocal passes
-            passes += 1
-            return payoffs(*args, **kwargs)
-        equilibrium._payoffs = counted
-        try:
-            check_all()
-        finally:
-            equilibrium._payoffs = payoffs
-        out["oracle.passes"] = passes / len(checks)
+        with _recorded(equilibrium, "_payoffs") as passes:
+            for f, args, kwargs in checks:
+                f(*args, **kwargs)
+        out["oracle.passes"] = len(passes) / len(checks)
+    elif name == "oracle_learned":
+        config = _sweep_config()
+        checks = []
+        for r in experiments.run_sweep(config):
+            game = experiments.cell_game(config, r.p1, r.p2, r.rho, r.b)
+            eps = 0.02 * equilibrium.max_achievable_utility(game)
+            checks.append((equilibrium.verify_epsilon_nash, (r.learned_actions, game, eps), {}))
+        out["oracle.learned_us"] = _replay(checks) / len(checks) * 1e6
     elif name == "roots":
-        from teamgames import equilibrium
-        callers = {"solve_equilibrium_concave": "concave",
-                   "enumerate_disjunctive_equilibria": "share",
-                   "_lone_root": "standalone"}
-        evals = {"thresholds": [], **{kind: [] for kind in callers.values()}}
-        best, thresholds = equilibrium._best_positive_response, equilibrium.critical_thresholds
-        responses = None  # best responses of the threshold being found
-
-        def counted_best(*args, **kwargs):
-            nonlocal responses
-            if responses is not None:
-                responses += 1
-            return best(*args, **kwargs)
-
-        def counted_thresholds(*args, **kwargs):
-            nonlocal responses
-            responses = 0
-            try:
-                result = thresholds(*args, **kwargs)
-            finally:
-                count, responses = responses, None
-            evals["thresholds"].append(count)
-            return result
-
-        def counting(finder):
-            def wrapper(f, *args, **kwargs):
-                kind = callers.get(sys._getframe(1).f_code.co_name)
-                calls = 0
-
-                def counted(x):
-                    nonlocal calls
-                    calls += 1
-                    return f(x)
+        # a root's kind is the solver whose function it finds the root of
+        kinds = {"solve_equilibrium_concave": "concave",
+                 "enumerate_disjunctive_equilibria": "share", "_lone_root": "standalone"}
+        with _recorded(equilibrium, "_brent") as roots, \
+                _recorded(equilibrium, "critical_thresholds") as thresholds:
+            list(_cells())
+        evals = {"thresholds": [], **{kind: [] for kind in kinds.values()}}
+        for f, points in map(_points, roots):
+            evals[kinds[f.__qualname__.split(".")[0]]].append(len(points))
+        for f, args, kwargs in thresholds:  # each threshold's best responses, from a rerun
+            with _recorded(equilibrium, "_best_positive_response") as responses:
                 try:
-                    return finder(counted, *args, **kwargs)
-                finally:
-                    if kind:
-                        evals[kind].append(calls)
-            return wrapper
-
-        # module globals are looked up per call
-        equilibrium._brent = counting(equilibrium._brent)
-        equilibrium._best_positive_response = counted_best
-        equilibrium.critical_thresholds = counted_thresholds
-        config = experiments.SweepConfig()
-        for _, p1, p2, rho, b in experiments._cell_specs(config):
-            try:
-                experiments.solve_cell(experiments.cell_game(config, p1, p2, rho, b))
-            except tg.TeamworkGameError:
-                pass
+                    f(*args, **kwargs)
+                except tg.TeamworkGameError:
+                    continue
+            evals["thresholds"].append(len(responses))
         for kind, counts in evals.items():
             out[f"roots.{kind}_evals"] = statistics.mean(counts) if counts else 0.0
             out[f"roots.{kind}_count"] = len(counts)
@@ -492,8 +455,8 @@ def case(name: str) -> dict:
 
 CASES = ("n2_R1", "n2_R8", "n2_R16", "n2_chunk", "n3_R1", "n3_chunk", "n4_R1", "n4_team4",
          "n4_R16", "layout", "train50k", "lone50k_n4", "sweep_split", "solve_regimes",
-         "thresholds", "best_response", "best_response_calls", "conjunctive_gift",
-         "concave_f_us", "oracle", "roots", "sweep", "fixtures")
+         "thresholds", "best_response_calls", "conjunctive_gift", "concave_f_us", "result_us",
+         "oracle", "oracle_learned", "roots", "sweep", "fixtures")
 
 
 def _run_case(src: str, name: str) -> dict:

@@ -195,8 +195,8 @@ def _scalar_ces(gifts, log_b, rho: float, exp=math.exp, log=math.log) -> float:
     ``sum`` compensates from Python 3.12).  With ``math``'s ``exp`` and
     ``log``, the default, it agrees with ``_ces`` to rounding; with numpy's
     ``np.exp`` and ``np.log``, which give a float the array kernels' bits,
-    it equals ``_ces`` exactly below that term count while every term is
-    finite (``_ces`` shifts by 0 where one is not)."""
+    it equals ``_ces`` exactly below that term count: every positive gift's
+    term is finite for a declared rho (|rho| <= 1e300, ``games._GAME_FIELDS``)."""
     terms = []
     for g, log_beta in zip(gifts, log_b):
         if g > 0.0:

@@ -26,8 +26,11 @@ from .evaluation import EvaluationSpec, eval_score
 
 _UNIT = Field(tuple, "in [0, 1]", lambda v: 0 <= v <= 1)
 # Each game spec key's declaration, in the order ``from_dict`` reads and ``to_dict`` writes it.
+# |log g| <= 745 for every positive double g, so with |rho| <= 1e300 every
+# positive gift's log-term log(beta) + rho * log(g) is finite.
 _GAME_FIELDS = {"n": _at_least(1),
-                "rho": Field(float, "finite and nonzero", lambda v: 0 < abs(v) < math.inf),
+                "rho": Field(float, "finite and nonzero, with |rho| <= 1e300",
+                             lambda v: 0 < abs(v) <= 1e300),
                 "betas": _POSITIVE._replace(kind=tuple), "delta_t": _POSITIVE, "expertise": _UNIT,
                 "leisure_capacity": _UNIT._replace(also=_none), "alpha": _POSITIVE,
                 "evaluation": Field(EvaluationSpec)}
@@ -37,7 +40,7 @@ _GAME_FIELDS = {"n": _at_least(1),
 class GameSpec:
     """Full description of one teamwork game.
 
-    rho: substitution parameter (real, != 0).  rho = 1 is an additive task,
+    rho: substitution parameter (real, != 0, |rho| <= 1e300).  rho = 1 is an additive task,
     rho < 1 conjunctive (weakest-link as rho -> -inf), rho > 1 disjunctive
     (best-shot as rho -> +inf).
     betas: positive weight per player's contribution.

@@ -31,20 +31,20 @@ run's column contiguous, as ``ces_aggregate`` lays out a grid, the rewards
 equal ``games._payoffs`` bit for bit on each joint action alone or over an
 ``(n, cells)`` grid of them.
 
-A chunk of one run has an episode loop of its own, because a handful of
-cells costs more in numpy calls than in arithmetic.  It keeps the reward
-row of each joint action it has played (the memo) and reuses it when it
-plays the action again, and it keeps its pull counts in a list and updates
-its n pulled cells one at a time in Python floats (``_update_arms``), with
-the same correctly rounded operations as ``bandit._update_q``.  A joint
-action it has not played (a memo miss) is scored in floats too, below
-``games._PAIRWISE_TERMS`` players, where numpy sums a joint action's terms
-in order: ``equilibrium._scalar_ces`` of its gifts and
-``evaluation.score_scalar``, given numpy's ``exp`` and ``log``, which return
-the array kernels' bits for a float, so the row equals the kernels' bit for
-bit.  From that many players a miss goes through the kernels, as it does
-where a |rho| near the float range overflows a log-term.  Its soft-max and
-draw stay on the ``(n, K)`` arrays.
+A chunk of one run of fewer than ``games._PAIRWISE_TERMS`` players has an
+episode loop of its own, because a handful of cells costs more in numpy
+calls than in arithmetic.  It keeps the reward row of each joint action it
+has played (the memo) and reuses it when it plays the action again, and it
+keeps its pull counts in a list and updates its n pulled cells one at a
+time in Python floats (``_update_arms``), with the same correctly rounded
+operations as ``bandit._update_q``.  A joint action it has not played (a
+memo miss) is scored in floats too: ``equilibrium._scalar_ces`` of its
+gifts and ``evaluation.score_scalar``, given numpy's ``exp`` and ``log``,
+which return the array kernels' bits for a float.  Below that player count
+numpy sums a joint action's terms in order, as ``_scalar_ces`` does, so the
+row equals the kernels' bit for bit.  From that many players every chunk,
+a lone run's too, takes the chunk loop.  Its soft-max and draw stay on the
+``(n, K)`` arrays.
 
 Each run draws from its own counter-based stream, so an outcome is bitwise
 the same whatever it is batched with; sweep seeds are derived from a base
@@ -303,8 +303,9 @@ def train_many(jobs) -> list[LearnedOutcome]:
     of them.  Rewards take one path for every team size, through per-player
     CES term tables, and a chunk scores its outcomes once per evaluation
     kind; a chunk is sized by its runs' ``(n, K)`` arrays alone
-    (``_run_bytes``).  A chunk of one run computes the reward row of each
-    distinct joint action once and reuses it on every replay (at most
+    (``_run_bytes``).  A chunk of one run of fewer than
+    ``_PAIRWISE_TERMS`` players computes the reward row of each distinct
+    joint action once and reuses it on every replay (at most
     ``min(episodes, K ** n)`` rows of n floats), and updates its n pulled
     cells in Python scalars, bit for bit as a chunk of runs does.  ``k``,
     the game and the seed may differ within a chunk.  Each run keeps its own random stream, so
@@ -340,9 +341,10 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
 
     Per episode: one table of unnormalised soft-max weights over every
     Q-table, one draw from it, then the rewards, gathered and scored, and
-    one update.  A lone run has a loop of its own: it reads the joint
-    action's reward row from its memo, scoring only an action it has not
-    played, and updates through ``_update_arms``.  The Q-values, pull
+    one update.  A lone run of fewer than ``_PAIRWISE_TERMS`` players has a
+    loop of its own: it reads the joint action's reward row from its memo,
+    scoring only an action it has not played, in floats, and updates
+    through ``_update_arms``.  The Q-values, pull
     counts, weights and term tables keep the logical shape
     ``(agents, K)``.  From ``_ARM_MAJOR_AGENTS`` agents they are
     stored arm-major, where the draw's cumulative sum runs down the arms
@@ -414,7 +416,7 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
             yield zip(temperatures[start:stop], _draws(u, num_arms))
 
     with np.errstate(divide="ignore"):  # log(0) of a team with no positive gift
-        if runs > 1:
+        if runs > 1 or n >= _PAIRWISE_TERMS:
             counts = np.zeros((agents, num_arms), dtype=np.int64, order=order)
             counts_flat = counts.ravel(order="K")
             k = np.repeat([float(config.k) for config in configs], n)
@@ -432,20 +434,18 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
             # action fixes its rewards: keep each one's reward row, at most
             # min(episodes, K**n) of them, in one table the memo indexes.
             # Its bookkeeping is in Python scalars, where n cells cost less
-            # than numpy calls on them, and so is a miss's reward row where
-            # floats give scores()'s bits: below _PAIRWISE_TERMS players and
-            # with every positive gift's log-term finite.  Its soft-max is
-            # _boltzmann_weights' operations into preallocated columns, or
-            # the kernel itself while a row's best value is at or below
-            # Q_MAX_FLOOR.
+            # than numpy calls on them, and so is a miss's reward row: below
+            # _PAIRWISE_TERMS players floats give scores()'s bits, and every
+            # positive gift's log-term is finite for a declared rho.  Its
+            # soft-max is _boltzmann_weights' operations into preallocated
+            # columns, or the kernel itself while a row's best value is at
+            # or below Q_MAX_FLOOR.
             memo, memo_rows = {}, np.empty((min(episodes, num_arms ** n), n))
             counts = [0] * (agents * num_arms)
             k = float(schedule.k)
             stride, offsets = (agents, range(agents)) if arm_major else (1, row_start.tolist())
             game = games[0]
             log_b, caps = (column.tolist() for column in game._columns[:2])
-            in_floats = n < _PAIRWISE_TERMS and np.isfinite(
-                T[(arm_actions * game._columns[1][:, None] > 0.0).ravel()]).all()
             arm_values, leisure = arm_actions.tolist(), L.tolist()
             q_max, scale, shift = np.empty((3, agents, 1))
             q_max_row = q_max[:, 0]
@@ -464,16 +464,11 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
                 row = memo.get(key)
                 if row is None:
                     row = memo[key] = len(memo)
-                    if in_floats:
-                        G = _scalar_ces([arm_values[a] * cap for a, cap in zip(played, caps)],
-                                        log_b, game.rho, np.exp, np.log)
-                        sigma = score_scalar(game.evaluation, G, np.exp)
-                        memo_rows[row] = [leisure[a * stride + offset] * sigma
-                                          for a, offset in zip(played, offsets)]
-                    else:
-                        scores()
-                        L.take(cells, out=memo_rows[row])
-                        memo_rows[row] *= S[0]
+                    G = _scalar_ces([arm_values[a] * cap for a, cap in zip(played, caps)],
+                                    log_b, game.rho, np.exp, np.log)
+                    sigma = score_scalar(game.evaluation, G, np.exp)
+                    memo_rows[row] = [leisure[a * stride + offset] * sigma
+                                      for a, offset in zip(played, offsets)]
                 _update_arms(q_flat, counts, k, played, memo_rows[row].tolist(),
                              stride, offsets)
 

@@ -264,6 +264,10 @@ DECLARED = [
     *((game_spec(key), key, (True, 1.0)) for key in ("betas", "expertise", "leisure_capacity")),
     *((evaluation_spec(key), f"evaluation {key}", True) for key in ("d", "gamma", "b")),
     (ces, "rho", True),
+    # a rho beyond 1e300 in size, where a positive gift's log-term can overflow
+    *((call, "rho", v) for call in (game_spec("rho"), game_json("rho"), ces)
+      for v in [1.7e308, -1.7e308]),
+    *((sweep_config("rho_values"), "rho_values", (v,)) for v in [1.7e308, -1.7e308]),
     *((game_json(key), key, v) for key in ("rho", "delta_t", "alpha") for v in [True, "2"]),
     (game_json("n"), "n", "2"),
     # the lists of numbers that are no declared field read through the same rule

@@ -613,20 +613,25 @@ class TestScalarMisses:
 
     @pytest.mark.parametrize("n,rho,in_floats", [
         (simulator._PAIRWISE_TERMS - 1, 1.0, True), (simulator._PAIRWISE_TERMS, 1.0, False),
-        # most positive gifts' log-terms are +-inf, where the kernels shift by 0
-        (3, -1e308, False), (3, 1e308, False)])
+        # |rho| at its declared bound: every positive gift's log-term is still finite
+        (3, -1e300, True), (3, 1e300, True)])
     @pytest.mark.parametrize("kind", ["logistic", "heaviside"])  # identity's G overflows
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_a_miss_takes_the_kernels_where_floats_would_differ(self, monkeypatch, n, rho,
                                                                 in_floats, kind):
-        scalar = []
+        # from _PAIRWISE_TERMS players a lone run takes the chunk loop, which
+        # updates through _update_q, not _update_arms
+        scalar, updates = [], []
         monkeypatch.setattr(simulator, "_scalar_ces",
                             lambda *args: scalar.append(1) or _scalar_ces(*args))
+        update_arms = simulator._update_arms
+        monkeypatch.setattr(simulator, "_update_arms",
+                            lambda *args: updates.append(1) or update_arms(*args))
         jobs = [(game(rho=rho, expertise=tuple(np.linspace(0.3, 0.8, n)), b=5.0, kind=kind),
                  TrainConfig(episodes=200, seed=spawned_seed(4, j), snapshot_q=True))
                 for j in range(2)]
         lone = train(*jobs[0])
-        assert bool(scalar) == in_floats
+        assert bool(scalar) == bool(updates) == in_floats
         assert train_many(jobs)[0] == lone
 
 
