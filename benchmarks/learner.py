@@ -90,7 +90,8 @@ that no memo of a game is warm):
   of the ``sweep90.*`` grid (case ``oracle_learned``);
 * ``roots.*``: over ``solve_cell`` on those 240 cells, the mean number of
   evaluations per root of the three outer loops, and how many roots of each
-  kind were found (untimed: every evaluation is counted).  A critical
+  kind were found (untimed: each recorded root search is rerun and every
+  evaluation counted; a threshold that raises is not counted).  A critical
   threshold counts its ``_best_positive_response`` calls, the one at the
   root included, whatever root-finder it runs; a concave fixed point, a
   disjunctive share equation and a player's standalone point count the
@@ -359,7 +360,8 @@ def case(name: str) -> dict:
         regimes = {"additive": [], "conjunctive": [], "disjunctive": []}
         digest = hashlib.sha256()
         for game, equilibria, error in _cells():
-            regime = "additive" if game.rho == 1 else "conjunctive" if game.rho < 1 else "disjunctive"
+            rho = game.rho
+            regime = "additive" if rho == 1 else "conjunctive" if rho < 1 else "disjunctive"
             regimes[regime].append(game)
             outcome = error or [dataclasses.asdict(e) for e in equilibria]
             digest.update(repr(outcome).encode() + b"\n")
@@ -369,8 +371,8 @@ def case(name: str) -> dict:
                 (experiments.solve_cell, (dataclasses.replace(game),), {}) for game in games])
         out["solve240.sha256"] = digest.hexdigest()
     elif name == "thresholds":
-        cells = [(game, [i for i in range(game.n) if equilibrium._standalone_pair(i, game)[0]
-                         > equilibrium.BOUNDARY_TOL])
+        cells = [(game, [i for i in range(game.n)
+                         if equilibrium._standalone_pair(i, game)[0] > equilibrium.BOUNDARY_TOL])
                  for game, *_ in _cells(lambda rho: rho > 1)]
 
         def fresh():

@@ -344,12 +344,12 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
     one update.  A lone run of fewer than ``_PAIRWISE_TERMS`` players has a
     loop of its own: it reads the joint action's reward row from its memo,
     scoring only an action it has not played, in floats, and updates
-    through ``_update_arms``.  The Q-values, pull
-    counts, weights and term tables keep the logical shape
-    ``(agents, K)``.  From ``_ARM_MAJOR_AGENTS`` agents they are
-    stored arm-major, where the draw's cumulative sum runs down the arms
-    two agents per add; below it they are row-major, where each op walks a
-    few long rows instead of K short ones.
+    through ``_update_arms``.  The Q-values, pull counts, weights and term
+    tables keep the logical shape ``(agents, K)``.  From
+    ``_ARM_MAJOR_AGENTS`` agents they are stored arm-major, where the
+    draw's cumulative sum runs down the arms two agents per add; below it
+    they are row-major, where each op walks a few long rows instead of K
+    short ones.
     """
     games = [game for game, _ in jobs]
     configs = [config for _, config in jobs]
