@@ -68,7 +68,9 @@ that no memo of a game is warm):
   (one that contributes when alone) of the 90 disjunctive cells of that grid;
 * ``best_response_calls.*``: the ``_best_positive_response`` calls made while
   ``solve_cell`` solves the 90 disjunctive cells of that grid: how many there
-  were (``count``) and microseconds per replayed call (``us``);
+  were (``count``) and microseconds per replayed call (``us``).  They
+  replace ``best_response_us``, whose synthetic provisions of one game
+  timed the same function;
 * ``conjunctive_gift_us``: microseconds per ``_conjunctive_gift`` call, over
   the calls the concave solver makes on the 120 conjunctive cells of that
   grid;
