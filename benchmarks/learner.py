@@ -33,13 +33,13 @@ that no memo of a game is warm):
   (``softmax``, ``draw``, ``ces`` for ``_aggregate_terms``, ``score`` for
   ``_score`` and ``update``, which times ``_update_arms`` too where a side
   has it; where a lone run scores a joint action it has not played in
-  floats, ``ces`` and ``score`` time ``_scalar_ces`` and ``score_scalar``
-  too; ``other``
-  is the rest of the run, term gathers, uniforms and the timers' own cost
-  among it), microseconds per run-episode.  Where a lone run computes its
-  soft-max in the episode loop, ``softmax`` sees only the episodes that
-  call ``_boltzmann_weights`` (a row at or below ``Q_MAX_FLOOR``) and the
-  rest of the soft-max counts in ``other``;
+  floats, ``ces`` and ``score`` time ``_aggregate_scalar`` (on a side
+  without it, ``_scalar_ces``) and ``score_scalar`` too; ``other`` is the
+  rest of the run, term gathers, uniforms and the timers' own cost among
+  it), microseconds per run-episode.  A lone run repeats
+  ``_boltzmann_weights``' operations in its episode loop, so ``softmax``
+  sees only the episodes that call the kernel (a row at or below
+  ``Q_MAX_FLOOR``) and the rest of the soft-max counts in ``other``;
 * ``score_evals.<case>``: for the lone cases, calls of the trainer's score
   functions (``_score``, and ``score_scalar`` where a side has it: one per
   joint action not played before) per episode in that second run;
@@ -54,8 +54,9 @@ that no memo of a game is warm):
   1, so a lone run's memo is at its largest), its seconds and the process's
   peak RSS;
 * ``sweep90.*``: the 90-cell acceptance grid at 5,000 episodes a cell, split
-  into solving every cell and learning every cell, and a whole ``run_sweep``
-  with the process's peak RSS;
+  into solving every cell (``solve_s``, replay-timed on games built afresh)
+  and learning every cell in one ``train_many`` call (``learn_s``), and a
+  whole ``run_sweep`` with the process's peak RSS;
 * ``fixture_s.*``: the setup seconds of the three learning fixtures of the
   side's ``tests/test_acceptance.py`` (the 90-cell sweep, the spot-check
   runs and the pass/fail study), from a pytest run of the tests that use
@@ -128,9 +129,11 @@ ROUNDS = 5  # a replay-timed metric is the median of this many rounds in one pro
 LONE = ("n2_R1", "n3_R1", "n4_R1", "n4_team4")
 # the trainer's step functions, by the names the simulator module looks up (a
 # side's simulator may lack some: a lone run updates through _update_arms, and
-# scores a joint action it has not played through _scalar_ces and score_scalar)
+# scores a joint action it has not played through _aggregate_scalar, or on
+# older sides _scalar_ces, and score_scalar)
 STEPS = {"softmax": ("_boltzmann_weights",), "draw": ("_draw_arms",),
-         "ces": ("_aggregate_terms", "_scalar_ces"), "score": ("_score", "score_scalar"),
+         "ces": ("_aggregate_terms", "_aggregate_scalar", "_scalar_ces"),
+         "score": ("_score", "score_scalar"),
          "update": ("_update_q", "_update_arms")}
 # the learning fixtures of tests/test_acceptance.py, by the test class charged their setup
 FIXTURES = {"TestCriterion3Regression": "sweep_records",
@@ -343,17 +346,14 @@ def case(name: str) -> dict:
         config = _sweep_config()
         specs = experiments._cell_specs(config)
         games = [experiments.cell_game(config, p1, p2, rho, b) for _, p1, p2, rho, b in specs]
-        for game in games:
-            try:
-                experiments.solve_cell(game)
-            except tg.TeamworkGameError:
-                pass
-        t1 = time.perf_counter()
+        # each round solves games built afresh, whose memos are cold
+        out["sweep90.solve_s"] = _replay(lambda: [
+            (experiments.solve_cell, (dataclasses.replace(game),), {}) for game in games])
         jobs = [(game, tg.TrainConfig(episodes=config.episodes,
                                       seed=simulator.spawned_seed(SEED, index, 0)))
                 for (index, *_), game in zip(specs, games)]
+        t1 = time.perf_counter()
         tg.train_many(jobs)
-        out["sweep90.solve_s"] = t1 - t0
         out["sweep90.learn_s"] = time.perf_counter() - t1
         run_episodes = len(jobs) * config.episodes
         out["episode_us.sweep90_chunk"] = out["sweep90.learn_s"] / run_episodes * 1e6

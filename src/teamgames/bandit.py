@@ -20,7 +20,7 @@ Q-tables with one row per agent (``_boltzmann_weights`` and ``_update_q``):
 the lockstep trainer (``simulator.train_many``) runs them over every agent
 of every run at once and draws each arm from the unnormalised weights, so
 no episode divides by a row sum.  A lone run repeats their operations in
-its own episode loop: the soft-max's into preallocated columns, and the
+its own episode loop: the soft-max's on same-shape arrays, and the
 update's on Python floats (``simulator._update_arms``).  ``update_q`` is
 the update's one-agent case, on an ``AgentState`` that holds one agent's
 Q-values, learning-rate constant and pull counts.  An AgentState is owned by one caller at a time;

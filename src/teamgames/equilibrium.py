@@ -50,8 +50,8 @@ from .errors import (
     _read,
 )
 from .evaluation import eval_score, score_scalar, ratio_scalar
-from .games import (GameSpec, _actions_array, _ces, _payoffs, _require_game,
-                    max_achievable_utility, utility)
+from .games import (GameSpec, _actions_array, _aggregate_scalar, _ces, _payoffs,
+                    _require_game, max_achievable_utility, utility)
 
 # Absolute tolerance on work units for branch and boundary comparisons.
 BOUNDARY_TOL = 1e-10
@@ -186,30 +186,17 @@ def _require_smooth(game: GameSpec, where: str):
 
 
 def _scalar_ces(gifts, log_b, rho: float, exp=math.exp, log=math.log) -> float:
-    """``games._ces`` of one joint action on floats: the log-sum-exp of the
-    log-terms ``log(beta_i) + rho*log(g_i)``, max-shifted, divided by ``rho``
-    and exponentiated, with ``_ces``'s zero gifts: under rho > 0 a zero gift
-    adds nothing, under rho < 0 it forces G = 0, and with no positive gift
-    G = 0.  ``log_b`` holds the ``log(beta_i)``.  The terms are summed in
-    order, as numpy sums fewer than ``games._PAIRWISE_TERMS`` (built-in
-    ``sum`` compensates from Python 3.12).  With ``math``'s ``exp`` and
-    ``log``, the default, it agrees with ``_ces`` to rounding; with numpy's
-    ``np.exp`` and ``np.log``, which give a float the array kernels' bits,
-    it equals ``_ces`` exactly below that term count: every positive gift's
-    term is finite for a declared rho (|rho| <= 1e300, ``games._GAME_FIELDS``)."""
-    terms = []
-    for g, log_beta in zip(gifts, log_b):
-        if g > 0.0:
-            terms.append(log_beta + rho * log(g))
-        elif rho < 0.0:
-            return 0.0
-    if not terms:
-        return 0.0
-    m = max(terms)
-    total = 0.0
-    for t in terms:
-        total += exp(t - m)
-    return exp((m + log(total)) / rho)
+    """``games._ces`` of one joint action on floats: the log-terms
+    ``log(beta_i) + rho*log(g_i)``, ``log_b`` holding the ``log(beta_i)``,
+    finished by ``games._aggregate_scalar``.  A zero gift's term is
+    ``rho * log(0)``, as in ``_ces``: under rho > 0 it adds nothing, under
+    rho < 0 it forces G = 0, and with no positive gift G = 0.  With
+    ``math``'s ``exp`` and ``log``, the default, it agrees with ``_ces`` to
+    rounding; with numpy's it equals ``_ces`` exactly below
+    ``games._PAIRWISE_TERMS`` gifts, since every positive gift's term is
+    finite for a declared rho (|rho| <= 1e300, ``games._GAME_FIELDS``)."""
+    return _aggregate_scalar([log_beta + rho * log(g) if g > 0.0 else -rho * math.inf
+                              for g, log_beta in zip(gifts, log_b)], rho, exp, log)
 
 
 # ---------------------------------------------------------------------------

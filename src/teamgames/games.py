@@ -180,7 +180,7 @@ def ces_aggregate(gifts, rho: float, betas):
 
 
 # Term count from which numpy may sum pairwise; fewer terms it sums in order in
-# every layout, as equilibrium._scalar_ces does.
+# every layout, as _aggregate_scalar does.
 _PAIRWISE_TERMS = 8
 
 
@@ -217,6 +217,21 @@ def _aggregate_terms(terms: np.ndarray, rho) -> np.ndarray:
     terms -= m
     np.exp(terms, out=terms)
     return np.exp((m + np.log(np.add.reduce(terms, axis=0))) / rho)
+
+
+def _aggregate_scalar(terms, rho: float, exp=math.exp, log=math.log) -> float:
+    """``_aggregate_terms`` of one joint action's log-terms on floats, summed
+    in order as numpy sums fewer than ``_PAIRWISE_TERMS``.  A non-finite
+    shift (a ``+inf`` term, or ``-inf`` ones only) gives 0.0.  With numpy's
+    ``exp`` and ``log``, which give a float the array kernels' bits, it
+    equals ``_aggregate_terms``; with ``math``'s, the default, to rounding."""
+    m = max(terms)
+    if not math.isfinite(m):
+        return 0.0
+    total = 0.0
+    for t in terms:
+        total += exp(t - m)
+    return exp((m + log(total)) / rho)
 
 
 def _outcome(game: GameSpec, actions: np.ndarray):

@@ -31,20 +31,20 @@ run's column contiguous, as ``ces_aggregate`` lays out a grid, the rewards
 equal ``games._payoffs`` bit for bit on each joint action alone or over an
 ``(n, cells)`` grid of them.
 
-A chunk of one run of fewer than ``games._PAIRWISE_TERMS`` players has an
-episode loop of its own, because a handful of cells costs more in numpy
-calls than in arithmetic.  It keeps the reward row of each joint action it
-has played (the memo) and reuses it when it plays the action again, and it
-keeps its pull counts in a list and updates its n pulled cells one at a
-time in Python floats (``_update_arms``), with the same correctly rounded
-operations as ``bandit._update_q``.  A joint action it has not played (a
-memo miss) is scored in floats too: ``equilibrium._scalar_ces`` of its
-gifts and ``evaluation.score_scalar``, given numpy's ``exp`` and ``log``,
-which return the array kernels' bits for a float.  Below that player count
-numpy sums a joint action's terms in order, as ``_scalar_ces`` does, so the
-row equals the kernels' bit for bit.  From that many players every chunk,
-a lone run's too, takes the chunk loop.  Its soft-max and draw stay on the
-``(n, K)`` arrays.
+A row-major chunk of one run of fewer than ``games._PAIRWISE_TERMS``
+players has an episode loop of its own, because a handful of cells costs
+more in numpy calls than in arithmetic.  It keeps the rewards of each
+joint action it has played (the memo) and reuses them when it plays the
+action again, and it keeps its pull counts in a list and updates its n
+pulled cells one at a time in Python floats (``_update_arms``), with the
+same correctly rounded operations as ``bandit._update_q``.  A joint action
+it has not played (a memo miss) is scored in floats too: its log-terms
+from the term table, finished by ``games._aggregate_scalar``, and
+``evaluation.score_scalar``, with numpy's ``exp`` and ``log``, which give
+a float the array kernels' bits; below that player count numpy sums a
+joint action's terms in order too.  Any other chunk takes the chunk loop.
+The lone loop's soft-max repeats ``_boltzmann_weights``' operations on
+same-shape ``(n, K)`` arrays.
 
 Each run draws from its own counter-based stream, so an outcome is bitwise
 the same whatever it is batched with; sweep seeds are derived from a base
@@ -63,10 +63,9 @@ from .bandit import Q_MAX_FLOOR, _boltzmann_weights, _update_q, uniform_action_g
 from .bandit import update_q  # noqa: F401  (bound here for perfbench's tracer tests)
 from .errors import (ConfigurationError, Field, InputError, UndefinedDispersionError, _FINITE,
                      _POSITIVE, _POSITIVE_OR_NONE, _SEED, _at_least, _check, _check_all)
-from .equilibrium import _scalar_ces
 from .evaluation import _score, score_scalar
-from .games import (GameSpec, _GAME, _PAIRWISE_TERMS, _aggregate_terms, _leisure_payoff,
-                    _outcome, max_achievable_utility)
+from .games import (GameSpec, _GAME, _PAIRWISE_TERMS, _aggregate_scalar, _aggregate_terms,
+                    _leisure_payoff, _outcome, max_achievable_utility)
 
 # Share of each agent's draws taken uniformly over all arms, whatever the
 # Q-table holds, so every arm keeps being sampled at rate >= EXPLORATION / K.
@@ -279,14 +278,14 @@ def _draw_arms(draw, buffers: tuple, arms: np.ndarray) -> np.ndarray:
 
 
 def _update_arms(q: np.ndarray, counts: list, k: float, arms: list, rewards: list,
-                 stride: int, offsets) -> None:
-    """``bandit._update_q`` for one run, on Python scalars: agent i's
-    pulled cell ``arms[i] * stride + offsets[i]`` of the flat Q-table ``q``
+                 offsets: list) -> None:
+    """``bandit._update_q`` for one row-major run, on Python scalars: agent
+    i's pulled cell ``arms[i] + offsets[i]`` of the flat Q-table ``q``
     moves towards ``rewards[i]``, and its count in the list ``counts``
     advances.  The float operations are ``_update_q``'s, each correctly
     rounded, so the Q-values are the same bit for bit."""
     for arm, offset, reward in zip(arms, offsets, rewards):
-        cell = arm * stride + offset
+        cell = arm + offset
         count = counts[cell]
         old = q.item(cell)
         q[cell] = old + k / (k + count) * (reward - old)
@@ -341,12 +340,12 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
 
     Per episode: one table of unnormalised soft-max weights over every
     Q-table, one draw from it, then the rewards, gathered and scored, and
-    one update.  A lone run of fewer than ``_PAIRWISE_TERMS`` players has a
-    loop of its own: it reads the joint action's reward row from its memo,
-    scoring only an action it has not played, in floats, and updates
-    through ``_update_arms``.  The Q-values, pull counts, weights and term
-    tables keep the logical shape ``(agents, K)``.  From
-    ``_ARM_MAJOR_AGENTS`` agents they are stored arm-major, where the
+    one update.  A row-major lone run of fewer than ``_PAIRWISE_TERMS``
+    players has a loop of its own: it reads the joint action's rewards from
+    its memo, scoring only an action it has not played, in floats from the
+    term table, and updates through ``_update_arms``.  The Q-values, pull
+    counts, weights and term tables keep the logical shape ``(agents, K)``.
+    From ``_ARM_MAJOR_AGENTS`` agents they are stored arm-major, where the
     draw's cumulative sum runs down the arms two agents per add; below it
     they are row-major, where each op walks a few long rows instead of K
     short ones.
@@ -416,7 +415,7 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
             yield zip(temperatures[start:stop], _draws(u, num_arms))
 
     with np.errstate(divide="ignore"):  # log(0) of a team with no positive gift
-        if runs > 1 or n >= _PAIRWISE_TERMS:
+        if runs > 1 or n >= _PAIRWISE_TERMS or arm_major:
             counts = np.zeros((agents, num_arms), dtype=np.int64, order=order)
             counts_flat = counts.ravel(order="K")
             k = np.repeat([float(config.k) for config in configs], n)
@@ -431,46 +430,43 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
                 _update_q(q_flat, counts_flat, k, cells, rewards)
         else:
             # A lone run replays most joint actions many times, and a joint
-            # action fixes its rewards: keep each one's reward row, at most
-            # min(episodes, K**n) of them, in one table the memo indexes.
-            # Its bookkeeping is in Python scalars, where n cells cost less
-            # than numpy calls on them, and so is a miss's reward row: below
-            # _PAIRWISE_TERMS players floats give scores()'s bits, and every
-            # positive gift's log-term is finite for a declared rho.  Its
-            # soft-max is _boltzmann_weights' operations into preallocated
-            # columns, or the kernel itself while a row's best value is at
-            # or below Q_MAX_FLOOR.
-            memo, memo_rows = {}, np.empty((min(episodes, num_arms ** n), n))
+            # action fixes its rewards: keep each one's reward list, at most
+            # min(episodes, K**n) of them, in the memo.  Its bookkeeping is in
+            # Python scalars, where n cells cost less than numpy calls on
+            # them, and so is a miss's scoring: below _PAIRWISE_TERMS players
+            # floats give scores()'s bits.  Its soft-max is
+            # _boltzmann_weights' operations on same-shape arrays, each row's
+            # best value broadcast once, or the kernel itself while a row's
+            # best value is at or below Q_MAX_FLOOR.
+            memo = {}
             counts = [0] * (agents * num_arms)
             k = float(schedule.k)
-            stride, offsets = (agents, range(agents)) if arm_major else (1, row_start.tolist())
-            game = games[0]
-            log_b, caps = (column.tolist() for column in game._columns[:2])
-            arm_values, leisure = arm_actions.tolist(), L.tolist()
-            q_max, scale, shift = np.empty((3, agents, 1))
+            offsets = row_start.tolist()
+            log_terms, leisure = T.tolist(), L.tolist()
+            rho, spec = games[0].rho, games[0].evaluation
+            q_max = np.empty((agents, 1))
             q_max_row = q_max[:, 0]
+            q_best, scale = np.empty((2, agents, num_arms))
             for tau, draw in chain.from_iterable(blocks()):
                 np.maximum.reduce(q, axis=1, keepdims=True, out=q_max)
                 if min(q_max_row.tolist()) <= Q_MAX_FLOOR:
                     _boltzmann_weights(q, tau, out=weights)
                 else:
-                    np.multiply(q_max, tau, out=scale)
+                    np.copyto(q_best, q_max)
+                    np.multiply(q_best, tau, out=scale)
                     np.divide(q, scale, out=weights)
-                    np.divide(q_max, scale, out=shift)
-                    np.subtract(weights, shift, out=weights)
+                    np.divide(q_best, scale, out=scale)
+                    np.subtract(weights, scale, out=weights)
                     np.exp(weights, out=weights)
                 played = _draw_arms(draw, draw_buffers, arms).tolist()
                 key = tuple(played)
-                row = memo.get(key)
-                if row is None:
-                    row = memo[key] = len(memo)
-                    G = _scalar_ces([arm_values[a] * cap for a, cap in zip(played, caps)],
-                                    log_b, game.rho, np.exp, np.log)
-                    sigma = score_scalar(game.evaluation, G, np.exp)
-                    memo_rows[row] = [leisure[a * stride + offset] * sigma
-                                      for a, offset in zip(played, offsets)]
-                _update_arms(q_flat, counts, k, played, memo_rows[row].tolist(),
-                             stride, offsets)
+                rewards = memo.get(key)
+                if rewards is None:
+                    pulled = [a + offset for a, offset in zip(played, offsets)]
+                    G = _aggregate_scalar([log_terms[c] for c in pulled], rho, np.exp, np.log)
+                    sigma = score_scalar(spec, G, np.exp)
+                    rewards = memo[key] = [leisure[c] * sigma for c in pulled]
+                _update_arms(q_flat, counts, k, played, rewards, offsets)
 
     greedy = arm_actions[q.argmax(axis=1)]
     outcomes = []

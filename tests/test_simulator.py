@@ -11,7 +11,8 @@ from teamgames.bandit import _boltzmann_weights, uniform_action_grid
 from teamgames.errors import ConfigurationError, InputError, UndefinedDispersionError
 from teamgames.equilibrium import _scalar_ces
 from teamgames.evaluation import EvaluationSpec, _score, eval_score, score_scalar
-from teamgames.games import GameSpec, _aggregate_terms, _payoffs, evaluate_joint_action
+from teamgames.games import (GameSpec, _aggregate_scalar, _aggregate_terms, _payoffs,
+                            evaluate_joint_action)
 from teamgames.simulator import (
     EXPLORATION,
     LearnedOutcome,
@@ -322,10 +323,10 @@ def update_calls(monkeypatch):
         calls.append((cells.copy(), rewards.copy()))
         return update_q(q, counts, k, cells, rewards)
 
-    def spy_arms(q, counts, k, arms, rewards, stride, offsets):
-        cells = [arm * stride + offset for arm, offset in zip(arms, offsets)]
+    def spy_arms(q, counts, k, arms, rewards, offsets):
+        cells = [arm + offset for arm, offset in zip(arms, offsets)]
         calls.append((np.array(cells), np.array(rewards)))
-        return update_arms(q, counts, k, arms, rewards, stride, offsets)
+        return update_arms(q, counts, k, arms, rewards, offsets)
 
     monkeypatch.setattr(simulator, "_update_q", spy_q)
     monkeypatch.setattr(simulator, "_update_arms", spy_arms)
@@ -417,7 +418,9 @@ class TestTrainMany:
     def test_lone_run_equals_its_chunk(self, monkeypatch, update_calls, case,
                                        arm_major_agents):
         # the lone loop's edges: rows that cross Q_MAX_FLOOR mid-run (rewards
-        # of about 1e-9), one player, and 33 players, arm-major by agent count
+        # of about 1e-9) and one player; 33 players, arm-major by agent count,
+        # and every arm-major lone run take the chunk loop, which updates
+        # through _update_q
         if arm_major_agents is not None:
             monkeypatch.setattr(simulator, "_ARM_MAJOR_AGENTS", arm_major_agents)
         expertise = {"floor": (0.3, 0.8), "n1": (0.6,), "n33": tuple(np.linspace(0.1, 0.9, 33))}
@@ -432,8 +435,14 @@ class TestTrainMany:
         weights = simulator._boltzmann_weights
         monkeypatch.setattr(simulator, "_boltzmann_weights", lambda *args, **kwargs: (
             uniform.append(len(update_calls)) or weights(*args, **kwargs)))
+        in_floats = []
+        update_arms = simulator._update_arms
+        monkeypatch.setattr(simulator, "_update_arms",
+                            lambda *args: in_floats.append(1) or update_arms(*args))
         lone = train(*jobs[0])
-        if case == "floor":
+        lone_loop = case != "n33" and arm_major_agents != 0
+        assert len(update_calls) == episodes and len(in_floats) == lone_loop * episodes
+        if case == "floor" and lone_loop:
             # every row above the floor at some episode, and one back at it later
             clear = sorted(set(range(episodes)) - set(uniform))
             assert clear and uniform[-1] > clear[0]
@@ -559,8 +568,9 @@ def _bits(values):
 
 class TestScalarMisses:
     """A lone run below ``games._PAIRWISE_TERMS`` players scores a joint
-    action it has not played in floats, through the scalar CES and sigma
-    with numpy's exp and log: the array kernels' results, bit for bit."""
+    action it has not played in floats, finishing its term-table entries
+    with ``games._aggregate_scalar`` and scoring them with sigma, with
+    numpy's exp and log: the array kernels' results, bit for bit."""
 
     EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 709.78, -745.13, -708.5, -740.0,
              -744.5, 5e-324, 2.2250738585072014e-308, 1e-310, 1.0, 2.0, 0.5]
@@ -595,11 +605,15 @@ class TestScalarMisses:
                 log_b = np.log(rng.uniform(0.5, 2.0, n))
                 with np.errstate(over="ignore", divide="ignore"):
                     grid = games._ces(gifts, rho, log_b)
+                    # the term table's entries, as simulator._term_tables computes
+                    # them: -inf (rho > 0) or +inf (rho < 0) for a zero gift
+                    T = log_b[:, None] + rho * np.log(gifts)
                     for cell in range(gifts.shape[1]):
                         column = gifts[:, cell]
                         G = _scalar_ces(column.tolist(), log_b.tolist(), rho, np.exp, np.log)
-                        assert _bits([G, G]) == _bits([games._ces(column, rho, log_b),
-                                                       grid[cell]]), (zero, rho, cell)
+                        from_T = _aggregate_scalar(T[:, cell].tolist(), rho, np.exp, np.log)
+                        assert _bits([G, G, G]) == _bits([games._ces(column, rho, log_b),
+                                                          grid[cell], from_T]), (zero, rho, cell)
                         zeros += G == 0.0
                         for spec in specs:
                             sigma = score_scalar(spec, G, np.exp)
@@ -622,8 +636,8 @@ class TestScalarMisses:
         # from _PAIRWISE_TERMS players a lone run takes the chunk loop, which
         # updates through _update_q, not _update_arms
         scalar, updates = [], []
-        monkeypatch.setattr(simulator, "_scalar_ces",
-                            lambda *args: scalar.append(1) or _scalar_ces(*args))
+        monkeypatch.setattr(simulator, "_aggregate_scalar",
+                            lambda *args: scalar.append(1) or _aggregate_scalar(*args))
         update_arms = simulator._update_arms
         monkeypatch.setattr(simulator, "_update_arms",
                             lambda *args: updates.append(1) or update_arms(*args))
