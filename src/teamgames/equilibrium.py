@@ -187,16 +187,16 @@ def _require_smooth(game: GameSpec, where: str):
 
 def _scalar_ces(gifts, log_b, rho: float, exp=math.exp, log=math.log) -> float:
     """``games._ces`` of one joint action on floats: the log-terms
-    ``log(beta_i) + rho*log(g_i)``, ``log_b`` holding the ``log(beta_i)``,
-    finished by ``games._aggregate_scalar``.  A zero gift's term is
-    ``rho * log(0)``, as in ``_ces``: under rho > 0 it adds nothing, under
-    rho < 0 it forces G = 0, and with no positive gift G = 0.  With
-    ``math``'s ``exp`` and ``log``, the default, it agrees with ``_ces`` to
-    rounding; with numpy's it equals ``_ces`` exactly below
-    ``games._PAIRWISE_TERMS`` gifts, since every positive gift's term is
-    finite for a declared rho (|rho| <= 1e300, ``games._GAME_FIELDS``)."""
-    return _aggregate_scalar([log_beta + rho * log(g) if g > 0.0 else -rho * math.inf
-                              for g, log_beta in zip(gifts, log_b)], rho, exp, log)
+    ``log(beta_i) + rho*log(g_i)`` (``log_b`` holds the ``log(beta_i)``; a
+    zero gift's is ``rho * log(0)``, as in ``_ces``) finished by
+    ``games._aggregate_scalar``.  With ``math``'s ``exp`` and ``log``, the
+    default, it agrees with ``_ces`` to rounding; with numpy's it equals
+    ``_ces`` exactly below ``games._PAIRWISE_TERMS`` gifts, since every
+    positive gift's term is finite for a declared rho (|rho| <= 1e300)."""
+    terms = []  # an append loop: a comprehension costs a call before Python 3.12
+    for g, log_beta in zip(gifts, log_b):
+        terms.append(log_beta + rho * log(g) if g > 0.0 else -rho * math.inf)
+    return _aggregate_scalar(terms, rho, exp, log)
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +553,11 @@ def _softplus(x: float) -> tuple[float, float]:
 
 def _pair_aggregate(w: float, G_minus: float, rho: float) -> float:
     """``(w**rho + G_minus**rho)**(1/rho)`` for ``w > 0``: the aggregate at
-    which the best response scores a gift, ``_scalar_ces`` of the log-terms
-    ``rho*log w`` and ``rho*log G_minus``."""
+    which the best response scores a gift, ``_aggregate_scalar`` of the
+    log-terms ``rho*log w`` and ``rho*log G_minus``."""
     if G_minus == 0.0:
         return w
-    return _scalar_ces((w, G_minus), (0.0, 0.0), rho)
+    return _aggregate_scalar((rho * math.log(w), rho * math.log(G_minus)), rho)
 
 
 def _response_condition(game: GameSpec, player: int, G_minus: float):
