@@ -302,10 +302,10 @@ def train_many(jobs) -> list[LearnedOutcome]:
     of them.  Rewards take one path for every team size, through per-player
     CES term tables, and a chunk scores its outcomes once per evaluation
     kind; a chunk is sized by its runs' ``(n, K)`` arrays alone
-    (``_run_bytes``).  A chunk of one run of fewer than
-    ``_PAIRWISE_TERMS`` players computes the reward row of each distinct
-    joint action once and reuses it on every replay (at most
-    ``min(episodes, K ** n)`` rows of n floats), and updates its n pulled
+    (``_run_bytes``).  A row-major chunk of one run of fewer than
+    ``_PAIRWISE_TERMS`` players computes the rewards of each distinct
+    joint action once and reuses them on every replay (at most
+    ``min(episodes, K ** n)`` lists of n floats), and updates its n pulled
     cells in Python scalars, bit for bit as a chunk of runs does.  ``k``,
     the game and the seed may differ within a chunk.  Each run keeps its own random stream, so
     outcomes do not depend on how the jobs are grouped or chunked.
