@@ -35,8 +35,10 @@ that no memo of a game is warm):
   has it; where a lone run scores a joint action it has not played in
   floats, ``ces`` and ``score`` time ``_aggregate_scalar`` (on a side
   without it, ``_scalar_ces``) and ``score_scalar`` too; ``other`` is the
-  rest of the run, term gathers, uniforms and the timers' own cost among
-  it), microseconds per run-episode.  A lone run repeats
+  rest of the run, term gathers and uniforms among it; ``timer`` is the
+  timers' own cost, each call's as a no-op wrapped in the same process
+  reads it, taken out of the steps and of ``other``, so a step's own call
+  overhead counts in ``other``), microseconds per run-episode.  A lone run repeats
   ``_boltzmann_weights``' operations in its episode loop, so ``softmax``
   sees only the episodes that call the kernel (a row at or below
   ``Q_MAX_FLOOR``) and the rest of the soft-max counts in ``other``;
@@ -158,27 +160,52 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def _timed(func, step, spent: dict, calls: dict):
+    """``func`` wrapped by a timer that adds each call's seconds to
+    ``spent[step]`` and counts the call in ``calls[step]``."""
+    def timed(*args, **kwargs):
+        t = time.perf_counter()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            spent[step] += time.perf_counter() - t
+            calls[step] += 1
+    return timed
+
+
+def _timer_cost(calls: int = 100_000) -> tuple[float, float]:
+    """The seconds a ``_timed`` wrapper adds to one call, inside the
+    interval it reads and outside it, from a no-op called bare and then
+    wrapped ``calls`` times."""
+    def noop():
+        pass
+    spent, counted = {None: 0.0}, {None: 0}
+    timed = _timed(noop, None, spent, counted)
+    t0 = time.perf_counter()
+    for _ in range(calls):
+        noop()
+    t1 = time.perf_counter()
+    for _ in range(calls):
+        timed()
+    t2 = time.perf_counter()
+    inside = spent[None] / calls
+    return inside, ((t2 - t1) - (t1 - t0)) / calls - inside
+
+
 def _profiled(name: str, learn, run_episodes: int) -> dict:
     """Run ``learn()`` with the simulator's step functions wrapped by
-    timers: microseconds per run-episode of each step, and for a lone case
-    the score function's calls per episode."""
+    timers: microseconds per run-episode of each step, of the rest
+    (``other``) and of the timers themselves (``timer``, calibrated on a
+    no-op first and taken out of the steps and ``other``), and for a lone
+    case the score function's calls per episode."""
     from teamgames import simulator
-    spent = dict.fromkeys(STEPS, 0.0)
-    score_calls = 0
+    inside, outside = _timer_cost()
+    spent, calls = dict.fromkeys(STEPS, 0.0), dict.fromkeys(STEPS, 0)
     saved = {}
     for step, attr in ((step, attr) for step, attrs in STEPS.items() for attr in attrs
                        if hasattr(simulator, attr)):
         saved[attr] = func = getattr(simulator, attr)
-
-        def timed(*args, _func=func, _step=step, **kwargs):
-            nonlocal score_calls
-            t = time.perf_counter()
-            try:
-                return _func(*args, **kwargs)
-            finally:
-                spent[_step] += time.perf_counter() - t
-                score_calls += _step == "score"
-        setattr(simulator, attr, timed)
+        setattr(simulator, attr, _timed(func, step, spent, calls))
     t0 = time.perf_counter()
     try:
         learn()
@@ -186,11 +213,14 @@ def _profiled(name: str, learn, run_episodes: int) -> dict:
         for attr, func in saved.items():
             setattr(simulator, attr, func)
     total = time.perf_counter() - t0
-    out = {f"step_us.{name}.{step}": seconds / run_episodes * 1e6
-           for step, seconds in spent.items()}
-    out[f"step_us.{name}.other"] = (total - sum(spent.values())) / run_episodes * 1e6
+    wrapped = sum(calls.values())
+    out = {f"step_us.{name}.{step}": (spent[step] - calls[step] * inside) / run_episodes * 1e6
+           for step in STEPS}
+    out[f"step_us.{name}.other"] = \
+        (total - sum(spent.values()) - wrapped * outside) / run_episodes * 1e6
+    out[f"step_us.{name}.timer"] = wrapped * (inside + outside) / run_episodes * 1e6
     if name in LONE:
-        out[f"score_evals.{name}"] = score_calls / run_episodes
+        out[f"score_evals.{name}"] = calls["score"] / run_episodes
     return out
 
 

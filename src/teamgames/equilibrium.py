@@ -50,8 +50,8 @@ from .errors import (
     _read,
 )
 from .evaluation import eval_score, score_scalar, ratio_scalar
-from .games import (GameSpec, _actions_array, _aggregate_scalar, _ces, _payoffs,
-                    _require_game, max_achievable_utility, utility)
+from .games import (GameSpec, _PAIRWISE_TERMS, _actions_array, _aggregate_scalar, _ces,
+                    _payoffs, _require_game, max_achievable_utility, utility)
 
 # Absolute tolerance on work units for branch and boundary comparisons.
 BOUNDARY_TOL = 1e-10
@@ -418,16 +418,29 @@ def strongly_conjunctive_limit(game: GameSpec) -> float:
 def _result_from_gifts(game: GameSpec, gifts, reference_G: float,
                        residual: float | None = None) -> EquilibriumResult:
     """The equilibrium of ``gifts``, each clamped at 0 (a NaN kept, as
-    ``np.maximum`` keeps it), scored by the payoff kernel; ``residual``
-    defaults to ``|CES(gifts) - reference_G|``."""
+    ``np.maximum`` keeps it), scored with the payoff kernel's bits;
+    ``residual`` defaults to ``|CES(gifts) - reference_G|``.
+
+    Below ``games._PAIRWISE_TERMS`` players with every gift finite, the
+    one joint action is scored in floats, by ``_scalar_ces`` and
+    ``score_scalar`` with numpy's ``exp`` and ``log``, which give ``_ces``'s
+    and ``eval_score``'s bits as a lone learner run's misses do.  Larger
+    teams, which numpy sums pairwise, and a NaN or infinite gift take the
+    kernels themselves.  Either way both fields are Python floats."""
     gifts = tuple(0.0 if g <= 0.0 else float(g) for g in gifts)
     log_b, caps, _ = game._columns
     actions = tuple(min(g / cap, 1.0) if cap > 0.0 else 0.0
                     for g, cap in zip(gifts, caps.tolist()))
-    aggregate = _ces(np.array(gifts), game.rho, log_b)
+    # no gift is negative: the sum is finite unless a gift is NaN or infinite (or the
+    # gifts overflow together, which the kernels then take too)
+    if len(gifts) < _PAIRWISE_TERMS and sum(gifts) < math.inf:
+        aggregate = float(_scalar_ces(gifts, log_b.tolist(), game.rho, np.exp, np.log))
+        score = float(score_scalar(game.evaluation, aggregate, np.exp))
+    else:
+        aggregate = _ces(np.array(gifts), game.rho, log_b)
+        score = eval_score(game.evaluation, aggregate)
     return EquilibriumResult(
-        actions=actions, gifts=gifts, aggregate_G=aggregate,
-        score=eval_score(game.evaluation, aggregate),
+        actions=actions, gifts=gifts, aggregate_G=aggregate, score=score,
         active_set=tuple(i for i, g in enumerate(gifts) if g > BOUNDARY_TOL),
         residual=abs(aggregate - reference_G) if residual is None else residual)
 
@@ -451,8 +464,9 @@ def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
     So ``f`` is evaluated at the interval's two ends, and one Brent solve
     refines a sign change between them.  Each evaluation is scalar
     arithmetic: the replacement maps' gifts without their checks, and their
-    aggregate by ``_scalar_ces``; ``games._ces`` scores only the reported
-    equilibria (``_result_from_gifts``).  The ends keep their own rules: for
+    aggregate by ``_scalar_ces``; the reported equilibria are scored in
+    floats too (``_result_from_gifts``), so below ``games._PAIRWISE_TERMS``
+    players a solve calls no array kernel.  The ends keep their own rules: for
     rho = 1, ``|f(0)| < 1e-12`` makes ``G = 0`` a root (nobody contributes);
     for 0 < rho < 1, ``lo`` is the largest standalone value, a lone
     player's fixed point when ``|f(lo)| <= max(lo, 1)*1e-9``, relative to

@@ -152,9 +152,11 @@ def validate_evaluation(spec: EvaluationSpec, grid: tuple[float, float], points:
 # Kept beside eval_score, which scores one value as a 0-d array: 10-40x cheaper per call
 # on a float (0.1-0.5 us against 1.2-8 us, timeit on one CPU, numpy 2.4).  Its solver
 # callers are the free-riding payoff, equilibrium._u_zero, and the best response's utility
-# at its root, once per step of the threshold root search; they take math.exp.  The
-# learner's lone run scores each joint action it has not played yet with np.exp, which
-# gives a float the array kernel's bits, so its rewards are _score's exactly.
+# at its root, once per step of the threshold root search; they take math.exp.  Two
+# callers take np.exp, which gives a float the array kernel's bits: the learner's lone run,
+# for each joint action it has not played yet, so its rewards are _score's exactly, and
+# the solvers' result builder, for each equilibrium they report, so its score is
+# eval_score's exactly.
 def score_scalar(spec: EvaluationSpec, G: float, exp=math.exp) -> float:
     """sigma(G) of one float, by ``_score``'s operations with ``exp``."""
     if spec.kind == "identity":

@@ -117,7 +117,7 @@ def _actions_array(game: GameSpec, actions) -> np.ndarray:
         raise InputError(f"expected {game.n} actions, got shape {arr.shape}")
     # its kind alone: a bool or a string is no action; the range follows
     _read("actions", actions, _UNIT, InputError)
-    if not ((arr >= 0) & (arr <= 1)).all():  # NaN fails both
+    if not all(0.0 <= a <= 1.0 for a in arr.tolist()):  # NaN fails both
         raise InputError("actions must lie in [0, 1]")
     return arr
 

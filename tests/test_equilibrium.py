@@ -30,7 +30,7 @@ from teamgames.errors import (
     UnsupportedEvaluationError,
     WrongSolverError,
 )
-from teamgames.evaluation import EvaluationSpec, ratio_scalar, score_scalar
+from teamgames.evaluation import EvaluationSpec, eval_score, ratio_scalar, score_scalar
 from teamgames.experiments import SweepConfig, _cell_specs, cell_game, solve_cell
 from teamgames.games import GameSpec, _payoffs, ces_aggregate
 
@@ -1580,6 +1580,8 @@ class TestScalarConcaveSolve:
                 assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_numpy_kernel_scores_only_the_reported_equilibria(self, monkeypatch):
+        # a two-player solve calls no array CES at all: the reported equilibria are
+        # scored in floats too, with the kernels' bits
         config = SweepConfig()
         games = [cell_game(config, p1, p2, rho, b)
                  for _, p1, p2, rho, b in _cell_specs(config) if rho <= 1]
@@ -1594,10 +1596,15 @@ class TestScalarConcaveSolve:
             return kernel(*args)
         monkeypatch.setattr(equilibrium, "_ces", spy)
         monkeypatch.setattr("teamgames.games._ces", spy)
+        reported = []
         for g in games:
-            callers.clear()
-            results = solve_equilibrium_concave(g)
-            assert callers == ["_result_from_gifts"] * len(results)
+            reported.extend((g, r) for r in solve_equilibrium_concave(g))
+            assert callers == []
+        assert len(reported) >= len(games)
+        for g, r in reported:
+            G = kernel(np.array(r.gifts), g.rho, g._columns[0])
+            expected = [G, eval_score(g.evaluation, G)]
+            assert _bits([r.aggregate_G, r.score]) == _bits(expected), (g, r)
 
     @pytest.mark.parametrize("fn,G,player,g,error", [
         (replacement_additive, 4.0, -1, game(rho=1.0), InputError),
@@ -1648,11 +1655,14 @@ def _reference_result_from_gifts(game, gifts, reference_G):
         score=score, active_set=active, residual=abs(aggregate - reference_G))
 
 
+def _bits(values):
+    """Each value's exact bits and type: a float's ``hex``, anything else as it is."""
+    return [(type(x).__name__, x.hex()) if isinstance(x, float) else x for x in values]
+
+
 def _result_bits(result):
     """An EquilibriumResult's fields with every float as its exact bits and type."""
-    def bits(x):
-        return (type(x).__name__, x.hex()) if isinstance(x, float) else x
-    return tuple(tuple(map(bits, v)) if isinstance(v, tuple) else bits(v)
+    return tuple(tuple(_bits(v)) if isinstance(v, tuple) else _bits([v])[0]
                  for v in dataclasses.astuple(result))
 
 
@@ -1690,6 +1700,30 @@ class TestLeanOracleAndResults:
                     _reference_result_from_gifts(g, gifts, reference_G), residual=residual))
             checked += 1
         assert checked == 40
+
+    @pytest.mark.parametrize("gifts,rho,G", [
+        ((math.nan, 1.0), -10.0, math.nan), ((math.nan, 1.0), 0.5, math.nan),
+        ((math.nan, 1.0), 3.0, math.nan), ((math.inf, 1.0), -10.0, 1.0),
+        ((math.inf, 1.0), 0.5, math.inf), ((math.inf, 1.0), 3.0, math.inf)])
+    def test_a_nan_or_infinite_gift_is_scored_by_the_kernels(self, gifts, rho, G):
+        # in floats a NaN or +inf term is lost to max() or the shift: (nan, 1) would give
+        # G = 1.0 at rho 0.5 and 0.0 at rho -10, and (inf, 1) 0.0 at rho 0.5
+        g = game(rho=rho)
+        expected = _reference_result_from_gifts(g, gifts, 1.0)
+        assert _result_bits(equilibrium._result_from_gifts(g, gifts, 1.0)) == \
+            _result_bits(expected)
+        assert _bits([expected.aggregate_G]) == _bits([G])
+
+    def test_eight_players_are_scored_by_the_kernels(self):
+        # from games._PAIRWISE_TERMS terms numpy sums pairwise: these gifts' in-order sum
+        # has other bits
+        g = game(rho=0.5, expertise=(1.0,) * 8)
+        gifts = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+        expected = _reference_result_from_gifts(g, gifts, 1.0)
+        assert _result_bits(equilibrium._result_from_gifts(g, gifts, 1.0)) == \
+            _result_bits(expected)
+        in_order = equilibrium._scalar_ces(gifts, [0.0] * 8, 0.5, np.exp, np.log)
+        assert _bits([float(in_order)]) != _bits([expected.aggregate_G])
 
     def test_a_check_runs_the_ces_kernel_once_per_payoff_pass(self, monkeypatch):
         import teamgames.games as games_module

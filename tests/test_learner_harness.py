@@ -81,3 +81,34 @@ def test_recorded_restores_the_global_after_an_error():
             raise ValueError("inside the block")
     assert calls == [(double, (5,), {})]
     assert toy.double is double
+
+
+def test_profiled_no_op_steps_read_zero(monkeypatch):
+    # every clock read advances a fake clock by one second: a wrapped call costs two
+    # reads, one inside the interval it times and one outside, and a no-op nothing
+    from teamgames import simulator
+    clock = [0.0]
+
+    def read():
+        clock[0] += 1.0
+        return clock[0]
+    steps = [attr for attrs in learner.STEPS.values() for attr in attrs
+             if hasattr(simulator, attr)]
+    for attr in steps:
+        monkeypatch.setattr(simulator, attr, lambda *args, **kwargs: None)
+    no_ops = [getattr(simulator, attr) for attr in steps]
+    monkeypatch.setattr(time, "perf_counter", read)
+
+    def learn():
+        for _ in range(3):
+            for attr in steps:
+                getattr(simulator, attr)(1, key=2)
+    out = learner._profiled("n4_team4", learn, 2)
+    assert {key: out.pop(f"step_us.n4_team4.{key}") for key in learner.STEPS} == \
+        dict.fromkeys(learner.STEPS, 0.0)
+    calls = 3 * len(steps)
+    # the timers' two reads a call, and the one read that ends the run's own interval
+    assert out == {"step_us.n4_team4.timer": 2 * calls / 2 * 1e6,
+                   "step_us.n4_team4.other": 1 / 2 * 1e6,
+                   "score_evals.n4_team4": 3 * len(set(steps) & set(learner.STEPS["score"])) / 2}
+    assert [getattr(simulator, attr) for attr in steps] == no_ops
