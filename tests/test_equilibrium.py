@@ -1704,26 +1704,19 @@ class TestLeanOracleAndResults:
     @pytest.mark.parametrize("gifts,rho,G", [
         ((math.nan, 1.0), -10.0, math.nan), ((math.nan, 1.0), 0.5, math.nan),
         ((math.nan, 1.0), 3.0, math.nan), ((math.inf, 1.0), -10.0, 1.0),
-        ((math.inf, 1.0), 0.5, math.inf), ((math.inf, 1.0), 3.0, math.inf)])
-    def test_a_nan_or_infinite_gift_is_scored_by_the_kernels(self, gifts, rho, G):
+        ((math.inf, 1.0), 0.5, math.inf), ((math.inf, 1.0), 3.0, math.inf),
+        # from games._PAIRWISE_TERMS players numpy sums pairwise: summed in order, these
+        # gifts' terms give an aggregate 2 ulp off (x86-64, numpy 2.4)
+        ((0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9), 0.5, None)])
+    def test_a_non_finite_gift_or_eight_players_take_the_kernels(self, gifts, rho, G):
         # in floats a NaN or +inf term is lost to max() or the shift: (nan, 1) would give
         # G = 1.0 at rho 0.5 and 0.0 at rho -10, and (inf, 1) 0.0 at rho 0.5
-        g = game(rho=rho)
+        g = game(rho=rho, expertise=(1.0,) * len(gifts))
         expected = _reference_result_from_gifts(g, gifts, 1.0)
         assert _result_bits(equilibrium._result_from_gifts(g, gifts, 1.0)) == \
             _result_bits(expected)
-        assert _bits([expected.aggregate_G]) == _bits([G])
-
-    def test_eight_players_are_scored_by_the_kernels(self):
-        # from games._PAIRWISE_TERMS terms numpy sums pairwise: these gifts' in-order sum
-        # has other bits
-        g = game(rho=0.5, expertise=(1.0,) * 8)
-        gifts = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-        expected = _reference_result_from_gifts(g, gifts, 1.0)
-        assert _result_bits(equilibrium._result_from_gifts(g, gifts, 1.0)) == \
-            _result_bits(expected)
-        in_order = equilibrium._scalar_ces(gifts, [0.0] * 8, 0.5, np.exp, np.log)
-        assert _bits([float(in_order)]) != _bits([expected.aggregate_G])
+        if G is not None:
+            assert _bits([expected.aggregate_G]) == _bits([G])
 
     def test_a_check_runs_the_ces_kernel_once_per_payoff_pass(self, monkeypatch):
         import teamgames.games as games_module
