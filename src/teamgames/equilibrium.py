@@ -50,8 +50,8 @@ from .errors import (
     _read,
 )
 from .evaluation import eval_score, score_scalar, ratio_scalar
-from .games import (GameSpec, _PAIRWISE_TERMS, _actions_array, _aggregate_scalar, _ces,
-                    _payoffs, _require_game, max_achievable_utility, utility)
+from .games import (GameSpec, _actions_array, _aggregate_scalar, _ces, _payoffs, _require_game,
+                    max_achievable_utility, utility)
 
 # Absolute tolerance on work units for branch and boundary comparisons.
 BOUNDARY_TOL = 1e-10
@@ -185,14 +185,22 @@ def _require_smooth(game: GameSpec, where: str):
         )
 
 
+def _full_time_aggregate(game: GameSpec) -> float:
+    """``max_aggregate()``, which bounds the solvers' searches, refused by name if it overflows."""
+    G_max = game.max_aggregate()
+    if not math.isfinite(G_max):
+        raise InputError(f"the full-time aggregate must be finite to solve, got {G_max!r}")
+    return G_max
+
+
 def _scalar_ces(gifts, log_b, rho: float, exp=math.exp, log=math.log) -> float:
     """``games._ces`` of one joint action on floats: the log-terms
     ``log(beta_i) + rho*log(g_i)`` (``log_b`` holds the ``log(beta_i)``; a
     zero gift's is ``rho * log(0)``, as in ``_ces``) finished by
     ``games._aggregate_scalar``.  With ``math``'s ``exp`` and ``log``, the
     default, it agrees with ``_ces`` to rounding; with numpy's it equals
-    ``_ces`` exactly below ``games._PAIRWISE_TERMS`` gifts, since every
-    positive gift's term is finite for a declared rho (|rho| <= 1e300)."""
+    ``_ces`` exactly, since every positive gift's term is finite for a
+    declared rho (|rho| <= 1e300)."""
     terms = []  # an append loop: a comprehension costs a call before Python 3.12
     for g, log_beta in zip(gifts, log_b):
         terms.append(log_beta + rho * log(g) if g > 0.0 else -rho * math.inf)
@@ -421,19 +429,18 @@ def _result_from_gifts(game: GameSpec, gifts, reference_G: float,
     ``np.maximum`` keeps it), scored with the payoff kernel's bits;
     ``residual`` defaults to ``|CES(gifts) - reference_G|``.
 
-    Below ``games._PAIRWISE_TERMS`` players with every gift finite, the
-    one joint action is scored in floats, by ``_scalar_ces`` and
-    ``score_scalar`` with numpy's ``exp`` and ``log``, which give ``_ces``'s
-    and ``eval_score``'s bits as a lone learner run's misses do.  Larger
-    teams, which numpy sums pairwise, and a NaN or infinite gift take the
-    kernels themselves.  Either way both fields are Python floats."""
+    With every gift finite, the one joint action is scored in floats, by
+    ``_scalar_ces`` and ``score_scalar`` with numpy's ``exp`` and ``log``,
+    which give ``_ces``'s and ``eval_score``'s bits as a lone learner run's
+    misses do.  A NaN or infinite gift takes the kernels themselves.  Either
+    way both fields are Python floats."""
     gifts = tuple(0.0 if g <= 0.0 else float(g) for g in gifts)
     log_b, caps, _ = game._columns
     actions = tuple(min(g / cap, 1.0) if cap > 0.0 else 0.0
                     for g, cap in zip(gifts, caps.tolist()))
     # no gift is negative: the sum is finite unless a gift is NaN or infinite (or the
     # gifts overflow together, which the kernels then take too)
-    if len(gifts) < _PAIRWISE_TERMS and sum(gifts) < math.inf:
+    if sum(gifts) < math.inf:
         aggregate = float(_scalar_ces(gifts, log_b.tolist(), game.rho, np.exp, np.log))
         score = float(score_scalar(game.evaluation, aggregate, np.exp))
     else:
@@ -465,12 +472,12 @@ def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
     refines a sign change between them.  Each evaluation is scalar
     arithmetic: the replacement maps' gifts without their checks, and their
     aggregate by ``_scalar_ces``; the reported equilibria are scored in
-    floats too (``_result_from_gifts``), so below ``games._PAIRWISE_TERMS``
-    players a solve calls no array kernel.  The ends keep their own rules: for
-    rho = 1, ``|f(0)| < 1e-12`` makes ``G = 0`` a root (nobody contributes);
-    for 0 < rho < 1, ``lo`` is the largest standalone value, a lone
-    player's fixed point when ``|f(lo)| <= max(lo, 1)*1e-9``, relative to
-    ``lo`` itself because ``hi`` grows like ``n**(1/rho)`` as rho nears 0;
+    floats too (``_result_from_gifts``), so a solve calls no array kernel.
+    The ends keep their own rules: for rho = 1, ``|f(0)| < 1e-12`` makes
+    ``G = 0`` a root (nobody contributes); for 0 < rho < 1, ``lo`` is the
+    largest standalone value, a lone player's fixed point when
+    ``|f(lo)| <= max(lo, 1)*1e-9``, relative to ``lo`` itself because
+    ``hi`` grows like ``n**(1/rho)`` as rho nears 0;
     an exact zero at ``lo`` is a root; and ``hi`` is a root when
     ``|f(hi)| < min(hi, 1)*1e-12``, relative to ``hi`` below 1 because for
     rho < 0 near 0 ``hi``, the least standalone value, shrinks like
@@ -490,9 +497,9 @@ def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
             f"concave solver requires rho <= 1 (rho != 0), got {game.rho}; "
             "use the disjunctive enumerator for rho > 1")
     _require_smooth(game, "equilibrium solver")
+    G_max = _full_time_aggregate(game)
 
     standalones = [_standalone_pair(i, game)[1] for i in range(game.n)]
-    G_max = game.max_aggregate()
     if game.rho == 1:
         lo, hi = 0.0, G_max
     elif game.rho > 0:
@@ -934,6 +941,7 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
             f"enumeration over {game.n} players needs 2**{game.n} - 1 subsets, "
             f"above the configured cap of {subset_cap}; raise subset_cap "
             "explicitly to proceed")
+    _full_time_aggregate(game)
 
     pairs = [_standalone_pair(i, game) for i in range(game.n)]
     capable = [i for i in range(game.n) if pairs[i][0] > BOUNDARY_TOL]
@@ -993,8 +1001,8 @@ def _deviation_payoffs(game: GameSpec, actions: np.ndarray, candidates):
     """The profile's utilities (column 0 of one payoff pass), and each
     player's utility for each of its own candidate actions (``candidates[i]``
     lists player i's, clipped to at most 1), the others held fixed.  A
-    column's payoff does not depend on the others: below 8 players every
-    layout sums in order, and from 8 ``_ces`` sums each column contiguously."""
+    column's payoff does not depend on the others: ``_ces`` sums every
+    column in player order."""
     ends = list(itertools.accumulate(map(len, candidates), initial=1))
     profiles = np.repeat(actions[:, None], ends[-1], axis=1)
     for i, c in enumerate(candidates):

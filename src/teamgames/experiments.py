@@ -513,6 +513,8 @@ def tune_hyperparameters(budget: int, *, probe_cells=_DEFAULT_PROBE,
     except (TypeError, ValueError):
         raise ConfigurationError(
             f"probe_cells must be a list of (p1, p2, rho, b) cells, got {probe_cells!r}") from None
+    if not cells:  # a score is the mean error over the cells
+        raise ConfigurationError("probe_cells must hold at least one (p1, p2, rho, b) cell")
     if budget == 0:
         return TuneResult(best_k=TrainConfig.k, best_tau=TrainConfig.tau,
                           best_score=None, trials=())

@@ -172,16 +172,11 @@ def ces_aggregate(gifts, rho: float, betas):
     _check("rho", rho, _GAME_FIELDS["rho"])
     g = np.asarray(gifts, dtype=float)
     b = np.array(_check("betas", betas, _GAME_FIELDS["betas"], InputError))
-    if g.shape[:1] != b.shape:
-        raise InputError(f"gifts and betas must align on axis 0, got {g.shape} vs {b.shape}")
+    if g.shape[:1] != b.shape or not len(b):
+        raise InputError(f"gifts must have a row per beta, n >= 1, got {g.shape} vs {b.shape}")
     if not (g >= 0).all():
         raise InputError("gifts must all be >= 0")
     return _ces(g, rho, np.log(b))
-
-
-# Term count from which numpy may sum pairwise; fewer terms it sums in order in
-# every layout, as _aggregate_scalar does.
-_PAIRWISE_TERMS = 8
 
 
 def _ces(gifts: np.ndarray, rho: float, log_b: np.ndarray):
@@ -194,14 +189,7 @@ def _ces(gifts: np.ndarray, rho: float, log_b: np.ndarray):
         # the cell's max shift m to +inf.  Cells whose m is not finite (no
         # positive gift, or a zero gift under rho < 0) have G = 0; with m
         # set to 0 there, the sum is 0 or +inf and G comes out as exactly 0.
-        t = log_b + rho * np.log(gifts)
-        if t.ndim >= 2 and len(t) >= _PAIRWISE_TERMS:
-            # From _PAIRWISE_TERMS terms numpy sums a contiguous run pairwise
-            # and a strided one in order; with each cell's terms contiguous,
-            # every cell sums as a lone joint action does.  Below it every
-            # layout sums in order.
-            t = np.asfortranarray(t)
-        out = _aggregate_terms(t, rho)
+        out = _aggregate_terms(log_b + rho * np.log(gifts), rho)
     return float(out) if gifts.ndim == 1 else out
 
 
@@ -210,21 +198,26 @@ def _aggregate_terms(terms: np.ndarray, rho) -> np.ndarray:
     per player, overwritten in place: the max-shifted log-sum-exp over axis
     0, divided by ``rho`` (a scalar or one value per column), exponentiated.
     Call it with division warnings off, for the ``log(0)`` of a column with
-    no positive gift.  From ``_PAIRWISE_TERMS`` players a column sums as one
-    joint action's gifts only if it is contiguous (see ``_ces``)."""
+    no positive gift.  The rows are added in player order, so every column
+    sums as one joint action's terms do, in any layout and at any n; each
+    summand lies in [0, 1], so the sum's relative error is at most (n - 1)
+    unit roundoffs (Higham 1993, SIAM J. Sci. Comput. 14)."""
     m = np.maximum.reduce(terms, axis=0)
     m = np.where(np.isfinite(m), m, 0.0)
     terms -= m
     np.exp(terms, out=terms)
-    return np.exp((m + np.log(np.add.reduce(terms, axis=0))) / rho)
+    total = terms[0, ...]  # a view, 0-d for one joint action's terms
+    for i in range(1, len(terms)):
+        total += terms[i]
+    return np.exp((m + np.log(total)) / rho)
 
 
 def _aggregate_scalar(terms, rho: float, exp=math.exp, log=math.log) -> float:
     """``_aggregate_terms`` of one joint action's log-terms on floats, summed
-    in order as numpy sums fewer than ``_PAIRWISE_TERMS``.  A non-finite
-    shift (a ``+inf`` term, or ``-inf`` ones only) gives 0.0.  With numpy's
-    ``exp`` and ``log``, which give a float the array kernels' bits, it
-    equals ``_aggregate_terms``; with ``math``'s, the default, to rounding."""
+    in the same player order.  A non-finite shift (a ``+inf`` term, or
+    ``-inf`` ones only) gives 0.0.  With numpy's ``exp`` and ``log``, which
+    give a float the array kernels' bits, it equals ``_aggregate_terms``;
+    with ``math``'s, the default, to rounding."""
     m = max(terms)
     if not math.isfinite(m):
         return 0.0

@@ -26,25 +26,24 @@ player's CES log-term and leisure factor are tabulated per arm before the
 first episode, and each episode gathers every run's terms into one column,
 finishes them with ``games._aggregate_terms`` (the log-sum-exp of
 ``ces_aggregate``), scores the outcomes in one ``evaluation._score`` pass
-per evaluation kind and multiplies by the leisure factors.  With each
-run's column contiguous, as ``ces_aggregate`` lays out a grid, the rewards
-equal ``games._payoffs`` bit for bit on each joint action alone or over an
-``(n, cells)`` grid of them.
+per evaluation kind and multiplies by the leisure factors.  The kernel
+sums each column in player order, so the rewards equal ``games._payoffs``
+bit for bit on each joint action alone or over an ``(n, cells)`` grid of
+them.
 
-A row-major chunk of one run of fewer than ``games._PAIRWISE_TERMS``
-players has an episode loop of its own, because a handful of cells costs
-more in numpy calls than in arithmetic.  It keeps the rewards of each
-joint action it has played (the memo) and reuses them when it plays the
-action again, and it keeps its pull counts in a list and updates its n
-pulled cells one at a time in Python floats (``_update_arms``), with the
-same correctly rounded operations as ``bandit._update_q``.  A joint action
-it has not played (a memo miss) is scored in floats too: its log-terms
-from the term table, finished by ``games._aggregate_scalar``, and
-``evaluation.score_scalar``, with numpy's ``exp`` and ``log``, which give
-a float the array kernels' bits; below that player count numpy sums a
-joint action's terms in order too.  Any other chunk takes the chunk loop.
-The lone loop's soft-max repeats ``_boltzmann_weights``' operations on
-same-shape ``(n, K)`` arrays.
+A row-major chunk of one run of fewer than ``_LONE_PLAYERS`` players has
+an episode loop of its own, because a handful of cells costs more in numpy
+calls than in arithmetic.  It keeps the rewards of each joint action it
+has played (the memo) and reuses them when it plays the action again, and
+it keeps its pull counts in a list and updates its n pulled cells one at a
+time in Python floats (``_update_arms``), with the same correctly rounded
+operations as ``bandit._update_q``.  A joint action it has not played (a
+memo miss) is scored in floats too: its log-terms from the term table,
+finished by ``games._aggregate_scalar``, and ``evaluation.score_scalar``,
+with numpy's ``exp`` and ``log``, which give a float the array kernels'
+bits.  Any other chunk takes the chunk loop.  The lone loop's soft-max
+repeats ``_boltzmann_weights``' operations on same-shape ``(n, K)``
+arrays.
 
 Each run draws from its own counter-based stream, so an outcome is bitwise
 the same whatever it is batched with; sweep seeds are derived from a base
@@ -64,8 +63,8 @@ from .bandit import update_q  # noqa: F401  (bound here for perfbench's tracer t
 from .errors import (ConfigurationError, Field, InputError, UndefinedDispersionError, _FINITE,
                      _POSITIVE, _POSITIVE_OR_NONE, _SEED, _at_least, _check, _check_all)
 from .evaluation import _score, score_scalar
-from .games import (GameSpec, _GAME, _PAIRWISE_TERMS, _aggregate_scalar, _aggregate_terms,
-                    _leisure_payoff, _outcome, max_achievable_utility)
+from .games import (GameSpec, _GAME, _aggregate_scalar, _aggregate_terms, _leisure_payoff,
+                    _outcome, max_achievable_utility)
 
 # Share of each agent's draws taken uniformly over all arms, whatever the
 # Q-table holds, so every arm keeps being sampled at rate >= EXPLORATION / K.
@@ -80,6 +79,12 @@ _CHUNK_BYTES = 1 << 20
 # per step; below it every op would walk K short rows, and row-major is as
 # fast or faster (BENCH_24: the two break even at 20 to 28 agents).
 _ARM_MAJOR_AGENTS = 32
+
+# Player count from which a lone run takes the chunk loop: the lone loop's memo,
+# a list of n rewards per joint action played, grows with n.  At 8 players a
+# 50,000-episode run took 1.21 s at 62 MB peak RSS there and 1.99 s at 37 MB in
+# the chunk loop (one CPU of a 2-CPU x86-64 host, numpy 2.4; README).
+_LONE_PLAYERS = 8
 
 # Each TrainConfig field's declaration; anneal_floor must also be at most tau.  A seed
 # may be a SeedSequence, named at the check so that this import leaves numpy.random unloaded.
@@ -302,12 +307,10 @@ def train_many(jobs) -> list[LearnedOutcome]:
     of them.  Rewards take one path for every team size, through per-player
     CES term tables, and a chunk scores its outcomes once per evaluation
     kind; a chunk is sized by its runs' ``(n, K)`` arrays alone
-    (``_run_bytes``).  A row-major chunk of one run of fewer than
-    ``_PAIRWISE_TERMS`` players computes the rewards of each distinct
-    joint action once and reuses them on every replay (at most
-    ``min(episodes, K ** n)`` lists of n floats), and updates its n pulled
-    cells in Python scalars, bit for bit as a chunk of runs does.  ``k``,
-    the game and the seed may differ within a chunk.  Each run keeps its own random stream, so
+    (``_run_bytes``).  A lone run of fewer than ``_LONE_PLAYERS`` players
+    has a reward memo and a loop of its own (see the module docstring),
+    bit for bit as a chunk of runs.  ``k``, the game and the seed may
+    differ within a chunk.  Each run keeps its own random stream, so
     outcomes do not depend on how the jobs are grouped or chunked.
     """
     try:
@@ -340,10 +343,8 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
 
     Per episode: one table of unnormalised soft-max weights over every
     Q-table, one draw from it, then the rewards, gathered and scored, and
-    one update.  A row-major lone run of fewer than ``_PAIRWISE_TERMS``
-    players has a loop of its own: it reads the joint action's rewards from
-    its memo, scoring only an action it has not played, in floats from the
-    term table, and updates through ``_update_arms``.  The Q-values, pull
+    one update.  A row-major lone run of fewer than ``_LONE_PLAYERS``
+    players takes the lone loop of the module docstring.  The Q-values, pull
     counts, weights and term tables keep the logical shape ``(agents, K)``.
     From ``_ARM_MAJOR_AGENTS`` agents they are stored arm-major, where the
     draw's cumulative sum runs down the arms two agents per add; below it
@@ -376,8 +377,7 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
     T, L = (table.ravel(order="K") for table in _term_tables(games, arm_actions, order))
     rho = np.array([game.rho for game in games])
     player_cells = cells.reshape(runs, n).T  # a view: the cells player by player
-    # each run's terms contiguous, so they sum as its own joint action's gifts
-    terms = np.empty((n, runs), order="F")
+    terms = np.empty((n, runs))  # row-major: the kernel's row adds run on contiguous rows
     S = np.empty(runs)
     # one _score call per evaluation kind, with each run's d, gamma and b
     # bound once; a lone kind takes every run as a view
@@ -415,7 +415,7 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
             yield zip(temperatures[start:stop], _draws(u, num_arms))
 
     with np.errstate(divide="ignore"):  # log(0) of a team with no positive gift
-        if runs > 1 or n >= _PAIRWISE_TERMS or arm_major:
+        if runs > 1 or n >= _LONE_PLAYERS or arm_major:
             counts = np.zeros((agents, num_arms), dtype=np.int64, order=order)
             counts_flat = counts.ravel(order="K")
             k = np.repeat([float(config.k) for config in configs], n)
@@ -429,15 +429,11 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
                 run_rewards *= S[:, None]
                 _update_q(q_flat, counts_flat, k, cells, rewards)
         else:
-            # A lone run replays most joint actions many times, and a joint
-            # action fixes its rewards: keep each one's reward list, at most
-            # min(episodes, K**n) of them, in the memo.  Its bookkeeping is in
-            # Python scalars, where n cells cost less than numpy calls on
-            # them, and so is a miss's scoring: below _PAIRWISE_TERMS players
-            # floats give scores()'s bits.  Its soft-max is
-            # _boltzmann_weights' operations on same-shape arrays, each row's
-            # best value broadcast once, or the kernel itself while a row's
-            # best value is at or below Q_MAX_FLOOR.
+            # A joint action fixes its rewards: the memo keeps each one's list,
+            # at most min(episodes, K**n) of them.  Bookkeeping and a miss's
+            # scoring are in Python scalars, where n cells cost less than numpy
+            # calls; the soft-max is _boltzmann_weights' operations on same-shape
+            # arrays, or the kernel itself while a row's best is <= Q_MAX_FLOOR.
             memo = {}
             counts = [0] * (agents * num_arms)
             k = float(schedule.k)

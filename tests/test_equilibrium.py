@@ -633,7 +633,7 @@ class TestOracleParity:
     @pytest.mark.parametrize("kind", ["logistic", "identity", "heaviside"])
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
     def test_random_profiles(self, n, kind):
-        # from 8 players ces_aggregate sums each column contiguously, as a lone profile
+        # 8 and 9 players: every column of a payoff pass sums as a lone profile does
         rng = np.random.default_rng(100 * n + len(kind))
         for _ in range(6):
             g = GameSpec(n=n, rho=float(rng.choice([-10.0, 0.5, 1.0, 3.0, 10.0])),
@@ -1672,7 +1672,7 @@ class TestLeanOracleAndResults:
 
     @pytest.mark.parametrize("kind", ["logistic", "identity", "heaviside"])
     @pytest.mark.parametrize("rho", [-10.0, 0.5, 1.0, 3.0, 10.0])
-    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("n", [1, 3, 8, 12, 16])
     def test_result_from_gifts_matches_the_numpy_reference(self, n, rho, kind):
         rng = np.random.default_rng(31 * n + len(kind))
         expertise = rng.uniform(0.1, 1.0, n)
@@ -1705,10 +1705,10 @@ class TestLeanOracleAndResults:
         ((math.nan, 1.0), -10.0, math.nan), ((math.nan, 1.0), 0.5, math.nan),
         ((math.nan, 1.0), 3.0, math.nan), ((math.inf, 1.0), -10.0, 1.0),
         ((math.inf, 1.0), 0.5, math.inf), ((math.inf, 1.0), 3.0, math.inf),
-        # from games._PAIRWISE_TERMS players numpy sums pairwise: summed in order, these
-        # gifts' terms give an aggregate 2 ulp off (x86-64, numpy 2.4)
+        # eight finite gifts take the floats; numpy's pairwise sum of these gifts' terms
+        # gives an aggregate 2 ulp from the in-order one (x86-64, numpy 2.4)
         ((0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9), 0.5, None)])
-    def test_a_non_finite_gift_or_eight_players_take_the_kernels(self, gifts, rho, G):
+    def test_a_non_finite_gift_takes_the_kernels_and_floats_match_them(self, gifts, rho, G):
         # in floats a NaN or +inf term is lost to max() or the shift: (nan, 1) would give
         # G = 1.0 at rho 0.5 and 0.0 at rho -10, and (inf, 1) 0.0 at rho 0.5
         g = game(rho=rho, expertise=(1.0,) * len(gifts))

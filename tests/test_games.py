@@ -182,6 +182,35 @@ class TestCes:
                 assert stacked[i] == pytest.approx(
                     ces_aggregate(gifts[:, i], rho, (1.0, 2.0)), rel=1e-12, abs=1e-300)
 
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_kernel_sums_every_layout_in_player_order(self, n):
+        from teamgames.games import _aggregate_terms
+        rng = np.random.default_rng(n)
+        for rho in (-10.0, 0.5, 3.0):
+            gifts = 10.0 ** rng.uniform(-3.0, 2.0, (n, 6))
+            gifts[rng.random((n, 6)) < 0.2] = 0.0  # -inf or +inf terms
+            with np.errstate(divide="ignore"):
+                terms = np.log(rng.uniform(0.5, 2.0, (n, 1))) + rho * np.log(gifts)
+            expected = []
+            for column in terms.T.tolist():  # a Python sum, player by player
+                m = max(column)
+                m = m if math.isfinite(m) else 0.0
+                total = 0.0
+                for t in column:
+                    total += np.exp(t - m)
+                with np.errstate(divide="ignore"):
+                    expected.append(float(np.exp((m + np.log(total)) / rho)))
+            layouts = [terms.copy(order="C"), np.asfortranarray(terms)]
+            layouts += [terms[:, c].copy() for c in range(6)]         # 1-D
+            layouts += [terms[:, c:c + 1].copy() for c in range(6)]  # (n, 1)
+            got = []
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for layout in layouts:
+                    got.append(np.ravel(_aggregate_terms(layout, rho)).tolist())
+            want = [expected, expected] + [[e] for e in expected] * 2
+            assert [np.array(g).view(np.uint64).tolist() for g in got] == \
+                [np.array(w).view(np.uint64).tolist() for w in want], rho
+
 
 class TestGameSpec:
     def test_round_trip(self):
@@ -326,8 +355,8 @@ class TestOnePayoffPipeline:
     @pytest.mark.parametrize("rho", [0.5, 3.0, -10.0])
     @pytest.mark.parametrize("n", [8, 12, 16])
     def test_c_ordered_grid_matches_each_joint_action(self, n, rho):
-        # from n = 8 numpy sums a contiguous run of terms pairwise and a strided
-        # one in order; the grid's cells must sum as one joint action's gifts
+        # a C-ordered grid keeps each cell's terms strided; every cell must
+        # still sum as one joint action's gifts do
         rng = np.random.default_rng(n)
         game = GameSpec(n=n, rho=rho, betas=tuple(rng.uniform(0.5, 2.0, n)), delta_t=10.0,
                         expertise=tuple(rng.uniform(0.1, 1.0, n)), alpha=2.0,

@@ -195,6 +195,19 @@ def ces(value):
     return ces_aggregate([1.0, 2.0], value, [1.0, 1.0])
 
 
+def ces_gifts(value):
+    return ces_aggregate(value, 1.0, [])
+
+
+def overflowing_solve(value):
+    # a game that GameSpec admits, whose full-time aggregate is inf
+    rho, delta_t = value
+    game = GameSpec(n=2, rho=rho, betas=(10.0, 10.0), delta_t=delta_t, expertise=(1.0, 1.0),
+                    alpha=2.0, evaluation=EvaluationSpec("identity"))
+    solve = enumerate_disjunctive_equilibria if rho > 1 else solve_equilibrium_concave
+    return solve(game)
+
+
 def spawn_key(value):
     return spawned_seed(1, value)
 
@@ -219,7 +232,7 @@ TABLE = [
     *((tune("budget"), "budget", v) for v in NOT_AN_INTEGER + [-1]),
     *((tune("base_seed"), "base_seed", v) for v in NOT_A_SEED),
     *((tune("probe_cells"), "probe_cells", v)
-      for v in [[(0.3,)], [(0.3, 0.9, 1.0, 5.0, 0.0)], [(0.3, 0.9, "x", 5.0)], None, 5]),
+      for v in [[(0.3,)], [(0.3, 0.9, 1.0, 5.0, 0.0)], [(0.3, 0.9, "x", 5.0)], None, 5, []]),
     *((study("base_seed"), "base_seed", v) for v in NOT_A_SEED),
     *((study("repetitions"), "repetitions", v) for v in NOT_AN_INTEGER),
     *((sweep_config(key), key, v) for key in ("base_seed", "repetitions", "workers")
@@ -235,6 +248,9 @@ TABLE = [
     *((evaluation_spec(key), f"evaluation {key}", v) for key in ("d", "gamma", "b")
       for v in [None, "x"]),
     *((ces, "rho", v) for v in [None, "x"] + NOT_FINITE),
+    (ces_gifts, "gifts", []),
+    *((overflowing_solve, "full-time aggregate", v)
+      for v in [(1.0, 1e307), (0.5, 1e306), (3.0, 1e308)]),
     *((call, "game", v) for call in (solve_cell, solve_equilibrium_concave,
                                      enumerate_disjunctive_equilibria, thresholds)
       for v in NOT_A_GAME),
