@@ -37,12 +37,6 @@ from .simulator import TrainConfig, train
 from . import experiments as _experiments
 
 
-def _float_repr(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
 def _write_json(path: Path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -51,9 +45,7 @@ def _write_json(path: Path, payload) -> None:
 
 def _write_csv(path: Path, rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in rows:
-            writer.writerow([_float_repr(v) for v in row])
+        csv.writer(fh).writerows(rows)
 
 
 def _apply_overrides(data: dict, overrides) -> dict:

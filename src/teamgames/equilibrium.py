@@ -49,8 +49,8 @@ from .errors import (
     _check,
     _read,
 )
-from .evaluation import eval_score, score_scalar, ratio_scalar
-from .games import (GameSpec, _actions_array, _aggregate_scalar, _ces, _payoffs, _require_game,
+from .evaluation import score_scalar, ratio_scalar
+from .games import (GameSpec, _actions_array, _aggregate_scalar, _payoffs, _require_game,
                     max_achievable_utility, utility)
 
 # Absolute tolerance on work units for branch and boundary comparisons.
@@ -194,13 +194,15 @@ def _full_time_aggregate(game: GameSpec) -> float:
 
 
 def _scalar_ces(gifts, log_b, rho: float, exp=math.exp, log=math.log) -> float:
-    """``games._ces`` of one joint action on floats: the log-terms
-    ``log(beta_i) + rho*log(g_i)`` (``log_b`` holds the ``log(beta_i)``; a
-    zero gift's is ``rho * log(0)``, as in ``_ces``) finished by
-    ``games._aggregate_scalar``.  With ``math``'s ``exp`` and ``log``, the
-    default, it agrees with ``_ces`` to rounding; with numpy's it equals
-    ``_ces`` exactly, since every positive gift's term is finite for a
-    declared rho (|rho| <= 1e300)."""
+    """The payoff kernel's CES of one joint action of finite gifts, on
+    floats: the log-terms ``log(beta_i) + rho*log(g_i)`` (``log_b`` holds
+    the ``log(beta_i)``; a zero gift's is ``rho * log(0)``, as in the
+    kernel) finished by ``games._aggregate_scalar``.  With ``math``'s
+    ``exp`` and ``log``, the default, it agrees with the kernel to rounding;
+    with numpy's it equals the kernel exactly, since every positive gift's
+    term is finite for a declared rho (|rho| <= 1e300).  The concave
+    solver's root calls it on every evaluation, and the result builder on
+    every reported equilibrium."""
     terms = []  # an append loop: a comprehension costs a call before Python 3.12
     for g, log_beta in zip(gifts, log_b):
         terms.append(log_beta + rho * log(g) if g > 0.0 else -rho * math.inf)
@@ -425,27 +427,20 @@ def strongly_conjunctive_limit(game: GameSpec) -> float:
 
 def _result_from_gifts(game: GameSpec, gifts, reference_G: float,
                        residual: float | None = None) -> EquilibriumResult:
-    """The equilibrium of ``gifts``, each clamped at 0 (a NaN kept, as
-    ``np.maximum`` keeps it), scored with the payoff kernel's bits;
-    ``residual`` defaults to ``|CES(gifts) - reference_G|``.
+    """The equilibrium of the finite ``gifts``, each clamped at 0, scored
+    with the payoff kernel's bits; ``residual`` defaults to
+    ``|CES(gifts) - reference_G|``.
 
-    With every gift finite, the one joint action is scored in floats, by
-    ``_scalar_ces`` and ``score_scalar`` with numpy's ``exp`` and ``log``,
-    which give ``_ces``'s and ``eval_score``'s bits as a lone learner run's
-    misses do.  A NaN or infinite gift takes the kernels themselves.  Either
-    way both fields are Python floats."""
+    The one joint action is scored in floats, by ``_scalar_ces`` and
+    ``score_scalar`` with numpy's ``exp`` and ``log``, which give the CES
+    and sigma kernels' bits as a lone learner run's misses do; both fields
+    are Python floats."""
     gifts = tuple(0.0 if g <= 0.0 else float(g) for g in gifts)
     log_b, caps, _ = game._columns
     actions = tuple(min(g / cap, 1.0) if cap > 0.0 else 0.0
                     for g, cap in zip(gifts, caps.tolist()))
-    # no gift is negative: the sum is finite unless a gift is NaN or infinite (or the
-    # gifts overflow together, which the kernels then take too)
-    if sum(gifts) < math.inf:
-        aggregate = float(_scalar_ces(gifts, log_b.tolist(), game.rho, np.exp, np.log))
-        score = float(score_scalar(game.evaluation, aggregate, np.exp))
-    else:
-        aggregate = _ces(np.array(gifts), game.rho, log_b)
-        score = eval_score(game.evaluation, aggregate)
+    aggregate = float(_scalar_ces(gifts, log_b.tolist(), game.rho, np.exp, np.log))
+    score = float(score_scalar(game.evaluation, aggregate, np.exp))
     return EquilibriumResult(
         actions=actions, gifts=gifts, aggregate_G=aggregate, score=score,
         active_set=tuple(i for i, g in enumerate(gifts) if g > BOUNDARY_TOL),
@@ -617,12 +612,13 @@ def _response_condition(game: GameSpec, player: int, G_minus: float):
 
 
 def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
-                            near: float | None = None) -> tuple[float, float] | None:
+                            near: float | None = None) -> tuple[float, float]:
     """Best strictly positive contribution against opponents providing G_minus.
 
-    Returns (gift, utility) for the best g > 0, or None for a player with no
-    expertise.  The interior local maxima of the utility u(g) are the roots
-    where the first-order condition falls through zero: with
+    Returns (gift, utility) for the best g > 0 of a player with positive
+    expertise (both callers reach it only for a player whose standalone gift
+    exceeds ``BOUNDARY_TOL``).  The interior local maxima of the utility
+    u(g) are the roots where the first-order condition falls through zero: with
     ``w = beta**(1/rho) * g`` and ``G = (w**rho + G_minus**rho)**(1/rho)``,
     d log u / dg has the sign of
 
@@ -661,8 +657,6 @@ def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
     corner a rounding error below it.
     """
     p = game.expertise[player]
-    if p == 0.0:
-        return None
     cap = p * game.delta_t
     rho = game.rho
     bscale = game.betas[player] ** (1.0 / rho)
@@ -1001,8 +995,8 @@ def _deviation_payoffs(game: GameSpec, actions: np.ndarray, candidates):
     """The profile's utilities (column 0 of one payoff pass), and each
     player's utility for each of its own candidate actions (``candidates[i]``
     lists player i's, clipped to at most 1), the others held fixed.  A
-    column's payoff does not depend on the others: ``_ces`` sums every
-    column in player order."""
+    column's payoff does not depend on the others: the CES kernel sums
+    every column in player order."""
     ends = list(itertools.accumulate(map(len, candidates), initial=1))
     profiles = np.repeat(actions[:, None], ends[-1], axis=1)
     for i, c in enumerate(candidates):

@@ -155,8 +155,8 @@ def validate_evaluation(spec: EvaluationSpec, grid: tuple[float, float], points:
 # at its root, once per step of the threshold root search; they take math.exp.  Two
 # callers take np.exp, which gives a float the array kernel's bits: the learner's lone run,
 # for each joint action it has not played yet, so its rewards are _score's exactly, and
-# the solvers' result builder, for each equilibrium they report, so its score is
-# eval_score's exactly.
+# the solvers' result builder, for every equilibrium they report, so its score is
+# eval_score's exactly and no solver calls _score.
 def score_scalar(spec: EvaluationSpec, G: float, exp=math.exp) -> float:
     """sigma(G) of one float, by ``_score``'s operations with ``exp``."""
     if spec.kind == "identity":

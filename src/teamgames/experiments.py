@@ -28,8 +28,10 @@ from .errors import (
     InputError,
     TeamworkGameError,
     UndefinedDispersionError,
+    _FINITE,
     _SEED,
     _at_least,
+    _check,
     _check_all,
     _read,
     _read_spec,
@@ -225,14 +227,21 @@ def run_sweep(config: SweepConfig) -> list[ExperimentRecord]:
 
 def nearest_equilibrium(record: ExperimentRecord) -> float | None:
     """Theoretical aggregate closest to the learned one (multi-equilibrium cells)."""
+    _check("record", record, Field(ExperimentRecord), InputError)
     if not record.G_hat_set or record.G_tilde is None:
         return None
     return min(record.G_hat_set, key=lambda g: abs(g - record.G_tilde))
 
 
 def fit_regression(pairs) -> RegressionReport:
-    """Ordinary least squares of learned values on theoretical ones."""
-    pts = [(float(x), float(y)) for x, y in pairs]
+    """Ordinary least squares of learned values on theoretical ones, from
+    ``(theoretical, learned)`` pairs of finite numbers."""
+    try:
+        pts = [_check("pairs", pair, _FINITE._replace(kind=tuple), InputError) for pair in pairs]
+    except (TypeError, InputError):
+        pts = None
+    if pts is None or any(len(pair) != 2 for pair in pts):
+        raise InputError(f"pairs must be pairs of finite numbers, got {pairs!r}")
     if len(pts) < 2:
         raise DegenerateRegressionError(f"need at least 2 points, got {len(pts)}")
     x = np.array([p[0] for p in pts])
@@ -253,6 +262,9 @@ def fit_regression(pairs) -> RegressionReport:
 
 
 def regression_from_records(records) -> RegressionReport:
+    """``fit_regression`` of each solved and learned record's learned
+    aggregate on its nearest equilibrium aggregate."""
+    _check_slice(records)
     pairs = []
     for rec in records:
         g_hat = nearest_equilibrium(rec)

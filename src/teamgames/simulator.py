@@ -10,12 +10,13 @@ a value sampled against a long-gone partner.  An arm valued at zero has
 the soft-max alone leaves most arms untried.
 
 ``train_many`` learns many runs in lockstep: runs that share a player
-count, an arm count and a temperature schedule keep their Q-tables in one
-``(runs * n, K)`` array, and every episode does one soft-max, one draw, one
-reward computation and one update for all of them (``train`` is its
-one-run case).  The soft-max is left unnormalised: each agent's arm is read
-from its row of weights against ``v`` times the row total, which picks the
-normalised inverse CDF's arm without a row sum or a division.  A chunk of
+count, an arm count, a temperature schedule and an evaluation kind keep
+their Q-tables in one ``(runs * n, K)`` array, and every episode does
+one soft-max, one draw, one reward computation and one update for all of
+them (``train`` is its one-run case).  The soft-max is left unnormalised:
+each agent's arm is read from its row of weights against ``v`` times the
+row total, which picks the normalised inverse CDF's arm without a row sum
+or a division.  A chunk of
 at least ``_ARM_MAJOR_AGENTS`` agents keeps its ``(agents, K)`` tables in
 arm-major (Fortran) order: the draw's running sums then advance one arm
 per step over every agent at once, two agents per add, where row-major
@@ -26,10 +27,9 @@ player's CES log-term and leisure factor are tabulated per arm before the
 first episode, and each episode gathers every run's terms into one column,
 finishes them with ``games._aggregate_terms`` (the log-sum-exp of
 ``ces_aggregate``), scores the outcomes in one ``evaluation._score`` pass
-per evaluation kind and multiplies by the leisure factors.  The kernel
-sums each column in player order, so the rewards equal ``games._payoffs``
-bit for bit on each joint action alone or over an ``(n, cells)`` grid of
-them.
+and multiplies by the leisure factors.  The kernel sums each column in
+player order, so the rewards equal ``games._payoffs`` bit for bit on each
+joint action alone or over an ``(n, cells)`` grid of them.
 
 A row-major chunk of one run of fewer than ``_LONE_PLAYERS`` players has
 an episode loop of its own, because a handful of cells costs more in numpy
@@ -300,13 +300,13 @@ def _update_arms(q: np.ndarray, counts: list, k: float, arms: list, rewards: lis
 def train_many(jobs) -> list[LearnedOutcome]:
     """Train every ``(game, config)`` job; outcome j equals ``train(*jobs[j])``.
 
-    Jobs with the same player count, arm count, episode count and
-    temperature schedule advance in lockstep, a chunk of runs at a time:
-    their Q-tables are one ``(runs * n, K)`` array, and every episode does
-    one soft-max, one draw, one reward computation and one update for all
-    of them.  Rewards take one path for every team size, through per-player
-    CES term tables, and a chunk scores its outcomes once per evaluation
-    kind; a chunk is sized by its runs' ``(n, K)`` arrays alone
+    Jobs with the same player count, arm count, episode count, temperature
+    schedule and evaluation kind advance in lockstep, a chunk of runs at a
+    time: their Q-tables are one ``(runs * n, K)`` array, and every episode
+    does one soft-max, one draw, one reward computation and one update for
+    all of them.  Rewards take one path for every team size, through
+    per-player CES term tables, and a chunk scores its outcomes in one
+    ``_score`` call; a chunk is sized by its runs' ``(n, K)`` arrays alone
     (``_run_bytes``).  A lone run of fewer than ``_LONE_PLAYERS`` players
     has a reward memo and a loop of its own (see the module docstring),
     bit for bit as a chunk of runs.  ``k``, the game and the seed may
@@ -326,7 +326,7 @@ def train_many(jobs) -> list[LearnedOutcome]:
         _check(f"job {j}'s game", game, _GAME, InputError)
         _check(f"job {j}'s config", config, _CONFIG, InputError)
         key = (game.n, config.num_arms, config.episodes, config.tau,
-               config.anneal_floor, config.anneal_start)
+               config.anneal_floor, config.anneal_start, game.evaluation.kind)
         groups.setdefault(key, []).append(j)
     outcomes: list = [None] * len(jobs)
     for (n, num_arms, *_), members in groups.items():
@@ -339,11 +339,13 @@ def train_many(jobs) -> list[LearnedOutcome]:
 
 
 def _train_lockstep(jobs) -> list[LearnedOutcome]:
-    """Run jobs that share n, K and the temperature schedule in lockstep.
+    """Run jobs that share n, K, the temperature schedule and the
+    evaluation kind in lockstep.
 
     Per episode: one table of unnormalised soft-max weights over every
-    Q-table, one draw from it, then the rewards, gathered and scored, and
-    one update.  A row-major lone run of fewer than ``_LONE_PLAYERS``
+    Q-table, one draw from it, then the rewards, gathered and scored in
+    one ``_score`` call with each run's ``d``, ``gamma`` and ``b``, and one
+    update.  A row-major lone run of fewer than ``_LONE_PLAYERS``
     players takes the lone loop of the module docstring.  The Q-values, pull
     counts, weights and term tables keep the logical shape ``(agents, K)``.
     From ``_ARM_MAJOR_AGENTS`` agents they are stored arm-major, where the
@@ -378,29 +380,21 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
     rho = np.array([game.rho for game in games])
     player_cells = cells.reshape(runs, n).T  # a view: the cells player by player
     terms = np.empty((n, runs))  # row-major: the kernel's row adds run on contiguous rows
-    S = np.empty(runs)
-    # one _score call per evaluation kind, with each run's d, gamma and b
-    # bound once; a lone kind takes every run as a view
-    specs = [game.evaluation for game in games]
-    by_kind = []
-    for kind in dict.fromkeys(spec.kind for spec in specs):
-        rows = [r for r, spec in enumerate(specs) if spec.kind == kind]
-        members = slice(None) if len(rows) == runs else np.array(rows)
-        by_kind.append((kind, members, *(np.array([getattr(specs[r], key) for r in rows])
-                                         for key in ("d", "gamma", "b"))))
+    # the chunk's one evaluation kind, and each run's d, gamma and b, bound once
+    kind = games[0].evaluation.kind
+    d, gamma, b = (np.array([getattr(game.evaluation, key) for game in games])
+                   for key in ("d", "gamma", "b"))
 
     def scores():
         """The cells of every run's joint action in ``arms``, into
-        ``cells``, and sigma(G) of each, into ``S``."""
+        ``cells``, and sigma(G) of each."""
         if arm_major:
             np.multiply(arms, agents, out=cells)
             np.add(cells, agent_ids, out=cells)
         else:
             np.add(row_start, arms, out=cells)
         T.take(player_cells, out=terms)
-        G = _aggregate_terms(terms, rho)
-        for kind, members, d, gamma, b in by_kind:
-            S[members] = _score(kind, G[members], d, gamma, b)
+        return _score(kind, _aggregate_terms(terms, rho), d, gamma, b)
 
     temperatures = schedule.temperatures()
     # about 32 bytes of draws per agent-episode; a block takes 1/8 of the budget
@@ -424,7 +418,7 @@ def _train_lockstep(jobs) -> list[LearnedOutcome]:
             for tau, draw in chain.from_iterable(blocks()):
                 _boltzmann_weights(q, tau, out=weights)
                 _draw_arms(draw, draw_buffers, arms)
-                scores()
+                S = scores()
                 L.take(cells, out=rewards)
                 run_rewards *= S[:, None]
                 _update_q(q_flat, counts_flat, k, cells, rewards)

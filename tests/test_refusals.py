@@ -20,9 +20,12 @@ from teamgames import (
     critical_thresholds,
     dispersion,
     enumerate_disjunctive_equilibria,
+    fit_regression,
     heatmap_table,
     heaviside_study,
     increment_table,
+    nearest_equilibrium,
+    regression_from_records,
     replacement_additive,
     replacement_conjunctive,
     share_function,
@@ -267,6 +270,12 @@ TABLE = [
     *((spawn_key, "key 0", v) for v in NOT_A_SEED),
     *((dispersion, "dispersion", v)
       for v in [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf], ["x"], None]),
+    # the regression entry points
+    *((fit_regression, "pairs", v)
+      for v in [None, [(1, "a"), (2, 3)], [(1, 2, 3), (2, 3, 4)], [(1, 2), (2, math.nan)],
+                [(1, 2), (math.inf, 3)]]),
+    (nearest_equilibrium, "record", None),
+    (regression_from_records, "records", [1, 2]),
 ]
 
 

@@ -539,8 +539,8 @@ def score_calls(monkeypatch):
 
 
 class TestScoreMemo:
-    """A lone run scores each distinct joint action once; a chunk of runs
-    scores every episode, once per evaluation kind."""
+    """A lone run scores each distinct joint action once; a chunk of runs,
+    all of one evaluation kind, scores every episode in one call."""
 
     @pytest.mark.parametrize("n,num_arms", [(2, 101), (4, 5)])
     @pytest.mark.parametrize("kind", ["logistic", "identity", "heaviside"])
@@ -558,8 +558,12 @@ class TestScoreMemo:
                 for j, (b, kind) in enumerate([(3.0, "logistic"), (5.0, "heaviside"),
                                                (5.0, "logistic"), (7.0, "logistic")])]
         train_many(jobs)
-        assert len(update_calls) == 200
-        assert score_calls == [3, 1] * 200
+        # the three logistic runs learn as one chunk, then the heaviside run alone
+        chunk, lone = update_calls[:200], update_calls[200:]
+        assert [len(cells) for cells, _ in chunk] == [6] * 200
+        assert [len(cells) for cells, _ in lone] == [2] * 200
+        distinct = {cells.tobytes() for cells, _ in lone}
+        assert score_calls == [3] * 200 + [1] * len(distinct)
 
 
 def _bits(values):
@@ -711,11 +715,12 @@ class TestRewardTables:
             def config(j):
                 return TrainConfig(episodes=60, num_arms=3, tau=10.0, anneal_floor=None,
                                    seed=spawned_seed(n, j))
-            # a lone run, and two runs of g in a batch with another game
+            # a lone run, and two runs of g in a batch with another game of
+            # g's evaluation, so that the three runs learn as one chunk
             update_calls.clear()
             train(g, config(0))
-            train_many([(g, config(1)), (game(rho=rho, expertise=(0.5,) * n), config(1)),
-                        (g, config(2))])
+            partner = game(rho=rho, expertise=(0.5,) * n, b=evaluation.b, kind=evaluation.kind)
+            train_many([(g, config(1)), (partner, config(1)), (g, config(2))])
             lone, first, _, second = _runs(update_calls, n, 3, 60)
             for run, (arms, rewards) in zip(("lone", "first", "second"), (lone, first, second)):
                 actions = arm_actions[arms]
