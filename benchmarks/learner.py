@@ -12,8 +12,8 @@ distinct values).  The solver metrics time the calls the solvers really make
 on the default sweep grid: a case records them while ``solve_cell`` solves
 the grid untimed, then replays them, and the metric is the median of
 ``ROUNDS`` (5) rounds in its process, each round making every call once
-(where a round solves games, it builds them afresh, outside its timer, so
-that no memo of a game is warm):
+(where a round solves games, it builds them afresh and clears the side's
+player-type caches, outside its timer, so that no memo is warm):
 
 * ``episode_us.*``: microseconds per run-episode of ``train`` on a two-,
   three- and four-player game with one run (``n*_R1``); of the team4
@@ -69,6 +69,9 @@ that no memo of a game is warm):
 * ``solve240.thresholds_s``: the seconds a round takes to solve each player's
   standalone point and then ``critical_thresholds`` for every capable player
   (one that contributes when alone) of the 90 disjunctive cells of that grid;
+* ``thresholds.searches``: the critical-threshold searches ``solve_cell``
+  runs on those 90 cells, solved once from cold caches (each search scores
+  its first gap against no provision, and those scorings are counted);
 * ``best_response_calls.*``: the ``_best_positive_response`` calls made while
   ``solve_cell`` solves the 90 disjunctive cells of that grid: how many there
   were (``count``) and microseconds per replayed call (``us``).  They
@@ -98,11 +101,13 @@ that no memo of a game is warm):
   kind were found (untimed: each recorded root search is rerun and every
   evaluation counted; a threshold that raises is not counted).  A critical
   threshold counts its ``_best_positive_response`` calls, the one at the
-  root included, whatever root-finder it runs; a concave fixed point, a
-  disjunctive share equation and a player's standalone point count the
-  function evaluations of the root-finder (end values the caller passes in
-  are not counted: the concave solver passes in both of its interval's
-  ends, and the standalone point its value at 0);
+  root included, whatever root-finder it runs, in a rerun from cold type
+  caches; a concave fixed point, a disjunctive share equation and a
+  player's standalone point count the function evaluations of the
+  root-finder (end values the caller passes in are not counted: the
+  concave solver passes in both of its interval's ends, and the standalone
+  point its value at 0).  Where a side keeps standalone points per player
+  type, a solve finds one standalone root per type;
 * ``tier1`` (with ``--tier1``): one run of the test suite of the checkout
   that holds each side's sources.
 """
@@ -284,6 +289,23 @@ def _recorded(module, name: str, caller: str | None = None):
         setattr(module, name, func)
 
 
+def _cold_types():
+    """Clear the side's process-wide player-type caches, where it has them,
+    so that the next solve finds no standalone point or threshold kept."""
+    from teamgames import equilibrium
+    for name in ("_type_standalone", "_type_thresholds"):
+        if hasattr(equilibrium, name):
+            getattr(equilibrium, name).cache_clear()
+
+
+def _cold_solves(games) -> list:
+    """One round of ``solve_cell`` calls on ``games``, each built afresh and
+    the type caches cleared, so that no memo is warm when the round starts."""
+    from teamgames import experiments
+    _cold_types()
+    return [(experiments.solve_cell, (dataclasses.replace(game),), {}) for game in games]
+
+
 def _replay(calls) -> float:
     """The median seconds of ``ROUNDS`` rounds, each of which makes every
     ``(function, args, kwargs)`` call once; a call that raises a
@@ -376,9 +398,7 @@ def case(name: str) -> dict:
         config = _sweep_config()
         specs = experiments._cell_specs(config)
         games = [experiments.cell_game(config, p1, p2, rho, b) for _, p1, p2, rho, b in specs]
-        # each round solves games built afresh, whose memos are cold
-        out["sweep90.solve_s"] = _replay(lambda: [
-            (experiments.solve_cell, (dataclasses.replace(game),), {}) for game in games])
+        out["sweep90.solve_s"] = _replay(lambda: _cold_solves(games))
         jobs = [(game, tg.TrainConfig(episodes=config.episodes,
                                       seed=simulator.spawned_seed(SEED, index, 0)))
                 for (index, *_), game in zip(specs, games)]
@@ -398,9 +418,7 @@ def case(name: str) -> dict:
             outcome = error or [dataclasses.asdict(e) for e in equilibria]
             digest.update(repr(outcome).encode() + b"\n")
         for regime, games in regimes.items():
-            # each round solves games built afresh, whose memos are cold
-            out[f"solve240.{regime}_s"] = _replay(lambda games=games: [
-                (experiments.solve_cell, (dataclasses.replace(game),), {}) for game in games])
+            out[f"solve240.{regime}_s"] = _replay(lambda games=games: _cold_solves(games))
         out["solve240.sha256"] = digest.hexdigest()
     elif name == "thresholds":
         cells = [(game, [i for i in range(game.n)
@@ -408,8 +426,9 @@ def case(name: str) -> dict:
                  for game, *_ in _cells(lambda rho: rho > 1)]
 
         def fresh():
-            # games built afresh, each player's standalone point solved in the timer and
-            # then the thresholds of every player who contributes alone
+            # games built afresh and cold type caches, each player's standalone point
+            # solved in the timer and then the thresholds of every player who contributes alone
+            _cold_types()
             calls = []
             for game, capable in cells:
                 game = dataclasses.replace(game)
@@ -417,6 +436,11 @@ def case(name: str) -> dict:
                 calls += [(equilibrium.critical_thresholds, (i, game), {}) for i in capable]
             return calls
         out["solve240.thresholds_s"] = _replay(fresh)
+        # a threshold search scores its first gap against no provision, and only that one
+        _cold_types()
+        with _recorded(equilibrium, "_indifference_gap") as gaps:
+            list(_cells(lambda rho: rho > 1))
+        out["thresholds.searches"] = sum(args[2] == 0.0 for _, args, _ in gaps)
     elif name == "best_response_calls":
         with _recorded(equilibrium, "_best_positive_response") as calls:
             list(_cells(lambda rho: rho > 1))
@@ -466,7 +490,8 @@ def case(name: str) -> dict:
         evals = {"thresholds": [], **{kind: [] for kind in kinds.values()}}
         for f, points in map(_points, roots):
             evals[kinds[f.__qualname__.split(".")[0]]].append(len(points))
-        for f, args, kwargs in thresholds:  # each threshold's best responses, from a rerun
+        for f, args, kwargs in thresholds:  # each threshold's best responses, from a cold rerun
+            _cold_types()
             with _recorded(equilibrium, "_best_positive_response") as responses:
                 try:
                     f(*args, **kwargs)

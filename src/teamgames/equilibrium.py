@@ -40,6 +40,7 @@ from .errors import (
     InputError,
     NoEquilibriumError,
     RegimeError,
+    TeamworkGameError,
     UnsupportedEvaluationError,
     WrongSolverError,
     _FINITE,
@@ -336,17 +337,36 @@ def standalone_value(player: int, game: GameSpec) -> float:
     return _standalone_pair(player, game)[1]
 
 
+# Player types whose standalone point, and whose thresholds, a process keeps
+# solved; the default sweep grid has 96 standalone and 36 threshold types.
+_PLAYER_TYPES = 256
+
+
+def _player_type(player: int, game: GameSpec) -> tuple:
+    """All that a player's standalone point and thresholds depend on: its
+    own expertise and weight, and the game's alpha, delta_t, rho and
+    evaluation, never its partners."""
+    return (game.expertise[player], game.betas[player], game.alpha, game.delta_t,
+            game.rho, game.evaluation)
+
+
+def _type_game(p, beta, alpha, delta_t, rho, evaluation) -> GameSpec:
+    """The one-player game of a player type."""
+    return GameSpec(n=1, rho=rho, betas=(beta,), delta_t=delta_t, expertise=(p,),
+                    alpha=alpha, evaluation=evaluation)
+
+
+# ``typed``: an int parameter and its float keep apart, so a hit is what the call would solve
+@functools.lru_cache(maxsize=_PLAYER_TYPES, typed=True)
+def _type_standalone(*player_type) -> tuple[float, float]:
+    return _solve_standalone(0, _type_game(*player_type))
+
+
 def _standalone_pair(player: int, game: GameSpec) -> tuple[float, float]:
     """(gift, aggregate) of the single-contributor fixed point, solved once
-    per player and memoised on the frozen game, like ``max_aggregate``."""
-    try:
-        memo = game._standalone_pairs
-    except AttributeError:
-        memo = {}
-        object.__setattr__(game, "_standalone_pairs", memo)
-    if player not in memo:
-        memo[player] = _solve_standalone(player, game)
-    return memo[player]
+    per player type (``_player_type``) in a process and kept in a bounded
+    cache; a refusal is not kept, so it raises on every call."""
+    return _type_standalone(*_player_type(player, game))
 
 
 def _solve_standalone(player: int, game: GameSpec) -> tuple[float, float]:
@@ -755,6 +775,13 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
     ``max_achievable_utility``: the search works in the normalised leisure
     ``dt - g/p``, which has no leisure-capacity factor, so its utilities can
     exceed that bound when a capacity is below 1.
+
+    Every refusal above is made first, on this game.  The search itself
+    depends on the player's type alone (``_player_type``), so it runs once
+    per type in a process, on the type's one-player game, and its result is
+    kept in a bounded cache.  A search that raises is not kept: it runs
+    again on the player's own game, whose error names the player, and so
+    raises on every call.
     """
     _require_player(player, game)
     if game.rho <= 1:
@@ -762,7 +789,8 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
             f"critical thresholds exist only for disjunctive tasks (rho > 1), "
             f"got rho = {game.rho}")
     _require_smooth(game, "critical thresholds")
-    g_bar, G_bar = _standalone_pair(player, game)
+    player_type = _player_type(player, game)
+    g_bar, G_bar = _type_standalone(*player_type)
     if g_bar <= BOUNDARY_TOL:
         raise RegimeError(
             f"player {player} never contributes even alone; the contribution "
@@ -780,6 +808,21 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
             f"sigma'/sigma(standalone) * beta**(1/rho)/alpha = {bound:.6g}")
 
     _u_zero(game, game.max_aggregate())  # refuses by name a game whose utilities overflow
+    try:
+        return _type_thresholds(*player_type)
+    except TeamworkGameError:
+        return _threshold_search(player, game)
+
+
+@functools.lru_cache(maxsize=_PLAYER_TYPES, typed=True)
+def _type_thresholds(*player_type) -> CriticalThresholds:
+    return _threshold_search(0, _type_game(*player_type))
+
+
+def _threshold_search(player: int, game: GameSpec) -> CriticalThresholds:
+    """``critical_thresholds``' Newton search, for a player that passed its refusals."""
+    g_bar, G_bar = _standalone_pair(player, game)
+    bscale = game.betas[player] ** (1.0 / game.rho)
     h0, slope, near = _indifference_gap(game, player, 0.0, g_bar)
     if h0 <= 0.0:
         raise RegimeError(
@@ -884,7 +927,9 @@ def share_function(player: int, G: float, game: GameSpec, branch: str = "positiv
 
     ``branch`` selects the component: "positive" is defined on
     [G_star, standalone] and strictly increasing with s(standalone) = 1;
-    "zero" is defined for G >= G_minus_star and returns 0.
+    "zero" is defined for G >= G_minus_star and returns 0.  The domain comes
+    from ``critical_thresholds``, whose search runs once per player type, so
+    a grid of G values costs one search.
     """
     _require_player(player, game)
     if game.rho <= 1:

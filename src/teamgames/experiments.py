@@ -246,19 +246,44 @@ def fit_regression(pairs) -> RegressionReport:
         raise DegenerateRegressionError(f"need at least 2 points, got {len(pts)}")
     x = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
+    with np.errstate(over="ignore", invalid="ignore"):
+        fit = _least_squares(x, y)
+        if fit is None:
+            # a mean or a sum of squares overflows: the fit is scale-equivariant,
+            # so take it on x and y divided by their largest magnitudes
+            sx, sy = np.abs(x).max(), np.abs(y).max() or 1.0
+            slope, intercept, residuals, r_squared = _least_squares(x / sx, y / sy)
+            slope, intercept, residuals = slope * (sy / sx), intercept * sy, residuals * sy
+            if not (math.isfinite(slope) and math.isfinite(intercept)):
+                raise InputError("pairs must fit a slope and intercept within the float "
+                                 f"range, got {pairs!r}")
+            fit = slope, intercept, residuals, r_squared
+    slope, intercept, residuals, r_squared = fit
+    return RegressionReport(
+        slope=float(slope), intercept=float(intercept), r_squared=float(r_squared),
+        n_points=len(pts), residuals=tuple(float(r) for r in residuals))
+
+
+def _least_squares(x: np.ndarray, y: np.ndarray):
+    """``fit_regression``'s ``(slope, intercept, residuals, r_squared)`` of
+    y on x, or None where a mean or a sum of squares is not finite (a gap
+    between abscissae that overflows makes ``sum((x - mean)**2)`` overflow
+    too); call it with overflow warnings off.  Abscissae all close to the
+    first raise ``DegenerateRegressionError``."""
     if np.allclose(x, x[0]):
         raise DegenerateRegressionError("all theoretical values are equal; slope undefined")
     xbar, ybar = x.mean(), y.mean()
-    slope = float(((x - xbar) * (y - ybar)).sum() / ((x - xbar) ** 2).sum())
+    dx, dy = x - xbar, y - ybar
+    sxx = (dx ** 2).sum()
+    slope = float((dx * dy).sum() / sxx)
     intercept = float(ybar - slope * xbar)
-    fitted = slope * x + intercept
-    residuals = y - fitted
+    residuals = y - (slope * x + intercept)
     ss_res = float((residuals ** 2).sum())
-    ss_tot = float(((y - ybar) ** 2).sum())
+    ss_tot = float((dy ** 2).sum())
+    if not all(map(math.isfinite, (xbar, ybar, sxx, slope, intercept, ss_res, ss_tot))):
+        return None
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
-    return RegressionReport(
-        slope=slope, intercept=intercept, r_squared=float(r_squared),
-        n_points=len(pts), residuals=tuple(float(r) for r in residuals))
+    return slope, intercept, residuals, r_squared
 
 
 def regression_from_records(records) -> RegressionReport:

@@ -44,6 +44,18 @@ def game(rho=1.0, expertise=(1.0, 1.0), b=5.0, kind="logistic", alpha=2.0,
                     expertise=expertise, alpha=alpha, evaluation=ev)
 
 
+def _clear_type_caches():
+    equilibrium._type_standalone.cache_clear()
+    equilibrium._type_thresholds.cache_clear()
+
+
+@pytest.fixture
+def cold_types():
+    """Clear the process-wide player-type caches, so a test that counts solver
+    work sees it done, not read from an earlier test's solve."""
+    _clear_type_caches()
+
+
 def bisect_oracle(f, lo, hi, iters=200):
     """Independent plain bisection used to freeze expected values."""
     flo = f(lo)
@@ -208,6 +220,7 @@ class TestStandalone:
         g = game(rho=1.0, expertise=(0.0, 0.8))
         assert standalone_value(0, g) == 0.0
 
+    @pytest.mark.usefixtures("cold_types")
     def test_memo_is_bitwise_a_fresh_solve(self):
         config = SweepConfig()
         for _, p1, p2, rho, b in _cell_specs(config):
@@ -218,6 +231,7 @@ class TestStandalone:
                 assert memo == equilibrium._solve_standalone(i, g)
                 assert standalone_value(i, g) == memo[1]
 
+    @pytest.mark.usefixtures("cold_types")
     def test_replacement_map_solves_the_standalone_point_once(self, monkeypatch):
         calls = []
         lone_root = equilibrium._lone_root
@@ -1170,6 +1184,7 @@ class TestThresholdNewton:
         assert thresholds == 155
 
     @pytest.mark.parametrize("rho", [3.0, 10.0, 500.0])
+    @pytest.mark.usefixtures("cold_types")
     def test_threshold_takes_few_evaluations(self, rho, monkeypatch):
         # every gap evaluation is one best response, and one more follows the
         # root; the Newton search takes 7 on each of these games, where
@@ -1210,6 +1225,118 @@ class TestThresholdNewton:
         with pytest.raises(InputError, match=r"best response of player 1 to G_minus = 2.0 "
                                              r"did not converge"):
             _best_positive_response(g, 1, 2.0)
+
+
+def _player_type_family(count, seed=39):
+    """A seeded family of smooth two- and three-player disjunctive games with
+    leisure capacities below 1, random weights, logistic and identity
+    evaluations, and every third game's delta_t, alpha and rho ints."""
+    rng = np.random.default_rng(seed)
+    games = []
+    for k in range(count):
+        n = 2 + k % 2
+        ev = EvaluationSpec("identity") if rng.integers(2) else EvaluationSpec(
+            "logistic", d=10.0, gamma=float(rng.uniform(0.5, 5.0)), b=float(rng.uniform(1.0, 8.0)))
+        if k % 3 == 0:
+            rho, delta_t, alpha = (int(rng.integers(2, 40)), int(rng.integers(5, 15)),
+                                   int(rng.integers(1, 4)))
+        else:
+            rho, delta_t, alpha = (float(np.exp(rng.uniform(np.log(1.2), np.log(500.0)))),
+                                   float(rng.uniform(5.0, 15.0)), float(rng.uniform(0.5, 4.0)))
+        games.append(GameSpec(n=n, rho=rho, betas=tuple(rng.uniform(0.5, 2.0, n)),
+                              delta_t=delta_t, expertise=tuple(rng.uniform(0.1, 1.0, n)),
+                              alpha=alpha, evaluation=ev,
+                              leisure_capacity=tuple(rng.uniform(0.2, 0.95, n))))
+    return games
+
+
+def _cold(solve, *args):
+    """``solve(*args)`` from cleared type caches: its value, or its error's type."""
+    _clear_type_caches()
+    try:
+        return solve(*args)
+    except (InputError, RegimeError) as exc:
+        return type(exc)
+
+
+class TestPlayerTypeCache:
+    """A player's standalone point and thresholds are those of the one-player
+    game of its type, so the solvers keep them per type, across games."""
+
+    @staticmethod
+    def _assert_keyed_by_type(g):
+        """Each player's standalone pair and thresholds, cold, equal bit for bit
+        those of its one-player game, and the uncached solves on the game
+        itself; returns how many thresholds were found."""
+        found = 0
+        for i in range(g.n):
+            lone = GameSpec(n=1, rho=g.rho, betas=(g.betas[i],), delta_t=g.delta_t,
+                            expertise=(g.expertise[i],), alpha=g.alpha, evaluation=g.evaluation)
+            pair = _cold(equilibrium._standalone_pair, i, g)
+            assert pair == _cold(equilibrium._standalone_pair, 0, lone)
+            assert pair == equilibrium._solve_standalone(i, g)
+            if pair[0] <= equilibrium.BOUNDARY_TOL:
+                continue
+            thr = _cold(critical_thresholds, i, g)
+            assert thr == _cold(critical_thresholds, 0, lone)
+            if isinstance(thr, equilibrium.CriticalThresholds):
+                assert thr == equilibrium._threshold_search(i, g)
+                found += 1
+        return found
+
+    def test_default_disjunctive_cells(self):
+        config = SweepConfig()
+        found = sum(self._assert_keyed_by_type(cell_game(config, *spec[1:]))
+                    for spec in _cell_specs(config) if spec[3] > 1)
+        assert found == 155
+
+    def test_random_two_and_three_player_games(self):
+        found = sum(map(self._assert_keyed_by_type, _player_type_family(30)))
+        assert found == 60
+
+    @pytest.mark.usefixtures("cold_types")
+    def test_second_game_of_a_type_makes_no_best_response_call(self, monkeypatch):
+        first = critical_thresholds(0, game(rho=10.0, expertise=(0.9, 0.5), b=5.0))
+        calls = []
+        best = equilibrium._best_positive_response
+        monkeypatch.setattr(equilibrium, "_best_positive_response",
+                            lambda *args, **kwargs: calls.append(args) or best(*args, **kwargs))
+        other = game(rho=10.0, expertise=(0.9, 0.3, 0.7), b=5.0)
+        assert critical_thresholds(0, other) is first
+        assert calls == []
+
+    @pytest.mark.usefixtures("cold_types")
+    def test_refused_type_raises_on_every_call(self, monkeypatch):
+        # a search that fails is not kept: each call searches again, and the
+        # error names the player of the game asked, not the type game's player 0
+        g = game(rho=10.0, expertise=(0.5, 0.9), b=5.0)
+        monkeypatch.setattr(equilibrium, "_NEWTON_STEPS", 1)
+        for _ in range(2):
+            with pytest.raises(InputError, match="best response of player 1 to"):
+                critical_thresholds(1, g)
+        monkeypatch.undo()
+        assert critical_thresholds(1, g) == _cold(equilibrium._threshold_search, 1, g)
+        # a type solved in a small game is still refused in one whose full-time
+        # utilities overflow, and on every call
+        weak = dict(rho=2.0, delta_t=10.0, alpha=306.0, evaluation=EvaluationSpec("identity"))
+        alone = GameSpec(n=1, betas=(1.0,), expertise=(0.5,), **weak)
+        critical_thresholds(0, alone)
+        big = GameSpec(n=2, betas=(1.0, 1e6), expertise=(0.5, 1.0), **weak)
+        for _ in range(2):
+            with pytest.raises(InputError, match=r"x \*\* alpha \* score must be finite"):
+                critical_thresholds(0, big)
+
+    @pytest.mark.usefixtures("cold_types")
+    def test_share_function_grid_runs_one_search(self, monkeypatch):
+        searches = []
+        search = equilibrium._threshold_search
+        monkeypatch.setattr(equilibrium, "_threshold_search",
+                            lambda *args: searches.append(args) or search(*args))
+        g = game(rho=10.0, b=5.0)
+        thr = critical_thresholds(0, g)
+        for G in np.linspace(thr.G_star, thr.standalone, 50):
+            share_function(0, float(G), g)
+        assert len(searches) == 1
 
 
 class TestBrent:

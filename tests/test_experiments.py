@@ -1,10 +1,11 @@
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from teamgames import simulator
-from teamgames.errors import ConfigurationError, DegenerateRegressionError
+from teamgames.errors import ConfigurationError, DegenerateRegressionError, InputError
 from teamgames.experiments import (
     ExperimentRecord,
     SweepConfig,
@@ -147,6 +148,23 @@ class TestRegression:
         assert report.intercept == pytest.approx(0.0, abs=1e-12)
         assert report.r_squared == pytest.approx(1.0)
         assert report.n_points == 10
+
+    @pytest.mark.parametrize("pairs,slope,intercept", [
+        ([(1e200, 1.0), (2e200, 2.0)], 1e-200, 0.0),  # the plain fit's sum of squares overflows
+        ([(1e308, 1.0), (-1e308, 2.0)], -5e-309, 1.5),  # and here its gap, x[1] - x[0]
+    ])
+    def test_overflowing_sample_is_fitted_on_its_scaled_copy(self, pairs, slope, intercept):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = fit_regression(pairs)
+        assert report.slope == pytest.approx(slope, rel=1e-15)
+        assert report.intercept == intercept
+        assert report.r_squared == 1.0
+        assert report.residuals == (0.0, 0.0)
+
+    def test_slope_beyond_the_float_range_refused_by_name(self):
+        with pytest.raises(InputError, match="pairs must fit a slope and intercept within"):
+            fit_regression([(1.0, 1e308), (2.0, -1e308)])
 
     def test_outlier_lowers_r_squared(self):
         pairs = [(x, x) for x in np.linspace(1, 10, 10)] + [(0.0, 10.0)]
