@@ -339,6 +339,8 @@ def standalone_value(player: int, game: GameSpec) -> float:
 
 # Player types whose standalone point, and whose thresholds, a process keeps
 # solved; the default sweep grid has 96 standalone and 36 threshold types.
+# Both caches are ``typed``: an int parameter and the equal float keep apart,
+# so a hit returns the bits the call would solve.
 _PLAYER_TYPES = 256
 
 
@@ -356,7 +358,6 @@ def _type_game(p, beta, alpha, delta_t, rho, evaluation) -> GameSpec:
                     alpha=alpha, evaluation=evaluation)
 
 
-# ``typed``: an int parameter and its float keep apart, so a hit is what the call would solve
 @functools.lru_cache(maxsize=_PLAYER_TYPES, typed=True)
 def _type_standalone(*player_type) -> tuple[float, float]:
     return _solve_standalone(0, _type_game(*player_type))

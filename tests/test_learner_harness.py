@@ -112,3 +112,19 @@ def test_profiled_no_op_steps_read_zero(monkeypatch):
                    "step_us.n4_team4.other": 1 / 2 * 1e6,
                    "score_evals.n4_team4": 3 * len(set(steps) & set(learner.STEPS["score"])) / 2}
     assert [getattr(simulator, attr) for attr in steps] == no_ops
+
+
+def test_cold_solves_clear_the_type_caches_and_copy_each_game(monkeypatch):
+    # a round built by _cold_solves finds no player type kept from an earlier
+    # round, and solves a copy of each game, whose own memos are cold
+    from teamgames import EvaluationSpec, GameSpec, equilibrium, experiments
+    cleared = []
+    for name in ("_type_standalone", "_type_thresholds"):
+        monkeypatch.setattr(equilibrium, name, types.SimpleNamespace(
+            cache_clear=lambda name=name: cleared.append(name)))
+    game = GameSpec(n=2, rho=10.0, betas=(1.0, 1.0), delta_t=10.0, expertise=(0.3, 0.9),
+                    alpha=2.0, evaluation=EvaluationSpec("identity"))
+    [(solve, (copy,), kwargs)] = learner._cold_solves([game])
+    assert cleared == ["_type_standalone", "_type_thresholds"]
+    assert (solve, kwargs) == (experiments.solve_cell, {})
+    assert copy == game and copy is not game
