@@ -107,7 +107,11 @@ player-type caches, outside its timer, so that no memo is warm):
   root-finder (end values the caller passes in are not counted: the
   concave solver passes in both of its interval's ends, and the standalone
   point its value at 0).  Where a side keeps standalone points per player
-  type, a solve finds one standalone root per type;
+  type, a solve finds one standalone root per type.  ``roots.gift_count``
+  counts the gift roots (``_conjunctive_gift`` and ``_positive_branch_gift``
+  calls) of that one solve, from cold type caches, as the case runs in a
+  fresh process; where a side solves one gift root per player type at each
+  aggregate, players of one type share it;
 * ``tier1`` (with ``--tier1``): one run of the test suite of the checkout
   that holds each side's sources.
 """
@@ -485,8 +489,11 @@ def case(name: str) -> dict:
         kinds = {"solve_equilibrium_concave": "concave",
                  "enumerate_disjunctive_equilibria": "share", "_lone_root": "standalone"}
         with _recorded(equilibrium, "_brent") as roots, \
-                _recorded(equilibrium, "critical_thresholds") as thresholds:
+                _recorded(equilibrium, "critical_thresholds") as thresholds, \
+                _recorded(equilibrium, "_conjunctive_gift") as conjunctive, \
+                _recorded(equilibrium, "_positive_branch_gift") as positive:
             list(_cells())
+        out["roots.gift_count"] = len(conjunctive) + len(positive)
         evals = {"thresholds": [], **{kind: [] for kind in kinds.values()}}
         for f, points in map(_points, roots):
             evals[kinds[f.__qualname__.split(".")[0]]].append(len(points))

@@ -118,6 +118,10 @@ def cmd_solve(args) -> int:
         _write_json(out / "equilibria.json", {"equilibria": [], "scan": exc.scan})
         print(f"no equilibrium found: {exc}", file=sys.stderr)
         return 2
+    if not results:  # a disjunctive game whose enumerator admits no active set
+        _write_json(out / "equilibria.json", {"equilibria": [], "scan": []})
+        print("no equilibrium found: no active set is admitted", file=sys.stderr)
+        return 2
     _write_json(out / "equilibria.json",
                 {"equilibria": [asdict(r) for r in results]})
     print(f"wrote {len(results)} equilibria to {out / 'equilibria.json'}")

@@ -210,6 +210,14 @@ def _scalar_ces(gifts, log_b, rho: float, exp=math.exp, log=math.log) -> float:
     return _aggregate_scalar(terms, rho, exp, log)
 
 
+def _first_of_type(game: GameSpec) -> list[int]:
+    """For each player, the first player with its expertise and beta, the
+    only per-player inputs of a gift root, so that players of one type share
+    one root at a given aggregate."""
+    firsts: dict = {}
+    return [firsts.setdefault(pair, i) for i, pair in enumerate(zip(game.expertise, game.betas))]
+
+
 # ---------------------------------------------------------------------------
 # replacement maps
 # ---------------------------------------------------------------------------
@@ -291,13 +299,18 @@ def _conjunctive_gift(ratio_G: float, G: float, p: float, beta: float,
     ``replacement_conjunctive`` without its checks; a player with no
     expertise gifts 0.
 
-    The ends of the bracket ``[cap*1e-300, cap*(1-1e-15)]`` decide the special
-    cases: a root below it is a zero gift, an end at a root is that end, and
-    no sign change raises ``InputError``.  Otherwise the sign of the
-    condition at ``cap/2`` picks the side of the root, and ``_gift_root``
-    finds it from ``cap/2`` at most: below it in ``z = log(r)``, where the
-    condition is concave and falling; above it in ``z = log(cap - r)``, where
-    it is convex and rising.
+    The sign of the condition at ``cap/2``, ``rho*log(cap/2) + k``, picks
+    the side of the root, and only that side's end of the bracket
+    ``[cap*1e-300, cap*(1-1e-15)]`` is evaluated: the condition falls in
+    ``r``, by at least ``log 2`` from ``cap*1e-300`` to ``cap/2`` and by
+    more than 33 from ``cap/2`` to ``cap*(1-1e-15)``, so the other end's
+    rules cannot fire.  Below ``cap/2``, a root below the bracket is a zero
+    gift and one at ``cap*1e-300`` is that end; above it, one at the top
+    end is that end, and a condition there not below zero (no sign change)
+    raises ``InputError`` naming the bracket.  Otherwise ``_gift_root``
+    finds the root from ``cap/2`` at most: below it in ``z = log(r)``,
+    where the condition is concave and falling; above it in
+    ``z = log(cap - r)``, where it is convex and rising.
     """
     cap = p * delta_t
     if p == 0.0 or G == 0.0 and rho < 0:
@@ -313,21 +326,21 @@ def _conjunctive_gift(ratio_G: float, G: float, p: float, beta: float,
     k = math.log(beta / alpha) - log_rhs
 
     lo = cap * 1e-300
-    flo = _gift_condition(lo, cap, rho, k)
-    if flo < 0:
-        return 0.0  # the root lies below the smallest bracketed gift
-    if flo == 0:
-        return lo
+    log_half = math.log(0.5 * cap)
+    if rho * log_half + k < 0:  # the root lies below cap/2
+        flo = _gift_condition(lo, cap, rho, k)
+        if flo < 0:
+            return 0.0  # the root lies below the smallest bracketed gift
+        if flo == 0:
+            return lo
+        return math.exp(_gift_root(rho - 1.0, 1.0, k, cap, log_half, p, G))
     hi = cap * (1.0 - 1e-15)
     fhi = _gift_condition(hi, cap, rho, k)
     if fhi == 0:
         return hi
     if not fhi < 0:
+        flo = _gift_condition(lo, cap, rho, k)
         raise InputError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-
-    log_half = math.log(0.5 * cap)
-    if rho * log_half + k < 0:  # the root lies below cap/2
-        return math.exp(_gift_root(rho - 1.0, 1.0, k, cap, log_half, p, G))
     return cap - math.exp(_gift_root(1.0, rho - 1.0, k, cap, log_half, p, G))
 
 
@@ -486,9 +499,13 @@ def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
 
     So ``f`` is evaluated at the interval's two ends, and one Brent solve
     refines a sign change between them.  Each evaluation is scalar
-    arithmetic: the replacement maps' gifts without their checks, and their
-    aggregate by ``_scalar_ces``; the reported equilibria are scored in
-    floats too (``_result_from_gifts``), so a solve calls no array kernel.
+    arithmetic: the replacement maps' gifts without their checks, one root
+    per player type (``_first_of_type``: a gift's only per-player inputs are
+    expertise and beta), and their aggregate by ``_scalar_ces``.  The gifts
+    of every evaluated G are kept for the call, and each reported
+    equilibrium is built from its root's (``_brent`` returns only points it
+    has evaluated), scored in floats too (``_result_from_gifts``), so a
+    solve calls no array kernel and solves no root twice.
     The ends keep their own rules: for rho = 1, ``|f(0)| < 1e-12`` makes
     ``G = 0`` a root (nobody contributes); for 0 < rho < 1, ``lo`` is the
     largest standalone value, a lone player's fixed point when
@@ -535,16 +552,19 @@ def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
     # every standalone value for 0 < rho < 1 (lo is their max) and at most
     # every one for rho < 0 (hi is their min).
     gift = _additive_gift if game.rho == 1 else _conjunctive_gift
-    players = list(zip(game.expertise, game.betas))
+    players = list(zip(game.expertise, game.betas, _first_of_type(game)))
     log_b = game._columns[0].tolist()
     spec, alpha, delta_t, rho = game.evaluation, game.alpha, game.delta_t, game.rho
-
-    def gifts(G):
-        ratio = ratio_scalar(spec, G)
-        return [gift(ratio, G, p, beta, alpha, delta_t, rho) for p, beta in players]
+    evaluated = {}  # the gifts at each G that f has evaluated, for the reported equilibria
 
     def f(G):
-        return _scalar_ces(gifts(G), log_b, rho) - G
+        ratio = ratio_scalar(spec, G)
+        gifts = []
+        for p, beta, first in players:  # a type seen before takes its first player's gift
+            gifts.append(gifts[first] if first < len(gifts)
+                         else gift(ratio, G, p, beta, alpha, delta_t, rho))
+        evaluated[G] = gifts
+        return _scalar_ces(gifts, log_b, rho) - G
 
     f_lo, f_hi = f(lo), f(hi)
     radius = max(hi, 1.0) * 1e-9
@@ -571,7 +591,8 @@ def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
             f"no fixed point of the aggregate replacement map on [{lo:.6g}, {hi:.6g}]",
             scan=[(lo, f_lo), (hi, f_hi)])
 
-    return [_result_from_gifts(game, gifts(G_hat), G_hat) for G_hat in deduped]
+    # every root is an end f was evaluated at or a point _brent evaluated
+    return [_result_from_gifts(game, evaluated[G_hat], G_hat) for G_hat in deduped]
 
 
 # ---------------------------------------------------------------------------
@@ -916,11 +937,12 @@ def _positive_branch_gift(game: GameSpec, player: int, G: float) -> float:
     return math.exp(_gift_root(rho - 1.0, 1.0, k, cap, math.log(peak), p, G))
 
 
-def _share_positive(game: GameSpec, player: int, G: float) -> float:
+def _branch_share(game: GameSpec, player: int, G: float) -> tuple[float, float]:
+    """The positive-branch gift ``r`` at G and its share ``beta*r**rho/G**rho``."""
     r = _positive_branch_gift(game, player, G)
     if r <= 0.0 or G <= 0.0:
-        return 0.0
-    return math.exp(math.log(game.betas[player]) + game.rho * (math.log(r) - math.log(G)))
+        return r, 0.0
+    return r, math.exp(math.log(game.betas[player]) + game.rho * (math.log(r) - math.log(G)))
 
 
 def share_function(player: int, G: float, game: GameSpec, branch: str = "positive") -> float:
@@ -956,7 +978,7 @@ def share_function(player: int, G: float, game: GameSpec, branch: str = "positiv
         raise RegimeError(
             f"positive branch domain is [{thr.G_star:.6g}, {thr.standalone:.6g}]; "
             f"got G = {G:.6g}")
-    return _share_positive(game, player, min(G, G_bar))
+    return _branch_share(game, player, min(G, G_bar))[1]
 
 
 def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) -> list[EquilibriumResult]:
@@ -969,6 +991,9 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
     sum_{j in J} s_j(G) = 1.  A sole contributor's share is 1 exactly at its
     standalone point, so a one-player set J = {j}, once admitted, reports
     that point (``_standalone_pair``) without solving the share equation.
+    Each evaluation of the shares, and the reported gifts at the root, solve
+    one positive-branch gift per player type (``_first_of_type``) and add
+    the shares in player order.
     """
     _require_game(game)
     _check("subset_cap", subset_cap, _at_least(1))
@@ -987,6 +1012,15 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
     capable = [i for i in range(game.n) if pairs[i][0] > BOUNDARY_TOL]
     thresholds: dict[int, CriticalThresholds] = {
         i: critical_thresholds(i, game) for i in capable}
+    firsts = _first_of_type(game)
+
+    def branch(G, J):
+        """Each player of J's positive-branch gift and share at G, one root per type."""
+        solved = {}
+        for j in J:
+            if firsts[j] not in solved:
+                solved[firsts[j]] = _branch_share(game, j, G)
+        return [solved[firsts[j]] for j in J]
 
     results: list[EquilibriumResult] = []
     for size in range(1, len(capable) + 1):
@@ -1008,7 +1042,7 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
             G_star_J = min(G_star_J, hi)
 
             def S(G, _J=J):
-                return sum(_share_positive(game, j, G) for j in _J)
+                return sum(share for _, share in branch(G, _J))
 
             # An end within the 1e-9 admission band but outside 1e-12 of one
             # is the root itself: a root search from it would find no sign change.
@@ -1027,9 +1061,11 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
                     G_hat = _brent(lambda G: S(G) - 1.0, G_star_J, hi,
                                    xtol=max(hi, 1.0) * 1e-14,
                                    flo=s_lo - 1.0, fhi=s_hi - 1.0)
-            for j in J:
-                gifts[j] = _positive_branch_gift(game, j, G_hat)
-            results.append(_result_from_gifts(game, gifts, G_hat, abs(S(G_hat) - 1.0)))
+            at_root = branch(G_hat, J)
+            for j, (r, _) in zip(J, at_root):
+                gifts[j] = r
+            residual = abs(sum(share for _, share in at_root) - 1.0)
+            results.append(_result_from_gifts(game, gifts, G_hat, residual))
     return results
 
 

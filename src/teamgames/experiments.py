@@ -26,6 +26,7 @@ from .errors import (
     DegenerateRegressionError,
     Field,
     InputError,
+    NoEquilibriumError,
     TeamworkGameError,
     UndefinedDispersionError,
     _FINITE,
@@ -557,9 +558,15 @@ def tune_hyperparameters(budget: int, *, probe_cells=_DEFAULT_PROBE,
                           best_score=None, trials=())
     config = SweepConfig()
     probes = []
-    for p1, p2, rho, b in cells:
-        game = cell_game(config, p1, p2, rho, b)
-        eqs = solve_cell(game)
+    for cell in cells:
+        game = cell_game(config, *cell)
+        try:
+            eqs = solve_cell(game)
+        except NoEquilibriumError:
+            eqs = []
+        if not eqs:  # a trial's score is each cell's distance to its nearest equilibrium
+            raise ConfigurationError(
+                f"probe cell {cell!r} has no equilibrium to score the learners against")
         probes.append((game, tuple(e.aggregate_G for e in eqs)))
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(base_seed))))

@@ -63,6 +63,18 @@ class TestSolve:
         data = json.loads((tmp_path / "equilibria.json").read_text())
         assert data["equilibria"] == []
 
+    def test_no_admitted_active_set_exit_code(self, tmp_path, capsys):
+        # a weak disjunctive pair: the enumerator admits no active set and
+        # returns an empty list rather than raising
+        payload = {**game_spec(rho=1.5, expertise=(0.1, 0.1)),
+                   "evaluation": {"kind": "logistic", "d": 10.0, "gamma": 2.0, "b": 3.0}}
+        assert experiments.solve_cell(GameSpec.from_dict(payload)) == []
+        spec = write_json(tmp_path / "game.json", payload)
+        assert cli.main(["solve", "--input", spec, "--output-dir", str(tmp_path)]) == 2
+        data = json.loads((tmp_path / "equilibria.json").read_text())
+        assert data == {"equilibria": [], "scan": []}
+        assert "no equilibrium found" in capsys.readouterr().err
+
     def test_no_equilibrium_writes_the_interval_ends(self, tmp_path):
         # a weak weakest-link pair: CES(r(G)) < G at both ends of (0, hi]
         payload = game_spec(rho=-1.0, expertise=(0.3, 0.5))

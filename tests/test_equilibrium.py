@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+from collections import Counter
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -1605,6 +1606,62 @@ class TestConjunctiveGiftNewton:
         with pytest.raises(InputError, match="gift root for p = 0.3, G = 2.0 did not converge"):
             _conjunctive_gift(ratio_scalar(g.evaluation, 2.0), 2.0, 0.3, 1.0, g.alpha,
                               g.delta_t, g.rho)
+
+    def test_no_sign_change_refused_naming_the_bracket(self):
+        # a steep logistic leaves the condition positive at the top of the
+        # bracket: the root lies above cap/2, and only that end is scored
+        # before the refusal
+        g = GameSpec(n=2, rho=-3.0, betas=(1, 1), delta_t=10, expertise=(0.5, 0.9), alpha=2,
+                     evaluation=EvaluationSpec("logistic", d=10, gamma=1e15, b=5))
+        with pytest.raises(InputError, match=r"no sign change on \[5e-300, 4\.999999999999995\]"):
+            replacement_conjunctive(4.0, 0, g)
+
+
+class TestOneGiftRootPerType:
+    """Players of one type (expertise and beta) share one gift root at each
+    aggregate a solver evaluates."""
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        """Record the aggregate of every call of ``equilibrium.name``, with
+        the player where the function takes one."""
+        func, calls = getattr(equilibrium, name), []
+
+        def spy(*args):
+            calls.append(args[1:3] if name == "_positive_branch_gift" else args[1])
+            return func(*args)
+        monkeypatch.setattr(equilibrium, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("rho", [-3.0, 0.5])
+    @pytest.mark.parametrize("expertise,roots", [((0.7, 0.7, 0.7), 1), ((0.7, 0.3, 0.7), 2)],
+                             ids=["one-type", "two-types"])
+    def test_concave_solve_roots_each_type_once_per_aggregate(self, monkeypatch, rho,
+                                                               expertise, roots):
+        g = game(rho=rho, expertise=expertise)
+        solve_equilibrium_concave(g)  # the standalone points are kept from here on
+        evaluations = self._spy(monkeypatch, "ratio_scalar")  # once per f(G)
+        aggregates = self._spy(monkeypatch, "_conjunctive_gift")
+        [result] = solve_equilibrium_concave(g)
+        # the reported equilibrium reuses the gifts of the aggregate the root was found at
+        assert len(evaluations) >= 3
+        assert aggregates == [G for G in evaluations for _ in range(roots)]
+        assert result.gifts[0] == result.gifts[2]
+
+    def test_symmetric_disjunctive_cell_roots_each_aggregate_once(self, monkeypatch):
+        g = cell_game(SweepConfig(), 0.9, 0.9, 3.0, 5.0)
+        solve_cell(g)  # the standalone points and thresholds are kept from here on
+        calls = self._spy(monkeypatch, "_positive_branch_gift")
+        results = solve_cell(g)
+        assert [r.active_set for r in results] == [(0,), (1,), (0, 1)]
+        # one call per aggregate the share equation evaluates, all for the
+        # type's first player, and one more at its root for the reported gifts
+        assert {player for player, _ in calls} == {0}
+        counts = sorted(Counter(G for _, G in calls).values())
+        assert len(counts) >= 3 and counts == [1] * (len(counts) - 1) + [2]
+        G_hat = next(G for G, count in Counter(G for _, G in calls).items() if count == 2)
+        root = equilibrium._positive_branch_gift(g, 1, G_hat)
+        assert results[2].gifts == (root, root)
 
 
 def _rounding_band(r, G, i, g):

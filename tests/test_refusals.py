@@ -236,6 +236,9 @@ TABLE = [
     *((tune("base_seed"), "base_seed", v) for v in NOT_A_SEED),
     *((tune("probe_cells"), "probe_cells", v)
       for v in [[(0.3,)], [(0.3, 0.9, 1.0, 5.0, 0.0)], [(0.3, 0.9, "x", 5.0)], None, 5, []]),
+    # a probe cell with no equilibrium gives a trial nothing to score; the
+    # solver finds none for this weak disjunctive pair
+    (tune("probe_cells"), r"probe cell \(0\.1, 0\.1, 1\.5, 3\.0\)", [(0.1, 0.1, 1.5, 3.0)]),
     *((study("base_seed"), "base_seed", v) for v in NOT_A_SEED),
     *((study("repetitions"), "repetitions", v) for v in NOT_AN_INTEGER),
     *((sweep_config(key), key, v) for key in ("base_seed", "repetitions", "workers")
