@@ -1657,9 +1657,9 @@ class TestOneGiftRootPerType:
         # one call per aggregate the share equation evaluates, all for the
         # type's first player, and one more at its root for the reported gifts
         assert {player for player, _ in calls} == {0}
-        counts = sorted(Counter(G for _, G in calls).values())
-        assert len(counts) >= 3 and counts == [1] * (len(counts) - 1) + [2]
-        G_hat = next(G for G, count in Counter(G for _, G in calls).items() if count == 2)
+        per_aggregate = Counter(G for _, G in calls)
+        [G_hat] = [G for G, count in per_aggregate.items() if count == 2]
+        assert len(per_aggregate) >= 3 and set(per_aggregate.values()) == {1, 2}
         root = equilibrium._positive_branch_gift(g, 1, G_hat)
         assert results[2].gifts == (root, root)
 
