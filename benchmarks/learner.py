@@ -71,7 +71,12 @@ player-type caches, outside its timer, so that no memo is warm):
   (one that contributes when alone) of the 90 disjunctive cells of that grid;
 * ``thresholds.searches``: the critical-threshold searches ``solve_cell``
   runs on those 90 cells, solved once from cold caches (each search scores
-  its first gap against no provision, and those scorings are counted);
+  its first gap against no provision, and those scorings are counted; the
+  provision is read by its parameter name, ``G_minus``, so a side's
+  signature does not matter);
+* ``thresholds.sha256``: a sha256 of the repr of every standalone pair
+  and every ``critical_thresholds`` (or its error's type) that the
+  ``solve240.thresholds_s`` round solves, so a BENCH pins them bit for bit;
 * ``best_response_calls.*``: the ``_best_positive_response`` calls made while
   ``solve_cell`` solves the 90 disjunctive cells of that grid: how many there
   were (``count``) and microseconds per replayed call (``us``).  They
@@ -122,6 +127,7 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -310,6 +316,30 @@ def _cold_solves(games) -> list:
     return [(experiments.solve_cell, (dataclasses.replace(game),), {}) for game in games]
 
 
+def _searches(gaps) -> int:
+    """How many recorded ``_indifference_gap`` calls score the gap against
+    no provision: a threshold search scores its first gap there, and only
+    that one.  The provision is bound by its name, ``G_minus``, whatever
+    its position in the side's signature."""
+    return sum(inspect.signature(func).bind(*args, **kwargs).arguments["G_minus"] == 0.0
+               for func, args, kwargs in gaps)
+
+
+def _outcome_digest(calls) -> str:
+    """A sha256 of the repr of what each ``(function, args, kwargs)`` call
+    returns, or of the name of the ``TeamworkGameError`` it raises, one line
+    a call, in order."""
+    from teamgames import TeamworkGameError
+    digest = hashlib.sha256()
+    for func, args, kwargs in calls:
+        try:
+            outcome = repr(func(*args, **kwargs))
+        except TeamworkGameError as exc:
+            outcome = type(exc).__name__
+        digest.update(outcome.encode() + b"\n")
+    return digest.hexdigest()
+
+
 def _replay(calls) -> float:
     """The median seconds of ``ROUNDS`` rounds, each of which makes every
     ``(function, args, kwargs)`` call once; a call that raises a
@@ -440,11 +470,11 @@ def case(name: str) -> dict:
                 calls += [(equilibrium.critical_thresholds, (i, game), {}) for i in capable]
             return calls
         out["solve240.thresholds_s"] = _replay(fresh)
-        # a threshold search scores its first gap against no provision, and only that one
+        out["thresholds.sha256"] = _outcome_digest(fresh())
         _cold_types()
         with _recorded(equilibrium, "_indifference_gap") as gaps:
             list(_cells(lambda rho: rho > 1))
-        out["thresholds.searches"] = sum(args[2] == 0.0 for _, args, _ in gaps)
+        out["thresholds.searches"] = _searches(gaps)
     elif name == "best_response_calls":
         with _recorded(equilibrium, "_best_positive_response") as calls:
             list(_cells(lambda rho: rho > 1))

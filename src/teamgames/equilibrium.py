@@ -40,13 +40,11 @@ from .errors import (
     InputError,
     NoEquilibriumError,
     RegimeError,
-    TeamworkGameError,
     UnsupportedEvaluationError,
     WrongSolverError,
     _FINITE,
     _POSITIVE,
     _POSITIVE_OR_NONE,
-    _at_least,
     _check,
     _read,
 )
@@ -347,6 +345,7 @@ def _conjunctive_gift(ratio_G: float, G: float, p: float, beta: float,
 def standalone_value(player: int, game: GameSpec) -> float:
     """Outcome the player would produce as the sole contributor."""
     _require_player(player, game)
+    _require_smooth(game, "standalone value")
     return _standalone_pair(player, game)[1]
 
 
@@ -358,22 +357,33 @@ _PLAYER_TYPES = 256
 
 
 def _player_type(player: int, game: GameSpec) -> tuple:
-    """All that a player's standalone point and thresholds depend on: its
-    own expertise and weight, and the game's alpha, delta_t, rho and
-    evaluation, never its partners."""
+    """All that a player's standalone point and thresholds depend on, the
+    tuple ``(p, beta, alpha, delta_t, rho, evaluation)`` the per-player
+    internals take: its own expertise and weight, and the game's alpha,
+    delta_t, rho and evaluation, never its partners."""
     return (game.expertise[player], game.betas[player], game.alpha, game.delta_t,
             game.rho, game.evaluation)
 
 
-def _type_game(p, beta, alpha, delta_t, rho, evaluation) -> GameSpec:
-    """The one-player game of a player type."""
-    return GameSpec(n=1, rho=rho, betas=(beta,), delta_t=delta_t, expertise=(p,),
-                    alpha=alpha, evaluation=evaluation)
-
-
 @functools.lru_cache(maxsize=_PLAYER_TYPES, typed=True)
 def _type_standalone(*player_type) -> tuple[float, float]:
-    return _solve_standalone(0, _type_game(*player_type))
+    """(gift, aggregate) of a lone contributor of a smooth-evaluation type:
+    ``_lone_root`` with ``top = beta**(1/rho)*p*dt``, and (0, 0) for no
+    expertise.  A weight whose ``beta**(1/rho)`` overflows, or underflows
+    to 0, is refused with ``InputError`` naming ``p``, ``beta`` and ``rho``."""
+    p, beta, alpha, delta_t, rho, spec = player_type
+    if p == 0.0:
+        return 0.0, 0.0
+    try:
+        bscale = beta ** (1.0 / rho)
+    except OverflowError:
+        bscale = math.inf
+    if not 0.0 < bscale < math.inf:
+        raise InputError(
+            f"the standalone point for p = {p}, beta = {beta}, rho = {rho} needs "
+            f"beta**(1/rho) positive and finite, got {bscale}")
+    G = _lone_root(bscale * p * delta_t, alpha, spec)
+    return G / bscale, G
 
 
 def _standalone_pair(player: int, game: GameSpec) -> tuple[float, float]:
@@ -381,16 +391,6 @@ def _standalone_pair(player: int, game: GameSpec) -> tuple[float, float]:
     per player type (``_player_type``) in a process and kept in a bounded
     cache; a refusal is not kept, so it raises on every call."""
     return _type_standalone(*_player_type(player, game))
-
-
-def _solve_standalone(player: int, game: GameSpec) -> tuple[float, float]:
-    _require_smooth(game, "standalone value")
-    p = game.expertise[player]
-    if p == 0.0:
-        return 0.0, 0.0
-    bscale = game.betas[player] ** (1.0 / game.rho)
-    G = _lone_root(bscale * p * game.delta_t, game.alpha, game.evaluation)
-    return G / bscale, G
 
 
 def _lone_root(top: float, c: float, spec) -> float:
@@ -599,8 +599,10 @@ def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
 # disjunctive machinery (rho > 1)
 # ---------------------------------------------------------------------------
 
-def _u_zero(game: GameSpec, G_minus: float) -> float:
-    return utility(game.delta_t, score_scalar(game.evaluation, G_minus), game.alpha)
+def _u_zero(player_type, G_minus: float) -> float:
+    """Free-riding's utility against G_minus: full leisure, scored at G_minus."""
+    _, _, alpha, delta_t, _, spec = player_type
+    return utility(delta_t, score_scalar(spec, G_minus), alpha)
 
 
 def _softplus(x: float) -> tuple[float, float]:
@@ -618,16 +620,15 @@ def _pair_aggregate(w: float, G_minus: float, rho: float) -> float:
     return _aggregate_scalar((rho * math.log(w), rho * math.log(G_minus)), rho)
 
 
-def _response_condition(game: GameSpec, player: int, G_minus: float):
+def _response_condition(player_type, G_minus: float):
     """The best response's first-order condition ``phi`` against G_minus, as
     a function of the gift g that returns phi and its slope in log g (see
     ``_best_positive_response``)."""
-    cap = game.expertise[player] * game.delta_t
-    rho = game.rho
-    spec = game.evaluation
+    p, beta, alpha, delta_t, rho, spec = player_type
+    cap = p * delta_t
     b = None if G_minus == 0.0 else rho * math.log(G_minus)
-    log_bscale = math.log(game.betas[player] ** (1.0 / rho))
-    base = log_bscale - math.log(game.alpha)
+    log_bscale = math.log(beta ** (1.0 / rho))
+    base = log_bscale - math.log(alpha)
     logistic = spec.kind == "logistic"
     log_gamma = math.log(spec.gamma) if logistic else 0.0
 
@@ -653,7 +654,7 @@ def _response_condition(game: GameSpec, player: int, G_minus: float):
     return phi
 
 
-def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
+def _best_positive_response(player_type, G_minus: float, *,
                             near: float | None = None) -> tuple[float, float]:
     """Best strictly positive contribution against opponents providing G_minus.
 
@@ -685,7 +686,8 @@ def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
     ``cap*1e-12``: there is no interior maximum.  The iteration stops at a
     step of at most ``cap*1e-15``, or where a point reached by a Newton step
     scores phi >= 0, as only rounding does there; one still moving after
-    ``_NEWTON_STEPS`` steps raises ``InputError``.
+    ``_NEWTON_STEPS`` steps raises ``InputError`` naming the type's ``p`` and
+    ``beta``.
 
     The root and its utility, scored in ``math`` at ``_pair_aggregate``, are
     returned.  Leisure is clamped at 0: at g = cap, ``dt - g/p`` can round
@@ -698,15 +700,14 @@ def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
     its utility are returned, clearly below free-riding, rather than a
     corner a rounding error below it.
     """
-    p = game.expertise[player]
-    cap = p * game.delta_t
-    rho = game.rho
-    bscale = game.betas[player] ** (1.0 / rho)
-    phi = _response_condition(game, player, G_minus)
+    p, beta, alpha, delta_t, rho, spec = player_type
+    cap = p * delta_t
+    bscale = beta ** (1.0 / rho)
+    phi = _response_condition(player_type, G_minus)
 
     def utility_at(g):
         G = _pair_aggregate(bscale * g, G_minus, rho)
-        return max(game.delta_t - g / p, 0.0) ** game.alpha * score_scalar(game.evaluation, G)
+        return max(delta_t - g / p, 0.0) ** alpha * score_scalar(spec, G)
 
     g = 0.5 * cap if near is None else near
     log_cap = math.log(cap)
@@ -731,12 +732,12 @@ def _best_positive_response(game: GameSpec, player: int, G_minus: float, *,
             break
     else:
         raise InputError(
-            f"the best response of player {player} to G_minus = {G_minus} did not "
-            f"converge in {_NEWTON_STEPS} Newton steps")
+            f"the best response for p = {p}, beta = {beta} to G_minus = {G_minus} did "
+            f"not converge in {_NEWTON_STEPS} Newton steps")
     return g, utility_at(g)
 
 
-def _indifference_gap(game: GameSpec, player: int, G_minus: float,
+def _indifference_gap(player_type, G_minus: float,
                       near: float | None) -> tuple[float, float | None, float | None]:
     """``(h, h', g)`` at ``G_minus`` for the threshold search: the gap
     ``h = u(g; G_minus) - u0(G_minus)`` between the best positive response g
@@ -748,15 +749,16 @@ def _indifference_gap(game: GameSpec, player: int, G_minus: float,
     G the aggregate at g.  Where the best response has no interior maximum
     (the ``cap/256`` stand-in) the slope belongs to no maximum, and ``h'``
     and ``g`` are None."""
-    g, u = _best_positive_response(game, player, G_minus, near=near)
-    u0 = _u_zero(game, G_minus)
-    if g == game.expertise[player] * game.delta_t / 256:
+    p, beta, alpha, delta_t, rho, spec = player_type
+    g, u = _best_positive_response(player_type, G_minus, near=near)
+    u0 = _u_zero(player_type, G_minus)
+    if g == p * delta_t / 256:
         return u - u0, None, None
     # u*sigma'/sigma at each aggregate; identity's sigma/sigma' is 0 at 0, sigma' 1
-    G = _pair_aggregate(game.betas[player] ** (1.0 / game.rho) * g, G_minus, game.rho)
-    ratio0 = ratio_scalar(game.evaluation, G_minus)
-    slope = (u / ratio_scalar(game.evaluation, G) * (G_minus / G) ** (game.rho - 1.0)
-             - (u0 / ratio0 if ratio0 > 0.0 else game.delta_t ** game.alpha))
+    G = _pair_aggregate(beta ** (1.0 / rho) * g, G_minus, rho)
+    ratio0 = ratio_scalar(spec, G_minus)
+    slope = (u / ratio_scalar(spec, G) * (G_minus / G) ** (rho - 1.0)
+             - (u0 / ratio0 if ratio0 > 0.0 else delta_t ** alpha))
     return u - u0, slope, g
 
 
@@ -799,11 +801,10 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
     exceed that bound when a capacity is below 1.
 
     Every refusal above is made first, on this game.  The search itself
-    depends on the player's type alone (``_player_type``), so it runs once
-    per type in a process, on the type's one-player game, and its result is
-    kept in a bounded cache.  A search that raises is not kept: it runs
-    again on the player's own game, whose error names the player, and so
-    raises on every call.
+    depends on the player's type alone (``_player_type``), so it runs on the
+    type, once per type in a process, and its result is kept in a bounded
+    cache.  A search that raises is not kept, so it runs, and raises, on
+    every call; its error names the type's ``p`` and ``beta``.
     """
     _require_player(player, game)
     if game.rho <= 1:
@@ -818,37 +819,29 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
             f"player {player} never contributes even alone; the contribution "
             "thresholds are undefined")
 
-    p = game.expertise[player]
-    bscale = game.betas[player] ** (1.0 / game.rho)
+    p, beta, alpha, delta_t, rho, spec = player_type
     # single-valuedness of the positive replacement branch:
     # rho/(dt*p) >= sigma'(G_bar)/sigma(G_bar) * beta**(1/rho)/alpha
-    bound = bscale / (game.alpha * ratio_scalar(game.evaluation, G_bar))
-    if game.rho / (game.delta_t * p) + 1e-12 < bound:
+    bound = beta ** (1.0 / rho) / (alpha * ratio_scalar(spec, G_bar))
+    if rho / (delta_t * p) + 1e-12 < bound:
         raise RegimeError(
             "the positive replacement branch is not single-valued here: "
-            f"rho/(dt*p) = {game.rho / (game.delta_t * p):.6g} < "
+            f"rho/(dt*p) = {rho / (delta_t * p):.6g} < "
             f"sigma'/sigma(standalone) * beta**(1/rho)/alpha = {bound:.6g}")
 
-    _u_zero(game, game.max_aggregate())  # refuses by name a game whose utilities overflow
-    try:
-        return _type_thresholds(*player_type)
-    except TeamworkGameError:
-        return _threshold_search(player, game)
+    _u_zero(player_type, game.max_aggregate())  # refuses by name a game whose utilities overflow
+    return _type_thresholds(*player_type)
 
 
 @functools.lru_cache(maxsize=_PLAYER_TYPES, typed=True)
 def _type_thresholds(*player_type) -> CriticalThresholds:
-    return _threshold_search(0, _type_game(*player_type))
-
-
-def _threshold_search(player: int, game: GameSpec) -> CriticalThresholds:
-    """``critical_thresholds``' Newton search, for a player that passed its refusals."""
-    g_bar, G_bar = _standalone_pair(player, game)
-    bscale = game.betas[player] ** (1.0 / game.rho)
-    h0, slope, near = _indifference_gap(game, player, 0.0, g_bar)
+    """``critical_thresholds``' Newton search, for a type that passed its refusals."""
+    p, beta, _, _, rho, _ = player_type
+    g_bar, G_bar = _type_standalone(*player_type)
+    h0, slope, near = _indifference_gap(player_type, 0.0, g_bar)
     if h0 <= 0.0:
         raise RegimeError(
-            f"player {player} prefers free-riding even on nothing; no "
+            f"the type p = {p}, beta = {beta} prefers free-riding even on nothing; no "
             "positive threshold exists")
     xtol = max(G_bar, 1.0) * 1e-13
     x = lo = 0.0
@@ -860,7 +853,7 @@ def _threshold_search(player: int, game: GameSpec) -> CriticalThresholds:
             x -= step
             break
         x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
-        hx, slope, g = _indifference_gap(game, player, x, near)
+        hx, slope, g = _indifference_gap(player_type, x, near)
         near = g or near
         if hx > 0.0:
             lo = x
@@ -870,28 +863,28 @@ def _threshold_search(player: int, game: GameSpec) -> CriticalThresholds:
             break
     else:
         raise InputError(
-            f"the critical threshold of player {player} did not converge in "
+            f"the critical threshold for p = {p}, beta = {beta} did not converge in "
             f"{_NEWTON_STEPS} Newton steps")
     if not negative:
-        h_bar = _indifference_gap(game, player, G_bar, near)[0]
+        h_bar = _indifference_gap(player_type, G_bar, near)[0]
         if h_bar > 0.0:
             raise InputError(f"no sign change on [0.0, {G_bar}]: f={h0}, {h_bar}")
     G_minus_star = x
-    best = _best_positive_response(game, player, G_minus_star, near=near)
+    best = _best_positive_response(player_type, G_minus_star, near=near)
     # The indifference point sits weakly left of the standalone point; the
     # root of phi and the standalone gift come from two root-finders, each
     # exact only to rounding, so the root could land a little past it.
     # Enforce the exact ordering rather than letting that noise leak into
     # subset-acceptance checks.
     g_star = min(best[0], g_bar)
-    G_star = min(_pair_aggregate(bscale * g_star, G_minus_star, game.rho), G_bar)
+    G_star = min(_pair_aggregate(beta ** (1.0 / rho) * g_star, G_minus_star, rho), G_bar)
 
     u_active = best[1]
-    u_out = _u_zero(game, G_minus_star)
+    u_out = _u_zero(player_type, G_minus_star)
     scale = max(abs(u_active), abs(u_out), 1e-300)
     if abs(u_active - u_out) > 1e-5 * scale:
         raise RegimeError(
-            f"indifference verification failed for player {player}: "
+            f"indifference verification failed for p = {p}, beta = {beta}: "
             f"{u_active!r} vs {u_out!r}")
     return CriticalThresholds(
         g_star=float(g_star),
@@ -901,7 +894,7 @@ def _threshold_search(player: int, game: GameSpec) -> CriticalThresholds:
     )
 
 
-def _positive_branch_gift(game: GameSpec, player: int, G: float) -> float:
+def _positive_branch_gift(player_type, G: float) -> float:
     """Positive replacement branch: the local-maximum gift at aggregate G.
 
     Solves (dt - g/p) * (beta*p/alpha) * g**(rho-1) = sigma/sigma' * G**(rho-1)
@@ -914,12 +907,11 @@ def _positive_branch_gift(game: GameSpec, player: int, G: float) -> float:
     ``RegimeError`` (within ``1e-9`` it is the peak); one above zero at
     ``peak*1e-300`` leaves no root in the bracket, an ``InputError``.
     """
-    p = game.expertise[player]
-    cap = p * game.delta_t
-    rho = game.rho
+    p, beta, alpha, delta_t, rho, spec = player_type
+    cap = p * delta_t
     peak = cap * (1.0 - 1.0 / rho)
-    ratio = ratio_scalar(game.evaluation, G)
-    k = math.log(game.betas[player] / game.alpha) - (math.log(ratio) + (rho - 1.0) * math.log(G))
+    ratio = ratio_scalar(spec, G)
+    k = math.log(beta / alpha) - (math.log(ratio) + (rho - 1.0) * math.log(G))
     f_peak = _gift_condition(peak, cap, rho, k)
     if f_peak <= 0:
         # a root at the peak, or a whisker of slack for aggregates at the very
@@ -927,7 +919,7 @@ def _positive_branch_gift(game: GameSpec, player: int, G: float) -> float:
         if f_peak > -1e-9:
             return peak
         raise RegimeError(
-            f"no positive replacement branch at G = {G:.6g} for player {player}")
+            f"no positive replacement branch at G = {G:.6g} for p = {p}, beta = {beta}")
     lo = peak * 1e-300
     flo = _gift_condition(lo, cap, rho, k)
     if flo == 0:
@@ -937,12 +929,13 @@ def _positive_branch_gift(game: GameSpec, player: int, G: float) -> float:
     return math.exp(_gift_root(rho - 1.0, 1.0, k, cap, math.log(peak), p, G))
 
 
-def _branch_share(game: GameSpec, player: int, G: float) -> tuple[float, float]:
+def _branch_share(player_type, G: float) -> tuple[float, float]:
     """The positive-branch gift ``r`` at G and its share ``beta*r**rho/G**rho``."""
-    r = _positive_branch_gift(game, player, G)
+    r = _positive_branch_gift(player_type, G)
     if r <= 0.0 or G <= 0.0:
         return r, 0.0
-    return r, math.exp(math.log(game.betas[player]) + game.rho * (math.log(r) - math.log(G)))
+    _, beta, _, _, rho, _ = player_type
+    return r, math.exp(math.log(beta) + rho * (math.log(r) - math.log(G)))
 
 
 def share_function(player: int, G: float, game: GameSpec, branch: str = "positive") -> float:
@@ -978,10 +971,14 @@ def share_function(player: int, G: float, game: GameSpec, branch: str = "positiv
         raise RegimeError(
             f"positive branch domain is [{thr.G_star:.6g}, {thr.standalone:.6g}]; "
             f"got G = {G:.6g}")
-    return _branch_share(game, player, min(G, G_bar))[1]
+    return _branch_share(_player_type(player, game), min(G, G_bar))[1]
 
 
-def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) -> list[EquilibriumResult]:
+# the most players whose active sets the disjunctive enumerator tries, all 2**n - 1 of them
+_SUBSET_CAP = 10
+
+
+def enumerate_disjunctive_equilibria(game: GameSpec) -> list[EquilibriumResult]:
     """All equilibria of a disjunctive task, one per admissible active set.
 
     A candidate active set J is accepted when the critical level
@@ -990,25 +987,25 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
     at G*(J) sum to at most one; its equilibrium aggregate then solves
     sum_{j in J} s_j(G) = 1.  A sole contributor's share is 1 exactly at its
     standalone point, so a one-player set J = {j}, once admitted, reports
-    that point (``_standalone_pair``) without solving the share equation.
+    that point (``_type_standalone``) without solving the share equation.
     Each evaluation of the shares, and the reported gifts at the root, solve
     one positive-branch gift per player type (``_first_of_type``) and add
-    the shares in player order.
+    the shares in player order.  A game of more than ``_SUBSET_CAP`` players
+    is refused with ``ConfigurationError``.
     """
     _require_game(game)
-    _check("subset_cap", subset_cap, _at_least(1))
     if game.rho <= 1:
         raise WrongSolverError(
             f"disjunctive enumeration requires rho > 1, got {game.rho}")
     _require_smooth(game, "equilibrium solver")
-    if game.n > subset_cap:
+    if game.n > _SUBSET_CAP:
         raise ConfigurationError(
             f"enumeration over {game.n} players needs 2**{game.n} - 1 subsets, "
-            f"above the configured cap of {subset_cap}; raise subset_cap "
-            "explicitly to proceed")
+            f"above the cap of {_SUBSET_CAP} players")
     _full_time_aggregate(game)
 
-    pairs = [_standalone_pair(i, game) for i in range(game.n)]
+    types = [_player_type(i, game) for i in range(game.n)]
+    pairs = [_type_standalone(*player_type) for player_type in types]
     capable = [i for i in range(game.n) if pairs[i][0] > BOUNDARY_TOL]
     thresholds: dict[int, CriticalThresholds] = {
         i: critical_thresholds(i, game) for i in capable}
@@ -1019,7 +1016,7 @@ def enumerate_disjunctive_equilibria(game: GameSpec, *, subset_cap: int = 10) ->
         solved = {}
         for j in J:
             if firsts[j] not in solved:
-                solved[firsts[j]] = _branch_share(game, j, G)
+                solved[firsts[j]] = _branch_share(types[j], G)
         return [solved[firsts[j]] for j in J]
 
     results: list[EquilibriumResult] = []

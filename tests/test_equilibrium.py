@@ -12,6 +12,7 @@ from teamgames.equilibrium import (
     NashCheck,
     _best_positive_response,
     _conjunctive_gift,
+    _player_type,
     critical_thresholds,
     enumerate_disjunctive_equilibria,
     max_achievable_utility,
@@ -221,6 +222,20 @@ class TestStandalone:
         g = game(rho=1.0, expertise=(0.0, 0.8))
         assert standalone_value(0, g) == 0.0
 
+    @pytest.mark.parametrize("rho,beta,reads", [(0.00198, 0.171, "0.0"),
+                                                (-0.00231, 0.138, "inf")],
+                             ids=["underflow", "overflow"])
+    def test_weight_scale_out_of_range_refused_by_name(self, rho, beta, reads):
+        # beta**(1/rho) underflows to 0 (a division by zero followed) or
+        # overflows (a raw OverflowError), for a player of positive expertise
+        g = game(rho=rho, expertise=(0.5, 0.7), betas=(beta, 1.0))
+        message = (rf"standalone point for p = 0.5, beta = {beta}, rho = {rho} needs "
+                   rf"beta\*\*\(1/rho\) positive and finite, got {reads}")
+        with pytest.raises(InputError, match=message):
+            standalone_value(0, g)
+        with pytest.raises(InputError, match=message):
+            solve_cell(g)
+
     @pytest.mark.usefixtures("cold_types")
     def test_memo_is_bitwise_a_fresh_solve(self):
         config = SweepConfig()
@@ -229,7 +244,7 @@ class TestStandalone:
             for i in range(g.n):
                 memo = equilibrium._standalone_pair(i, g)
                 assert equilibrium._standalone_pair(i, g) is memo
-                assert memo == equilibrium._solve_standalone(i, g)
+                assert memo == equilibrium._type_standalone.__wrapped__(*_player_type(i, g))
                 assert standalone_value(i, g) == memo[1]
 
     @pytest.mark.usefixtures("cold_types")
@@ -459,11 +474,12 @@ class TestEnumerateDisjunctive:
                                        refine_step=1e-4).is_nash
 
     def test_subset_cap(self):
-        g = GameSpec(n=3, rho=10.0, betas=(1,) * 3, delta_t=10.0,
-                     expertise=(1.0,) * 3, alpha=2.0,
+        g = GameSpec(n=11, rho=10.0, betas=(1,) * 11, delta_t=10.0,
+                     expertise=(1.0,) * 11, alpha=2.0,
                      evaluation=EvaluationSpec("logistic", d=10, gamma=2, b=5))
-        with pytest.raises(ConfigurationError, match="subset_cap"):
-            enumerate_disjunctive_equilibria(g, subset_cap=2)
+        with pytest.raises(ConfigurationError, match=r"2\*\*11 - 1 subsets, above the cap "
+                                                     r"of 10 players"):
+            enumerate_disjunctive_equilibria(g)
 
     def test_wrong_rho(self):
         with pytest.raises(WrongSolverError):
@@ -1003,7 +1019,7 @@ class TestBestPositiveResponse:
                  betas=(1.3, 1.0))
         cap = 0.81 * g.delta_t
         for G_minus in np.linspace(0.0, 1.2 * g.max_aggregate(), 25):
-            g_new, u_new = _best_positive_response(g, 0, G_minus)
+            g_new, u_new = _best_positive_response(_player_type(0, g), G_minus)
             g_ref, u_ref = _ternary_best_positive_response(g, 0, G_minus)
             if g_new == g_ref:  # one point, scored by two scalar codes
                 assert u_new == pytest.approx(u_ref, rel=1e-14)
@@ -1021,7 +1037,9 @@ class TestBestPositiveResponse:
         assert abs(thr.G_minus_star - expected) <= xtol
 
         def h(G_minus):
-            return _best_positive_response(g, 0, G_minus)[1] - equilibrium._u_zero(g, G_minus)
+            player_type = _player_type(0, g)
+            return (_best_positive_response(player_type, G_minus)[1]
+                    - equilibrium._u_zero(player_type, G_minus))
 
         assert h(thr.G_minus_star - xtol) > 0 > h(thr.G_minus_star + xtol)
 
@@ -1046,7 +1064,7 @@ class TestBestPositiveResponse:
         # non-integer alpha its power was NaN, which np.argmax took as the best
         g = GameSpec(n=2, rho=3.0, betas=(1.0, 1.0), delta_t=10.0, expertise=(0.81, 0.5),
                      alpha=1.631, evaluation=EvaluationSpec("identity"))
-        gift, u = _best_positive_response(g, 0, 0.0)
+        gift, u = _best_positive_response(_player_type(0, g), 0.0)
         assert gift == pytest.approx(3.0787, abs=1e-3)
         assert u == pytest.approx(60.35, abs=1e-2)
         assert critical_thresholds(0, g).G_minus_star == pytest.approx(1.466, abs=1e-3)
@@ -1098,7 +1116,7 @@ class TestBestPositiveResponseFamily:
         for g in _random_disjunctive_games(100):
             cap = g.expertise[0] * g.delta_t
             for G_minus in np.linspace(0.0, 1.2 * g.max_aggregate(), 13):
-                g_new, u_new = _best_positive_response(g, 0, G_minus)
+                g_new, u_new = _best_positive_response(_player_type(0, g), G_minus)
                 g_ref, u_ref = _ternary_best_positive_response(g, 0, G_minus)
                 if g_new == g_ref:
                     assert u_new == pytest.approx(u_ref, rel=1e-14)
@@ -1114,14 +1132,15 @@ class TestBestPositiveResponseFamily:
         # difference's rounding on the scale of the utilities
         checked = 0
         for g in _random_disjunctive_games(100):
+            player_type = _player_type(0, g)
             for G_minus in np.linspace(0.0, 1.2 * g.max_aggregate(), 13)[1:]:
-                h, slope, _ = equilibrium._indifference_gap(g, 0, G_minus, None)
+                h, slope, _ = equilibrium._indifference_gap(player_type, G_minus, None)
                 d = 1e-6 * G_minus
-                h_up, slope_up, _ = equilibrium._indifference_gap(g, 0, G_minus + d, None)
-                h_down, slope_down, _ = equilibrium._indifference_gap(g, 0, G_minus - d, None)
+                h_up, slope_up, _ = equilibrium._indifference_gap(player_type, G_minus + d, None)
+                h_down, slope_down, _ = equilibrium._indifference_gap(player_type, G_minus - d, None)
                 if None in (slope, slope_up, slope_down):
                     continue  # no interior maximum nearby: the search bisects there
-                scale = (abs(h) + equilibrium._u_zero(g, G_minus)) / G_minus
+                scale = (abs(h) + equilibrium._u_zero(player_type, G_minus)) / G_minus
                 assert abs((h_up - h_down) / (2 * d) - slope) <= 1e-7 * scale
                 checked += 1
         assert checked > 200
@@ -1133,8 +1152,8 @@ class TestBestPositiveResponseFamily:
         for g in _random_disjunctive_games(100):
             cap = g.expertise[0] * g.delta_t
             for G_minus in np.linspace(0.0, 1.2 * g.max_aggregate(), 13):
-                phi = equilibrium._response_condition(g, 0, G_minus)
-                gift = _best_positive_response(g, 0, G_minus)[0]
+                phi = equilibrium._response_condition(_player_type(0, g), G_minus)
+                gift = _best_positive_response(_player_type(0, g), G_minus)[0]
                 for x in (gift, 1e-6 * cap, 1e-3 * cap, 0.5 * cap, 0.9 * cap):
                     slope = phi(x)[1]
                     z, d = math.log(x), 1e-6
@@ -1148,9 +1167,9 @@ class TestBestPositiveResponseFamily:
         for g in _random_disjunctive_games(100):
             cap = g.expertise[0] * g.delta_t
             for G_minus in np.linspace(0.0, 1.2 * g.max_aggregate(), 13):
-                g_cold, u_cold = _best_positive_response(g, 0, G_minus)
+                g_cold, u_cold = _best_positive_response(_player_type(0, g), G_minus)
                 for near in (g_cold * (1 + 1e-4), 0.9 * cap, 1e-6 * cap):
-                    g_warm, u_warm = _best_positive_response(g, 0, G_minus, near=near)
+                    g_warm, u_warm = _best_positive_response(_player_type(0, g), G_minus, near=near)
                     assert abs(g_warm - g_cold) <= cap * 1e-12
                     assert u_warm == pytest.approx(u_cold, rel=1e-14, abs=0)
 
@@ -1173,8 +1192,8 @@ class TestThresholdNewton:
                     continue
 
                 def h(G_minus, i=i):
-                    u0 = equilibrium._u_zero(g, G_minus)
-                    return _best_positive_response(g, i, G_minus)[1] - u0
+                    u0 = equilibrium._u_zero(_player_type(i, g), G_minus)
+                    return _best_positive_response(_player_type(i, g), G_minus)[1] - u0
 
                 xtol = max(thr.standalone, 1.0) * 1e-13
                 lo, hi = thr.G_minus_star - 2 * xtol, thr.G_minus_star + 2 * xtol
@@ -1213,7 +1232,7 @@ class TestThresholdNewton:
                 except RegimeError:
                     continue
                 cap = g.expertise[i] * g.delta_t
-                root = _best_positive_response(g, i, thr.G_minus_star)[0]
+                root = _best_positive_response(_player_type(i, g), thr.G_minus_star)[0]
                 assert abs(thr.g_star - root) <= cap * 1e-14
                 w = g.betas[i] ** (1.0 / rho) * thr.g_star
                 assert thr.G_star == equilibrium._pair_aggregate(w, thr.G_minus_star, rho)
@@ -1223,9 +1242,9 @@ class TestThresholdNewton:
     def test_unconverged_best_response_refused_by_name(self, monkeypatch):
         g = game(rho=10.0, b=5.0)
         monkeypatch.setattr(equilibrium, "_NEWTON_STEPS", 1)
-        with pytest.raises(InputError, match=r"best response of player 1 to G_minus = 2.0 "
-                                             r"did not converge"):
-            _best_positive_response(g, 1, 2.0)
+        with pytest.raises(InputError, match=r"best response for p = 1.0, beta = 1.0 to "
+                                             r"G_minus = 2.0 did not converge"):
+            _best_positive_response(_player_type(1, g), 2.0)
 
 
 def _player_type_family(count, seed=39):
@@ -1267,21 +1286,22 @@ class TestPlayerTypeCache:
     @staticmethod
     def _assert_keyed_by_type(g):
         """Each player's standalone pair and thresholds, cold, equal bit for bit
-        those of its one-player game, and the uncached solves on the game
-        itself; returns how many thresholds were found."""
+        those of its one-player game, and the uncached solves of its type;
+        returns how many thresholds were found."""
         found = 0
         for i in range(g.n):
             lone = GameSpec(n=1, rho=g.rho, betas=(g.betas[i],), delta_t=g.delta_t,
                             expertise=(g.expertise[i],), alpha=g.alpha, evaluation=g.evaluation)
+            player_type = _player_type(i, g)
             pair = _cold(equilibrium._standalone_pair, i, g)
             assert pair == _cold(equilibrium._standalone_pair, 0, lone)
-            assert pair == equilibrium._solve_standalone(i, g)
+            assert pair == equilibrium._type_standalone.__wrapped__(*player_type)
             if pair[0] <= equilibrium.BOUNDARY_TOL:
                 continue
             thr = _cold(critical_thresholds, i, g)
             assert thr == _cold(critical_thresholds, 0, lone)
             if isinstance(thr, equilibrium.CriticalThresholds):
-                assert thr == equilibrium._threshold_search(i, g)
+                assert thr == equilibrium._type_thresholds.__wrapped__(*player_type)
                 found += 1
         return found
 
@@ -1309,14 +1329,15 @@ class TestPlayerTypeCache:
     @pytest.mark.usefixtures("cold_types")
     def test_refused_type_raises_on_every_call(self, monkeypatch):
         # a search that fails is not kept: each call searches again, and the
-        # error names the player of the game asked, not the type game's player 0
+        # error names the type by its expertise and weight
         g = game(rho=10.0, expertise=(0.5, 0.9), b=5.0)
         monkeypatch.setattr(equilibrium, "_NEWTON_STEPS", 1)
         for _ in range(2):
-            with pytest.raises(InputError, match="best response of player 1 to"):
+            with pytest.raises(InputError, match="best response for p = 0.9, beta = 1.0 to"):
                 critical_thresholds(1, g)
         monkeypatch.undo()
-        assert critical_thresholds(1, g) == _cold(equilibrium._threshold_search, 1, g)
+        search = equilibrium._type_thresholds.__wrapped__
+        assert critical_thresholds(1, g) == _cold(search, *_player_type(1, g))
         # a type solved in a small game is still refused in one whose full-time
         # utilities overflow, and on every call
         weak = dict(rho=2.0, delta_t=10.0, alpha=306.0, evaluation=EvaluationSpec("identity"))
@@ -1328,16 +1349,32 @@ class TestPlayerTypeCache:
                 critical_thresholds(0, big)
 
     @pytest.mark.usefixtures("cold_types")
-    def test_share_function_grid_runs_one_search(self, monkeypatch):
-        searches = []
-        search = equilibrium._threshold_search
-        monkeypatch.setattr(equilibrium, "_threshold_search",
-                            lambda *args: searches.append(args) or search(*args))
+    def test_refused_type_searches_once_per_call(self, monkeypatch):
+        # with one Newton step a best response of the search fails; each call
+        # makes the best responses of one search up to that one, never a rerun
+        g = game(rho=10.0, expertise=(0.5, 0.9), b=5.0)
+        calls = []
+        best = equilibrium._best_positive_response
+        monkeypatch.setattr(equilibrium, "_best_positive_response",
+                            lambda *args, **kwargs: calls.append(args) or best(*args, **kwargs))
+        monkeypatch.setattr(equilibrium, "_NEWTON_STEPS", 1)
+        with pytest.raises(InputError):
+            equilibrium._type_thresholds.__wrapped__(*_player_type(1, g))
+        search = list(calls)
+        assert search
+        for _ in range(2):
+            calls.clear()
+            with pytest.raises(InputError):
+                critical_thresholds(1, g)
+            assert calls == search
+
+    @pytest.mark.usefixtures("cold_types")
+    def test_share_function_grid_runs_one_search(self):
         g = game(rho=10.0, b=5.0)
         thr = critical_thresholds(0, g)
         for G in np.linspace(thr.G_star, thr.standalone, 50):
             share_function(0, float(G), g)
-        assert len(searches) == 1
+        assert equilibrium._type_thresholds.cache_info().misses == 1
 
 
 class TestBrent:
@@ -1404,8 +1441,8 @@ class TestBrent:
         g = game(rho=rho, b=5.0)
         thr = critical_thresholds(0, g)
         G_minus = thr.G_minus_star + 0.1 * thr.standalone
-        u_zero = equilibrium._u_zero(g, G_minus)
-        gap = _best_positive_response(g, 0, G_minus)[1] - u_zero
+        u_zero = equilibrium._u_zero(_player_type(0, g), G_minus)
+        gap = _best_positive_response(_player_type(0, g), G_minus)[1] - u_zero
         assert gap < -1e-3 * u_zero
 
 
@@ -1624,11 +1661,11 @@ class TestOneGiftRootPerType:
     @staticmethod
     def _spy(monkeypatch, name):
         """Record the aggregate of every call of ``equilibrium.name``, with
-        the player where the function takes one."""
+        the player type where the function takes one."""
         func, calls = getattr(equilibrium, name), []
 
         def spy(*args):
-            calls.append(args[1:3] if name == "_positive_branch_gift" else args[1])
+            calls.append(args if name == "_positive_branch_gift" else args[1])
             return func(*args)
         monkeypatch.setattr(equilibrium, name, spy)
         return calls
@@ -1655,12 +1692,12 @@ class TestOneGiftRootPerType:
         results = solve_cell(g)
         assert [r.active_set for r in results] == [(0,), (1,), (0, 1)]
         # one call per aggregate the share equation evaluates, all for the
-        # type's first player, and one more at its root for the reported gifts
-        assert {player for player, _ in calls} == {0}
+        # players' one type, and one more at its root for the reported gifts
+        assert {player_type for player_type, _ in calls} == {_player_type(0, g)}
         per_aggregate = Counter(G for _, G in calls)
         [G_hat] = [G for G, count in per_aggregate.items() if count == 2]
         assert len(per_aggregate) >= 3 and set(per_aggregate.values()) == {1, 2}
-        root = equilibrium._positive_branch_gift(g, 1, G_hat)
+        root = equilibrium._positive_branch_gift(_player_type(1, g), G_hat)
         assert results[2].gifts == (root, root)
 
 
@@ -1692,7 +1729,7 @@ class TestPositiveBranchGift:
             except RegimeError:
                 continue  # no contribution alone, or no single-valued branch
             for G in np.linspace(thr.G_star, thr.standalone, 33):
-                r = equilibrium._positive_branch_gift(g, i, G)
+                r = equilibrium._positive_branch_gift(_player_type(i, g), G)
                 tol = 1e-14 * g.expertise[i] * g.delta_t + 2.0 * _rounding_band(r, G, i, g)
                 _assert_first_order_root(r, G, i, g, tol, rising=True)
             checked += 1
@@ -1715,15 +1752,17 @@ class TestPositiveBranchGift:
         # + log(beta/alpha) - rho*log(G), so this G leaves it at -5e-10,
         # within the whisker that returns the peak
         at_peak = math.log(cap / 3.0) + 2.0 * math.log(peak) + math.log(0.5)
-        assert equilibrium._positive_branch_gift(g, 0, math.exp((at_peak + 5e-10) / 3.0)) == peak
+        G_at_peak = math.exp((at_peak + 5e-10) / 3.0)
+        assert equilibrium._positive_branch_gift(_player_type(0, g), G_at_peak) == peak
         with pytest.raises(RegimeError, match="no positive replacement branch at G = 9"):
-            equilibrium._positive_branch_gift(g, 0, 9.0)
+            equilibrium._positive_branch_gift(_player_type(0, g), 9.0)
         # for rho near 1 the root can lie below peak*1e-300
         with pytest.raises(InputError, match="no sign change"):
-            equilibrium._positive_branch_gift(game(rho=1.0001, kind="identity"), 0, 1.0)
+            equilibrium._positive_branch_gift(
+                _player_type(0, game(rho=1.0001, kind="identity")), 1.0)
         monkeypatch.setattr(equilibrium, "_NEWTON_STEPS", 1)
         with pytest.raises(InputError, match="gift root for p = 1.0, G = 1.0 did not converge"):
-            equilibrium._positive_branch_gift(g, 0, 1.0)
+            equilibrium._positive_branch_gift(_player_type(0, g), 1.0)
 
 
 class TestScalarConcaveSolve:

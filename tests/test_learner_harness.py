@@ -1,6 +1,7 @@
 """The replay helpers of ``benchmarks/learner.py``, on toy functions: no
 game is solved and no learner runs."""
 
+import hashlib
 import importlib.util
 import statistics
 import time
@@ -128,3 +129,26 @@ def test_cold_solves_clear_the_type_caches_and_copy_each_game(monkeypatch):
     assert cleared == ["_type_standalone", "_type_thresholds"]
     assert (solve, kwargs) == (experiments.solve_cell, {})
     assert copy == game and copy is not game
+
+
+def test_searches_bind_the_provision_by_name():
+    # a side whose gap takes (game, player, G_minus, near) and one whose gap
+    # takes (player_type, G_minus, near) count the same searches
+    def old(game, player, G_minus, near):
+        pass
+
+    def new(player_type, G_minus, near):
+        pass
+    old_gaps = [(old, ("g", 0, 0.0, 1.0), {}), (old, ("g", 0, 2.0, 1.0), {}),
+                (old, ("g", 1, 0.0), {"near": None})]
+    new_gaps = [(new, ("t", 0.0, 1.0), {}), (new, ("t", 2.0, 1.0), {}),
+                (new, ("u",), {"G_minus": 0.0, "near": None})]
+    assert learner._searches(old_gaps) == learner._searches(new_gaps) == 2
+
+
+def test_outcome_digest_hashes_each_repr_or_error_name():
+    def refused():
+        raise RegimeError("refused")
+    digest = learner._outcome_digest([(divmod, (7, 2), {}), (refused, (), {}),
+                                      (dict, (), {"a": 1.5})])
+    assert digest == hashlib.sha256(b"(3, 1)\nRegimeError\n{'a': 1.5}\n").hexdigest()

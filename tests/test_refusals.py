@@ -190,10 +190,6 @@ def share_aggregate(value):
     return share_function(0, value, DISJUNCTIVE)
 
 
-def enumerate_capped(value):
-    return enumerate_disjunctive_equilibria(DISJUNCTIVE, subset_cap=value)
-
-
 def ces(value):
     return ces_aggregate([1.0, 2.0], value, [1.0, 1.0])
 
@@ -264,7 +260,6 @@ TABLE = [
     *((call, "player", v) for call in (additive_player, conjunctive_player, standalone_player,
                                        thresholds_player, share_player)
       for v in NOT_A_PLAYER),
-    *((enumerate_capped, "subset_cap", v) for v in NOT_AN_INTEGER + [2.5, 0]),
     *((train_many, name, v) for name, v in [
         ("jobs", None), ("job 0", [1]), ("job 0", [(GAME,)]), ("job 0's game", [(None, CONFIG)]),
         ("job 0's config", [(GAME, None)]), ("job 1's config", [(GAME, CONFIG), (GAME, {})])]),
