@@ -236,6 +236,11 @@ class TestStandalone:
         with pytest.raises(InputError, match=message):
             solve_cell(g)
 
+    def test_heaviside_refused_by_name(self):
+        with pytest.raises(UnsupportedEvaluationError,
+                           match="standalone value needs a smooth evaluation"):
+            standalone_value(0, game(rho=10.0, kind="heaviside"))
+
     @pytest.mark.usefixtures("cold_types")
     def test_memo_is_bitwise_a_fresh_solve(self):
         config = SweepConfig()
@@ -480,6 +485,33 @@ class TestEnumerateDisjunctive:
         with pytest.raises(ConfigurationError, match=r"2\*\*11 - 1 subsets, above the cap "
                                                      r"of 10 players"):
             enumerate_disjunctive_equilibria(g)
+
+    def test_ten_players_are_under_the_cap(self):
+        results = enumerate_disjunctive_equilibria(game(rho=10.0, expertise=(1.0,) * 10))
+        assert sorted(r.active_set for r in results) == [(i,) for i in range(10)]
+
+    def test_cap_is_no_option(self):
+        # the cap is a constant: the refusal hints at no option, and none lifts it
+        g = game(rho=10.0, expertise=(1.0,) * 11)
+        with pytest.raises(ConfigurationError) as refused:
+            enumerate_disjunctive_equilibria(g)
+        assert "subset_cap" not in str(refused.value)
+        with pytest.raises(TypeError, match="subset_cap"):
+            enumerate_disjunctive_equilibria(g, subset_cap=11)
+
+    @pytest.mark.usefixtures("cold_types")
+    def test_types_are_built_per_call_not_per_share(self, monkeypatch):
+        # the enumeration and its thresholds build each type; the share
+        # evaluations of the root searches take the types already built
+        built, shares = [], []
+        player_type, branch_share = equilibrium._player_type, equilibrium._branch_share
+        monkeypatch.setattr(equilibrium, "_player_type",
+                            lambda *args: built.append(args) or player_type(*args))
+        monkeypatch.setattr(equilibrium, "_branch_share",
+                            lambda *args: shares.append(args) or branch_share(*args))
+        g = game(rho=1.5, b=1.0, expertise=(1.0, 0.9, 0.8))
+        assert any(len(r.active_set) > 1 for r in enumerate_disjunctive_equilibria(g))
+        assert len(built) <= 2 * g.n < len(shares)
 
     def test_wrong_rho(self):
         with pytest.raises(WrongSolverError):
@@ -1347,6 +1379,21 @@ class TestPlayerTypeCache:
         for _ in range(2):
             with pytest.raises(InputError, match=r"x \*\* alpha \* score must be finite"):
                 critical_thresholds(0, big)
+
+    @pytest.mark.usefixtures("cold_types")
+    def test_refusal_names_the_type_in_any_seat(self, monkeypatch):
+        # one refused type, seated second in one game and first in another with
+        # other partners, is refused with one message, which names no player
+        monkeypatch.setattr(equilibrium, "_NEWTON_STEPS", 1)
+        messages = set()
+        for player, g in [(1, game(rho=10.0, expertise=(0.5, 0.9), b=5.0)),
+                          (0, game(rho=10.0, expertise=(0.9, 0.3, 0.7), b=5.0))]:
+            with pytest.raises(InputError) as refused:
+                critical_thresholds(player, g)
+            messages.add(str(refused.value))
+        assert len(messages) == 1
+        message = messages.pop()
+        assert "p = 0.9, beta = 1.0" in message and "player" not in message
 
     @pytest.mark.usefixtures("cold_types")
     def test_refused_type_searches_once_per_call(self, monkeypatch):
