@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -222,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="teamgames",
         description="Solve, learn, and sweep one-shot teamwork games.")
     sub = parser.add_subparsers(dest="command", required=True)
-    env_workers = os.environ.get("TEAMGAMES_WORKERS")
     for name, fn in (("solve", cmd_solve), ("learn", cmd_learn),
                      ("sweep", cmd_sweep), ("heaviside", cmd_heaviside),
                      ("tune", cmd_tune)):
@@ -234,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, (commands, kwargs) in _FLAGS.items():
             if name in commands:
                 p.add_argument(flag, **kwargs)
-        if name == "sweep" and env_workers:
-            p.set_defaults(workers=int(env_workers))
         p.set_defaults(fn=fn)
     return parser
 
@@ -245,9 +241,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except NoEquilibriumError as exc:
-        print(f"no equilibrium found: {exc}", file=sys.stderr)
-        return 2
     except (TeamworkGameError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -169,19 +169,34 @@ def _brent(f, lo, hi, *, xtol, rtol=0.0, flo=None, fhi=None):
     raise InputError(f"Brent's method on [{lo}, {hi}] did not converge in {_BRENT_STEPS} steps")
 
 
-def _require_player(player, game: GameSpec):
+# Each rho regime a solver entry point may require, keyed by the text its refusal states
+_REGIMES = {"= 1": lambda rho: rho == 1, "< 1": lambda rho: rho < 1,
+            "<= 1": lambda rho: rho <= 1, "> 1": lambda rho: rho > 1}
+_UNSET = object()
+
+
+def _require(game, where: str, regime: str | None = None, player=_UNSET, G=_UNSET):
+    """The refusals of the solver entry point ``where``, in this order: a
+    game that is no ``GameSpec``; a ``player`` (if given) that is no index of
+    it; a rho outside ``regime`` (a key of ``_REGIMES``), ``WrongSolverError``;
+    a heaviside evaluation, ``UnsupportedEvaluationError``; and an aggregate
+    ``G`` (if given) that is no number, ``InputError``, or is below 0,
+    ``RegimeError``."""
     _require_game(game)
-    if (isinstance(player, bool)  # a bool is an int, but no player
+    if player is not _UNSET and (
+            isinstance(player, bool)  # a bool is an int, but no player
             or not (isinstance(player, (int, np.integer)) and 0 <= player < game.n)):
         raise InputError(f"player must be an integer in [0, {game.n - 1}], got {player!r}")
-
-
-def _require_smooth(game: GameSpec, where: str):
+    if regime is not None and not _REGIMES[regime](game.rho):
+        raise WrongSolverError(f"{where} requires rho {regime}, got rho = {game.rho}")
     if not game.evaluation.is_smooth:
         raise UnsupportedEvaluationError(
             f"{where} needs a smooth evaluation (logistic or identity); "
-            "heaviside games can only be learned"
-        )
+            "heaviside games can only be learned")
+    if G is not _UNSET:
+        _read("G", G, _AGGREGATE, InputError)
+        if not G >= 0:
+            raise RegimeError(f"aggregate must be >= 0, got {G}")
 
 
 def _full_time_aggregate(game: GameSpec) -> float:
@@ -222,14 +237,7 @@ def _first_of_type(game: GameSpec) -> list[int]:
 
 def replacement_additive(G: float, player: int, game: GameSpec) -> float:
     """Additive-task replacement: max(0, p*dt - (alpha/beta) * sigma/sigma')."""
-    _require_player(player, game)
-    if game.rho != 1:
-        raise WrongSolverError(
-            f"additive replacement requires rho = 1, got rho = {game.rho}")
-    _require_smooth(game, "replacement function")
-    _read("G", G, _AGGREGATE, InputError)
-    if not G >= 0:
-        raise RegimeError(f"aggregate must be >= 0, got {G}")
+    _require(game, "replacement_additive", "= 1", player, G)
     return _additive_gift(ratio_scalar(game.evaluation, G), G, game.expertise[player],
                           game.betas[player], game.alpha, game.delta_t, game.rho)
 
@@ -344,8 +352,7 @@ def _conjunctive_gift(ratio_G: float, G: float, p: float, beta: float,
 
 def standalone_value(player: int, game: GameSpec) -> float:
     """Outcome the player would produce as the sole contributor."""
-    _require_player(player, game)
-    _require_smooth(game, "standalone value")
+    _require(game, "standalone_value", player=player)
     return _standalone_pair(player, game)[1]
 
 
@@ -369,8 +376,9 @@ def _player_type(player: int, game: GameSpec) -> tuple:
 def _type_standalone(*player_type) -> tuple[float, float]:
     """(gift, aggregate) of a lone contributor of a smooth-evaluation type:
     ``_lone_root`` with ``top = beta**(1/rho)*p*dt``, and (0, 0) for no
-    expertise.  A weight whose ``beta**(1/rho)`` overflows, or underflows
-    to 0, is refused with ``InputError`` naming ``p``, ``beta`` and ``rho``."""
+    expertise.  A type whose ``beta**(1/rho)`` underflows to 0, or whose
+    ``top`` overflows, is refused with ``InputError`` naming ``p``, ``beta``
+    and ``rho``."""
     p, beta, alpha, delta_t, rho, spec = player_type
     if p == 0.0:
         return 0.0, 0.0
@@ -378,11 +386,13 @@ def _type_standalone(*player_type) -> tuple[float, float]:
         bscale = beta ** (1.0 / rho)
     except OverflowError:
         bscale = math.inf
-    if not 0.0 < bscale < math.inf:
+    top = bscale * p * delta_t
+    if not (0.0 < bscale and top < math.inf):
         raise InputError(
             f"the standalone point for p = {p}, beta = {beta}, rho = {rho} needs "
-            f"beta**(1/rho) positive and finite, got {bscale}")
-    G = _lone_root(bscale * p * delta_t, alpha, spec)
+            f"beta**(1/rho) positive and finite, got {bscale}, and "
+            f"beta**(1/rho)*p*delta_t finite, got {top}")
+    G = _lone_root(top, alpha, spec)
     return G / bscale, G
 
 
@@ -413,14 +423,7 @@ def replacement_conjunctive(G: float, player: int, game: GameSpec) -> float:
     when rho < 0; outside, the map is undefined and a RegimeError names the
     regime.
     """
-    _require_player(player, game)
-    if not (game.rho < 1 and game.rho != 0):
-        raise WrongSolverError(
-            f"conjunctive replacement requires rho < 1 (rho != 0), got {game.rho}")
-    _require_smooth(game, "replacement function")
-    _read("G", G, _AGGREGATE, InputError)
-    if not G >= 0:
-        raise RegimeError(f"aggregate must be >= 0, got {G}")
+    _require(game, "replacement_conjunctive", "< 1", player, G)
     p = game.expertise[player]
     if p == 0.0:
         return 0.0
@@ -445,8 +448,7 @@ def strongly_conjunctive_limit(game: GameSpec) -> float:
     this is the textbook symmetric expression; the common factor p keeps it
     consistent with the rho = -500 solver for weaker symmetric teams.
     """
-    _require_game(game)
-    _require_smooth(game, "strongly conjunctive limit")
+    _require(game, "strongly_conjunctive_limit")
     p = game.expertise[0]
     if any(q != p for q in game.expertise) or any(b != game.betas[0] for b in game.betas):
         raise RegimeError(
@@ -524,12 +526,7 @@ def solve_equilibrium_concave(game: GameSpec) -> list[EquilibriumResult]:
     where any zero gift forces the weakest-link outcome to 0: the fixed
     point with G > 0 is returned, the zero profile never.
     """
-    _require_game(game)
-    if game.rho > 1 or game.rho == 0:
-        raise WrongSolverError(
-            f"concave solver requires rho <= 1 (rho != 0), got {game.rho}; "
-            "use the disjunctive enumerator for rho > 1")
-    _require_smooth(game, "equilibrium solver")
+    _require(game, "solve_equilibrium_concave", "<= 1")
     G_max = _full_time_aggregate(game)
 
     standalones = [_standalone_pair(i, game)[1] for i in range(game.n)]
@@ -806,12 +803,7 @@ def critical_thresholds(player: int, game: GameSpec) -> CriticalThresholds:
     cache.  A search that raises is not kept, so it runs, and raises, on
     every call; its error names the type's ``p`` and ``beta``.
     """
-    _require_player(player, game)
-    if game.rho <= 1:
-        raise WrongSolverError(
-            f"critical thresholds exist only for disjunctive tasks (rho > 1), "
-            f"got rho = {game.rho}")
-    _require_smooth(game, "critical thresholds")
+    _require(game, "critical_thresholds", "> 1", player)
     player_type = _player_type(player, game)
     g_bar, G_bar = _type_standalone(*player_type)
     if g_bar <= BOUNDARY_TOL:
@@ -938,40 +930,20 @@ def _branch_share(player_type, G: float) -> tuple[float, float]:
     return r, math.exp(math.log(beta) + rho * (math.log(r) - math.log(G)))
 
 
-def share_function(player: int, G: float, game: GameSpec, branch: str = "positive") -> float:
-    """Share map s_i(G): the fraction beta_i * r_i(G)**rho / G**rho.
-
-    ``branch`` selects the component: "positive" is defined on
-    [G_star, standalone] and strictly increasing with s(standalone) = 1;
-    "zero" is defined for G >= G_minus_star and returns 0.  The domain comes
-    from ``critical_thresholds``, whose search runs once per player type, so
-    a grid of G values costs one search.
+def share_function(player: int, G: float, game: GameSpec) -> float:
+    """Share map s_i(G) = beta_i * r_i(G)**rho / G**rho on the positive
+    replacement branch: defined on [G_star, standalone] and strictly
+    increasing, with s(standalone) = 1.  The domain comes from
+    ``critical_thresholds``, whose search runs once per player type, so a
+    grid of G values costs one search.
     """
-    _require_player(player, game)
-    if game.rho <= 1:
-        raise WrongSolverError(
-            f"share functions are used for disjunctive tasks (rho > 1), got {game.rho}")
-    _require_smooth(game, "share function")
-    if branch not in ("positive", "zero"):
-        raise InputError(f"branch must be 'positive' or 'zero', got {branch!r}")
-    _read("G", G, _AGGREGATE, InputError)
-    g_bar, G_bar = _standalone_pair(player, game)
-    if g_bar <= BOUNDARY_TOL:
-        if branch == "zero":
-            return 0.0
-        raise RegimeError(f"player {player} has no positive branch (degenerate standalone)")
+    _require(game, "share_function", "> 1", player, G)
     thr = critical_thresholds(player, game)
-    if branch == "zero":
-        if G < thr.G_minus_star - BOUNDARY_TOL:
-            raise RegimeError(
-                f"zero branch undefined below G_minus_star = {thr.G_minus_star:.6g}; "
-                f"got G = {G:.6g}")
-        return 0.0
     if not (thr.G_star - BOUNDARY_TOL <= G <= thr.standalone + BOUNDARY_TOL):
         raise RegimeError(
             f"positive branch domain is [{thr.G_star:.6g}, {thr.standalone:.6g}]; "
             f"got G = {G:.6g}")
-    return _branch_share(_player_type(player, game), min(G, G_bar))[1]
+    return _branch_share(_player_type(player, game), min(G, thr.standalone))[1]
 
 
 # the most players whose active sets the disjunctive enumerator tries, all 2**n - 1 of them
@@ -993,11 +965,7 @@ def enumerate_disjunctive_equilibria(game: GameSpec) -> list[EquilibriumResult]:
     the shares in player order.  A game of more than ``_SUBSET_CAP`` players
     is refused with ``ConfigurationError``.
     """
-    _require_game(game)
-    if game.rho <= 1:
-        raise WrongSolverError(
-            f"disjunctive enumeration requires rho > 1, got {game.rho}")
-    _require_smooth(game, "equilibrium solver")
+    _require(game, "enumerate_disjunctive_equilibria", "> 1")
     if game.n > _SUBSET_CAP:
         raise ConfigurationError(
             f"enumeration over {game.n} players needs 2**{game.n} - 1 subsets, "

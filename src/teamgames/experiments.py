@@ -159,6 +159,8 @@ def _solve_record(game: GameSpec):
         equilibria = solve_cell(game)
     except TeamworkGameError as exc:
         return (), (), f"{type(exc).__name__}: {exc}"
+    if not equilibria:  # a disjunctive game whose enumerator admits no active set
+        return (), (), "NoEquilibriumError: no active set is admitted"
     return tuple(e.aggregate_G for e in equilibria), tuple(e.actions for e in equilibria), None
 
 
@@ -172,8 +174,8 @@ def _learn_refusal(game: GameSpec) -> str | None:
 
 
 def run_sweep(config: SweepConfig) -> list[ExperimentRecord]:
-    """Run every cell of the sweep; cells with solver failures carry a skip
-    reason instead of silently disappearing.
+    """Run every cell of the sweep; cells with solver failures, or with no
+    equilibrium, carry a skip reason instead of silently disappearing.
 
     Every cell is solved first; then all cells and repetitions the learner
     accepts learn through one ``train_many`` call, which advances them in

@@ -316,6 +316,8 @@ MALFORMED = [
     ("heaviside", {"teams": [[0.3]]}, [], "teams"),
     ("heaviside", {"episodes": "abc"}, [], "episodes"),
     ("learn", [game_spec()], ["--set", "x=1"], "object"),
+    ("solve", game_spec(), ["--set", "rho"], "key=value"),
+    ("solve", game_spec(), ["--set", "rho.x=1"], "does not address an object"),
     ("learn", game_spec(), ["--episodes", "300", "--k", "-5"], "k must be finite"),
     ("learn", game_spec(), ["--episodes", "60", "--seed", "-1"], "seed must be >= 0"),
     ("sweep", SMALL_SWEEP, ["--seed", "-1"], "base_seed must be >= 0"),
@@ -353,18 +355,6 @@ def test_integral_float_reads_as_its_integer(tmp_path, command, payload, key, va
 
 
 class TestEnvironment:
-    def test_workers_env_default(self, monkeypatch):
-        monkeypatch.setenv("TEAMGAMES_WORKERS", "3")
-        parser = cli.build_parser()
-        args = parser.parse_args(["sweep", "--input", "x.json"])
-        assert args.workers == 3
-
-    def test_workers_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("TEAMGAMES_WORKERS", "3")
-        parser = cli.build_parser()
-        args = parser.parse_args(["sweep", "--input", "x.json", "--workers", "1"])
-        assert args.workers == 1
-
     def test_flag_the_subcommand_ignores_is_a_usage_error(self, tmp_path):
         spec = write_json(tmp_path / "game.json", game_spec())
         with pytest.raises(SystemExit) as exc:

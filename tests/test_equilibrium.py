@@ -236,9 +236,20 @@ class TestStandalone:
         with pytest.raises(InputError, match=message):
             solve_cell(g)
 
+    def test_overflowing_top_refused_by_name(self):
+        # beta**(1/rho) is about 1e307, finite, but beta**(1/rho)*p*delta_t is
+        # not: Brent ran on [0, inf] and named a bracket no caller chose
+        g = game(rho=0.01, expertise=(1.0,), betas=(10 ** 3.07,), delta_t=100.0,
+                 kind="identity")
+        message = (r"standalone point for p = 1.0, beta = 1174\.\d+, rho = 0.01 needs .*"
+                   r"beta\*\*\(1/rho\)\*p\*delta_t finite, got inf")
+        for call in (lambda: standalone_value(0, g), lambda: replacement_conjunctive(1.0, 0, g)):
+            with pytest.raises(InputError, match=message):
+                call()
+
     def test_heaviside_refused_by_name(self):
         with pytest.raises(UnsupportedEvaluationError,
-                           match="standalone value needs a smooth evaluation"):
+                           match="standalone_value needs a smooth evaluation"):
             standalone_value(0, game(rho=10.0, kind="heaviside"))
 
     @pytest.mark.usefixtures("cold_types")
@@ -415,13 +426,6 @@ class TestShareFunction:
         grid = np.linspace(thr.G_star, thr.standalone, 100)
         vals = [share_function(0, x, g) for x in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_zero_branch(self):
-        g = game(rho=10.0, b=5.0)
-        thr = critical_thresholds(0, g)
-        assert share_function(0, thr.G_minus_star + 0.1, g, branch="zero") == 0.0
-        with pytest.raises(RegimeError):
-            share_function(0, thr.G_minus_star - 0.5, g, branch="zero")
 
     def test_positive_branch_domain(self):
         g = game(rho=10.0, b=5.0)

@@ -121,6 +121,16 @@ class TestRunSweep:
         assert records[0].G_hat_set == ()
         assert records[0].G_tilde is not None
 
+    def test_cell_without_equilibrium_names_it(self):
+        # the weak disjunctive pair (0.1, 0.1) admits no active set: the
+        # enumerator returns no equilibrium and raises nothing
+        cfg = tiny_sweep(expertise_values=(0.1,), rho_values=(1.5,), b_values=(3.0,),
+                         episodes=60)
+        [rec] = run_sweep(cfg)
+        assert rec.G_hat_set == ()
+        assert rec.skip_reason == "NoEquilibriumError: no active set is admitted"
+        assert rec.G_tilde is not None
+
     def test_overflowing_utilities_recorded_as_skip(self):
         # 10 ** 307.15 * 14.29 is beyond the float range in the (0.9, 0.9) cell
         # alone: the solver raised a bare OverflowError there, then the learner

@@ -13,6 +13,8 @@ from teamgames import (
     AgentState,
     EvaluationSpec,
     GameSpec,
+    InputError,
+    RegimeError,
     SweepConfig,
     TeamworkGameError,
     TrainConfig,
@@ -33,12 +35,15 @@ from teamgames import (
     spawned_seed,
     standalone_value,
     strategy_table,
+    strongly_conjunctive_limit,
     train,
     train_many,
     tune_hyperparameters,
+    UnsupportedEvaluationError,
     update_q,
     validate_evaluation,
     verify_epsilon_nash,
+    WrongSolverError,
 )
 from teamgames import evaluation, experiments, games, simulator
 from teamgames.errors import _check
@@ -348,6 +353,59 @@ def test_declared_input_is_refused_by_its_own_name(call, name, value):
     # length or a threshold count, cannot pass the row
     with pytest.raises(TeamworkGameError, match=f"^{re.escape(name)} must"):
         call(value)
+
+
+# The solver entry points behind one refusal gate: each one's call, valid
+# arguments for it (a game, then a player and an aggregate G where it takes
+# them), and a game of another rho regime (None: it takes every regime).
+GATED = {
+    "replacement_additive": (lambda g, i, G: replacement_additive(G, i, g), (GAME, 0, 4.0),
+                             CONJUNCTIVE),
+    "replacement_conjunctive": (lambda g, i, G: replacement_conjunctive(G, i, g),
+                                (CONJUNCTIVE, 0, 8.0), GAME),
+    "share_function": (lambda g, i, G: share_function(i, G, g), (DISJUNCTIVE, 0, 3.89), GAME),
+    "standalone_value": (lambda g, i: standalone_value(i, g), (GAME, 0), None),
+    "critical_thresholds": (lambda g, i: critical_thresholds(i, g), (DISJUNCTIVE, 0), GAME),
+    "strongly_conjunctive_limit": (strongly_conjunctive_limit, (GAME,), None),
+    "solve_equilibrium_concave": (solve_equilibrium_concave, (GAME,), DISJUNCTIVE),
+    "enumerate_disjunctive_equilibria": (enumerate_disjunctive_equilibria, (DISJUNCTIVE,), GAME),
+}
+HEAVISIDE = EvaluationSpec("heaviside", d=10.0, gamma=2.0, b=5.0)
+
+
+def gate_rows():
+    """``(entry point, fault, call, error, message pattern)``: one argument
+    at fault per row, the others valid.  The message starts with the
+    argument's name, or with the entry point's for a regime or an
+    evaluation it does not take."""
+    for name, (call, args, other) in GATED.items():
+        def at(index, value, call=call, args=args):
+            return lambda: call(*args[:index], value, *args[index + 1:])
+        yield name, "game", at(0, None), InputError, "^game must"
+        if len(args) > 1:
+            yield name, "player", at(1, 2), InputError, "^player must"
+        if len(args) > 2:
+            yield name, "G-kind", at(2, "5"), InputError, "^G must"
+            yield name, "G-negative", at(2, -1.0), RegimeError, "^aggregate must be >= 0"
+        if other is not None:
+            yield name, "regime", at(0, other), WrongSolverError, f"^{name} requires rho"
+        yield (name, "heaviside", at(0, dataclasses.replace(args[0], evaluation=HEAVISIDE)),
+               UnsupportedEvaluationError, f"^{name} needs a smooth evaluation")
+
+
+GATE = list(gate_rows())
+
+
+@pytest.mark.parametrize("call,error,pattern", [row[2:] for row in GATE],
+                         ids=[f"{name}-{fault}" for name, fault, *_ in GATE])
+def test_solver_entry_point_refuses_through_the_gate(call, error, pattern):
+    with pytest.raises(error, match=pattern):
+        call()
+
+
+def test_gate_rows_fault_one_argument_of_a_valid_call():
+    for call, args, _ in GATED.values():
+        call(*args)
 
 
 @pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.random.SeedSequence(7)],
