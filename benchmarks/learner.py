@@ -31,10 +31,9 @@ player-type caches, outside its timer, so that no memo is warm):
   the same case (not the one ``episode_us`` times) with the trainer's step
   functions wrapped by timers
   (``softmax``, ``draw``, ``ces`` for ``_aggregate_terms``, ``score`` for
-  ``_score`` and ``update``, which times ``_update_arms`` too where a side
-  has it; where a lone run scores a joint action it has not played in
-  floats, ``ces`` and ``score`` time ``_aggregate_scalar`` (on a side
-  without it, ``_scalar_ces``) and ``score_scalar`` too; ``other`` is the
+  ``_score`` and ``update``, which times ``_update_arms`` too; where a lone
+  run scores a joint action it has not played in floats, ``ces`` and
+  ``score`` time ``_aggregate_scalar`` and ``score_scalar`` too; ``other`` is the
   rest of the run, term gathers and uniforms among it; ``timer`` is the
   timers' own cost, each call's as a no-op wrapped in the same process
   reads it, taken out of the steps and of ``other``, so a step's own call
@@ -43,10 +42,9 @@ player-type caches, outside its timer, so that no memo is warm):
   sees only the episodes that call the kernel (a row at or below
   ``Q_MAX_FLOOR``) and the rest of the soft-max counts in ``other``;
 * ``score_evals.<case>``: for the lone cases, calls of the trainer's score
-  functions (``_score``, and ``score_scalar`` where a side has it: one per
-  joint action not played before) per episode in that second run;
-* ``layout.n2_A<agents>``: on a side whose simulator has
-  ``_ARM_MAJOR_AGENTS``, the median time of ``train_many`` on 4, 8, 12 and
+  functions (``_score``, and ``score_scalar``: one per joint action not
+  played before) per episode in that second run;
+* ``layout.n2_A<agents>``: the median time of ``train_many`` on 4, 8, 12 and
   16 two-player runs (8 to 32 agents, 20,000 run-episodes) with every
   chunk forced arm-major, over the same with every chunk forced
   row-major, from 9 alternating pairs: where the constant should lie;
@@ -111,12 +109,12 @@ player-type caches, outside its timer, so that no memo is warm):
   player's standalone point count the function evaluations of the
   root-finder (end values the caller passes in are not counted: the
   concave solver passes in both of its interval's ends, and the standalone
-  point its value at 0).  Where a side keeps standalone points per player
-  type, a solve finds one standalone root per type.  ``roots.gift_count``
+  point its value at 0).  A solve finds one standalone root per player
+  type.  ``roots.gift_count``
   counts the gift roots (``_conjunctive_gift`` and ``_positive_branch_gift``
   calls) of that one solve, from cold type caches, as the case runs in a
-  fresh process; where a side solves one gift root per player type at each
-  aggregate, players of one type share it;
+  fresh process; players of one type share one gift root at each
+  aggregate;
 * ``tier1`` (with ``--tier1``): one run of the test suite of the checkout
   that holds each side's sources.
 """
@@ -145,11 +143,10 @@ R1_EPISODES = {2: 20_000, 3: 10_000, 4: 4_000}
 ROUNDS = 5  # a replay-timed metric is the median of this many rounds in one process
 LONE = ("n2_R1", "n3_R1", "n4_R1", "n4_team4")
 # the trainer's step functions, by the names the simulator module looks up (a
-# side's simulator may lack some: a lone run updates through _update_arms, and
-# scores a joint action it has not played through _aggregate_scalar, or on
-# older sides _scalar_ces, and score_scalar)
+# lone run updates through _update_arms, and scores a joint action it has not
+# played through _aggregate_scalar and score_scalar)
 STEPS = {"softmax": ("_boltzmann_weights",), "draw": ("_draw_arms",),
-         "ces": ("_aggregate_terms", "_aggregate_scalar", "_scalar_ces"),
+         "ces": ("_aggregate_terms", "_aggregate_scalar"),
          "score": ("_score", "score_scalar"),
          "update": ("_update_q", "_update_arms")}
 # the learning fixtures of tests/test_acceptance.py, by the test class charged their setup
@@ -217,10 +214,10 @@ def _profiled(name: str, learn, run_episodes: int) -> dict:
     inside, outside = _timer_cost()
     spent, calls = dict.fromkeys(STEPS, 0.0), dict.fromkeys(STEPS, 0)
     saved = {}
-    for step, attr in ((step, attr) for step, attrs in STEPS.items() for attr in attrs
-                       if hasattr(simulator, attr)):
-        saved[attr] = func = getattr(simulator, attr)
-        setattr(simulator, attr, _timed(func, step, spent, calls))
+    for step, attrs in STEPS.items():
+        for attr in attrs:
+            saved[attr] = func = getattr(simulator, attr)
+            setattr(simulator, attr, _timed(func, step, spent, calls))
     t0 = time.perf_counter()
     try:
         learn()
@@ -300,12 +297,11 @@ def _recorded(module, name: str, caller: str | None = None):
 
 
 def _cold_types():
-    """Clear the side's process-wide player-type caches, where it has them,
-    so that the next solve finds no standalone point or threshold kept."""
+    """Clear the side's process-wide player-type caches, so that the next
+    solve finds no standalone point or threshold kept."""
     from teamgames import equilibrium
-    for name in ("_type_standalone", "_type_thresholds"):
-        if hasattr(equilibrium, name):
-            getattr(equilibrium, name).cache_clear()
+    equilibrium._type_standalone.cache_clear()
+    equilibrium._type_thresholds.cache_clear()
 
 
 def _cold_solves(games) -> list:
@@ -409,18 +405,17 @@ def case(name: str) -> dict:
         out[f"episode_us.{name}"] = (time.perf_counter() - t0) / (count * 5_000) * 1e6
         out[f"chunk_runs.n{n}"] = count
     elif name == "layout":
-        if hasattr(simulator, "_ARM_MAJOR_AGENTS"):
-            for count in (4, 8, 12, 16):
-                jobs = runs(2, count, 20_000 // count)
-                seconds = {0: [], 1 << 40: []}  # every chunk arm-major, row-major
-                for repeat in range(9):
-                    for threshold in list(seconds)[::1 - 2 * (repeat % 2)]:
-                        simulator._ARM_MAJOR_AGENTS = threshold
-                        t1 = time.perf_counter()
-                        tg.train_many(jobs)
-                        seconds[threshold].append(time.perf_counter() - t1)
-                arm, row = (statistics.median(values) for values in seconds.values())
-                out[f"layout.n2_A{2 * count}"] = arm / row
+        for count in (4, 8, 12, 16):
+            jobs = runs(2, count, 20_000 // count)
+            seconds = {0: [], 1 << 40: []}  # every chunk arm-major, row-major
+            for repeat in range(9):
+                for threshold in list(seconds)[::1 - 2 * (repeat % 2)]:
+                    simulator._ARM_MAJOR_AGENTS = threshold
+                    t1 = time.perf_counter()
+                    tg.train_many(jobs)
+                    seconds[threshold].append(time.perf_counter() - t1)
+            arm, row = (statistics.median(values) for values in seconds.values())
+            out[f"layout.n2_A{2 * count}"] = arm / row
     elif name == "train50k":
         tg.train(_game(2), tg.TrainConfig(episodes=50_000, seed=SEED))
         out["train50k_s"] = time.perf_counter() - t0

@@ -1,8 +1,8 @@
 """Command-line entry point: solve, learn, sweep, heaviside, tune.
 
-Exit codes: 0 success, 1 configuration error, 2 empty result (no
-equilibrium found).  A usage error, such as a flag the subcommand does not
-take, also exits 2 (argparse's convention).  All outputs are reproducible
+Exit codes: 0 success, 1 configuration or file error, 2 no equilibrium
+found (a solver's ``NoEquilibriumError``).  A usage error, such as a flag
+the subcommand does not take, also exits 2 (argparse's convention).  All outputs are reproducible
 byte for byte given the input spec, seed, and format; floats are serialised
 with their shortest round-trip representation.
 """
@@ -107,19 +107,12 @@ def _records_rows(records):
 
 def cmd_solve(args) -> int:
     spec = GameSpec.from_dict(_load_input(args))
-    if not spec.evaluation.is_smooth:
-        print("evaluation not smooth; use learn", file=sys.stderr)
-        return 1
     out = _out_dir(args)
     try:
         results = _experiments.solve_cell(spec)
     except NoEquilibriumError as exc:
         _write_json(out / "equilibria.json", {"equilibria": [], "scan": exc.scan})
         print(f"no equilibrium found: {exc}", file=sys.stderr)
-        return 2
-    if not results:  # a disjunctive game whose enumerator admits no active set
-        _write_json(out / "equilibria.json", {"equilibria": [], "scan": []})
-        print("no equilibrium found: no active set is admitted", file=sys.stderr)
         return 2
     _write_json(out / "equilibria.json",
                 {"equilibria": [asdict(r) for r in results]})
@@ -241,7 +234,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (TeamworkGameError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (TeamworkGameError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

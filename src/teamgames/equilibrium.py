@@ -963,7 +963,8 @@ def enumerate_disjunctive_equilibria(game: GameSpec) -> list[EquilibriumResult]:
     Each evaluation of the shares, and the reported gifts at the root, solve
     one positive-branch gift per player type (``_first_of_type``) and add
     the shares in player order.  A game of more than ``_SUBSET_CAP`` players
-    is refused with ``ConfigurationError``.
+    is refused with ``ConfigurationError``; one that admits no active set
+    raises ``NoEquilibriumError`` with an empty ``scan``.
     """
     _require(game, "enumerate_disjunctive_equilibria", "> 1")
     if game.n > _SUBSET_CAP:
@@ -1031,6 +1032,8 @@ def enumerate_disjunctive_equilibria(game: GameSpec) -> list[EquilibriumResult]:
                 gifts[j] = r
             residual = abs(sum(share for _, share in at_root) - 1.0)
             results.append(_result_from_gifts(game, gifts, G_hat, residual))
+    if not results:
+        raise NoEquilibriumError("no active set is admitted", scan=[])
     return results
 
 

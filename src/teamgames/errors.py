@@ -33,11 +33,12 @@ class RegimeError(TeamworkGameError):
 
 
 class NoEquilibriumError(TeamworkGameError):
-    """The concave solver found no fixed point of the aggregate replacement map.
+    """A solver found no equilibrium: the concave solver no fixed point of the
+    aggregate replacement map, or the disjunctive enumerator no admitted active set.
 
-    ``scan`` holds ``[(lo, R(lo) - lo), (hi, R(hi) - hi)]``, the ends of the
-    interval searched, where ``R(G) - G`` has one sign; it is empty when the
-    interval is.
+    For the concave solver, ``scan`` holds ``[(lo, R(lo) - lo), (hi, R(hi) - hi)]``,
+    the ends of the interval searched, where ``R(G) - G`` has one sign; it is
+    ``[]`` when the interval is empty, and always for the enumerator.
     """
 
     def __init__(self, message, scan=None):

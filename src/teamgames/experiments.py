@@ -26,7 +26,6 @@ from .errors import (
     DegenerateRegressionError,
     Field,
     InputError,
-    NoEquilibriumError,
     TeamworkGameError,
     UndefinedDispersionError,
     _FINITE,
@@ -133,7 +132,8 @@ def cell_game(config: SweepConfig, p1: float, p2: float, rho: float, b: float) -
 
 
 def solve_cell(game: GameSpec):
-    """Equilibria of one cell's game, routed by task type."""
+    """Equilibria of one cell's game, routed by task type: a non-empty list,
+    or a ``TeamworkGameError`` (``NoEquilibriumError`` when there is none)."""
     _require_game(game)
     if game.rho > 1:
         return enumerate_disjunctive_equilibria(game)
@@ -159,8 +159,6 @@ def _solve_record(game: GameSpec):
         equilibria = solve_cell(game)
     except TeamworkGameError as exc:
         return (), (), f"{type(exc).__name__}: {exc}"
-    if not equilibria:  # a disjunctive game whose enumerator admits no active set
-        return (), (), "NoEquilibriumError: no active set is admitted"
     return tuple(e.aggregate_G for e in equilibria), tuple(e.actions for e in equilibria), None
 
 
@@ -562,14 +560,11 @@ def tune_hyperparameters(budget: int, *, probe_cells=_DEFAULT_PROBE,
     probes = []
     for cell in cells:
         game = cell_game(config, *cell)
-        try:
-            eqs = solve_cell(game)
-        except NoEquilibriumError:
-            eqs = []
-        if not eqs:  # a trial's score is each cell's distance to its nearest equilibrium
-            raise ConfigurationError(
-                f"probe cell {cell!r} has no equilibrium to score the learners against")
-        probes.append((game, tuple(e.aggregate_G for e in eqs)))
+        g_hats, _, reason = _solve_record(game)
+        if reason:  # a trial's score is each cell's distance to its nearest equilibrium
+            raise ConfigurationError(f"probe cell {cell!r} has no equilibrium "
+                                     f"to score the learners against ({reason})")
+        probes.append((game, g_hats))
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(base_seed))))
     log_k = np.log10(_K_RANGE)

@@ -53,7 +53,7 @@ class TestSolve:
                           game_spec(evaluation={"kind": "heaviside", "d": 10.0, "b": 5.0}))
         rc = cli.main(["solve", "--input", spec, "--output-dir", str(tmp_path)])
         assert rc == 1
-        assert "use learn" in capsys.readouterr().err
+        assert "can only be learned" in capsys.readouterr().err
 
     def test_no_equilibrium_exit_code(self, tmp_path):
         spec = write_json(tmp_path / "game.json",
@@ -65,10 +65,12 @@ class TestSolve:
 
     def test_no_admitted_active_set_exit_code(self, tmp_path, capsys):
         # a weak disjunctive pair: the enumerator admits no active set and
-        # returns an empty list rather than raising
+        # raises with an empty scan
         payload = {**game_spec(rho=1.5, expertise=(0.1, 0.1)),
                    "evaluation": {"kind": "logistic", "d": 10.0, "gamma": 2.0, "b": 3.0}}
-        assert experiments.solve_cell(GameSpec.from_dict(payload)) == []
+        with pytest.raises(NoEquilibriumError, match="no active set is admitted") as info:
+            experiments.solve_cell(GameSpec.from_dict(payload))
+        assert info.value.scan == []
         spec = write_json(tmp_path / "game.json", payload)
         assert cli.main(["solve", "--input", spec, "--output-dir", str(tmp_path)]) == 2
         data = json.loads((tmp_path / "equilibria.json").read_text())
@@ -245,6 +247,21 @@ class TestHeavisideAndTune:
             "0.3,0.7,5.5,18.181818181818183,0.2;0.56,\"(20%, 64%) | (56%, 62%)\"\n"
             "0.5,0.5,4.0,0.0,,\"(58%, 53%)\"\n"
             "0.1,0.1,0.0,,,\"(0%, 0%)\"\n")
+
+
+@pytest.mark.parametrize("input_name,output_name", [
+    (".", "out"),                    # the input is a directory
+    ("binary.json", "out"),          # the input is not UTF-8
+    ("game.json", "game.json"),      # the output directory is a file
+    ("game.json", "game.json/sub"),  # the output directory lies under a file
+], ids=["input-directory", "input-not-utf8", "output-file", "output-under-file"])
+def test_file_problem_is_refused_by_name(tmp_path, capsys, input_name, output_name):
+    write_json(tmp_path / "game.json", game_spec())
+    (tmp_path / "binary.json").write_bytes(b"\xff{}")
+    rc = cli.main(["solve", "--input", str(tmp_path / input_name),
+                   "--output-dir", str(tmp_path / output_name)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 SMALL_SWEEP = {"expertise_values": [0.3, 0.8], "rho_values": [1.0], "b_values": [5.0],

@@ -29,6 +29,7 @@ from teamgames.errors import (
     InputError,
     NoEquilibriumError,
     RegimeError,
+    TeamworkGameError,
     UnsupportedEvaluationError,
     WrongSolverError,
 )
@@ -522,6 +523,28 @@ class TestEnumerateDisjunctive:
             enumerate_disjunctive_equilibria(game(rho=1.0))
 
 
+WEAK_GRID = SweepConfig(expertise_values=(0.0, 0.1, 0.2, 0.3), rho_values=(1.5, 3.0, 10.0),
+                        b_values=(3.0, 5.0, 7.0))
+
+
+@pytest.mark.parametrize("config,expected", [
+    (WEAK_GRID, {"list": 42, "NoEquilibriumError": 27, "RegimeError": 21}),
+    (SweepConfig(), {"list": 224, "RegimeError": 16}),
+], ids=["weak-grid", "default-grid"])
+def test_solve_cell_returns_equilibria_or_raises(config, expected):
+    # one outcome per cell: a non-empty list, or a named refusal; never []
+    outcomes = Counter()
+    for _, p1, p2, rho, b in _cell_specs(config):
+        try:
+            results = solve_cell(cell_game(config, p1, p2, rho, b))
+        except TeamworkGameError as exc:
+            outcomes[type(exc).__name__] += 1
+        else:
+            assert isinstance(results, list) and results
+            outcomes["list"] += 1
+    assert outcomes == expected
+
+
 class TestEpsilonNash:
     def test_hard_additive_equilibrium_is_nash(self):
         g = game(rho=1.0, expertise=(0.3, 0.8), b=7.0)
@@ -808,7 +831,7 @@ class TestSinglePlayerDisjunctive:
     def _assert_singletons_are_standalone_pairs(g):
         try:
             results = enumerate_disjunctive_equilibria(g)
-        except (RegimeError, InputError):
+        except (RegimeError, InputError, NoEquilibriumError):
             return 0
         singletons = [e for e in results if len(e.active_set) == 1]
         for e in singletons:

@@ -123,7 +123,7 @@ class TestRunSweep:
 
     def test_cell_without_equilibrium_names_it(self):
         # the weak disjunctive pair (0.1, 0.1) admits no active set: the
-        # enumerator returns no equilibrium and raises nothing
+        # enumerator raises NoEquilibriumError and the cell records it
         cfg = tiny_sweep(expertise_values=(0.1,), rho_values=(1.5,), b_values=(3.0,),
                          episodes=60)
         [rec] = run_sweep(cfg)

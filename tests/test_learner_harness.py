@@ -93,8 +93,7 @@ def test_profiled_no_op_steps_read_zero(monkeypatch):
     def read():
         clock[0] += 1.0
         return clock[0]
-    steps = [attr for attrs in learner.STEPS.values() for attr in attrs
-             if hasattr(simulator, attr)]
+    steps = [attr for attrs in learner.STEPS.values() for attr in attrs]
     for attr in steps:
         monkeypatch.setattr(simulator, attr, lambda *args, **kwargs: None)
     no_ops = [getattr(simulator, attr) for attr in steps]
@@ -111,8 +110,19 @@ def test_profiled_no_op_steps_read_zero(monkeypatch):
     # the timers' two reads a call, and the one read that ends the run's own interval
     assert out == {"step_us.n4_team4.timer": 2 * calls / 2 * 1e6,
                    "step_us.n4_team4.other": 1 / 2 * 1e6,
-                   "score_evals.n4_team4": 3 * len(set(steps) & set(learner.STEPS["score"])) / 2}
+                   "score_evals.n4_team4": 3 * len(learner.STEPS["score"]) / 2}
     assert [getattr(simulator, attr) for attr in steps] == no_ops
+
+
+def test_every_name_the_harness_wraps_or_sets_resolves():
+    # the harness reads these names without a fallback: a rename must fail here
+    from teamgames import equilibrium, simulator
+    for attrs in learner.STEPS.values():
+        for attr in attrs:
+            assert callable(getattr(simulator, attr)), attr
+    for name in ("_type_standalone", "_type_thresholds"):
+        getattr(equilibrium, name).cache_clear()
+    assert isinstance(simulator._ARM_MAJOR_AGENTS, int)
 
 
 def test_cold_solves_clear_the_type_caches_and_copy_each_game(monkeypatch):
